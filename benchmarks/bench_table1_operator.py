@@ -1,7 +1,7 @@
 """Table I: cost of applying the Q2 viscous operator, five ways.
 
 Regenerates, per operator kind (Assembled / Matrix-free / Tensor /
-Tensor-C / compiled Tensor-C):
+Tensor-C / the compiled sum-factorized SIMD Tensor kernel):
 
 * the paper's exact per-element flop and byte counts (analytic,
   SS III-D -- asserted, not just printed);
@@ -43,6 +43,13 @@ if os.environ.get("REPRO_BENCH_LARGE"):
 #: paper-model column for kinds without their own Table I row
 _MODEL_ALIAS = {"tensor_compiled": "tensor_c"}
 
+#: asserted floor of the 16^3 compiled mf/assembled GF/s ratio on a host
+#: whose CPU runs a wide (AVX2 / AVX-512) variant.  Measured 13.9-14.6 on
+#: the reference box (AVX-512: ~22 vs ~1.6 GF/s); the old dense C kernel
+#: reached 6.08.  The 2-lane baseline variant is only required to beat the
+#: einsum backend.
+RATIO_FLOOR_16 = 8.0
+
 
 def _measured_gflops(op, u, nel, kind, reps=3) -> tuple[float, float]:
     """(seconds, implementation-GF/s) of one apply, best-of-``reps``."""
@@ -82,7 +89,7 @@ def test_operator_apply(benchmark, setting, kind):
     if kind == "tensor_compiled":
         benchmark.extra_info.update(
             compiled=op.compiled, fallback_reason=op.fallback_reason,
-            block_elements=op.block,
+            isa=op.isa,
         )
 
 
@@ -173,3 +180,5 @@ def test_scaling_ratio(benchmark, setting):
     probe = make_operator("tensor_compiled", mesh8, np.ones((mesh8.nel, 27)))
     if probe.compiled:
         assert ratios[(16, "tensor_compiled")] > ratio_einsum_8
+        if probe.isa != "base":
+            assert ratios[(16, "tensor_compiled")] > RATIO_FLOOR_16

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Matrix-free operator trade-offs (paper SS III-D / Table I).
 
-Applies the Q2 viscous operator with all four implementations --
-assembled CSR, reference matrix-free, tensor-product, and stored
-coefficient tensor -- and prints the paper's per-element flop/byte
-analysis next to measured NumPy timings and Edison roofline predictions.
+Applies the Q2 viscous operator with all five implementations --
+assembled CSR, reference matrix-free, tensor-product, stored coefficient
+tensor, and the compiled sum-factorized SIMD kernel -- and prints the
+per-element flop/byte analysis next to measured timings and Edison
+roofline predictions.
 
 Run:  python examples/operator_performance.py [n]
 """
@@ -25,12 +26,12 @@ def main(n: int = 10):
     eta = np.exp(rng.normal(size=(mesh.nel, quad.npoints)))
     u = rng.standard_normal(3 * mesh.nnodes)
     print(f"mesh {n}^3 = {mesh.nel} elements, {3 * mesh.nnodes} velocity dofs\n")
-    header = (f"{'operator':>9} {'flops/el':>9} {'B/el':>7} {'AI f/B':>7} "
+    header = (f"{'operator':>15} {'flops/el':>9} {'B/el':>7} {'AI f/B':>7} "
               f"{'meas ms':>8} {'meas GF/s':>10} {'Edison ms (8 nodes)':>20}")
     print(header)
     print("-" * len(header))
     ys = {}
-    for kind in ("asmb", "mf", "tensor", "tensor_c"):
+    for kind in ("asmb", "mf", "tensor", "tensor_c", "tensor_compiled"):
         op = make_operator(kind, mesh, eta, quad=quad)
         ys[kind] = op.apply(u)  # warm-up + correctness sample
         reps = 5
@@ -42,7 +43,7 @@ def main(n: int = 10):
         gf = c.flops * mesh.nel / dt / 1e9
         model_ms = modeled_apply_time(kind, 64**3,
                                       8 * EDISON.cores_per_node) * 1e3
-        print(f"{kind:>9} {c.flops:>9} {c.bytes_perfect_cache:>7} "
+        print(f"{kind:>15} {c.flops:>9} {c.bytes_perfect_cache:>7} "
               f"{c.intensity_perfect:>7.1f} {dt * 1e3:>8.2f} {gf:>10.2f} "
               f"{model_ms:>20.2f}")
     ref = ys["asmb"]

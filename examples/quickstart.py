@@ -251,7 +251,9 @@ def main(workers: int | None = None):
     problem = StokesProblem(mesh, eta, rho, gravity=(0, 0, -9.8),
                             bc_builder=free_slip)
     config = StokesConfig(
-        operator="tensor",      # matrix-free tensor-product fine level
+        # operator: the default "tensor_compiled" -- the matrix-free
+        # tensor-product fine level as a compiled SIMD kernel (NumPy
+        # fallback on hosts without a C compiler)
         mg_levels=3,            # geometric V(2,2) hierarchy
         coarse_solver="sa",     # smoothed aggregation on the coarsest level
         rtol=1e-5,              # unpreconditioned relative tolerance

@@ -14,16 +14,19 @@ mirroring Table I:
     Exploits the tensor-product structure of Q2: the reference gradient
     factors into 1D basis/derivative matrices applied along each direction
     (15228 flops/el, ~3.5x fewer), with a working set small enough to batch
-    many elements at once -- the NumPy analogue of the paper's AVX
-    vectorization over elements.
+    many elements at once (here: one GEMM per chunk against the dense
+    Kronecker factors).
 ``TensorCOperator``
     Variant storing a packed symmetric coefficient tensor
     ``(grad xi)^T (w eta) (grad xi)`` at setup (16 values/point), removing
     per-apply geometry recomputation at the cost of extra streamed bytes.
 ``TensorCompiledOperator``
-    The same packed-coefficient apply lowered to a compiled, L2-blocked C
-    kernel (GIL-releasing, in-place accumulation, no chunk temporaries);
-    degrades transparently to the NumPy path without a toolchain.
+    The paper's kernel proper and the default fine-level operator: the
+    packed-coefficient apply as a compiled C kernel, sum-factorized
+    (10773 flops/el) and evaluated for eight elements at once in SIMD
+    lanes (GIL-releasing, no chunk temporaries, ISA picked at load time,
+    bit-identical across ISAs and span cuts); degrades transparently to
+    the NumPy path without a toolchain.
 
 All five produce identical discrete operators (to rounding), which the test
 suite asserts; they differ only in flops-vs-bytes balance.

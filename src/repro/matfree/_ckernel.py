@@ -1,4 +1,4 @@
-"""Build/load machinery for the compiled blocked tensor kernel.
+"""Build/load machinery for the compiled sum-factorized tensor kernel.
 
 The container bakes in NumPy but no Numba/Cython, so the compiled backend
 is a small C translation unit compiled *at first use* with whatever system
@@ -9,19 +9,42 @@ fails, or ``$REPRO_NO_CKERNEL`` is set, :func:`load` returns ``None`` and
 to the pure-NumPy packed-coefficient path -- the suite passes either way.
 
 Shared objects are cached under ``$REPRO_CKERNEL_CACHE`` (default
-``~/.cache/repro``) keyed by a hash of the source and compile flags, so the
-compile cost (~1 s) is paid once per machine, not per process.
+``~/.cache/repro``) keyed by a hash of the source, the compile flags, the
+machine architecture and the compiler's identity, so the compile cost is
+paid once per machine and a ``$HOME`` shared between architectures or
+compilers never loads a foreign object.  A cached file that does not load
+(truncated, foreign) is unlinked and rebuilt once before giving up.
 
-Kernel contract (mirrors the executor's determinism contract)
--------------------------------------------------------------
-``tc_apply(cpk, conn, dk, u, y, s, e, block)`` accumulates the viscous
-contributions of elements ``[s, e)`` into the caller's ``y`` **in strictly
-increasing element order**.  The ``block`` parameter tiles the element loop
-for L2 residency but never reorders it, so results are bit-identical for
-every block size -- and the per-span partials the executor reduces in task
-order are the same floats the serial loop produces.  All per-element
-scratch (gathered velocities, reference gradients, reference fluxes) lives
-on the C stack: no ``C``/``g``/``t`` chunk temporaries are ever allocated.
+The kernel (SS III-D of the paper, "Tensor")
+--------------------------------------------
+``tc_apply_<isa>(cpk, conn, bd, u, y, s, e, nel)`` accumulates the viscous
+contributions of elements ``[s, e)`` into the caller's ``y``:
+
+* the reference gradient and its adjoint are **sum-factorized**: eight
+  one-dimensional 3x3 ``B_hat``/``D_hat`` contractions each way (``uB, uD``
+  along x; ``BB, DB, BD`` along y; ``gx = B.BD, gy = B.DB, gz = D.BB``
+  along z) instead of three dense 27x27 products;
+* :data:`LANES` = 8 elements are evaluated at once, one per SIMD lane
+  (compiler vector extensions, no intrinsics), streaming the
+  lane-interleaved packed coefficients ``(ceil(nel/8), 27, 16, 8)``;
+  batches are aligned to the *global* element index, and a span that cuts
+  a batch computes the whole (part-)batch and scatters only its own lanes;
+* one variant per ISA lives in the same object (function-level
+  ``target`` attributes, never ``-march=native``): ``avx512`` walks a
+  batch as one 8-lane vector, ``avx2`` as two 4-lane halves, ``base``
+  (SSE2 / NEON / whatever the baseline ABI has) as four 2-lane quarters.
+  :func:`variants` lists the ones this CPU can run, narrowest first.
+
+Determinism contract (mirrors the executor's)
+---------------------------------------------
+Lanes never interact, ``-ffp-contract=off`` forbids fused multiply-adds,
+and without ``-ffast-math`` the compiler may not reassociate: every
+element therefore sees the same IEEE operation sequence in any lane, at
+any vector width.  The scatter is scalar and runs **in strictly
+increasing element order**.  Together: the floats of ``y`` depend only on
+``[s, e)`` -- not on the ISA variant, the lane an element lands in, or
+how a caller cut neighbouring spans -- so the per-span partials the
+executor reduces in task order are the floats the serial loop produces.
 """
 
 from __future__ import annotations
@@ -29,140 +52,250 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import platform
+import shutil
 import subprocess
 import tempfile
 from pathlib import Path
 
-__all__ = ["available", "load", "unavailable_reason", "KERNEL_SOURCE"]
+__all__ = ["available", "load", "unavailable_reason", "variants", "isa",
+           "status", "KERNEL_SOURCE", "LANES"]
 
 #: environment kill-switch: force the pure-NumPy fallback (CI fallback leg)
 ENV_DISABLE = "REPRO_NO_CKERNEL"
 #: override the shared-object cache directory
 ENV_CACHE = "REPRO_CKERNEL_CACHE"
 
-_CFLAGS = ["-O3", "-fPIC", "-shared", "-std=c11", "-fno-math-errno"]
+#: elements per batch of the lane-interleaved coefficient layout
+LANES = 8
+
+_CFLAGS = ["-O3", "-fPIC", "-shared", "-std=c11", "-ffp-contract=off",
+           "-Wno-psabi"]
 _COMPILERS = ("cc", "gcc", "clang")
 
-KERNEL_SOURCE = r"""
-#include <stdint.h>
-#include <string.h>
+#: (name, lanes per vector, function target attribute), narrowest first, in
+#: the order tc_isa_level() counts them; entries with a target attribute
+#: exist on x86-64 only
+_ISA_VARIANTS = (
+    ("base", 2, ""),
+    ("avx2", 4, '__attribute__((target("avx2")))'),
+    ("avx512", 8, '__attribute__((target("avx512f")))'),
+)
 
-/* Blocked, in-order apply of the packed-coefficient Q2 viscous operator.
+_PRELUDE = r"""
+#include <stdint.h>
+
+#define LANES 8
+#define CAT_(a, b) a##b
+#define CAT(a, b) CAT_(a, b)
+/* per-variant names: the template below is instantiated once per ISA */
+#define vec CAT(vec, W)
+#define vec_u CAT(vec_u, W)
+#define TC_APPLY CAT(tc_apply_, ISA)
+
+/* Index of the widest tc_apply_* variant this CPU (and OS) can run:
+ * 0 base, 1 avx2, 2 avx512. */
+int tc_isa_level(void)
+{
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f")) return 2;
+    if (__builtin_cpu_supports("avx2")) return 1;
+#endif
+    return 0;
+}
+"""
+
+# One ISA variant of the apply, a C "template" over the macros ISA (function
+# suffix), W (lanes per vector) and TARGET (function attribute).
+_VARIANT = r"""
+/* W-lane vector of doubles; `vec_u` for loads at arbitrary alignment */
+typedef double vec __attribute__((vector_size(8 * W), may_alias));
+typedef double vec_u
+    __attribute__((vector_size(8 * W), may_alias, aligned(8)));
+
+/* Apply of the packed-coefficient Q2 viscous operator to elements [s, e).
  *
- * cpk  : (nel, 27, 16) packed per-quadrature-point coefficients
+ * cpk  : (ceil(nel/8), 27, 16, 8) lane-interleaved packed coefficients;
+ *        element 8*b + l sits in lane l of batch b.  Per point
  *        [S00,S01,S02,S11,S12,S22, K row-major (9), w*det*eta]
- *        with S = w*eta * K K^T (K = inverse Jacobian).
+ *        with S = w*eta * K K^T (K = inverse Jacobian); lanes past nel
+ *        are zero.
  * conn : (nel, 27) element-to-node map (int64).
- * dk   : (3, 27, 27) Kronecker reference-gradient factors (constant).
+ * bd   : (2, 3, 3) one-dimensional B_hat then D_hat, [point][basis].
  * u    : (nnodes*3,) interleaved input velocities.
  * y    : (nnodes*3,) output accumulator (caller zeroes the span partial).
- * s, e : element half-open range.
- * block: loop tile size in elements (<=0 means untiled); tiling preserves
- *        element order, so the result is independent of the tile size.
+ * s, e : element half-open range, 0 <= s <= e <= nel (the caller checks);
+ * nel  : total element count.
  */
-void tc_apply(const double *restrict cpk,
+TARGET
+void TC_APPLY(const double *restrict cpk,
               const int64_t *restrict conn,
-              const double *restrict dk,
+              const double *restrict bd,
               const double *restrict u,
               double *restrict y,
-              int64_t s, int64_t e, int64_t block)
+              int64_t s, int64_t e, int64_t nel)
 {
-    if (block < 1) block = e - s;
-    for (int64_t b0 = s; b0 < e; b0 += block) {
-        int64_t b1 = (b0 + block < e) ? b0 + block : e;
-        for (int64_t el = b0; el < b1; ++el) {
+    const double (*B)[3] = (const double (*)[3])bd;
+    const double (*D)[3] = (const double (*)[3])(bd + 9);
+
+    for (int64_t el0 = s - s % W; el0 < e; el0 += W) {
+        /* this part-batch: W lanes of batch el0 / 8, from lane el0 % 8 */
+        const double *cq =
+            cpk + (el0 / LANES) * (27 * 16 * LANES) + el0 % LANES;
+
+        /* gather: ue[c][a] holds component c of local node a, per lane */
+        double ue[3][27][W] __attribute__((aligned(8 * W)));
+        for (int l = 0; l < W; ++l) {
+            if (el0 + l < nel) {
+                const int64_t *cn = conn + 27 * (el0 + l);
+                for (int a = 0; a < 27; ++a) {
+                    const double *un = u + 3 * cn[a];
+                    ue[0][a][l] = un[0];
+                    ue[1][a][l] = un[1];
+                    ue[2][a][l] = un[2];
+                }
+            } else {
+                for (int a = 0; a < 27; ++a)
+                    ue[0][a][l] = ue[1][a][l] = ue[2][a][l] = 0.0;
+            }
+        }
+
+        /* reference gradient g[q][3*c + d] = d u_c / d xi_d at point q,
+         * lattice indices [z][y][x] flattened x-fastest */
+        vec g[27][9];
+        for (int c = 0; c < 3; ++c) {
+            const vec *U = (const vec *)ue[c];
+            vec uB[27], uD[27], BB[27], DB[27], BD[27];
+            for (int zy = 0; zy < 9; ++zy) {          /* along x */
+                const vec u0 = U[3 * zy], u1 = U[3 * zy + 1],
+                          u2 = U[3 * zy + 2];
+                for (int q = 0; q < 3; ++q) {
+                    uB[3 * zy + q] = B[q][0] * u0 + B[q][1] * u1 + B[q][2] * u2;
+                    uD[3 * zy + q] = D[q][0] * u0 + D[q][1] * u1 + D[q][2] * u2;
+                }
+            }
+            for (int z = 0; z < 3; ++z)               /* along y */
+                for (int x = 0; x < 3; ++x) {
+                    const int i = 9 * z + x;
+                    const vec b0 = uB[i], b1 = uB[i + 3], b2 = uB[i + 6];
+                    const vec d0 = uD[i], d1 = uD[i + 3], d2 = uD[i + 6];
+                    for (int q = 0; q < 3; ++q) {
+                        BB[i + 3 * q] = B[q][0] * b0 + B[q][1] * b1 + B[q][2] * b2;
+                        DB[i + 3 * q] = D[q][0] * b0 + D[q][1] * b1 + D[q][2] * b2;
+                        BD[i + 3 * q] = B[q][0] * d0 + B[q][1] * d1 + B[q][2] * d2;
+                    }
+                }
+            for (int r = 0; r < 9; ++r)               /* along z */
+                for (int q = 0; q < 3; ++q) {
+                    vec *gq = g[9 * q + r] + 3 * c;
+                    gq[0] = B[q][0] * BD[r] + B[q][1] * BD[r + 9] + B[q][2] * BD[r + 18];
+                    gq[1] = B[q][0] * DB[r] + B[q][1] * DB[r + 9] + B[q][2] * DB[r + 18];
+                    gq[2] = D[q][0] * BB[r] + D[q][1] * BB[r + 9] + D[q][2] * BB[r + 18];
+                }
+        }
+
+        /* reference flux, in place: t_cd = (g S)_cd + w (K g K)_dc */
+        for (int q = 0; q < 27; ++q) {
+            const double *p = cq + 16 * LANES * q;
+#define CP(k) (*(const vec_u *)(p + LANES * (k)))
+            const vec S00 = CP(0), S01 = CP(1), S02 = CP(2);
+            const vec S11 = CP(3), S12 = CP(4), S22 = CP(5);
+            const vec K0 = CP(6), K1 = CP(7), K2 = CP(8);
+            const vec K3 = CP(9), K4 = CP(10), K5 = CP(11);
+            const vec K6 = CP(12), K7 = CP(13), K8 = CP(14);
+            const vec w = CP(15);
+#undef CP
+            vec *gq = g[q];
+            vec gk[3][3];                             /* (g K)_cf */
+            for (int c = 0; c < 3; ++c) {
+                const vec g0 = gq[3 * c], g1 = gq[3 * c + 1], g2 = gq[3 * c + 2];
+                gk[c][0] = g0 * K0 + g1 * K3 + g2 * K6;
+                gk[c][1] = g0 * K1 + g1 * K4 + g2 * K7;
+                gk[c][2] = g0 * K2 + g1 * K5 + g2 * K8;
+            }
+            for (int c = 0; c < 3; ++c) {
+                const vec g0 = gq[3 * c], g1 = gq[3 * c + 1], g2 = gq[3 * c + 2];
+                /* (g S)_cd with S symmetric */
+                const vec gs0 = g0 * S00 + g1 * S01 + g2 * S02;
+                const vec gs1 = g0 * S01 + g1 * S11 + g2 * S12;
+                const vec gs2 = g0 * S02 + g1 * S12 + g2 * S22;
+                /* (K g K)_dc = sum_e K_de (g K)_ec */
+                const vec kg0 = K0 * gk[0][c] + K1 * gk[1][c] + K2 * gk[2][c];
+                const vec kg1 = K3 * gk[0][c] + K4 * gk[1][c] + K5 * gk[2][c];
+                const vec kg2 = K6 * gk[0][c] + K7 * gk[1][c] + K8 * gk[2][c];
+                gq[3 * c] = gs0 + w * kg0;
+                gq[3 * c + 1] = gs1 + w * kg1;
+                gq[3 * c + 2] = gs2 + w * kg2;
+            }
+        }
+
+        /* adjoint gradient: the forward sweeps transposed, z then y then x */
+        double ye[3][27][W] __attribute__((aligned(8 * W)));
+        for (int c = 0; c < 3; ++c) {
+            vec BDt[27], DBt[27], BBt[27], uBt[27], uDt[27];
+            for (int r = 0; r < 9; ++r) {             /* along z */
+                const vec *t0 = g[r] + 3 * c, *t1 = g[r + 9] + 3 * c,
+                          *t2 = g[r + 18] + 3 * c;
+                for (int a = 0; a < 3; ++a) {
+                    BDt[9 * a + r] = B[0][a] * t0[0] + B[1][a] * t1[0] + B[2][a] * t2[0];
+                    DBt[9 * a + r] = B[0][a] * t0[1] + B[1][a] * t1[1] + B[2][a] * t2[1];
+                    BBt[9 * a + r] = D[0][a] * t0[2] + D[1][a] * t1[2] + D[2][a] * t2[2];
+                }
+            }
+            for (int z = 0; z < 3; ++z)               /* along y */
+                for (int x = 0; x < 3; ++x) {
+                    const int i = 9 * z + x;
+                    for (int a = 0; a < 3; ++a) {
+                        uDt[i + 3 * a] = B[0][a] * BDt[i] + B[1][a] * BDt[i + 3]
+                                       + B[2][a] * BDt[i + 6];
+                        uBt[i + 3 * a] = (D[0][a] * DBt[i] + D[1][a] * DBt[i + 3]
+                                          + D[2][a] * DBt[i + 6])
+                                       + (B[0][a] * BBt[i] + B[1][a] * BBt[i + 3]
+                                          + B[2][a] * BBt[i + 6]);
+                    }
+                }
+            vec *Y = (vec *)ye[c];
+            for (int zy = 0; zy < 9; ++zy) {          /* along x */
+                const int i = 3 * zy;
+                for (int a = 0; a < 3; ++a)
+                    Y[i + a] = (D[0][a] * uDt[i] + D[1][a] * uDt[i + 1]
+                                + D[2][a] * uDt[i + 2])
+                             + (B[0][a] * uBt[i] + B[1][a] * uBt[i + 1]
+                                + B[2][a] * uBt[i + 2]);
+            }
+        }
+
+        /* ordered scalar scatter of the lanes that belong to [s, e) */
+        for (int l = 0; l < W; ++l) {
+            const int64_t el = el0 + l;
+            if (el < s || el >= e) continue;
             const int64_t *cn = conn + 27 * el;
-            const double *cq = cpk + 27 * 16 * el;
-            double ue[27][3];
-            for (int a = 0; a < 27; ++a) {
-                const double *un = u + 3 * cn[a];
-                ue[a][0] = un[0];
-                ue[a][1] = un[1];
-                ue[a][2] = un[2];
-            }
-            /* reference gradient g[q][c][d] = sum_a dk[d][q][a] ue[a][c] */
-            double g[27][3][3];
-            for (int d = 0; d < 3; ++d) {
-                const double *dkd = dk + 27 * 27 * d;
-                for (int q = 0; q < 27; ++q) {
-                    const double *row = dkd + 27 * q;
-                    double g0 = 0.0, g1 = 0.0, g2 = 0.0;
-                    for (int a = 0; a < 27; ++a) {
-                        const double w = row[a];
-                        g0 += w * ue[a][0];
-                        g1 += w * ue[a][1];
-                        g2 += w * ue[a][2];
-                    }
-                    g[q][0][d] = g0;
-                    g[q][1][d] = g1;
-                    g[q][2][d] = g2;
-                }
-            }
-            /* reference flux t[q][c][d] = (g S)_cd + w ((K g K))_dc */
-            double t[27][3][3];
-            for (int q = 0; q < 27; ++q) {
-                const double *p = cq + 16 * q;
-                const double S00 = p[0], S01 = p[1], S02 = p[2];
-                const double S11 = p[3], S12 = p[4], S22 = p[5];
-                const double *K = p + 6;
-                const double w = p[15];
-                /* gk[c][f] = (g K)_cf */
-                double gk[3][3];
-                for (int c = 0; c < 3; ++c) {
-                    const double gc0 = g[q][c][0], gc1 = g[q][c][1],
-                                 gc2 = g[q][c][2];
-                    gk[c][0] = gc0 * K[0] + gc1 * K[3] + gc2 * K[6];
-                    gk[c][1] = gc0 * K[1] + gc1 * K[4] + gc2 * K[7];
-                    gk[c][2] = gc0 * K[2] + gc1 * K[5] + gc2 * K[8];
-                }
-                for (int c = 0; c < 3; ++c) {
-                    const double gc0 = g[q][c][0], gc1 = g[q][c][1],
-                                 gc2 = g[q][c][2];
-                    /* (g S)_cd with S symmetric */
-                    const double gs0 = gc0 * S00 + gc1 * S01 + gc2 * S02;
-                    const double gs1 = gc0 * S01 + gc1 * S11 + gc2 * S12;
-                    const double gs2 = gc0 * S02 + gc1 * S12 + gc2 * S22;
-                    /* (K g K)_dc = sum_e K_de (g K)_ec */
-                    const double kg0 =
-                        K[0] * gk[0][c] + K[1] * gk[1][c] + K[2] * gk[2][c];
-                    const double kg1 =
-                        K[3] * gk[0][c] + K[4] * gk[1][c] + K[5] * gk[2][c];
-                    const double kg2 =
-                        K[6] * gk[0][c] + K[7] * gk[1][c] + K[8] * gk[2][c];
-                    t[q][c][0] = gs0 + w * kg0;
-                    t[q][c][1] = gs1 + w * kg1;
-                    t[q][c][2] = gs2 + w * kg2;
-                }
-            }
-            /* adjoint gradient ye[a][c] = sum_d sum_q dk[d][q][a] t[q][c][d],
-             * then ordered scatter into the global accumulator */
-            double ye[27][3];
-            memset(ye, 0, sizeof ye);
-            for (int d = 0; d < 3; ++d) {
-                const double *dkd = dk + 27 * 27 * d;
-                for (int q = 0; q < 27; ++q) {
-                    const double *row = dkd + 27 * q;
-                    const double t0 = t[q][0][d];
-                    const double t1 = t[q][1][d];
-                    const double t2 = t[q][2][d];
-                    for (int a = 0; a < 27; ++a) {
-                        const double w = row[a];
-                        ye[a][0] += w * t0;
-                        ye[a][1] += w * t1;
-                        ye[a][2] += w * t2;
-                    }
-                }
-            }
             for (int a = 0; a < 27; ++a) {
                 double *yn = y + 3 * cn[a];
-                yn[0] += ye[a][0];
-                yn[1] += ye[a][1];
-                yn[2] += ye[a][2];
+                yn[0] += ye[0][a][l];
+                yn[1] += ye[1][a][l];
+                yn[2] += ye[2][a][l];
             }
         }
     }
 }
 """
+
+
+def _kernel_source() -> str:
+    parts = [_PRELUDE]
+    for name, width, target in _ISA_VARIANTS:
+        block = (f"#define ISA {name}\n#define W {width}\n"
+                 f"#define TARGET {target}\n{_VARIANT}\n"
+                 "#undef ISA\n#undef W\n#undef TARGET")
+        if target:  # an x86 ISA extension
+            block = f"#if defined(__x86_64__)\n{block}\n#endif"
+        parts.append(block)
+    return "\n".join(parts)
+
+
+KERNEL_SOURCE = _kernel_source()
 
 _lib = None
 _load_attempted = False
@@ -176,49 +309,78 @@ def _cache_dir() -> Path:
     return Path(os.path.expanduser("~")) / ".cache" / "repro"
 
 
-def _source_key() -> str:
-    payload = KERNEL_SOURCE + "\0" + " ".join(_CFLAGS)
+def _source_key(cc_path: str) -> str:
+    """Cache key: source, flags, architecture and compiler identity."""
+    st = os.stat(cc_path)
+    payload = "\0".join([
+        KERNEL_SOURCE, " ".join(_CFLAGS), platform.machine(),
+        os.path.realpath(cc_path), str(st.st_size), str(st.st_mtime_ns),
+    ])
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _compile(so_path: Path) -> str | None:
+def _compile(cc_path: str, so_path: Path) -> str | None:
     """Compile the kernel into ``so_path``; return a failure reason or None."""
     so_path.parent.mkdir(parents=True, exist_ok=True)
-    last = "no C compiler found (tried: %s)" % ", ".join(_COMPILERS)
     with tempfile.TemporaryDirectory(prefix="repro-ckernel-") as tmp:
         c_path = Path(tmp) / "tensor_kernel.c"
         c_path.write_text(KERNEL_SOURCE)
         tmp_so = Path(tmp) / "tensor_kernel.so"
-        for cc in _COMPILERS:
-            cmd = [cc, *_CFLAGS, str(c_path), "-o", str(tmp_so)]
-            try:
-                proc = subprocess.run(
-                    cmd, capture_output=True, text=True, timeout=120
-                )
-            except (OSError, subprocess.TimeoutExpired) as err:
-                last = f"{cc}: {err}"
-                continue
-            if proc.returncode == 0:
-                # atomic publish so concurrent processes race benignly
-                os.replace(tmp_so, so_path)
-                return None
-            last = f"{cc} exited {proc.returncode}: {proc.stderr.strip()[:400]}"
-    return last
+        cmd = [cc_path, *_CFLAGS, str(c_path), "-o", str(tmp_so)]
+        try:
+            proc = subprocess.run(
+                cmd, capture_output=True, text=True, timeout=120
+            )
+        except (OSError, subprocess.TimeoutExpired) as err:
+            return f"{cc_path}: {err}"
+        if proc.returncode != 0:
+            return (f"{cc_path} exited {proc.returncode}: "
+                    f"{proc.stderr.strip()[:400]}")
+        # atomic publish so concurrent processes race benignly
+        os.replace(tmp_so, so_path)
+    return None
+
+
+_APPLY_ARGTYPES = [
+    ctypes.c_void_p,  # cpk
+    ctypes.c_void_p,  # conn
+    ctypes.c_void_p,  # bd
+    ctypes.c_void_p,  # u
+    ctypes.c_void_p,  # y
+    ctypes.c_int64,   # s
+    ctypes.c_int64,   # e
+    ctypes.c_int64,   # nel
+]
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    lib.tc_apply.restype = None
-    lib.tc_apply.argtypes = [
-        ctypes.c_void_p,  # cpk
-        ctypes.c_void_p,  # conn
-        ctypes.c_void_p,  # dk
-        ctypes.c_void_p,  # u
-        ctypes.c_void_p,  # y
-        ctypes.c_int64,   # s
-        ctypes.c_int64,   # e
-        ctypes.c_int64,   # block
-    ]
+    """Declare signatures; raises AttributeError on a foreign object."""
+    lib.tc_isa_level.restype = ctypes.c_int
+    lib.tc_isa_level.argtypes = []
+    level = lib.tc_isa_level()
+    for name, _, _ in _ISA_VARIANTS[: level + 1]:
+        fn = getattr(lib, f"tc_apply_{name}")
+        fn.restype = None
+        fn.argtypes = _APPLY_ARGTYPES
     return lib
+
+
+def _open(cc_path: str, so_path: Path):
+    """``(library, None)`` or ``(None, reason)``: load ``so_path``, building
+    it first if absent.  A file that exists but does not load is unlinked
+    and rebuilt once."""
+    reason = None
+    for _ in range(2):
+        if not so_path.exists():
+            failure = _compile(cc_path, so_path)
+            if failure is not None:
+                return None, f"compile failed: {failure}"
+        try:
+            return _bind(ctypes.CDLL(str(so_path))), None
+        except (OSError, AttributeError) as err:
+            reason = f"load failed: {err}"
+            so_path.unlink(missing_ok=True)
+    return None, reason
 
 
 def load() -> ctypes.CDLL | None:
@@ -232,20 +394,20 @@ def load() -> ctypes.CDLL | None:
     if os.environ.get(ENV_DISABLE):
         _reason = f"disabled via ${ENV_DISABLE}"
         return None
-    so_path = _cache_dir() / f"tensor_kernel-{_source_key()}.so"
-    try:
-        if not so_path.exists():
-            reason = _compile(so_path)
-            if reason is not None:
-                _reason = f"compile failed: {reason}"
-                return None
-        _lib = _bind(ctypes.CDLL(str(so_path)))
-    except OSError as err:
-        _reason = f"load failed: {err}"
-        _lib = None
-        return None
-    _reason = None
-    return _lib
+    _reason = "compile failed: no C compiler found (tried: %s)" % ", ".join(
+        _COMPILERS)
+    for cc in _COMPILERS:
+        cc_path = shutil.which(cc)
+        if cc_path is None:
+            continue
+        try:
+            so_path = _cache_dir() / f"tensor_kernel-{_source_key(cc_path)}.so"
+            _lib, _reason = _open(cc_path, so_path)
+        except OSError as err:  # unwritable cache directory and the like
+            _reason = f"compile failed: {err}"
+        if _lib is not None:
+            return _lib
+    return None
 
 
 def available() -> bool:
@@ -257,6 +419,34 @@ def unavailable_reason() -> str | None:
     """Why the compiled kernel is unavailable (None when it is available)."""
     load()
     return _reason
+
+
+def variants() -> dict:
+    """``{isa name: tc_apply function}`` for every variant this CPU can
+    run, narrowest first (so the last entry is the one to use); empty when
+    the kernel is unavailable.  All variants produce identical floats."""
+    lib = load()
+    if lib is None:
+        return {}
+    return {name: getattr(lib, f"tc_apply_{name}")
+            for name, _, _ in _ISA_VARIANTS[: lib.tc_isa_level() + 1]}
+
+
+def isa() -> str | None:
+    """Name of the widest runnable variant (None when unavailable)."""
+    return next(reversed(variants()), None)
+
+
+def status() -> dict | None:
+    """What the run manifest records about the kernel: ``{"isa": ...}``
+    when loaded, ``{"fallback_reason": ...}`` when a load was attempted and
+    failed, ``None`` when nothing has asked for the kernel yet (never
+    triggers a compile itself)."""
+    if not _load_attempted:
+        return None
+    if _lib is None:
+        return {"fallback_reason": _reason}
+    return {"isa": isa()}
 
 
 def _reset_for_tests() -> None:

@@ -10,11 +10,17 @@ instead of a dense 81x27 matrix apply (Eq. 19).  The per-element flop count
 drops from 53622 to 15228, the 17 kB per-element gradient matrix disappears,
 and -- crucially for the paper's vectorization story -- the working set per
 element becomes small enough to process long batches of elements
-simultaneously.  Here that batching is expressed as a single GEMM of every
-element in a chunk against the *constant* Kronecker gradient factors
-(:func:`kron_gradient_matrices`), the NumPy/BLAS analogue of processing
-elements in SIMD lanes; the analytic flop counts of the factored form are
-what :mod:`repro.perf.counts` reports.
+simultaneously.
+
+The NumPy kernels in this module take a shortcut the paper's does not:
+they batch by a single GEMM of every element in a chunk against the
+*constant* dense 27x27 Kronecker gradient factors
+(:func:`kron_gradient_matrices`), which BLAS runs well but which costs
+13122 flops per gradient sweep.  The factored form itself -- 1-D 3x3
+contractions along x, y, z, eight elements per SIMD vector -- is what the
+compiled kernel of :mod:`repro.matfree.tensor_compiled` executes;
+:mod:`repro.perf.counts` keeps the paper's analytic count for this row and
+first-principles counts for both implementations.
 """
 
 from __future__ import annotations
@@ -35,8 +41,8 @@ def kron_gradient_matrices(B: np.ndarray, D: np.ndarray) -> np.ndarray:
     per-element 81x27 ``D_e``, nothing element-dependent has to be formed
     or stored, so long batches of elements go through the same small
     matrices.  NumPy realizes the batched contraction as a GEMM against
-    these factors, playing the role of the paper's AVX vectorization over
-    elements.
+    these dense factors; the compiled kernel applies the 1-D factors
+    directly, vectorized over elements as in the paper.
     """
     return np.stack([
         np.kron(B, np.kron(B, D)),

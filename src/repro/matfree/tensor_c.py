@@ -20,8 +20,9 @@ is exact for the isotropic Picard operator:
 with the apply ``t = g S + w (K g K)^T`` (derivation in
 :func:`build_packed_coefficients`).  That cuts the stored coefficient
 memory ~5x versus the dense rank-4 form (81 -> 16 values/point), which is
-what lets the 16^3-32^3 Table 1 runs fit, and it is the exact layout the
-compiled backend (:mod:`repro.matfree.tensor_compiled`) streams.
+what lets the 16^3-32^3 Table 1 runs fit; the compiled backend
+(:mod:`repro.matfree.tensor_compiled`) streams the same 16 values per
+point, interleaved eight elements to a SIMD batch.
 
 Cache invalidation follows the state-version contract of
 :class:`~repro.matfree.base.ViscousOperatorBase`: the packed tensor is
@@ -91,14 +92,17 @@ class TensorCOperator(TensorOperator):
         self._C = self._build_coefficient_tensor()
         self._coeff_key = (mesh.coords_version, self.eta_version)
 
-    def _build_coefficient_tensor(self) -> np.ndarray:
-        """Packed coefficients ``(nel, nq, 16)`` (see module docstring)."""
-        nel = self.mesh.nel
-        C = np.empty((nel, 27, PACKED_VALUES))
+    def _packed_chunks(self):
+        """``(s, e, packed (e - s, nq, 16))`` per element chunk, in order."""
         for s, e in self._chunks():
             Jinv, wdet = self._geometry(s, e)  # K[d, e] = dxi_d/dx_e
-            weta = wdet * self.eta_q[s:e]
-            C[s:e] = build_packed_coefficients(Jinv, weta)
+            yield s, e, build_packed_coefficients(Jinv, wdet * self.eta_q[s:e])
+
+    def _build_coefficient_tensor(self) -> np.ndarray:
+        """Packed coefficients ``(nel, nq, 16)`` (see module docstring)."""
+        C = np.empty((self.mesh.nel, 27, PACKED_VALUES))
+        for s, e, packed in self._packed_chunks():
+            C[s:e] = packed
         return C
 
     def _before_apply(self) -> None:

@@ -1,98 +1,103 @@
-"""Compiled, element-slab-blocked Tensor-C backend (ROADMAP item 1).
+"""The paper's Tensor kernel, compiled: sum-factorized and SIMD over elements.
 
-The pure-NumPy einsum kernels cap Table 1 runs at 4^3-8^3 meshes: every
-chunk materializes ``g``/``t`` temporaries of shape ``(chunk, 27, 3, 3)``
-and the BLAS-shaped contractions stream them through memory three times.
-Following the 3D-blocking matrix-free-smoother playbook (PAPERS.md,
-arXiv 2509.19061), this backend lowers the packed-coefficient apply of
-:class:`~repro.matfree.tensor_c.TensorCOperator` to a single C loop
-(:mod:`repro.matfree._ckernel`):
+The pure-NumPy einsum kernels contract every element chunk against the
+dense 27x27 Kronecker gradient factors and stream ``(chunk, 27, 3, 3)``
+temporaries through memory.  This backend lowers the packed-coefficient
+apply of :class:`~repro.matfree.tensor_c.TensorCOperator` to the C kernel
+of :mod:`repro.matfree._ckernel`, which is the restructuring SS III-D of
+the paper (and the 3D-blocking smoother paper, PAPERS.md arXiv 2509.19061)
+gets its speed from:
 
-* per-element scratch lives on the C stack -- the per-chunk ``C``/``g``/
-  ``t`` temporaries disappear entirely;
-* elements are processed in L2-sized blocks (:attr:`block` elements,
-  default sized so a block's packed coefficients + vectors fit in half of
-  L2), tiled **in element order** so the result is bit-identical for any
-  block size;
-* the packed 16-value symmetric coefficient storage (vs the dense 81) is
-  streamed directly -- ~5x less coefficient traffic, which is what moves
-  the roofline position at 16^3-32^3;
+* the reference gradient and its adjoint are applied by **sum
+  factorization** -- eight 1-D 3x3 contractions each way, 10773 flops per
+  element instead of the dense form's 30375;
+* **eight elements are evaluated at once**, one per SIMD lane, streaming a
+  lane-interleaved packed-coefficient array ``(ceil(nel/8), 27, 16, 8)``
+  that is built once per ``(coords_version, eta_version)`` and is the only
+  coefficient copy this operator holds;
+* all per-batch scratch lives on the C stack, the scatter is scalar and in
+  element order, and the widest ISA variant the CPU runs (AVX-512, AVX2 or
+  the baseline ABI) is picked at load time -- every variant, lane position
+  and span cut produces the same floats (see the determinism contract in
+  :mod:`~repro.matfree._ckernel`);
 * the kernel is a plain ``ctypes`` call, so the GIL is released: the
   thread backend of :class:`~repro.parallel.executor.ParallelExecutor`
   scales it across element slabs with the same task-ordered, bit-exact
   reduction as every other kernel.
 
-When no C toolchain is available (or ``$REPRO_NO_CKERNEL`` is set) the
-operator transparently degrades to the inherited NumPy packed apply --
-same results, same contracts, slower.
+The arithmetic differs from the einsum path in association order, so the
+two agree to a few ulp (``<= 1e-13 max|y|`` is tested), not bitwise.  When
+no C toolchain is available (or ``$REPRO_NO_CKERNEL`` is set) the operator
+transparently degrades to the inherited NumPy packed apply -- same
+contracts, slower, last bits differ.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from . import _ckernel
 from .tensor_c import TensorCOperator, PACKED_VALUES
 
-#: default L2 budget per element block (bytes); half of a typical 1-2 MB
-#: private L2 so the streamed coefficients coexist with gather/scatter lines
-_DEFAULT_L2_BUDGET = 1 << 20
-
-
-def default_block_elements(l2_bytes: int | None = None) -> int:
-    """Elements per loop tile so one tile's working set sits in L2.
-
-    Per element the kernel streams ``16 * 27`` packed coefficients plus a
-    27-entry gather map and touches ~27 nodes of the in/out vectors:
-    ~3.9 kB.  ``$REPRO_CKERNEL_BLOCK`` overrides the computed value.
-    """
-    env = os.environ.get("REPRO_CKERNEL_BLOCK")
-    if env:
-        return max(1, int(env))
-    budget = l2_bytes or _DEFAULT_L2_BUDGET
-    per_element = 8 * (PACKED_VALUES * 27 + 27) + 2 * 8 * 3 * 27
-    return max(32, budget // per_element)
+LANES = _ckernel.LANES
 
 
 class TensorCompiledOperator(TensorCOperator):
-    """Blocked compiled apply of the packed Tensor-C operator."""
+    """Compiled sum-factorized apply of the packed Tensor-C operator."""
 
     name = "tensor_compiled"
 
-    def __init__(self, mesh, eta_q, quad=None, chunk=4096,
-                 block: int | None = None, **parallel_opts):
+    def __init__(self, mesh, eta_q, quad=None, chunk=4096, **parallel_opts):
+        # resolved before the base constructor packs the coefficients: the
+        # layout of ``_C`` depends on which path applies them.  ``isa`` names
+        # the variant in use (None on the NumPy fallback).
+        self.isa = _ckernel.isa()
+        self._kernel = _ckernel.variants().get(self.isa)
         super().__init__(mesh, eta_q, quad, chunk, **parallel_opts)
-        #: L2 tile size in elements (order-preserving; any value is exact)
-        self.block = int(block) if block else default_block_elements()
-        self._lib = _ckernel.load()
         # the kernel reads these as raw pointers: pin dtypes/contiguity once
         self._conn64 = np.ascontiguousarray(
             self.mesh.connectivity, dtype=np.int64
         )
-        self._DK_c = np.ascontiguousarray(self._DK)
+        self._BD = np.ascontiguousarray(
+            np.stack([self.B_hat, self.D_hat]), dtype=np.float64
+        )
 
     @property
     def compiled(self) -> bool:
         """True when applies go through the C kernel (else NumPy fallback)."""
-        return self._lib is not None
+        return self._kernel is not None
 
     @property
     def fallback_reason(self) -> str | None:
-        return _ckernel.unavailable_reason() if self._lib is None else None
+        return None if self.compiled else _ckernel.unavailable_reason()
 
-    def _apply_elements(self, u: np.ndarray, s0: int, e0: int) -> np.ndarray:
-        if self._lib is None:
-            return super()._apply_elements(u, s0, e0)
+    def _build_coefficient_tensor(self) -> np.ndarray:
+        """Lane-interleaved packed coefficients ``(ceil(nel/8), nq, 16, 8)``
+        for the C kernel: element ``8 b + l`` is lane ``l`` of batch ``b``,
+        lanes past ``nel`` stay zero."""
+        if not self.compiled:
+            return super()._build_coefficient_tensor()
+        C = np.zeros((-(-self.mesh.nel // LANES), 27, PACKED_VALUES, LANES))
+        for s, e, packed in self._packed_chunks():
+            el = np.arange(s, e)
+            C[el // LANES, :, :, el % LANES] = packed
+        return C
+
+    def _run_kernel(self, kernel, u: np.ndarray, s0: int, e0: int) -> np.ndarray:
+        """Span partial of elements ``[s0, e0)`` through one ISA variant."""
         y = np.zeros(self.ndof)
         u = np.ascontiguousarray(u, dtype=np.float64)
-        C = self._C
-        if not C.flags.c_contiguous:  # pragma: no cover - built contiguous
-            C = self._C = np.ascontiguousarray(C)
-        self._lib.tc_apply(
-            C.ctypes.data, self._conn64.ctypes.data, self._DK_c.ctypes.data,
-            u.ctypes.data, y.ctypes.data,
-            int(s0), int(e0), int(self.block),
+        if u.size != self.ndof:
+            raise ValueError(f"u has {u.size} entries, expected {self.ndof}")
+        nel = self.mesh.nel
+        kernel(
+            self._C.ctypes.data, self._conn64.ctypes.data,
+            self._BD.ctypes.data, u.ctypes.data, y.ctypes.data,
+            max(0, int(s0)), max(0, min(nel, int(e0))), nel,
         )
         return y
+
+    def _apply_elements(self, u: np.ndarray, s0: int, e0: int) -> np.ndarray:
+        if not self.compiled:
+            return super()._apply_elements(u, s0, e0)
+        return self._run_kernel(self._kernel, u, s0, e0)

@@ -48,7 +48,8 @@ class GMGConfig:
     fine_operator:
         One of ``asmb | mf | tensor | tensor_c | tensor_compiled`` -- the
         Table I kernel used on the finest level (smoother + residual
-        evaluations).
+        evaluations).  The default compiled kernel falls back to the packed
+        NumPy apply on hosts without a C toolchain.
     fused_residual:
         Take pre-smoothing residuals from the Chebyshev recurrence instead
         of an explicit ``b - A x`` (one operator apply saved per level per
@@ -81,7 +82,7 @@ class GMGConfig:
     """
 
     levels: int = 3
-    fine_operator: str = "tensor"
+    fine_operator: str = "tensor_compiled"
     fused_residual: bool = False
     galerkin: bool = True
     galerkin_from_fine: bool = False

@@ -26,7 +26,8 @@ into ``executor.*`` gauges) and returns the row -- the flight recorder
 buffers it, the progress line renders it.
 
 Every export also carries a **run manifest** (:func:`build_manifest`):
-config hash, machine model, package versions, RNG seed, and the
+config hash, machine model, package versions, RNG seed, the compiled
+tensor kernel actually used (ISA variant, or why it fell back) and the
 ``REPRO_*`` environment -- so any ``BENCH_*.json`` / ``FLIGHT_*.json`` is
 self-describing and two documents can be compared knowing *what* ran.
 
@@ -319,6 +320,8 @@ def build_manifest() -> dict:
     """
     from ..perf.machine import resolve_machine
 
+    from ..matfree import _ckernel
+
     over = dict(_STORE.overrides)
     machine = resolve_machine(over.pop("machine_model", None))
     manifest = {
@@ -332,6 +335,10 @@ def build_manifest() -> dict:
                 if k.startswith("REPRO_")},
         "config_hash": over.pop("config_hash", None),
         "seed": over.pop("seed", None),
+        # which compiled tensor kernel ran ({"isa": ...}) or why none did
+        # ({"fallback_reason": ...}); None if no operator asked for it.
+        # Compiled and fallback hosts differ in the last bits of a result.
+        "tensor_kernel": _ckernel.status(),
     }
     manifest.update(over)
     return manifest

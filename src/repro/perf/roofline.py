@@ -142,7 +142,8 @@ def memory_bytes(kind: str, nel: int, nnodes: int) -> int:
     kernels only coordinates + coefficient, and Tensor-C adds its packed
     16-value coefficient tensor per quadrature point (the paper's 21-entry
     Voigt storage for the anisotropic case; our isotropic Picard operator
-    packs exactly into 16 -- see :mod:`repro.matfree.tensor_c`).
+    packs exactly into 16 -- see :mod:`repro.matfree.tensor_c`); the
+    compiled kernel holds the same values in whole 8-element batches.
     """
     vectors = 2 * 3 * nnodes * 8  # state + residual
     if kind == "asmb":
@@ -151,8 +152,11 @@ def memory_bytes(kind: str, nel: int, nnodes: int) -> int:
     coeff = nel * 27 * 8
     if kind in ("mf", "tensor"):
         return vectors + coords + coeff
-    if kind in ("tensor_c", "tensor_compiled"):
+    if kind == "tensor_c":
         return vectors + coords + nel * 27 * 16 * 8
+    if kind == "tensor_compiled":
+        # lane-interleaved batches of 8 elements, the last one zero-padded
+        return vectors + coords + -(-nel // 8) * 8 * 27 * 16 * 8
     raise ValueError(f"unknown operator kind {kind!r}")
 
 

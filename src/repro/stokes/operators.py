@@ -106,7 +106,8 @@ class StokesOperator:
         whose ``apply`` replaces the Picard viscous block in the matvec.
     """
 
-    def __init__(self, problem: StokesProblem, kind: str = "tensor",
+    def __init__(self, problem: StokesProblem,
+                 kind: str = "tensor_compiled",
                  velocity_operator=None, divergence: sp.spmatrix | None = None,
                  workers: int | None = None, parallel_backend: str | None = None,
                  executor=None):

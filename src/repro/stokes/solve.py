@@ -32,7 +32,9 @@ from .scr import solve_scr
 class StokesConfig:
     """Configuration of the linear Stokes solve."""
 
-    operator: str = "tensor"  # Table I kernel for the fine viscous block
+    #: Table I kernel for the fine viscous block; the compiled kernel
+    #: degrades to the packed NumPy path on hosts without a C toolchain
+    operator: str = "tensor_compiled"
     mg_levels: int = 3
     smoother_degree: int = 2  # V(2,2)
     coarse_solver: str = "sa"

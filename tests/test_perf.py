@@ -76,12 +76,27 @@ class TestImplementationCounts:
         # two factored gradient sweeps + the 153-flop pointwise contraction
         assert c.flops == 2 * 13122 + 27 * 153 == 30375
 
-    def test_compiled_shares_tensor_c_arithmetic(self):
+    def test_compiled_counts_the_factored_kernel(self):
         c = OPERATOR_COUNTS["tensor_compiled"]
         ref = OPERATOR_COUNTS["tensor_c"]
-        assert (c.flops, c.bytes_perfect_cache, c.bytes_pessimal_cache) == (
-            ref.flops, ref.bytes_perfect_cache, ref.bytes_pessimal_cache
+        # eight 1-D contractions of 27 x 5 flops per component each way
+        # (+ 54 merge adds in the adjoint) around the same pointwise update
+        line = 27 * 5
+        assert c.flops == 3 * 8 * line + 27 * 153 + 3 * (8 * line + 54)
+        assert c.flops == 10773 < ref.flops / 2.8
+        # interleaving reorders the coefficient stream, it does not grow it
+        assert (c.bytes_perfect_cache, c.bytes_pessimal_cache) == (
+            ref.bytes_perfect_cache, ref.bytes_pessimal_cache
         )
+
+    def test_compiled_memory_counts_whole_batches(self):
+        from repro.perf.roofline import memory_bytes
+
+        coeff = 27 * 16 * 8
+        assert (memory_bytes("tensor_compiled", 64, 1)
+                == memory_bytes("tensor_c", 64, 1))
+        assert (memory_bytes("tensor_compiled", 27, 1)
+                - memory_bytes("tensor_c", 27, 1)) == 5 * coeff
 
     def test_packed_storage_cuts_coefficient_memory(self):
         """The 16-value packing moves the ~4x memory cut the docstring

@@ -120,6 +120,25 @@ class TestManifest:
         monkeypatch.setenv("REPRO_WORKERS", "2")
         assert metrics.build_manifest()["env"]["REPRO_WORKERS"] == "2"
 
+    def test_records_the_tensor_kernel_actually_used(self, monkeypatch):
+        from repro.matfree import _ckernel
+
+        _ckernel._reset_for_tests()
+        try:
+            # nothing asked for the kernel yet: the manifest does not compile
+            assert metrics.build_manifest()["tensor_kernel"] is None
+            monkeypatch.setenv(_ckernel.ENV_DISABLE, "1")
+            _ckernel.load()
+            used = metrics.build_manifest()["tensor_kernel"]
+            assert _ckernel.ENV_DISABLE in used["fallback_reason"]
+            monkeypatch.delenv(_ckernel.ENV_DISABLE)
+            _ckernel._reset_for_tests()
+            if _ckernel.available():
+                used = metrics.build_manifest()["tensor_kernel"]
+                assert used == {"isa": _ckernel.isa()}
+        finally:
+            _ckernel._reset_for_tests()
+
     def test_config_hash_is_stable_and_discriminates(self):
         a = metrics.config_hash(StokesConfig(mg_levels=2))
         b = metrics.config_hash(StokesConfig(mg_levels=2))

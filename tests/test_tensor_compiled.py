@@ -1,9 +1,11 @@
-"""Compiled blocked tensor kernel: equivalence, determinism, fallback.
+"""Compiled sum-factorized tensor kernel: determinism, accuracy, fallback.
 
-Mirrors the ``tests/test_parallel_executor.py`` style: every parallel
-claim is ``rtol=0`` (bitwise) because the executor reduces span partials
-in task order and the C kernel accumulates elements strictly in index
-order; cross-backend claims (different arithmetic) use tight ``allclose``.
+The kernel's contract (``repro.matfree._ckernel``): an element's floats are
+the same in any SIMD lane, on any ISA variant, under any span cut, and the
+scatter runs in element order.  Every claim that follows from it is
+``rtol=0`` (bitwise).  Against the NumPy einsum path the arithmetic is
+associated differently, so those claims carry the few-ulp bound
+``<= 1e-13 max|y|`` instead.
 """
 
 import numpy as np
@@ -15,19 +17,40 @@ from repro.matfree import _ckernel
 from repro.matfree.tensor_c import (
     PACKED_VALUES, build_packed_coefficients, unpack_sym,
 )
-from repro.matfree.tensor_compiled import default_block_elements
 
 QUAD = GaussQuadrature.hex(3)
 BACKENDS = ["thread", "process"]
+#: meshes whose element count is not a multiple of the 8-lane batch
+ODD_SHAPES = [(3, 3, 3), (5, 3, 2)]
+
+needs_kernel = pytest.mark.skipif(
+    not _ckernel.available(),
+    reason=f"no compiled kernel: {_ckernel.unavailable_reason()}",
+)
 
 
 def small_setup(shape=(3, 3, 4), seed=11):
+    """Deformed mesh, variable viscosity, random input."""
     rng = np.random.default_rng(seed)
     mesh = StructuredMesh(shape, order=2, extent=(1.0, 0.8, 1.2))
     mesh.deform(lambda c: c + 0.02 * np.sin(2 * np.pi * c[:, [1, 2, 0]]))
     eta = np.exp(rng.normal(scale=0.5, size=(mesh.nel, QUAD.npoints)))
     u = rng.standard_normal(3 * mesh.nnodes)
     return mesh, eta, u
+
+
+def compiled_op(shape=(3, 3, 4), **kwargs):
+    mesh, eta, u = small_setup(shape)
+    return make_operator("tensor_compiled", mesh, eta, quad=QUAD, **kwargs), u
+
+
+@pytest.fixture
+def no_toolchain(monkeypatch):
+    """Force the NumPy fallback for operators built inside the test."""
+    monkeypatch.setenv(_ckernel.ENV_DISABLE, "1")
+    _ckernel._reset_for_tests()
+    yield
+    _ckernel._reset_for_tests()
 
 
 class TestPackedStorage:
@@ -62,76 +85,146 @@ class TestPackedStorage:
         # major symmetry C_cdef = C_efcd: the operator stays symmetric
         assert np.allclose(C, C.transpose(0, 1, 4, 5, 2, 3))
 
+    @needs_kernel
+    @pytest.mark.parametrize("shape", ODD_SHAPES)
+    @pytest.mark.parametrize("chunk", [5, 4096])
+    def test_interleaved_layout_is_the_only_copy(self, shape, chunk):
+        """``_C[b, q, k, l]`` is value k of point q of element 8 b + l;
+        lanes past nel are zero; no element-major copy is kept."""
+        mesh, eta, _ = small_setup(shape)
+        op = make_operator("tensor_compiled", mesh, eta, quad=QUAD,
+                           chunk=chunk)
+        ref = make_operator("tensor_c", mesh, eta, quad=QUAD)
+        nb = -(-mesh.nel // _ckernel.LANES)
+        assert op._C.shape == (nb, 27, PACKED_VALUES, _ckernel.LANES)
+        by_element = op._C.transpose(0, 3, 1, 2).reshape(-1, 27, PACKED_VALUES)
+        assert np.array_equal(by_element[:mesh.nel], ref._C)
+        assert not by_element[mesh.nel:].any()
+        big = [v for v in vars(op).values()
+               if isinstance(v, np.ndarray) and v.size >= ref._C.size]
+        assert len(big) == 1 and big[0] is op._C
 
-class TestEquivalence:
-    """tensor_compiled vs tensor_c vs tensor, across chunk/block sizes."""
 
-    @pytest.mark.parametrize("chunk", [3, 17, 4096])
-    def test_matches_einsum_backends(self, chunk):
-        mesh, eta, u = small_setup()
-        y_t = make_operator("tensor", mesh, eta, quad=QUAD, chunk=chunk)(u)
-        y_c = make_operator("tensor_c", mesh, eta, quad=QUAD, chunk=chunk)(u)
-        y_x = make_operator(
-            "tensor_compiled", mesh, eta, quad=QUAD, chunk=chunk
-        )(u)
-        scale = np.abs(y_t).max()
-        assert np.abs(y_c - y_t).max() < 1e-13 * scale
-        assert np.abs(y_x - y_t).max() < 1e-13 * scale
+@needs_kernel
+class TestBitwiseContract:
+    """rtol=0: ISA variant, lane position, span cuts, executors."""
 
-    def test_block_size_is_bit_invariant(self):
-        """The L2 tile never reorders the element loop, so every block
-        size produces the identical floats (rtol=0)."""
-        mesh, eta, u = small_setup()
-        ys = [
-            make_operator(
-                "tensor_compiled", mesh, eta, quad=QUAD, block=b
-            ).apply(u)
-            for b in (1, 2, 7, 64, 10**6)
-        ]
-        for y in ys[1:]:
-            assert np.array_equal(ys[0], y)
+    @pytest.mark.parametrize("shape", ODD_SHAPES + [(3, 3, 4)])
+    def test_every_isa_variant_gives_the_same_floats(self, shape):
+        op, u = compiled_op(shape)
+        variants = _ckernel.variants()
+        assert list(variants)[0] == "base" and list(variants)[-1] == op.isa
+        nel = op.mesh.nel
+        spans = [(0, nel), (1, nel - 2), (3, 12), (7, 9)]
+        for s, e in spans:
+            ys = [op._run_kernel(fn, u, s, e) for fn in variants.values()]
+            assert np.abs(ys[0]).max() > 0
+            for y in ys[1:]:
+                assert np.array_equal(ys[0], y)
 
-    def test_chunk_size_does_not_change_compiled_result(self):
-        # the C path ignores _sub_chunks entirely; chunk only shapes the
-        # NumPy fallback, so results must be chunk-independent bitwise
-        mesh, eta, u = small_setup()
-        y1 = make_operator("tensor_compiled", mesh, eta, quad=QUAD, chunk=4)(u)
-        y2 = make_operator("tensor_compiled", mesh, eta, quad=QUAD)(u)
-        assert np.array_equal(y1, y2)
+    @pytest.mark.parametrize("shape", ODD_SHAPES)
+    def test_arbitrary_span_cuts_match_ordered_element_sum(self, shape):
+        """A span partial is the in-order sum of its elements' one-element
+        partials -- each of which was computed in whatever lane and
+        part-batch its global index dictates -- so cutting a batch changes
+        nothing."""
+        op, u = compiled_op(shape)
+        nel = op.mesh.nel
+        single = [op._apply_elements(u, el, el + 1) for el in range(nel)]
+        rng = np.random.default_rng(2)
+        cuts = sorted(rng.choice(np.arange(1, nel), size=5, replace=False))
+        for s, e in zip([0, *cuts], [*cuts, nel]):
+            expect = np.zeros(op.ndof)
+            for el in range(s, e):
+                expect += single[el]
+            assert np.array_equal(op._apply_elements(u, s, e), expect)
+
+    def test_element_floats_do_not_depend_on_the_lane(self):
+        """The same coefficients and the same local input at every lane
+        offset of the batch (a 1 x 1 x 11 column) yield the same 81 local
+        values."""
+        n = 11
+        mesh = StructuredMesh((1, 1, n), order=2)
+        op = make_operator("tensor_compiled", mesh, np.ones((n, 27)),
+                           quad=QUAD)
+        # element 0's coefficients in every lane of every batch
+        op._C[:] = op._C[:1, :, :, :1]
+        local = np.random.default_rng(4).standard_normal((27, 3))
+        conn = mesh.connectivity
+        outs = []
+        for el in range(n):
+            u = np.zeros((mesh.nnodes, 3))
+            u[conn[el]] = local
+            y = op._apply_elements(u.ravel(), el, el + 1).reshape(-1, 3)
+            outs.append(y[conn[el]])
+        assert np.abs(outs[0]).max() > 0
+        for out in outs[1:]:
+            assert np.array_equal(outs[0], out)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_parallel_matches_serial_exactly(self, backend, workers):
-        mesh, eta, u = small_setup()
-        op = make_operator(
-            "tensor_compiled", mesh, eta, quad=QUAD, workers=workers,
-            parallel_backend=backend,
-        )
-        assert np.array_equal(op.apply(u), op.apply_serial(u))
-        op.executor.shutdown()
+    @pytest.mark.parametrize("shape", ODD_SHAPES)
+    def test_parallel_matches_serial_exactly(self, backend, workers, shape):
+        op, u = compiled_op(shape, workers=workers, parallel_backend=backend)
+        try:
+            assert np.array_equal(op.apply(u), op.apply_serial(u))
+        finally:
+            op.executor.shutdown()
+
+    def test_chunk_size_does_not_change_compiled_result(self):
+        # chunk only shapes the coefficient build and the NumPy fallback
+        op1, u = compiled_op(chunk=4)
+        op2, _ = compiled_op()
+        assert np.array_equal(op1.apply(u), op2.apply(u))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_mid_run_eta_update_parallel(self, backend):
-        """In-place viscosity mutation between applies: coefficients must
-        rebuild and workers re-snapshot (the headline bugfix) for the
-        compiled backend too."""
-        mesh, eta, u = small_setup()
+        """In-place viscosity mutation between applies: the interleaved
+        coefficients rebuild and workers re-snapshot."""
+        mesh, eta, u = small_setup((5, 3, 2))
         op = make_operator(
             "tensor_compiled", mesh, eta.copy(), quad=QUAD, workers=2,
             parallel_backend=backend,
         )
-        op.apply(u)
-        op.eta_q *= 3.0
-        y_par = op.apply(u)
-        assert np.array_equal(y_par, op.apply_serial(u))
         # same span structure (workers=2) so the reference is bit-comparable
         ref_op = make_operator(
             "tensor_compiled", mesh, eta * 3.0, quad=QUAD, workers=2,
             parallel_backend=backend,
         )
-        assert np.array_equal(y_par, ref_op.apply_serial(u))
-        ref_op.executor.shutdown()
-        op.executor.shutdown()
+        try:
+            y_before = op.apply(u)
+            op.eta_q *= 3.0
+            y_par = op.apply(u)
+            assert not np.array_equal(y_par, y_before)
+            assert np.array_equal(y_par, op.apply_serial(u))
+            assert np.array_equal(y_par, ref_op.apply_serial(u))
+        finally:
+            ref_op.executor.shutdown()
+            op.executor.shutdown()
+
+
+class TestAccuracy:
+    """Few-ulp agreement with the einsum backends; operator properties."""
+
+    @pytest.mark.parametrize("shape", ODD_SHAPES + [(3, 3, 4)])
+    def test_matches_einsum_backends(self, shape):
+        mesh, eta, u = small_setup(shape)
+        y_t = make_operator("tensor", mesh, eta, quad=QUAD)(u)
+        y_c = make_operator("tensor_c", mesh, eta, quad=QUAD)(u)
+        y_x = make_operator("tensor_compiled", mesh, eta, quad=QUAD)(u)
+        scale = np.abs(y_c).max()
+        assert np.abs(y_x - y_c).max() <= 1e-13 * scale
+        assert np.abs(y_x - y_t).max() <= 1e-13 * scale
+
+    @needs_kernel
+    def test_matches_no_toolchain_fallback(self, request):
+        mesh, eta, u = small_setup((5, 3, 2))
+        y_x = make_operator("tensor_compiled", mesh, eta, quad=QUAD)(u)
+        request.getfixturevalue("no_toolchain")
+        fallback = make_operator("tensor_compiled", mesh, eta, quad=QUAD)
+        assert not fallback.compiled
+        y_f = fallback(u)
+        assert np.abs(y_x - y_f).max() <= 1e-13 * np.abs(y_f).max()
 
     def test_mesh_deform_rebuilds(self):
         mesh, eta, u = small_setup()
@@ -141,23 +234,31 @@ class TestEquivalence:
         ref = make_operator("tensor", mesh, eta, quad=QUAD).apply(u)
         assert np.allclose(op.apply(u), ref, rtol=1e-12, atol=1e-12)
 
+    def test_nullspace_and_symmetry(self):
+        from repro.mg.sa import rigid_body_modes
+
+        mesh, eta, u = small_setup((5, 3, 2))
+        op = make_operator("tensor_compiled", mesh, eta, quad=QUAD)
+        v = np.random.default_rng(3).standard_normal(u.size)
+        assert op(u) @ v == pytest.approx(op(v) @ u, rel=1e-10)
+        B = rigid_body_modes(mesh.coords)
+        for j in range(6):
+            assert np.abs(op(B[:, j])).max() < 1e-9
+
 
 class TestFallback:
-    def test_kill_switch_forces_numpy_path(self, monkeypatch):
-        monkeypatch.setenv(_ckernel.ENV_DISABLE, "1")
-        _ckernel._reset_for_tests()
-        try:
-            mesh, eta, u = small_setup()
-            op = make_operator("tensor_compiled", mesh, eta, quad=QUAD)
-            assert not op.compiled
-            assert _ckernel.ENV_DISABLE in op.fallback_reason
-            # the fallback is the inherited packed path: identical floats
-            ref = make_operator("tensor_c", mesh, eta, quad=QUAD)
-            assert np.array_equal(op.apply(u), ref.apply(u))
-        finally:
-            _ckernel._reset_for_tests()
+    def test_kill_switch_forces_numpy_path(self, no_toolchain):
+        mesh, eta, u = small_setup()
+        op = make_operator("tensor_compiled", mesh, eta, quad=QUAD)
+        assert not op.compiled and op.isa is None
+        assert _ckernel.ENV_DISABLE in op.fallback_reason
+        assert _ckernel.variants() == {}
+        # the fallback is the inherited packed path: identical floats
+        ref = make_operator("tensor_c", mesh, eta, quad=QUAD)
+        assert np.array_equal(op.apply(u), ref.apply(u))
 
     def test_compile_failure_degrades_gracefully(self, monkeypatch, tmp_path):
+        monkeypatch.delenv(_ckernel.ENV_DISABLE, raising=False)
         monkeypatch.setenv(_ckernel.ENV_CACHE, str(tmp_path))
         monkeypatch.setattr(_ckernel, "_COMPILERS", ("definitely-not-a-cc",))
         _ckernel._reset_for_tests()
@@ -171,33 +272,82 @@ class TestFallback:
         finally:
             _ckernel._reset_for_tests()
 
-    def test_block_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CKERNEL_BLOCK", "13")
-        assert default_block_elements() == 13
-        monkeypatch.delenv("REPRO_CKERNEL_BLOCK")
-        assert default_block_elements(l2_bytes=1 << 21) >= 32
+
+@needs_kernel
+class TestCache:
+    """The shared-object cache must never hand back a foreign object."""
+
+    @staticmethod
+    def first_compiler() -> str:
+        import shutil
+
+        return next(p for p in map(shutil.which, _ckernel._COMPILERS) if p)
+
+    @pytest.fixture
+    def fresh_cache(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(_ckernel.ENV_CACHE, str(tmp_path))
+        _ckernel._reset_for_tests()
+        yield tmp_path
+        _ckernel._reset_for_tests()
+
+    def test_unloadable_cached_file_is_rebuilt_once(self, fresh_cache):
+        # plant a truncated object where the first found compiler's build
+        # would be cached (never truncate a file this process has mapped)
+        cc = self.first_compiler()
+        so_path = fresh_cache / f"tensor_kernel-{_ckernel._source_key(cc)}.so"
+        so_path.write_bytes(b"\x7fELF truncated")
+        assert _ckernel.available(), _ckernel.unavailable_reason()
+        assert so_path.stat().st_size > 1000
+        assert _ckernel.status() == {"isa": _ckernel.isa()}
+
+    def test_key_covers_machine_and_compiler(self, fresh_cache, monkeypatch):
+        cc = self.first_compiler()
+        key = _ckernel._source_key(cc)
+        monkeypatch.setattr(_ckernel.platform, "machine", lambda: "riscv128")
+        assert _ckernel._source_key(cc) != key
+        monkeypatch.undo()
+        other = fresh_cache / "other-cc"
+        other.write_bytes(b"#!/bin/sh\n")
+        assert _ckernel._source_key(str(other)) != key
+        monkeypatch.setattr(_ckernel, "_CFLAGS", [*_ckernel._CFLAGS, "-g"])
+        assert _ckernel._source_key(cc) != key
+
+    def test_persistent_load_failure_falls_back(self, fresh_cache, monkeypatch):
+        def refuse(path):
+            raise OSError("wrong ELF class")
+
+        monkeypatch.setattr(_ckernel.ctypes, "CDLL", refuse)
+        assert not _ckernel.available()
+        assert "load failed" in _ckernel.unavailable_reason()
+        assert not list(fresh_cache.glob("*.so"))
 
 
-class TestDiagnostics:
-    def test_nullspace_and_symmetry(self):
-        from repro.mg.sa import rigid_body_modes
-
-        mesh, eta, u = small_setup()
-        op = make_operator("tensor_compiled", mesh, eta, quad=QUAD)
-        rng = np.random.default_rng(3)
-        v = rng.standard_normal(u.size)
-        assert op(u) @ v == pytest.approx(op(v) @ u, rel=1e-10)
-        B = rigid_body_modes(mesh.coords)
-        for j in range(6):
-            assert np.abs(op(B[:, j])).max() < 1e-9
-
+class TestDefaults:
     def test_counts_registered(self):
         from repro.perf.counts import OPERATOR_COUNTS
 
         c = OPERATOR_COUNTS["tensor_compiled"]
-        assert c.flops == OPERATOR_COUNTS["tensor_c"].flops
+        assert c.flops == 10773 < OPERATOR_COUNTS["tensor_c"].flops
 
-    def test_gmg_fine_level_accepts_compiled_kind(self):
+    def test_default_solve_runs_the_compiled_kernel(self):
+        from repro.mg.gmg import GMGConfig
+        from repro.sim.sinker import SinkerConfig, sinker_stokes_problem
+        from repro.stokes import StokesConfig, StokesOperator, solve_stokes
+
+        assert StokesConfig().operator == "tensor_compiled"
+        assert GMGConfig().fine_operator == "tensor_compiled"
+        pb = sinker_stokes_problem(SinkerConfig(
+            shape=(4, 4, 4), n_spheres=2, radius=0.15, delta_eta=100.0))
+        assert StokesOperator(pb).A_op.name == "tensor_compiled"
+        sol = solve_stokes(pb, StokesConfig(mg_levels=2, coarse_solver="lu"))
+        assert sol.converged
+        fine = sol.extra["operator"].A_op
+        assert fine.name == "tensor_compiled"
+        assert fine.compiled is _ckernel.available()
+        pc_fine = sol.extra["preconditioner"].velocity_pc.levels[0]
+        assert pc_fine.label == "gmg-fine[tensor_compiled]"
+
+    def test_gmg_fine_level_fused_residual(self):
         from repro.fem import DirichletBC, boundary_nodes, component_dofs
         from repro.mg.gmg import GMGConfig, build_gmg
 
@@ -212,8 +362,7 @@ class TestDiagnostics:
                 bc.add(component_dofs(boundary_nodes(m, face), comp), 0.0)
             return bc.finalize()
 
-        cfg = GMGConfig(levels=2, fine_operator="tensor_compiled",
-                        coarse_solver="lu", fused_residual=True)
+        cfg = GMGConfig(levels=2, coarse_solver="lu", fused_residual=True)
         mg, _ = build_gmg(meshes, etas, bc_builder, cfg)
         b = rng.standard_normal(3 * meshes[0].nnodes)
         b[mg.levels[0].bc_mask] = 0.0
