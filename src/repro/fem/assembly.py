@@ -113,9 +113,12 @@ def assemble_viscous(
     conn = mesh.connectivity
     nb = conn.shape[1]
     ndof = 3 * mesh.nnodes
+    # triplet indices in the width the CSR result will use: scipy would
+    # otherwise convert int64 triplets to that width while both are alive,
+    # and at 6561 entries per element they are the assembly's memory peak
     edofs = (3 * conn[:, :, None] + np.arange(3)[None, None, :]).reshape(
         mesh.nel, 3 * nb
-    )
+    ).astype(sp.get_index_dtype(maxval=ndof))
     rows = np.repeat(edofs, 3 * nb, axis=1).ravel()
     cols = np.tile(edofs, (1, 3 * nb)).ravel()
     kernel = _ViscousValsKernel(mesh, np.asarray(eta_q, float), quad, chunk)
@@ -145,19 +148,21 @@ class _DiagonalKernel:
     def partial(self, u: np.ndarray, s: int, e: int) -> np.ndarray:
         mesh = self.mesh
         G, det, _ = mesh.geometry_at(self.quad)
-        wdet = det[s:e] * self.quad.weights[None, :]
-        weta = wdet * self.eta_q[s:e]
-        Gs = G[s:e]
-        # delta_ij term: same for all components
-        lap = np.einsum("nq,nqad,nqad->na", weta, Gs, Gs, optimize=True)
-        # cross term for (a,i)=(b,j): dG_a/dx_i * dG_a/dx_i
-        cross = np.einsum("nq,nqai,nqai->nai", weta, Gs, Gs, optimize=True)
-        dloc = lap[:, :, None] + cross  # (nel_span, nb, 3)
         conn = mesh.connectivity[s:e]
+        dloc = np.empty((e - s, conn.shape[1], 3))
+        # element chunks bound the G*G temporary (17 kB per element)
+        for cs, ce in _chunks(e - s, DEFAULT_CHUNK):
+            Gs = G[s + cs:s + ce]
+            weta = det[s + cs:s + ce] * self.quad.weights[None, :]
+            weta *= self.eta_q[s + cs:s + ce]
+            # K[ai, ai] = sum_q w eta (|G_a|^2 + G_ai^2): the cross term
+            # for (a,i)=(b,j), and its sum over i is the delta_ij term
+            cross = np.einsum("nq,nqai->nai", weta, Gs * Gs)
+            np.add(cross.sum(-1)[:, :, None], cross, out=dloc[cs:ce])
         edofs = 3 * conn[:, :, None] + np.arange(3)[None, None, :]
-        diag = np.zeros(3 * mesh.nnodes)
-        np.add.at(diag, edofs.ravel(), dloc.ravel())
-        return diag
+        return np.bincount(
+            edofs.ravel(), weights=dloc.ravel(), minlength=3 * mesh.nnodes
+        )
 
 
 @instrument("MatGetDiagonal")

@@ -98,14 +98,19 @@ class DirichletBC:
 
         ``y = A_bc @ u`` with ``A_bc`` the symmetrically eliminated matrix:
         interior rows see ``u`` with constrained entries zeroed, constrained
-        rows return ``u`` itself.
+        rows return ``u`` itself.  ``apply_fn`` must return a new array
+        (every operator kernel does), not its argument.
         """
-        mask = self.mask
+        dofs = self.dofs
+        # per-wrapper work buffer: the masked input is rebuilt in place on
+        # every call, so one wrapper must not run on two threads at once
+        u_in = np.empty(self.ndof)
 
         def apply_bc(u: np.ndarray) -> np.ndarray:
-            u_in = np.where(mask, 0.0, u)
+            np.copyto(u_in, u)
+            u_in[dofs] = 0.0
             y = apply_fn(u_in)
-            y[mask] = u[mask]
+            y[dofs] = u[dofs]
             return y
 
         return apply_bc

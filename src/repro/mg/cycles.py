@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..obs import registry as _obs
 from ..obs.trace import trace_mg
@@ -27,10 +28,17 @@ class MGLevel:
         Operator application ``v -> A v`` (boundary conditions included).
     smoother:
         Object with ``smooth(b, x) -> x`` (ignored on the coarsest level).
+        If it also has ``smooth_with_residual(b, x) -> (x, r)`` (Chebyshev
+        does), pre-smoothing takes the residual from there instead of an
+        explicit ``b - A x``.
     prolong:
         Sparse matrix interpolating from the *next coarser* level to this
         one (``None`` on the coarsest level).  Restriction is the transpose
         (paper SS III-C).
+    restrict:
+        The transpose of ``prolong`` stored explicitly as CSR, so the
+        restriction is a row-wise SpMV instead of SciPy's slower
+        column-scatter ``csc_matvec``; :class:`MGHierarchy` fills it in.
     bc_mask:
         Boolean mask of constrained dofs (residuals restricted to a coarser
         level are zeroed there), or ``None``.
@@ -40,22 +48,15 @@ class MGLevel:
         The shared-memory :class:`~repro.parallel.executor.ParallelExecutor`
         this level's applies and smoothing run through (``None`` = serial);
         levels typically share one pool.
-    fused_residual:
-        Take the pre-smoothing residual from the smoother's own recurrence
-        (``smoother.smooth_with_residual``) instead of recomputing
-        ``b - A x`` -- saving one operator apply per level per cycle.  The
-        fused residual equals the explicit one only up to rounding, so this
-        is opt-in; levels whose smoother lacks ``smooth_with_residual``
-        silently fall back to the explicit computation.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
     smoother: object | None = None
     prolong: object | None = None
+    restrict: object | None = None
     bc_mask: np.ndarray | None = None
     coarse_solve: Callable[[np.ndarray], np.ndarray] | None = None
     executor: object | None = None
-    fused_residual: bool = False
     # diagnostics
     ndof: int = 0
     label: str = ""
@@ -76,6 +77,9 @@ class MGHierarchy:
             raise ValueError("coarsest level must define coarse_solve")
         if gamma < 1:
             raise ValueError("cycle index gamma must be >= 1")
+        for lvl in levels:
+            if lvl.prolong is not None and lvl.restrict is None:
+                lvl.restrict = sp.csr_matrix(lvl.prolong.T)
         self.levels = levels
         self.cycles = int(cycles)
         #: cycle index: 1 = V-cycle, 2 = W-cycle
@@ -121,20 +125,21 @@ class MGHierarchy:
         obs_on = _obs.STATE.enabled
         # incoming residual norm is free only for a zero initial guess
         rnorm_in = float(np.linalg.norm(b)) if obs_on and x is None else None
-        fuse = lvl.fused_residual and hasattr(lvl.smoother, "smooth_with_residual")
-        with _obs.timed(f"MGSmooth_level{level}"):
-            if fuse:
-                x, r = lvl.smoother.smooth_with_residual(b, x)
-            else:
+        smooth_with_residual = getattr(lvl.smoother, "smooth_with_residual", None)
+        if smooth_with_residual is not None:
+            with _obs.timed(f"MGSmooth_level{level}"):
+                x, r = smooth_with_residual(b, x)
+        else:
+            # smoothers without a residual recurrence (SSOR, ...)
+            with _obs.timed(f"MGSmooth_level{level}"):
                 x = lvl.smoother.smooth(b, x)
-        coarse = self.levels[level + 1]
-        if not fuse:
             with _obs.timed(f"MGResid_level{level}"):
                 r = b - lvl.apply(x)
+        coarse = self.levels[level + 1]
         if obs_on:
             trace_mg(level, "presmooth", float(np.linalg.norm(r)), rnorm_in)
         with _obs.timed(f"MGRestrict_level{level}"):
-            rc = lvl.prolong.T @ r
+            rc = lvl.restrict @ r
         if coarse.bc_mask is not None:
             rc[coarse.bc_mask] = 0.0
         # gamma = 1: V-cycle; gamma = 2: W-cycle (iterate the coarse-level
@@ -143,7 +148,7 @@ class MGHierarchy:
         for _ in range(self.gamma):
             ec = self.vcycle(rc, ec, level + 1)
         with _obs.timed(f"MGProlong_level{level}"):
-            x = x + lvl.prolong @ ec
+            x += lvl.prolong @ ec
         with _obs.timed(f"MGSmooth_level{level}"):
             x = lvl.smoother.smooth(b, x)
         if obs_on and _obs.STATE.mg_post_residuals:

@@ -5,15 +5,19 @@ Hierarchy layout (paper default, 3 levels):
 * finest level: matrix-free tensor-product operator (no assembled matrix
   ever exists at this resolution -- the memory savings that let larger
   problems fit on a machine);
-* next level: assembled matrix, *rediscretized* on the coarse mesh (you
-  cannot form a Galerkin product from a matrix-free fine operator);
+* next level: *rediscretized* on the coarse mesh (you cannot form a
+  Galerkin product from a matrix-free fine operator) and, being smoothed,
+  applied through the same matrix-free kernel as the finest level -- its
+  matrix is assembled only as the input of the Galerkin product below and
+  is not kept by the hierarchy;
 * lower levels: Galerkin ``R A P`` from the assembled level above
   (more robust for rough coefficients, at assembly cost);
 * coarsest level: one V-cycle of smoothed aggregation (GAMG substitute),
   exact LU, block-Jacobi LU, or CG/ASM (the SS V rifting configuration).
 
 Table IV's GMG-i / GMG-ii configurations are expressed through
-:class:`GMGConfig` (assembled fine level, Galerkin everywhere).
+:class:`GMGConfig` (``fine_operator="asmb"``: every level assembled,
+Galerkin everywhere).
 """
 
 from __future__ import annotations
@@ -47,14 +51,10 @@ class GMGConfig:
         Number of geometric levels (paper uses 3).
     fine_operator:
         One of ``asmb | mf | tensor | tensor_c | tensor_compiled`` -- the
-        Table I kernel used on the finest level (smoother + residual
-        evaluations).  The default compiled kernel falls back to the packed
-        NumPy apply on hosts without a C toolchain.
-    fused_residual:
-        Take pre-smoothing residuals from the Chebyshev recurrence instead
-        of an explicit ``b - A x`` (one operator apply saved per level per
-        cycle; see :class:`~repro.mg.cycles.MGLevel`).  Off by default --
-        the fused residual differs from the explicit one in rounding.
+        Table I kernel applying the finest level and every other level that
+        is rediscretized and smoothed (``asmb`` keeps all levels assembled).
+        The default compiled kernel falls back to the packed NumPy apply on
+        hosts without a C toolchain.
     galerkin:
         If True, levels below the first assembled one use Galerkin RAP;
         otherwise they are rediscretized.
@@ -83,7 +83,6 @@ class GMGConfig:
 
     levels: int = 3
     fine_operator: str = "tensor_compiled"
-    fused_residual: bool = False
     galerkin: bool = True
     galerkin_from_fine: bool = False
     smoother_degree: int = 2
@@ -151,6 +150,7 @@ def build_gmg(
     eta_levels: list[np.ndarray],
     bc_builder,
     config: GMGConfig | None = None,
+    fine_op=None,
 ) -> tuple[MGHierarchy, GMGSetupStats]:
     """Assemble the geometric hierarchy for the viscous block.
 
@@ -166,6 +166,11 @@ def build_gmg(
     bc_builder:
         ``mesh -> DirichletBC`` building the velocity-space constraints for
         a given level (same faces/components on every level).
+    fine_op:
+        An already built ``config.fine_operator`` operator on ``meshes[0]``
+        with viscosity ``eta_levels[0]`` to use as the finest level instead
+        of constructing an identical one (the coupled solve shares its
+        viscous block this way); the hierarchy then runs on its executor.
     """
     cfg = config or GMGConfig()
     if len(meshes) < cfg.levels:
@@ -175,10 +180,10 @@ def build_gmg(
     quad = GaussQuadrature.hex(3)
     bcs = [bc_builder(m) for m in meshes]
     # one shared worker pool for every level's applies and smoothing
-    executor = make_executor(cfg.workers, cfg.parallel_backend)
-
-    levels: list[MGLevel] = []
-    assembled: list[sp.csr_matrix | None] = [None] * cfg.levels
+    if fine_op is not None:
+        executor = fine_op.executor
+    else:
+        executor = make_executor(cfg.workers, cfg.parallel_backend)
 
     if cfg.levels == 1:
         # degenerate hierarchy: assemble and hand the whole problem to the
@@ -201,88 +206,104 @@ def build_gmg(
         )
         return MGHierarchy([lvl], cycles=cfg.cycles, gamma=cfg.gamma), stats
 
+    def operator_level(op, bc, label):
+        """Smoothed level applying through a viscous operator kernel."""
+        # timed_apply keeps the MatMult event visible inside smoother sweeps
+        apply = bc.wrap_apply(op.timed_apply)
+        diag = op.diagonal()
+        diag[bc.mask] = 1.0
+        return MGLevel(
+            apply=apply,
+            smoother=ChebyshevSmoother(apply, diag, degree=cfg.smoother_degree),
+            bc_mask=bc.mask,
+            ndof=op.ndof,
+            label=label,
+            executor=executor,
+        )
+
     fine_is_assembled = cfg.fine_operator == "asmb"
     # finest level
     bc0 = bcs[0]
     t0 = time.perf_counter()
-    op = make_operator(
+    op = fine_op if fine_op is not None else make_operator(
         cfg.fine_operator, meshes[0], eta_levels[0], quad=quad,
         executor=executor,
     )
-    # timed_apply keeps the MatMult event visible inside smoother sweeps
-    apply0 = bc0.wrap_apply(op.timed_apply)
-    diag0 = op.diagonal()
-    diag0[bc0.mask] = 1.0
+    levels = [operator_level(op, bc0, f"gmg-fine[{cfg.fine_operator}]")]
+    # matrix of the level above, while a Galerkin product may need it
+    A_above = None
     if fine_is_assembled:
-        A_bc, _ = bc0.eliminate(op.matrix, np.zeros(3 * meshes[0].nnodes))
-        assembled[0] = A_bc
+        A_above, _ = bc0.eliminate(op.matrix, np.zeros(op.ndof))
         stats.assemble_seconds += time.perf_counter() - t0
-    levels.append(
-        MGLevel(
-            apply=apply0,
-            smoother=ChebyshevSmoother(apply0, diag0, degree=cfg.smoother_degree),
-            bc_mask=bc0.mask,
-            ndof=3 * meshes[0].nnodes,
-            label=f"gmg-fine[{cfg.fine_operator}]",
-            executor=executor,
-            fused_residual=cfg.fused_residual,
-        )
-    )
-    stats.level_ndofs.append(3 * meshes[0].nnodes)
+    stats.level_ndofs.append(op.ndof)
 
     # coarser levels: each needs the prolongator from itself to the level
     # above, both for the cycle and for the Galerkin products
     for k in range(1, cfg.levels):
         mesh = meshes[k]
         bc = bcs[k]
+        ndof = 3 * mesh.nnodes
         P = vector_prolongation(meshes[k - 1], mesh)
         levels[k - 1].prolong = P
-        use_galerkin = cfg.galerkin and assembled[k - 1] is not None
+        coarsest = k == cfg.levels - 1
+        use_galerkin = cfg.galerkin and A_above is not None
         if k == 1 and not cfg.galerkin_from_fine:
             use_galerkin = False
+        # a rediscretized, smoothed level applies through the fine kernel;
+        # its matrix is then only the input of the Galerkin product below
+        matrix_free = not (use_galerkin or coarsest or fine_is_assembled)
+        Ak = None
         if use_galerkin:
             t0 = time.perf_counter()
-            Ak = (P.T @ assembled[k - 1] @ P).tocsr()
+            Ak = (P.T @ A_above @ P).tocsr()
             # re-impose identity rows/cols at the coarse Dirichlet dofs
             keep = sp.diags((~bc.mask).astype(float))
             Ak = (keep @ Ak @ keep + sp.diags(bc.mask.astype(float))).tocsr()
             stats.galerkin_seconds += time.perf_counter() - t0
-        else:
+        elif cfg.galerkin or not matrix_free:
             t0 = time.perf_counter()
             A_raw = assembly.assemble_viscous(
                 mesh, eta_levels[k], quad, executor=executor
             )
-            Ak, _ = bc.eliminate(A_raw, np.zeros(3 * mesh.nnodes))
+            Ak, _ = bc.eliminate(A_raw, np.zeros(ndof))
             stats.assemble_seconds += time.perf_counter() - t0
-        assembled[k] = Ak
-        apply_k = _wrap_assembled(Ak, executor)
-        diag = Ak.diagonal().copy()
-        diag[diag == 0.0] = 1.0
-        if k == cfg.levels - 1:
+        # rebinding drops the matrix above unless its level applies it
+        A_above = Ak
+        if matrix_free:
+            op_k = make_operator(
+                cfg.fine_operator, mesh, eta_levels[k], quad=quad,
+                executor=executor,
+            )
+            levels.append(
+                operator_level(op_k, bc, f"gmg-mf[{cfg.fine_operator}]")
+            )
+        elif coarsest:
             t0 = time.perf_counter()
             coarse = _coarsest_solver(Ak, mesh, bc, cfg)
             stats.coarse_setup_seconds += time.perf_counter() - t0
             levels.append(
                 MGLevel(
-                    apply=apply_k,
+                    apply=_wrap_assembled(Ak, executor),
                     coarse_solve=coarse,
                     bc_mask=bc.mask,
-                    ndof=3 * mesh.nnodes,
+                    ndof=ndof,
                     label=f"gmg-coarse[{cfg.coarse_solver}]",
                     executor=executor,
                 )
             )
         else:
+            apply_k = _wrap_assembled(Ak, executor)
+            diag = Ak.diagonal().copy()
+            diag[diag == 0.0] = 1.0
             levels.append(
                 MGLevel(
                     apply=apply_k,
                     smoother=ChebyshevSmoother(apply_k, diag, degree=cfg.smoother_degree),
                     bc_mask=bc.mask,
-                    ndof=3 * mesh.nnodes,
+                    ndof=ndof,
                     label="gmg-assembled",
                     executor=executor,
-                    fused_residual=cfg.fused_residual,
                 )
             )
-        stats.level_ndofs.append(3 * mesh.nnodes)
+        stats.level_ndofs.append(ndof)
     return MGHierarchy(levels, cycles=cfg.cycles, gamma=cfg.gamma), stats

@@ -157,23 +157,42 @@ class ChebyshevSmoother:
         self.lmin, self.lmax = interval
         if not 0 < self.lmin < self.lmax:
             raise ValueError(f"invalid Chebyshev interval {interval}")
+        # work buffers of the recurrence (see _iterate)
+        self._d = np.empty_like(self.dinv)
+        self._t = np.empty_like(self.dinv)
 
     def smooth(self, b: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
-        """Run ``degree`` Chebyshev iterations on ``A x = b`` from ``x``."""
-        return self.smooth_with_residual(b, x)[0]
+        """Run ``degree`` Chebyshev iterations on ``A x = b`` from ``x``.
+
+        Stops after the last iterate update, so it costs ``degree - 1``
+        operator applies from a zero guess (``x is None``) and ``degree``
+        from a non-zero one -- the residual of the returned iterate is
+        never formed.
+        """
+        return self._iterate(b, x, want_residual=False)[0]
 
     def smooth_with_residual(
         self, b: np.ndarray, x: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Smooth and return ``(x, r)`` with ``r = b - A x`` for free.
+        """Smooth and return ``(x, r)`` with ``r = b - A x``.
 
         The Chebyshev recurrence maintains the residual at every iterate
-        (``r <- r - A d`` tracks ``b - A x`` exactly as ``x <- x + d``);
-        :meth:`smooth` historically discarded it, forcing the V-cycle to
-        spend a full operator apply per level recomputing it.  Fused
-        callers (see :class:`~repro.mg.cycles.MGLevel.fused_residual`)
-        take the recurrence residual instead -- mathematically the same
-        vector, differing from a fresh ``b - A(x)`` only in rounding.
+        (``r <- r - A d`` tracks ``b - A x`` exactly as ``x <- x + d``), so
+        carrying it through the last update costs one apply more than
+        :meth:`smooth` -- the same apply an explicit ``b - A(x)`` would
+        spend -- and returns the same vector up to rounding.  The V-cycle
+        takes its pre-smoothing residual from here.
+        """
+        return self._iterate(b, x, want_residual=True)
+
+    def _iterate(
+        self, b: np.ndarray, x: np.ndarray | None, want_residual: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The recurrence behind both entry points.
+
+        ``x`` and ``r`` are owned by the call; the direction ``d`` and the
+        Jacobi-scaled residual live in per-instance work buffers updated in
+        place, so one smoother must not run on two threads at once.
         """
         theta = 0.5 * (self.lmax + self.lmin)
         delta = 0.5 * (self.lmax - self.lmin)
@@ -185,12 +204,22 @@ class ChebyshevSmoother:
             r = b - self.A(x)
         sigma = theta / delta
         rho = 1.0 / sigma
-        d = (self.dinv * r) / theta
-        for _ in range(self.degree):
-            x = x + d
-            r = r - self.A(d)
+        d, t = self._d, self._t
+        np.multiply(self.dinv, r, out=d)
+        d /= theta
+        for k in range(1, self.degree + 1):
+            x += d
+            last = k == self.degree
+            if last and not want_residual:
+                break
+            r -= self.A(d)
+            if last:
+                break
             rho_new = 1.0 / (2.0 * sigma - rho)
-            d = rho_new * rho * d + (2.0 * rho_new / delta) * (self.dinv * r)
+            np.multiply(self.dinv, r, out=t)
+            t *= 2.0 * rho_new / delta
+            d *= rho_new * rho
+            d += t
             rho = rho_new
         if self.guard and nonfinite(float(x @ x)):
             raise BreakdownError(

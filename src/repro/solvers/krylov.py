@@ -52,8 +52,12 @@ BICGSTAB_STAG_WINDOW = 40
 
 
 def _identity(r: np.ndarray) -> np.ndarray:
-    # a copy: callers (GCR in particular) update the returned vector in place
+    # a copy: callers may update the returned vector in place
     return r.copy()
+
+
+#: GCR allocates its direction storage this many rows at a time
+GCR_BLOCK = 4
 
 
 #: inner-product override stack armed by :func:`use_dot` -- while
@@ -142,7 +146,6 @@ def gcr(
     outlive floating-point jitter, not a Fig. 2 plateau, which still
     shrinks the residual every iteration).
     """
-    M = M or _identity
     x = np.zeros_like(b) if x0 is None else x0.copy()
     r = b - A(x)
     rnorm = float(np.linalg.norm(r))
@@ -157,17 +160,42 @@ def gcr(
     if rnorm <= tol:
         return SolveResult(x, True, 0, residuals, good)
     guard = ResidualGuard(rnorm, dtol, stag_window)
-    ps: list[np.ndarray] = []
+    # direction storage owned by the solve: contiguous blocks of GCR_BLOCK
+    # rows, one more allocated when the iterations reach it (a 3-iteration
+    # solve must not commit ``restart`` vectors) and all reused after a
+    # restart; never copied or freed mid-solve.  M's and A's outputs are
+    # copied into the rows, so every update below is in place whatever they
+    # alias; ``t`` is the one scaled-vector temporary.
+    # NumPy only -- ``scipy.linalg.blas.daxpy`` would fuse multiply and add,
+    # but SciPy carries its own threaded OpenBLAS, and alternating between
+    # its pool and NumPy's (the dots) made the sweep 40x slower unpinned.
+    n = r.size
+    p_blocks: list[np.ndarray] = []
+    ps: list[np.ndarray] = []  # rows of p_blocks
     qs: list[np.ndarray] = []  # q = A p, normalized
+    betas = np.empty(restart)
+    t = np.empty(n)
+    k = 0  # directions stored since the last restart
     it = 0
     while it < maxiter:
-        p = M(r)
-        q = A(p)
+        if k == len(ps):
+            p_blocks.append(np.empty((GCR_BLOCK, n)))
+            ps.extend(p_blocks[-1])
+            qs.extend(np.empty((GCR_BLOCK, n)))
+        p, q = ps[k], qs[k]
+        np.copyto(p, r if M is None else M(r))
+        np.copyto(q, A(p))
         # orthogonalize q against previous directions (modified Gram-Schmidt)
-        for pj, qj in zip(ps, qs):
-            beta = q @ qj
-            q = q - beta * qj
-            p = p - beta * pj
+        for j in range(k):
+            betas[j] = q @ qs[j]
+            np.multiply(qs[j], betas[j], out=t)
+            q -= t
+        # p takes the same combination; it does not feed back into the
+        # coefficients, so it is one matrix-vector product per block
+        for s, block in zip(range(0, k, GCR_BLOCK), p_blocks):
+            m = min(GCR_BLOCK, k - s)
+            np.dot(betas[s:s + m], block[:m], out=t)
+            p -= t
         qnorm = float(np.linalg.norm(q))
         if qnorm == 0.0:
             # A M r lies entirely in the span of the accepted directions:
@@ -177,13 +205,11 @@ def gcr(
         q /= qnorm
         p /= qnorm
         alpha = r @ q
-        x += alpha * p
-        r -= alpha * q
-        ps.append(p)
-        qs.append(q)
-        if len(ps) >= restart:
-            ps.clear()
-            qs.clear()
+        np.multiply(p, alpha, out=t)
+        x += t
+        np.multiply(q, alpha, out=t)
+        r -= t
+        k = k + 1 if k + 1 < restart else 0
         it += 1
         rnorm = float(np.linalg.norm(r))
         residuals.append(rnorm)

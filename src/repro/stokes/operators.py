@@ -139,6 +139,9 @@ class StokesOperator:
         else:
             self.B_int = self.B
             self._apply_A = getattr(self.A_op, "timed_apply", self.A_op.apply)
+        #: gradient block stored as CSR once, so ``B^T p`` is a row-wise
+        #: SpMV instead of SciPy's column-scatter ``csc_matvec``
+        self.B_int_T = self.B_int.T.tocsr()
 
     # ------------------------------------------------------------------ #
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -146,12 +149,11 @@ class StokesOperator:
         u = x[: self.nu]
         p = x[self.nu:]
         yu = self._apply_A(u)
-        gp = self.B_int.T @ p
+        gp = self.B_int_T @ p
         if self.bc is not None:
-            gp[self.bc.mask] = 0.0
-        yu = yu + gp
-        yp = self.B_int @ u
-        return np.concatenate([yu, yp])
+            gp[self.bc.dofs] = 0.0
+        yu += gp
+        return np.concatenate([yu, self.B_int @ u])
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x)
@@ -186,12 +188,12 @@ class StokesOperator:
         A = assembly.assemble_viscous(pb.mesh, pb.eta_q, pb.quad)
         if self.bc is not None:
             A_bc, _ = self.bc.eliminate(A, np.zeros(self.nu))
-            G = self.B_int.T.tocsr()
+            G = self.B_int_T
             # zero gradient rows at constrained dofs
             keep = sp.diags((~self.bc.mask).astype(float))
             G = (keep @ G).tocsr()
         else:
             A_bc = A
-            G = self.B_int.T
+            G = self.B_int_T
         Z = sp.csr_matrix((self.ndof - self.nu, self.ndof - self.nu))
         return sp.bmat([[A_bc, G], [self.B_int, Z]], format="csr")

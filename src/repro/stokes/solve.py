@@ -161,13 +161,21 @@ def solve_stokes(
             mg_stats = None
         elif cfg.velocity_pc == "gmg":
             meshes = mesh.hierarchy(cfg.mg_levels)[::-1]
+            # the coupled operator's viscous block is multigrid level 0
+            # when it is the Picard operator on problem.eta_q: share it.
+            # A Newton linearization stays out of the preconditioner, and
+            # caller-supplied level viscosities get their own operator.
+            fine_op = None
+            if velocity_operator is None and eta_levels is None:
+                fine_op = op.A_op
             if eta_levels is None:
                 eta_levels = coefficient_hierarchy(
                     meshes, problem.eta_q, problem.quad
                 )
             with _obs.timed("PCSetUp_gmg"):
                 vel_pc, mg_stats = build_gmg(
-                    meshes, eta_levels, problem.bc_builder, cfg.gmg_config()
+                    meshes, eta_levels, problem.bc_builder, cfg.gmg_config(),
+                    fine_op=fine_op,
                 )
         else:
             raise ValueError(f"unknown velocity_pc {cfg.velocity_pc!r}")

@@ -31,10 +31,16 @@ class TestViscousBlock:
         A5 = assembly.assemble_viscous(small_mesh, 5 * eta, quad)
         assert abs(A5 - 5 * A1).max() < 1e-10
 
-    def test_diagonal_matches_assembled(self, deformed_mesh, quad, rng):
-        eta = np.exp(rng.normal(size=(deformed_mesh.nel, quad.npoints)))
-        A = assembly.assemble_viscous(deformed_mesh, eta, quad)
-        d = assembly.viscous_diagonal(deformed_mesh, eta, quad)
+    @pytest.mark.parametrize("shape", [(3, 2, 4), (9, 8, 8)])
+    def test_diagonal_matches_assembled(self, shape, quad, rng):
+        """Deformed mesh, variable viscosity; 576 elements cross the
+        element-chunk boundary of the diagonal kernel, 24 do not."""
+        mesh = StructuredMesh(shape, order=2, extent=(1.0, 0.7, 1.3))
+        mesh.deform(lambda c: c + 0.03 * np.sin(2 * np.pi * c[:, [1, 2, 0]]))
+        eta = np.exp(rng.normal(size=(mesh.nel, quad.npoints)))
+        A = assembly.assemble_viscous(mesh, eta, quad)
+        d = assembly.viscous_diagonal(mesh, eta, quad)
+        assert np.abs(d - A.diagonal()).max() <= 1e-13 * np.abs(d).max()
         assert np.allclose(d, A.diagonal(), rtol=1e-12)
 
     def test_chunking_invariance(self, small_mesh, quad):

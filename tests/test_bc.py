@@ -89,6 +89,35 @@ class TestDirichletBC:
         u = rng.standard_normal(3 * mesh.nnodes)
         assert np.allclose(wrapped(u), A_bc @ u, atol=1e-11)
 
+    def test_wrap_apply_reuses_its_buffer_safely(self, rng):
+        """The wrapper masks its input in a work buffer it keeps between
+        calls: the argument is never written, earlier results survive
+        later calls, and a poisoned constrained entry never reaches the
+        operator."""
+        n = 12
+        bc = DirichletBC(n)
+        bc.add(np.array([0, 5, 11]), 0.0).finalize()
+        seen = []
+
+        def op(v):
+            seen.append(v.copy())
+            return 2.0 * v
+
+        wrapped = bc.wrap_apply(op)
+        u1 = rng.standard_normal(n)
+        u1[5] = np.nan
+        u1_in = u1.copy()
+        y1 = wrapped(u1)
+        y1_copy = y1.copy()
+        u2 = rng.standard_normal(n)
+        y2 = wrapped(u2)
+        assert np.array_equal(u1, u1_in, equal_nan=True)
+        assert np.array_equal(y1, y1_copy, equal_nan=True)
+        assert np.all(seen[0][bc.dofs] == 0.0) and np.all(np.isfinite(seen[0]))
+        free = ~bc.mask
+        assert np.array_equal(y2[free], 2.0 * u2[free])
+        assert np.array_equal(y2[bc.mask], u2[bc.mask])
+
     def test_lift_rhs_matches_eliminate(self, rng):
         mesh = StructuredMesh((2, 2, 2), order=2)
         quad = GaussQuadrature.hex(3)

@@ -76,9 +76,14 @@ class TestSmoother:
         assert np.allclose(cheb(r), cheb.smooth(r, None))
 
     @pytest.mark.parametrize("x0", [None, "random"])
-    def test_fused_residual_matches_explicit(self, x0):
-        """smooth_with_residual returns the recurrence-maintained residual:
-        equal to b - A x up to rounding, with zero extra operator applies."""
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_minimal_applies_and_reference_iterate(self, x0, degree):
+        """``smooth`` stops after the last iterate update: ``degree - 1``
+        applies from a zero guess, ``degree`` from a non-zero one, with an
+        iterate bitwise equal to the full recurrence (inlined below, the
+        loop this class ran before it skipped the unused last residual).
+        ``smooth_with_residual`` spends the one apply more and returns the
+        recurrence residual, equal to ``b - A x`` up to rounding."""
         A = laplace_1d(32)
         rng = np.random.default_rng(3)
         b = rng.standard_normal(32)
@@ -89,16 +94,52 @@ class TestSmoother:
             applies[0] += 1
             return A @ v
 
-        cheb = ChebyshevSmoother(counted, A.diagonal(), degree=3)
+        cheb = ChebyshevSmoother(counted, A.diagonal(), degree=degree)
+
+        def reference(b, x):
+            theta = 0.5 * (cheb.lmax + cheb.lmin)
+            delta = 0.5 * (cheb.lmax - cheb.lmin)
+            if x is None:
+                x = np.zeros_like(b)
+                r = b.copy()
+            else:
+                x = x.copy()
+                r = b - A @ x
+            sigma = theta / delta
+            rho = 1.0 / sigma
+            d = (cheb.dinv * r) / theta
+            for _ in range(degree):
+                x = x + d
+                r = r - A @ d
+                rho_new = 1.0 / (2.0 * sigma - rho)
+                d = rho_new * rho * d + (2.0 * rho_new / delta) * (cheb.dinv * r)
+                rho = rho_new
+            return x, r
+
+        x_ref, r_ref = reference(b, x_init)
+        start = 0 if x0 is None else 1  # b - A x0 costs one apply
         applies[0] = 0
         x_plain = cheb.smooth(b, x_init)
-        plain_applies = applies[0]
+        assert applies[0] == start + degree - 1
         applies[0] = 0
         x_fused, r_fused = cheb.smooth_with_residual(b, x_init)
-        assert applies[0] == plain_applies  # the residual is free
-        assert np.array_equal(x_plain, x_fused)
+        assert applies[0] == start + degree
+        assert np.array_equal(x_plain, x_ref)
+        assert np.array_equal(x_fused, x_ref)
+        assert np.array_equal(r_fused, r_ref)
         scale = np.linalg.norm(b)
         assert np.linalg.norm(r_fused - (b - A @ x_fused)) < 1e-12 * scale
+
+    def test_results_survive_the_next_call(self):
+        """The work buffers are internal: vectors handed back by one call
+        are not touched by the next call on the same smoother."""
+        A = laplace_1d(32)
+        rng = np.random.default_rng(5)
+        cheb = ChebyshevSmoother(lambda v: A @ v, A.diagonal(), degree=3)
+        x1, r1 = cheb.smooth_with_residual(rng.standard_normal(32))
+        x1_copy, r1_copy = x1.copy(), r1.copy()
+        cheb.smooth(rng.standard_normal(32), rng.standard_normal(32))
+        assert np.array_equal(x1, x1_copy) and np.array_equal(r1, r1_copy)
 
     def test_nonzero_initial_guess(self):
         A = laplace_1d(32)

@@ -1,5 +1,7 @@
 """Multigrid cycle machinery: validation, V/W cycles, SSOR smoother."""
 
+import types
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -34,7 +36,8 @@ class TestHierarchyValidation:
 
 
 class TestCycleShapes:
-    def _two_level(self, gamma, fused_residual=False, count_applies=None):
+    def _two_level(self, gamma, degree=2, count_applies=None,
+                   plain_smoother=False):
         """Manual 2-level hierarchy on the 1D Laplacian."""
         n = 63
         A = laplace_1d(n)
@@ -55,13 +58,11 @@ class TestCycleShapes:
                 count_applies[0] += 1
             return A @ v
 
-        fine = MGLevel(
-            apply=apply_fine,
-            smoother=ChebyshevSmoother(apply_fine, A.diagonal(), degree=2),
-            prolong=P,
-            ndof=n,
-            fused_residual=fused_residual,
-        )
+        smoother = ChebyshevSmoother(apply_fine, A.diagonal(), degree=degree)
+        if plain_smoother:
+            # only ``smooth``: the cycle must form b - A x itself
+            smoother = types.SimpleNamespace(smooth=smoother.smooth)
+        fine = MGLevel(apply=apply_fine, smoother=smoother, prolong=P, ndof=n)
         coarse = MGLevel(apply=lambda v: Ac @ v, coarse_solve=lu.solve, ndof=nc)
         return A, MGHierarchy([fine, coarse], gamma=gamma)
 
@@ -105,25 +106,39 @@ class TestCycleShapes:
             x2 = mg.vcycle(b, x2)
         assert np.allclose(x1, x2)
 
-    def test_fused_residual_cycle_equivalent_and_cheaper(self):
-        """A fused-residual V-cycle contracts like the explicit one while
-        spending one fewer fine-level apply per cycle (the MGResid apply
-        is folded into the smoother recurrence)."""
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_vcycle_apply_count(self, degree):
+        """A V(d,d) cycle costs exactly 2 d applies on a smoothed level:
+        d for pre-smoothing with the recurrence residual, 1 + (d - 1) for
+        post-smoothing from the corrected iterate.  A smoother without
+        ``smooth_with_residual`` spends (d - 1) + 1 on pre-smoothing plus
+        the explicit residual -- the same count -- and gives the same
+        cycle up to rounding."""
         rng = np.random.default_rng(7)
         b = rng.standard_normal(63)
         res, applies = {}, {}
-        for fused in (False, True):
+        for plain in (False, True):
             counter = [0]
             A, mg = self._two_level(
-                gamma=1, fused_residual=fused, count_applies=counter
+                gamma=1, degree=degree, count_applies=counter,
+                plain_smoother=plain,
             )
             counter[0] = 0
             x = mg.vcycle(b)
-            applies[fused] = counter[0]
-            res[fused] = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
-        assert applies[True] == applies[False] - 1
-        assert res[True] < 0.2
-        assert res[True] == pytest.approx(res[False], rel=1e-6)
+            applies[plain] = counter[0]
+            res[plain] = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+        assert applies[False] == applies[True] == 2 * degree
+        assert res[False] < 0.2
+        assert res[False] == pytest.approx(res[True], rel=1e-6)
+
+    def test_restriction_is_stored_transpose(self):
+        """The hierarchy stores R = P^T as CSR once; the row-wise product
+        sums in the same order as SciPy's transposed (CSC) product."""
+        A, mg = self._two_level(gamma=1)
+        fine = mg.levels[0]
+        assert sp.isspmatrix_csr(fine.restrict)
+        r = np.random.default_rng(8).standard_normal(A.shape[0])
+        assert np.array_equal(fine.restrict @ r, fine.prolong.T @ r)
 
 
 class TestSSOR:

@@ -170,3 +170,112 @@ class TestCoefficientHierarchy:
         levels = coefficient_hierarchy(meshes, eta, QUAD)
         for m, lv in zip(meshes, levels):
             assert lv.shape == (m.nel, QUAD.npoints)
+
+
+class TestMatrixFreeLevels:
+    """A rediscretized, smoothed level (level 1 of the default 3-level
+    hierarchy) applies through the fine kernel; ``fine_operator="asmb"``
+    builds the same hierarchy with every level assembled and is the
+    oracle."""
+
+    def hierarchy(self, kind, shape=(8, 8, 8)):
+        mesh = StructuredMesh(shape, order=2)
+        meshes = mesh.hierarchy(3)[::-1]
+        etas = []
+        for m in meshes:
+            _, _, xq = m.geometry_at(QUAD)
+            etas.append(smooth_eta(xq))
+        mg, stats = build_gmg(
+            meshes, etas, no_slip_bc,
+            GMGConfig(levels=3, coarse_solver="lu", fine_operator=kind),
+        )
+        return mesh, mg, stats
+
+    def test_vcycle_matches_assembled_hierarchy(self):
+        mesh, mg_mf, stats_mf = self.hierarchy("tensor_compiled")
+        _, mg_as, _ = self.hierarchy("asmb")
+        assert [lvl.label for lvl in mg_mf.levels] == [
+            "gmg-fine[tensor_compiled]", "gmg-mf[tensor_compiled]",
+            "gmg-coarse[lu]",
+        ]
+        assert [lvl.label for lvl in mg_as.levels] == [
+            "gmg-fine[asmb]", "gmg-assembled", "gmg-coarse[lu]",
+        ]
+        # level 1 was still assembled, as the Galerkin product's input
+        assert stats_mf.assemble_seconds > 0.0
+        assert stats_mf.galerkin_seconds > 0.0
+        b = np.random.default_rng(1).standard_normal(3 * mesh.nnodes)
+        b[mg_mf.levels[0].bc_mask] = 0.0
+        x_mf, x_as = mg_mf(b), mg_as(b)
+        assert np.linalg.norm(x_mf - x_as) <= 1e-10 * np.linalg.norm(x_as)
+
+    def test_level_applies_are_kernel_events(self):
+        """-log_view stays truthful: with V(2,2) each smoothed level makes
+        4 applies per cycle, all of them MatMult_<kernel> events carrying
+        the analytic flop counts, and no explicit-residual event."""
+        from repro import obs
+        from repro.perf.counts import OPERATOR_COUNTS
+
+        mesh, mg, _ = self.hierarchy("tensor_compiled", (4, 4, 4))
+        b = np.ones(3 * mesh.nnodes)
+        b[mg.levels[0].bc_mask] = 0.0
+        obs.reset()
+        obs.enable()
+        try:
+            mg(b)
+            events = {e.name: e for e in obs.REGISTRY.events.values()}
+        finally:
+            obs.disable()
+            obs.reset()
+        mm = events["MatMult_tensor_compiled"]
+        assert mm.count == 8
+        nel = mesh.nel + mesh.nel // 8  # level 0 + level 1 elements
+        assert mm.flops == 4 * nel * OPERATOR_COUNTS["tensor_compiled"].flops
+        assert events["MGSmooth_level0"].count == 2
+        assert events["MGSmooth_level1"].count == 2
+        assert not any(name.startswith("MGResid") for name in events)
+
+    def test_no_galerkin_skips_the_level_matrix(self, monkeypatch):
+        """Without Galerkin coarsening nothing needs level 1's matrix."""
+        from repro.fem import assembly
+
+        mesh = StructuredMesh((8, 8, 8), order=2)
+        meshes = mesh.hierarchy(3)[::-1]
+        etas = [np.ones((m.nel, QUAD.npoints)) for m in meshes]
+        assembled = []
+        orig = assembly.assemble_viscous
+
+        def counting(mesh, *args, **kwargs):
+            assembled.append(mesh.nel)
+            return orig(mesh, *args, **kwargs)
+
+        monkeypatch.setattr(assembly, "assemble_viscous", counting)
+        mg, _ = build_gmg(meshes, etas, no_slip_bc,
+                          GMGConfig(levels=3, coarse_solver="lu",
+                                    galerkin=False))
+        assert assembled == [meshes[2].nel]
+        assert mg.levels[1].label == "gmg-mf[tensor_compiled]"
+
+    def test_solve_iterations_match_assembled(self, monkeypatch):
+        import repro.mg.gmg as gmg_mod
+        import repro.stokes.operators as operators_mod
+        from repro.sim.sinker import SinkerConfig, sinker_stokes_problem
+        from repro.stokes import StokesConfig, solve_stokes
+
+        built = []
+
+        def counting(kind, mesh, *args, **kwargs):
+            built.append((kind, mesh.nel))
+            return make_operator(kind, mesh, *args, **kwargs)
+
+        monkeypatch.setattr(gmg_mod, "make_operator", counting)
+        monkeypatch.setattr(operators_mod, "make_operator", counting)
+        pb = sinker_stokes_problem(SinkerConfig(
+            shape=(8, 8, 8), n_spheres=2, radius=0.15, delta_eta=100.0))
+        sol = solve_stokes(pb, StokesConfig())
+        # one operator per smoothed level: the coupled operator's viscous
+        # block is the hierarchy's level 0, not a second identical build
+        assert built == [("tensor_compiled", 512), ("tensor_compiled", 64)]
+        oracle = solve_stokes(pb, StokesConfig(operator="asmb"))
+        assert sol.converged and oracle.converged
+        assert sol.iterations == oracle.iterations

@@ -259,6 +259,8 @@ class TestEdgeCases:
         ``Z`` basis -- that is the point of the non-flexible path."""
         import tracemalloc
 
+        from repro.solvers.krylov import GCR_BLOCK
+
         n, restart = 30_000, 40
         rng = np.random.default_rng(11)
         d = 1.0 + rng.random(n)
@@ -288,3 +290,130 @@ class TestEdgeCases:
         res = method(lambda v: A @ v, b, M=M, rtol=1e-10, maxiter=600)
         assert res.converged
         assert np.linalg.norm(res.x - xref) < 1e-6 * np.linalg.norm(xref)
+
+
+def gcr_reference(A, b, M, rtol, maxiter, restart):
+    """The list-based GCR loop ``gcr`` ran before it kept its directions
+    in owned contiguous rows updated in place: a fresh vector per
+    Gram-Schmidt step.  Returns ``(x, residual history)``."""
+    x = np.zeros_like(b)
+    r = b - A(x)
+    residuals = [float(np.linalg.norm(r))]
+    tol = rtol * float(np.linalg.norm(b))
+    ps, qs = [], []
+    while len(residuals) <= maxiter and residuals[-1] > tol:
+        p = M(r)
+        q = A(p)
+        for pj, qj in zip(ps, qs):
+            beta = q @ qj
+            q = q - beta * qj
+            p = p - beta * pj
+        qnorm = float(np.linalg.norm(q))
+        q = q / qnorm
+        p = p / qnorm
+        alpha = r @ q
+        x = x + alpha * p
+        r = r - alpha * q
+        ps.append(p)
+        qs.append(q)
+        if len(ps) >= restart:
+            ps.clear()
+            qs.clear()
+        residuals.append(float(np.linalg.norm(r)))
+    return x, residuals
+
+
+class TestGCRInPlace:
+    """``gcr`` against the loop it replaced, plus the aliasing, breakdown
+    and memory properties of the in-place direction storage."""
+
+    def test_matches_reference_on_sinker(self):
+        from repro.mg import build_gmg
+        from repro.mg.coefficients import coefficient_hierarchy
+        from repro.sim.sinker import SinkerConfig, sinker_stokes_problem
+        from repro.stokes import StokesOperator
+        from repro.stokes.fieldsplit import FieldSplitPreconditioner
+
+        pb = sinker_stokes_problem(SinkerConfig(
+            shape=(8, 8, 8), n_spheres=2, radius=0.15, delta_eta=100.0))
+        op = StokesOperator(pb)
+        meshes = pb.mesh.hierarchy(3)[::-1]
+        etas = coefficient_hierarchy(meshes, pb.eta_q, pb.quad)
+        mg, _ = build_gmg(meshes, etas, pb.bc_builder, fine_op=op.A_op)
+        pc = FieldSplitPreconditioner(op, mg)
+        b = op.rhs()
+        res = gcr(op.apply, b, M=pc, rtol=1e-5, maxiter=200, restart=100)
+        x_ref, hist_ref = gcr_reference(op.apply, b, pc, 1e-5, 200, 100)
+        assert res.converged
+        assert res.iterations == len(hist_ref) - 1
+        # q's sweep is the reference's arithmetic; p's combination is summed
+        # by one matrix-vector product, so the two differ in rounding.  On
+        # this system a 1-ulp change of b moves the reference's own x by
+        # 1.1e-10 relative (measured), which bounds what any reordering of
+        # the arithmetic can promise; the well-conditioned cases below hold
+        # 1e-12.
+        assert np.linalg.norm(res.x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
+        assert np.allclose(res.residuals, hist_ref, rtol=1e-9, atol=0)
+
+    def test_restart_boundary_matches_reference(self):
+        A, b, _ = spd_system(60)
+        matvec = lambda v: A @ v  # noqa: E731
+        M = JacobiPreconditioner(A.diagonal())
+        res = gcr(matvec, b, M=M, rtol=1e-10, maxiter=500, restart=3)
+        x_ref, hist_ref = gcr_reference(matvec, b, M, 1e-10, 500, 3)
+        assert res.converged and res.iterations > 6  # several restarts
+        assert res.iterations == len(hist_ref) - 1
+        assert np.linalg.norm(res.x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+    def test_zero_direction_breakdown_preserved(self):
+        """A M r = 0 cannot be normalized: DIVERGED_BREAKDOWN, the iterate
+        of the accepted directions returned untouched."""
+        from repro.resilience.reasons import ConvergedReason
+
+        b = np.ones(10)
+        res = gcr(lambda v: np.zeros_like(v), b, rtol=1e-8, maxiter=25)
+        assert not res.converged
+        assert res.reason == ConvergedReason.DIVERGED_BREAKDOWN
+        assert res.iterations == 0 and np.array_equal(res.x, np.zeros(10))
+
+    def test_identity_preconditioner_and_operator_alias_nothing(self):
+        """``M=None`` hands ``r`` itself to the direction storage and the
+        passthrough operator returns its argument; neither may leak an
+        in-place update into the residual the monitor (and the next
+        iteration) sees."""
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal(50)
+        res = gcr(lambda v: v, b, rtol=1e-12, maxiter=30)
+        assert res.converged and res.iterations == 1
+        assert np.allclose(res.x, b, rtol=1e-14, atol=0)
+
+        A, b, _ = spd_system(80)
+        matvec = lambda v: A @ v  # noqa: E731
+        res = gcr(matvec, b, rtol=1e-10, maxiter=200)
+        x_ref, hist_ref = gcr_reference(matvec, b, np.copy, 1e-10, 200, 30)
+        assert res.converged and res.iterations == len(hist_ref) - 1
+        assert np.linalg.norm(res.x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+        # a corrupted r would let the recurrence drift off the true residual
+        assert abs(np.linalg.norm(b - A @ res.x) - res.residuals[-1]) < (
+            1e-10 * np.linalg.norm(b))
+
+    def test_directions_allocated_only_as_iterations_run(self):
+        """A 3-iteration solve with restart=100 holds the first block of
+        direction pairs, not 100: a (restart, n) preallocation would show
+        as 2 * 100 vectors in the traced peak."""
+        import tracemalloc
+
+        from repro.solvers.krylov import GCR_BLOCK
+
+        n = 100_000
+        d = np.linspace(1.0, 2.0, n)
+        b = np.ones(n)
+        tracemalloc.start()
+        try:
+            res = gcr(lambda v: d * v, b, rtol=1e-30, maxiter=3, restart=100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.iterations == 3
+        # one block each of p and q rows + x, r, b-sized temporaries
+        assert peak < (2 * GCR_BLOCK + 8) * n * 8

@@ -158,6 +158,22 @@ class TestBitIdenticalOperators:
         assert np.allclose(d_ser, d_par, rtol=1e-14, atol=0)
         ex.shutdown()
 
+    def test_diagonal_partials_bitwise_across_backends(self):
+        """Span partials are the same floats wherever they are computed:
+        inline over the executor's spans, on threads, or in forked
+        workers (the mesh is large enough to cross an element chunk)."""
+        mesh, eta, _ = small_setup(shape=(9, 8, 8))
+        kernel = assembly._DiagonalKernel(mesh, eta, QUAD)
+        spans = partition_elements(mesh, 2)
+        inline = ParallelExecutor.run_serial(
+            kernel, "partial", spans, np.empty(0), mode="sum"
+        )
+        for backend in BACKENDS:
+            ex = ParallelExecutor(workers=2, backend=backend)
+            d_par = assembly.viscous_diagonal(mesh, eta, QUAD, executor=ex)
+            ex.shutdown()
+            assert np.array_equal(d_par, inline), backend
+
     def test_csr_matvec_bit_identical(self, rng):
         import scipy.sparse as sp
 

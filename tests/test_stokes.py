@@ -42,6 +42,26 @@ class TestOperatorStructure:
         y = op(x)
         assert np.allclose(y[: pb.nu][pb.bc.mask], x[: pb.nu][pb.bc.mask])
 
+    def test_gradient_block_is_stored_csr_transpose(self, rng):
+        """B_int^T is transposed once at setup; its row-wise product adds
+        in the same order as SciPy's transposed (CSC) product, and the
+        coupled apply leaves its argument alone."""
+        import scipy.sparse as sp
+
+        mesh = StructuredMesh((3, 2, 2), order=2)
+        eta, rho = ones_fields(mesh)
+        pb = StokesProblem(mesh, eta, rho, bc_builder=free_slip_bc)
+        op = StokesOperator(pb)
+        assert sp.isspmatrix_csr(op.B_int_T)
+        p = rng.standard_normal(pb.npress)
+        assert np.array_equal(op.B_int_T @ p, op.B_int.T @ p)
+        x = rng.standard_normal(pb.ndof)
+        x_in = x.copy()
+        y1, y2 = op.apply(x), op.apply(x)
+        assert np.array_equal(x, x_in) and np.array_equal(y1, y2)
+        assert y1 is not y2
+        assert np.allclose(y1, op.assemble() @ x, atol=1e-12)
+
     def test_rhs_satisfies_bc(self):
         mesh = StructuredMesh((2, 2, 2), order=2)
         eta, rho = ones_fields(mesh)

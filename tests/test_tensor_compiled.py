@@ -347,7 +347,7 @@ class TestDefaults:
         pc_fine = sol.extra["preconditioner"].velocity_pc.levels[0]
         assert pc_fine.label == "gmg-fine[tensor_compiled]"
 
-    def test_gmg_fine_level_fused_residual(self):
+    def test_gmg_fine_level_cycle_contracts(self):
         from repro.fem import DirichletBC, boundary_nodes, component_dofs
         from repro.mg.gmg import GMGConfig, build_gmg
 
@@ -362,7 +362,7 @@ class TestDefaults:
                 bc.add(component_dofs(boundary_nodes(m, face), comp), 0.0)
             return bc.finalize()
 
-        cfg = GMGConfig(levels=2, coarse_solver="lu", fused_residual=True)
+        cfg = GMGConfig(levels=2, coarse_solver="lu")
         mg, _ = build_gmg(meshes, etas, bc_builder, cfg)
         b = rng.standard_normal(3 * meshes[0].nnodes)
         b[mg.levels[0].bc_mask] = 0.0
