@@ -43,7 +43,7 @@ def _parse_args(argv):
     parser.add_argument("--step-timeout", type=float,
                         help="watchdog seconds between heartbeats")
     parser.add_argument("--startup-timeout", type=float,
-                        help="watchdog seconds from spawn to first step")
+                        help="watchdog seconds from fork to 'started'")
     parser.add_argument("--max-retries", type=int,
                         help="retry budget per job")
     parser.add_argument("--fresh", action="store_true",

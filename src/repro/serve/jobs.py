@@ -37,6 +37,7 @@ __all__ = [
     "JobRecord",
     "JobSpec",
     "JobState",
+    "PHASES",
     "REASON_CRASH",
     "REASON_HANG",
     "REASON_QUARANTINED",
@@ -49,6 +50,11 @@ REASON_HANG = "JOB_HANG"                 # watchdog killed a silent worker
 REASON_CRASH = "JOB_CRASH"               # worker died without a result
 REASON_SPAWN_FAILED = "JOB_SPAWN_FAILED"  # subprocess could not start
 REASON_QUARANTINED = "JOB_QUARANTINED"   # circuit breaker opened for the config
+
+
+#: where a run's seconds go; ``fork_to_started`` contains the next two
+PHASES = ("fork_to_started", "build", "resume_load", "steps", "checkpoint",
+          "digest")
 
 
 class JobState(enum.Enum):

@@ -1,55 +1,57 @@
-"""Fault-isolated ensemble scheduler: supervised jobs over subprocess workers.
+"""Fault-isolated ensemble scheduler: one event loop over forked workers.
 
-The driver process never runs simulation code (subprocess isolation mode):
-each attempt of each job is a ``python -m repro.serve.worker`` child in its
-own session, speaking newline-delimited JSON on stdout.  A per-attempt
-supervisor thread owns the pipe and implements the **watchdog**: until the
-worker reports ``started`` it must beat the startup deadline (heavy imports
-plus scenario build); after that, every committed time step emits a
-heartbeat (piped from ``timeloop._commit_telemetry``) and silence longer
-than ``step_timeout`` means the job is stuck *inside* a step -- the
-supervisor kills the whole process group and the scheduler requeues the
-job, which resumes from its last atomic checkpoint.
+The driver process never runs simulation code (subprocess isolation mode).
+A job that misses the cache is forked from this run's **zygote**
+(:mod:`repro.serve.zygote`: started by a run's first launch, every import
+a job needs already paid) into a session of its own, speaking
+newline-delimited JSON on a pipe the scheduler owns.  One single-threaded
+``selectors`` loop reads every pipe and blocks until the next thing that
+can happen: a pipe turns readable, the earliest watchdog or grace deadline
+expires, or the earliest backoff window closes.  A battery that is all
+cache hits settles before any process, pipe or selector exists.
 
-Failure policy, layered:
+The **watchdog** is the deadline each attempt carries: ``startup_timeout``
+from the launch request to ``spawned`` (the fork) and again from there to
+``started``; then every committed time step emits a heartbeat (piped from
+``timeloop._commit_telemetry``) and silence longer than ``step_timeout``
+means the job is stuck *inside* a step -- the scheduler SIGTERMs the
+worker, then SIGKILLs its session, and requeues the job, which resumes
+from its last atomic checkpoint.  The zygote reports each job's exit code
+on its pipe; if the zygote dies, its in-flight jobs are swept and settle
+as crashes, and the next launch starts a new one.
 
-* **Retry with backoff** -- hangs, crashes, spawn errors, and solver
-  breakdowns all consume one attempt from a per-job budget
-  (``max_retries``); re-eligibility is delayed by exponential backoff with
-  deterministic jitter (:func:`backoff_delay`, seeded by the config hash,
-  so reruns of a battery are reproducible).  A job whose budget is
-  exhausted goes ``FAILED(reason)`` -- reusing the PR-3
-  :class:`~repro.resilience.reasons.ConvergedReason` names when the solver
-  itself broke down.
-* **Circuit breaker** -- ``quarantine_after`` consecutive failures of the
-  *same configuration* (config hash, not job name) opens a breaker:
-  the job goes ``QUARANTINED`` and queued twins of that configuration are
-  quarantined at launch time instead of burning their own budgets.
-* **Graceful degradation** -- each job requests a ``parallel.executor``
-  worker count for its own pool; under pressure the scheduler *shrinks*
-  the grant (floor 1, exported as ``REPRO_WORKERS``) instead of rejecting
-  work.  Bit-exactness is unaffected: the executor's determinism contract
-  holds for any worker count.
+Failure policy, layered (DESIGN.md section 6 has the full table):
 
-Jobs carrying an inline callable (``JobSpec.fn``) or schedulers built with
-``isolation="inline"`` run jobs synchronously in submit order in the
-driver process -- no watchdog (nothing to kill), same retry/breaker/cache
-policy.  The benchmark battery rides this path so its obs events accumulate
-in-process exactly as before.
+* **Retry with backoff** -- hangs, crashes, spawn errors and solver
+  breakdowns each consume one attempt of a per-job budget
+  (``max_retries``); re-eligibility waits out an exponential backoff with
+  deterministic jitter (:func:`backoff_delay`).  Budget exhausted ->
+  ``FAILED(reason)``, with the PR-3 ``ConvergedReason`` name when the
+  solver itself broke down.
+* **Circuit breaker** -- ``quarantine_after`` consecutive failures of one
+  *configuration* (config hash, not job name) quarantine the job and its
+  queued twins instead of burning their budgets.
+* **Graceful degradation** -- under pressure a job's ``parallel.executor``
+  grant shrinks (floor 1, exported as ``REPRO_WORKERS``) instead of the
+  job being rejected; the executor is bit-identical for any worker count.
+
+``JobSpec.fn`` callables and ``isolation="inline"`` schedulers run jobs
+synchronously, in submit order, in the driver process -- no watchdog
+(nothing to kill), same retry/breaker/cache policy.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
-import queue
-import select
+import selectors
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -63,6 +65,7 @@ from .jobs import (
     JobRecord,
     JobSpec,
     JobState,
+    PHASES,
 )
 from .store import ResultStore
 
@@ -110,10 +113,11 @@ class ServeConfig:
     #: graceful-shutdown grace period: on watchdog expiry the worker gets
     #: SIGTERM first and this many seconds to flush a final checkpoint of
     #: its last *committed* step (it exits with a ``terminated`` event);
-    #: only then is the whole process group SIGKILLed.  0 restores the
-    #: old straight-to-SIGKILL behavior.
+    #: only then is its whole session SIGKILLed.  0: straight to SIGKILL.
     term_grace: float = 5.0
-    #: seconds from spawn to the ``started`` event (imports + build)
+    #: seconds from the fork (``spawned``) to ``started``: scenario build
+    #: + optional checkpoint load.  The same bound covers launch request
+    #: -> fork, i.e. the zygote's one-time imports for the first launches.
     startup_timeout: float = 90.0
     #: failed attempts a job may retry (budget; 2 -> up to 3 attempts)
     max_retries: int = 2
@@ -180,6 +184,15 @@ class BatteryReport:
                 return rec
         raise KeyError(name)
 
+    def phases_p50(self) -> dict:
+        """Median seconds per :data:`~repro.serve.jobs.PHASES` entry over
+        the ``runs`` attempts that reached a result: where cold jobs went."""
+        runs = [a["phases"] for rec in self.records for a in rec.attempts
+                if a.get("phases")]
+        return {"runs": len(runs), **{
+            key: statistics.median(run[key] for run in runs)
+            for key in PHASES if runs}}
+
     def summary(self) -> str:
         lines = [f"{'job':<24} {'state':<12} {'att':>3} {'cache':>5} "
                  f"{'resume':>6}  reason"]
@@ -194,26 +207,48 @@ class BatteryReport:
         counts = ", ".join(f"{k}={v}" for k, v in self.counts.items() if v)
         lines.append(f"-- {len(self.records)} jobs in "
                      f"{self.wall_seconds:.1f}s: {counts}")
+        phases = self.phases_p50()
+        if phases.pop("runs"):
+            lines.append("-- p50 seconds per run: " + ", ".join(
+                f"{key} {value:.3f}" for key, value in phases.items()))
         return "\n".join(lines)
 
     def as_dict(self) -> dict:
         return {
             "schema": "repro.serve.battery/1",
-            "wall_seconds": self.wall_seconds,
-            "counts": self.counts,
+            "wall_seconds": self.wall_seconds, "counts": self.counts,
             "all_terminal": self.all_terminal,
+            "phases_p50": self.phases_p50(),
             "jobs": [rec.as_dict() for rec in self.records],
         }
 
 
-class Scheduler:
-    """Supervise a battery of jobs to terminal states.
+#: seconds to wait for a death we caused (a SIGKILLed session's ``exit``
+#: line, the zygote's own exit) before settling without the confirmation
+_REAP_GRACE = 10.0
 
-    Thread model (subprocess mode): the main thread owns all scheduler
-    state (records, breaker, worker budget) and is the only mutator;
-    per-attempt supervisor threads own their worker's pipe and communicate
-    one settle event back over a queue.  Inline mode is single-threaded.
-    """
+
+@dataclass
+class _Attempt:
+    """One in-flight worker: its pipe, what it said, its watchdog clock."""
+
+    record: JobRecord
+    fd: int                        # read end of the per-job pipe
+    t0: float
+    deadline: float                # monotonic: next watchdog/grace expiry
+    buf: bytes = b""
+    #: last event of each kind the worker (or the zygote, about it) wrote
+    events: dict = field(default_factory=dict)
+    pid: int | None = None         # also the job's session / group id
+    beats: int = 0
+    termed: bool = False
+    killed: bool = False
+
+
+class Scheduler:
+    """Supervise a battery of jobs to terminal states, on one thread: the
+    loop owns all state (records, breaker, worker budget), every worker
+    pipe and the zygote."""
 
     def __init__(self, config: ServeConfig | None = None):
         self.config = config or ServeConfig()
@@ -228,8 +263,11 @@ class Scheduler:
         #: consecutive-failure count per config hash (breaker state)
         self._fails: dict[str, int] = {}
         self._quarantined_hashes: set[str] = set()
-        self._events: queue.Queue = queue.Queue()
-        self._threads: list[threading.Thread] = []
+        self._attempts: dict[int, _Attempt] = {}   # in flight, by pipe fd
+        #: ``(Popen, control socket)`` and selector: created by a run's
+        #: first launch, gone when it returns
+        self._zygote: tuple | None = None
+        self._sel: selectors.BaseSelector | None = None
         self._watchdog_kills = 0
         self._cache_hits = 0
         self._retries = 0
@@ -246,19 +284,23 @@ class Scheduler:
                 or self._fails.get(config_hash, 0)
                 >= self.config.quarantine_after)
 
-    def _cache_lookup(self, record: JobRecord) -> dict | None:
-        """Stored result for this record, honoring the bypass rules.
+    def _settled_without_running(self, record: JobRecord) -> bool:
+        """Open breaker -> QUARANTINED; stored result -> DONE (cache hit).
 
         Faulted jobs must actually *run* (the injected fault is the point
         of the job), so they bypass the read -- but their recovered result
         still lands in the store, where the determinism contract keeps it
         valid for clean twins.
         """
-        if self.config.fresh or not record.spec.cache_allowed:
-            return None
-        if record.spec.faults:
-            return None
-        return self.store.get(record.config_hash)
+        spec = record.spec
+        if self._breaker_open(record.config_hash):
+            record.transition(JobState.QUARANTINED)
+            record.reason = REASON_QUARANTINED
+        elif spec.cache_allowed and not (self.config.fresh or spec.faults):
+            cached = self.store.get(record.config_hash)
+            if cached is not None:
+                self._settle_done(record, cached, cache_hit=True)
+        return record.terminal
 
     def _settle_done(self, record: JobRecord, result: dict | None,
                      value=None, cache_hit: bool = False) -> None:
@@ -274,8 +316,7 @@ class Scheduler:
             self.store.put(record.config_hash, result)
             self.store.clear_checkpoint(record.config_hash)
 
-    def _settle_failure(self, record: JobRecord, reason: str,
-                        retryable: bool = True) -> None:
+    def _settle_failure(self, record: JobRecord, reason: str) -> None:
         """Route one failed attempt: breaker -> budget -> backoff."""
         record.reason = reason
         count = self._fails.get(record.config_hash, 0) + 1
@@ -286,7 +327,7 @@ class Scheduler:
             record.reason = REASON_QUARANTINED
             self._quarantine_twins(record.config_hash)
             return
-        if not retryable or record.attempt_index > self.config.max_retries:
+        if record.attempt_index > self.config.max_retries:
             record.transition(JobState.FAILED)
             return
         record.transition(JobState.RETRYING)
@@ -373,13 +414,7 @@ class Scheduler:
                 "isolation (a hang or crash inline would take the driver "
                 "down with it)"
             )
-        if self._breaker_open(record.config_hash):
-            record.transition(JobState.QUARANTINED)
-            record.reason = REASON_QUARANTINED
-            return
-        cached = self._cache_lookup(record)
-        if cached is not None:
-            self._settle_done(record, cached, cache_hit=True)
+        if self._settled_without_running(record):
             return
         while True:
             record.transition(JobState.RUNNING)
@@ -427,30 +462,22 @@ class Scheduler:
         sim = build_simulation(spec)
         while sim.step_index < int(spec.nsteps):
             sim.step(spec.dt)
-        return {
-            "job": spec.name,
-            "config_hash": record.config_hash,
-            "scenario": spec.scenario,
-            "steps": int(sim.step_index),
-            "resumed_from": 0,
-            "sim_time": float(sim.time),
-            "digest": state_digest(sim),
-        }
+        return {"job": spec.name, "config_hash": record.config_hash,
+                "scenario": spec.scenario, "steps": int(sim.step_index),
+                "resumed_from": 0, "sim_time": float(sim.time),
+                "digest": state_digest(sim)}
 
     # ---- subprocess mode ---------------------------------------------- #
     def _run_pool(self) -> None:
         try:
-            while not all(rec.terminal for rec in self.records):
+            while True:
                 self._launch_eligible()
                 self._update_gauges()
-                try:
-                    record, outcome = self._events.get(timeout=0.1)
-                except queue.Empty:
-                    continue
-                self._handle(record, outcome)
+                if all(rec.terminal for rec in self.records):
+                    return
+                self._wait()
         finally:
-            for thread in self._threads:
-                thread.join(timeout=10.0)
+            self._close_pool()
 
     def _eligible(self) -> list[JobRecord]:
         now = time.monotonic()
@@ -460,24 +487,17 @@ class Scheduler:
         # configuration never runs twice concurrently (two workers would
         # race on the shared checkpoint) nor back to back
         leaders: dict[str, int] = {}
-        for rec in self.records:
-            if not rec.terminal and rec.config_hash not in leaders:
-                leaders[rec.config_hash] = rec.index
         group_running: dict[str, int] = {}
         for rec in self.records:
+            if not rec.terminal:
+                leaders.setdefault(rec.config_hash, rec.index)
             if rec.state is JobState.RUNNING:
                 group_running[rec.group] = group_running.get(rec.group, 0) + 1
-        out = []
-        for rec in self.records:
-            if rec.state is JobState.QUEUED:
-                pass
-            elif rec.state is JobState.RETRYING and now >= rec.not_before:
-                pass
-            else:
-                continue
-            if leaders.get(rec.config_hash) != rec.index:
-                continue
-            out.append(rec)
+        out = [rec for rec in self.records
+               if leaders.get(rec.config_hash) == rec.index
+               and (rec.state is JobState.QUEUED
+                    or (rec.state is JobState.RETRYING
+                        and now >= rec.not_before))]
         # priority first, then fair share (groups with fewer running jobs
         # win), then submission order for stability
         out.sort(key=lambda rec: (-rec.spec.priority,
@@ -486,221 +506,201 @@ class Scheduler:
         return out
 
     def _launch_eligible(self) -> None:
-        running = sum(1 for rec in self.records
-                      if rec.state is JobState.RUNNING)
-        for record in self._eligible():
-            if running >= self.config.max_jobs:
-                break
-            if self._breaker_open(record.config_hash):
-                record.transition(JobState.QUARANTINED)
-                record.reason = REASON_QUARANTINED
-                continue
-            cached = self._cache_lookup(record)
-            if cached is not None:
-                self._settle_done(record, cached, cache_hit=True)
-                continue
-            self._launch(record)
-            if record.state is JobState.RUNNING:
-                running += 1
+        """Settle or launch everything that can move right now.  A leader
+        that turns terminal here (cache hit, open breaker, spawn failure
+        out of budget) hands its configuration to the next twin, so the
+        pass repeats until nothing settles: an all-hit battery never waits.
+        """
+        settled = True
+        while settled:
+            settled = False
+            for record in self._eligible():
+                if len(self._attempts) >= self.config.max_jobs:
+                    break
+                if not self._settled_without_running(record):
+                    self._launch(record)
+                settled = settled or record.terminal
 
     def _launch(self, record: JobRecord) -> None:
+        """Hand one attempt to the zygote and start its watchdog clock."""
+        from . import zygote   # not at the top: ``-m`` runs it as __main__
         spec = record.spec
         record.transition(JobState.RUNNING)
         record.attempt_index += 1
         record.granted_workers = self._grant_workers(record)
         job_dir = self.store.job_dir(record.config_hash)
         job_path = os.path.join(job_dir, "job.json")
+        serve = {"store_dir": self.store.root,
+                 "checkpoint_every": int(self.config.checkpoint_every),
+                 "resume": bool(self.config.resume and not self.config.fresh)}
         with open(job_path, "w") as fh:
-            json.dump({
-                "spec": spec.to_wire(),
-                "serve": {
-                    "store_dir": self.store.root,
-                    "checkpoint_every": int(self.config.checkpoint_every),
-                    "resume": bool(self.config.resume
-                                   and not self.config.fresh),
-                },
-            }, fh, indent=1, sort_keys=True)
+            json.dump({"spec": spec.to_wire(), "serve": serve}, fh,
+                      indent=1, sort_keys=True)
         log_path = os.path.join(job_dir,
                                 f"attempt_{record.attempt_index:02d}.log")
-        env = dict(os.environ)
-        env["REPRO_WORKERS"] = str(record.granted_workers)
+        env = {"REPRO_WORKERS": str(record.granted_workers)}
         if spec.ranks:
             env["REPRO_PROCOMM_RANKS"] = str(
                 max(1, min(int(spec.ranks), record.granted_workers)))
-        src_root = os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))))
-        env["PYTHONPATH"] = src_root + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
+        self._sel = self._sel or selectors.DefaultSelector()
         try:
-            log_fh = open(log_path, "wb")
-            try:
-                proc = subprocess.Popen(
-                    [self.config.python, "-m", "repro.serve.worker",
-                     job_path],
-                    stdout=subprocess.PIPE, stderr=log_fh, stdin=
-                    subprocess.DEVNULL, env=env, start_new_session=True,
-                )
-            finally:
-                log_fh.close()
+            if self._zygote is None:   # one per run, on first use
+                self._zygote = zygote.start(self.config.python)
+                self._sel.register(self._zygote[1], selectors.EVENT_READ)
+            pipe_r = zygote.submit(self._zygote[1], job_path, env, log_path)
         except OSError as err:
             record.attempts.append({
-                "attempt": record.attempt_index,
-                "outcome": "spawn_failed",
-                "reason": REASON_SPAWN_FAILED,
-                "message": str(err),
-            })
+                "attempt": record.attempt_index, "outcome": "spawn_failed",
+                "reason": REASON_SPAWN_FAILED, "message": str(err)})
             self._settle_failure(record, REASON_SPAWN_FAILED)
             return
-        thread = threading.Thread(
-            target=self._supervise, args=(record, proc),
-            name=f"serve-{spec.name}-a{record.attempt_index}", daemon=True,
-        )
-        self._threads.append(thread)
-        thread.start()
+        now = time.monotonic()
+        attempt = _Attempt(record, pipe_r, t0=now,
+                           deadline=now + self.config.startup_timeout)
+        self._attempts[pipe_r] = attempt
+        self._sel.register(pipe_r, selectors.EVENT_READ, attempt)
 
-    def _supervise(self, record: JobRecord, proc: subprocess.Popen) -> None:
-        """Per-attempt supervisor: pipe reader + watchdog + classifier.
+    def _wait(self) -> None:
+        """Block until the next thing that can happen -- a pipe (or the
+        zygote's socket) readable, a deadline, a backoff end -- handle it."""
+        wake = [attempt.deadline for attempt in self._attempts.values()]
+        wake += [rec.not_before for rec in self.records
+                 if rec.state is JobState.RETRYING]
+        timeout = max(0.0, min(wake) - time.monotonic())
+        self._sel = self._sel or selectors.DefaultSelector()
+        for key, _ in self._sel.select(timeout):
+            if key.data is None:
+                self._zygote_died()
+            elif key.fd in self._attempts:
+                self._read(key.data)
+        now = time.monotonic()
+        for attempt in list(self._attempts.values()):
+            if now >= attempt.deadline:
+                self._expire(attempt)
 
-        Reads the raw pipe fd with ``select`` + ``os.read`` -- a buffered
-        text wrapper would hold complete lines in userspace while select
-        blocks on an empty kernel buffer, turning every heartbeat into a
-        spurious timeout.
-        """
-        cfg = self.config
-        fd = proc.stdout.fileno()
-        os.set_blocking(fd, False)
-        buf = b""
-        deadline = time.monotonic() + cfg.startup_timeout
-        started = False
-        beats = 0
-        result = None
-        error = None
-        terminated = None
-        killed = False
-        termed = False
-        t0 = time.monotonic()
-        while True:
-            timeout = deadline - time.monotonic()
-            if timeout <= 0:
-                if not termed and cfg.term_grace > 0:
-                    # graceful first: SIGTERM lets the worker flush a
-                    # final checkpoint of its last committed step and
-                    # report ``terminated``; the grace window bounds it
-                    termed = True
-                    self._term(proc)
-                    deadline = time.monotonic() + cfg.term_grace
-                    continue
-                killed = True
-                self._kill(proc)
-                break
-            ready, _, _ = select.select([fd], [], [], min(timeout, 0.25))
-            if not ready:
-                continue
-            try:
-                chunk = os.read(fd, 1 << 16)
-            except BlockingIOError:
-                continue
-            except OSError:
-                chunk = b""
-            if not chunk:
-                break  # EOF: worker exited (or was killed externally)
-            buf += chunk
-            while b"\n" in buf:
-                line, buf = buf.split(b"\n", 1)
-                event = _parse_event(line)
-                if event is None:
-                    continue
-                kind = event.get("event")
-                if kind == "started":
-                    started = True
-                    record.resumed_from = int(event.get("resumed_from", 0))
-                    deadline = time.monotonic() + cfg.step_timeout
-                elif kind == "heartbeat":
-                    beats += 1
-                    deadline = time.monotonic() + cfg.step_timeout
-                elif kind == "checkpoint_corrupt":
-                    record.checkpoint_corrupt = True
-                    error = event
-                elif kind == "terminated":
-                    terminated = event
-                elif kind == "result":
-                    result = event
-                elif kind == "error":
-                    error = event
+    def _read(self, attempt: _Attempt) -> None:
+        """Consume what the worker (and the zygote, about it) wrote."""
         try:
-            returncode = proc.wait(timeout=10.0)
-        except subprocess.TimeoutExpired:
-            self._kill(proc)
-            returncode = proc.wait()
-        proc.stdout.close()
-        seconds = time.monotonic() - t0
-        if returncode == 0 and result is not None:
-            # a worker that completed right at the deadline still counts
-            outcome = {"outcome": "done", "result": result}
-        elif killed or termed or terminated is not None:
-            outcome = {"outcome": "hang", "reason": REASON_HANG,
-                       "started": started,
-                       "graceful": terminated is not None,
-                       "flushed_step": (terminated or {}).get("step")}
-        elif error is not None and error.get("event") == "error":
-            outcome = {"outcome": "error",
-                       "reason": str(error.get("reason", "JOB_ERROR")),
-                       "message": error.get("message")}
-        else:
-            outcome = {"outcome": "crash", "reason": REASON_CRASH,
-                       "returncode": returncode}
-        outcome.update(attempt=record.attempt_index, beats=beats,
-                       seconds=seconds)
-        self._events.put((record, outcome))
-
-    @staticmethod
-    def _term(proc: subprocess.Popen) -> None:
-        """SIGTERM the worker process only (graceful-shutdown request).
-
-        Deliberately not the whole group: rank/pool children must stay
-        alive while the worker flushes its final checkpoint; the SIGKILL
-        that follows an expired grace period sweeps the session.
-        """
-        try:
-            proc.terminate()
+            chunk = os.read(attempt.fd, 1 << 16)
         except OSError:
-            pass
+            chunk = b""
+        if not chunk:
+            # EOF with no ``exit`` line: the zygote died under this job
+            self._finish(attempt)
+            return
+        now = time.monotonic()
+        *lines, attempt.buf = (attempt.buf + chunk).split(b"\n")
+        for line in lines:
+            try:
+                event = json.loads(line)
+                kind = event["event"]
+            except (ValueError, TypeError, KeyError):
+                continue   # blank, torn or foreign line: not protocol
+            attempt.events[kind] = event
+            if kind == "spawned":
+                # forked: the startup clock restarts for build + resume
+                attempt.pid = int(event["pid"])
+                attempt.deadline = now + self.config.startup_timeout
+            elif kind in ("started", "heartbeat"):
+                attempt.beats += kind == "heartbeat"
+                attempt.deadline = now + self.config.step_timeout
+            elif kind == "exit":
+                self._finish(attempt)
+                return
+
+    def _expire(self, attempt: _Attempt) -> None:
+        """A deadline passed: SIGTERM plus a grace period first (the worker
+        flushes its last committed step); then SIGKILL; then stop waiting."""
+        now = time.monotonic()
+        if attempt.killed:
+            self._finish(attempt)   # the zygote never confirmed the death
+        elif (not attempt.termed and self.config.term_grace > 0
+                and attempt.pid is not None):
+            # SIGTERM the worker only: its rank/pool children must live
+            # while it flushes (the later SIGKILL sweeps the session)
+            attempt.termed = True
+            attempt.deadline = now + self.config.term_grace
+            with contextlib.suppress(OSError):
+                os.kill(attempt.pid, signal.SIGTERM)
+        else:
+            attempt.killed = True
+            attempt.deadline = now + _REAP_GRACE
+            if attempt.pid is not None:
+                self._kill(attempt.pid)
+            elif self._zygote is not None:
+                self._zygote[0].kill()   # never forked: the zygote is stuck
 
     @staticmethod
-    def _kill(proc: subprocess.Popen) -> None:
-        """SIGKILL the worker's whole session (it may have its own pool)."""
-        try:
-            os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
-        except (ProcessLookupError, PermissionError, OSError):
-            try:
-                proc.kill()
-            except OSError:
-                pass
+    def _kill(pid: int) -> None:
+        """SIGKILL the worker's whole session (it may have its own pool);
+        the worker called ``setsid`` before it announced ``pid``."""
+        with contextlib.suppress(OSError):
+            os.killpg(pid, signal.SIGKILL)
 
-    def _handle(self, record: JobRecord, outcome: dict) -> None:
-        """Main-thread settle of one attempt (sole mutator of state)."""
-        kind = outcome.pop("outcome")
-        result = outcome.pop("result", None)
-        record.attempts.append({"outcome": kind, **_jsonable(outcome)})
-        if kind == "done":
-            result.pop("event", None)
+    def _zygote_died(self) -> None:
+        """Nobody will report its jobs' exits now: every in-flight attempt
+        is swept and settles as a crash; the next launch starts a new one."""
+        proc, sock = self._zygote
+        self._zygote = None
+        self._sel.unregister(sock)
+        sock.close()
+        proc.wait()
+        for attempt in list(self._attempts.values()):
+            if attempt.pid is not None:
+                self._kill(attempt.pid)
+            self._finish(attempt)
+
+    def _finish(self, attempt: _Attempt) -> None:
+        """Classify one ended attempt and settle its record."""
+        del self._attempts[attempt.fd]
+        self._sel.unregister(attempt.fd)
+        os.close(attempt.fd)
+        record, events = attempt.record, attempt.events
+        if "started" in events:
+            record.resumed_from = int(events["started"].get("resumed_from", 0))
+        record.checkpoint_corrupt |= "checkpoint_corrupt" in events
+        returncode = events.get("exit", {}).get("returncode")
+        terminated = events.get("terminated")
+        entry = {"attempt": record.attempt_index, "beats": attempt.beats,
+                 "seconds": time.monotonic() - attempt.t0, "pid": attempt.pid}
+        record.attempts.append(entry)
+        if returncode == 0 and "result" in events:
+            # a worker that completed right at the deadline still counts
+            result = events["result"]
+            del result["event"]
+            entry.update(outcome="done", phases=result.pop("phases", None))
             self._settle_done(record, result)
             return
-        if kind == "hang":
+        if attempt.killed or attempt.termed or terminated is not None:
             self._watchdog_kills += 1
-        self._settle_failure(record, outcome.get("reason", REASON_CRASH))
+            entry.update(outcome="hang", reason=REASON_HANG,
+                         started="started" in events,
+                         graceful=terminated is not None,
+                         flushed_step=(terminated or {}).get("step"))
+        elif "error" in events:
+            error = events["error"]
+            entry.update(outcome="error", message=error.get("message"),
+                         reason=str(error.get("reason", "JOB_ERROR")))
+        else:
+            entry.update(outcome="crash", reason=REASON_CRASH,
+                         returncode=returncode)
+        self._settle_failure(record, entry["reason"])
 
-
-def _parse_event(line: bytes):
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        event = json.loads(line.decode("utf-8", "replace"))
-    except ValueError:
-        return None
-    return event if isinstance(event, dict) else None
+    def _close_pool(self) -> None:
+        """Leave no process, pipe or selector behind, whatever happened."""
+        while self._attempts:   # only after an exception out of the loop
+            os.close(self._attempts.popitem()[0])
+        if self._zygote is not None:
+            proc, sock = self._zygote
+            sock.close()   # EOF: the zygote kills what it still has, exits
+            try:
+                proc.wait(timeout=_REAP_GRACE)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+        if self._sel is not None:
+            self._sel.close()
+        self._zygote = self._sel = None
 
 
 def _jsonable(doc: dict) -> dict:

@@ -20,7 +20,8 @@ Two contracts:
 * **Writes are atomic, reads are validated.**  ``result.json`` follows
   the PR-3 checkpoint protocol (same-directory temp file, fsync,
   ``os.replace``); an unreadable or schema-less file is treated as a
-  cache miss and removed, never propagated.
+  cache miss and removed, never propagated.  Lookups create nothing: a
+  miss leaves the store as it found it.
 """
 
 from __future__ import annotations
@@ -88,11 +89,12 @@ class ResultStore:
             os.makedirs(path, exist_ok=True)
         return path
 
-    def result_path(self, config_hash: str) -> str:
-        return os.path.join(self.job_dir(config_hash), "result.json")
+    def result_path(self, config_hash: str, create: bool = True) -> str:
+        return os.path.join(self.job_dir(config_hash, create), "result.json")
 
-    def checkpoint_path(self, config_hash: str) -> str:
-        return os.path.join(self.job_dir(config_hash), "checkpoint.npz")
+    def checkpoint_path(self, config_hash: str, create: bool = True) -> str:
+        return os.path.join(self.job_dir(config_hash, create),
+                            "checkpoint.npz")
 
     # -- results ------------------------------------------------------- #
     def get(self, config_hash: str) -> dict | None:
@@ -102,7 +104,7 @@ class ResultStore:
         removed and reported as a miss -- a poisoned cache entry must
         cause one recompute, not an error in every later battery.
         """
-        path = self.result_path(config_hash)
+        path = self.result_path(config_hash, create=False)
         try:
             with open(path) as fh:
                 doc = json.load(fh)
@@ -127,11 +129,11 @@ class ResultStore:
 
     # -- checkpoints --------------------------------------------------- #
     def has_checkpoint(self, config_hash: str) -> bool:
-        return os.path.exists(self.checkpoint_path(config_hash))
+        return os.path.exists(self.checkpoint_path(config_hash, create=False))
 
     def clear_checkpoint(self, config_hash: str) -> None:
         """Drop the mid-run checkpoint (called once a job is DONE)."""
-        self._discard(self.checkpoint_path(config_hash))
+        self._discard(self.checkpoint_path(config_hash, create=False))
 
     @staticmethod
     def _discard(path: str) -> None:

@@ -1,11 +1,10 @@
-"""Subprocess entry point of the ensemble service: run one supervised job.
+"""Job body of the ensemble service: run one supervised simulation.
 
-``python -m repro.serve.worker JOB.json`` reads a job file written by the
-scheduler -- ``{"spec": <JobSpec wire dict>, "serve": <runtime options>}``
--- builds the scenario, and runs it to completion, speaking a line-based
-JSON protocol on stdout (one flushed object per line)::
+:func:`run_job` reads a job file written by the scheduler -- ``{"spec":
+<JobSpec wire dict>, "serve": <runtime options>}`` -- builds the scenario,
+and runs it to completion, speaking a line-based JSON protocol on stdout
+(one flushed object per line)::
 
-    {"event": "spawned",  "pid": ..., "job": ...}
     {"event": "started",  "resumed_from": k, "config_hash": ...}
     {"event": "heartbeat", "step": n, "time": t, "dt": ..., "seconds": ...}
     {"event": "checkpoint", "step": n}
@@ -13,12 +12,20 @@ JSON protocol on stdout (one flushed object per line)::
     {"event": "result",   ...result document...}      # then exit 0
     {"event": "error",    "reason": ..., "message": ...}  # then exit != 0
 
+In a battery the caller is a child forked from :mod:`repro.serve.zygote`,
+which frames these lines with ``spawned`` (the pid) and ``exit`` (the
+return code); every import the job body needs sits at the top of this
+module so the zygote pays for it once.  ``python -m repro.serve.worker
+JOB.json`` runs the same :func:`run_job` in an interpreter of its own, for
+debugging one job by hand.
+
 Heartbeats are piped from the time loop itself (a
 :func:`repro.sim.timeloop.add_step_listener` hook fed by
 ``_commit_telemetry``), so a solver hung *inside* a step goes silent and
 the scheduler's watchdog sees it.  The worker enables ``repro.obs``
 unconditionally -- the telemetry layer is the heartbeat source, and its
-clean-path overhead is bounded by CI.
+clean-path overhead is bounded by CI.  The ``result`` event carries
+``phases``, the seconds spent per :data:`~repro.serve.jobs.PHASES` entry.
 
 Recovery contract: the worker saves an atomic checkpoint to the results
 store every ``checkpoint_every`` steps; a killed/crashed job's retry
@@ -36,6 +43,24 @@ import signal
 import sys
 import time
 import traceback
+
+import numpy as np
+
+from .. import obs
+from ..obs import metrics as _metrics
+from ..parallel.distributed import ProcommEngine
+from ..parallel.executor import use_executor
+from ..parallel.procomm import ProcessComm
+from ..resilience.inject import FaultInjector, claim_sentinel
+from ..resilience.reasons import BreakdownError, ConvergedReason
+from ..sim import checkpoint, timeloop
+from ..sim.rifting import RiftingConfig, make_rifting
+from ..sim.sinker import SinkerConfig, make_sinker
+from ..sim.timeloop import SimulationConfig
+from ..solvers.krylov import use_dot
+from ..stokes.solve import StokesConfig
+from .jobs import PHASES, JobSpec
+from .store import ResultStore, state_digest
 
 __all__ = ["build_simulation", "main", "run_job"]
 
@@ -67,9 +92,6 @@ def build_simulation(spec):
     feeds :class:`~repro.sim.timeloop.SimulationConfig`, with a nested
     ``"stokes"`` dict for :class:`~repro.stokes.solve.StokesConfig`.
     """
-    from ..sim.timeloop import SimulationConfig
-    from ..stokes.solve import StokesConfig
-
     sim_kwargs = dict(spec.sim_config)
     stokes = sim_kwargs.pop("stokes", None)
     if stokes is not None:
@@ -84,12 +106,8 @@ def build_simulation(spec):
             sc[key] = tuple(sc[key])
 
     if spec.scenario == "sinker":
-        from ..sim.sinker import SinkerConfig, make_sinker
-
         return make_sinker(SinkerConfig(**sc), sim_config)
     if spec.scenario == "rifting":
-        from ..sim.rifting import RiftingConfig, make_rifting
-
         return make_rifting(RiftingConfig(**sc), sim_config)
     raise ValueError(f"unknown scenario {spec.scenario!r}")
 
@@ -133,9 +151,7 @@ def install_job_faults(injector, faults: dict, checkpoint_path: str,
             injector.poison_viscosity(
                 mode=str(opts.pop("mode", "nan")),
                 fraction=float(opts.pop("fraction", 0.02)),
-                when=(lambda s=sentinel: __import__(
-                    "repro.resilience.inject", fromlist=["claim_sentinel"]
-                ).claim_sentinel(s)),
+                when=lambda s=sentinel: claim_sentinel(s),
             )
         else:
             raise ValueError(f"unknown job fault {name!r}")
@@ -144,22 +160,13 @@ def install_job_faults(injector, faults: dict, checkpoint_path: str,
                              f"{sorted(opts)}")
 
 
-def run_job(job_path: str) -> int:
-    """Execute one job file; returns the process exit code."""
+def run_job(job_path: str, t_fork: float | None = None) -> int:
+    """Execute one job file; returns the process exit code.  ``t_fork``
+    is the ``perf_counter`` reading at the zygote's fork (default: now)."""
+    t0 = time.perf_counter() if t_fork is None else t_fork
+    phases = dict.fromkeys(PHASES, 0.0)
     with open(job_path) as fh:
         doc = json.load(fh)
-
-    # emit liveness before the heavy scientific imports: the scheduler's
-    # startup deadline should cover numpy/scipy import + scenario build
-    _emit("spawned", pid=os.getpid(), job=doc.get("spec", {}).get("name"))
-
-    from .. import obs
-    from ..obs import metrics as _metrics
-    from ..resilience.inject import FaultInjector
-    from ..resilience.reasons import BreakdownError, ConvergedReason
-    from ..sim import checkpoint, timeloop
-    from .jobs import JobSpec
-    from .store import ResultStore, state_digest
 
     spec = JobSpec.from_wire(doc["spec"])
     opts = doc.get("serve", {})
@@ -168,7 +175,6 @@ def run_job(job_path: str) -> int:
     job_dir = store.job_dir(config_hash)
     cp_path = store.checkpoint_path(config_hash)
     checkpoint_every = int(opts.get("checkpoint_every", 5))
-    t0 = time.perf_counter()
 
     obs.reset()
     obs.enable()
@@ -186,16 +192,19 @@ def run_job(job_path: str) -> int:
     comm = None
     last_committed: dict | None = None
     try:
+        t = time.perf_counter()
         sim = build_simulation(spec)
         # the Simulation constructor stamped its SimulationConfig hash;
         # the *job* identity (scenario + seed + steps) is what names this
         # run everywhere downstream -- flight dumps included
         _metrics.set_manifest(config_hash=config_hash, job=spec.name)
         install_job_faults(injector, spec.faults or {}, cp_path, job_dir)
+        phases["build"] = time.perf_counter() - t
 
         resumed_from = 0
         checkpoint_corrupt = False
         if opts.get("resume", True) and os.path.exists(cp_path):
+            t = time.perf_counter()
             try:
                 checkpoint.load_checkpoint(cp_path, sim)
                 resumed_from = sim.step_index
@@ -205,6 +214,8 @@ def run_job(job_path: str) -> int:
                 checkpoint_corrupt = True
                 _emit("checkpoint_corrupt", message=str(err))
                 store.clear_checkpoint(config_hash)
+            phases["resume_load"] = time.perf_counter() - t
+        phases["fork_to_started"] = time.perf_counter() - t0
         _emit("started", resumed_from=resumed_from, nsteps=int(spec.nsteps),
               config_hash=config_hash,
               workers=os.environ.get("REPRO_WORKERS"))
@@ -217,11 +228,6 @@ def run_job(job_path: str) -> int:
         ranks = int(os.environ.get("REPRO_PROCOMM_RANKS", "1") or 1)
         stack = contextlib.ExitStack()
         if ranks >= 2:
-            from ..parallel.distributed import ProcommEngine
-            from ..parallel.executor import use_executor
-            from ..parallel.procomm import ProcessComm
-            from ..solvers.krylov import use_dot
-
             comm = ProcessComm(ranks)
             engine = ProcommEngine(comm)
             sim.comm = comm
@@ -233,7 +239,10 @@ def run_job(job_path: str) -> int:
         nsteps = int(spec.nsteps)
         with stack:
             while sim.step_index < nsteps:
+                t = time.perf_counter()
                 stats = sim.step(spec.dt)
+                t_stepped = time.perf_counter()
+                phases["steps"] += t_stepped - t
                 newton_its += int(stats["newton_iterations"])
                 krylov_its += int(stats["krylov_iterations"])
                 # always snapshot the committed state: the graceful-
@@ -246,7 +255,11 @@ def run_job(job_path: str) -> int:
                     # faults (corrupt_checkpoint) see the call
                     checkpoint.save_checkpoint(cp_path, sim)
                     _emit("checkpoint", step=sim.step_index)
+                phases["checkpoint"] += time.perf_counter() - t_stepped
 
+        t = time.perf_counter()
+        digest = state_digest(sim)
+        phases["digest"] = time.perf_counter() - t
         result = {
             "job": spec.name,
             "config_hash": config_hash,
@@ -255,16 +268,17 @@ def run_job(job_path: str) -> int:
             "resumed_from": int(resumed_from),
             "checkpoint_corrupt": bool(checkpoint_corrupt),
             "sim_time": float(sim.time),
-            "digest": state_digest(sim),
+            "digest": digest,
             "norms": {
-                "u": float(__import__("numpy").linalg.norm(sim.u)),
-                "p": float(__import__("numpy").linalg.norm(sim.p)),
+                "u": float(np.linalg.norm(sim.u)),
+                "p": float(np.linalg.norm(sim.p)),
             },
             "newton_iterations": newton_its,
             "krylov_iterations": krylov_its,
             "faults_fired": list(injector.fired),
             "ranks": ranks if ranks >= 2 else None,
             "wall_seconds": time.perf_counter() - t0,
+            "phases": {k: round(v, 6) for k, v in phases.items()},
         }
         _emit("result", **result)
         return 0

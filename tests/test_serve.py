@@ -11,10 +11,14 @@ contracts everything else rests on:
   cache hits can stand in for recomputation.
 """
 
+import glob
 import json
 import os
+import selectors
+import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -36,7 +40,9 @@ from repro.serve import (
     run_battery,
     state_digest,
 )
-from repro.serve.jobs import TERMINAL_STATES
+from repro.serve import scheduler as scheduler_mod
+from repro.serve import zygote as zygote_mod
+from repro.serve.jobs import PHASES, TERMINAL_STATES
 from repro.sim import checkpoint, timeloop
 
 
@@ -179,6 +185,13 @@ class TestResultStore:
         with open(store.result_path("abc"), "w") as fh:
             json.dump({"schema": "something/else"}, fh)
         assert store.get("abc") is None
+
+    def test_lookups_write_nothing(self, tmp_path):
+        store = ResultStore(tmp_path)
+        assert store.get("abc") is None
+        assert not store.has_checkpoint("abc")
+        store.clear_checkpoint("abc")
+        assert os.listdir(tmp_path) == []     # a miss leaves no <hash>/ dir
 
     def test_checkpoint_lifecycle(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -545,6 +558,188 @@ class TestFaultBattery:
         store = ResultStore(str(store))
         for rec in report.records:
             assert not store.has_checkpoint(rec.config_hash)
+
+
+# --------------------------------------------------------------------- #
+# the event loop and the zygote: new failure modes, timing by contract
+# --------------------------------------------------------------------- #
+def _stat_fields(pid):
+    """Fields of /proc/<pid>/stat after the command name (state, ppid,
+    ...), or None once the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
+def _process_state(pid):
+    """One-letter state (``Z`` = dead, unreaped), None if gone."""
+    fields = _stat_fields(pid)
+    return fields and fields[0]
+
+
+def _children():
+    """Pids whose parent is this process."""
+    pids = (int(name) for name in os.listdir("/proc") if name.isdigit())
+    return {pid for pid in pids
+            if (_stat_fields(pid) or [None, -1])[1] == str(os.getpid())}
+
+
+class RecordingSelector(selectors.DefaultSelector):
+    """Every ``select``: (timeout asked, seconds blocked, events returned)."""
+
+    calls: list = []
+
+    def select(self, timeout=None):
+        t0 = time.monotonic()
+        events = super().select(timeout)
+        self.calls.append((timeout, time.monotonic() - t0, len(events)))
+        return events
+
+
+@pytest.fixture
+def recorded_selects(monkeypatch):
+    monkeypatch.setattr(RecordingSelector, "calls", [])
+    monkeypatch.setattr(scheduler_mod.selectors, "DefaultSelector",
+                        RecordingSelector)
+    return RecordingSelector.calls
+
+
+class TestEventLoopAndZygote:
+    def test_zygote_killed_mid_battery_restarts_once(
+            self, fault_battery, tmp_path, monkeypatch):
+        reference, _ = fault_battery
+        store = tmp_path / "store"
+        started, killed = [], []
+        real_start = zygote_mod.start
+
+        def counting_start(python):
+            started.append(real_start(python))
+            return started[-1]
+
+        class KillingSelector(selectors.DefaultSelector):
+            # SIGKILL the zygote, once, from inside the loop, as soon as
+            # a job is provably mid-run (its first checkpoint is on disk)
+            def select(self, timeout=None):
+                events = super().select(timeout)
+                if not killed and glob.glob(str(store / "*/checkpoint.npz")):
+                    killed.append(started[0][0].pid)
+                    os.kill(killed[0], signal.SIGKILL)
+                return events
+
+        monkeypatch.setattr(zygote_mod, "start", counting_start)
+        monkeypatch.setattr(scheduler_mod.selectors, "DefaultSelector",
+                            KillingSelector)
+        report = run_battery(
+            [sinker_spec("a", seed=11), sinker_spec("b", seed=12),
+             sinker_spec("c", seed=13), sinker_spec("b-twin", seed=12)],
+            battery_config(store, backoff_base=0.01, backoff_max=0.05))
+        assert killed and len(started) == 2          # restarted exactly once
+        assert report.counts["done"] == 4
+        outcomes = [a["outcome"] for rec in report.records
+                    for a in rec.attempts]
+        # whatever was in flight died with the zygote and reads as a crash
+        assert 1 <= outcomes.count("crash") <= 2
+        assert set(outcomes) == {"crash", "done"}
+        for name, ref in (("a", "clean"), ("b", "hangs"), ("c", "crashes"),
+                          ("b-twin", "hangs")):
+            assert (report.record(name).result["digest"]
+                    == reference.record(ref).result["digest"])
+        pids = [proc.pid for proc, _ in started] + [
+            a["pid"] for rec in report.records for a in rec.attempts]
+        assert all(_process_state(pid) in (None, "Z") for pid in pids)
+
+    def test_unstartable_python_fails_through_the_retry_budget(
+            self, tmp_path, recorded_selects):
+        t0 = time.monotonic()
+        report = run_battery(
+            [sinker_spec("a", seed=1)],
+            battery_config(tmp_path, python="/nonexistent", max_retries=1,
+                           quarantine_after=9, backoff_base=0.3))
+        rec = report.record("a")
+        assert rec.state is JobState.FAILED
+        assert rec.reason == "JOB_SPAWN_FAILED"
+        assert [a["outcome"] for a in rec.attempts] == ["spawn_failed"] * 2
+        # nothing was running, so the loop slept once, until ``not_before``
+        # (backoff 0.3 s x jitter in [1, 2)), not in poll-sized slices
+        assert 1 <= len(recorded_selects) <= 3
+        assert 0.25 < max(timeout for timeout, _, _ in recorded_selects) < 0.61
+        assert time.monotonic() - t0 < 5.0
+
+    def test_watchdog_fires_at_the_deadline(self, tmp_path, recorded_selects):
+        report = run_battery(
+            [sinker_spec("hangs", seed=12,
+                         faults={"hang": {"after_step": 1, "seconds": 600}})],
+            battery_config(tmp_path, step_timeout=1.0, term_grace=0.0,
+                           backoff_base=0.0))
+        rec = report.record("hangs")
+        assert [a["outcome"] for a in rec.attempts] == ["hang", "done"]
+        # exactly one select ran into its timeout: the watchdog's, asked
+        # for the whole remaining step_timeout and left within 50 ms of it
+        (timeout, blocked, _), = [c for c in recorded_selects if c[2] == 0]
+        assert 0.5 < timeout <= 1.0
+        assert blocked - timeout < 0.05
+
+    def test_run_leaves_no_thread_and_no_child(self, tmp_path):
+        threads, children = threading.active_count(), _children()
+        report = run_battery([sinker_spec("a", seed=11, nsteps=1)],
+                             battery_config(tmp_path))
+        assert report.all_done
+        assert threading.active_count() == threads
+        assert _children() == children
+        assert _process_state(report.record("a").attempts[0]["pid"]) is None
+
+    def test_warm_battery_starts_no_process(self, fault_battery, monkeypatch):
+        reference, store = fault_battery
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm battery must not start a process")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
+        specs = [sinker_spec(f"again{seed}", seed=seed)
+                 for seed in (11, 12, 13, 14, 12, 11)]
+        report = run_battery(specs, battery_config(store))
+        assert all(rec.cache_hit for rec in report.records)
+        assert report.wall_seconds < 0.02
+        assert (report.record("again14").result["digest"]
+                == reference.record("corrupt").result["digest"])
+
+    def test_ranked_job_and_graceful_flush_under_the_zygote(
+            self, fault_battery, tmp_path):
+        reference, _ = fault_battery
+        report = run_battery(
+            [sinker_spec("ranked", seed=11, ranks=2),
+             sinker_spec("flush", seed=12,
+                         faults={"hang": {"after_step": 2, "seconds": 600}})],
+            battery_config(tmp_path, step_timeout=5.0, term_grace=10.0,
+                           checkpoint_every=0))
+        ranked = report.record("ranked")
+        assert ranked.state is JobState.DONE
+        assert ranked.granted_workers == 2 and ranked.result["ranks"] == 2
+        flush = report.record("flush")
+        first = flush.attempts[0]
+        assert first["outcome"] == "hang" and first["graceful"] is True
+        # checkpoint_every=0: the SIGTERM flush is the only checkpoint, so
+        # resuming from step 1 proves the grace period still works
+        assert first["flushed_step"] == 1 and flush.resumed_from == 1
+        assert (flush.result["digest"]
+                == reference.record("hangs").result["digest"])
+
+    def test_report_says_where_a_cold_job_went(self, fault_battery):
+        report, _ = fault_battery
+        done = report.record("clean").attempts[-1]
+        assert set(done["phases"]) == set(PHASES)
+        assert done["phases"]["steps"] > 0
+        assert (done["phases"]["fork_to_started"]
+                >= done["phases"]["build"] + done["phases"]["resume_load"])
+        assert "phases" not in report.record("clean").result  # not stored
+        split = report.phases_p50()
+        assert split["runs"] == 4 and list(split)[1:] == list(PHASES)
+        assert report.as_dict()["phases_p50"] == split
+        assert "p50 seconds per run" in report.summary()
+        assert report.record("twin-of-hangs").attempts == []
 
 
 class TestRetryExhaustionAndQuarantine:
