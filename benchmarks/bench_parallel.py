@@ -1,14 +1,14 @@
-"""Shared-memory executor: serial vs parallel operator throughput.
+"""Shared-memory executor: serial vs threaded compiled-apply throughput.
 
-Benchmarks the tensor-product viscous apply (the paper's fastest kernel,
-hence the hardest to speed up further) through the
-:mod:`repro.parallel.executor` engine, serial against thread- and
-process-backend dispatch, and attaches a ``parallel_speedup`` monitor so
-the exported ``BENCH_parallel.json`` (schema ``repro.obs/1``) carries the
-serial-vs-parallel GF/s comparison alongside the engine's own
-``ParExec*`` events.
+Benchmarks the default fine-level operator (``tensor_compiled``, the
+GIL-releasing C kernel) with one worker against the
+:mod:`repro.parallel.executor` thread pool, checks the threaded result is
+bit-identical to the ``workers=1`` one, and attaches a
+``parallel_speedup`` monitor so the exported ``BENCH_parallel.json``
+(schema ``repro.obs/1``) carries the serial-vs-parallel GF/s comparison
+alongside the engine's own ``ParExec*`` events.
 
-On a single-core container the parallel rows mostly measure dispatch
+On a single-core container the parallel row mostly measures dispatch
 overhead; the CI speedup gate lives in ``check_parallel_speedup.py``.
 """
 
@@ -26,12 +26,12 @@ from repro.perf import OPERATOR_COUNTS
 from conftest import print_table, fmt, once
 
 SHAPE = (12, 12, 12)
+KIND = "tensor_compiled"
 WORKERS = max(2, min(4, os.cpu_count() or 1))
-BACKENDS = ["thread", "process"]
 
 
 def _flops_per_apply(mesh) -> float:
-    return OPERATOR_COUNTS["tensor"].flops * mesh.nel
+    return OPERATOR_COUNTS[KIND].flops * mesh.nel
 
 
 @pytest.fixture(scope="module")
@@ -41,21 +41,14 @@ def setting():
     quad = GaussQuadrature.hex(3)
     eta = np.exp(rng.normal(size=(mesh.nel, quad.npoints)))
     u = rng.standard_normal(3 * mesh.nnodes)
-    serial_op = make_operator("tensor", mesh, eta, quad=quad)
-    par_ops = {
-        backend: make_operator(
-            "tensor", mesh, eta, quad=quad,
-            workers=WORKERS, parallel_backend=backend,
-        )
-        for backend in BACKENDS
-    }
-    yield mesh, u, serial_op, par_ops
-    for op in par_ops.values():
-        op.executor.shutdown()
+    serial_op = make_operator(KIND, mesh, eta, quad=quad, workers=1)
+    par_op = make_operator(KIND, mesh, eta, quad=quad, workers=WORKERS)
+    yield mesh, u, serial_op, par_op
+    par_op.executor.shutdown()
 
 
 def _time_apply(op, u, rounds=3) -> float:
-    op.apply(u)  # warm caches / spawn pools outside the timed region
+    op.apply(u)  # warm caches / start the pool outside the timed region
     best = np.inf
     for _ in range(rounds):
         t0 = time.perf_counter()
@@ -68,29 +61,27 @@ def test_serial_apply(benchmark, setting):
     mesh, u, serial_op, _ = setting
     y = benchmark(serial_op.apply, u)
     assert np.isfinite(y).all()
-    benchmark.extra_info.update(workers=1, backend="serial", nel=mesh.nel)
+    benchmark.extra_info.update(workers=1, nel=mesh.nel)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_parallel_apply(benchmark, setting, backend):
-    mesh, u, serial_op, par_ops = setting
-    op = par_ops[backend]
-    op.apply(u)  # spawn the pool before timing
-    y = benchmark(op.apply, u)
-    # the dispatch path must stay bit-identical to the serial reference
-    assert np.array_equal(y, op.apply_serial(u))
+def test_parallel_apply(benchmark, setting):
+    mesh, u, serial_op, par_op = setting
+    par_op.apply(u)  # start the pool before timing
+    y = benchmark(par_op.apply, u)
+    # one answer, however many workers
+    assert np.array_equal(y, serial_op.apply(u))
     benchmark.extra_info.update(
-        workers=WORKERS, backend=backend, nel=mesh.nel,
-        **op.executor.stats.as_dict(),
+        workers=WORKERS, nel=mesh.nel, **par_op.executor.stats.as_dict(),
     )
 
 
 def test_summary_table(benchmark, setting):
     """Serial-vs-parallel GF/s table, attached to the exported JSON."""
-    mesh, u, serial_op, par_ops = setting
+    mesh, u, serial_op, par_op = setting
     once(benchmark, lambda: None)
     flops = _flops_per_apply(mesh)
     t_serial = _time_apply(serial_op, u)
+    t_par = _time_apply(par_op, u)
     summary = {
         "nel": mesh.nel,
         "workers": WORKERS,
@@ -98,20 +89,15 @@ def test_summary_table(benchmark, setting):
         "flops_per_apply": flops,
         "serial_seconds": t_serial,
         "serial_gflops": flops / t_serial / 1e9,
+        "thread_seconds": t_par,
+        "thread_gflops": flops / t_par / 1e9,
+        "thread_speedup": t_serial / t_par,
     }
-    rows = [["serial", 1, fmt(t_serial), fmt(flops / t_serial / 1e9)]]
-    for backend, op in par_ops.items():
-        t_par = _time_apply(op, u)
-        summary[f"{backend}_seconds"] = t_par
-        summary[f"{backend}_gflops"] = flops / t_par / 1e9
-        summary[f"{backend}_speedup"] = t_serial / t_par
-        rows.append(
-            [backend, WORKERS, fmt(t_par), fmt(flops / t_par / 1e9)]
-        )
     obs.attach_monitor("parallel_speedup", summary)
     print_table(
-        f"tensor apply, {mesh.nel} elements",
-        ["backend", "workers", "seconds", "GF/s"],
-        rows,
+        f"{KIND} apply, {mesh.nel} elements",
+        ["engine", "workers", "seconds", "GF/s"],
+        [["serial", 1, fmt(t_serial), fmt(flops / t_serial / 1e9)],
+         ["thread", WORKERS, fmt(t_par), fmt(flops / t_par / 1e9)]],
     )
     assert summary["serial_gflops"] > 0

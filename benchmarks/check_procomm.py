@@ -73,7 +73,7 @@ def main(argv=None) -> int:
                 ranks=args.ranks, nsteps=args.nsteps,
                 faults=[{
                     "rank": args.kill_rank, "kind": "kill",
-                    "at": 3, "after_step": args.kill_after_step,
+                    "at": 1, "after_step": args.kill_after_step,
                     "sentinel": os.path.join(tmp, "kill.fired"),
                 }],
             ))

@@ -67,48 +67,14 @@ def viscous_element_matrices(
     return Ke.reshape(nel, 3 * nb, 3 * nb)
 
 
-class _ViscousValsKernel:
-    """Executor span kernel: flattened viscous element matrices.
-
-    Each element's ``Ke`` is an independent batched contraction, so the
-    concatenated values are identical whichever task computes them; only
-    the float64 values cross the worker boundary (the integer triplet
-    pattern is built once on the master).
-    """
-
-    def __init__(self, mesh, eta_q, quad, chunk):
-        self.mesh = mesh
-        self.eta_q = eta_q
-        self.quad = quad
-        self.chunk = int(chunk)
-        self.block = (3 * mesh.connectivity.shape[1]) ** 2
-        self._parallel_state_version = mesh.coords_version
-
-    def vals(self, u: np.ndarray, s0: int, e0: int) -> np.ndarray:
-        G, det, _ = self.mesh.geometry_at(self.quad)
-        wdet = det * self.quad.weights[None, :]
-        out = np.empty((e0 - s0) * self.block)
-        for s, e in _chunks(e0 - s0, self.chunk):
-            s, e = s0 + s, s0 + e
-            Ke = viscous_element_matrices(G[s:e], wdet[s:e], self.eta_q[s:e])
-            out[(s - s0) * self.block:(e - s0) * self.block] = Ke.ravel()
-        return out
-
-
 @instrument("AssembleViscous")
 def assemble_viscous(
     mesh,
     eta_q: np.ndarray,
     quad: GaussQuadrature | None = None,
     chunk: int = DEFAULT_CHUNK,
-    executor=None,
 ) -> sp.csr_matrix:
-    """Assembled viscous block ``J_uu`` (SPD after Dirichlet elimination).
-
-    With an :class:`~repro.parallel.executor.ParallelExecutor` the element
-    matrices are computed by worker spans (``mode="concat"``); the values
-    are element-independent, so the result equals the serial assembly.
-    """
+    """Assembled viscous block ``J_uu`` (SPD after Dirichlet elimination)."""
     quad = quad or GaussQuadrature.hex(3)
     conn = mesh.connectivity
     nb = conn.shape[1]
@@ -121,72 +87,44 @@ def assemble_viscous(
     ).astype(sp.get_index_dtype(maxval=ndof))
     rows = np.repeat(edofs, 3 * nb, axis=1).ravel()
     cols = np.tile(edofs, (1, 3 * nb)).ravel()
-    kernel = _ViscousValsKernel(mesh, np.asarray(eta_q, float), quad, chunk)
-    if executor is not None:
-        from ..parallel.executor import partition_elements
-
-        spans = partition_elements(mesh, executor.workers)
-        vals = executor.dispatch(
-            kernel, "vals", spans, np.empty(0),
-            sizes=[(e - s) * kernel.block for s, e in spans], mode="concat",
-        )
-    else:
-        vals = kernel.vals(np.empty(0), 0, mesh.nel)
+    eta_q = np.asarray(eta_q, float)
+    G, det, _ = mesh.geometry_at(quad)
+    wdet = det * quad.weights[None, :]
+    block = (3 * nb) ** 2
+    vals = np.empty(mesh.nel * block)
+    for s, e in _chunks(mesh.nel, chunk):
+        Ke = viscous_element_matrices(G[s:e], wdet[s:e], eta_q[s:e])
+        vals[s * block:e * block] = Ke.ravel()
     A = sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof))
     return A.tocsr()
 
 
-class _DiagonalKernel:
-    """Executor span kernel: partial viscous diagonal over ``[s, e)``."""
-
-    def __init__(self, mesh, eta_q, quad):
-        self.mesh = mesh
-        self.eta_q = eta_q
-        self.quad = quad
-        self._parallel_state_version = mesh.coords_version
-
-    def partial(self, u: np.ndarray, s: int, e: int) -> np.ndarray:
-        mesh = self.mesh
-        G, det, _ = mesh.geometry_at(self.quad)
-        conn = mesh.connectivity[s:e]
-        dloc = np.empty((e - s, conn.shape[1], 3))
-        # element chunks bound the G*G temporary (17 kB per element)
-        for cs, ce in _chunks(e - s, DEFAULT_CHUNK):
-            Gs = G[s + cs:s + ce]
-            weta = det[s + cs:s + ce] * self.quad.weights[None, :]
-            weta *= self.eta_q[s + cs:s + ce]
-            # K[ai, ai] = sum_q w eta (|G_a|^2 + G_ai^2): the cross term
-            # for (a,i)=(b,j), and its sum over i is the delta_ij term
-            cross = np.einsum("nq,nqai->nai", weta, Gs * Gs)
-            np.add(cross.sum(-1)[:, :, None], cross, out=dloc[cs:ce])
-        edofs = 3 * conn[:, :, None] + np.arange(3)[None, None, :]
-        return np.bincount(
-            edofs.ravel(), weights=dloc.ravel(), minlength=3 * mesh.nnodes
-        )
-
-
 @instrument("MatGetDiagonal")
 def viscous_diagonal(
-    mesh, eta_q: np.ndarray, quad: GaussQuadrature | None = None, executor=None
+    mesh, eta_q: np.ndarray, quad: GaussQuadrature | None = None
 ) -> np.ndarray:
     """Diagonal of the viscous block, computed without assembling it.
 
     This is the matrix-free path to the Jacobi preconditioner the Chebyshev
     smoother needs: only element-diagonal contributions are accumulated.
-    With an executor, each worker accumulates its element span into its own
-    buffer and the partials are summed in span order (race-free scatter).
     """
     quad = quad or GaussQuadrature.hex(3)
-    kernel = _DiagonalKernel(mesh, np.asarray(eta_q, float), quad)
-    if executor is not None:
-        from ..parallel.executor import partition_elements
-
-        spans = partition_elements(mesh, executor.workers)
-        return executor.dispatch(
-            kernel, "partial", spans, np.empty(0),
-            out_len=3 * mesh.nnodes, mode="sum",
-        )
-    return kernel.partial(np.empty(0), 0, mesh.nel)
+    eta_q = np.asarray(eta_q, float)
+    G, det, _ = mesh.geometry_at(quad)
+    conn = mesh.connectivity
+    dloc = np.empty((mesh.nel, conn.shape[1], 3))
+    # element chunks bound the G*G temporary (17 kB per element)
+    for s, e in _chunks(mesh.nel, DEFAULT_CHUNK):
+        weta = det[s:e] * quad.weights[None, :]
+        weta *= eta_q[s:e]
+        # K[ai, ai] = sum_q w eta (|G_a|^2 + G_ai^2): the cross term
+        # for (a,i)=(b,j), and its sum over i is the delta_ij term
+        cross = np.einsum("nq,nqai->nai", weta, G[s:e] * G[s:e])
+        np.add(cross.sum(-1)[:, :, None], cross, out=dloc[s:e])
+    edofs = 3 * conn[:, :, None] + np.arange(3)[None, None, :]
+    return np.bincount(
+        edofs.ravel(), weights=dloc.ravel(), minlength=3 * mesh.nnodes
+    )
 
 
 @instrument("AssembleDivergence")

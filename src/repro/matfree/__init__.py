@@ -25,11 +25,13 @@ mirroring Table I:
     packed-coefficient apply as a compiled C kernel, sum-factorized
     (10773 flops/el) and evaluated for eight elements at once in SIMD
     lanes (GIL-releasing, no chunk temporaries, ISA picked at load time,
-    bit-identical across ISAs and span cuts); degrades transparently to
-    the NumPy path without a toolchain.
+    bit-identical across ISAs and worker counts); degrades transparently
+    to the serial NumPy path without a toolchain.
 
 All five produce identical discrete operators (to rounding), which the test
-suite asserts; they differ only in flops-vs-bytes balance.
+suite asserts; they differ only in flops-vs-bytes balance.  Only
+``asmb`` (row-split SpMV) and ``tensor_compiled`` dispatch over workers;
+``mf``, ``tensor`` and ``tensor_c`` are serial reference kernels.
 """
 
 from .assembled import AssembledOperator
@@ -47,14 +49,21 @@ OPERATOR_TYPES = {
 }
 
 
-def make_operator(kind: str, mesh, eta_q, **kwargs):
-    """Factory over the operator implementations of Table I."""
+def make_operator(kind: str, mesh, eta_q, workers=None, executor=None,
+                  **kwargs):
+    """Factory over the operator implementations of Table I.
+
+    ``workers`` / ``executor`` reach the two kinds that dispatch (``asmb``,
+    ``tensor_compiled``); the serial reference kernels do not take them.
+    """
     try:
         cls = OPERATOR_TYPES[kind]
     except KeyError:
         raise ValueError(
             f"unknown operator kind {kind!r}; expected one of {sorted(OPERATOR_TYPES)}"
         ) from None
+    if cls in (AssembledOperator, TensorCompiledOperator):
+        kwargs.update(workers=workers, executor=executor)
     return cls(mesh, eta_q, **kwargs)
 
 

@@ -17,8 +17,8 @@ compilers never loads a foreign object.  A cached file that does not load
 
 The kernel (SS III-D of the paper, "Tensor")
 --------------------------------------------
-``tc_apply_<isa>(cpk, conn, bd, u, y, s, e, nel)`` accumulates the viscous
-contributions of elements ``[s, e)`` into the caller's ``y``:
+``tc_apply_<isa>(cpk, conn, bd, u, y, s, e, nel, lo, stash)`` accumulates
+the viscous contributions of elements ``[s, e)`` into the caller's ``y``:
 
 * the reference gradient and its adjoint are **sum-factorized**: eight
   one-dimensional 3x3 ``B_hat``/``D_hat`` contractions each way (``uB, uD``
@@ -35,16 +35,23 @@ contributions of elements ``[s, e)`` into the caller's ``y``:
   (SSE2 / NEON / whatever the baseline ABI has) as four 2-lane quarters.
   :func:`variants` lists the ones this CPU can run, narrowest first.
 
-Determinism contract (mirrors the executor's)
----------------------------------------------
+Determinism contract
+--------------------
 Lanes never interact, ``-ffp-contract=off`` forbids fused multiply-adds,
 and without ``-ffast-math`` the compiler may not reassociate: every
 element therefore sees the same IEEE operation sequence in any lane, at
 any vector width.  The scatter is scalar and runs **in strictly
-increasing element order**.  Together: the floats of ``y`` depend only on
-``[s, e)`` -- not on the ISA variant, the lane an element lands in, or
-how a caller cut neighbouring spans -- so the per-span partials the
-executor reduces in task order are the floats the serial loop produces.
+increasing element order**.  Together: the floats an element contributes
+depend on nothing but the element -- not on the ISA variant, the lane it
+lands in, or how a caller cut neighbouring spans.
+
+A node index below ``lo`` is one an earlier span also touches; its
+three values go to ``stash`` (in the same scatter order) instead of
+``y``, for the caller to add back after the earlier spans are done.
+With ``lo = 0`` (the serial call) nothing is stashed.  This is the
+kernel half of the executor's owner-writes contract
+(:mod:`repro.parallel.executor`), under which any cut of the elements
+into spans reproduces the serial ``y`` bit for bit.
 """
 
 from __future__ import annotations
@@ -124,9 +131,11 @@ typedef double vec_u
  * conn : (nel, 27) element-to-node map (int64).
  * bd   : (2, 3, 3) one-dimensional B_hat then D_hat, [point][basis].
  * u    : (nnodes*3,) interleaved input velocities.
- * y    : (nnodes*3,) output accumulator (caller zeroes the span partial).
+ * y    : (nnodes*3,) output accumulator (the caller zeroes it).
  * s, e : element half-open range, 0 <= s <= e <= nel (the caller checks);
  * nel  : total element count.
+ * lo   : nodes below lo are shared with an earlier span: their values go,
+ *        in scatter order, to stash (3 per node visit) instead of y.
  */
 TARGET
 void TC_APPLY(const double *restrict cpk,
@@ -134,7 +143,8 @@ void TC_APPLY(const double *restrict cpk,
               const double *restrict bd,
               const double *restrict u,
               double *restrict y,
-              int64_t s, int64_t e, int64_t nel)
+              int64_t s, int64_t e, int64_t nel,
+              int64_t lo, double *restrict stash)
 {
     const double (*B)[3] = (const double (*)[3])bd;
     const double (*D)[3] = (const double (*)[3])(bd + 9);
@@ -272,6 +282,11 @@ void TC_APPLY(const double *restrict cpk,
             if (el < s || el >= e) continue;
             const int64_t *cn = conn + 27 * el;
             for (int a = 0; a < 27; ++a) {
+                if (cn[a] < lo) {
+                    for (int c = 0; c < 3; ++c)
+                        *stash++ = ye[c][a][l];
+                    continue;
+                }
                 double *yn = y + 3 * cn[a];
                 yn[0] += ye[0][a][l];
                 yn[1] += ye[1][a][l];
@@ -350,6 +365,8 @@ _APPLY_ARGTYPES = [
     ctypes.c_int64,   # s
     ctypes.c_int64,   # e
     ctypes.c_int64,   # nel
+    ctypes.c_int64,   # lo
+    ctypes.c_void_p,  # stash
 ]
 
 

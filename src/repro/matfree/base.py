@@ -9,7 +9,6 @@ import numpy as np
 from ..fem.quadrature import GaussQuadrature
 from ..fem import assembly
 from ..obs import registry as _obs
-from ..parallel.executor import ParallelExecutor, make_executor, partition_elements
 
 #: operators without their own Table I row borrow the closest kernel's
 #: analytic counts (the Newton apply is the tensor kernel plus a rank-one
@@ -20,11 +19,8 @@ _COUNT_ALIAS = {"newton": "tensor"}
 class ViscousOperatorBase:
     """Common state for ``v -> -div(2 eta D(v))`` on interleaved Q2 dofs.
 
-    Subclasses implement :meth:`_apply_elements` (the per-span kernel);
-    :meth:`apply` runs it over contiguous element slabs either inline or
-    through a :class:`~repro.parallel.executor.ParallelExecutor`.  The slab
-    structure and the task-ordered reduction are the same either way, so
-    the parallel result is bit-identical to :meth:`apply_serial`.
+    Subclasses implement :meth:`_apply` (the whole-mesh kernel, in
+    element order); :meth:`apply` refreshes derived state first.
 
     ``eta_q`` is the effective viscosity at the quadrature points, shape
     ``(nel, nq)`` -- in the full pipeline this is the MPM-projected field
@@ -32,28 +28,29 @@ class ViscousOperatorBase:
 
     State-version contract
     ----------------------
-    Derived state (cached coefficient tensors, the process-pool fork
+    Derived state (cached coefficient tensors, the rank processes' fork
     snapshots) depends on exactly two inputs: the mesh geometry and the
     viscosity field.  Each carries its own monotonically increasing
     version -- ``mesh.coords_version`` (bumped by ``mesh.deform``) and
     :attr:`eta_version` (bumped by :meth:`set_viscosity`,
     :meth:`invalidate_coefficients`, or automatically when
     :meth:`_before_apply` detects that ``eta_q`` was mutated in place via
-    a CRC fingerprint).  The pair is published to the executor as
-    ``_parallel_state_version``; a change forces process workers to
-    re-snapshot (see the executor's state-transport notes) and tells
-    coefficient-caching subclasses to rebuild.  Keying off
-    ``coords_version`` alone -- the pre-fix behavior -- silently applied
-    stale operators after a viscosity re-linearization.
+    a CRC fingerprint).  Coefficient-caching subclasses rebuild when the
+    pair changes, and the compiled operator publishes it as its
+    ``_parallel_state_version`` so rank processes re-snapshot.  Keying
+    off ``coords_version`` alone -- the pre-fix behavior -- silently
+    applied stale operators after a viscosity re-linearization.
     """
 
     #: label used in benchmark tables (matches Table I rows)
     name = "base"
+    #: the dispatch engine applies run through; only the two kinds that
+    #: dispatch (``asmb``, ``tensor_compiled``) set one, the NumPy
+    #: reference kernels are serial
+    executor = None
 
     def __init__(self, mesh, eta_q: np.ndarray, quad: GaussQuadrature | None = None,
-                 chunk: int = 2048, workers: int | None = None,
-                 parallel_backend: str | None = None,
-                 executor: ParallelExecutor | None = None):
+                 chunk: int = 2048):
         self.mesh = mesh
         self.quad = quad or GaussQuadrature.hex(3)
         self.eta_q = self._validated_eta(eta_q)
@@ -70,13 +67,6 @@ class ViscousOperatorBase:
         self._edofs = (
             3 * conn[:, :, None] + np.arange(3)[None, None, :]
         )  # (nel, nb, 3)
-        self._executor = make_executor(workers, parallel_backend, executor)
-        nparts = self._executor.workers if self._executor is not None else 1
-        #: contiguous element slabs, one per worker (the executor's tasks)
-        self._spans = partition_elements(mesh, nparts)
-        #: process-backend staleness stamp (see executor state transport):
-        #: BOTH geometry and coefficient state, not just the mesh
-        self._parallel_state_version = (mesh.coords_version, self.eta_version)
 
     # -- coefficient-state management ----------------------------------- #
     def _validated_eta(self, eta_q) -> np.ndarray:
@@ -132,7 +122,7 @@ class ViscousOperatorBase:
         :meth:`_before_apply` (which is probabilistic in principle --
         CRC-32 collisions -- and skippable by performance-critical callers
         that know when they mutate).  Cached coefficient tensors rebuild
-        and process workers re-snapshot on the next apply.
+        and rank processes re-snapshot on the next apply.
         """
         self.eta_version += 1
         self._eta_fingerprint = self._eta_crc()
@@ -143,38 +133,17 @@ class ViscousOperatorBase:
         self.invalidate_coefficients()
 
     # -- interface ------------------------------------------------------ #
-    @property
-    def executor(self) -> ParallelExecutor | None:
-        return self._executor
-
-    def _apply_elements(self, u: np.ndarray, s: int, e: int) -> np.ndarray:
-        """Contribution of elements ``[s, e)`` as a full ``(ndof,)`` vector."""
+    def _apply(self, u: np.ndarray) -> np.ndarray:
+        """``y = A u`` over the whole mesh (derived state is current)."""
         raise NotImplementedError
 
     def _before_apply(self) -> None:
-        """Refresh derived state before a (possibly parallel) apply."""
+        """Refresh derived state before an apply."""
         self._refresh_eta_version()
-        self._parallel_state_version = (
-            self.mesh.coords_version, self.eta_version,
-        )
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         self._before_apply()
-        if self._executor is not None:
-            return self._executor.dispatch(
-                self, "_apply_elements", self._spans, u,
-                out_len=self.ndof, mode="sum",
-            )
-        return ParallelExecutor.run_serial(
-            self, "_apply_elements", self._spans, u, mode="sum"
-        )
-
-    def apply_serial(self, u: np.ndarray) -> np.ndarray:
-        """The serial reference: identical span structure, run inline."""
-        self._before_apply()
-        return ParallelExecutor.run_serial(
-            self, "_apply_elements", self._spans, u, mode="sum"
-        )
+        return self._apply(u)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         self.napplies += 1
@@ -221,15 +190,9 @@ class ViscousOperatorBase:
 
     def diagonal(self) -> np.ndarray:
         """Operator diagonal (for Jacobi/Chebyshev), computed matrix-free."""
-        return assembly.viscous_diagonal(
-            self.mesh, self.eta_q, self.quad, executor=self._executor
-        )
+        return assembly.viscous_diagonal(self.mesh, self.eta_q, self.quad)
 
     # -- helpers for subclasses ----------------------------------------- #
-    def _gather(self, u: np.ndarray, s: int, e: int) -> np.ndarray:
-        """Element-local velocities ``(nel_chunk, nb, 3)``."""
-        return u.reshape(-1, 3)[self.mesh.connectivity[s:e]]
-
     def _scatter(self, ye: np.ndarray, s: int, e: int, out: np.ndarray) -> None:
         """Accumulate element contributions into the global vector."""
         out += np.bincount(
@@ -237,10 +200,6 @@ class ViscousOperatorBase:
         )
 
     def _chunks(self):
+        """Cache-sized element chunks, in index order."""
         for start in range(0, self.mesh.nel, self.chunk):
             yield start, min(self.mesh.nel, start + self.chunk)
-
-    def _sub_chunks(self, s: int, e: int):
-        """Cache-sized sub-chunks of one executor span, in index order."""
-        for start in range(s, e, self.chunk):
-            yield start, min(e, start + self.chunk)

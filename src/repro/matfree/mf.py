@@ -22,17 +22,17 @@ class MFOperator(ViscousOperatorBase):
 
     name = "mf"
 
-    def __init__(self, mesh, eta_q, quad=None, chunk=2048, **parallel_opts):
-        super().__init__(mesh, eta_q, quad, chunk, **parallel_opts)
+    def __init__(self, mesh, eta_q, quad=None, chunk=2048):
+        super().__init__(mesh, eta_q, quad, chunk)
         self._dN = mesh.basis.grad(self.quad.points)  # (nq, nb, 3)
 
-    def _apply_elements(self, u: np.ndarray, s0: int, e0: int) -> np.ndarray:
+    def _apply(self, u: np.ndarray) -> np.ndarray:
         y = np.zeros(self.ndof)
         coords = self.mesh.coords
         conn = self.mesh.connectivity
         w = self.quad.weights
-        for s, e in self._sub_chunks(s0, e0):
-            ue = self._gather(u, s, e)  # (n, nb, 3)
+        for s, e in self._chunks():
+            ue = u.reshape(-1, 3)[conn[s:e]]  # (n, nb, 3)
             ce = coords[conn[s:e]]
             # geometry recomputed every apply (paper's MF data flow)
             G, det = geometry.physical_gradients(ce, self._dN)

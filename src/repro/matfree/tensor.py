@@ -87,8 +87,8 @@ class TensorOperator(ViscousOperatorBase):
 
     name = "tensor"
 
-    def __init__(self, mesh, eta_q, quad=None, chunk=4096, **parallel_opts):
-        super().__init__(mesh, eta_q, quad, chunk, **parallel_opts)
+    def __init__(self, mesh, eta_q, quad=None, chunk=4096):
+        super().__init__(mesh, eta_q, quad, chunk)
         if self.quad.npoints_1d != 3 or mesh.order != 2:
             raise ValueError("tensor kernel requires Q2 elements with 3^3 quadrature")
         self.B_hat, self.D_hat = tensor_line_matrices(3)
@@ -130,9 +130,9 @@ class TensorOperator(ViscousOperatorBase):
         ye = adjoint_gradient(self.B_hat, self.D_hat, t, self._DK)
         self._scatter(ye.reshape(e - s, 27, 3), s, e, y)
 
-    def _apply_elements(self, u: np.ndarray, s0: int, e0: int) -> np.ndarray:
+    def _apply(self, u: np.ndarray) -> np.ndarray:
         y = np.zeros(self.ndof)
-        for s, e in self._sub_chunks(s0, e0):
+        for s, e in self._chunks():
             H, Jinv, wdet = self._strain_stage(u, s, e)
             D = 0.5 * (H + H.transpose(0, 1, 3, 2))
             tau = (2.0 * self.eta_q[s:e] * wdet)[:, :, None, None] * D
@@ -164,15 +164,14 @@ class NewtonTensorOperator(TensorOperator):
 
     name = "newton"
 
-    def __init__(self, mesh, eta_q, Du_q, eta_prime_q, quad=None, chunk=4096,
-                 **parallel_opts):
-        super().__init__(mesh, eta_q, quad, chunk, **parallel_opts)
+    def __init__(self, mesh, eta_q, Du_q, eta_prime_q, quad=None, chunk=4096):
+        super().__init__(mesh, eta_q, quad, chunk)
         self.Du_q = np.asarray(Du_q, dtype=np.float64)
         self.eta_prime_q = np.asarray(eta_prime_q, dtype=np.float64)
 
-    def _apply_elements(self, w: np.ndarray, s0: int, e0: int) -> np.ndarray:
+    def _apply(self, w: np.ndarray) -> np.ndarray:
         y = np.zeros(self.ndof)
-        for s, e in self._sub_chunks(s0, e0):
+        for s, e in self._chunks():
             H, Jinv, wdet = self._strain_stage(w, s, e)
             Dw = 0.5 * (H + H.transpose(0, 1, 3, 2))
             Du = self.Du_q[s:e]

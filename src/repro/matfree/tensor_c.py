@@ -27,8 +27,7 @@ point, interleaved eight elements to a SIMD batch.
 Cache invalidation follows the state-version contract of
 :class:`~repro.matfree.base.ViscousOperatorBase`: the packed tensor is
 keyed on ``(mesh.coords_version, eta_version)``, so both mesh motion *and*
-viscosity re-linearization (in-place or via ``set_viscosity``) rebuild it
-and force process workers to re-snapshot.
+viscosity re-linearization (in-place or via ``set_viscosity``) rebuild it.
 """
 
 from __future__ import annotations
@@ -87,8 +86,8 @@ class TensorCOperator(TensorOperator):
 
     name = "tensor_c"
 
-    def __init__(self, mesh, eta_q, quad=None, chunk=4096, **parallel_opts):
-        super().__init__(mesh, eta_q, quad, chunk, **parallel_opts)
+    def __init__(self, mesh, eta_q, quad=None, chunk=4096):
+        super().__init__(mesh, eta_q, quad, chunk)
         self._C = self._build_coefficient_tensor()
         self._coeff_key = (mesh.coords_version, self.eta_version)
 
@@ -106,9 +105,9 @@ class TensorCOperator(TensorOperator):
         return C
 
     def _before_apply(self) -> None:
-        # refresh eta_version/fingerprint and the executor staleness stamp
-        # first, then rebuild in the hook (rather than mid-apply) so process
-        # workers fork a snapshot that already carries the fresh tensor
+        # refresh eta_version/fingerprint first, then rebuild in the hook
+        # (rather than mid-apply) so rank processes fork a snapshot that
+        # already carries the fresh tensor
         super()._before_apply()
         key = (self.mesh.coords_version, self.eta_version)
         if key != self._coeff_key:
@@ -127,9 +126,9 @@ class TensorCOperator(TensorOperator):
         t += w[..., None, None] * kgk.transpose(0, 1, 3, 2)
         return t
 
-    def _apply_elements(self, u: np.ndarray, s0: int, e0: int) -> np.ndarray:
+    def _apply(self, u: np.ndarray) -> np.ndarray:
         y = np.zeros(self.ndof)
-        for s, e in self._sub_chunks(s0, e0):
+        for s, e in self._chunks():
             ue = u.reshape(-1, 3)[self.mesh.connectivity[s:e]]
             g = forward_gradient(
                 self.B_hat, self.D_hat, ue.reshape(e - s, 3, 3, 3, 3), self._DK

@@ -17,29 +17,52 @@ gets its speed from:
   coefficient copy this operator holds;
 * all per-batch scratch lives on the C stack, the scatter is scalar and in
   element order, and the widest ISA variant the CPU runs (AVX-512, AVX2 or
-  the baseline ABI) is picked at load time -- every variant, lane position
-  and span cut produces the same floats (see the determinism contract in
+  the baseline ABI) is picked at load time -- every variant and lane
+  position produces the same floats (see the determinism contract in
   :mod:`~repro.matfree._ckernel`);
-* the kernel is a plain ``ctypes`` call, so the GIL is released: the
-  thread backend of :class:`~repro.parallel.executor.ParallelExecutor`
-  scales it across element slabs with the same task-ordered, bit-exact
-  reduction as every other kernel.
+* the kernel is a plain ``ctypes`` call, so the GIL is released: with
+  ``workers > 1`` (or a rank engine armed by
+  :func:`~repro.parallel.executor.use_executor`) the element slabs of
+  :func:`~repro.parallel.executor.partition_elements` run as concurrent
+  tasks under the executor's owner-writes contract.  Span ``k`` writes
+  every node no earlier span touches straight into the shared output and
+  stashes the rest (nodes below ``lo_k``, one more than the largest node
+  of elements ``[0, s_k)``); the stashes are replayed in span order, so
+  the result equals the serial apply bit for bit for any worker count.
 
 The arithmetic differs from the einsum path in association order, so the
 two agree to a few ulp (``<= 1e-13 max|y|`` is tested), not bitwise.  When
 no C toolchain is available (or ``$REPRO_NO_CKERNEL`` is set) the operator
 transparently degrades to the inherited NumPy packed apply -- same
-contracts, slower, last bits differ.
+contracts, slower, serial, last bits differ.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..parallel.executor import make_executor, partition_elements
 from . import _ckernel
 from .tensor_c import TensorCOperator, PACKED_VALUES
 
 LANES = _ckernel.LANES
+
+
+def owner_writes_plan(conn: np.ndarray, spans):
+    """``(lo, stashes)`` of element ``spans`` under the owner-writes contract.
+
+    ``lo[s]`` is one more than the largest node any element before ``s``
+    touches (``lo[0] = 0``); ``stashes[k]`` lists the dofs span ``k`` adds
+    to nodes below ``lo[s_k]``, in the kernel's scatter order (element,
+    local node, component).
+    """
+    lo = np.zeros(len(conn) + 1, dtype=np.int64)
+    np.maximum.accumulate(conn.max(axis=1) + 1, out=lo[1:])
+    stashes = []
+    for s, e in spans:
+        shared = conn[s:e][conn[s:e] < lo[s]]
+        stashes.append((3 * shared[:, None] + np.arange(3)).ravel())
+    return lo, stashes
 
 
 class TensorCompiledOperator(TensorCOperator):
@@ -47,13 +70,14 @@ class TensorCompiledOperator(TensorCOperator):
 
     name = "tensor_compiled"
 
-    def __init__(self, mesh, eta_q, quad=None, chunk=4096, **parallel_opts):
+    def __init__(self, mesh, eta_q, quad=None, chunk=4096, workers=None,
+                 executor=None):
         # resolved before the base constructor packs the coefficients: the
         # layout of ``_C`` depends on which path applies them.  ``isa`` names
         # the variant in use (None on the NumPy fallback).
         self.isa = _ckernel.isa()
         self._kernel = _ckernel.variants().get(self.isa)
-        super().__init__(mesh, eta_q, quad, chunk, **parallel_opts)
+        super().__init__(mesh, eta_q, quad, chunk)
         # the kernel reads these as raw pointers: pin dtypes/contiguity once
         self._conn64 = np.ascontiguousarray(
             self.mesh.connectivity, dtype=np.int64
@@ -61,6 +85,13 @@ class TensorCompiledOperator(TensorCOperator):
         self._BD = np.ascontiguousarray(
             np.stack([self.B_hat, self.D_hat]), dtype=np.float64
         )
+        #: also serves the hierarchy's assembled levels (row-split SpMV)
+        self.executor = make_executor(workers, executor)
+        if self.executor is not None:
+            #: contiguous element slabs, one task each
+            self._spans = partition_elements(mesh, self.executor.workers)
+            self._lo, self._stashes = owner_writes_plan(self._conn64,
+                                                        self._spans)
 
     @property
     def compiled(self) -> bool:
@@ -70,6 +101,11 @@ class TensorCompiledOperator(TensorCOperator):
     @property
     def fallback_reason(self) -> str | None:
         return None if self.compiled else _ckernel.unavailable_reason()
+
+    @property
+    def _parallel_state_version(self):
+        """Rank-snapshot stamp: the coefficient key (geometry, viscosity)."""
+        return self._coeff_key
 
     def _build_coefficient_tensor(self) -> np.ndarray:
         """Lane-interleaved packed coefficients ``(ceil(nel/8), nq, 16, 8)``
@@ -83,21 +119,34 @@ class TensorCompiledOperator(TensorCOperator):
             C[el // LANES, :, :, el % LANES] = packed
         return C
 
-    def _run_kernel(self, kernel, u: np.ndarray, s0: int, e0: int) -> np.ndarray:
-        """Span partial of elements ``[s0, e0)`` through one ISA variant."""
-        y = np.zeros(self.ndof)
+    def _run_kernel(self, kernel, u: np.ndarray, s0: int, e0: int,
+                    out: np.ndarray | None = None, lo: int = 0,
+                    stash: np.ndarray | None = None) -> np.ndarray:
+        """Elements ``[s0, e0)`` through one ISA variant, accumulated into
+        ``out`` (a fresh zero vector by default); values for nodes below
+        ``lo`` go to ``stash`` instead."""
+        if out is None:
+            out = np.zeros(self.ndof)
         u = np.ascontiguousarray(u, dtype=np.float64)
         if u.size != self.ndof:
             raise ValueError(f"u has {u.size} entries, expected {self.ndof}")
         nel = self.mesh.nel
         kernel(
             self._C.ctypes.data, self._conn64.ctypes.data,
-            self._BD.ctypes.data, u.ctypes.data, y.ctypes.data,
-            max(0, int(s0)), max(0, min(nel, int(e0))), nel,
+            self._BD.ctypes.data, u.ctypes.data, out.ctypes.data,
+            max(0, int(s0)), max(0, min(nel, int(e0))), nel, int(lo),
+            None if stash is None else stash.ctypes.data,
         )
-        return y
+        return out
 
-    def _apply_elements(self, u: np.ndarray, s0: int, e0: int) -> np.ndarray:
+    def _apply_span(self, u, s, e, out, stash) -> None:
+        """Executor task: owner-writes apply of elements ``[s, e)``."""
+        self._run_kernel(self._kernel, u, s, e, out, self._lo[s], stash)
+
+    def _apply(self, u: np.ndarray) -> np.ndarray:
         if not self.compiled:
-            return super()._apply_elements(u, s0, e0)
-        return self._run_kernel(self._kernel, u, s0, e0)
+            return super()._apply(u)
+        if self.executor is None:
+            return self._run_kernel(self._kernel, u, 0, self.mesh.nel)
+        return self.executor.dispatch(self, "_apply_span", self._spans, u,
+                                      self.ndof, self._stashes)

@@ -73,12 +73,9 @@ class GMGConfig:
     coarse_nblocks:
         Virtual subdomain count for block-Jacobi / ASM coarse solvers.
     workers:
-        Shared-memory worker count for per-level operator applies and
-        smoothing (``None`` reads ``$REPRO_WORKERS``; 1 = serial).  One
-        executor is shared by every level.
-    parallel_backend:
-        Executor backend (``thread``/``process``/``auto``); ``None`` reads
-        ``$REPRO_PARALLEL_BACKEND``.
+        Shared-memory worker count for the compiled applies and the
+        assembled levels' SpMV (``None`` reads ``$REPRO_WORKERS``; 1 =
+        serial).  One executor is shared by every level.
     """
 
     levels: int = 3
@@ -89,7 +86,6 @@ class GMGConfig:
     coarse_solver: str = "sa"
     coarse_nblocks: int = 1
     workers: int | None = None
-    parallel_backend: str | None = None
     sa_config: SAConfig = field(default_factory=SAConfig)
     asm_overlap: int = 4
     asm_rtol: float = 1e-4
@@ -170,7 +166,8 @@ def build_gmg(
         An already built ``config.fine_operator`` operator on ``meshes[0]``
         with viscosity ``eta_levels[0]`` to use as the finest level instead
         of constructing an identical one (the coupled solve shares its
-        viscous block this way); the hierarchy then runs on its executor.
+        viscous block this way); the hierarchy then runs on its executor
+        when it has one.
     """
     cfg = config or GMGConfig()
     if len(meshes) < cfg.levels:
@@ -180,19 +177,14 @@ def build_gmg(
     quad = GaussQuadrature.hex(3)
     bcs = [bc_builder(m) for m in meshes]
     # one shared worker pool for every level's applies and smoothing
-    if fine_op is not None:
-        executor = fine_op.executor
-    else:
-        executor = make_executor(cfg.workers, cfg.parallel_backend)
+    executor = getattr(fine_op, "executor", None) or make_executor(cfg.workers)
 
     if cfg.levels == 1:
         # degenerate hierarchy: assemble and hand the whole problem to the
         # coarse solver (useful for tiny meshes and unit tests)
         bc0 = bcs[0]
         t0 = time.perf_counter()
-        A_raw = assembly.assemble_viscous(
-            meshes[0], eta_levels[0], quad, executor=executor
-        )
+        A_raw = assembly.assemble_viscous(meshes[0], eta_levels[0], quad)
         A_bc, _ = bc0.eliminate(A_raw, np.zeros(3 * meshes[0].nnodes))
         stats.assemble_seconds += time.perf_counter() - t0
         t0 = time.perf_counter()
@@ -262,9 +254,7 @@ def build_gmg(
             stats.galerkin_seconds += time.perf_counter() - t0
         elif cfg.galerkin or not matrix_free:
             t0 = time.perf_counter()
-            A_raw = assembly.assemble_viscous(
-                mesh, eta_levels[k], quad, executor=executor
-            )
+            A_raw = assembly.assemble_viscous(mesh, eta_levels[k], quad)
             Ak, _ = bc.eliminate(A_raw, np.zeros(ndof))
             stats.assemble_seconds += time.perf_counter() - t0
         # rebinding drops the matrix above unless its level applies it

@@ -15,8 +15,6 @@ trigger            fired by
                    ``HealthCheckFailure`` or a hard-diverged Newton step
 ``breakdown``      the same step loop exhausting ``max_step_retries``
                    (the error still propagates; the dump is the black box)
-``worker_crash``   :class:`repro.parallel.executor.ParallelExecutor`
-                   absorbing (or giving up on) a dead worker process
 ``manual``         :func:`trigger` called by the application
 =================  ====================================================
 

@@ -95,7 +95,7 @@ register_reset_hook(_STORE.clear)
 
 #: live objects exposing ``.stats.as_dict()`` (and optionally ``.workers``)
 #: -- every :class:`~repro.parallel.executor.ParallelExecutor` registers
-#: itself here at construction, so dispatch/queue-wait/crash counters are
+#: itself here at construction, so dispatch/queue-wait/busy counters are
 #: aggregated into the document without the executor being in any export
 #: call chain
 STATS_SOURCES: "weakref.WeakSet" = weakref.WeakSet()
@@ -220,7 +220,7 @@ def commit_step(step: int) -> dict:
     Counters emit their cumulative value, gauges their current value,
     histograms their ``count/sum/min/max`` summary -- one appended sample
     per series per commit.  Live executor stats are drained into
-    ``executor.*`` gauges first, so dispatch/queue-wait/crash counters
+    ``executor.*`` gauges first, so dispatch/queue-wait/busy counters
     land in the same row.
     """
     if not STATE.enabled:

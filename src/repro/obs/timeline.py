@@ -24,14 +24,11 @@ stays a single test.  Spans only accumulate while profiling is enabled
 
 Worker ranks are the executor's **task indices** -- the same virtual
 subdomain ranks the :class:`~repro.parallel.decomposition.BlockDecomposition`
-slabs correspond to -- so they are deterministic for any backend; the
-master thread records under rank ``-1`` (rendered as ``main``).  Thread
-workers append into the shared ring directly.  Fork-process workers spool
-their spans per task -- the task span itself plus any event spans the
-child captured through the fork-inherited sink -- and ship them back
-through the executor's result channel, where the master rebases and
-merges them; a worker that crashes mid-task loses only that task's spans,
-never the merged timeline (the crash-safety contract).
+slabs correspond to -- so they are deterministic for any engine; the
+master thread records under rank ``-1`` (rendered as ``main``).  Event
+spans captured inside a thread task carry its rank; the task spans
+themselves are recorded by the master from the tasks' ``perf_counter``
+stamps, including those rank processes send back with their replies.
 
 Analysis
 --------
@@ -72,7 +69,6 @@ __all__ = [
     "disarm",
     "main",
     "maybe_arm_from_env",
-    "remote_task_capture",
     "summary",
     "validate_chrome_trace",
     "validate_timeline",
@@ -121,7 +117,7 @@ class Timeline:
 
     Times are stored relative to ``origin`` (the ``perf_counter`` value at
     arm time); ``perf_counter`` is ``CLOCK_MONOTONIC`` system-wide on
-    Linux, so spans captured in forked workers land on the same axis.
+    Linux, so task stamps taken in rank processes land on the same axis.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
@@ -129,7 +125,6 @@ class Timeline:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self.origin = time.perf_counter()
-        self.pid = os.getpid()
         #: rank -> ring of span tuples
         self.buffers: dict[int, deque] = {}
         self.dropped: dict[int, int] = {}
@@ -199,19 +194,6 @@ class Timeline:
     @property
     def mean_imbalance(self) -> float:
         return self._imbalance_sum / self.dispatches if self.dispatches else 0.0
-
-    def ingest(self, spans) -> None:
-        """Merge spans spooled back from a worker process (already rebased
-        to this timeline's origin by :func:`remote_task_capture`)."""
-        for sp in spans:
-            sp = tuple(sp)
-            rank = int(sp[5])
-            self._push(rank, sp)
-            if sp[1] == "task":
-                self.task_busy[rank] = (
-                    self.task_busy.get(rank, 0.0) + (sp[4] - sp[3])
-                )
-                self.task_count += 1
 
     def clear(self) -> None:
         """Drop buffered spans and counters; re-anchor the origin."""
@@ -303,52 +285,6 @@ def _clear_on_reset() -> None:
 
 
 register_reset_hook(_clear_on_reset)
-
-
-# --------------------------------------------------------------------- #
-# worker-process spool (runs inside forked executor workers)
-# --------------------------------------------------------------------- #
-def remote_task_capture(call, method: str, rank: int, dispatch: int,
-                        origin: float):
-    """Run ``call()`` in a forked worker; returns ``(result, spans)``.
-
-    ``spans`` is the crash-safe spool for this one task: the task span
-    itself plus any event spans the child captured through the
-    fork-inherited sink, all rebased to the **master's** ``origin`` so the
-    master can :meth:`Timeline.ingest` them verbatim.  Works whether or
-    not the child inherited an armed timeline (armed-after-fork masters
-    still get the task span).
-    """
-    tl = _TIMELINE
-    scope = None
-    if tl is not None:
-        if tl.pid != os.getpid():
-            # first task in this forked worker: the rings inherited from
-            # the master hold the *master's* spans; start clean
-            tl.clear()
-            tl.pid = os.getpid()
-        scope = tl.worker(rank, dispatch)
-        scope.__enter__()
-    t0 = time.perf_counter()
-    try:
-        result = call()
-    finally:
-        t1 = time.perf_counter()
-        if scope is not None:
-            scope.__exit__(None, None, None)
-    spans: list[tuple] = []
-    if tl is not None:
-        shift = tl.origin - origin  # rebase child-origin times to master's
-        buf = tl.buffers.get(int(rank))
-        if buf:
-            spans = [sp[:3] + (sp[3] + shift, sp[4] + shift) + sp[5:]
-                     for sp in buf]
-            buf.clear()
-    spans.append((
-        f"ParExecTask:{method}", "task", "", t0 - origin, t1 - origin,
-        int(rank), os.getpid(), threading.get_ident(), 0, 0, int(dispatch),
-    ))
-    return result, spans
 
 
 # --------------------------------------------------------------------- #

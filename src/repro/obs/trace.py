@@ -18,7 +18,7 @@ Three trace streams mirror the paper's solver diagnostics:
 ``resilience``
     One record per recovery action (``{"event", ...}``): preconditioner
     fallback downgrades, time-step rollbacks with dt halving, dt
-    restoration, executor crash respawns, and the physics-state health
+    restoration, and the physics-state health
     actions (``health_mesh_repair``, ``health_thin``, ``health_inject``,
     ``health_clip``, ``health_divergence``, ``health_reject``) -- the
     audit trail of how a run survived (appended by

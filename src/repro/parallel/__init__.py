@@ -31,12 +31,9 @@ from .executor import (
     ExecutorStats,
     ParallelCSRMatVec,
     ParallelExecutor,
-    WorkerCrash,
-    current_override,
     make_executor,
     partition_elements,
     partition_range,
-    resolve_backend,
     resolve_workers,
     use_executor,
 )
@@ -71,15 +68,12 @@ __all__ = [
     "ProcommEngine",
     "RankFailure",
     "VirtualRankEngine",
-    "WorkerCrash",
-    "current_override",
     "halo_exchange_plan",
     "make_executor",
     "measured_exchange",
     "partition_elements",
     "partition_range",
     "reduction_count",
-    "resolve_backend",
     "resolve_workers",
     "run_sinker_distributed",
     "tree_reduce",

@@ -1,15 +1,15 @@
 """Rank-decomposed dispatch engines and the distributed sinker driver.
 
-Two engines satisfy the executor dispatch contract
-(:meth:`~repro.parallel.executor.ParallelExecutor.dispatch` signature,
-``.workers``, ``.stats``) and are injected into the whole solve stack via
-:func:`~repro.parallel.executor.use_executor`:
+Two engines satisfy the executor's owner-writes dispatch contract
+(:mod:`repro.parallel.executor`: ``dispatch(state, method, spans, u,
+n_out, stashes)``, ``.workers``, ``.stats``) and are injected into the
+whole solve stack via :func:`~repro.parallel.executor.use_executor`:
 
 :class:`ProcommEngine`
-    Fans span kernels and dot partials out to the **real rank processes**
-    of a :class:`~repro.parallel.procomm.ProcessComm`; input vectors and
-    result slabs move through the communicator's shared-memory blocks,
-    state reaches the ranks by fork inheritance.
+    Fans span tasks and dot partials out to the **real rank processes**
+    of a :class:`~repro.parallel.procomm.ProcessComm`; the input vector,
+    the shared output vector and the stashes live in the communicator's
+    shared-memory blocks, state reaches the ranks by fork inheritance.
 
 :class:`VirtualRankEngine`
     The single-process **oracle**: the identical span partition, kernels,
@@ -17,11 +17,13 @@ Two engines satisfy the executor dispatch contract
     order, and :class:`~repro.parallel.comm.CommStats` accounting,
     executed inline over a :class:`~repro.parallel.comm.VirtualComm`.
 
-Because every partial is computed by exactly one rank from the same
-inputs, reduced in task order (operator applies) or over the fixed
-binary tree (dot products, :func:`~repro.parallel.comm.tree_reduce`),
-the two engines produce **bit-identical** solves -- that is the equality
-CI asserts, clean and across an injected rank kill.
+Operator applies come out equal to the serial ones for any rank count
+(the owner-writes contract); dot products are reduced over the fixed
+binary tree (:func:`~repro.parallel.comm.tree_reduce`) of the rank
+partials, so they depend on the rank count but not on the transport or
+the reply order.  The two engines therefore produce **bit-identical**
+solves at equal rank counts -- the equality CI asserts, clean and across
+an injected rank kill.
 
 :func:`run_sinker_distributed` is the end-to-end driver: it runs the
 sinker time loop under either engine, writes a collective-consistent
@@ -45,12 +47,13 @@ from .comm import VirtualComm, tree_reduce
 from .decomposition import BlockDecomposition
 from .executor import (
     ExecutorStats,
-    ParallelExecutor,
-    _register_state,
+    account_tasks,
     partition_range,
+    replay_stashes,
+    stash_sizes,
     use_executor,
 )
-from .procomm import CommError, ProcessComm, span_dot
+from .procomm import CommError, ProcessComm, _register_state, span_dot
 
 __all__ = [
     "ProcommEngine",
@@ -63,7 +66,8 @@ def _account_dispatch(comm, ntasks: int, nbytes_in: int,
                       nbytes_out: int) -> None:
     """Comm-stats accounting of one engine dispatch, shared by both
     engines so the oracle's ``comm.*`` gauges match the real transport's:
-    one input-vector broadcast plus one partial slab back per task."""
+    one input-vector broadcast plus one output (and stash) block back per
+    task."""
     comm.stats.messages += ntasks + 1
     comm.stats.bytes += nbytes_in + nbytes_out
 
@@ -77,8 +81,6 @@ def _account_dot(comm, ntasks: int, nbytes: int) -> None:
 
 class _RankEngineBase:
     """Shared surface of the rank engines (dispatch contract + dot)."""
-
-    backend = "rank"
 
     def __init__(self, comm):
         self.comm = comm
@@ -105,29 +107,19 @@ class _RankEngineBase:
 
     # -- dispatch contract ----------------------------------------------- #
     def dispatch(self, state, method: str, spans, u: np.ndarray,
-                 out_len: int | None = None, sizes: list | None = None,
-                 mode: str = "sum") -> np.ndarray:
-        """Fan ``getattr(state, method)(u, s, e)`` over the ranks; reduce.
-
-        Same semantics and determinism contract as
-        :meth:`ParallelExecutor.dispatch`: partials are reduced in task
-        order, bit-identical to the serial reference for any rank count.
-        """
-        if mode not in ("sum", "concat"):
-            raise ValueError(f"mode must be 'sum' or 'concat', got {mode!r}")
-        if mode == "sum":
-            if out_len is None:
-                raise ValueError("mode='sum' requires out_len")
-            sizes = [int(out_len)] * len(spans)
-        elif sizes is None or len(sizes) != len(spans):
-            raise ValueError("mode='concat' requires sizes, one per span")
+                 n_out: int, stashes=None) -> np.ndarray:
+        """Run ``getattr(state, method)(u, s, e, out, stash)`` over the
+        ranks under the owner-writes contract of
+        :mod:`repro.parallel.executor`; return ``out``."""
         u = np.ascontiguousarray(u, dtype=np.float64)
-        nbytes_out = 8 * int(sum(sizes))
+        sizes = stash_sizes(spans, stashes)
+        nbytes_out = 8 * (int(n_out) + sum(sizes))
         with _obs.timed("CommHaloExchange", nbytes=u.nbytes + nbytes_out,
                         cat="comm"):
-            partials = self._span_partials(state, method, spans, u, sizes)
+            out, vals = self._run_spans(state, method, spans, u,
+                                        int(n_out), sizes)
             t0 = time.perf_counter()
-            out = ParallelExecutor._reduce(partials, mode)
+            replay_stashes(out, stashes, vals)
             self.stats.reduce_seconds += time.perf_counter() - t0
         self.stats.dispatches += 1
         self.stats.tasks += len(spans)
@@ -148,23 +140,23 @@ class VirtualRankEngine(_RankEngineBase):
     is the bit-exactness reference for :class:`ProcommEngine`.
     """
 
-    backend = "virtual"
-
     def __init__(self, comm: VirtualComm | None = None, size: int = 2):
         super().__init__(comm if comm is not None else VirtualComm(size))
 
     def _dot_partials(self, x, y, spans):
         return [span_dot(x, y, s, e) for s, e in spans]
 
-    def _span_partials(self, state, method, spans, u, sizes):
+    def _run_spans(self, state, method, spans, u, n_out, sizes):
         fn = getattr(state, method)
-        partials = []
-        for s, e in spans:
+        out = np.zeros(n_out)
+        vals = [np.empty(n) if n else None for n in sizes]
+        times = []
+        for (s, e), stash in zip(spans, vals):
             t0 = time.perf_counter()
-            partials.append(np.asarray(fn(u, int(s), int(e)),
-                                       dtype=np.float64))
-            self.stats.worker_busy_seconds += time.perf_counter() - t0
-        return partials
+            fn(u, int(s), int(e), out, stash)
+            times.append((t0, time.perf_counter()))
+        account_tasks(self.stats, method, times)
+        return out, vals
 
 
 class ProcommEngine(_RankEngineBase):
@@ -172,19 +164,15 @@ class ProcommEngine(_RankEngineBase):
     :class:`ProcessComm`.
 
     Data path per dispatch: the input vector is written once into the
-    communicator's input shared-memory block; one ``span`` op per task is
-    posted round-robin to the ranks; every rank writes its partial into
-    its own disjoint slab of the output block; the master reduces the
-    slabs in task order.  State objects reach the ranks by fork
-    inheritance (the executor's ``_FORK_REGISTRY`` snapshot): a
-    ``(token, version)`` pair the live cohort has not snapshotted
-    triggers a cohort respawn, exactly the process-pool semantics.
+    communicator's input shared-memory block; the output vector and, past
+    it, every span's stash live in the output block, zeroed by the master;
+    one ``span`` op per task is posted round-robin to the ranks, each
+    writing its own entries of the output and its own stash; the master
+    copies the output out and replays the stashes in span order.  State
+    objects reach the ranks by fork inheritance (the communicator's fork
+    registry): a ``(token, version)`` pair the live cohort has not
+    snapshotted triggers a cohort respawn.
     """
-
-    backend = "procomm"
-
-    def __init__(self, comm: ProcessComm):
-        super().__init__(comm)
 
     def _rank_of(self, task: int) -> int:
         return task % self.comm.size
@@ -211,37 +199,31 @@ class ProcommEngine(_RankEngineBase):
         return [float(comm._wait(r, seq, "dot")["value"])
                 for r, seq in seqs]
 
-    def _span_partials(self, state, method, spans, u, sizes,
-                       _retry: bool = True):
+    def _run_spans(self, state, method, spans, u, n_out, sizes,
+                   _retry: bool = True):
         comm = self.comm
         token = _register_state(state)
         version = getattr(state, "_parallel_state_version", 0)
         self._ensure_snapshot(token, version)
-        n_in = u.size
         comm.shm_in.ensure(u.nbytes)
-        comm.shm_in.view(n_in)[:] = u
-        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        comm.shm_in.view(u.size)[:] = u
+        # stash k starts at offsets[k], right after the output vector
+        offsets = np.cumsum([n_out, *sizes])
         comm.shm_out.ensure(8 * int(offsets[-1]))
+        comm.shm_out.view(n_out)[:] = 0.0
         seqs = [
             (self._rank_of(i),
              comm._post(self._rank_of(i), "span", token=token,
                         version=version, method=method, s=int(s), e=int(e),
-                        in_shm=comm.shm_in.name, n_in=int(n_in),
-                        out_shm=comm.shm_out.name,
-                        out_off=int(offsets[i]), out_size=int(sizes[i])))
+                        in_shm=comm.shm_in.name, n_in=int(u.size),
+                        out_shm=comm.shm_out.name, n_out=n_out,
+                        stash_off=int(offsets[i]), stash_len=int(sizes[i])))
             for i, (s, e) in enumerate(spans)
         ]
-        stale = False
-        for r, seq in seqs:
-            reply = comm._wait(r, seq, "span")
-            if reply.get("status") == "stale":
-                stale = True
-            else:
-                self.stats.worker_busy_seconds += float(
-                    reply.get("busy", 0.0))
-        if stale:
+        replies = [comm._wait(r, seq, "span") for r, seq in seqs]
+        if any(reply.get("status") == "stale" for reply in replies):
             # the state mutated without a version bump since the cohort
-            # forked; one respawn re-snapshots it (pool semantics)
+            # forked; one respawn re-snapshots it
             comm.snapshot_known.discard((token, version))
             if not _retry:
                 raise CommError(
@@ -249,10 +231,14 @@ class ProcommEngine(_RankEngineBase):
                     "stale even after a cohort respawn"
                 )
             self._ensure_snapshot(token, version)
-            return self._span_partials(state, method, spans, u, sizes,
-                                       _retry=False)
-        return [comm.shm_out.view(int(sizes[i]), int(offsets[i]))
-                for i in range(len(spans))]
+            return self._run_spans(state, method, spans, u, n_out, sizes,
+                                   _retry=False)
+        # ranks stamp perf_counter, a system-wide clock on Linux
+        account_tasks(self.stats, method,
+                      [(reply["t0"], reply["t1"]) for reply in replies])
+        vals = [comm.shm_out.view(n, int(offsets[i])) if n else None
+                for i, n in enumerate(sizes)]
+        return comm.shm_out.view(n_out).copy(), vals
 
 
 # --------------------------------------------------------------------- #

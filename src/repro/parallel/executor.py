@@ -1,85 +1,73 @@
-"""Shared-memory multi-worker execution engine for element-chunk kernels.
+"""Shared-memory thread pool and the owner-writes dispatch contract.
 
-The paper's tensor-product kernel makes the Stokes operator embarrassingly
-element-parallel: every element batch reads the input vector and writes
-disjoint *element* contributions, with conflicts only at the scatter.  This
-module supplies the process-level analogue of the paper's per-rank element
-loop for the sequential reproduction:
+The paper's Stokes operator is a per-rank element loop whose answer must
+not depend on how the mesh is cut.  Two kernels here fan out over
+workers: the compiled Tensor apply of
+:mod:`repro.matfree.tensor_compiled` (a ``ctypes`` call, so the GIL is
+released) and the row-split CSR SpMV of the assembled multigrid levels
+(:class:`ParallelCSRMatVec`).  Everything else -- the NumPy element
+kernels, the diagonal, assembly -- is a plain serial function.
 
-* elements are partitioned into contiguous slabs via the existing
-  :class:`~repro.parallel.decomposition.BlockDecomposition` (a ``(1, 1, p)``
-  split of the structured grid -- the element index is x-fastest, so each
-  subdomain is one contiguous index range);
-* slabs are fanned out to a persistent ``ThreadPoolExecutor`` or
-  fork-based ``ProcessPoolExecutor`` (backend selectable, default auto);
-* for the process backend, the input vector and the per-task output slabs
-  live in ``multiprocessing.shared_memory`` blocks, so only a few floats
-  cross the pickle boundary per task;
-* the scatter is race-free by construction: every task accumulates into its
-  **own** output buffer and the master reduces the partials **in task
-  order**, so the floating-point addition chain is exactly the one the
-  serial path executes and results match serial bit for bit.
+:class:`ParallelExecutor` runs the tasks on a persistent
+``ThreadPoolExecutor``; the rank engines of
+:mod:`repro.parallel.distributed` run the same tasks inline
+(:class:`~repro.parallel.distributed.VirtualRankEngine`) or in real rank
+processes over shared memory
+(:class:`~repro.parallel.distributed.ProcommEngine`).
 
-Determinism contract
---------------------
-``dispatch(state, method, spans, u)`` computes
+Owner-writes contract
+---------------------
+``dispatch(state, method, spans, u, n_out, stashes)`` zeroes one output
+vector ``out`` and calls ``getattr(state, method)(u, s, e, out, stash)``
+once per span ``(s, e)``:
 
-    ``result = partial(spans[0]) + partial(spans[1]) + ...``  (left to right)
+* task ``k`` writes its span's contributions straight into ``out``,
+  except those to the indices ``stashes[k]`` -- entries an earlier span
+  also writes -- which it writes, in that order, to its own ``stash``
+  buffer of ``len(stashes[k])`` floats (``None`` when empty);
+* when every task is done, the master adds each stash into ``out`` with
+  ``np.add.at`` (unbuffered, in index order), span after span.
 
-where ``partial(s, e) = getattr(state, method)(u, s, e)``.  The serial
-reference :meth:`ParallelExecutor.run_serial` evaluates the identical
-expression inline, hence ``np.array_equal`` between the two holds for any
-worker count and backend (the kernels themselves are dot-reduction-free;
-each partial is computed by exactly one task).
-
-Process-backend state transport
--------------------------------
-Worker processes are forked **after** the dispatched state object exists,
-so they inherit it by copy-on-write; only a small integer token travels
-with each task.  Registered state must therefore be immutable while the
-pool lives, or carry a ``_parallel_state_version`` stamp -- any hashable,
-``!=``-comparable value; the matfree operators publish the tuple
-``(mesh.coords_version, eta_version)`` so both mesh motion and viscosity
-re-linearization invalidate the snapshot (keying off the mesh alone let
-in-place ``eta_q`` mutations run against stale forked coefficients).
-Dispatching a token/version pair the pool has not seen triggers a
-respawn, i.e. a fresh snapshot.
+No two tasks write the same entry of ``out``, so tasks need no locks and
+no partial vectors; and every entry receives its terms in the order the
+serial loop adds them, so the result does not depend on the worker
+count.  Row-split SpMV passes no stashes: each output row is one task's
+dot product.  For the element scatter the stashed entries are the dofs of
+nodes an earlier span touches (see
+:class:`~repro.matfree.tensor_compiled.TensorCompiledOperator`, and
+DESIGN.md for why that reproduces the serial scatter for any cut).
 """
 
 from __future__ import annotations
 
-import itertools
+import contextlib
 import os
 import time
-import weakref
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..obs import flight as _flight
 from ..obs import metrics as _metrics
 from ..obs import registry as _obs
-from ..obs.trace import trace_resilience
 from .decomposition import BlockDecomposition
 
 __all__ = [
     "ExecutorStats",
     "ParallelCSRMatVec",
     "ParallelExecutor",
-    "WorkerCrash",
-    "current_override",
+    "account_tasks",
     "make_executor",
     "partition_elements",
     "partition_range",
-    "resolve_backend",
+    "replay_stashes",
     "resolve_workers",
+    "stash_sizes",
     "use_executor",
 ]
 
-#: environment knobs honored when the call site passes ``None``
+#: environment knob honored when the call site passes ``None``
 ENV_WORKERS = "REPRO_WORKERS"
-ENV_BACKEND = "REPRO_PARALLEL_BACKEND"
 
 # repro.obs.timeline is a ``python -m`` CLI and must not be imported at
 # package-import time (runpy double-import); resolve it on first dispatch
@@ -94,17 +82,6 @@ def _timeline():
         _TIMELINE_MOD = timeline
     return _TIMELINE_MOD
 
-_BACKENDS = ("auto", "thread", "process", "serial")
-
-
-class WorkerCrash(RuntimeError):
-    """A worker process died mid-task (segfault, ``os._exit``, OOM kill).
-
-    The broken pool is dropped; the next dispatch respawns a fresh one.
-    Ordinary exceptions raised *by the kernel* are re-raised as themselves,
-    not wrapped in this.
-    """
-
 
 @dataclass
 class ExecutorStats:
@@ -114,24 +91,13 @@ class ExecutorStats:
     tasks: int = 0
     queue_wait_seconds: float = 0.0
     worker_busy_seconds: float = 0.0
-    reduce_seconds: float = 0.0
-    bytes_in: int = 0      # input-vector bytes shipped to workers
-    bytes_out: int = 0     # partial-result bytes shipped back
+    reduce_seconds: float = 0.0  # master-side stash replay
+    bytes_in: int = 0      # input-vector bytes handed to the tasks
+    bytes_out: int = 0     # output and stash bytes the tasks wrote
     respawns: int = 0
-    crashes: int = 0       # WorkerCrash events absorbed by auto-retry
 
     def as_dict(self) -> dict:
-        return {
-            "dispatches": int(self.dispatches),
-            "tasks": int(self.tasks),
-            "queue_wait_seconds": float(self.queue_wait_seconds),
-            "worker_busy_seconds": float(self.worker_busy_seconds),
-            "reduce_seconds": float(self.reduce_seconds),
-            "bytes_in": int(self.bytes_in),
-            "bytes_out": int(self.bytes_out),
-            "respawns": int(self.respawns),
-            "crashes": int(self.crashes),
-        }
+        return asdict(self)
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -142,20 +108,6 @@ def resolve_workers(workers: int | None = None) -> int:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return workers
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Backend name: explicit argument, else ``$REPRO_PARALLEL_BACKEND``,
-    else ``auto``.  ``auto`` picks threads: the element kernels spend their
-    time in einsum/BLAS, which release the GIL, and threads share every
-    array for free.  The process backend exists for GIL-bound kernels and
-    must be requested explicitly (or via the environment)."""
-    if backend is None:
-        backend = os.environ.get(ENV_BACKEND, "auto") or "auto"
-    backend = str(backend)
-    if backend not in _BACKENDS:
-        raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
-    return backend
 
 
 def partition_range(n: int, nparts: int) -> list[tuple[int, int]]:
@@ -188,415 +140,141 @@ def partition_elements(mesh, nparts: int) -> list[tuple[int, int]]:
     ]
 
 
-# --------------------------------------------------------------------- #
-# process-backend plumbing (module level so forked children inherit it)
-# --------------------------------------------------------------------- #
-_TOKENS = itertools.count(1)
-#: token -> state object; children snapshot this at fork time
-_FORK_REGISTRY: "weakref.WeakValueDictionary[int, object]" = (
-    weakref.WeakValueDictionary()
-)
-#: worker-side cache of attached shared-memory blocks, keyed by name
-_WORKER_SHM: dict = {}
+def stash_sizes(spans, stashes) -> list[int]:
+    """Stash length of each span (all zero when ``stashes`` is ``None``)."""
+    if stashes is None:
+        return [0] * len(spans)
+    if len(stashes) != len(spans):
+        raise ValueError(f"need one stash index array per span: "
+                         f"{len(stashes)} for {len(spans)} spans")
+    return [len(idx) for idx in stashes]
 
 
-def _attach_shm(name: str):
-    cached = _WORKER_SHM.get(name)
-    if cached is None:
-        from multiprocessing import shared_memory
-
-        # the worker shares the master's (forked) resource tracker, so this
-        # attach-side register is a duplicate add and the master's unlink
-        # remains the single cleanup point
-        cached = shared_memory.SharedMemory(name=name)
-        _WORKER_SHM[name] = cached
-    return cached
+def replay_stashes(out: np.ndarray, stashes, vals) -> np.ndarray:
+    """Add each span's stashed values into ``out``, in span order."""
+    if stashes is not None:
+        for idx, v in zip(stashes, vals):
+            if len(idx):
+                np.add.at(out, idx, v)
+    return out
 
 
-def _process_task(payload):
-    """Runs in a forked worker: one span of one dispatch."""
-    (token, version, method, s, e, in_name, n_in, out_name, out_off,
-     out_size, t_submit, tl_args) = payload
-    wait = time.monotonic() - t_submit
-    t0 = time.perf_counter()
-    state = _FORK_REGISTRY.get(token)
-    if state is None or getattr(state, "_parallel_state_version", 0) != version:
-        return ("stale", 0.0, 0.0, [])
-    u = np.ndarray((n_in,), dtype=np.float64, buffer=_attach_shm(in_name).buf)
-    u.flags.writeable = False
-    out = np.ndarray(
-        (out_size,), dtype=np.float64,
-        buffer=_attach_shm(out_name).buf, offset=8 * out_off,
-    )
+def account_tasks(stats: ExecutorStats, method: str, times,
+                  waits=()) -> None:
+    """Book one dispatch's tasks before ``stats.dispatches`` advances.
 
-    def kernel():
-        out[:] = getattr(state, method)(u, int(s), int(e))
-
-    if tl_args is None:
-        kernel()
-        spans = []
-    else:
-        # timeline armed on the master: spool this task's spans (the task
-        # itself plus any events the fork-inherited sink captured) back
-        # through the result channel for the master to merge
-        rank, dispatch, origin = tl_args
-        _, spans = _timeline().remote_task_capture(
-            kernel, method, rank, dispatch, origin
-        )
-    return ("ok", wait, time.perf_counter() - t0, spans)
-
-
-def _register_state(state) -> int:
-    token = getattr(state, "_repro_exec_token", None)
-    if token is not None and _FORK_REGISTRY.get(token) is state:
-        return token
-    token = next(_TOKENS)
-    try:
-        state._repro_exec_token = token
-    except AttributeError:
-        pass  # slotted objects get a fresh token per dispatch (still correct)
-    _FORK_REGISTRY[token] = state
-    return token
-
-
-class _ShmBlock:
-    """A master-owned, grow-only shared-memory block."""
-
-    def __init__(self, tag: str):
-        self.tag = tag
-        self.shm = None
-
-    def ensure(self, nbytes: int) -> "_ShmBlock":
-        nbytes = max(int(nbytes), 8)
-        if self.shm is None or self.shm.size < nbytes:
-            from multiprocessing import shared_memory
-
-            self.close()
-            self.shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        return self
-
-    def view(self, n: int, offset: int = 0) -> np.ndarray:
-        return np.ndarray((n,), dtype=np.float64, buffer=self.shm.buf,
-                          offset=8 * offset)
-
-    @property
-    def name(self) -> str:
-        return self.shm.name
-
-    def close(self) -> None:
-        if self.shm is not None:
-            self.shm.close()
-            try:
-                self.shm.unlink()
-            except FileNotFoundError:
-                pass
-            self.shm = None
+    ``times[k]`` is the ``(t0, t1)`` ``perf_counter`` span of task ``k``
+    (task index = worker rank); ``waits`` their queue waits.  With an
+    armed timeline every task becomes a span and the dispatch's imbalance
+    is noted.
+    """
+    busies = [t1 - t0 for t0, t1 in times]
+    wait, busy = float(sum(waits)), float(sum(busies))
+    stats.queue_wait_seconds += wait
+    stats.worker_busy_seconds += busy
+    _obs.log_event_seconds("ParExecQueueWait", wait, count=len(times))
+    _obs.log_event_seconds("ParExecWorkerBusy", busy, count=len(times))
+    tl = _timeline().armed()
+    if tl is not None:
+        for rank, (t0, t1) in enumerate(times):
+            tl.record_task(method, rank, stats.dispatches, t0, t1)
+        tl.note_dispatch(busies)
 
 
 class ParallelExecutor:
-    """Persistent worker pool executing ``method(u, s, e)`` span kernels.
+    """Persistent thread pool running owner-writes span tasks.
 
-    Parameters
-    ----------
-    workers:
-        Worker count; ``None`` reads ``$REPRO_WORKERS`` (default 1).
-    backend:
-        ``"thread"``, ``"process"``, ``"serial"``, or ``"auto"`` (threads);
-        ``None`` reads ``$REPRO_PARALLEL_BACKEND``.
-    retry_on_crash:
-        Absorb one :class:`WorkerCrash` per dispatch by re-running it
-        against a freshly spawned pool (the determinism contract makes the
-        retry bit-identical: every partial is recomputed from the same
-        immutable state and reduced in the same order).  A second crash in
-        the same dispatch propagates -- that is a reproducible kernel
-        fault, not a transient worker death.
+    ``workers=None`` reads ``$REPRO_WORKERS`` (default 1).  With one
+    worker, or one span, the tasks run inline on the caller's thread.
     """
 
-    def __init__(self, workers: int | None = None, backend: str | None = None,
-                 retry_on_crash: bool = True):
-        self.retry_on_crash = bool(retry_on_crash)
+    def __init__(self, workers: int | None = None):
         self.workers = resolve_workers(workers)
-        backend = resolve_backend(backend)
-        if backend == "auto":
-            backend = "thread"
-        if self.workers == 1:
-            backend = "serial"
-        self.backend = backend
         self.stats = ExecutorStats()
-        self._tl = None            # armed timeline, re-resolved per dispatch
-        self._dispatch_id = 0
         self._pool = None
-        self._crashed = False           # a WorkerCrash dropped the pool
-        self._fork_known: set = set()   # (token, version) pairs seen by pool
-        self._shm_in = _ShmBlock("in")
-        self._shm_out = _ShmBlock("out")
-        self._finalizer = weakref.finalize(
-            self, ParallelExecutor._cleanup, self._shm_in, self._shm_out
-        )
-        # telemetry: dispatch/queue-wait/crash counters are aggregated
-        # into every repro.obs export (weak registration; no lifetime tie)
+        # telemetry: dispatch/queue-wait counters are aggregated into
+        # every repro.obs export (weak registration; no lifetime tie)
         _metrics.STATS_SOURCES.add(self)
 
-    # -- lifecycle ------------------------------------------------------ #
-    @staticmethod
-    def _cleanup(shm_in: _ShmBlock, shm_out: _ShmBlock) -> None:
-        shm_in.close()
-        shm_out.close()
-
     def shutdown(self) -> None:
-        """Stop workers and release shared memory (idempotent)."""
+        """Stop the worker threads (idempotent)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-        self._fork_known.clear()
-        self._shm_in.close()
-        self._shm_out.close()
 
-    def _respawn_pool(self) -> None:
-        import multiprocessing
-
-        if self._pool is not None or self._crashed:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True, cancel_futures=True)
-            self.stats.respawns += 1
-            self._crashed = False
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=multiprocessing.get_context("fork"),
-        )
-        self._fork_known = set()
-
-    # -- dispatch ------------------------------------------------------- #
-    def dispatch(
-        self,
-        state,
-        method: str,
-        spans: list[tuple[int, int]],
-        u: np.ndarray,
-        out_len: int | None = None,
-        sizes: list[int] | None = None,
-        mode: str = "sum",
-    ) -> np.ndarray:
-        """Fan ``getattr(state, method)(u, s, e)`` over ``spans``; reduce.
-
-        ``mode="sum"``: every task returns ``(out_len,)``; the result is
-        the task-ordered sum.  ``mode="concat"``: task ``i`` returns
-        ``(sizes[i],)``; the result is the concatenation (row-partitioned
-        matvec).  Either way the reduction order is deterministic and
-        bit-identical to :meth:`run_serial`.
-        """
-        if mode not in ("sum", "concat"):
-            raise ValueError(f"mode must be 'sum' or 'concat', got {mode!r}")
-        if mode == "sum":
-            if out_len is None:
-                raise ValueError("mode='sum' requires out_len")
-            sizes = [int(out_len)] * len(spans)
-        elif sizes is None or len(sizes) != len(spans):
-            raise ValueError("mode='concat' requires sizes, one per span")
+    def dispatch(self, state, method: str, spans: list[tuple[int, int]],
+                 u: np.ndarray, n_out: int, stashes=None) -> np.ndarray:
+        """Run ``getattr(state, method)(u, s, e, out, stash)`` over
+        ``spans`` under the owner-writes contract; return ``out``."""
         u = np.ascontiguousarray(u, dtype=np.float64)
-        if self.backend == "serial" or len(spans) == 1:
-            return self.run_serial(state, method, spans, u, sizes, mode)
-        self._tl = _timeline().armed()
-        self._dispatch_id = self.stats.dispatches
-        nbytes_out = 8 * int(sum(sizes))
-        with _obs.timed("ParExecDispatch", nbytes=u.nbytes + nbytes_out):
-            if self.backend == "thread":
-                result = self._dispatch_threads(state, method, spans, u, sizes, mode)
+        out = np.zeros(n_out)
+        sizes = stash_sizes(spans, stashes)
+        vals = [np.empty(n) if n else None for n in sizes]
+        fn = getattr(state, method)
+        if self.workers == 1 or len(spans) == 1:
+            for (s, e), stash in zip(spans, vals):
+                fn(u, s, e, out, stash)
+            return replay_stashes(out, stashes, vals)
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="repro-exec",
+            )
+        tl = _timeline().armed()
+        disp = self.stats.dispatches
+
+        def task(rank, s, e, stash, t_submit):
+            wait = time.monotonic() - t_submit
+            t0 = time.perf_counter()
+            if tl is None:
+                fn(u, s, e, out, stash)
             else:
-                try:
-                    result = self._dispatch_processes(state, method, spans, u, sizes, mode)
-                except WorkerCrash:
-                    if not self.retry_on_crash:
-                        _flight.trigger("worker_crash", method=str(method),
-                                        absorbed=False)
-                        raise
-                    # the crash handler already dropped the pool; one
-                    # re-dispatch forks a fresh one and recomputes every
-                    # partial from the same state -> bit-identical result
-                    self.stats.crashes += 1
-                    t0 = time.perf_counter()
-                    result = self._dispatch_processes(state, method, spans, u, sizes, mode)
-                    elapsed = time.perf_counter() - t0
-                    _obs.log_event_seconds("ResilienceRespawn", elapsed)
-                    trace_resilience("respawn", method=str(method))
-                    _flight.trigger("worker_crash", method=str(method),
-                                    absorbed=True)
+                # label event spans captured inside the kernel with this
+                # task's rank
+                with tl.worker(rank, disp):
+                    fn(u, s, e, out, stash)
+            return wait, (t0, time.perf_counter())
+
+        nbytes_out = 8 * (n_out + sum(sizes))
+        with _obs.timed("ParExecDispatch", nbytes=u.nbytes + nbytes_out):
+            futures = [
+                self._pool.submit(task, k, s, e, stash, time.monotonic())
+                for k, ((s, e), stash) in enumerate(zip(spans, vals))
+            ]
+            waits, times = zip(*(fut.result() for fut in futures))
+            account_tasks(self.stats, method, times, waits)
+            t0 = time.perf_counter()
+            with _obs.timed("ParExecReduce"):
+                replay_stashes(out, stashes, vals)
+            self.stats.reduce_seconds += time.perf_counter() - t0
         self.stats.dispatches += 1
         self.stats.tasks += len(spans)
         self.stats.bytes_in += u.nbytes
         self.stats.bytes_out += nbytes_out
-        return result
-
-    @staticmethod
-    def run_serial(state, method, spans, u, sizes=None, mode="sum"):
-        """The serial reference: identical task structure, run inline."""
-        fn = getattr(state, method)
-        partials = [fn(u, s, e) for s, e in spans]
-        return ParallelExecutor._reduce(partials, mode)
-
-    @staticmethod
-    def _reduce(partials, mode):
-        if mode == "concat":
-            return np.concatenate(partials)
-        out = partials[0].copy()
-        for p in partials[1:]:
-            out += p
-        return out
-
-    def _account(self, waits, busies, n):
-        wait = float(sum(waits))
-        busy = float(sum(busies))
-        self.stats.queue_wait_seconds += wait
-        self.stats.worker_busy_seconds += busy
-        _obs.log_event_seconds("ParExecQueueWait", wait, count=n)
-        _obs.log_event_seconds("ParExecWorkerBusy", busy, count=n)
-        if self._tl is not None:
-            # busies arrive in task-submission order == worker-rank order,
-            # so the straggler index note_dispatch records is the rank
-            self._tl.note_dispatch(busies)
-
-    def _reduce_timed(self, partials, mode):
-        t0 = time.perf_counter()
-        with _obs.timed("ParExecReduce"):
-            out = self._reduce(partials, mode)
-        self.stats.reduce_seconds += time.perf_counter() - t0
-        return out
-
-    # -- thread backend ------------------------------------------------- #
-    def _dispatch_threads(self, state, method, spans, u, sizes, mode):
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-exec",
-            )
-        fn = getattr(state, method)
-        tl, disp = self._tl, self._dispatch_id
-
-        def task(rank, s, e, t_submit):
-            t0 = time.monotonic()
-            tb = time.perf_counter()
-            if tl is None:
-                p = fn(u, s, e)
-            else:
-                # label event spans captured inside the kernel with this
-                # task's rank, then record the task span itself
-                with tl.worker(rank, disp):
-                    p = fn(u, s, e)
-            t1 = time.perf_counter()
-            if tl is not None:
-                tl.record_task(method, rank, disp, tb, t1)
-            return p, t0 - t_submit, t1 - tb
-
-        futures = [
-            self._pool.submit(task, i, s, e, time.monotonic())
-            for i, (s, e) in enumerate(spans)
-        ]
-        partials, waits, busies = [], [], []
-        for fut in futures:
-            p, w, b = fut.result()
-            partials.append(p)
-            waits.append(w)
-            busies.append(b)
-        self._account(waits, busies, len(spans))
-        return self._reduce_timed(partials, mode)
-
-    # -- process backend ------------------------------------------------ #
-    def _dispatch_processes(self, state, method, spans, u, sizes, mode,
-                            _retry: bool = True):
-        token = _register_state(state)
-        version = getattr(state, "_parallel_state_version", 0)
-        if self._pool is None or (token, version) not in self._fork_known:
-            self._respawn_pool()
-            self._fork_known.add((token, version))
-        n_in = u.size
-        self._shm_in.ensure(u.nbytes)
-        self._shm_in.view(n_in)[:] = u
-        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        self._shm_out.ensure(8 * int(offsets[-1]))
-        in_name, out_name = self._shm_in.name, self._shm_out.name
-        tl = self._tl
-        payloads = [
-            (token, version, method, s, e, in_name, n_in, out_name,
-             int(offsets[i]), int(sizes[i]), time.monotonic(),
-             (i, self._dispatch_id, tl.origin) if tl is not None else None)
-            for i, (s, e) in enumerate(spans)
-        ]
-        futures = [self._pool.submit(_process_task, p) for p in payloads]
-        waits, busies, shipped, stale = [], [], [], False
-        try:
-            for fut in futures:
-                status, w, b, sp = fut.result()
-                if status == "stale":
-                    stale = True
-                else:
-                    waits.append(w)
-                    busies.append(b)
-                    shipped.extend(sp)
-        except BrokenExecutor as err:
-            self._pool = None
-            self._crashed = True
-            self._fork_known = set()
-            raise WorkerCrash(
-                f"a worker process died while applying {method!r} "
-                f"(spans={len(spans)}); the pool will be respawned on the "
-                "next dispatch"
-            ) from err
-        if stale:
-            # state mutated without a version bump since the fork snapshot;
-            # respawn once so the children re-inherit it
-            self._fork_known.discard((token, version))
-            if not _retry:
-                raise WorkerCrash(
-                    f"worker state for {type(state).__name__}.{method} is "
-                    "stale even after a pool respawn"
-                )
-            return self._dispatch_processes(
-                state, method, spans, u, sizes, mode, _retry=False
-            )
-        if tl is not None and shipped:
-            # merge only after the whole pass succeeded: a stale pass was
-            # re-dispatched above and its spans must not double-count
-            tl.ingest(shipped)
-        self._account(waits, busies, len(spans))
-        partials = [
-            self._shm_out.view(int(sizes[i]), int(offsets[i]))
-            for i in range(len(spans))
-        ]
-        out = self._reduce_timed(partials, mode)
-        if mode == "concat":
-            return out  # np.concatenate already copied out of shared memory
         return out
 
 
 class ParallelCSRMatVec:
-    """Row-partitioned CSR matvec through a :class:`ParallelExecutor`.
+    """Row-split CSR matvec through a dispatch engine.
 
-    CSR row blocks are independent and each output row is one dot product
-    computed by exactly one task, so the concatenated result is bit-
-    identical to ``A @ u``.  Used for the assembled (Galerkin) multigrid
-    levels, where the fine-level executor is already paid for.
+    Each task writes its own row block of the output -- one dot product
+    per row, computed by exactly one task -- so the result is ``A @ u``
+    bit for bit on any engine.  Used by the assembled operator and the
+    assembled (Galerkin) multigrid levels.
     """
 
-    def __init__(self, matrix, executor: ParallelExecutor):
+    def __init__(self, matrix, executor):
         self.matrix = matrix.tocsr() if not hasattr(matrix, "indptr") else matrix
         self.executor = executor
         self.spans = partition_range(self.matrix.shape[0], executor.workers)
-        self._blocks = {
-            (s, e): self.matrix[s:e] for s, e in self.spans
-        }
-        self.sizes = [e - s for s, e in self.spans]
+        self._blocks = {(s, e): self.matrix[s:e] for s, e in self.spans}
 
-    def _apply_rows(self, u: np.ndarray, s: int, e: int) -> np.ndarray:
-        block = self._blocks.get((s, e))
-        if block is None:  # forked child with different spans (never in practice)
-            block = self._blocks[(s, e)] = self.matrix[s:e]
-        return block @ u
+    def _apply_rows(self, u: np.ndarray, s: int, e: int, out: np.ndarray,
+                    stash) -> None:
+        out[s:e] = self._blocks[(s, e)] @ u
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        return self.executor.dispatch(
-            self, "_apply_rows", self.spans, u,
-            sizes=self.sizes, mode="concat",
-        )
+        return self.executor.dispatch(self, "_apply_rows", self.spans, u,
+                                      self.matrix.shape[0])
 
 
 #: engine override stack armed by :func:`use_executor` -- while non-empty,
@@ -609,43 +287,24 @@ class ParallelCSRMatVec:
 _EXECUTOR_OVERRIDE: list = []
 
 
-class _ExecutorOverride:
-    """Context manager pushing one dispatch engine onto the override stack."""
-
-    def __init__(self, engine):
-        self.engine = engine
-
-    def __enter__(self):
-        _EXECUTOR_OVERRIDE.append(self.engine)
-        return self.engine
-
-    def __exit__(self, *exc):
-        _EXECUTOR_OVERRIDE.pop()
-        return False
-
-
-def use_executor(engine) -> _ExecutorOverride:
+@contextlib.contextmanager
+def use_executor(engine):
     """Route every :func:`make_executor` call site through ``engine``.
 
     ``engine`` must satisfy the dispatch contract (``dispatch(state,
-    method, spans, u, ...)``, ``.workers``, ``.stats``); it may be a
-    :class:`ParallelExecutor` or a rank engine from
+    method, spans, u, n_out, stashes)``, ``.workers``, ``.stats``); it may
+    be a :class:`ParallelExecutor` or a rank engine from
     :mod:`repro.parallel.distributed`.  Overrides nest (innermost wins)
     and only cover call sites that do not pass an explicit ``executor``.
     """
-    return _ExecutorOverride(engine)
+    _EXECUTOR_OVERRIDE.append(engine)
+    try:
+        yield engine
+    finally:
+        _EXECUTOR_OVERRIDE.pop()
 
 
-def current_override():
-    """The innermost :func:`use_executor` engine, or ``None``."""
-    return _EXECUTOR_OVERRIDE[-1] if _EXECUTOR_OVERRIDE else None
-
-
-def make_executor(
-    workers: int | None = None,
-    backend: str | None = None,
-    executor: ParallelExecutor | None = None,
-) -> ParallelExecutor | None:
+def make_executor(workers: int | None = None, executor=None):
     """Resolve the executor for an operator call site.
 
     Returns ``executor`` unchanged when given; else the innermost
@@ -659,4 +318,4 @@ def make_executor(
         return _EXECUTOR_OVERRIDE[-1]
     if resolve_workers(workers) <= 1:
         return None
-    return ParallelExecutor(workers=workers, backend=backend)
+    return ParallelExecutor(workers)

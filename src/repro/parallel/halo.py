@@ -5,9 +5,9 @@ moved and these routines were purely analytic: message counts and byte
 volumes a real distributed run would incur, which the Edison machine model
 converts into communication time for Tables II/III.
 
-With the shared-memory executor (:mod:`repro.parallel.executor`) data
-*does* move per operator application -- the input vector is shipped to
-every worker and each worker ships a partial result back.  When an
+With a dispatch engine (:mod:`repro.parallel.executor`) data *does* move
+per operator application -- the input vector goes to every task and each
+task writes its owned entries of the output plus its stash.  When an
 executor is passed, :func:`halo_exchange_plan` reports those **measured**
 byte volumes in place of the analytic ghost-layer estimate.
 """
@@ -46,11 +46,11 @@ class ExchangeStats:
 
 
 def measured_exchange(executor) -> ExchangeStats | None:
-    """Per-dispatch traffic actually moved by a :class:`ParallelExecutor`.
+    """Per-dispatch traffic actually moved by a dispatch engine.
 
-    Each dispatch ships the input vector to the pool once and one partial
-    result slab back per task; returns the average per dispatch, or
-    ``None`` if the executor has not dispatched yet.
+    Each dispatch hands the input vector to the tasks once and gets the
+    output vector plus the stashes back; returns the average per
+    dispatch, or ``None`` if the executor has not dispatched yet.
     """
     st = getattr(executor, "stats", None)
     if st is None or st.dispatches == 0:
@@ -59,7 +59,7 @@ def measured_exchange(executor) -> ExchangeStats | None:
     per_out = st.bytes_out / st.dispatches
     tasks_per = max(1, round(st.tasks / st.dispatches))
     return ExchangeStats(
-        messages=tasks_per + 1,  # one broadcast in, one partial back per task
+        messages=tasks_per + 1,  # one broadcast in, one block back per task
         bytes_total=int(round(per_in + per_out)),
         max_bytes_per_rank=int(round(per_in + per_out / tasks_per)),
         measured=True,

@@ -13,12 +13,13 @@ wired to the master by two pipes:
   the same newline-JSON watchdog protocol the ensemble scheduler speaks
   with its workers (PR 8), read by a per-rank reader thread.
 
-Bulk array data never rides the pipes: input vectors and result slabs
-move through the executor's grow-only shared-memory blocks
-(:class:`~repro.parallel.executor._ShmBlock`), exactly the PR-2 intranode
-transport.  State objects reach the ranks by fork inheritance through the
-executor's ``_FORK_REGISTRY`` -- a respawned cohort re-snapshots every
-live registered state, mirroring the process-pool semantics.
+Bulk array data never rides the pipes: input vectors, output vectors and
+stashes move through master-owned, grow-only shared-memory blocks
+(:class:`_ShmBlock`).  State objects reach the ranks by fork inheritance
+through ``_FORK_REGISTRY``: a respawned cohort re-snapshots every live
+registered state, and a state carries a ``_parallel_state_version`` stamp
+(any hashable, ``!=``-comparable value) so that dispatching a
+``(token, version)`` pair the cohort has not snapshotted respawns it.
 
 Fault tolerance, end to end:
 
@@ -64,7 +65,6 @@ import numpy as np
 from ..obs import metrics as _metrics
 from ..obs import registry as _obs
 from .comm import CommStats, _payload_bytes, tree_reduce
-from .executor import _FORK_REGISTRY, _ShmBlock, _attach_shm
 
 __all__ = [
     "CommError",
@@ -149,6 +149,75 @@ def span_dot(x: np.ndarray, y: np.ndarray, s: int, e: int) -> float:
     """
     return float(np.dot(np.ascontiguousarray(x[s:e]),
                         np.ascontiguousarray(y[s:e])))
+
+
+# --------------------------------------------------------------------- #
+# state and shared-memory transport (module level so ranks inherit it)
+# --------------------------------------------------------------------- #
+_TOKENS = itertools.count(1)
+#: token -> state object; ranks snapshot this at fork time
+_FORK_REGISTRY: "weakref.WeakValueDictionary[int, object]" = (
+    weakref.WeakValueDictionary()
+)
+#: rank-side cache of attached shared-memory blocks, keyed by name
+_WORKER_SHM: dict = {}
+
+
+def _attach_shm(name: str):
+    cached = _WORKER_SHM.get(name)
+    if cached is None:
+        from multiprocessing import shared_memory
+
+        cached = shared_memory.SharedMemory(name=name)
+        _WORKER_SHM[name] = cached
+    return cached
+
+
+def _register_state(state) -> int:
+    """The fork-registry token of ``state`` (registered on first use)."""
+    token = getattr(state, "_repro_exec_token", None)
+    if token is not None and _FORK_REGISTRY.get(token) is state:
+        return token
+    token = next(_TOKENS)
+    try:
+        state._repro_exec_token = token
+    except AttributeError:
+        pass  # slotted objects get a fresh token per dispatch (still correct)
+    _FORK_REGISTRY[token] = state
+    return token
+
+
+class _ShmBlock:
+    """A master-owned, grow-only shared-memory block."""
+
+    def __init__(self):
+        self.shm = None
+
+    def ensure(self, nbytes: int) -> "_ShmBlock":
+        nbytes = max(int(nbytes), 8)
+        if self.shm is None or self.shm.size < nbytes:
+            from multiprocessing import shared_memory
+
+            self.close()
+            self.shm = shared_memory.SharedMemory(create=True, size=nbytes)
+        return self
+
+    def view(self, n: int, offset: int = 0) -> np.ndarray:
+        return np.ndarray((n,), dtype=np.float64, buffer=self.shm.buf,
+                          offset=8 * offset)
+
+    @property
+    def name(self) -> str:
+        return self.shm.name
+
+    def close(self) -> None:
+        if self.shm is not None:
+            self.shm.close()
+            try:
+                self.shm.unlink()
+            except FileNotFoundError:
+                pass
+            self.shm = None
 
 
 def _claim(path: str | None) -> bool:
@@ -245,15 +314,17 @@ def _worker_loop(rank: int, cmd_fd: int, evt_fd: int, cfg: dict) -> None:
                     u = np.ndarray((doc["n_in"],), dtype=np.float64,
                                    buffer=_attach_shm(doc["in_shm"]).buf)
                     u.flags.writeable = False
-                    out = np.ndarray(
-                        (doc["out_size"],), dtype=np.float64,
-                        buffer=_attach_shm(doc["out_shm"]).buf,
-                        offset=8 * doc["out_off"],
-                    )
-                    out[:] = getattr(state, doc["method"])(
-                        u, int(doc["s"]), int(doc["e"])
-                    )
-                    reply["busy"] = time.perf_counter() - t0
+                    # owner-writes: the shared output vector, then this
+                    # span's stash further down the same block
+                    block = _attach_shm(doc["out_shm"]).buf
+                    out = np.ndarray((doc["n_out"],), dtype=np.float64,
+                                     buffer=block)
+                    n = int(doc["stash_len"])
+                    stash = np.ndarray((n,), dtype=np.float64, buffer=block,
+                                       offset=8 * doc["stash_off"]) if n else None
+                    getattr(state, doc["method"])(
+                        u, int(doc["s"]), int(doc["e"]), out, stash)
+                    reply["t0"], reply["t1"] = t0, time.perf_counter()
             elif op == "dot":
                 n = int(doc["n"])
                 block = _attach_shm(doc["in_shm"])
@@ -365,8 +436,8 @@ class ProcessComm:
         self._armed: list[tuple[int, dict]] = []
         #: ``(token, version)`` state snapshots the live cohort inherited
         self.snapshot_known: set = set()
-        self.shm_in = _ShmBlock("pc_in")
-        self.shm_out = _ShmBlock("pc_out")
+        self.shm_in = _ShmBlock()
+        self.shm_out = _ShmBlock()
         # materialize the segments (and the master's resource tracker)
         # *before* the first fork, so every rank inherits a live tracker
         # and never needs one of its own
@@ -416,7 +487,7 @@ class ProcessComm:
         for r, seq in enumerate(seqs):
             self._wait(r, seq, "ping", timeout=self.config.startup_timeout)
         # the cohort forked off current master memory: every state in the
-        # executor registry is snapshotted at its current version
+        # fork registry is snapshotted at its current version
         self.snapshot_known = {
             (tok, getattr(st, "_parallel_state_version", 0))
             for tok, st in list(_FORK_REGISTRY.items())
@@ -471,7 +542,7 @@ class ProcessComm:
         """Replace the cohort with a fresh fork of current master memory.
 
         Used by the dispatch engine when a state/version pair is not in
-        the cohort's snapshot (the executor's pool-respawn semantics).
+        the cohort's snapshot.
         Refuses to drop undelivered mail -- respawn is for state
         refresh, not recovery, and must not lose messages silently.
         """

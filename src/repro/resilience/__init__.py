@@ -18,7 +18,7 @@ taxonomy and recovery"):
   divergence monitor, all wired into the time loop via
   ``SimulationConfig(health=HealthConfig())``;
 * :mod:`~repro.resilience.inject` -- deterministic fault injection
-  (NaN matvecs, singular diagonals, worker kills, truncated checkpoints,
+  (NaN matvecs, singular diagonals, rank kills, truncated checkpoints,
   plus the physics-level ``fold_surface`` / ``starve_cells`` /
   ``poison_viscosity`` modes) for the adversarial test suite and the
   quickstart demo.
@@ -44,7 +44,7 @@ from .fallback import (
     default_rungs,
 )
 from .health import HealthConfig, HealthMonitor, guard_field
-from .inject import FaultInjector, WorkerKiller
+from .inject import FaultInjector
 
 __all__ = [
     "BreakdownError",
@@ -63,5 +63,4 @@ __all__ = [
     "Rung",
     "default_rungs",
     "FaultInjector",
-    "WorkerKiller",
 ]

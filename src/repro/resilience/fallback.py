@@ -40,7 +40,6 @@ import numpy as np
 
 from ..obs import registry as _obs
 from ..obs.trace import trace_resilience
-from ..parallel.executor import WorkerCrash
 from .reasons import BreakdownError, ConvergedReason
 
 #: exception types a rung failure may legitimately raise; anything else
@@ -51,7 +50,6 @@ RECOVERABLE = (
     ZeroDivisionError,
     np.linalg.LinAlgError,
     ValueError,
-    WorkerCrash,
 )
 
 #: reasons that trigger a downgrade; DIVERGED_ITS is excluded by default --

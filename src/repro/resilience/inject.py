@@ -2,7 +2,7 @@
 
 Production lithosphere runs die in ways unit tests never exercise: a NaN
 escaping a yield-condition evaluation mid-run, a near-degenerate coarse
-level handing the smoother a singular diagonal, a worker process OOM-killed
+level handing the smoother a singular diagonal, a rank process killed
 mid-dispatch, a checkpoint truncated by a dying filesystem.  This module
 makes each of those failures *reproducible*: faults are installed by
 monkey-patching a named method with a counting wrapper, fire at explicit
@@ -36,9 +36,9 @@ def claim_sentinel(path: str | None) -> bool:
     Job-level faults must fire **once per job**, not once per process: a
     killed worker's retry is a fresh subprocess with fresh patch state, so
     the only memory that survives is the filesystem.  The token is an
-    ``O_CREAT | O_EXCL`` file -- exactly the :class:`WorkerKiller`
-    mechanism, factored out for reuse.  ``path=None`` always claims
-    (fault fires on every attempt).
+    ``O_CREAT | O_EXCL`` file, the same mechanism the rank transport's
+    fault sentinels use.  ``path=None`` always claims (fault fires on
+    every attempt).
     """
     if path is None:
         return True
@@ -423,39 +423,3 @@ class FaultInjector:
         with open(path, "r+b") as fh:
             fh.truncate(keep)
         return keep
-
-
-class WorkerKiller:
-    """Executor state whose kernel kills the worker process exactly once.
-
-    Wraps a real state object: the first span evaluated *after* the
-    sentinel file is claimed calls ``os._exit`` (the un-catchable death the
-    executor must treat as :class:`~repro.parallel.executor.WorkerCrash`);
-    every later call -- including the post-respawn retry of the same span
-    -- delegates to the wrapped kernel, so the recovered result is
-    bit-identical to the never-crashed one.
-
-    The sentinel lives on the filesystem because a forked worker's memory
-    dies with it: only a cross-process token survives the respawn.
-    """
-
-    def __init__(self, state: object, method: str, sentinel_path: str,
-                 exit_code: int = 17):
-        self._state = state
-        self._method = method
-        self._sentinel = sentinel_path
-        self._exit_code = int(exit_code)
-
-    @property
-    def _parallel_state_version(self) -> int:
-        return getattr(self._state, "_parallel_state_version", 0)
-
-    def kernel(self, u: np.ndarray, s: int, e: int) -> np.ndarray:
-        try:
-            fd = os.open(self._sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            pass
-        else:
-            os.close(fd)
-            os._exit(self._exit_code)
-        return getattr(self._state, self._method)(u, s, e)

@@ -109,14 +109,12 @@ class StokesOperator:
     def __init__(self, problem: StokesProblem,
                  kind: str = "tensor_compiled",
                  velocity_operator=None, divergence: sp.spmatrix | None = None,
-                 workers: int | None = None, parallel_backend: str | None = None,
-                 executor=None):
+                 workers: int | None = None, executor=None):
         self.problem = problem
         mesh, quad = problem.mesh, problem.quad
         self.A_op = velocity_operator or make_operator(
             kind, mesh, problem.eta_q, quad=quad,
-            workers=workers, parallel_backend=parallel_backend,
-            executor=executor,
+            workers=workers, executor=executor,
         )
         # geometry-only block; callers in nonlinear loops pass a cached one
         self.B = (

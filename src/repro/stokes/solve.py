@@ -51,10 +51,10 @@ class StokesConfig:
     project_pressure_nullspace: bool = False
     mg_cycles: int = 1
     gamma: int = 1  # multigrid cycle index (1 = V, 2 = W)
-    #: shared-memory workers for the element-kernel hot path (None reads
-    #: $REPRO_WORKERS; 1 = serial); backend: thread/process/auto
+    #: shared-memory workers for the compiled apply and the assembled
+    #: levels' SpMV (None reads $REPRO_WORKERS; 1 = serial); any count
+    #: gives the serial result bit for bit
     workers: int | None = None
-    parallel_backend: str | None = None
     #: velocity-block preconditioner: 'gmg' (the paper's V-cycle) or
     #: 'jacobi' (diagonal scaling -- the last rung of the fallback ladder,
     #: slow but nearly unbreakable since it needs no hierarchy setup)
@@ -74,7 +74,6 @@ class StokesConfig:
             cycles=self.mg_cycles,
             gamma=self.gamma,
             workers=self.workers,
-            parallel_backend=self.parallel_backend,
         )
 
 
@@ -146,7 +145,6 @@ def solve_stokes(
         op = StokesOperator(
             problem, kind=cfg.operator, velocity_operator=velocity_operator,
             divergence=divergence, workers=cfg.workers,
-            parallel_backend=cfg.parallel_backend,
         )
         if cfg.velocity_pc == "jacobi":
             # last rung of the fallback ladder: diagonal scaling of the

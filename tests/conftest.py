@@ -1,10 +1,43 @@
 """Shared fixtures for the test suite."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.fem import StructuredMesh, GaussQuadrature, DirichletBC
 from repro.fem.bc import boundary_nodes, component_dofs
+from repro.parallel import (
+    ParallelExecutor,
+    ProcessComm,
+    ProcommEngine,
+    VirtualRankEngine,
+    resolve_workers,
+)
+
+
+@contextlib.contextmanager
+def dispatch_engine(kind: str, workers: int | None = None):
+    """A dispatch engine with ``workers`` tasks (``None``: ``$REPRO_WORKERS``).
+
+    ``thread``: the shared-memory pool; ``process``: real rank processes
+    (:class:`ProcommEngine`); ``inline``: the rank oracle run in-process.
+    """
+    workers = resolve_workers(workers)
+    if kind == "inline":
+        yield VirtualRankEngine(size=workers)
+    elif kind == "thread":
+        engine = ParallelExecutor(workers)
+        try:
+            yield engine
+        finally:
+            engine.shutdown()
+    else:
+        comm = ProcessComm(workers)
+        try:
+            yield ProcommEngine(comm)
+        finally:
+            comm.close()
 
 
 @pytest.fixture

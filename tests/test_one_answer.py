@@ -1,0 +1,104 @@
+"""One answer, however many workers.
+
+Under the owner-writes contract (:mod:`repro.parallel.executor`) every
+kernel that dispatches reproduces the serial result bit for bit, for any
+worker count and on any engine: the thread pool, the in-process rank
+oracle, and real rank processes.  Every case here is ``np.array_equal``
+to ``workers=1``: one compiled apply, one diagonal, one assembled matrix,
+and the state digest of a 4^3 three-step sinker run.
+"""
+
+import numpy as np
+import pytest
+
+from repro.fem import GaussQuadrature, StructuredMesh
+from repro.matfree import make_operator
+from repro.parallel import use_executor
+from repro.serve.jobs import JobSpec
+from repro.serve.store import state_digest
+from repro.serve.worker import build_simulation
+from tests.conftest import dispatch_engine
+
+QUAD = GaussQuadrature.hex(3)
+SUBSTRATES = ["inline", "thread", "procomm"]
+WORKERS = [1, 2, 3]
+
+pytestmark = [pytest.mark.parametrize("workers", WORKERS),
+              pytest.mark.parametrize("substrate", SUBSTRATES)]
+
+
+@pytest.fixture(scope="module")
+def problem():
+    """Deformed (5, 3, 7) mesh: 15-element layers, odd element count."""
+    rng = np.random.default_rng(21)
+    mesh = StructuredMesh((5, 3, 7), order=2, extent=(1.0, 0.8, 1.2))
+    mesh.deform(lambda c: c + 0.02 * np.sin(2 * np.pi * c[:, [1, 2, 0]]))
+    eta = np.exp(rng.normal(scale=0.5, size=(mesh.nel, QUAD.npoints)))
+    u = rng.standard_normal(3 * mesh.nnodes)
+    return mesh, eta, u
+
+
+def serial(kind, problem):
+    mesh, eta, _ = problem
+    return make_operator(kind, mesh, eta, quad=QUAD, workers=1)
+
+
+def on_engine(kind, problem, engine):
+    mesh, eta, _ = problem
+    return make_operator(kind, mesh, eta, quad=QUAD, executor=engine)
+
+
+def test_apply(problem, substrate, workers):
+    u = problem[2]
+    with dispatch_engine(substrate, workers) as engine:
+        y = on_engine("tensor_compiled", problem, engine).apply(u)
+    assert np.array_equal(y, serial("tensor_compiled", problem).apply(u))
+
+
+def test_diagonal(problem, substrate, workers):
+    with dispatch_engine(substrate, workers) as engine:
+        d = on_engine("tensor_compiled", problem, engine).diagonal()
+    assert np.array_equal(d, serial("tensor_compiled", problem).diagonal())
+
+
+def test_assembled_matrix(problem, substrate, workers):
+    u = problem[2]
+    ref = serial("asmb", problem)
+    with dispatch_engine(substrate, workers) as engine:
+        op = on_engine("asmb", problem, engine)
+        y = op.apply(u)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(op.matrix, attr),
+                              getattr(ref.matrix, attr))
+    assert np.array_equal(y, ref.matrix @ u)
+
+
+def sinker_digest(workers=1):
+    """The serve fault battery's 4^3 sinker (seed 12), three steps."""
+    spec = JobSpec(
+        name="one-answer", scenario="sinker",
+        scenario_config={"shape": [4, 4, 4], "n_spheres": 1},
+        sim_config={"picard_only": True,
+                    "stokes": {"mg_levels": 2, "rtol": 1e-4,
+                               "workers": workers}},
+        nsteps=3, seed=12)
+    sim = build_simulation(spec)
+    for _ in range(spec.nsteps):
+        sim.step(spec.dt)
+    return state_digest(sim)
+
+
+@pytest.fixture(scope="module")
+def serial_digest():
+    return sinker_digest(workers=1)
+
+
+def test_sinker_digest(serial_digest, substrate, workers):
+    if substrate == "thread":
+        # the production path: the solve builds its own pool
+        digest = sinker_digest(workers)
+    else:
+        with dispatch_engine(substrate, workers) as engine, \
+                use_executor(engine):
+            digest = sinker_digest()
+    assert digest == serial_digest

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.parallel.executor import ParallelExecutor, WorkerCrash, partition_range
+from repro.parallel import ProcessComm, ProcommEngine, RankFailure
+from repro.parallel.executor import partition_range
 from repro.resilience import (
     BreakdownError,
     ConvergedReason,
@@ -17,7 +18,6 @@ from repro.resilience import (
     FaultInjector,
     ResidualGuard,
     Rung,
-    WorkerKiller,
     default_rungs,
     nonfinite,
 )
@@ -641,57 +641,37 @@ class TestCheckpointRobustness:
 # executor crash recovery
 # --------------------------------------------------------------------- #
 class _SquareKernel:
-    """Trivial deterministic span kernel for crash tests."""
+    """Trivial deterministic owner-writes span task for crash tests."""
 
-    _parallel_state_version = 0
-
-    def __init__(self, n):
-        self.n = n
-
-    def apply_span(self, u, s, e):
-        out = np.zeros(self.n)
+    def apply_span(self, u, s, e, out, stash):
         out[s:e] = u[s:e] ** 2 + 3.0 * u[s:e]
-        return out
 
 
-@pytest.mark.skipif(os.name != "posix", reason="fork backend is POSIX-only")
+@pytest.mark.skipif(os.name != "posix", reason="rank processes are POSIX-only")
 class TestExecutorCrashRecovery:
     def test_worker_kill_recovers_bit_identical(self, tmp_path):
+        """A rank process killed mid-dispatch surfaces as a typed
+        ``RankFailure``; after ``recover`` the same dispatch recomputes
+        every entry from the same state, bit for bit."""
         n = 64
-        state = _SquareKernel(n)
-        killer = WorkerKiller(state, "apply_span",
-                              str(tmp_path / "kill.sentinel"))
-        ex = ParallelExecutor(workers=2, backend="process")
+        state = _SquareKernel()
+        spans = partition_range(n, 2)
+        u = np.linspace(-1.0, 1.0, n)
+        sentinel = str(tmp_path / "kill.sentinel")
+        comm = ProcessComm(2)
         try:
-            spans = partition_range(n, 2)
-            u = np.linspace(-1.0, 1.0, n)
-            got = ex.dispatch(killer, "kernel", spans, u, out_len=n)
-            want = ParallelExecutor.run_serial(state, "apply_span", spans, u,
-                                               [n] * len(spans))
-            assert np.array_equal(got, want)  # bit-identical after respawn
-            assert ex.stats.crashes == 1
-            assert ex.stats.respawns >= 1
-            assert os.path.exists(str(tmp_path / "kill.sentinel"))
+            engine = ProcommEngine(comm)
+            engine.dispatch(state, "apply_span", spans, u, n)  # snapshot it
+            comm.inject_fault(1, "kill", at=1, sentinel=sentinel)
+            with pytest.raises(RankFailure):
+                engine.dispatch(state, "apply_span", spans, u, n)
+            comm.recover()
+            got = engine.dispatch(state, "apply_span", spans, u, n)
+            assert np.array_equal(got, u ** 2 + 3.0 * u)
+            assert comm.stats.respawns >= 1
+            assert os.path.exists(sentinel)
         finally:
-            ex.shutdown()
-
-    def test_retry_disabled_raises(self, tmp_path):
-        n = 16
-        state = _SquareKernel(n)
-        killer = WorkerKiller(state, "apply_span",
-                              str(tmp_path / "kill2.sentinel"))
-        ex = ParallelExecutor(workers=2, backend="process",
-                              retry_on_crash=False)
-        try:
-            with pytest.raises(WorkerCrash):
-                ex.dispatch(killer, "kernel", partition_range(n, 2),
-                            np.ones(n), out_len=n)
-        finally:
-            ex.shutdown()
-
-    def test_crash_counter_in_stats_dict(self):
-        ex = ParallelExecutor(workers=1)
-        assert "crashes" in ex.stats.as_dict()
+            comm.close()
 
 
 # --------------------------------------------------------------------- #

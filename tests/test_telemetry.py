@@ -531,21 +531,22 @@ class TestTelemetryUnderParallelism:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_export_round_trips_with_executor_stats(self, tmp_path,
                                                     monkeypatch, backend):
+        from repro.parallel import use_executor
+        from tests.conftest import dispatch_engine
+
         monkeypatch.setenv("REPRO_WORKERS", "2")
         rng = np.random.default_rng(3)
         mesh = StructuredMesh((3, 3, 4), order=2)
         eta = np.exp(rng.normal(scale=0.5, size=(mesh.nel, QUAD.npoints)))
         obs.enable()
-        op = make_operator("tensor", mesh, eta, quad=QUAD,
-                           parallel_backend=backend)  # workers from env
-        try:
+        # workers from env; the assembled SpMV dispatches on every host
+        with dispatch_engine(backend) as ex, use_executor(ex):
+            op = make_operator("asmb", mesh, eta, quad=QUAD)
             with obs.stage("TimeStep"):
                 y = op.apply(rng.standard_normal(3 * mesh.nnodes))
             assert np.isfinite(y).all()
             metrics.commit_step(0)
             doc = obs.validate(obs.snapshot())
-        finally:
-            op.executor.shutdown()
 
         # ExecutorStats aggregated into the document
         ex = doc["metrics"]["executors"]
@@ -573,7 +574,7 @@ class TestTelemetryUnderParallelism:
         from repro.parallel import ParallelExecutor
 
         before = metrics.total_workers()
-        ex = ParallelExecutor(workers=2, backend="thread")
+        ex = ParallelExecutor(workers=2)
         assert metrics.total_workers() == before + 2
         ex.shutdown()
         del ex

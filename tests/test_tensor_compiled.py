@@ -17,8 +17,12 @@ from repro.matfree import _ckernel
 from repro.matfree.tensor_c import (
     PACKED_VALUES, build_packed_coefficients, unpack_sym,
 )
+from repro.matfree.tensor_compiled import owner_writes_plan
+from repro.parallel.executor import partition_range, replay_stashes
+from tests.conftest import dispatch_engine
 
 QUAD = GaussQuadrature.hex(3)
+#: ``process`` is the rank-process engine (ProcommEngine)
 BACKENDS = ["thread", "process"]
 #: meshes whose element count is not a multiple of the 8-lane batch
 ODD_SHAPES = [(3, 3, 3), (5, 3, 2)]
@@ -130,14 +134,39 @@ class TestBitwiseContract:
         nothing."""
         op, u = compiled_op(shape)
         nel = op.mesh.nel
-        single = [op._apply_elements(u, el, el + 1) for el in range(nel)]
+        single = [op._run_kernel(op._kernel, u, el, el + 1)
+                  for el in range(nel)]
         rng = np.random.default_rng(2)
         cuts = sorted(rng.choice(np.arange(1, nel), size=5, replace=False))
         for s, e in zip([0, *cuts], [*cuts, nel]):
             expect = np.zeros(op.ndof)
             for el in range(s, e):
                 expect += single[el]
-            assert np.array_equal(op._apply_elements(u, s, e), expect)
+            assert np.array_equal(op._run_kernel(op._kernel, u, s, e), expect)
+
+    @pytest.mark.parametrize("cut", ["mid-layer", "more-spans-than-layers",
+                                     "one-element-per-span"])
+    def test_owner_writes_equals_one_span_serial(self, cut):
+        """Owner-writes over any cut -- tasks run in reverse order, stashes
+        replayed in span order -- is the one-span serial apply, bitwise,
+        on every ISA variant."""
+        op, u = compiled_op((5, 3, 7))  # 15 elements per layer, 7 layers
+        nel = op.mesh.nel
+        spans = {
+            "mid-layer": list(zip([0, 7, 22, 50, 80], [7, 22, 50, 80, nel])),
+            "more-spans-than-layers": partition_range(nel, 10),
+            "one-element-per-span": [(el, el + 1) for el in range(nel)],
+        }[cut]
+        lo, stashes = owner_writes_plan(op._conn64, spans)
+        assert sum(map(len, stashes)) > 0
+        for name, fn in _ckernel.variants().items():
+            serial = op._run_kernel(fn, u, 0, nel)
+            out = np.zeros(op.ndof)
+            vals = [np.empty(len(idx)) for idx in stashes]
+            for (s, e), stash in reversed(list(zip(spans, vals))):
+                op._run_kernel(fn, u, s, e, out, lo[s], stash)
+            assert np.array_equal(replay_stashes(out, stashes, vals),
+                                  serial), name
 
     def test_element_floats_do_not_depend_on_the_lane(self):
         """The same coefficients and the same local input at every lane
@@ -155,7 +184,8 @@ class TestBitwiseContract:
         for el in range(n):
             u = np.zeros((mesh.nnodes, 3))
             u[conn[el]] = local
-            y = op._apply_elements(u.ravel(), el, el + 1).reshape(-1, 3)
+            y = op._run_kernel(op._kernel, u.ravel(), el, el + 1)
+            y = y.reshape(-1, 3)
             outs.append(y[conn[el]])
         assert np.abs(outs[0]).max() > 0
         for out in outs[1:]:
@@ -165,11 +195,10 @@ class TestBitwiseContract:
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("shape", ODD_SHAPES)
     def test_parallel_matches_serial_exactly(self, backend, workers, shape):
-        op, u = compiled_op(shape, workers=workers, parallel_backend=backend)
-        try:
-            assert np.array_equal(op.apply(u), op.apply_serial(u))
-        finally:
-            op.executor.shutdown()
+        serial, u = compiled_op(shape, workers=1)
+        with dispatch_engine(backend, workers) as ex:
+            op, _ = compiled_op(shape, executor=ex)
+            assert np.array_equal(op.apply(u), serial.apply(u))
 
     def test_chunk_size_does_not_change_compiled_result(self):
         # chunk only shapes the coefficient build and the NumPy fallback
@@ -180,27 +209,18 @@ class TestBitwiseContract:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_mid_run_eta_update_parallel(self, backend):
         """In-place viscosity mutation between applies: the interleaved
-        coefficients rebuild and workers re-snapshot."""
+        coefficients rebuild and workers see them."""
         mesh, eta, u = small_setup((5, 3, 2))
-        op = make_operator(
-            "tensor_compiled", mesh, eta.copy(), quad=QUAD, workers=2,
-            parallel_backend=backend,
-        )
-        # same span structure (workers=2) so the reference is bit-comparable
-        ref_op = make_operator(
-            "tensor_compiled", mesh, eta * 3.0, quad=QUAD, workers=2,
-            parallel_backend=backend,
-        )
-        try:
+        ref = make_operator("tensor_compiled", mesh, eta * 3.0, quad=QUAD,
+                            workers=1).apply(u)
+        with dispatch_engine(backend, 2) as ex:
+            op = make_operator("tensor_compiled", mesh, eta.copy(), quad=QUAD,
+                               executor=ex)
             y_before = op.apply(u)
             op.eta_q *= 3.0
             y_par = op.apply(u)
-            assert not np.array_equal(y_par, y_before)
-            assert np.array_equal(y_par, op.apply_serial(u))
-            assert np.array_equal(y_par, ref_op.apply_serial(u))
-        finally:
-            ref_op.executor.shutdown()
-            op.executor.shutdown()
+        assert not np.array_equal(y_par, y_before)
+        assert np.array_equal(y_par, ref)
 
 
 class TestAccuracy:

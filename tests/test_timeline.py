@@ -11,15 +11,15 @@ from repro import SimulationConfig, obs
 from repro.obs import compare as obs_compare
 from repro.obs import metrics
 from repro.obs import timeline as tl
-from repro.parallel.executor import ParallelExecutor
+from repro.parallel import use_executor
 from repro.stokes.solve import StokesConfig
+from tests.conftest import dispatch_engine
 
 
 @pytest.fixture(autouse=True)
 def clean_obs(monkeypatch):
     monkeypatch.delenv("REPRO_TIMELINE", raising=False)
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_PARALLEL_BACKEND", raising=False)
     obs.disable()
     obs.reset()
     tl.disarm()
@@ -332,13 +332,12 @@ class TestAnalysis:
 
 
 # --------------------------------------------------------------------- #
-# executor integration: merged per-worker spans, both backends
+# executor integration: merged per-worker spans, threads and rank
+# processes (``process``: ProcommEngine)
 # --------------------------------------------------------------------- #
-class _SumState:
-    def apply(self, u, s, e):
-        out = np.zeros(4)
-        out[:] = u[s:e].sum()
-        return out
+class _DoubleState:
+    def apply(self, u, s, e, out, stash):
+        out[s:e] = 2.0 * u[s:e]
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -346,16 +345,10 @@ class TestExecutorSpans:
     def test_task_spans_carry_distinct_ranks(self, backend):
         t = tl.arm()
         obs.enable()
-        ex = ParallelExecutor(workers=2, backend=backend)
         u = np.arange(8, dtype=float)
-        spans = [(0, 4), (4, 8)]
-        try:
-            r = ex.dispatch(_SumState(), "apply", spans, u, out_len=4)
-            assert np.array_equal(
-                r, ex.run_serial(_SumState(), "apply", spans, u,
-                                 [4, 4], "sum"))
-        finally:
-            ex.shutdown()
+        with dispatch_engine(backend, 2) as ex:
+            r = ex.dispatch(_DoubleState(), "apply", [(0, 4), (4, 8)], u, 8)
+        assert np.array_equal(r, 2.0 * u)
         sec = tl.validate_timeline(t.export())
         tasks = [s for s in sec["spans"] if s["cat"] == "task"]
         assert sorted(s["rank"] for s in tasks) == [0, 1]
@@ -369,75 +362,50 @@ class TestExecutorSpans:
 
     def test_env_workers_two(self, backend, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", backend)
         t = tl.arm()
         obs.enable()
-        ex = ParallelExecutor()
-        assert ex.workers == 2 and ex.backend == backend
-        try:
-            ex.dispatch(_SumState(), "apply", [(0, 4), (4, 8)],
-                        np.arange(8, dtype=float), out_len=4)
-        finally:
-            ex.shutdown()
+        with dispatch_engine(backend) as ex:
+            assert ex.workers == 2
+            ex.dispatch(_DoubleState(), "apply", [(0, 4), (4, 8)],
+                        np.arange(8, dtype=float), 8)
         ranks = {s["rank"] for s in t.spans() if s["cat"] == "task"}
         assert ranks == {0, 1}
 
     def test_disarmed_dispatch_unchanged(self, backend):
         obs.enable()
-        ex = ParallelExecutor(workers=2, backend=backend)
         u = np.arange(8, dtype=float)
-        try:
-            r = ex.dispatch(_SumState(), "apply", [(0, 4), (4, 8)], u,
-                            out_len=4)
-        finally:
-            ex.shutdown()
-        assert np.array_equal(
-            r, ex.run_serial(_SumState(), "apply", [(0, 4), (4, 8)], u,
-                             [4, 4], "sum"))
+        with dispatch_engine(backend, 2) as ex:
+            r = ex.dispatch(_DoubleState(), "apply", [(0, 4), (4, 8)], u, 8)
+        assert np.array_equal(r, 2.0 * u)
         assert tl.armed() is None
-
-
-class TestProcessSpanSpool:
-    def test_remote_task_capture_rebases_to_master_origin(self):
-        t = tl.arm()
-        obs.enable()
-        result, spans = tl.remote_task_capture(
-            lambda: 42, "apply", 1, 3, t.origin)
-        assert result == 42
-        task = spans[-1]
-        assert task[0] == "ParExecTask:apply" and task[1] == "task"
-        assert task[5] == 1 and task[10] == 3
-        assert 0 <= task[3] <= task[4]
-        t.ingest(spans)
-        assert t.task_busy[1] == pytest.approx(task[4] - task[3])
-        (merged,) = [s for s in t.spans() if s["cat"] == "task"]
-        assert merged["rank"] == 1
-
-    def test_capture_without_armed_timeline_still_ships_task_span(self):
-        result, spans = tl.remote_task_capture(
-            lambda: "ok", "apply", 0, 0, 0.0)
-        assert result == "ok"
-        assert len(spans) == 1 and spans[0][1] == "task"
 
 
 # --------------------------------------------------------------------- #
 # simulation-level: bit-identical results + merged timeline, 2 workers
 # --------------------------------------------------------------------- #
-def _run_sinker(backend, arm_timeline=False):
+def _run_sinker(backend=None, arm_timeline=False):
+    """Two sinker steps, serial (``backend=None``) or on a 2-task engine;
+    the assembled fine level dispatches with or without a C toolchain."""
+    from contextlib import ExitStack
+
     from repro.sim.sinker import SinkerConfig, make_sinker
 
     obs.reset()
     obs.enable()
     if arm_timeline:
         tl.arm()
-    sim = make_sinker(
-        SinkerConfig(shape=(4, 4, 4)),
-        SimulationConfig(
-            stokes=StokesConfig(mg_levels=2, coarse_solver="lu",
-                                workers=2, parallel_backend=backend),
-        ),
-    )
-    sim.run(2)
+    with ExitStack() as stack:
+        if backend is not None:
+            stack.enter_context(use_executor(
+                stack.enter_context(dispatch_engine(backend, 2))))
+        sim = make_sinker(
+            SinkerConfig(shape=(4, 4, 4)),
+            SimulationConfig(
+                stokes=StokesConfig(operator="asmb", mg_levels=2,
+                                    coarse_solver="lu", workers=1),
+            ),
+        )
+        sim.run(2)
     doc = obs.validate(obs.snapshot())
     u, p = sim.u.copy(), sim.p.copy()
     tl.disarm()
@@ -447,9 +415,8 @@ def _run_sinker(backend, arm_timeline=False):
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_sinker_two_workers_bit_identical_with_timeline(backend):
-    # the serial reference runs the identical two-slab task structure
-    # inline (the executor determinism contract), so equality is bitwise
-    u1, p1, _ = _run_sinker(backend="serial")
+    # owner-writes: any worker count reproduces the serial run bitwise
+    u1, p1, _ = _run_sinker()
     u2, p2, doc = _run_sinker(backend=backend, arm_timeline=True)
     assert np.array_equal(u1, u2)
     assert np.array_equal(p1, p2)
