@@ -54,8 +54,9 @@ class StructuredMesh:
         self.extent = tuple(float(e) for e in extent)
         self.origin = tuple(float(o) for o in origin)
         self.basis: HexBasis = q2_basis() if self.order == 2 else q1_basis()
-        self.coords = self._regular_coords()
-        # bumped whenever coordinates change so geometry caches invalidate
+        self._coords = self._regular_coords()
+        self._coords.flags.writeable = False
+        # bumped by set_coords so geometry caches and operators rebuild
         self.coords_version = 0
         self._conn: np.ndarray | None = None
         self._geom_cache: dict = {}
@@ -148,20 +149,26 @@ class StructuredMesh:
             self._geom_cache[key] = (G, det, xq)
         return self._geom_cache[key]
 
+    @property
+    def coords(self) -> np.ndarray:
+        """Node coordinates ``(nnodes, 3)``; read-only, see :meth:`set_coords`."""
+        return self._coords
+
     def set_coords(self, coords: np.ndarray) -> None:
-        """Replace node coordinates (invalidates geometry caches)."""
-        coords = np.asarray(coords, dtype=np.float64)
+        """The one writer of :attr:`coords`: keep a read-only copy."""
+        coords = np.array(coords, dtype=np.float64)
         if coords.shape != (self.nnodes, 3):
             raise ValueError(
                 f"expected coords of shape {(self.nnodes, 3)}, got {coords.shape}"
             )
-        self.coords = coords
+        coords.flags.writeable = False
+        self._coords = coords
         self.coords_version += 1
         self._geom_cache.clear()
 
     def deform(self, fn) -> None:
         """Apply ``fn(coords) -> coords`` to the node coordinates."""
-        self.set_coords(np.asarray(fn(self.coords.copy())))
+        self.set_coords(fn(self.coords.copy()))
 
     # ------------------------------------------------------------------ #
     # element metrics

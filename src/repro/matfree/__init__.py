@@ -32,6 +32,10 @@ All five produce identical discrete operators (to rounding), which the test
 suite asserts; they differ only in flops-vs-bytes balance.  Only
 ``asmb`` (row-split SpMV) and ``tensor_compiled`` dispatch over workers;
 ``mf``, ``tensor`` and ``tensor_c`` are serial reference kernels.
+
+An operator owns its inputs (:mod:`repro.matfree.base`): after
+``set_viscosity`` or a mesh move it equals a freshly built one bit for bit.
+``op(u)`` is the apply timed as ``MatMult_<kind>``; ``op.apply(u)`` is not.
 """
 
 from .assembled import AssembledOperator

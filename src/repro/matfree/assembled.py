@@ -26,15 +26,21 @@ class AssembledOperator(ViscousOperatorBase):
     def __init__(self, mesh, eta_q, quad=None, chunk=2048, workers=None,
                  executor=None):
         super().__init__(mesh, eta_q, quad, chunk)
-        self.matrix = assembly.assemble_viscous(mesh, self.eta_q, self.quad)
         self.executor = make_executor(workers, executor)
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        self.matrix = assembly.assemble_viscous(self.mesh, self.eta_q,
+                                                self.quad)
         if self.executor is not None:
+            # a new state object: rank processes snapshot it afresh
             self._spmv = ParallelCSRMatVec(self.matrix, self.executor)
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
+    def _apply(self, u: np.ndarray) -> np.ndarray:
         if self.executor is None:
             return self.matrix @ u
         return self._spmv(u)
 
     def diagonal(self) -> np.ndarray:
+        self._sync()
         return self.matrix.diagonal()

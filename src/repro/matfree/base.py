@@ -1,8 +1,14 @@
-"""Shared machinery for the viscous-operator implementations."""
+"""Shared machinery for the viscous-operator implementations.
+
+Ownership contract (DESIGN.md): what an operator derives at setup depends
+on two inputs, each with one writer -- the viscosity, a private read-only
+copy only ``set_viscosity`` replaces, and the read-only ``mesh.coords``
+only ``mesh.set_coords`` replaces.  An in-place write raises at the call
+site.  ``set_viscosity``, or a new ``mesh.coords_version`` seen by
+``apply``, runs ``_refresh``: bump ``version``, then the kind's ``_rebuild``.
+"""
 
 from __future__ import annotations
-
-import zlib
 
 import numpy as np
 
@@ -16,30 +22,24 @@ from ..obs import registry as _obs
 _COUNT_ALIAS = {"newton": "tensor"}
 
 
+def _owned_copy(a, shape: tuple, name: str) -> np.ndarray:
+    """A read-only C-contiguous float64 copy of ``a`` (never an alias)."""
+    a = np.array(a, dtype=np.float64, order="C")
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    a.flags.writeable = False
+    return a
+
+
 class ViscousOperatorBase:
     """Common state for ``v -> -div(2 eta D(v))`` on interleaved Q2 dofs.
 
     Subclasses implement :meth:`_apply` (the whole-mesh kernel, in
-    element order); :meth:`apply` refreshes derived state first.
+    element order) and, if they cache derived state, :meth:`_rebuild`.
 
     ``eta_q`` is the effective viscosity at the quadrature points, shape
     ``(nel, nq)`` -- in the full pipeline this is the MPM-projected field
     (SS II-C).
-
-    State-version contract
-    ----------------------
-    Derived state (cached coefficient tensors, the rank processes' fork
-    snapshots) depends on exactly two inputs: the mesh geometry and the
-    viscosity field.  Each carries its own monotonically increasing
-    version -- ``mesh.coords_version`` (bumped by ``mesh.deform``) and
-    :attr:`eta_version` (bumped by :meth:`set_viscosity`,
-    :meth:`invalidate_coefficients`, or automatically when
-    :meth:`_before_apply` detects that ``eta_q`` was mutated in place via
-    a CRC fingerprint).  Coefficient-caching subclasses rebuild when the
-    pair changes, and the compiled operator publishes it as its
-    ``_parallel_state_version`` so rank processes re-snapshot.  Keying
-    off ``coords_version`` alone -- the pre-fix behavior -- silently
-    applied stale operators after a viscosity re-linearization.
     """
 
     #: label used in benchmark tables (matches Table I rows)
@@ -53,14 +53,13 @@ class ViscousOperatorBase:
                  chunk: int = 2048):
         self.mesh = mesh
         self.quad = quad or GaussQuadrature.hex(3)
-        self.eta_q = self._validated_eta(eta_q)
-        #: coefficient-state version; see the class docstring's contract
-        self.eta_version = 0
-        self._eta_fingerprint = self._eta_crc()
+        self._eta_q = self._validated_eta(eta_q)
+        #: bumped by every rebuild of the derived state
+        self.version = 0
+        #: the ``mesh.coords_version`` the derived state was built at
+        self._coords_version = mesh.coords_version
         self.chunk = int(chunk)
         self.ndof = 3 * mesh.nnodes
-        #: number of operator applications performed (cost accounting)
-        self.napplies = 0
         #: lazy (flops, bytes) per apply for the MatMult event
         self._event_cost = None
         conn = mesh.connectivity
@@ -68,23 +67,17 @@ class ViscousOperatorBase:
             3 * conn[:, :, None] + np.arange(3)[None, None, :]
         )  # (nel, nb, 3)
 
-    # -- coefficient-state management ----------------------------------- #
-    def _validated_eta(self, eta_q) -> np.ndarray:
-        """Shape/finiteness/positivity gate on a viscosity field.
+    # -- the viscosity and its one writer ------------------------------- #
+    @property
+    def eta_q(self) -> np.ndarray:
+        """Read-only; :meth:`set_viscosity` is its one writer."""
+        return self._eta_q
 
-        A NaN-poisoned ``eta_q`` used to flow into cached coefficient
-        tensors and only trip guards deep in the Krylov loop; fail fast
-        here instead, with the PR-3/PR-4 ``ConvergedReason`` taxonomy so
-        the fallback ladder and rollback engine can attribute it.  Zero
-        viscosity is allowed (rank-restricted operators mask elements by
-        zeroing their coefficient); negative viscosity is not.
-        """
-        eta_q = np.ascontiguousarray(eta_q, dtype=np.float64)
-        if eta_q.shape != (self.mesh.nel, self.quad.npoints):
-            raise ValueError(
-                f"eta_q must have shape {(self.mesh.nel, self.quad.npoints)}, "
-                f"got {eta_q.shape}"
-            )
+    def _validated_eta(self, eta_q) -> np.ndarray:
+        """An owned copy of ``eta_q``, failing fast (with a typed
+        ``ConvergedReason``) on NaN/inf or negative entries; zero is
+        allowed (rank-restricted operators mask elements with it)."""
+        eta_q = _owned_copy(eta_q, (self.mesh.nel, self.quad.npoints), "eta_q")
         from ..resilience.reasons import BreakdownError, ConvergedReason
 
         nonfinite = eta_q.size - int(np.count_nonzero(np.isfinite(eta_q)))
@@ -104,89 +97,49 @@ class ViscousOperatorBase:
             )
         return eta_q
 
-    def _eta_crc(self) -> int:
-        """CRC-32 fingerprint of the viscosity buffer (~GB/s; zlib C loop)."""
-        return zlib.crc32(self.eta_q)
-
-    def _refresh_eta_version(self) -> None:
-        """Bump :attr:`eta_version` if ``eta_q`` was mutated in place."""
-        crc = self._eta_crc()
-        if crc != self._eta_fingerprint:
-            self._eta_fingerprint = crc
-            self.eta_version += 1
-
-    def invalidate_coefficients(self) -> None:
-        """Explicitly mark the viscosity as changed.
-
-        Unconditional alternative to the CRC auto-detection in
-        :meth:`_before_apply` (which is probabilistic in principle --
-        CRC-32 collisions -- and skippable by performance-critical callers
-        that know when they mutate).  Cached coefficient tensors rebuild
-        and rank processes re-snapshot on the next apply.
-        """
-        self.eta_version += 1
-        self._eta_fingerprint = self._eta_crc()
-
     def set_viscosity(self, eta_q) -> None:
         """Replace the viscosity field (re-linearization entry point)."""
-        self.eta_q = self._validated_eta(eta_q)
-        self.invalidate_coefficients()
+        self._eta_q = self._validated_eta(eta_q)
+        self._refresh()
+
+    def _refresh(self) -> None:
+        self._coords_version = self.mesh.coords_version
+        self.version += 1
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        """Recompute derived state (none: geometry is read per apply)."""
+
+    def _sync(self) -> None:
+        """Rebuild if the mesh moved since the derived state was built."""
+        if self._coords_version != self.mesh.coords_version:
+            self._refresh()
 
     # -- interface ------------------------------------------------------ #
     def _apply(self, u: np.ndarray) -> np.ndarray:
         """``y = A u`` over the whole mesh (derived state is current)."""
         raise NotImplementedError
 
-    def _before_apply(self) -> None:
-        """Refresh derived state before an apply."""
-        self._refresh_eta_version()
-
     def apply(self, u: np.ndarray) -> np.ndarray:
-        self._before_apply()
+        self._sync()
         return self._apply(u)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        self.napplies += 1
-        return self.timed_apply(u)
-
-    def timed_apply(self, u: np.ndarray) -> np.ndarray:
         """:meth:`apply` under a ``MatMult_<kind>`` event seeded with the
         analytic per-element flop/byte counts of :mod:`repro.perf.counts`,
-        so a ``-log_view`` report turns measured time into achieved GF/s.
-        Does not touch :attr:`napplies` (cost accounting stays with
-        ``__call__``)."""
-        if _obs.STATE.enabled:
-            cost = self._event_cost
-            if cost is None:
-                cost = self._event_cost = self._lookup_event_cost()
-            with _obs.timed("MatMult_" + self.name,
-                            flops=cost[0], nbytes=cost[1]):
-                return self.apply(u)
-        return self.apply(u)
+        so a ``-log_view`` report turns measured time into achieved GF/s."""
+        if not _obs.STATE.enabled:
+            return self.apply(u)
+        if self._event_cost is None:
+            from ..perf.counts import OPERATOR_COUNTS
 
-    def _lookup_event_cost(self) -> tuple[int, int]:
-        """Analytic (flops, bytes) of one whole-mesh apply, for the event."""
-        from ..perf.counts import OPERATOR_COUNTS
-
-        c = OPERATOR_COUNTS.get(_COUNT_ALIAS.get(self.name, self.name))
-        if c is None:
-            return (0, 0)
-        return (c.flops * self.mesh.nel, c.bytes_perfect_cache * self.mesh.nel)
-
-    @property
-    def flops_performed(self) -> int:
-        """Analytic flop total for the applies made through ``__call__``.
-
-        Uses the per-element counts of :mod:`repro.perf.counts` for this
-        kernel kind (counted calls only; direct ``apply`` calls bypass the
-        counter by design -- smoother internals go through ``__call__``).
-        """
-        from ..perf.counts import OPERATOR_COUNTS
-
-        counts = OPERATOR_COUNTS.get(self.name)
-        if counts is None:
-            return 0
-        return counts.flops * self.mesh.nel * self.napplies
+            c = OPERATOR_COUNTS.get(_COUNT_ALIAS.get(self.name, self.name))
+            nel = self.mesh.nel
+            self._event_cost = ((0, 0) if c is None else
+                                (c.flops * nel, c.bytes_perfect_cache * nel))
+        flops, nbytes = self._event_cost
+        with _obs.timed("MatMult_" + self.name, flops=flops, nbytes=nbytes):
+            return self.apply(u)
 
     def diagonal(self) -> np.ndarray:
         """Operator diagonal (for Jacobi/Chebyshev), computed matrix-free."""

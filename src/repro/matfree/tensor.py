@@ -29,7 +29,7 @@ import numpy as np
 
 from ..fem.basis import tensor_line_matrices
 from ..fem.geometry import invert_3x3
-from .base import ViscousOperatorBase
+from .base import ViscousOperatorBase, _owned_copy
 
 
 def kron_gradient_matrices(B: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -159,15 +159,17 @@ class NewtonTensorOperator(TensorOperator):
         Strain rate of the current iterate at quadrature points,
         ``(nel, nq, 3, 3)`` (symmetric).
     eta_prime_q:
-        ``d eta / d I2`` at quadrature points, ``(nel, nq)``.
+        ``d eta / d I2`` at quadrature points, ``(nel, nq)``.  Both are
+        kept as read-only copies, like ``eta_q``.
     """
 
     name = "newton"
 
     def __init__(self, mesh, eta_q, Du_q, eta_prime_q, quad=None, chunk=4096):
         super().__init__(mesh, eta_q, quad, chunk)
-        self.Du_q = np.asarray(Du_q, dtype=np.float64)
-        self.eta_prime_q = np.asarray(eta_prime_q, dtype=np.float64)
+        shape = self.eta_q.shape
+        self.Du_q = _owned_copy(Du_q, shape + (3, 3), "Du_q")
+        self.eta_prime_q = _owned_copy(eta_prime_q, shape, "eta_prime_q")
 
     def _apply(self, w: np.ndarray) -> np.ndarray:
         y = np.zeros(self.ndof)

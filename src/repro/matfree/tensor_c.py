@@ -24,10 +24,9 @@ what lets the 16^3-32^3 Table 1 runs fit; the compiled backend
 (:mod:`repro.matfree.tensor_compiled`) streams the same 16 values per
 point, interleaved eight elements to a SIMD batch.
 
-Cache invalidation follows the state-version contract of
-:class:`~repro.matfree.base.ViscousOperatorBase`: the packed tensor is
-keyed on ``(mesh.coords_version, eta_version)``, so both mesh motion *and*
-viscosity re-linearization (in-place or via ``set_viscosity``) rebuild it.
+The packed tensor is this operator's derived state under the ownership
+contract of :mod:`repro.matfree.base`: ``_rebuild`` repacks it when
+``set_viscosity`` replaces the viscosity or the mesh moves.
 """
 
 from __future__ import annotations
@@ -88,8 +87,7 @@ class TensorCOperator(TensorOperator):
 
     def __init__(self, mesh, eta_q, quad=None, chunk=4096):
         super().__init__(mesh, eta_q, quad, chunk)
-        self._C = self._build_coefficient_tensor()
-        self._coeff_key = (mesh.coords_version, self.eta_version)
+        self._rebuild()
 
     def _packed_chunks(self):
         """``(s, e, packed (e - s, nq, 16))`` per element chunk, in order."""
@@ -97,22 +95,12 @@ class TensorCOperator(TensorOperator):
             Jinv, wdet = self._geometry(s, e)  # K[d, e] = dxi_d/dx_e
             yield s, e, build_packed_coefficients(Jinv, wdet * self.eta_q[s:e])
 
-    def _build_coefficient_tensor(self) -> np.ndarray:
-        """Packed coefficients ``(nel, nq, 16)`` (see module docstring)."""
+    def _rebuild(self) -> None:
+        """Repack ``_C``, ``(nel, nq, 16)`` (see module docstring)."""
         C = np.empty((self.mesh.nel, 27, PACKED_VALUES))
         for s, e, packed in self._packed_chunks():
             C[s:e] = packed
-        return C
-
-    def _before_apply(self) -> None:
-        # refresh eta_version/fingerprint first, then rebuild in the hook
-        # (rather than mid-apply) so rank processes fork a snapshot that
-        # already carries the fresh tensor
-        super()._before_apply()
-        key = (self.mesh.coords_version, self.eta_version)
-        if key != self._coeff_key:
-            self._C = self._build_coefficient_tensor()
-            self._coeff_key = key
+        self._C = C
 
     def _apply_packed_chunk(self, g: np.ndarray, s: int, e: int) -> np.ndarray:
         """Reference flux ``t = g S + w (K g K)^T`` for one chunk."""

@@ -13,8 +13,9 @@ gets its speed from:
   element instead of the dense form's 30375;
 * **eight elements are evaluated at once**, one per SIMD lane, streaming a
   lane-interleaved packed-coefficient array ``(ceil(nel/8), 27, 16, 8)``
-  that is built once per ``(coords_version, eta_version)`` and is the only
-  coefficient copy this operator holds;
+  that is repacked only when ``set_viscosity`` or a mesh move bumps the
+  operator's ``version`` (which rank processes snapshot by) and is the
+  only coefficient copy this operator holds;
 * all per-batch scratch lives on the C stack, the scatter is scalar and in
   element order, and the widest ISA variant the CPU runs (AVX-512, AVX2 or
   the baseline ABI) is picked at load time -- every variant and lane
@@ -103,21 +104,21 @@ class TensorCompiledOperator(TensorCOperator):
         return None if self.compiled else _ckernel.unavailable_reason()
 
     @property
-    def _parallel_state_version(self):
-        """Rank-snapshot stamp: the coefficient key (geometry, viscosity)."""
-        return self._coeff_key
+    def _parallel_state_version(self) -> int:
+        """Rank-snapshot stamp: the operator's rebuild :attr:`version`."""
+        return self.version
 
-    def _build_coefficient_tensor(self) -> np.ndarray:
-        """Lane-interleaved packed coefficients ``(ceil(nel/8), nq, 16, 8)``
-        for the C kernel: element ``8 b + l`` is lane ``l`` of batch ``b``,
+    def _rebuild(self) -> None:
+        """Repack ``_C`` lane-interleaved, ``(ceil(nel/8), nq, 16, 8)``, for
+        the C kernel: element ``8 b + l`` is lane ``l`` of batch ``b``,
         lanes past ``nel`` stay zero."""
         if not self.compiled:
-            return super()._build_coefficient_tensor()
+            return super()._rebuild()
         C = np.zeros((-(-self.mesh.nel // LANES), 27, PACKED_VALUES, LANES))
         for s, e, packed in self._packed_chunks():
             el = np.arange(s, e)
             C[el // LANES, :, :, el % LANES] = packed
-        return C
+        self._C = C
 
     def _run_kernel(self, kernel, u: np.ndarray, s0: int, e0: int,
                     out: np.ndarray | None = None, lo: int = 0,

@@ -200,8 +200,9 @@ def build_gmg(
 
     def operator_level(op, bc, label):
         """Smoothed level applying through a viscous operator kernel."""
-        # timed_apply keeps the MatMult event visible inside smoother sweeps
-        apply = bc.wrap_apply(op.timed_apply)
+        # calling the operator keeps the MatMult event visible inside
+        # smoother sweeps
+        apply = bc.wrap_apply(op)
         diag = op.diagonal()
         diag[bc.mask] = 1.0
         return MGLevel(

@@ -17,9 +17,10 @@ Bulk array data never rides the pipes: input vectors, output vectors and
 stashes move through master-owned, grow-only shared-memory blocks
 (:class:`_ShmBlock`).  State objects reach the ranks by fork inheritance
 through ``_FORK_REGISTRY``: a respawned cohort re-snapshots every live
-registered state, and a state carries a ``_parallel_state_version`` stamp
-(any hashable, ``!=``-comparable value) so that dispatching a
-``(token, version)`` pair the cohort has not snapshotted respawns it.
+registered state, and a state carries an integer
+``_parallel_state_version`` stamp (an operator's rebuild ``version``) so
+that dispatching a ``(token, version)`` pair the cohort has not
+snapshotted respawns it.
 
 Fault tolerance, end to end:
 
@@ -305,9 +306,6 @@ def _worker_loop(rank: int, cmd_fd: int, evt_fd: int, cfg: dict) -> None:
                 t0 = time.perf_counter()
                 state = _FORK_REGISTRY.get(doc["token"])
                 version = getattr(state, "_parallel_state_version", 0)
-                if isinstance(version, tuple):
-                    # JSON turned the master's tuple stamp into a list
-                    version = list(version)
                 if state is None or version != doc["version"]:
                     reply["status"] = "stale"
                 else:

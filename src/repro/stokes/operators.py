@@ -131,12 +131,10 @@ class StokesOperator:
             # interior velocity only)
             keep = sp.diags((~mask).astype(float))
             self.B_int = (self.B @ keep).tocsr()
-            self._apply_A = self.bc.wrap_apply(
-                getattr(self.A_op, "timed_apply", self.A_op.apply)
-            )
+            self._apply_A = self.bc.wrap_apply(self.A_op)
         else:
             self.B_int = self.B
-            self._apply_A = getattr(self.A_op, "timed_apply", self.A_op.apply)
+            self._apply_A = self.A_op
         #: gradient block stored as CSR once, so ``B^T p`` is a row-wise
         #: SpMV instead of SciPy's column-scatter ``csc_matvec``
         self.B_int_T = self.B_int.T.tocsr()

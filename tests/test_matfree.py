@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.fem import StructuredMesh, GaussQuadrature
 from repro.matfree import make_operator, OPERATOR_TYPES, NewtonTensorOperator
 
@@ -148,38 +149,122 @@ class TestCoefficientUpdate:
 
     @pytest.mark.parametrize("kind", ["tensor_c", "tensor_compiled"])
     def test_rebuilds_after_inplace_eta_mutation(self, kind):
-        """The headline ISSUE-8 bug: cached coefficients were keyed off
-        the mesh version only, so an in-place viscosity update silently
-        applied the stale operator."""
+        """Cached coefficients once kept the old viscosity after an
+        in-place update and silently applied the stale operator.  The
+        in-place write now raises at the call site; the update goes
+        through ``set_viscosity``, which rebuilds."""
         rng = np.random.default_rng(6)
         mesh = StructuredMesh((2, 2, 2), order=2)
         eta = np.exp(rng.normal(size=(mesh.nel, 27)))
         u = rng.standard_normal(3 * mesh.nnodes)
-        op = make_operator(kind, mesh, eta.copy())
+        op = make_operator(kind, mesh, eta)
         y_old = op(u)
-        before = op.eta_version
-        op.eta_q *= 2.0  # in place: same array object, no setter call
+        with pytest.raises(ValueError):
+            op.eta_q *= 2.0
+        op.set_viscosity(eta * 2.0)
         y_new = op(u)
-        assert op.eta_version > before  # CRC fingerprint caught the change
         assert not np.allclose(y_new, y_old)
+        assert np.array_equal(y_new, make_operator(kind, mesh, eta * 2.0)(u))
         ref = make_operator("tensor", mesh, eta * 2.0)(u)
         assert np.allclose(y_new, ref, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["tensor_c", "tensor_compiled"])
-    def test_set_viscosity_and_explicit_invalidation(self, kind):
+    def test_set_viscosity(self, kind):
         rng = np.random.default_rng(7)
         mesh = StructuredMesh((2, 2, 2), order=2)
         eta = np.exp(rng.normal(size=(mesh.nel, 27)))
         u = rng.standard_normal(3 * mesh.nnodes)
         op = make_operator(kind, mesh, eta)
         op(u)
+        v0 = op.version
         op.set_viscosity(eta * 0.5)
+        assert op.version == v0 + 1
         ref = make_operator("tensor", mesh, eta * 0.5)(u)
         assert np.allclose(op(u), ref, rtol=1e-12, atol=1e-12)
-        v0 = op.eta_version
-        op.invalidate_coefficients()
-        assert op.eta_version == v0 + 1
-        assert np.allclose(op(u), ref, rtol=1e-12, atol=1e-12)
+
+
+def assert_same_operator(op, fresh, u):
+    """``op`` is ``fresh`` bit for bit: diagonal, apply, assembled matrix."""
+    assert np.array_equal(op.diagonal(), fresh.diagonal())
+    assert np.array_equal(op.apply(u), fresh.apply(u))
+    if op.name == "asmb":
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(op.matrix, attr),
+                                  getattr(fresh.matrix, attr))
+
+
+class TestUpdatedEqualsFresh:
+    """An operator whose input changed through its one writer is the
+    operator freshly built on the new input, bit for bit."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_set_viscosity(self, setup, kind):
+        mesh, _, eta, u, _ = setup
+        op = make_operator(kind, mesh, eta)
+        op.apply(u)
+        op.set_viscosity(eta * 1.7)
+        assert_same_operator(op, make_operator(kind, mesh, eta * 1.7), u)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mesh_deform(self, kind):
+        rng = np.random.default_rng(8)
+        mesh = StructuredMesh((3, 2, 4), order=2, extent=(1.0, 0.7, 1.3))
+        eta = np.exp(rng.normal(size=(mesh.nel, 27)))
+        u = rng.standard_normal(3 * mesh.nnodes)
+        op = make_operator(kind, mesh, eta)
+        op.apply(u)
+        mesh.deform(lambda c: c + 0.03 * np.sin(2 * np.pi * c[:, [1, 2, 0]]))
+        assert_same_operator(op, make_operator(kind, mesh, eta), u)
+
+
+class TestOwnership:
+    """Each input has one writer; a write that bypasses it raises."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_inplace_eta_write_raises(self, setup, kind):
+        _, _, eta, _, ops = setup
+        op = ops[kind]
+        with pytest.raises(ValueError):
+            op.eta_q *= 2.0
+        with pytest.raises(ValueError):
+            op.eta_q[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            op.eta_q = eta
+        assert np.array_equal(op.eta_q, eta)
+
+    def test_inplace_coords_write_raises(self):
+        mesh = StructuredMesh((2, 2, 2), order=2)
+        with pytest.raises(ValueError):
+            mesh.coords[0] = 0.0
+        with pytest.raises(AttributeError):
+            mesh.coords = np.zeros((mesh.nnodes, 3))
+        assert mesh.coords_version == 0
+        assert np.array_equal(mesh.coords,
+                              StructuredMesh((2, 2, 2), order=2).coords)
+
+    def test_newton_inputs_are_read_only(self):
+        rng = np.random.default_rng(9)
+        mesh = StructuredMesh((2, 2, 2), order=2)
+        eta = np.exp(rng.normal(size=(mesh.nel, 27)))
+        op = NewtonTensorOperator(mesh, eta, np.ones((mesh.nel, 27, 3, 3)),
+                                  np.zeros_like(eta))
+        with pytest.raises(ValueError):
+            op.Du_q[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            op.eta_prime_q *= 2.0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_caller_keeps_its_array(self, kind):
+        rng = np.random.default_rng(10)
+        mesh = StructuredMesh((2, 2, 2), order=2)
+        eta = np.exp(rng.normal(size=(mesh.nel, 27)))
+        u = rng.standard_normal(3 * mesh.nnodes)
+        op = make_operator(kind, mesh, eta)
+        y = op.apply(u)
+        eta_before = eta.copy()
+        eta *= 3.0  # the caller's own array: writable, no longer the operator's
+        assert np.array_equal(op.eta_q, eta_before)
+        assert np.array_equal(op.apply(u), y)
 
 
 class TestNewtonOperator:
@@ -224,18 +309,41 @@ class TestNewtonOperator:
 
 
 class TestApplyCounters:
-    def test_counts_calls_and_flops(self):
+    """Apply accounting is the ``MatMult_<kind>`` event a solve reports:
+    calling the operator is timed and counted, ``apply`` is not."""
+
+    @pytest.fixture(autouse=True)
+    def obs_enabled(self):
+        obs.disable()
+        obs.reset()
+        obs.enable()
+        yield
+        obs.disable()
+        obs.reset()
+
+    @staticmethod
+    def assert_two_calls_counted(op, counts_row):
         from repro.perf.counts import OPERATOR_COUNTS
 
+        u = np.ones(op.ndof)
+        op(u)
+        op(u)
+        op.apply(u)
+        rec = obs.REGISTRY.events[("", "MatMult_" + op.name)]
+        assert rec.count == 2
+        assert rec.flops == 2 * op.mesh.nel * OPERATOR_COUNTS[counts_row].flops
+
+    def test_counts_calls_and_flops(self):
         mesh = StructuredMesh((2, 2, 2), order=2)
         op = make_operator("tensor", mesh, np.ones((mesh.nel, 27)))
-        u = np.ones(3 * mesh.nnodes)
-        op(u)
-        op(u)
-        assert op.napplies == 2
-        assert op.flops_performed == (
-            2 * mesh.nel * OPERATOR_COUNTS["tensor"].flops
-        )
+        self.assert_two_calls_counted(op, "tensor")
+
+    def test_newton_counts_as_tensor(self):
+        mesh = StructuredMesh((2, 2, 2), order=2)
+        eta = np.ones((mesh.nel, 27))
+        op = NewtonTensorOperator(mesh, eta, np.zeros((mesh.nel, 27, 3, 3)),
+                                  np.zeros_like(eta))
+        self.assert_two_calls_counted(op, "tensor")
 
 
 class TestStressForm:

@@ -5,7 +5,8 @@ kernel that dispatches reproduces the serial result bit for bit, for any
 worker count and on any engine: the thread pool, the in-process rank
 oracle, and real rank processes.  Every case here is ``np.array_equal``
 to ``workers=1``: one compiled apply, one diagonal, one assembled matrix,
-and the state digest of a 4^3 three-step sinker run.
+an operator updated through ``set_viscosity``, and the state digest of a
+4^3 three-step sinker run.
 """
 
 import numpy as np
@@ -71,6 +72,21 @@ def test_assembled_matrix(problem, substrate, workers):
         assert np.array_equal(getattr(op.matrix, attr),
                               getattr(ref.matrix, attr))
     assert np.array_equal(y, ref.matrix @ u)
+
+
+@pytest.mark.parametrize("kind", ["asmb", "tensor_compiled"])
+def test_set_viscosity(problem, substrate, workers, kind):
+    """A viscosity update reaches every engine (rank processes respawn on
+    the version bump): the updated operator is the fresh one's floats."""
+    mesh, eta, u = problem
+    ref = make_operator(kind, mesh, 1.7 * eta, quad=QUAD, workers=1)
+    with dispatch_engine(substrate, workers) as engine:
+        op = on_engine(kind, problem, engine)
+        op.apply(u)
+        op.set_viscosity(1.7 * eta)
+        y = op.apply(u)
+    assert np.array_equal(y, ref.apply(u))
+    assert np.array_equal(op.diagonal(), ref.diagonal())
 
 
 def sinker_digest(workers=1):

@@ -201,29 +201,27 @@ class TestStateVersioning:
         with dispatch_engine("process", 2) as ex:
             op = make_operator(kind, mesh, eta, quad=QUAD, executor=ex)
             op.apply(u)
-            if kind == "asmb":
-                # the assembled matrix is geometry-frozen; just re-apply
-                assert np.array_equal(op.apply(u), op.matrix @ u)
-            else:
-                mesh.deform(
-                    lambda c: c + 0.02 * np.sin(2 * np.pi * c[:, [1, 2, 0]]))
-                assert np.array_equal(op.apply(u),
-                                      serial_apply(kind, mesh, eta, u))
+            mesh.deform(
+                lambda c: c + 0.02 * np.sin(2 * np.pi * c[:, [1, 2, 0]]))
+            assert np.array_equal(op.apply(u),
+                                  serial_apply(kind, mesh, eta, u))
 
     @pytest.mark.parametrize("kind", ["tensor", "tensor_c", "tensor_compiled"])
     def test_eta_mutation_keeps_process_backend_exact(self, kind):
-        """Headline regression: in-place viscosity re-linearization must
-        rebuild cached coefficients AND re-snapshot the rank processes.
+        """Headline regression: a viscosity re-linearization must rebuild
+        cached coefficients AND re-snapshot the rank processes.
 
-        Before the ``(coords_version, eta_version)`` state contract this
-        silently applied a stale operator: the cached ``_C`` kept the old
-        viscosity, and forked workers kept the old snapshot."""
+        An in-place update once silently applied a stale operator (the
+        cached ``_C`` kept the old viscosity, forked workers the old
+        snapshot); now it raises, and ``set_viscosity`` does both."""
         mesh, eta, u = small_setup()
         with dispatch_engine("process", 2) as ex:
-            op = make_operator(kind, mesh, eta.copy(), quad=QUAD, executor=ex)
+            op = make_operator(kind, mesh, eta, quad=QUAD, executor=ex)
             op.apply(u)  # the ranks' snapshot carries the original viscosity
             before = ex.stats.respawns
-            op.eta_q *= 1.7  # in-place re-linearization: no new array object
+            with pytest.raises(ValueError):
+                op.eta_q *= 1.7
+            op.set_viscosity(eta * 1.7)
             y_par = op.apply(u)
             dispatched = getattr(op, "compiled", False)
             assert ex.stats.respawns == before + dispatched

@@ -208,16 +208,19 @@ class TestBitwiseContract:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_mid_run_eta_update_parallel(self, backend):
-        """In-place viscosity mutation between applies: the interleaved
-        coefficients rebuild and workers see them."""
+        """Viscosity update between applies: an in-place write raises, and
+        after ``set_viscosity`` the interleaved coefficients rebuild and
+        workers see them."""
         mesh, eta, u = small_setup((5, 3, 2))
         ref = make_operator("tensor_compiled", mesh, eta * 3.0, quad=QUAD,
                             workers=1).apply(u)
         with dispatch_engine(backend, 2) as ex:
-            op = make_operator("tensor_compiled", mesh, eta.copy(), quad=QUAD,
+            op = make_operator("tensor_compiled", mesh, eta, quad=QUAD,
                                executor=ex)
             y_before = op.apply(u)
-            op.eta_q *= 3.0
+            with pytest.raises(ValueError):
+                op.eta_q *= 3.0
+            op.set_viscosity(eta * 3.0)
             y_par = op.apply(u)
         assert not np.array_equal(y_par, y_before)
         assert np.array_equal(y_par, ref)
