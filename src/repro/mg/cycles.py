@@ -44,10 +44,6 @@ class MGLevel:
         level are zeroed there), or ``None``.
     coarse_solve:
         On the coarsest level only: ``b -> x`` (approximate) solver.
-    executor:
-        The shared-memory :class:`~repro.parallel.executor.ParallelExecutor`
-        this level's applies and smoothing run through (``None`` = serial);
-        levels typically share one pool.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -56,7 +52,6 @@ class MGLevel:
     restrict: object | None = None
     bc_mask: np.ndarray | None = None
     coarse_solve: Callable[[np.ndarray], np.ndarray] | None = None
-    executor: object | None = None
     # diagnostics
     ndof: int = 0
     label: str = ""
@@ -89,27 +84,6 @@ class MGHierarchy:
     @property
     def nlevels(self) -> int:
         return len(self.levels)
-
-    def parallel_stats(self) -> dict | None:
-        """Aggregated executor counters across the hierarchy's levels.
-
-        Levels share pools, so each distinct executor is counted once.
-        Returns ``None`` when every level runs serial.
-        """
-        seen: list = []
-        for lvl in self.levels:
-            ex = lvl.executor
-            if ex is not None and all(ex is not e for e in seen):
-                seen.append(ex)
-        if not seen:
-            return None
-        total: dict = {}
-        for ex in seen:
-            for key, val in ex.stats.as_dict().items():
-                total[key] = total.get(key, 0) + val
-        total["executors"] = len(seen)
-        total["workers"] = max(ex.workers for ex in seen)
-        return total
 
     def vcycle(self, b: np.ndarray, x: np.ndarray | None = None, level: int = 0) -> np.ndarray:
         """One multigrid cycle on ``A x = b`` starting at ``level``.

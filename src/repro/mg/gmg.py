@@ -194,7 +194,7 @@ def build_gmg(
         lvl = MGLevel(
             apply=_wrap_assembled(A_bc, executor), coarse_solve=coarse,
             bc_mask=bc0.mask, ndof=3 * meshes[0].nnodes,
-            label=f"single[{cfg.coarse_solver}]", executor=executor,
+            label=f"single[{cfg.coarse_solver}]",
         )
         return MGHierarchy([lvl], cycles=cfg.cycles, gamma=cfg.gamma), stats
 
@@ -211,7 +211,6 @@ def build_gmg(
             bc_mask=bc.mask,
             ndof=op.ndof,
             label=label,
-            executor=executor,
         )
 
     fine_is_assembled = cfg.fine_operator == "asmb"
@@ -279,7 +278,6 @@ def build_gmg(
                     bc_mask=bc.mask,
                     ndof=ndof,
                     label=f"gmg-coarse[{cfg.coarse_solver}]",
-                    executor=executor,
                 )
             )
         else:
@@ -293,7 +291,6 @@ def build_gmg(
                     bc_mask=bc.mask,
                     ndof=ndof,
                     label="gmg-assembled",
-                    executor=executor,
                 )
             )
         stats.level_ndofs.append(ndof)

@@ -1,11 +1,15 @@
 """``repro.obs``: PETSc-style performance observability.
 
 The measurement substrate behind every number this reproduction reports:
-nested stage/event wall-time profiling with flop and byte accounting
-(:mod:`~repro.obs.registry`), a ``-log_view`` ASCII summary with achieved
-GF/s, GB/s and roofline fractions (:mod:`~repro.obs.report`), and
-structured solver convergence traces exported through a stable JSON
-schema (:mod:`~repro.obs.trace`).
+nested stage/event wall-time profiling with flop and byte accounting, and
+:func:`record_span` for intervals stamped elsewhere (executor tasks, rank
+replies, failed recovery attempts) (:mod:`~repro.obs.registry`); a
+``-log_view`` ASCII summary with achieved GF/s, GB/s and roofline
+fractions (:mod:`~repro.obs.report`); structured solver convergence
+traces exported through a stable JSON schema (:mod:`~repro.obs.trace`);
+per-step metric series and the run manifest (:mod:`~repro.obs.metrics`);
+the flight recorder (:mod:`~repro.obs.flight`); and the span timeline
+every load-balance number is computed from (:mod:`~repro.obs.timeline`).
 
 Typical use::
 
@@ -38,8 +42,8 @@ from .registry import (
     enabled,
     instrument,
     log_bytes,
-    log_event_seconds,
     log_flops,
+    record_span,
     register_reset_hook,
     reset,
     stage,
@@ -62,7 +66,7 @@ __all__ = [
     "REGISTRY", "STATE", "EventRecord", "StageRecord",
     "enable", "disable", "enabled", "reset", "register_reset_hook",
     "stage", "timed", "instrument", "log_flops", "log_bytes",
-    "log_event_seconds",
+    "record_span",
     "log_view", "roofline_fraction",
     "SCHEMA", "snapshot", "validate", "write_json", "attach_monitor",
     "trace_ksp", "trace_snes", "trace_mg", "trace_resilience",

@@ -25,7 +25,7 @@ to ``$REPRO_FLIGHT_DIR`` (default: the working directory).
 
 :class:`ProgressLine` is the companion live view for long runs: one
 ``\\r``-rewritten stderr line with step, dt, steps/s, the latest residual
-norm, and worker-pool utilization -- enabled with ``$REPRO_PROGRESS=1``
+norm, and how many workers were busy -- enabled with ``$REPRO_PROGRESS=1``
 or ``Simulation.run(..., progress=True)``.
 """
 
@@ -38,7 +38,7 @@ import time
 from collections import deque
 
 from . import metrics
-from .registry import REGISTRY, register_reset_hook
+from .registry import REGISTRY, _env_flag, register_reset_hook
 
 __all__ = [
     "FLIGHT_SCHEMA",
@@ -187,8 +187,8 @@ def maybe_arm_from_env() -> FlightRecorder | None:
     """Arm from ``$REPRO_FLIGHT`` (truthy value; a number sets capacity)."""
     if _RECORDER is not None:
         return _RECORDER
-    raw = os.environ.get(ENV_FLIGHT, "")
-    if not raw or raw in ("0", "false", "no"):
+    raw = _env_flag(ENV_FLIGHT)
+    if raw is None:
         return None
     try:
         capacity = max(1, int(raw))
@@ -262,18 +262,26 @@ ENV_PROGRESS = "REPRO_PROGRESS"
 
 
 def progress_enabled() -> bool:
-    return os.environ.get(ENV_PROGRESS, "") not in ("", "0", "false", "no")
+    return _env_flag(ENV_PROGRESS) is not None
+
+
+def _task_seconds() -> float:
+    """Seconds booked so far into executor task events (``ParExecTask:*``,
+    one per dispatched method); zero while ``repro.obs`` is disabled."""
+    return sum(ev.seconds for ev in REGISTRY.events.values()
+               if ev.name.startswith("ParExecTask:"))
 
 
 class ProgressLine:
     """One-line ``\\r``-rewritten run status for long simulations.
 
-    ``step 12  t 3.1e-2  dt 2.5e-3  1.84 steps/s  |F| 4.2e-05  workers 63%``
+    ``step 12  t 3.1e-2  dt 2.5e-3  1.84 steps/s  |F| 4.2e-05  1.3 workers busy``
 
-    Steps/s is a running average over the line's lifetime; worker
-    utilization is the busy-time delta across all live executors divided
-    by ``workers x wall`` since the previous update (blank when no
-    executor is live).  Writes to ``stream`` (default stderr) and never
+    Steps/s is a running average over the line's lifetime; busy workers
+    is the executor task-event seconds added since the previous update
+    divided by the wall time since then.  Like the residual column it
+    reads ``repro.obs``, so it shows only while profiling is enabled and
+    some task has run.  Writes to ``stream`` (default stderr) and never
     raises -- a broken pipe must not kill the run it narrates.
 
     The ``\\r`` rewrite only happens when the stream reports
@@ -292,41 +300,37 @@ class ProgressLine:
             self._tty = False
         self.t0 = time.perf_counter()
         self._last_t = self.t0
-        self._last_busy = metrics.aggregate_executor_stats().get(
-            "worker_busy_seconds", 0.0)
+        self._last_busy = _task_seconds()
         self.count = 0
         self._width = 0
 
     def format(self, step: int, sim_time: float, dt: float,
-               residual: float | None, utilization: float | None) -> str:
+               residual: float | None, busy_workers: float | None) -> str:
         rate = self.count / max(time.perf_counter() - self.t0, 1e-9)
         parts = [f"step {step}", f"t {sim_time:.3g}", f"dt {dt:.2e}",
                  f"{rate:.2f} steps/s"]
         if residual is not None:
             parts.append(f"|F| {residual:.2e}")
-        if utilization is not None:
-            parts.append(f"workers {100 * utilization:.0f}%")
+        if busy_workers is not None:
+            parts.append(f"{busy_workers:.1f} workers busy")
         return "  ".join(parts)
 
     def update(self, step: int, sim_time: float, dt: float,
                residual: float | None = None) -> str:
         self.count += 1
         now = time.perf_counter()
-        util = None
-        workers = metrics.total_workers()
-        if workers > 0:
-            busy = metrics.aggregate_executor_stats().get(
-                "worker_busy_seconds", 0.0)
+        busy = _task_seconds()
+        busy_workers = None
+        if busy > 0:
             wall = max(now - self._last_t, 1e-9)
-            util = min(max((busy - self._last_busy) / (wall * workers), 0.0),
-                       1.0)
-            self._last_busy = busy
+            busy_workers = max(busy - self._last_busy, 0.0) / wall
+        self._last_busy = busy
         self._last_t = now
         if residual is None:
             residual = metrics.get_gauge("snes_last_fnorm")
             if residual is None:
                 residual = metrics.get_gauge("ksp_last_rnorm")
-        text = self.format(step, sim_time, dt, residual, util)
+        text = self.format(step, sim_time, dt, residual, busy_workers)
         self._width = max(self._width, len(text))
         try:
             if self._tty:

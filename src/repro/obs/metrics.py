@@ -14,16 +14,16 @@ Three instrument kinds, Prometheus-style:
     records the cumulative value at each commit, so per-step rates are
     first differences.
 ``gauge``
-    Last-write-wins sample (:func:`gauge`): dt, step wall time, residual
-    norms, MPM point census, worker-pool utilization.
+    Last-write-wins sample (:func:`gauge`): dt, residual norms, MPM point
+    census, the simulation's communicator totals.
 ``histogram``
     Running ``count/sum/min/max`` summary (:func:`observe`), exported as
     four sub-series (``name.count`` ...).
 
 :func:`commit_step` flushes every touched instrument as one sample row
-(also draining the live :class:`~repro.parallel.executor.ExecutorStats`
-into ``executor.*`` gauges) and returns the row -- the flight recorder
-buffers it, the progress line renders it.
+and returns it -- the flight recorder buffers it.  Every instrument is
+written by the code that owns the number (executor timings are
+``ParExec*`` events, not gauges).
 
 Every export also carries a **run manifest** (:func:`build_manifest`):
 config hash, machine model, package versions, RNG seed, the compiled
@@ -43,15 +43,10 @@ import hashlib
 import json
 import os
 import platform
-import weakref
 
 from .registry import STATE, register_reset_hook
 
 __all__ = [
-    "COMM_SOURCES",
-    "STATS_SOURCES",
-    "aggregate_comm_stats",
-    "aggregate_executor_stats",
     "build_manifest",
     "commit_step",
     "config_hash",
@@ -62,7 +57,6 @@ __all__ = [
     "manifest_override",
     "observe",
     "set_manifest",
-    "total_workers",
 ]
 
 #: manifest schema tag (nested inside the ``repro.obs/1`` document)
@@ -92,20 +86,6 @@ class _Store:
 
 _STORE = _Store()
 register_reset_hook(_STORE.clear)
-
-#: live objects exposing ``.stats.as_dict()`` (and optionally ``.workers``)
-#: -- every :class:`~repro.parallel.executor.ParallelExecutor` registers
-#: itself here at construction, so dispatch/queue-wait/busy counters are
-#: aggregated into the document without the executor being in any export
-#: call chain
-STATS_SOURCES: "weakref.WeakSet" = weakref.WeakSet()
-
-#: live communicators exposing ``.stats.as_dict()`` (and ``.size``) --
-#: every :class:`~repro.parallel.comm.VirtualComm` /
-#: :class:`~repro.parallel.procomm.ProcessComm` registers itself here at
-#: construction, so message/byte/reduction totals (and the fault counters
-#: of the real transport) ride in every export as ``comm.*`` gauges
-COMM_SOURCES: "weakref.WeakSet" = weakref.WeakSet()
 
 
 # --------------------------------------------------------------------- #
@@ -146,64 +126,6 @@ def observe(name: str, value: float) -> None:
 
 
 # --------------------------------------------------------------------- #
-# executor stats aggregation
-# --------------------------------------------------------------------- #
-def aggregate_executor_stats() -> dict:
-    """Field-wise sum of ``stats.as_dict()`` across live stats sources."""
-    total: dict[str, float] = {}
-    for src in list(STATS_SOURCES):
-        try:
-            d = src.stats.as_dict()
-        except Exception:
-            continue
-        for k, v in d.items():
-            total[k] = total.get(k, 0) + v
-    return total
-
-
-def total_workers() -> int:
-    """Sum of worker counts across live executors (0 when pure serial)."""
-    return sum(int(getattr(src, "workers", 0)) for src in list(STATS_SOURCES))
-
-
-def _drain_executor_gauges() -> None:
-    agg = aggregate_executor_stats()
-    if not agg:
-        return
-    for k, v in agg.items():
-        _STORE.gauges[f"executor.{k}"] = float(v)
-    _STORE.gauges["executor.workers"] = float(total_workers())
-
-
-def aggregate_comm_stats() -> dict:
-    """Field-wise sum of ``stats.as_dict()`` across live communicators.
-
-    :class:`~repro.parallel.comm.CommStats` dataclasses expose
-    ``as_dict``; the aggregate also carries ``ranks`` (summed communicator
-    sizes) so a row records how many ranks were live when it was sampled.
-    """
-    total: dict[str, float] = {}
-    ranks = 0
-    for src in list(COMM_SOURCES):
-        try:
-            d = src.stats.as_dict()
-        except Exception:
-            continue
-        for k, v in d.items():
-            total[k] = total.get(k, 0) + v
-        ranks += int(getattr(src, "size", 0))
-    if total:
-        total["ranks"] = ranks
-    return total
-
-
-def _drain_comm_gauges() -> None:
-    agg = aggregate_comm_stats()
-    for k, v in agg.items():
-        _STORE.gauges[f"comm.{k}"] = float(v)
-
-
-# --------------------------------------------------------------------- #
 # per-step sampling
 # --------------------------------------------------------------------- #
 def _append(name: str, kind: str, step: int, value: float) -> None:
@@ -219,14 +141,10 @@ def commit_step(step: int) -> dict:
 
     Counters emit their cumulative value, gauges their current value,
     histograms their ``count/sum/min/max`` summary -- one appended sample
-    per series per commit.  Live executor stats are drained into
-    ``executor.*`` gauges first, so dispatch/queue-wait/busy counters
-    land in the same row.
+    per series per commit.
     """
     if not STATE.enabled:
         return {}
-    _drain_executor_gauges()
-    _drain_comm_gauges()
     row: dict[str, float] = {}
     for name in sorted(_STORE.counters):
         v = _STORE.counters[name]
@@ -257,14 +175,7 @@ def export() -> dict:
         }
         for name, s in sorted(_STORE.series.items())
     ]
-    return {
-        "series": series,
-        "last_step": _STORE.last_step,
-        "executors": {k: float(v)
-                      for k, v in aggregate_executor_stats().items()},
-        "comms": {k: float(v)
-                  for k, v in aggregate_comm_stats().items()},
-    }
+    return {"series": series, "last_step": _STORE.last_step}
 
 
 # --------------------------------------------------------------------- #

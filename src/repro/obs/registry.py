@@ -14,7 +14,11 @@ times, Table II's setup/solve breakdown):
   Stages nest; an event is attributed to the innermost active stage path,
   so the same ``MatMult_tensor`` inside setup and solve is reported
   separately.  With ``enable(memory=True)`` each stage also records its
-  ``tracemalloc`` high-water mark.
+  ``tracemalloc`` high-water mark;
+* :func:`record_span` books an interval stamped elsewhere -- an executor
+  task, a rank's reply, a failed recovery attempt -- into its event and,
+  while :mod:`repro.obs.timeline` is armed, as one span: the single
+  primitive behind every executor and resilience number.
 
 Everything hangs off a single module-level :data:`STATE` flag.  The
 disabled fast path of :func:`timed` / :func:`stage` is one attribute test
@@ -27,6 +31,7 @@ enough to leave on every hot path permanently (verified by
 from __future__ import annotations
 
 import functools
+import os
 import time
 import tracemalloc
 from dataclasses import dataclass, field
@@ -46,6 +51,17 @@ class _State:
 
 
 STATE = _State()
+
+
+def _env_flag(name: str) -> str | None:
+    """The stripped value of ``$name`` when it switches a feature on.
+
+    One rule for every ``REPRO_*`` on/off flag: unset, empty, ``0``,
+    ``false``, ``no`` and ``off`` (in any case) mean off and give
+    ``None``; any other value means on (a number may also size a buffer).
+    """
+    raw = os.environ.get(name, "").strip()
+    return None if raw.lower() in ("", "0", "false", "no", "off") else raw
 
 
 @dataclass
@@ -112,7 +128,7 @@ class Registry:
         }
         #: monitor exports attached via :func:`repro.obs.trace.attach_monitor`
         self.monitors: dict[str, dict] = {}
-        self._stage_stack: list[str] = []
+        self._stage_stack: list = []  # active _StageTimer frames
         self._stage_path: str = ""
         self._frames: list = []  # active _Timer frames (innermost last)
         # per-solve counters used by the trace layer
@@ -175,9 +191,13 @@ def reset() -> None:
         fn()
 
 
+#: rank of spans recorded on the master, outside any worker task
+MAIN_RANK = -1
+
 #: span sink armed by :mod:`repro.obs.timeline` -- called with
-#: ``(name, cat, stage_path, t0, t1, flops, nbytes)`` at every event/stage
-#: exit while set; ``None`` keeps the exit paths one extra test each
+#: ``(name, cat, stage_path, t0, t1[, flops, nbytes, rank, dispatch])``
+#: at every event/stage exit and :func:`record_span` while set, returning
+#: the span's dispatch id; ``None`` keeps those paths one extra test each
 _SPAN_SINK = None
 
 
@@ -270,15 +290,19 @@ def timed(name: str, flops: int = 0, nbytes: int = 0, cat: str = "event"):
 
 
 class _StageTimer:
-    __slots__ = ("name", "t0", "peak")
+    """Context manager accumulating into one :class:`StageRecord`; the
+    active stage frames are ``REGISTRY._stage_stack`` (innermost last)."""
+
+    __slots__ = ("name", "path", "t0", "peak")
 
     def __init__(self, name: str):
         self.name = name
 
     def __enter__(self):
         stack = REGISTRY._stage_stack
-        stack.append(self.name)
-        REGISTRY._stage_path = "/".join(stack)
+        self.path = f"{stack[-1].path}/{self.name}" if stack else self.name
+        stack.append(self)
+        REGISTRY._stage_path = self.path
         self.peak = 0
         if STATE.memory and tracemalloc.is_tracing():
             tracemalloc.reset_peak()
@@ -287,13 +311,12 @@ class _StageTimer:
 
     def __exit__(self, *exc):
         elapsed = time.perf_counter() - self.t0
-        path = REGISTRY._stage_path
+        path = self.path
         stack = REGISTRY._stage_stack
         stack.pop()
-        REGISTRY._stage_path = "/".join(stack)
+        REGISTRY._stage_path = stack[-1].path if stack else ""
         if _SPAN_SINK is not None:
-            _SPAN_SINK(self.name, "stage", path, self.t0,
-                       self.t0 + elapsed, 0, 0)
+            _SPAN_SINK(self.name, "stage", path, self.t0, self.t0 + elapsed)
         rec = REGISTRY.stages.get(path)
         if rec is None:
             rec = REGISTRY.stages[path] = StageRecord(path)
@@ -304,17 +327,10 @@ class _StageTimer:
             rec.mem_peak_bytes = max(rec.mem_peak_bytes, peak)
             # a nested reset_peak hides the child's high-water from the
             # parent; propagate it by hand so parents dominate children
-            for frame in _active_stage_frames():
+            for frame in stack:
                 frame.peak = max(frame.peak, peak)
             tracemalloc.reset_peak()
         return False
-
-
-_STAGE_FRAMES: list[_StageTimer] = []
-
-
-def _active_stage_frames() -> list[_StageTimer]:
-    return _STAGE_FRAMES
 
 
 def stage(name: str):
@@ -325,42 +341,41 @@ def stage(name: str):
     """
     if not STATE.enabled:
         return _NULL
-    return _TrackedStageTimer(name)
+    return _StageTimer(name)
 
 
-class _TrackedStageTimer(_StageTimer):
-    __slots__ = ()
+def record_span(name: str, t0: float, t1: float, *, cat: str = "event",
+                rank: int = MAIN_RANK, dispatch: int | None = -1,
+                count: int = 1, flops: int = 0, nbytes: int = 0) -> int:
+    """Record an interval stamped somewhere else, once.
 
-    def __enter__(self):
-        _STAGE_FRAMES.append(self)
-        return super().__enter__()
+    For work no ``timed`` frame can wrap: a task on an executor thread, a
+    rank process's reply, a recovery attempt that failed.  ``t0``/``t1``
+    are ``perf_counter`` readings.  The interval adds ``count`` calls and
+    ``t1 - t0`` seconds to the ``-log_view`` event ``name`` in the active
+    stage (inclusive and self time alike: no enclosing frame subtracts
+    it) and, while the timeline is armed, becomes one span on worker
+    ``rank`` (default: the master).
 
-    def __exit__(self, *exc):
-        _STAGE_FRAMES.pop()
-        return super().__exit__(*exc)
-
-
-def log_event_seconds(
-    name: str, seconds: float, count: int = 1, flops: int = 0, nbytes: int = 0
-) -> None:
-    """Accumulate externally measured time into a named event.
-
-    For work that happens where no ``timed`` frame can run -- e.g. queue
-    wait and busy time reported back by the parallel executor's workers.
-    The time lands in both ``seconds`` and ``self_seconds`` (no parent
-    frame exists to subtract it from).
+    ``dispatch`` groups the tasks of one fan-out: ``-1`` for none,
+    ``None`` to open a new dispatch (the timeline assigns the id from its
+    one counter), or the id an earlier call returned.  Returns the span's
+    dispatch id (``-1`` when it has none or nothing is armed).
     """
     if not STATE.enabled:
-        return
-    key = (REGISTRY._stage_path, name)
-    rec = REGISTRY.events.get(key)
+        return -1
+    path = REGISTRY._stage_path
+    rec = REGISTRY.events.get((path, name))
     if rec is None:
-        rec = REGISTRY.events[key] = EventRecord(name, REGISTRY._stage_path)
+        rec = REGISTRY.events[(path, name)] = EventRecord(name, path)
     rec.count += count
-    rec.seconds += seconds
-    rec.self_seconds += seconds
+    rec.seconds += t1 - t0
+    rec.self_seconds += t1 - t0
     rec.flops += flops
     rec.bytes += nbytes
+    if _SPAN_SINK is None:
+        return -1
+    return _SPAN_SINK(name, cat, path, t0, t1, flops, nbytes, rank, dispatch)
 
 
 def log_flops(n: int) -> None:

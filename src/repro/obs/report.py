@@ -125,29 +125,13 @@ def log_view(
                 f"{srec.seconds:.4f} s{mem}\n"
             )
     out.write("-" * w + "\n")
-    # timeline tail: per-worker utilization + dispatch imbalance, shown
-    # only while repro.obs.timeline is armed (lazy import: python -m CLI)
+    # timeline tail: the analysis of the armed timeline's spans, as
+    # python -m repro.obs.timeline prints it (lazy import: python -m CLI)
     from . import timeline as _timeline
 
-    tsum = _timeline.summary()
-    if tsum is not None:
-        out.write(
-            f"timeline: {tsum['spans']} spans "
-            f"({tsum['dropped']} dropped), {tsum['dispatches']} dispatches"
-        )
-        if tsum["dispatches"]:
-            out.write(
-                f", imbalance max {tsum['imbalance_max']:.2f} "
-                f"mean {tsum['imbalance_mean']:.2f}"
-            )
-        out.write("\n")
-        for wk in tsum["workers"]:
-            out.write(
-                f"  worker {wk['rank']:>2}: busy {wk['busy_seconds']:.4f} s, "
-                f"util {100 * wk['utilization']:.1f}%, "
-                f"straggler in {wk['stragglers']} dispatch(es)\n"
-            )
-        out.write("-" * w + "\n")
+    tail = _timeline.summary()
+    if tail is not None:
+        out.write(tail + "\n" + "-" * w + "\n")
     text = out.getvalue()
     if stream is None:
         sys.stdout.write(text)

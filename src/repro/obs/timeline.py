@@ -2,11 +2,11 @@
 
 The ``-log_view`` registry answers *where the time went* as an aggregate;
 this module answers *when, and on which worker*: every event/stage exit of
-:mod:`repro.obs.registry` and every task the parallel executor fans out
+:mod:`repro.obs.registry` and every :func:`~repro.obs.registry.record_span`
+(executor tasks, rank replies, queue waits, failed recovery attempts)
 becomes a **span** -- ``(name, category, stage path, t0, t1, worker rank,
-os pid, thread id, flops, bytes, dispatch index)`` -- buffered in a
-bounded ring per worker and merged into one global timeline that exports
-as
+os pid, thread id, flops, bytes, dispatch id)`` -- buffered in a bounded
+ring per worker and merged into one global timeline that exports as
 
 * a ``repro.obs.timeline/1`` section inside every ``repro.obs/1`` JSON
   document (:func:`repro.obs.snapshot` attaches it while armed), and
@@ -20,26 +20,28 @@ The timeline is **armed explicitly** (:func:`arm`) or via
 ``$REPRO_TIMELINE=1`` (a number > 1 sets the per-worker ring capacity);
 while disarmed the registry's span sink is ``None`` and every hot path
 stays a single test.  Spans only accumulate while profiling is enabled
-(the ``timed``/``stage`` context managers are no-ops otherwise).
+(the registry entry points are no-ops otherwise).  The timeline stores
+spans and one counter, the next dispatch id, so the tasks of every
+engine's dispatches get distinct ids.
 
 Worker ranks are the executor's **task indices** -- the same virtual
 subdomain ranks the :class:`~repro.parallel.decomposition.BlockDecomposition`
 slabs correspond to -- so they are deterministic for any engine; the
-master thread records under rank ``-1`` (rendered as ``main``).  Event
-spans captured inside a thread task carry its rank; the task spans
-themselves are recorded by the master from the tasks' ``perf_counter``
-stamps, including those rank processes send back with their replies.
+master thread records under rank ``-1`` (rendered as ``main``).  Only the
+master records: task and queue-wait spans come from
+:func:`~repro.parallel.executor.account_tasks` once a dispatch is done,
+from ``perf_counter`` stamps taken on the worker thread or sent back in a
+rank process's reply.  No event runs inside a task.
 
 Analysis
 --------
-:func:`analyze` reduces a span list to the load-balance facts the raw
-timeline buries: wall time split into serial vs parallel segments (the
-critical path), per-worker busy/idle utilization, and per-dispatch
+:func:`analyze` is the one reduction of a span list to load-balance
+facts: wall time split into serial vs parallel segments (the critical
+path), per-worker busy/idle utilization, and per-dispatch
 straggler/imbalance factors (``max task time / mean task time``).  The
-same numbers surface as ``timeline.*`` metric gauges
-(:func:`commit_metrics`, sampled by the time loop), in the ASCII
-``-log_view`` report tail (:func:`summary`), and as the
-``--max-imbalance`` gate of :mod:`repro.obs.compare`.
+``-log_view`` tail (:func:`summary`), the export's ``analysis`` block,
+this module's CLI and the ``--max-imbalance`` gate of
+:mod:`repro.obs.compare` all read it.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import time
 from collections import deque
 
 from . import metrics as _metrics
-from .registry import register_reset_hook, set_span_sink
+from .registry import MAIN_RANK, _env_flag, register_reset_hook, set_span_sink
 from .trace import _check_fields
 
 __all__ = [
@@ -80,65 +82,27 @@ TIMELINE_SCHEMA = "repro.obs.timeline/1"
 ENV_TIMELINE = "REPRO_TIMELINE"
 #: per-worker ring capacity when not given explicitly
 DEFAULT_CAPACITY = 16384
-#: rank recorded for spans captured outside any executor task
-MAIN_RANK = -1
 
 #: positional layout of one span tuple (cheap to capture, stable to export)
 _FIELDS = ("name", "cat", "stage", "t0", "t1", "rank", "pid", "tid",
            "flops", "bytes", "dispatch")
 
 
-class _WorkerScope:
-    """Context manager labeling sink spans with a worker rank/dispatch."""
-
-    __slots__ = ("tl", "rank", "dispatch", "prev")
-
-    def __init__(self, tl: "Timeline", rank: int, dispatch: int):
-        self.tl = tl
-        self.rank = int(rank)
-        self.dispatch = int(dispatch)
-
-    def __enter__(self):
-        loc = self.tl._local
-        self.prev = (getattr(loc, "rank", MAIN_RANK),
-                     getattr(loc, "dispatch", -1))
-        loc.rank = self.rank
-        loc.dispatch = self.dispatch
-        return self
-
-    def __exit__(self, *exc):
-        loc = self.tl._local
-        loc.rank, loc.dispatch = self.prev
-        return False
-
-
 class Timeline:
-    """Bounded per-worker span rings plus running load-balance counters.
+    """Bounded per-worker span rings and the dispatch-id counter.
 
     Times are stored relative to ``origin`` (the ``perf_counter`` value at
     arm time); ``perf_counter`` is ``CLOCK_MONOTONIC`` system-wide on
     Linux, so task stamps taken in rank processes land on the same axis.
+    Every load-balance number is computed from the spans by
+    :func:`analyze`; the timeline keeps no running tallies of its own.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self.origin = time.perf_counter()
-        #: rank -> ring of span tuples
-        self.buffers: dict[int, deque] = {}
-        self.dropped: dict[int, int] = {}
-        self.recorded = 0
-        # running per-dispatch imbalance accumulators (kept incrementally
-        # so the per-step metric gauges never rescan the rings)
-        self.dispatches = 0
-        self.imbalance_last = 0.0
-        self.imbalance_max = 0.0
-        self._imbalance_sum = 0.0
-        self.stragglers: dict[int, int] = {}
-        self.task_busy: dict[int, float] = {}
-        self.task_count = 0
-        self._local = threading.local()
+        self.clear()
 
     # -- capture -------------------------------------------------------- #
     def _push(self, rank: int, span: tuple) -> None:
@@ -151,61 +115,31 @@ class Timeline:
         self.recorded += 1
 
     def sink(self, name: str, cat: str, stage: str, t0: float, t1: float,
-             flops: int, nbytes: int) -> None:
-        """Registry span sink (absolute ``perf_counter`` endpoints)."""
-        loc = self._local
-        rank = getattr(loc, "rank", MAIN_RANK)
+             flops: int = 0, nbytes: int = 0, rank: int = MAIN_RANK,
+             dispatch: int | None = -1) -> int:
+        """Registry span sink (absolute ``perf_counter`` endpoints).
+
+        ``dispatch=None`` opens a new dispatch with the next id of this
+        timeline's one counter, so ids are unique across engines; returns
+        the span's dispatch id."""
+        if dispatch is None:
+            dispatch = self._next_dispatch
+            self._next_dispatch += 1
         self._push(rank, (
             name, cat, stage, t0 - self.origin, t1 - self.origin, rank,
             os.getpid(), threading.get_ident(), int(flops), int(nbytes),
-            getattr(loc, "dispatch", -1),
+            dispatch,
         ))
-
-    def worker(self, rank: int, dispatch: int) -> _WorkerScope:
-        """Label sink spans of the current thread with a worker rank."""
-        return _WorkerScope(self, rank, dispatch)
-
-    def record_task(self, method: str, rank: int, dispatch: int,
-                    t0: float, t1: float) -> None:
-        """One executor task span (absolute ``perf_counter`` endpoints)."""
-        rank = int(rank)
-        self._push(rank, (
-            f"ParExecTask:{method}", "task", "", t0 - self.origin,
-            t1 - self.origin, rank, os.getpid(), threading.get_ident(),
-            0, 0, int(dispatch),
-        ))
-        self.task_busy[rank] = self.task_busy.get(rank, 0.0) + (t1 - t0)
-        self.task_count += 1
-
-    def note_dispatch(self, busies: list) -> None:
-        """Accumulate one dispatch's imbalance from its per-task busy times
-        (``busies[i]`` is task -- hence rank -- ``i``, in task order)."""
-        self.dispatches += 1
-        if not busies:
-            return
-        mean = sum(busies) / len(busies)
-        imb = (max(busies) / mean) if mean > 0 else 1.0
-        self.imbalance_last = imb
-        self.imbalance_max = max(self.imbalance_max, imb)
-        self._imbalance_sum += imb
-        worst = max(range(len(busies)), key=busies.__getitem__)
-        self.stragglers[worst] = self.stragglers.get(worst, 0) + 1
-
-    @property
-    def mean_imbalance(self) -> float:
-        return self._imbalance_sum / self.dispatches if self.dispatches else 0.0
+        return dispatch
 
     def clear(self) -> None:
-        """Drop buffered spans and counters; re-anchor the origin."""
-        self.buffers = {}
-        self.dropped = {}
+        """Drop buffered spans and restart the dispatch ids; re-anchor
+        the origin."""
+        #: rank -> ring of span tuples
+        self.buffers: dict[int, deque] = {}
+        self.dropped: dict[int, int] = {}
         self.recorded = 0
-        self.dispatches = 0
-        self.imbalance_last = self.imbalance_max = 0.0
-        self._imbalance_sum = 0.0
-        self.stragglers = {}
-        self.task_busy = {}
-        self.task_count = 0
+        self._next_dispatch = 0
         self.origin = time.perf_counter()
 
     # -- export --------------------------------------------------------- #
@@ -267,8 +201,8 @@ def maybe_arm_from_env() -> Timeline | None:
     """Arm from ``$REPRO_TIMELINE`` (truthy; a number > 1 sets capacity)."""
     if _TIMELINE is not None:
         return _TIMELINE
-    raw = os.environ.get(ENV_TIMELINE, "")
-    if not raw or raw.lower() in ("0", "false", "no"):
+    raw = _env_flag(ENV_TIMELINE)
+    if raw is None:
         return None
     try:
         capacity = int(raw)
@@ -320,8 +254,9 @@ def analyze(spans: list[dict]) -> dict:
     * ``critical_path``: the wall clock split into **parallel** segments
       (some worker task running) and **serial** segments (master-only) --
       the serial fraction is the Amdahl ceiling of the run;
-    * ``workers``: per-rank busy seconds (interval union, so nested spans
-      do not double-count) and busy/wall utilization;
+    * ``workers``: per-rank busy seconds (interval union of every span
+      but queue waits, so nested spans do not double-count) and busy/wall
+      utilization;
     * ``dispatches``: per-dispatch imbalance ``max task / mean task`` over
       the task spans, aggregated to max/mean plus a straggler census;
     * ``steps``: the same serial/parallel split inside each ``TimeStep``
@@ -345,7 +280,8 @@ def analyze(spans: list[dict]) -> dict:
 
     by_rank: dict[int, list] = {}
     for s in spans:
-        by_rank.setdefault(int(s["rank"]), []).append((s["t0"], s["t1"]))
+        if s["cat"] != "wait":  # a queue wait is idle time on its rank
+            by_rank.setdefault(int(s["rank"]), []).append((s["t0"], s["t1"]))
     for rank in sorted(by_rank):
         busy = _union_seconds(by_rank[rank])
         out["workers"].append({
@@ -400,57 +336,26 @@ def analyze(spans: list[dict]) -> dict:
 
 
 # --------------------------------------------------------------------- #
-# per-step gauges + report summary (cheap: incremental counters only)
+# per-step gauges + report summary
 # --------------------------------------------------------------------- #
 def commit_metrics() -> None:
-    """Sample the running ``timeline.*`` gauges (once per time step).
-
-    Uses only the incrementally maintained counters -- never rescans the
-    rings -- so the armed clean-path overhead stays bounded.
-    """
+    """Sample the ``timeline.spans``/``timeline.dropped`` gauges (once per
+    time step); the load-balance numbers live in :func:`analyze` only."""
     tl = _TIMELINE
     if tl is None:
         return
-    g = _metrics.gauge
-    g("timeline.spans", tl.recorded)
-    g("timeline.dropped", sum(tl.dropped.values()))
-    g("timeline.dispatches", tl.dispatches)
-    if tl.dispatches:
-        g("timeline.imbalance_last", tl.imbalance_last)
-        g("timeline.imbalance_max", tl.imbalance_max)
-        g("timeline.imbalance_mean", tl.mean_imbalance)
-    elapsed = time.perf_counter() - tl.origin
-    utils = [tl.task_busy[r] / elapsed for r in tl.task_busy
-             if r >= 0] if elapsed > 0 else []
-    if utils:
-        g("timeline.worker_utilization_min", min(utils))
-        g("timeline.worker_utilization_mean", sum(utils) / len(utils))
+    _metrics.gauge("timeline.spans", tl.recorded)
+    _metrics.gauge("timeline.dropped", sum(tl.dropped.values()))
 
 
-def summary() -> dict | None:
-    """Compact armed-timeline digest for the ASCII report (or ``None``)."""
+def summary() -> str | None:
+    """The armed timeline's analysis as the ``-log_view`` tail, rendered
+    exactly as ``python -m repro.obs.timeline`` prints it (or ``None``
+    while disarmed or empty)."""
     tl = _TIMELINE
     if tl is None or tl.recorded == 0:
         return None
-    elapsed = max(time.perf_counter() - tl.origin, 1e-12)
-    workers = [
-        {
-            "rank": rank,
-            "busy_seconds": tl.task_busy[rank],
-            "utilization": tl.task_busy[rank] / elapsed,
-            "stragglers": tl.stragglers.get(rank, 0),
-        }
-        for rank in sorted(r for r in tl.task_busy if r >= 0)
-    ]
-    return {
-        "spans": tl.recorded,
-        "dropped": sum(tl.dropped.values()),
-        "dispatches": tl.dispatches,
-        "imbalance_max": tl.imbalance_max,
-        "imbalance_mean": tl.mean_imbalance,
-        "elapsed_seconds": elapsed,
-        "workers": workers,
-    }
+    return _render(tl.export())
 
 
 # --------------------------------------------------------------------- #
@@ -573,12 +478,18 @@ def validate_chrome_trace(doc: dict) -> dict:
 
 
 # --------------------------------------------------------------------- #
-# CLI: python -m repro.obs.timeline run.json --out trace.json
+# text (the -log_view tail) + CLI: python -m repro.obs.timeline run.json
 # --------------------------------------------------------------------- #
-def _render_analysis(analysis: dict) -> str:
+def _render(section: dict) -> str:
+    """A timeline section's analysis as text: the one rendering shared by
+    the ``-log_view`` tail and this CLI."""
+    analysis = section.get("analysis") or analyze(section["spans"])
     cp = analysis["critical_path"]
     disp = analysis["dispatches"]
     lines = [
+        f"timeline: {len(section['spans'])} spans buffered "
+        f"({section['recorded']} recorded, {section['dropped']} dropped, "
+        f"ring capacity {section['capacity']}/worker)",
         f"wall {analysis['wall_seconds']:.4f} s: "
         f"serial {cp['serial_seconds']:.4f} s, "
         f"parallel {cp['parallel_seconds']:.4f} s "
@@ -638,11 +549,7 @@ def main(argv: list | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    analysis = section.get("analysis") or analyze(section["spans"])
-    print(f"{len(section['spans'])} spans buffered "
-          f"({section['recorded']} recorded, {section['dropped']} dropped, "
-          f"ring capacity {section['capacity']}/worker)")
-    print(_render_analysis(analysis))
+    print(_render(section))
     if args.out:
         trace = write_chrome_trace(args.out, section)
         print(f"Chrome trace ({len(trace['traceEvents'])} events) written "

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs import metrics as _metrics
 from ..obs import registry as _obs
 
 #: reduction combiners shared by :class:`VirtualComm` and the real
@@ -64,7 +63,8 @@ class CommStats:
 
     The fault counters stay zero on :class:`VirtualComm` -- only the real
     transport can time out, lose a rank, or respawn a cohort -- but they
-    live here so ``obs.metrics`` drains one shape into ``comm.*`` gauges.
+    live here so a simulation samples one shape of its own communicator
+    into ``comm.*`` gauges (``Simulation._commit_telemetry``).
     """
 
     messages: int = 0
@@ -118,7 +118,6 @@ class VirtualComm:
         self.size = int(size)
         self.stats = CommStats()
         self._mailboxes: dict[int, list] = defaultdict(list)
-        _metrics.COMM_SOURCES.add(self)
 
     def send(self, src: int, dest: int, payload, nbytes: int | None = None) -> None:
         """Enqueue ``payload`` from ``src`` to ``dest``.

@@ -41,7 +41,6 @@ import time
 
 import numpy as np
 
-from ..obs import metrics as _metrics
 from ..obs import registry as _obs
 from .comm import VirtualComm, tree_reduce
 from .decomposition import BlockDecomposition
@@ -86,7 +85,6 @@ class _RankEngineBase:
         self.comm = comm
         self.workers = int(comm.size)
         self.stats = ExecutorStats()
-        _metrics.STATS_SOURCES.add(self)
 
     # -- distributed dot ------------------------------------------------- #
     def dot(self, x: np.ndarray, y: np.ndarray) -> float:
@@ -118,9 +116,8 @@ class _RankEngineBase:
                         cat="comm"):
             out, vals = self._run_spans(state, method, spans, u,
                                         int(n_out), sizes)
-            t0 = time.perf_counter()
-            replay_stashes(out, stashes, vals)
-            self.stats.reduce_seconds += time.perf_counter() - t0
+            with _obs.timed("ParExecReduce"):
+                replay_stashes(out, stashes, vals)
         self.stats.dispatches += 1
         self.stats.tasks += len(spans)
         self.stats.bytes_in += u.nbytes
@@ -155,7 +152,7 @@ class VirtualRankEngine(_RankEngineBase):
             t0 = time.perf_counter()
             fn(u, int(s), int(e), out, stash)
             times.append((t0, time.perf_counter()))
-        account_tasks(self.stats, method, times)
+        account_tasks(method, times)
         return out, vals
 
 
@@ -234,8 +231,7 @@ class ProcommEngine(_RankEngineBase):
             return self._run_spans(state, method, spans, u, n_out, sizes,
                                    _retry=False)
         # ranks stamp perf_counter, a system-wide clock on Linux
-        account_tasks(self.stats, method,
-                      [(reply["t0"], reply["t1"]) for reply in replies])
+        account_tasks(method, [(reply["t0"], reply["t1"]) for reply in replies])
         vals = [comm.shm_out.view(n, int(offsets[i])) if n else None
                 for i, n in enumerate(sizes)]
         return comm.shm_out.view(n_out).copy(), vals

@@ -36,6 +36,14 @@ dot product.  For the element scatter the stashed entries are the dofs of
 nodes an earlier span touches (see
 :class:`~repro.matfree.tensor_compiled.TensorCompiledOperator`, and
 DESIGN.md for why that reproduces the serial scatter for any cut).
+
+Observation
+-----------
+A thread-pool dispatch is one ``ParExecDispatch`` event around one
+``ParExecTask:<method>`` and one ``ParExecQueueWait`` span per task,
+each recorded once by :func:`account_tasks` through
+:func:`repro.obs.record_span`, and the ``ParExecReduce`` stash replay.
+:class:`ExecutorStats` keeps counts only.
 """
 
 from __future__ import annotations
@@ -48,7 +56,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..obs import metrics as _metrics
 from ..obs import registry as _obs
 from .decomposition import BlockDecomposition
 
@@ -69,29 +76,14 @@ __all__ = [
 #: environment knob honored when the call site passes ``None``
 ENV_WORKERS = "REPRO_WORKERS"
 
-# repro.obs.timeline is a ``python -m`` CLI and must not be imported at
-# package-import time (runpy double-import); resolve it on first dispatch
-_TIMELINE_MOD = None
-
-
-def _timeline():
-    global _TIMELINE_MOD
-    if _TIMELINE_MOD is None:
-        from ..obs import timeline
-
-        _TIMELINE_MOD = timeline
-    return _TIMELINE_MOD
-
 
 @dataclass
 class ExecutorStats:
-    """Accumulated engine counters (kept even while ``repro.obs`` is off)."""
+    """Accumulated engine counts (kept even while ``repro.obs`` is off);
+    the engine's timings are the ``ParExec*`` events of ``repro.obs``."""
 
     dispatches: int = 0
     tasks: int = 0
-    queue_wait_seconds: float = 0.0
-    worker_busy_seconds: float = 0.0
-    reduce_seconds: float = 0.0  # master-side stash replay
     bytes_in: int = 0      # input-vector bytes handed to the tasks
     bytes_out: int = 0     # output and stash bytes the tasks wrote
     respawns: int = 0
@@ -159,26 +151,26 @@ def replay_stashes(out: np.ndarray, stashes, vals) -> np.ndarray:
     return out
 
 
-def account_tasks(stats: ExecutorStats, method: str, times,
-                  waits=()) -> None:
-    """Book one dispatch's tasks before ``stats.dispatches`` advances.
+def account_tasks(method: str, times, submitted=()) -> None:
+    """Record one dispatch's tasks, each once, through ``record_span``.
 
     ``times[k]`` is the ``(t0, t1)`` ``perf_counter`` span of task ``k``
-    (task index = worker rank); ``waits`` their queue waits.  With an
-    armed timeline every task becomes a span and the dispatch's imbalance
-    is noted.
+    (task index = worker rank): a ``ParExecTask:<method>`` event and task
+    span, the first of which opens the dispatch.  ``submitted[k]``, when
+    given, is the ``perf_counter`` reading at which task ``k`` was queued:
+    its wait until ``t0`` is a ``ParExecQueueWait`` event and wait span in
+    the same dispatch.
     """
-    busies = [t1 - t0 for t0, t1 in times]
-    wait, busy = float(sum(waits)), float(sum(busies))
-    stats.queue_wait_seconds += wait
-    stats.worker_busy_seconds += busy
-    _obs.log_event_seconds("ParExecQueueWait", wait, count=len(times))
-    _obs.log_event_seconds("ParExecWorkerBusy", busy, count=len(times))
-    tl = _timeline().armed()
-    if tl is not None:
-        for rank, (t0, t1) in enumerate(times):
-            tl.record_task(method, rank, stats.dispatches, t0, t1)
-        tl.note_dispatch(busies)
+    if not _obs.STATE.enabled:
+        return
+    name = f"ParExecTask:{method}"
+    dispatch = None
+    for rank, (t0, t1) in enumerate(times):
+        dispatch = _obs.record_span(name, t0, t1, cat="task", rank=rank,
+                                    dispatch=dispatch)
+    for rank, (ts, (t0, _)) in enumerate(zip(submitted, times)):
+        _obs.record_span("ParExecQueueWait", ts, t0, cat="wait", rank=rank,
+                         dispatch=dispatch)
 
 
 class ParallelExecutor:
@@ -192,9 +184,6 @@ class ParallelExecutor:
         self.workers = resolve_workers(workers)
         self.stats = ExecutorStats()
         self._pool = None
-        # telemetry: dispatch/queue-wait counters are aggregated into
-        # every repro.obs export (weak registration; no lifetime tie)
-        _metrics.STATS_SOURCES.add(self)
 
     def shutdown(self) -> None:
         """Stop the worker threads (idempotent)."""
@@ -219,33 +208,22 @@ class ParallelExecutor:
             self._pool = ThreadPoolExecutor(
                 max_workers=self.workers, thread_name_prefix="repro-exec",
             )
-        tl = _timeline().armed()
-        disp = self.stats.dispatches
 
-        def task(rank, s, e, stash, t_submit):
-            wait = time.monotonic() - t_submit
+        def task(s, e, stash):
             t0 = time.perf_counter()
-            if tl is None:
-                fn(u, s, e, out, stash)
-            else:
-                # label event spans captured inside the kernel with this
-                # task's rank
-                with tl.worker(rank, disp):
-                    fn(u, s, e, out, stash)
-            return wait, (t0, time.perf_counter())
+            fn(u, s, e, out, stash)
+            return t0, time.perf_counter()
 
         nbytes_out = 8 * (n_out + sum(sizes))
         with _obs.timed("ParExecDispatch", nbytes=u.nbytes + nbytes_out):
-            futures = [
-                self._pool.submit(task, k, s, e, stash, time.monotonic())
-                for k, ((s, e), stash) in enumerate(zip(spans, vals))
-            ]
-            waits, times = zip(*(fut.result() for fut in futures))
-            account_tasks(self.stats, method, times, waits)
-            t0 = time.perf_counter()
+            submitted, futures = [], []
+            for (s, e), stash in zip(spans, vals):
+                submitted.append(time.perf_counter())
+                futures.append(self._pool.submit(task, s, e, stash))
+            times = [fut.result() for fut in futures]
+            account_tasks(method, times, submitted)
             with _obs.timed("ParExecReduce"):
                 replay_stashes(out, stashes, vals)
-            self.stats.reduce_seconds += time.perf_counter() - t0
         self.stats.dispatches += 1
         self.stats.tasks += len(spans)
         self.stats.bytes_in += u.nbytes

@@ -63,7 +63,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs import metrics as _metrics
 from ..obs import registry as _obs
 from .comm import CommStats, _payload_bytes, tree_reduce
 
@@ -443,7 +442,6 @@ class ProcessComm:
         self.shm_out.ensure(8)
         self._holder = {"pids": [], "shm": [self.shm_in, self.shm_out]}
         self._finalizer = weakref.finalize(self, _cohort_cleanup, self._holder)
-        _metrics.COMM_SOURCES.add(self)
         self._spawn_cohort()
 
     # -- lifecycle ------------------------------------------------------ #

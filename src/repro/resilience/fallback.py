@@ -149,7 +149,8 @@ class FallbackLadder:
                 "next": self.rungs[i + 1].name if i + 1 < len(self.rungs) else None,
             }
             events.append(event)
-            _obs.log_event_seconds(f"ResilienceFallback[{rung.name}]", elapsed)
+            _obs.record_span(f"ResilienceFallback[{rung.name}]", t0,
+                             t0 + elapsed)
             trace_resilience(
                 "fallback", rung=rung.name, reason=event["reason"],
                 next=event["next"],

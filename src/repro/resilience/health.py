@@ -61,6 +61,13 @@ __all__ = ["HealthConfig", "HealthMonitor", "HealthCheckFailure",
            "guard_field"]
 
 
+def _count_event(name: str, n: int) -> None:
+    """A zero-length ``name`` event of ``n`` calls: how many points or
+    values one repair touched."""
+    now = time.perf_counter()
+    _obs.record_span(name, now, now, count=n)
+
+
 @dataclass
 class HealthConfig:
     """Invariant thresholds and degradation policy of the health gates.
@@ -252,17 +259,15 @@ class HealthMonitor:
         if actions:
             self._step["mesh_repairs"] += len(actions)
             self.stats["mesh_repairs"] += len(actions)
-            _obs.log_event_seconds("HealthMeshRepair",
-                                   time.perf_counter() - t0,
-                                   count=len(actions))
+            _obs.record_span("HealthMeshRepair", t0, time.perf_counter(),
+                             count=len(actions))
             trace_resilience(
                 "health_mesh_repair", step=self.sim.step_index, where=where,
                 actions=",".join(actions), folded_columns=folds,
                 min_detj=q["min_detJ_vertex"],
             )
         else:
-            _obs.log_event_seconds("HealthMeshGate",
-                                   time.perf_counter() - t0)
+            _obs.record_span("HealthMeshGate", t0, time.perf_counter())
         if why is not None:
             # rung 3: reject the step (rollback in resilient mode)
             self._reject(HealthCheckFailure(
@@ -314,8 +319,7 @@ class HealthMonitor:
             if thin["removed"]:
                 self._step["thinned"] += thin["removed"]
                 self.stats["thinned"] += thin["removed"]
-                _obs.log_event_seconds("HealthThin", 0.0,
-                                       count=thin["removed"])
+                _count_event("HealthThin", thin["removed"])
                 trace_resilience(
                     "health_thin", step=sim.step_index,
                     removed=thin["removed"], elements=thin["elements"],
@@ -326,7 +330,7 @@ class HealthMonitor:
         if inj["total"]:
             self._step["injected"] += inj["total"]
             self.stats["injected"] += inj["total"]
-            _obs.log_event_seconds("HealthInject", 0.0, count=inj["total"])
+            _count_event("HealthInject", inj["total"])
             trace_resilience(
                 "health_inject", step=sim.step_index, injected=inj["total"],
                 elements=inj["elements"],
@@ -341,8 +345,7 @@ class HealthMonitor:
                 check="particles",
                 details={"min_count": int(counts.min())},
             ))
-        _obs.log_event_seconds("HealthParticleGate",
-                               time.perf_counter() - t0)
+        _obs.record_span("HealthParticleGate", t0, time.perf_counter())
         return {"injected": inj["total"], "thinned": thin["removed"],
                 "injected_per_lithology": inj.get("per_lithology", {})}
 
@@ -362,7 +365,7 @@ class HealthMonitor:
             if n:
                 self._step["clipped"] += n
                 self.stats["clipped"] += n
-                _obs.log_event_seconds(f"HealthClip_{name}", 0.0, count=n)
+                _count_event(f"HealthClip_{name}", n)
                 trace_resilience("health_clip", step=self.sim.step_index,
                                  field=name, clipped=n)
             if name == "eta":
@@ -391,7 +394,7 @@ class HealthMonitor:
         if n:
             self._step["clipped"] += n
             self.stats["clipped"] += n
-            _obs.log_event_seconds("HealthClip_T", 0.0, count=n)
+            _count_event("HealthClip_T", n)
             trace_resilience("health_clip", step=self.sim.step_index,
                              field="T", clipped=n)
         return guarded
@@ -415,8 +418,7 @@ class HealthMonitor:
         div = float(np.linalg.norm(B @ u)) / max(unorm, 1e-300)
         self._step["divergence"] = div
         self.stats["divergence"] = div
-        _obs.log_event_seconds("HealthDivergence",
-                               time.perf_counter() - t0)
+        _obs.record_span("HealthDivergence", t0, time.perf_counter())
         trace_resilience("health_divergence", step=self.sim.step_index,
                          rel_divergence=div)
         limit = self.config.max_divergence

@@ -360,7 +360,7 @@ class Scheduler:
         _metrics.gauge("serve.watchdog_kills", self._watchdog_kills)
 
     # -- worker budget (graceful degradation) --------------------------- #
-    def _total_workers(self) -> int:
+    def _worker_budget(self) -> int:
         if self.config.total_workers is not None:
             return max(1, int(self.config.total_workers))
         return max(1, os.cpu_count() or 1)
@@ -385,7 +385,7 @@ class Scheduler:
             # rank processes draw on the same core budget as pool workers;
             # the grant covers the larger of the two demands
             requested = max(requested, int(record.spec.ranks))
-        free = self._total_workers() - self._workers_in_use()
+        free = self._worker_budget() - self._workers_in_use()
         return max(1, min(requested, free))
 
     # -- run loop ------------------------------------------------------- #

@@ -20,12 +20,12 @@ JOB.json`` runs the same :func:`run_job` in an interpreter of its own, for
 debugging one job by hand.
 
 Heartbeats are piped from the time loop itself (a
-:func:`repro.sim.timeloop.add_step_listener` hook fed by
-``_commit_telemetry``), so a solver hung *inside* a step goes silent and
-the scheduler's watchdog sees it.  The worker enables ``repro.obs``
-unconditionally -- the telemetry layer is the heartbeat source, and its
-clean-path overhead is bounded by CI.  The ``result`` event carries
-``phases``, the seconds spent per :data:`~repro.serve.jobs.PHASES` entry.
+:func:`repro.sim.timeloop.add_step_listener` hook fired at the end of
+every step), so a solver hung *inside* a step goes silent and the
+scheduler's watchdog sees it.  The listener fires whether or not
+``repro.obs`` is enabled, so a job runs with the profiler off.  The
+``result`` event carries ``phases``, the seconds spent per
+:data:`~repro.serve.jobs.PHASES` entry.
 
 Recovery contract: the worker saves an atomic checkpoint to the results
 store every ``checkpoint_every`` steps; a killed/crashed job's retry
@@ -46,7 +46,6 @@ import traceback
 
 import numpy as np
 
-from .. import obs
 from ..obs import metrics as _metrics
 from ..parallel.distributed import ProcommEngine
 from ..parallel.executor import use_executor
@@ -175,9 +174,6 @@ def run_job(job_path: str, t_fork: float | None = None) -> int:
     job_dir = store.job_dir(config_hash)
     cp_path = store.checkpoint_path(config_hash)
     checkpoint_every = int(opts.get("checkpoint_every", 5))
-
-    obs.reset()
-    obs.enable()
 
     def heartbeat(beat: dict) -> None:
         _emit("heartbeat", **beat)

@@ -62,12 +62,11 @@ from .fields import (
     temperature_at_points,
 )
 
-#: per-step listeners fed from ``_commit_telemetry``: the ensemble worker
+#: per-step listeners fed from ``_advance``: the ensemble worker
 #: (``repro.serve.worker``) registers one to pipe heartbeats to the
-#: scheduler's watchdog.  Listeners fire once per *committed* step --
-#: including every rollback retry, since each ``_advance`` attempt commits
-#: -- and require telemetry to be enabled (``obs.enable()``), which the
-#: serve worker does unconditionally.
+#: scheduler's watchdog.  Listeners fire once per ``_advance`` that
+#: returns -- a step a rollback then rewinds included -- whether or not
+#: ``repro.obs`` is enabled.
 _STEP_LISTENERS: list = []
 
 
@@ -475,6 +474,15 @@ class Simulation:
         }
         if _obs.STATE.enabled:
             self._commit_telemetry(stats)
+        if _STEP_LISTENERS:
+            beat = {
+                "step": int(self.step_index),
+                "time": float(self.time),
+                "dt": float(dt),
+                "seconds": float(seconds),
+            }
+            for fn in list(_STEP_LISTENERS):
+                fn(beat)
         return stats
 
     def _commit_telemetry(self, stats: dict) -> None:
@@ -482,9 +490,10 @@ class Simulation:
 
         Counters accumulate solver work and MPM churn, gauges sample the
         instantaneous state (dt, census, residuals set by the trace
-        appenders); :func:`repro.obs.metrics.commit_step` flushes one row
-        (draining live ``ExecutorStats`` into ``executor.*`` gauges) and
-        the flight recorder, when armed, buffers it with the stats dict.
+        appenders) and the totals of this simulation's own communicator
+        (``comm.*``); :func:`repro.obs.metrics.commit_step` flushes one row
+        and the flight recorder, when armed, buffers it with the stats
+        dict.
         """
         m = _metrics
         m.gauge("dt", stats["dt"])
@@ -503,6 +512,9 @@ class Simulation:
                 m.gauge("health.divergence", val)
             elif val:
                 m.inc(f"health.{key}", val)
+        if self.comm is not None:
+            for key, val in self.comm.stats.as_dict().items():
+                m.gauge(f"comm.{key}", val)
         # lazy: timeline is a python -m CLI (no eager package import); its
         # commit_metrics is a no-op unless armed
         from ..obs import timeline as _timeline
@@ -515,15 +527,6 @@ class Simulation:
             "stats": {k: v for k, v in stats.items()},
             "metrics": row,
         })
-        if _STEP_LISTENERS:
-            beat = {
-                "step": int(self.step_index),
-                "time": float(self.time),
-                "dt": float(stats["dt"]),
-                "seconds": float(stats["seconds"]),
-            }
-            for fn in list(_STEP_LISTENERS):
-                fn(beat)
 
     def save_checkpoint(self, path: str) -> str:
         """Checkpoint this simulation, collective-consistently.
@@ -596,7 +599,7 @@ class Simulation:
             restore_state(self, snapshot)
             self._dt_scale *= cfg.dt_backoff
             self._clean_steps = 0
-            _obs.log_event_seconds("ResilienceRollback", elapsed)
+            _obs.record_span("ResilienceRollback", t0, t0 + elapsed)
             trace_resilience(
                 "rollback", step=self.step_index, attempt=attempt + 1,
                 reason=ConvergedReason(reason).name, dt_scale=self._dt_scale,

@@ -280,22 +280,24 @@ class TestStatsAndObservability:
             assert st.bytes_in == 3 * u.nbytes
             # owner-writes: one output vector per dispatch, no stash
             assert st.bytes_out == 3 * 8 * op.ndof
-            assert st.worker_busy_seconds > 0.0
-            assert st.queue_wait_seconds >= 0.0
-            assert st.reduce_seconds >= 0.0
             d = st.as_dict()
             assert d["dispatches"] == 3 and d["tasks"] == st.tasks
+            # timings live in the ParExec* events, counts here
+            assert not [k for k in d if k.endswith("_seconds")]
 
     def test_obs_events_emitted(self):
         obs.enable()
         mesh, eta, u = small_setup()
         op = make_operator("asmb", mesh, eta, quad=QUAD, workers=2)
         op.apply(u)
-        names = {name for (_, name) in obs.registry.REGISTRY.events}
+        events = obs.registry.REGISTRY.events
+        names = {name for (_, name) in events}
         assert "ParExecDispatch" in names
         assert "ParExecQueueWait" in names
-        assert "ParExecWorkerBusy" in names
         assert "ParExecReduce" in names
+        # one event per task of the one dispatch
+        assert events[("", "ParExecTask:_apply_rows")].count == 2
+        assert events[("", "ParExecQueueWait")].count == 2
         op.executor.shutdown()
 
     def test_measured_halo_exchange(self):
@@ -317,7 +319,7 @@ class TestStatsAndObservability:
 
 
 class TestMultigridWiring:
-    def test_gmg_parallel_stats_and_exactness(self):
+    def test_gmg_shared_executor_exactness(self):
         from repro.mg.coefficients import coefficient_hierarchy
         from repro.mg.gmg import GMGConfig, build_gmg
         from tests.conftest import free_slip_bc
@@ -330,18 +332,14 @@ class TestMultigridWiring:
         # workers=1 pins the serial reference even under $REPRO_WORKERS
         mg_s, _ = build_gmg(meshes, etas, free_slip_bc,
                             GMGConfig(levels=2, coarse_solver="lu", workers=1))
-        mg_p, _ = build_gmg(meshes, etas, free_slip_bc,
-                            GMGConfig(levels=2, coarse_solver="lu", workers=2))
-        assert mg_s.parallel_stats() is None
         b = rng.standard_normal(3 * mesh.nnodes)
         b[free_slip_bc(mesh).mask] = 0.0
         x_s = mg_s(b)
-        x_p = mg_p(b)
-        # levels share one pool; the compiled smoother applies dispatch,
-        # the NumPy fallback runs serially
-        stats = mg_p.parallel_stats()
-        assert stats is not None
-        assert stats["executors"] == 1 and stats["workers"] == 2
-        assert (stats["dispatches"] > 0) == _ckernel.available()
+        with dispatch_engine("thread", 2) as ex, use_executor(ex):
+            mg_p, _ = build_gmg(meshes, etas, free_slip_bc,
+                                GMGConfig(levels=2, coarse_solver="lu"))
+            x_p = mg_p(b)
+        # every level runs through the one engine; the compiled smoother
+        # applies dispatch, the NumPy fallback runs serially
+        assert (ex.stats.dispatches > 0) == _ckernel.available()
         assert np.array_equal(x_s, x_p)
-        mg_p.levels[0].executor.shutdown()

@@ -319,17 +319,27 @@ class TestHaloValidation:
 
 class TestCommGauges:
     def test_comm_stats_ride_in_step_rows(self):
+        # a simulation samples the communicator it owns, once per step
+        from repro.parallel.distributed import (
+            _default_sim_config,
+            _default_sinker,
+        )
+        from repro.sim.sinker import make_sinker
+
         obs.reset()
         obs.enable()
         try:
-            comm = VirtualComm(2)
-            comm.allreduce([1.0, 2.0], "sum")
-            comm.send(0, 1, np.zeros(8))
-            row = metrics.commit_step(0)
-            assert row["comm.reductions"] == 1.0
-            assert row["comm.messages"] == 1.0
-            assert row["comm.ranks"] >= 2.0
-            assert metrics.export()["comms"]["reductions"] == 1
+            sim = make_sinker(_default_sinker(), _default_sim_config())
+            sim.comm = VirtualComm(2)
+            sim.comm.allreduce([1.0, 2.0], "sum")
+            sim.comm.send(0, 1, np.zeros(8))
+            sim.step(0.01)
+            row = metrics.export()
+            last = {s["name"]: s["values"][-1] for s in row["series"]}
+            assert last["comm.reductions"] == 1.0
+            assert last["comm.messages"] == 1.0
+            assert last["comm.bytes"] == 64.0
+            assert last["comm.respawns"] == 0.0
         finally:
             obs.reset()
 

@@ -388,6 +388,21 @@ class TestHeartbeatsAndCheckpoint:
         assert [b["step"] for b in beats] == [1, 2]
         assert all(b["seconds"] > 0 and b["dt"] > 0 for b in beats)
 
+    def test_step_listener_fires_with_obs_disabled(self):
+        # the heartbeat does not depend on the profiler
+        from repro.serve.worker import build_simulation
+
+        assert not obs.enabled()
+        beats = []
+        listener = timeloop.add_step_listener(beats.append)
+        try:
+            sim = build_simulation(sinker_spec("a", seed=1, nsteps=2))
+            sim.run(2)
+        finally:
+            timeloop.remove_step_listener(listener)
+        assert [b["step"] for b in beats] == [1, 2]
+        assert not obs.registry.REGISTRY.events
+
     def test_remove_listener_is_idempotent(self):
         fn = lambda beat: None   # noqa: E731
         timeloop.remove_step_listener(fn)   # absent: no-op

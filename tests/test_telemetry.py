@@ -5,6 +5,7 @@ import copy
 import json
 import os
 import pathlib
+import re
 import time
 from io import StringIO
 
@@ -278,16 +279,6 @@ class TestFlightRecorder:
 
 
 class TestProgressLine:
-    @pytest.fixture(autouse=True)
-    def no_live_executors(self):
-        # executors register in a WeakSet of stats sources and drop out
-        # only when collected; exception tracebacks from earlier tests
-        # can pin one in a reference cycle until a gc pass runs, which
-        # would make the workers column appear in these renders
-        import gc
-
-        gc.collect()
-
     def test_renders_step_dt_and_residual_gauge(self):
         obs.enable()
         metrics.gauge("snes_last_fnorm", 3.2e-7)
@@ -333,7 +324,22 @@ class TestProgressLine:
         line = obs.ProgressLine(stream=StringIO())
         text = line.update(0, 0.0, 0.1, residual=1e-2)
         assert "|F| 1.00e-02" in text
-        assert "workers" not in text  # no live executor
+        assert "workers" not in text  # no task has run
+
+    def test_busy_workers_from_task_events(self):
+        obs.enable()
+        line = obs.ProgressLine(stream=StringIO())
+        t0 = time.perf_counter()
+        for rank in (0, 1):
+            obs.record_span("ParExecTask:apply", t0, t0 + 0.01, cat="task",
+                            rank=rank)
+        time.sleep(0.01)
+        text = line.update(1, 0.0, 0.1)
+        busy = float(re.search(r"([\d.]+) workers busy", text).group(1))
+        # 0.02 task seconds over at least 0.01 s of wall
+        assert 0.0 < busy <= 2.0
+        # nothing ran since: the next update reports an idle pool
+        assert "0.0 workers busy" in line.update(2, 0.0, 0.1)
 
     def test_broken_stream_never_raises(self):
         class Broken:
@@ -353,6 +359,25 @@ class TestProgressLine:
         assert flight.progress_enabled()
         monkeypatch.setenv("REPRO_PROGRESS", "false")
         assert not flight.progress_enabled()
+
+
+@pytest.mark.parametrize("raw, on", [
+    ("", False), ("0", False), ("false", False), ("False", False),
+    ("NO", False), ("No", False), ("off", False), (" no ", False),
+    ("1", True), ("yes", True), ("True", True), ("on", True), ("8", True),
+])
+def test_on_off_flags_share_one_rule(monkeypatch, raw, on):
+    from repro.obs import timeline
+
+    monkeypatch.setenv("REPRO_FLIGHT", raw)
+    monkeypatch.setenv("REPRO_PROGRESS", raw)
+    monkeypatch.setenv("REPRO_TIMELINE", raw)
+    try:
+        assert (flight.maybe_arm_from_env() is not None) is on
+        assert flight.progress_enabled() is on
+        assert (timeline.maybe_arm_from_env() is not None) is on
+    finally:
+        timeline.disarm()
 
 
 # --------------------------------------------------------------------- #
@@ -524,8 +549,8 @@ class TestCompareCLI:
 
 
 # --------------------------------------------------------------------- #
-# telemetry under parallelism (ISSUE satellite: bit-identical export
-# round-trip with REPRO_WORKERS=2 on both backends, executor stats in)
+# telemetry under parallelism (bit-identical export round-trip with
+# REPRO_WORKERS=2 on both backends, executor tasks in the event table)
 # --------------------------------------------------------------------- #
 class TestTelemetryUnderParallelism:
     @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -548,13 +573,10 @@ class TestTelemetryUnderParallelism:
             metrics.commit_step(0)
             doc = obs.validate(obs.snapshot())
 
-        # ExecutorStats aggregated into the document
-        ex = doc["metrics"]["executors"]
-        assert ex["dispatches"] >= 1 and ex["tasks"] >= 2
-        assert ex["worker_busy_seconds"] > 0.0
-        gauges = {s["name"] for s in doc["metrics"]["series"]}
-        assert {"executor.dispatches", "executor.tasks",
-                "executor.workers"} <= gauges
+        # every task booked once, in the event table of the document
+        busy = [e for e in doc["events"]
+                if e["name"] == "ParExecTask:_apply_rows"]
+        assert busy and busy[0]["count"] >= 2 and busy[0]["seconds"] > 0.0
         assert doc["manifest"]["env"]["REPRO_WORKERS"] == "2"
 
         # export -> serialize -> parse -> serialize is bit-identical
@@ -569,15 +591,3 @@ class TestTelemetryUnderParallelism:
         for key in ("metrics", "events", "stages", "traces"):
             assert json.dumps(loaded[key], sort_keys=True) == \
                 json.dumps(json.loads(json.dumps(doc[key])), sort_keys=True)
-
-    def test_weakset_drops_dead_executors(self):
-        from repro.parallel import ParallelExecutor
-
-        before = metrics.total_workers()
-        ex = ParallelExecutor(workers=2)
-        assert metrics.total_workers() == before + 2
-        ex.shutdown()
-        del ex
-        import gc
-        gc.collect()
-        assert metrics.total_workers() == before

@@ -1,8 +1,8 @@
 """Timeline tracing: span capture, per-worker merge, Chrome trace export,
 critical-path/utilization/imbalance analysis, report/compare surfacing."""
 
-import gc
 import json
+import re
 
 import numpy as np
 import pytest
@@ -27,9 +27,6 @@ def clean_obs(monkeypatch):
     obs.disable()
     obs.reset()
     tl.disarm()
-    # executors register in a WeakSet of live stats sources; collect any
-    # cyclic sim graphs now so later tests see no phantom live executor
-    gc.collect()
 
 
 def span(name="E", cat="event", stage="", t0=0.0, t1=1.0, rank=-1,
@@ -69,11 +66,13 @@ class TestRingBuffer:
 
     def test_clear_resets_but_stays_armed(self):
         t = tl.arm(capacity=8)
-        t._push(0, ("e", "event", "", 0.0, 1.0, 0, 1, 1, 0, 0, -1))
-        t.note_dispatch([1.0, 2.0])
+        assert t.sink("T", "task", "", 0.0, 1.0, rank=0, dispatch=None) == 0
+        assert t.sink("T", "task", "", 0.0, 1.0, rank=0, dispatch=None) == 1
         obs.reset()  # the registry reset hook clears the armed timeline
         assert tl.armed() is t
-        assert t.recorded == 0 and t.buffers == {} and t.dispatches == 0
+        assert t.recorded == 0 and t.buffers == {}
+        # dispatch ids restart with the cleared timeline
+        assert t.sink("T", "task", "", 0.0, 1.0, rank=0, dispatch=None) == 0
 
     def test_env_arming(self, monkeypatch):
         assert tl.maybe_arm_from_env() is None
@@ -127,19 +126,32 @@ class TestSpanCapture:
             pass
         assert t.recorded == 0
 
-    def test_worker_scope_labels_rank(self):
+    def test_record_span_books_event_and_span_once(self):
         t = tl.arm()
         obs.enable()
-        with t.worker(3, 7):
-            with obs.timed("Kernel"):
-                pass
-        (s,) = t.spans()
-        assert s["rank"] == 3 and s["dispatch"] == 7
-        # scope restored: subsequent spans are main-rank again
-        with obs.timed("After"):
-            pass
-        after = next(x for x in t.spans() if x["name"] == "After")
-        assert after["rank"] == tl.MAIN_RANK
+        with obs.stage("TimeStep"):
+            d = obs.record_span("ParExecTask:k", t.origin + 1.0,
+                                t.origin + 1.5, cat="task", rank=3,
+                                dispatch=None)
+            assert obs.record_span("ParExecTask:k", t.origin + 1.0,
+                                   t.origin + 1.25, cat="task", rank=4,
+                                   dispatch=d) == d
+        ev = obs.REGISTRY.events[("TimeStep", "ParExecTask:k")]
+        assert ev.count == 2
+        assert ev.seconds == pytest.approx(0.75)
+        assert ev.self_seconds == pytest.approx(0.75)
+        tasks = sorted((s for s in t.spans() if s["cat"] == "task"),
+                       key=lambda s: s["rank"])
+        assert [(s["rank"], s["dispatch"]) for s in tasks] == [(3, d), (4, d)]
+        assert tasks[0]["t0"] == pytest.approx(1.0)
+        assert tasks[0]["stage"] == "TimeStep"
+
+    def test_record_span_disarmed_or_disabled(self):
+        assert obs.record_span("E", 0.0, 1.0, dispatch=None) == -1
+        assert obs.REGISTRY.events == {}     # profiling off: nothing
+        obs.enable()
+        assert obs.record_span("E", 0.0, 1.0, dispatch=None) == -1
+        assert obs.REGISTRY.events[("", "E")].seconds == 1.0
 
 
 # --------------------------------------------------------------------- #
@@ -319,16 +331,32 @@ class TestAnalysis:
         assert an["critical_path"]["serial_fraction"] == 1.0
         assert an["workers"] == [] and an["steps"] == []
 
-    def test_note_dispatch_accumulators(self):
-        t = tl.Timeline()
-        t.note_dispatch([1.0, 3.0])        # max/mean = 3/2: imb 1.5
-        t.note_dispatch([2.0, 2.0])        # imb 1.0
-        t.note_dispatch([])                # counted, no stats
-        assert t.dispatches == 3
-        assert t.imbalance_max == pytest.approx(1.5)
-        assert t.imbalance_last == pytest.approx(1.0)
-        assert t.mean_imbalance == pytest.approx(2.5 / 3)
-        assert t.stragglers == {1: 1, 0: 1}
+    def test_queue_waits_are_not_busy_time(self):
+        spans = self.hand_built() + [
+            span("ParExecQueueWait", "wait", "", 1.0, 2.0, rank=0,
+                 dispatch=0),
+        ]
+        an = tl.analyze(spans)
+        workers = {w["rank"]: w for w in an["workers"]}
+        assert workers[0]["busy_seconds"] == pytest.approx(5.0)
+        assert an["critical_path"]["parallel_seconds"] == pytest.approx(6.5)
+
+    def test_record_span_dispatches_reduce_in_analyze(self):
+        t = tl.arm()
+        obs.enable()
+        o = t.origin
+        for durs in ([1.0, 3.0], [2.0, 2.0]):   # imbalance 1.5, then 1.0
+            d = None
+            for rank, dur in enumerate(durs):
+                d = obs.record_span("ParExecTask:a", o, o + dur, cat="task",
+                                    rank=rank, dispatch=d)
+        disp = t.export()["analysis"]["dispatches"]
+        assert disp["count"] == 2
+        assert disp["max_imbalance"] == pytest.approx(1.5)
+        assert disp["mean_imbalance"] == pytest.approx(1.25)
+        assert disp["stragglers"] == {"1": 1, "0": 1}
+        ev = obs.REGISTRY.events[("", "ParExecTask:a")]
+        assert ev.count == 4 and ev.seconds == pytest.approx(8.0)
 
 
 # --------------------------------------------------------------------- #
@@ -354,8 +382,12 @@ class TestExecutorSpans:
         assert sorted(s["rank"] for s in tasks) == [0, 1]
         assert all(s["name"] == "ParExecTask:apply" for s in tasks)
         assert all(s["dispatch"] == 0 for s in tasks)
-        assert t.dispatches == 1 and t.imbalance_last > 0
-        assert set(t.task_busy) == {0, 1}
+        an = sec["analysis"]
+        assert an["dispatches"]["count"] == 1
+        assert an["dispatches"]["max_imbalance"] >= 1.0
+        assert {w["rank"] for w in an["workers"]} >= {0, 1}
+        # the same two tasks, once, in the event table
+        assert obs.REGISTRY.events[("", "ParExecTask:apply")].count == 2
         doc = tl.validate_chrome_trace(tl.chrome_trace(sec))
         pids = {e["pid"] for e in doc["traceEvents"] if e.get("cat") == "task"}
         assert pids == {1, 2}  # distinct worker ranks -> distinct tracks
@@ -435,24 +467,96 @@ def test_sinker_two_workers_bit_identical_with_timeline(backend):
     assert pids == {1, 2}
 
 
+def test_dispatch_ids_are_unique_across_engines():
+    # two engines dispatching in one armed run: every dispatch gets its
+    # own id, so analyze() sees each one and its imbalance
+    from repro.parallel import ParallelExecutor
+
+    t = tl.arm()
+    obs.enable()
+    u = np.arange(8, dtype=float)
+    engines = [ParallelExecutor(2), ParallelExecutor(2)]
+    try:
+        for _ in range(3):
+            for ex in engines:
+                ex.dispatch(_DoubleState(), "apply", [(0, 4), (4, 8)], u, 8)
+    finally:
+        for ex in engines:
+            ex.shutdown()
+    total = sum(ex.stats.dispatches for ex in engines)
+    disp = tl.analyze(t.spans())["dispatches"]
+    assert disp["count"] == total == 6
+    # by hand, without dispatch ids: the k-th task span on each rank's
+    # ring belongs to the k-th dispatch
+    tasks = [[sp for sp in t.buffers[rank] if sp[1] == "task"]
+             for rank in (0, 1)]
+    imbs = []
+    for a, b in zip(*tasks):
+        durs = [a[4] - a[3], b[4] - b[3]]
+        imbs.append(max(durs) / (sum(durs) / 2))
+    assert len(imbs) == total
+    assert disp["max_imbalance"] == pytest.approx(max(imbs), rel=1e-12)
+
+
+def test_log_view_export_and_cli_agree(tmp_path, capsys):
+    # one reduction: the -log_view tail, the export's analysis and the
+    # CLI print the same dispatch count, imbalance and per-rank busy time
+    from repro.sim.sinker import SinkerConfig, make_sinker
+
+    obs.enable()
+    tl.arm()
+    with dispatch_engine("thread", 2) as ex, use_executor(ex):
+        sim = make_sinker(
+            SinkerConfig(shape=(4, 4, 4)),
+            SimulationConfig(stokes=StokesConfig(
+                operator="asmb", mg_levels=2, coarse_solver="lu")),
+        )
+        sim.run(2)
+    report = obs.log_view(stream=False)
+    path = tmp_path / "run.json"
+    doc = obs.write_json(path)
+    an = doc["timeline"]["analysis"]
+    assert an["dispatches"]["count"] == ex.stats.dispatches > 0
+    assert tl.main([str(path)]) == 0
+    cli = capsys.readouterr().out
+    disp = an["dispatches"]
+    expected = [f"{disp['count']} dispatches: imbalance max "
+                f"{disp['max_imbalance']:.2f}"]
+    for wk in an["workers"]:
+        label = "main" if wk["rank"] < 0 else f"worker {wk['rank']}"
+        expected.append(f"  {label:<9} {wk['spans']:>6} spans, "
+                        f"busy {wk['busy_seconds']:.4f} s")
+    assert {w["rank"] for w in an["workers"]} >= {-1, 0, 1}
+    for line in expected:
+        assert line in report, line
+        assert line in cli, line
+
+
 # --------------------------------------------------------------------- #
 # metrics gauges + report tail + compare gate
 # --------------------------------------------------------------------- #
 class TestSurfacing:
+    def _two_task_dispatch(self, t, durs):
+        d = None
+        for rank, dur in enumerate(durs):
+            d = obs.record_span("ParExecTask:apply", t.origin,
+                                t.origin + dur, cat="task", rank=rank,
+                                dispatch=d)
+
     def test_commit_metrics_gauges(self):
         t = tl.arm()
         obs.enable()
         with obs.timed("E"):
             pass
-        t.record_task("apply", 0, 0, t.origin, t.origin + 0.5)
-        t.note_dispatch([0.5, 0.1])
+        self._two_task_dispatch(t, [0.5, 0.1])
         tl.commit_metrics()
         row = metrics.commit_step(0)
-        assert row["timeline.spans"] == 2.0
-        assert row["timeline.dispatches"] == 1.0
-        assert row["timeline.imbalance_max"] == pytest.approx(0.5 / 0.3)
-        assert "timeline.worker_utilization_min" in row
-        assert "timeline.worker_utilization_mean" in row
+        assert row["timeline.spans"] == 3.0
+        assert row["timeline.dropped"] == 0.0
+        # load balance is analyze()'s alone: no running gauges
+        assert not [k for k in row if "imbalance" in k or "utiliz" in k]
+        an = t.export()["analysis"]
+        assert an["dispatches"]["max_imbalance"] == pytest.approx(0.5 / 0.3)
 
     def test_commit_metrics_noop_disarmed(self):
         obs.enable()
@@ -464,14 +568,15 @@ class TestSurfacing:
         obs.enable()
         with obs.timed("E"):
             pass
-        t.record_task("apply", 0, 0, t.origin, t.origin + 0.4)
-        t.record_task("apply", 1, 0, t.origin, t.origin + 0.2)
-        t.note_dispatch([0.4, 0.2])
+        self._two_task_dispatch(t, [0.4, 0.2])
         text = obs.log_view(stream=False)
-        assert "timeline:" in text
-        assert "imbalance max" in text
-        assert "worker  0" in text and "worker  1" in text
-        assert "straggler in 1 dispatch(es)" in text
+        assert "timeline: 3 spans buffered" in text
+        assert "1 dispatches: imbalance max 1.33" in text
+        assert "top straggler rank 0" in text
+        assert re.search(r"worker 0 +1 spans, busy 0\.4000 s", text)
+        assert re.search(r"worker 1 +1 spans, busy 0\.2000 s", text)
+        # the task event itself sits in the table above the tail
+        assert obs.REGISTRY.events[("", "ParExecTask:apply")].count == 2
 
     def test_report_has_no_tail_when_disarmed(self):
         obs.enable()
