@@ -28,10 +28,18 @@ mirroring Table I:
     bit-identical across ISAs and worker counts); degrades transparently
     to the serial NumPy path without a toolchain.
 
+``NewtonTensorOperator`` (``newton``) is not a Table I row but the true
+Newton linearization the nonlinear solver puts in the Krylov matvec
+(SS III-A): the compiled kernel again, with one rank-one term per point
+``a (M:g) M`` streamed from a second packed array (10 values/point), and
+the einsum form as its fallback and test oracle.  The time loop builds
+it directly, so it is not a ``make_operator`` kind.
+
 All five produce identical discrete operators (to rounding), which the test
 suite asserts; they differ only in flops-vs-bytes balance.  Only
-``asmb`` (row-split SpMV) and ``tensor_compiled`` dispatch over workers;
-``mf``, ``tensor`` and ``tensor_c`` are serial reference kernels.
+``asmb`` (row-split SpMV), ``tensor_compiled`` and ``newton`` dispatch
+over workers; ``mf``, ``tensor`` and ``tensor_c`` are serial reference
+kernels.
 
 An operator owns its inputs (:mod:`repro.matfree.base`): after
 ``set_viscosity`` or a mesh move it equals a freshly built one bit for bit.
@@ -40,9 +48,9 @@ An operator owns its inputs (:mod:`repro.matfree.base`): after
 
 from .assembled import AssembledOperator
 from .mf import MFOperator
-from .tensor import TensorOperator, NewtonTensorOperator
+from .tensor import TensorOperator
 from .tensor_c import TensorCOperator
-from .tensor_compiled import TensorCompiledOperator
+from .tensor_compiled import TensorCompiledOperator, NewtonTensorOperator
 
 OPERATOR_TYPES = {
     "asmb": AssembledOperator,

@@ -35,6 +35,14 @@ the viscous contributions of elements ``[s, e)`` into the caller's ``y``:
   (SSE2 / NEON / whatever the baseline ABI has) as four 2-lane quarters.
   :func:`variants` lists the ones this CPU can run, narrowest first.
 
+``tc_newton_<isa>(cpk, npk, conn, ...)`` is the same template instantiated
+with ``NEWTON 1``: the true Newton linearization of SS III-A.  Its flux is
+the Picard flux plus one rank-one term per point, ``t += a (M:g) M`` with
+``M = Du K^T`` and ``a = 2 eta' w det``, read from a second stream ``npk``
+``(ceil(nel/8), 27, 10, 8)`` laid out like ``cpk``; 36 flops per point
+more.  With ``NEWTON 0`` those lines drop out, so the Picard variants are
+the unchanged apply, and both kinds keep every contract below.
+
 Determinism contract
 --------------------
 Lanes never interact, ``-ffp-contract=off`` forbids fused multiply-adds,
@@ -66,7 +74,7 @@ import tempfile
 from pathlib import Path
 
 __all__ = ["available", "load", "unavailable_reason", "variants", "isa",
-           "status", "KERNEL_SOURCE", "LANES"]
+           "status", "KERNEL_SOURCE", "KERNELS", "LANES"]
 
 #: environment kill-switch: force the pure-NumPy fallback (CI fallback leg)
 ENV_DISABLE = "REPRO_NO_CKERNEL"
@@ -95,10 +103,9 @@ _PRELUDE = r"""
 #define LANES 8
 #define CAT_(a, b) a##b
 #define CAT(a, b) CAT_(a, b)
-/* per-variant names: the template below is instantiated once per ISA */
+/* per-ISA names: the templates below are instantiated once per ISA */
 #define vec CAT(vec, W)
 #define vec_u CAT(vec_u, W)
-#define TC_APPLY CAT(tc_apply_, ISA)
 
 /* Index of the widest tc_apply_* variant this CPU (and OS) can run:
  * 0 base, 1 avx2, 2 avx512. */
@@ -113,14 +120,19 @@ int tc_isa_level(void)
 }
 """
 
-# One ISA variant of the apply, a C "template" over the macros ISA (function
-# suffix), W (lanes per vector) and TARGET (function attribute).
-_VARIANT = r"""
+# The vector types of one ISA, over the macro W (lanes per vector).
+_VECTOR_TYPES = r"""
 /* W-lane vector of doubles; `vec_u` for loads at arbitrary alignment */
 typedef double vec __attribute__((vector_size(8 * W), may_alias));
 typedef double vec_u
     __attribute__((vector_size(8 * W), may_alias, aligned(8)));
+"""
 
+# One ISA variant of the apply, a C "template" over the macros TC_APPLY
+# (function name), W (lanes per vector), TARGET (function attribute) and
+# NEWTON (1 adds the Newton rank-one stream; with 0 every `#if NEWTON` line
+# drops out and the Picard apply is left as it always was).
+_VARIANT = r"""
 /* Apply of the packed-coefficient Q2 viscous operator to elements [s, e).
  *
  * cpk  : (ceil(nel/8), 27, 16, 8) lane-interleaved packed coefficients;
@@ -128,6 +140,9 @@ typedef double vec_u
  *        [S00,S01,S02,S11,S12,S22, K row-major (9), w*det*eta]
  *        with S = w*eta * K K^T (K = inverse Jacobian); lanes past nel
  *        are zero.
+ * npk  : (NEWTON only) (ceil(nel/8), 27, 10, 8) Newton coefficients in
+ *        the same layout, per point [a, M row-major (9)] with
+ *        M = Du K^T and a = 2 eta' w det: the flux gains a (M:g) M.
  * conn : (nel, 27) element-to-node map (int64).
  * bd   : (2, 3, 3) one-dimensional B_hat then D_hat, [point][basis].
  * u    : (nnodes*3,) interleaved input velocities.
@@ -139,6 +154,9 @@ typedef double vec_u
  */
 TARGET
 void TC_APPLY(const double *restrict cpk,
+#if NEWTON
+              const double *restrict npk,
+#endif
               const int64_t *restrict conn,
               const double *restrict bd,
               const double *restrict u,
@@ -153,6 +171,10 @@ void TC_APPLY(const double *restrict cpk,
         /* this part-batch: W lanes of batch el0 / 8, from lane el0 % 8 */
         const double *cq =
             cpk + (el0 / LANES) * (27 * 16 * LANES) + el0 % LANES;
+#if NEWTON
+        const double *cr =
+            npk + (el0 / LANES) * (27 * 10 * LANES) + el0 % LANES;
+#endif
 
         /* gather: ue[c][a] holds component c of local node a, per lane */
         double ue[3][27][W] __attribute__((aligned(8 * W)));
@@ -217,6 +239,18 @@ void TC_APPLY(const double *restrict cpk,
             const vec w = CP(15);
 #undef CP
             vec *gq = g[q];
+#if NEWTON
+            /* rank-one Newton term am M with am = a (M:g), read from g
+             * before the flux overwrites it */
+            const double *pr = cr + 10 * LANES * q;
+            vec M[9];
+            for (int k = 0; k < 9; ++k)
+                M[k] = *(const vec_u *)(pr + LANES * (k + 1));
+            vec mg = M[0] * gq[0];
+            for (int k = 1; k < 9; ++k)
+                mg = mg + M[k] * gq[k];
+            const vec am = *(const vec_u *)pr * mg;
+#endif
             vec gk[3][3];                             /* (g K)_cf */
             for (int c = 0; c < 3; ++c) {
                 const vec g0 = gq[3 * c], g1 = gq[3 * c + 1], g2 = gq[3 * c + 2];
@@ -237,6 +271,11 @@ void TC_APPLY(const double *restrict cpk,
                 gq[3 * c] = gs0 + w * kg0;
                 gq[3 * c + 1] = gs1 + w * kg1;
                 gq[3 * c + 2] = gs2 + w * kg2;
+#if NEWTON
+                gq[3 * c] += am * M[3 * c];
+                gq[3 * c + 1] += am * M[3 * c + 1];
+                gq[3 * c + 2] += am * M[3 * c + 2];
+#endif
             }
         }
 
@@ -298,12 +337,19 @@ void TC_APPLY(const double *restrict cpk,
 """
 
 
+#: the kernels each ISA variant carries: ``tc_<kind>_<isa>``, NEWTON flag
+KERNELS = {"apply": 0, "newton": 1}
+
+
 def _kernel_source() -> str:
     parts = [_PRELUDE]
     for name, width, target in _ISA_VARIANTS:
-        block = (f"#define ISA {name}\n#define W {width}\n"
-                 f"#define TARGET {target}\n{_VARIANT}\n"
-                 "#undef ISA\n#undef W\n#undef TARGET")
+        block = f"#define W {width}\n#define TARGET {target}\n{_VECTOR_TYPES}"
+        for kind, newton in KERNELS.items():
+            block += (f"#define TC_APPLY tc_{kind}_{name}\n"
+                      f"#define NEWTON {newton}\n{_VARIANT}\n"
+                      "#undef TC_APPLY\n#undef NEWTON\n")
+        block += "#undef W\n#undef TARGET"
         if target:  # an x86 ISA extension
             block = f"#if defined(__x86_64__)\n{block}\n#endif"
         parts.append(block)
@@ -376,9 +422,11 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.tc_isa_level.argtypes = []
     level = lib.tc_isa_level()
     for name, _, _ in _ISA_VARIANTS[: level + 1]:
-        fn = getattr(lib, f"tc_apply_{name}")
-        fn.restype = None
-        fn.argtypes = _APPLY_ARGTYPES
+        for kind, newton in KERNELS.items():
+            fn = getattr(lib, f"tc_{kind}_{name}")
+            fn.restype = None
+            # a Newton kernel takes one more pointer, npk, next to cpk
+            fn.argtypes = [ctypes.c_void_p] * newton + _APPLY_ARGTYPES
     return lib
 
 
@@ -438,14 +486,15 @@ def unavailable_reason() -> str | None:
     return _reason
 
 
-def variants() -> dict:
-    """``{isa name: tc_apply function}`` for every variant this CPU can
-    run, narrowest first (so the last entry is the one to use); empty when
-    the kernel is unavailable.  All variants produce identical floats."""
+def variants(kind: str = "apply") -> dict:
+    """``{isa name: tc_<kind> function}`` (``kind`` one of :data:`KERNELS`)
+    for every variant this CPU can run, narrowest first (so the last entry
+    is the one to use); empty when the kernel is unavailable.  All variants
+    of one kind produce identical floats."""
     lib = load()
     if lib is None:
         return {}
-    return {name: getattr(lib, f"tc_apply_{name}")
+    return {name: getattr(lib, f"tc_{kind}_{name}")
             for name, _, _ in _ISA_VARIANTS[: lib.tc_isa_level() + 1]}
 
 

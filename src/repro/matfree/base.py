@@ -16,11 +16,6 @@ from ..fem.quadrature import GaussQuadrature
 from ..fem import assembly
 from ..obs import registry as _obs
 
-#: operators without their own Table I row borrow the closest kernel's
-#: analytic counts (the Newton apply is the tensor kernel plus a rank-one
-#: correction of the same order)
-_COUNT_ALIAS = {"newton": "tensor"}
-
 
 def _owned_copy(a, shape: tuple, name: str) -> np.ndarray:
     """A read-only C-contiguous float64 copy of ``a`` (never an alias)."""
@@ -133,7 +128,7 @@ class ViscousOperatorBase:
         if self._event_cost is None:
             from ..perf.counts import OPERATOR_COUNTS
 
-            c = OPERATOR_COUNTS.get(_COUNT_ALIAS.get(self.name, self.name))
+            c = OPERATOR_COUNTS.get(self.name)
             nel = self.mesh.nel
             self._event_cost = ((0, 0) if c is None else
                                 (c.flops * nel, c.bytes_perfect_cache * nel))

@@ -21,6 +21,12 @@ contractions along x, y, z, eight elements per SIMD vector -- is what the
 compiled kernel of :mod:`repro.matfree.tensor_compiled` executes;
 :mod:`repro.perf.counts` keeps the paper's analytic count for this row and
 first-principles counts for both implementations.
+
+The strain and residual stages here (:meth:`TensorOperator._strain_stage`,
+:meth:`TensorOperator._residual_stage`) also carry the einsum form of the
+Newton linearization, ``NewtonTensorOperator._apply_einsum`` in
+:mod:`repro.matfree.tensor_compiled`: the fallback without a toolchain
+and the oracle the compiled Newton kernel is tested against.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 
 from ..fem.basis import tensor_line_matrices
 from ..fem.geometry import invert_3x3
-from .base import ViscousOperatorBase, _owned_copy
+from .base import ViscousOperatorBase
 
 
 def kron_gradient_matrices(B: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -97,7 +103,7 @@ class TensorOperator(ViscousOperatorBase):
         ZW, YW, XW = np.meshgrid(w1, w1, w1, indexing="ij")
         self._wq = (XW * YW * ZW).ravel()
 
-    # -- shared geometry pipeline (also used by the Newton variant) ----- #
+    # -- shared geometry pipeline (also the Newton einsum oracle's) ----- #
     def _geometry(self, s: int, e: int):
         """Inverse Jacobians and weighted determinants for an element chunk.
 
@@ -139,49 +145,3 @@ class TensorOperator(ViscousOperatorBase):
             self._residual_stage(tau, Jinv, s, e, y)
         return y
 
-
-class NewtonTensorOperator(TensorOperator):
-    """Action of the true Newton linearization (SS III-A).
-
-    For ``eta = eta~(0.5 D(u):D(u))`` the Newton operator adds the rank-one
-    (in strain space) anisotropic term
-
-        J w = int 2 eta D(w):D(v) + 2 eta' (D(u):D(w)) (D(u):D(v)) dV,
-
-    with ``eta' = d eta / d (second invariant)``.  For yielding and
-    shear-thinning materials ``eta' < 0``, flattening the viscosity tensor
-    along ``D(u)`` -- which is why the paper uses this operator only inside
-    the Krylov matvec while preconditioning with the Picard operator.
-
-    Parameters
-    ----------
-    Du_q:
-        Strain rate of the current iterate at quadrature points,
-        ``(nel, nq, 3, 3)`` (symmetric).
-    eta_prime_q:
-        ``d eta / d I2`` at quadrature points, ``(nel, nq)``.  Both are
-        kept as read-only copies, like ``eta_q``.
-    """
-
-    name = "newton"
-
-    def __init__(self, mesh, eta_q, Du_q, eta_prime_q, quad=None, chunk=4096):
-        super().__init__(mesh, eta_q, quad, chunk)
-        shape = self.eta_q.shape
-        self.Du_q = _owned_copy(Du_q, shape + (3, 3), "Du_q")
-        self.eta_prime_q = _owned_copy(eta_prime_q, shape, "eta_prime_q")
-
-    def _apply(self, w: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.ndof)
-        for s, e in self._chunks():
-            H, Jinv, wdet = self._strain_stage(w, s, e)
-            Dw = 0.5 * (H + H.transpose(0, 1, 3, 2))
-            Du = self.Du_q[s:e]
-            tau = (2.0 * self.eta_q[s:e] * wdet)[:, :, None, None] * Dw
-            # anisotropic Newton term: 2 eta' (Du : Dw) Du
-            DuDw = np.einsum("nqcd,nqcd->nq", Du, Dw, optimize=True)
-            tau += (
-                2.0 * self.eta_prime_q[s:e] * wdet * DuDw
-            )[:, :, None, None] * Du
-            self._residual_stage(tau, Jinv, s, e, y)
-        return y

@@ -44,9 +44,45 @@ import numpy as np
 
 from ..parallel.executor import make_executor, partition_elements
 from . import _ckernel
-from .tensor_c import TensorCOperator, PACKED_VALUES
+from .base import _owned_copy
+from .tensor_c import (
+    PACKED_VALUES, TensorCOperator, build_packed_coefficients,
+)
 
 LANES = _ckernel.LANES
+#: Newton coefficient values per quadrature point (a, then M row-major)
+NEWTON_VALUES = 10
+
+
+def lane_batches(nel: int, values: int) -> np.ndarray:
+    """Zeroed lane-interleaved storage ``(ceil(nel/8), 27, values, 8)``:
+    element ``8 b + l`` is lane ``l`` of batch ``b``, lanes past ``nel``
+    stay zero."""
+    return np.zeros((-(-nel // LANES), 27, values, LANES))
+
+
+def put_lanes(out: np.ndarray, s: int, e: int, block: np.ndarray) -> None:
+    """Store the ``(e - s, 27, values)`` block of elements ``[s, e)`` in
+    their lanes of ``out``."""
+    el = np.arange(s, e)
+    out[el // LANES, :, :, el % LANES] = block
+
+
+def newton_coefficients(Jinv: np.ndarray, wdet: np.ndarray, Du: np.ndarray,
+                        eta_prime: np.ndarray) -> np.ndarray:
+    """Pack ``[a, M]`` per quadrature point into ``(..., 10)``.
+
+    The Newton flux adds ``2 eta' w det (Du : Dw) Du`` to the physical
+    stress.  With ``K = grad_x xi`` and ``Dw = sym(g K)``, ``Du : Dw =
+    (Du K^T) : g`` (``Du`` is symmetric), and pulling the stress back with
+    ``K^T`` gives the reference flux ``t = g S + w (K g K)^T + a (M:g) M``
+    with ``M = Du K^T`` and ``a = 2 eta' w det``.
+    """
+    M = np.einsum("...ce,...de->...cd", Du, Jinv, optimize=True)
+    out = np.empty(wdet.shape + (NEWTON_VALUES,))
+    out[..., 0] = 2.0 * eta_prime * wdet
+    out[..., 1:] = M.reshape(M.shape[:-2] + (9,))
+    return out
 
 
 def owner_writes_plan(conn: np.ndarray, spans):
@@ -70,6 +106,8 @@ class TensorCompiledOperator(TensorCOperator):
     """Compiled sum-factorized apply of the packed Tensor-C operator."""
 
     name = "tensor_compiled"
+    #: which :data:`~repro.matfree._ckernel.KERNELS` entry applies it
+    kernel_kind = "apply"
 
     def __init__(self, mesh, eta_q, quad=None, chunk=4096, workers=None,
                  executor=None):
@@ -77,7 +115,7 @@ class TensorCompiledOperator(TensorCOperator):
         # layout of ``_C`` depends on which path applies them.  ``isa`` names
         # the variant in use (None on the NumPy fallback).
         self.isa = _ckernel.isa()
-        self._kernel = _ckernel.variants().get(self.isa)
+        self._kernel = _ckernel.variants(self.kernel_kind).get(self.isa)
         super().__init__(mesh, eta_q, quad, chunk)
         # the kernel reads these as raw pointers: pin dtypes/contiguity once
         self._conn64 = np.ascontiguousarray(
@@ -114,11 +152,15 @@ class TensorCompiledOperator(TensorCOperator):
         lanes past ``nel`` stay zero."""
         if not self.compiled:
             return super()._rebuild()
-        C = np.zeros((-(-self.mesh.nel // LANES), 27, PACKED_VALUES, LANES))
+        C = lane_batches(self.mesh.nel, PACKED_VALUES)
         for s, e, packed in self._packed_chunks():
-            el = np.arange(s, e)
-            C[el // LANES, :, :, el % LANES] = packed
+            put_lanes(C, s, e, packed)
         self._C = C
+
+    def _streams(self) -> tuple:
+        """Addresses of the coefficient arrays the kernel reads, in its
+        argument order."""
+        return (self._C.ctypes.data,)
 
     def _run_kernel(self, kernel, u: np.ndarray, s0: int, e0: int,
                     out: np.ndarray | None = None, lo: int = 0,
@@ -133,7 +175,7 @@ class TensorCompiledOperator(TensorCOperator):
             raise ValueError(f"u has {u.size} entries, expected {self.ndof}")
         nel = self.mesh.nel
         kernel(
-            self._C.ctypes.data, self._conn64.ctypes.data,
+            *self._streams(), self._conn64.ctypes.data,
             self._BD.ctypes.data, u.ctypes.data, out.ctypes.data,
             max(0, int(s0)), max(0, min(nel, int(e0))), nel, int(lo),
             None if stash is None else stash.ctypes.data,
@@ -151,3 +193,87 @@ class TensorCompiledOperator(TensorCOperator):
             return self._run_kernel(self._kernel, u, 0, self.mesh.nel)
         return self.executor.dispatch(self, "_apply_span", self._spans, u,
                                       self.ndof, self._stashes)
+
+
+class NewtonTensorOperator(TensorCompiledOperator):
+    """Action of the true Newton linearization (SS III-A), compiled.
+
+    For ``eta = eta~(0.5 D(u):D(u))`` the Newton operator adds the rank-one
+    (in strain space) anisotropic term
+
+        J w = int 2 eta D(w):D(v) + 2 eta' (D(u):D(w)) (D(u):D(v)) dV,
+
+    with ``eta' = d eta / d (second invariant)``.  For yielding and
+    shear-thinning materials ``eta' < 0``, flattening the viscosity tensor
+    along ``D(u)`` -- which is why the paper uses this operator only inside
+    the Krylov matvec while preconditioning with the Picard operator.
+
+    The compiled apply is the Picard kernel plus one rank-one term per
+    point (:func:`newton_coefficients`): ``_rebuild`` packs a second
+    lane-interleaved stream ``_N``, ``(ceil(nel/8), 27, 10, 8)``, next to
+    ``_C``, and ``tc_newton_<isa>`` reads both.  ISA variants, span cuts
+    and worker counts give the same floats, as for ``tensor_compiled``;
+    with ``eta' = 0`` the floats are ``tensor_compiled``'s.  Without a
+    toolchain it applies :meth:`_apply_einsum`, the dense-factor NumPy
+    form, which is also the test oracle (``<= 1e-13 max|y|`` apart).
+
+    Parameters
+    ----------
+    Du_q:
+        Strain rate of the current iterate at quadrature points,
+        ``(nel, nq, 3, 3)`` (symmetric).
+    eta_prime_q:
+        ``d eta / d I2`` at quadrature points, ``(nel, nq)``.  Both are
+        kept as read-only copies, like ``eta_q``.
+    """
+
+    name = "newton"
+    kernel_kind = "newton"
+
+    def __init__(self, mesh, eta_q, Du_q, eta_prime_q, quad=None, chunk=4096,
+                 workers=None, executor=None):
+        # the first _rebuild (in the base constructor) packs them
+        self.Du_q = _owned_copy(Du_q, (mesh.nel, 27, 3, 3), "Du_q")
+        self.eta_prime_q = _owned_copy(eta_prime_q, (mesh.nel, 27),
+                                       "eta_prime_q")
+        super().__init__(mesh, eta_q, quad, chunk, workers, executor)
+
+    def _rebuild(self) -> None:
+        """Pack ``_C`` and ``_N`` lane-interleaved; nothing on the einsum
+        fallback, which reads the geometry and its inputs per apply."""
+        if not self.compiled:
+            return
+        nel = self.mesh.nel
+        C = lane_batches(nel, PACKED_VALUES)
+        N = lane_batches(nel, NEWTON_VALUES)
+        for s, e in self._chunks():
+            Jinv, wdet = self._geometry(s, e)
+            put_lanes(C, s, e, build_packed_coefficients(
+                Jinv, wdet * self.eta_q[s:e]))
+            put_lanes(N, s, e, newton_coefficients(
+                Jinv, wdet, self.Du_q[s:e], self.eta_prime_q[s:e]))
+        self._C, self._N = C, N
+
+    def _streams(self) -> tuple:
+        return (self._C.ctypes.data, self._N.ctypes.data)
+
+    def _apply(self, w: np.ndarray) -> np.ndarray:
+        if not self.compiled:
+            return self._apply_einsum(w)
+        return super()._apply(w)
+
+    def _apply_einsum(self, w: np.ndarray) -> np.ndarray:
+        """The Newton apply through the dense Kronecker factors (NumPy)."""
+        y = np.zeros(self.ndof)
+        for s, e in self._chunks():
+            H, Jinv, wdet = self._strain_stage(w, s, e)
+            Dw = 0.5 * (H + H.transpose(0, 1, 3, 2))
+            Du = self.Du_q[s:e]
+            tau = (2.0 * self.eta_q[s:e] * wdet)[:, :, None, None] * Dw
+            # anisotropic Newton term: 2 eta' (Du : Dw) Du
+            DuDw = np.einsum("nqcd,nqcd->nq", Du, Dw, optimize=True)
+            tau += (
+                2.0 * self.eta_prime_q[s:e] * wdet * DuDw
+            )[:, :, None, None] * Du
+            self._residual_stage(tau, Jinv, s, e, y)
+        return y

@@ -32,6 +32,8 @@ Two tables live here, and the distinction is the point:
     element, and streams the coefficients lane-interleaved in batches of
     eight elements (same 16 values per point, so the same bytes per
     element; the zero lanes padding the last batch are not counted).
+    ``newton`` is that kernel with the rank-one Newton term: 36 flops and
+    10 streamed values more per quadrature point.
 
 Paper rows (SS III-D):
 
@@ -178,6 +180,28 @@ _TENSOR_COMPILED = OperatorCounts(
     bytes_pessimal_cache=_BATCH_BYTES_PESSIMAL // _LANES,
 )
 
+# -- Newton linearization: the compiled kernel plus a rank-one term -------- #
+# per quadrature point, t += a (M:g) M:
+#   M:g      9 mul + 8 add  = 17
+#   a (M:g)  1 mul          =  1
+#   t +=     9 mul + 9 add  = 18
+_NEWTON_POINT_FLOPS = 17 + 1 + 18
+assert _NEWTON_POINT_FLOPS == 36
+# streamed: the second lane-interleaved array, [a, M (9)] per point
+_NEWTON_EXTRA_BYTES = 8 * 10 * 27
+assert _NEWTON_EXTRA_BYTES == 2160
+_NEWTON = OperatorCounts(
+    name="newton",
+    flops=_TENSOR_COMPILED_FLOPS + 27 * _NEWTON_POINT_FLOPS,
+    bytes_perfect_cache=_TENSOR_COMPILED.bytes_perfect_cache
+    + _NEWTON_EXTRA_BYTES,
+    bytes_pessimal_cache=_TENSOR_COMPILED.bytes_pessimal_cache
+    + _NEWTON_EXTRA_BYTES,
+)
+assert _NEWTON.flops == 11745, _NEWTON.flops
+assert _NEWTON.bytes_perfect_cache == 6216
+assert _NEWTON.bytes_pessimal_cache == 7128
+
 #: Table I exactly as the paper prints it (four rows, paper arithmetic)
 PAPER_COUNTS: dict[str, OperatorCounts] = {
     c.name: c for c in (_ASSEMBLED, _MF, _TENSOR, _TENSOR_C_PAPER)
@@ -186,7 +210,8 @@ PAPER_COUNTS: dict[str, OperatorCounts] = {
 #: what this implementation computes and streams (GF/s accounting, events)
 OPERATOR_COUNTS: dict[str, OperatorCounts] = {
     c.name: c
-    for c in (_ASSEMBLED, _MF, _TENSOR, _TENSOR_C_IMPL, _TENSOR_COMPILED)
+    for c in (_ASSEMBLED, _MF, _TENSOR, _TENSOR_C_IMPL, _TENSOR_COMPILED,
+              _NEWTON)
 }
 
 

@@ -254,9 +254,9 @@ class FaultInjector:
         """Corrupt a projected coefficient field (Eq. 12 output).
 
         Patches the time loop's ``project_to_quadrature``; the *first*
-        projection of a ``quadrature_fields`` evaluation is the effective
-        viscosity, so ``when=lambda: sim.step_index == k`` with
-        ``limit=1`` poisons exactly one step's viscosity.  ``mode``:
+        projection of a ``Simulation.linearize`` evaluation is the
+        effective viscosity, so ``when=lambda: sim.step_index == k`` with
+        ``limit=1`` poisons exactly one iterate's viscosity.  ``mode``:
         ``"spike"`` multiplies the leading ``fraction`` of quadrature
         values by ``factor`` (the wild outlier a broken flow law emits),
         ``"negative"`` flips their sign (non-physical, kills SPD-ness),

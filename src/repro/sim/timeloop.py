@@ -22,7 +22,7 @@ One time step:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from ..obs.trace import trace_resilience
 from ..resilience.health import HealthConfig, HealthMonitor
 from ..resilience.reasons import BreakdownError, ConvergedReason
 from ..solvers.nonlinear import newton
-from ..stokes.operators import StokesProblem
+from ..stokes.operators import StokesOperator, StokesProblem
 from ..stokes.solve import StokesConfig, solve_stokes, solve_stokes_resilient
 from .checkpoint import restore_state, state_dict
 
@@ -128,6 +128,22 @@ class SimulationConfig:
     health: HealthConfig | None = None
 
 
+@dataclass
+class Linearization:
+    """One nonlinear iterate, linearized: what its residual, its linear
+    solve and the plastic update read (:meth:`Simulation.linearize`)."""
+
+    #: a copy of the iterate ``[u; p]`` it was built at (the reuse key)
+    x: np.ndarray
+    #: per-point yield flags of the flow-law evaluation
+    yielding: np.ndarray
+    #: projected ``d eta / d I2`` (the Newton operator's)
+    deta_q: np.ndarray
+    #: the Picard operator on the projected ``eta_q``/``rho_q``; its
+    #: ``problem`` carries them, its viscous block is multigrid level 0
+    picard: StokesOperator
+
+
 class Simulation:
     """Coupled MPM / Stokes / energy / ALE driver.
 
@@ -189,6 +205,8 @@ class Simulation:
         self._step_fallback_events: list[dict] = []
         self._B = None
         self._B_coords_version = -1
+        #: the last iterate's linearization (see :meth:`linearize`)
+        self._linearization = None
         self.health = (
             HealthMonitor(self, self.config.health)
             if self.config.health is not None else None
@@ -253,9 +271,21 @@ class Simulation:
         deta = np.maximum(deta, -0.9 * eta / (2.0 * J2))
         return eta, deta, rho, yielding
 
-    def quadrature_fields(self, u: np.ndarray, p: np.ndarray):
-        """Projected ``(eta_q, deta_q, rho_q)`` (Eq. 12/13)."""
-        eta_p, deta_p, rho_p, yielding = self.point_properties(u, p)
+    def linearize(self, x: np.ndarray) -> Linearization:
+        """The :class:`Linearization` of the iterate ``x = [u; p]``.
+
+        Built once per distinct iterate: the last one is kept and returned
+        again while ``x`` equals its stored copy, so the residual, the
+        linear solve and the plastic update of one iterate evaluate the
+        flow laws, project and guard the fields, and pack the Picard
+        operator once.  ``solve_stokes_nonlinear`` drops it on entry (the
+        points moved since) and the plastic update drops it on exit.
+        """
+        lin = self._linearization
+        if lin is not None and np.array_equal(lin.x, x):
+            return lin
+        nu = 3 * self.mesh.nnodes
+        eta_p, deta_p, rho_p, yielding = self.point_properties(x[:nu], x[nu:])
         self.last_yielded_fraction = float(yielding.mean()) if yielding.size else 0.0
         pts = self.points
         eta_q = project_to_quadrature(self.mesh, pts.el, pts.xi, eta_p, self.quad)
@@ -265,8 +295,19 @@ class Simulation:
             # guard *after* projection so any corruption upstream (flow
             # law, projection, injected faults) is caught at the last
             # point before the operator consumes the fields
-            return self.health.guard_coefficient_fields(eta_q, deta_q, rho_q)
-        return eta_q, deta_q, rho_q
+            eta_q, deta_q, rho_q = self.health.guard_coefficient_fields(
+                eta_q, deta_q, rho_q)
+        problem = StokesProblem(
+            self.mesh, eta_q, rho_q, gravity=self.gravity,
+            bc_builder=self.bc_builder, quad=self.quad,
+        )
+        stokes = self.config.stokes
+        picard = StokesOperator(problem, kind=stokes.operator,
+                                divergence=self._divergence(),
+                                workers=stokes.workers)
+        self._linearization = Linearization(x.copy(), yielding, deta_q,
+                                            picard)
+        return self._linearization
 
     # ------------------------------------------------------------------ #
     # nonlinear Stokes
@@ -279,12 +320,6 @@ class Simulation:
             self._B_coords_version = self.mesh.coords_version
         return self._B
 
-    def _problem(self, eta_q, rho_q) -> StokesProblem:
-        return StokesProblem(
-            self.mesh, eta_q, rho_q, gravity=self.gravity,
-            bc_builder=self.bc_builder, quad=self.quad,
-        )
-
     def solve_stokes_nonlinear(self):
         """Newton (or Picard) solve of the current-configuration Stokes flow.
 
@@ -293,39 +328,35 @@ class Simulation:
         cfg = self.config
         mesh = self.mesh
         nu = 3 * mesh.nnodes
-        B = self._divergence()
+        self._linearization = None
 
         def residual(x):
-            eta_q, _, rho_q = self.quadrature_fields(x[:nu], x[nu:])
-            pb = self._problem(eta_q, rho_q)
-            from ..stokes.operators import StokesOperator
-
-            op = StokesOperator(pb, kind=cfg.stokes.operator, divergence=B)
-            return op.residual(x)
+            return self.linearize(x).picard.residual(x)
 
         solve_count = [0]
 
         def solve_linearized(x, F, rtol_lin):
-            eta_q, deta_q, rho_q = self.quadrature_fields(x[:nu], x[nu:])
-            pb = self._problem(eta_q, rho_q)
+            lin = self.linearize(x)
+            picard = lin.picard
             vel_op = None
             newton_phase = solve_count[0] >= cfg.newton_after
             solve_count[0] += 1
             if cfg.use_newton_operator and newton_phase and not cfg.picard_only:
                 Du_q = strain_rate_at_quadrature(mesh, x[:nu], self.quad)
                 vel_op = NewtonTensorOperator(
-                    mesh, eta_q, Du_q, deta_q, quad=self.quad
+                    mesh, picard.problem.eta_q, Du_q, lin.deta_q,
+                    quad=self.quad, workers=cfg.stokes.workers,
+                    executor=picard.A_op.executor,
                 )
-            from dataclasses import replace
 
             rtol = cfg.linear_rtol if cfg.linear_rtol is not None else max(rtol_lin, 1e-10)
             solve = solve_stokes_resilient if cfg.resilient else solve_stokes
             sol = solve(
-                pb,
+                picard.problem,
                 replace(cfg.stokes, rtol=rtol),
                 velocity_operator=vel_op,
                 rhs=F,
-                divergence=B,
+                stokes_operator=picard,
             )
             events = sol.extra.get("fallback_events")
             if events:
@@ -393,9 +424,12 @@ class Simulation:
                     dt = 0.0  # no flow yet: nothing to advect
             dt = dt * self._dt_scale
 
-            # plastic strain accumulates at yielded points
+            # plastic strain accumulates at yielded points, flagged by the
+            # accepted iterate's linearization
             with _obs.stage("PlasticUpdate"):
-                _, _, _, yielding = self.point_properties(self.u, self.p)
+                yielding = self.linearize(
+                    np.concatenate([self.u, self.p])).yielding
+                self._linearization = None  # the material state moves on
                 if yielding.any() and dt > 0:
                     eps_p = strain_invariant_at_points(
                         self.mesh, self.u, self.points.el, self.points.xi

@@ -147,22 +147,16 @@ def newton(
             eta = eisenstat_walker(fnorm, fnorm_prev, eta)
         dx, kits = solve_linearized(x, F, eta)
         lin_its.append(kits)
-        lam = 1.0
-        accepted = False
-        for _ in range(ls_max_backtracks + 1):
+        # backtrack until sufficient decrease (Armijo on |F|); when no
+        # trial decreases enough, the last and shortest one is accepted
+        # rather than stalling silently
+        for k in range(ls_max_backtracks + 1):
+            lam = 0.5**k
             x_trial = x + lam * dx
             F_trial = residual(x_trial)
             fnorm_trial = float(np.linalg.norm(F_trial))
-            # sufficient decrease (Armijo on |F|)
             if fnorm_trial <= (1.0 - ls_alpha * lam) * fnorm or not line_search:
-                accepted = True
                 break
-            lam *= 0.5
-        if not accepted:
-            # accept the smallest step anyway rather than stalling silently
-            x_trial = x + lam * dx
-            F_trial = residual(x_trial)
-            fnorm_trial = float(np.linalg.norm(F_trial))
         fnorm_prev = fnorm
         x, F, fnorm = x_trial, F_trial, fnorm_trial
         residuals.append(fnorm)

@@ -11,6 +11,7 @@ symmetric, which the Schur-complement theory of SS III-B relies on.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,21 +102,17 @@ class StokesOperator:
         The :class:`StokesProblem` definition.
     kind:
         Which Table I kernel applies the viscous block.
-    velocity_operator:
-        Optionally, a prebuilt operator (e.g. the Newton linearization)
-        whose ``apply`` replaces the Picard viscous block in the matvec.
+    divergence:
+        The assembled ``B`` when the caller already has it (it depends on
+        the geometry only).
     """
 
     def __init__(self, problem: StokesProblem,
                  kind: str = "tensor_compiled",
-                 velocity_operator=None, divergence: sp.spmatrix | None = None,
+                 divergence: sp.spmatrix | None = None,
                  workers: int | None = None, executor=None):
         self.problem = problem
         mesh, quad = problem.mesh, problem.quad
-        self.A_op = velocity_operator or make_operator(
-            kind, mesh, problem.eta_q, quad=quad,
-            workers=workers, executor=executor,
-        )
         # geometry-only block; callers in nonlinear loops pass a cached one
         self.B = (
             divergence
@@ -126,18 +123,30 @@ class StokesOperator:
         self.nu = problem.nu
         self.ndof = problem.ndof
         if self.bc is not None:
-            mask = self.bc.mask
             # zero divergence columns at constrained dofs (B acts on
             # interior velocity only)
-            keep = sp.diags((~mask).astype(float))
+            keep = sp.diags((~self.bc.mask).astype(float))
             self.B_int = (self.B @ keep).tocsr()
-            self._apply_A = self.bc.wrap_apply(self.A_op)
         else:
             self.B_int = self.B
-            self._apply_A = self.A_op
         #: gradient block stored as CSR once, so ``B^T p`` is a row-wise
         #: SpMV instead of SciPy's column-scatter ``csc_matvec``
         self.B_int_T = self.B_int.T.tocsr()
+        self._set_velocity_operator(make_operator(
+            kind, mesh, problem.eta_q, quad=quad,
+            workers=workers, executor=executor,
+        ))
+
+    def _set_velocity_operator(self, A_op) -> None:
+        self.A_op = A_op
+        self._apply_A = A_op if self.bc is None else self.bc.wrap_apply(A_op)
+
+    def with_velocity_operator(self, A_op) -> "StokesOperator":
+        """This operator with ``A_op`` (e.g. the Newton linearization) as
+        its viscous block; ``B``, ``B^T`` and the problem are shared."""
+        op = copy.copy(self)
+        op._set_velocity_operator(A_op)
+        return op
 
     # ------------------------------------------------------------------ #
     def apply(self, x: np.ndarray) -> np.ndarray:

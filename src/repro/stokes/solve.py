@@ -118,7 +118,7 @@ def solve_stokes(
     monitor=None,
     rhs: np.ndarray | None = None,
     x0: np.ndarray | None = None,
-    divergence=None,
+    stokes_operator: StokesOperator | None = None,
 ) -> StokesSolution:
     """Solve one (Picard-)linearized Stokes problem.
 
@@ -134,6 +134,12 @@ def solve_stokes(
     rhs / x0:
         Override the body-force right-hand side / initial guess (the
         nonlinear drivers pass residuals through here).
+    stokes_operator:
+        The Picard :class:`StokesOperator` of ``problem``, already built
+        (the nonlinear loop builds one per iterate for its residual).  Used
+        as it is when its viscous kernel is ``config.operator``; a rung of
+        the fallback ladder with another kernel builds its own and takes
+        only its ``B``.
     """
     cfg = config or StokesConfig()
     mesh = problem.mesh
@@ -142,15 +148,21 @@ def solve_stokes(
 
     t0 = time.perf_counter()
     with _obs.stage("StokesSetup"):
-        op = StokesOperator(
-            problem, kind=cfg.operator, velocity_operator=velocity_operator,
-            divergence=divergence, workers=cfg.workers,
-        )
+        # the Picard operator: preconditioned by every velocity_pc, and the
+        # matvec too unless a Newton linearization replaces its viscous block
+        picard = stokes_operator
+        if picard is None or picard.A_op.name != cfg.operator:
+            picard = StokesOperator(
+                problem, kind=cfg.operator, workers=cfg.workers,
+                divergence=getattr(stokes_operator, "B", None),
+            )
+        op = (picard if velocity_operator is None
+              else picard.with_velocity_operator(velocity_operator))
         if cfg.velocity_pc == "jacobi":
             # last rung of the fallback ladder: diagonal scaling of the
             # viscous block, no hierarchy to build and nothing to break
             with _obs.timed("PCSetUp_jacobi"):
-                d = np.array(op.A_op.diagonal(), dtype=np.float64)
+                d = np.array(picard.A_op.diagonal(), dtype=np.float64)
                 if problem.bc is not None:
                     d[problem.bc.mask] = 1.0  # BC rows are identity
                 d[d == 0.0] = 1.0
@@ -159,13 +171,9 @@ def solve_stokes(
             mg_stats = None
         elif cfg.velocity_pc == "gmg":
             meshes = mesh.hierarchy(cfg.mg_levels)[::-1]
-            # the coupled operator's viscous block is multigrid level 0
-            # when it is the Picard operator on problem.eta_q: share it.
-            # A Newton linearization stays out of the preconditioner, and
-            # caller-supplied level viscosities get their own operator.
-            fine_op = None
-            if velocity_operator is None and eta_levels is None:
-                fine_op = op.A_op
+            # the Picard viscous block on problem.eta_q is multigrid level
+            # 0; caller-supplied level viscosities get their own operator
+            fine_op = picard.A_op if eta_levels is None else None
             if eta_levels is None:
                 eta_levels = coefficient_hierarchy(
                     meshes, problem.eta_q, problem.quad

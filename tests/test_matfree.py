@@ -6,6 +6,7 @@ import pytest
 from repro import obs
 from repro.fem import StructuredMesh, GaussQuadrature
 from repro.matfree import make_operator, OPERATOR_TYPES, NewtonTensorOperator
+from repro.matfree import _ckernel
 
 KINDS = sorted(OPERATOR_TYPES)
 
@@ -302,6 +303,7 @@ class TestNewtonOperator:
         eta, deta = law(eps)
         Du = strain_rate_at_quadrature(mesh, u, quad)
         J = NewtonTensorOperator(mesh, eta, Du, deta, quad=quad)
+        assert J.compiled is _ckernel.available()
         h = 1e-6
         fd = (residual(u + h * w) - residual(u - h * w)) / (2 * h)
         jw = J(w)
@@ -338,12 +340,12 @@ class TestApplyCounters:
         op = make_operator("tensor", mesh, np.ones((mesh.nel, 27)))
         self.assert_two_calls_counted(op, "tensor")
 
-    def test_newton_counts_as_tensor(self):
+    def test_newton_counts_its_own_row(self):
         mesh = StructuredMesh((2, 2, 2), order=2)
         eta = np.ones((mesh.nel, 27))
         op = NewtonTensorOperator(mesh, eta, np.zeros((mesh.nel, 27, 3, 3)),
                                   np.zeros_like(eta))
-        self.assert_two_calls_counted(op, "tensor")
+        self.assert_two_calls_counted(op, "newton")
 
 
 class TestStressForm:

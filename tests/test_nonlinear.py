@@ -77,6 +77,27 @@ class TestNewton:
                      rtol=1e-10, maxiter=8, line_search=False)
         assert not res.converged
 
+    def test_failed_line_search_accepts_its_last_trial(self):
+        """When no backtrack decreases |F|, the last (shortest) trial is
+        accepted as evaluated: no extra residual at a step never tried."""
+        calls = []
+
+        def residual(x):
+            calls.append(x.copy())
+            return np.array([1.0 + len(calls)])  # never decreases
+
+        def solve_linearized(x, F, rtol):
+            return np.ones(1), 1
+
+        backtracks, maxiter = 3, 2
+        res = newton(residual, solve_linearized, np.zeros(1), maxiter=maxiter,
+                     ls_max_backtracks=backtracks)
+        assert len(calls) == 1 + maxiter * (backtracks + 1)
+        assert res.step_lengths == [0.5**backtracks] * maxiter
+        # the accepted iterate is the last one evaluated
+        assert np.array_equal(res.x, calls[-1])
+        assert res.residuals[-1] == 1.0 + len(calls)
+
     def test_maxiter_budget(self):
         residual, solve, n = quadratic_problem()
         res = newton(residual, solve, np.zeros(n), rtol=1e-30, maxiter=2)

@@ -4,16 +4,16 @@ Under the owner-writes contract (:mod:`repro.parallel.executor`) every
 kernel that dispatches reproduces the serial result bit for bit, for any
 worker count and on any engine: the thread pool, the in-process rank
 oracle, and real rank processes.  Every case here is ``np.array_equal``
-to ``workers=1``: one compiled apply, one diagonal, one assembled matrix,
-an operator updated through ``set_viscosity``, and the state digest of a
-4^3 three-step sinker run.
+to ``workers=1``: one compiled apply, one compiled Newton apply, one
+diagonal, one assembled matrix, an operator updated through
+``set_viscosity``, and the state digest of a 4^3 three-step sinker run.
 """
 
 import numpy as np
 import pytest
 
 from repro.fem import GaussQuadrature, StructuredMesh
-from repro.matfree import make_operator
+from repro.matfree import NewtonTensorOperator, make_operator
 from repro.parallel import use_executor
 from repro.serve.jobs import JobSpec
 from repro.serve.store import state_digest
@@ -54,6 +54,22 @@ def test_apply(problem, substrate, workers):
     with dispatch_engine(substrate, workers) as engine:
         y = on_engine("tensor_compiled", problem, engine).apply(u)
     assert np.array_equal(y, serial("tensor_compiled", problem).apply(u))
+
+
+def test_newton_apply(problem, substrate, workers):
+    """The compiled Newton linearization dispatches like the Picard
+    kernel: owner-writes spans on the operator's executor."""
+    mesh, eta, u = problem
+    rng = np.random.default_rng(22)
+    Du = rng.standard_normal((mesh.nel, QUAD.npoints, 3, 3))
+    Du = 0.5 * (Du + Du.transpose(0, 1, 3, 2))
+    deta = rng.normal(scale=0.3, size=eta.shape)
+    ref = NewtonTensorOperator(mesh, eta, Du, deta, quad=QUAD, workers=1)
+    with dispatch_engine(substrate, workers) as engine:
+        op = NewtonTensorOperator(mesh, eta, Du, deta, quad=QUAD,
+                                  executor=engine)
+        y = op.apply(u)
+    assert np.array_equal(y, ref.apply(u))
 
 
 def test_diagonal(problem, substrate, workers):

@@ -89,6 +89,15 @@ class TestImplementationCounts:
             ref.bytes_perfect_cache, ref.bytes_pessimal_cache
         )
 
+    def test_newton_counts_the_rank_one_term(self):
+        c = OPERATOR_COUNTS["newton"]
+        ref = OPERATOR_COUNTS["tensor_compiled"]
+        # M:g (9 mul + 8 add), a (M:g), t += (.) M (9 mul + 9 add) per point
+        assert c.flops == ref.flops + 27 * (17 + 1 + 18) == 11745
+        # plus the second stream: [a, M] = 10 doubles per point
+        assert c.bytes_perfect_cache == ref.bytes_perfect_cache + 27 * 10 * 8
+        assert c.bytes_pessimal_cache == ref.bytes_pessimal_cache + 27 * 10 * 8
+
     def test_compiled_memory_counts_whole_batches(self):
         from repro.perf.roofline import memory_bytes
 

@@ -118,7 +118,8 @@ class TestSinker:
         cfg = SinkerConfig(shape=(4, 4, 4), n_spheres=2, radius=0.2,
                            delta_eta=1e2, points_per_dim=3)
         sim = make_sinker(cfg)
-        eta_q, _, rho_q = sim.quadrature_fields(sim.u, sim.p)
+        problem = sim.linearize(np.concatenate([sim.u, sim.p])).picard.problem
+        eta_q, rho_q = problem.eta_q, problem.rho_q
         assert eta_q.min() >= 1.0 / cfg.delta_eta - 1e-12
         assert eta_q.max() <= 1.0 + 1e-12
         assert rho_q.max() <= 1.2 + 1e-12
@@ -159,6 +160,26 @@ class TestRifting:
         # extension thins the domain: surface drops on average
         topo = sim.mesh.coords[:, 2].max()
         assert topo <= 1.0 + 1e-9
+
+    def test_one_flow_law_evaluation_per_iterate(self, monkeypatch):
+        """The residual, the linear solve and the plastic update of one
+        iterate share its linearization: a step of 3 Newton iterations
+        evaluates the flow laws at its 4 distinct iterates, once each."""
+        cfg = RiftingConfig(shape=(6, 4, 2), mg_levels=1)
+        sim = make_rifting(cfg)
+        sim.config.newton_rtol = 1e-12
+        sim.config.max_newton = 3
+        seen = []
+        evaluate = sim.point_properties
+
+        def counted(u, p):
+            seen.append(np.concatenate([u, p]).tobytes())
+            return evaluate(u, p)
+
+        monkeypatch.setattr(sim, "point_properties", counted)
+        stats = sim.step()
+        assert stats["newton_iterations"] == 3
+        assert len(seen) == 4 == len(set(seen))
 
     def test_temperature_stays_bounded(self):
         cfg = RiftingConfig(shape=(6, 4, 2), mg_levels=1)

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from repro.fem import StructuredMesh, GaussQuadrature
-from repro.matfree import make_operator
+from repro.matfree import NewtonTensorOperator, make_operator
 from repro.matfree import _ckernel
 from repro.matfree.tensor_c import (
     PACKED_VALUES, build_packed_coefficients, unpack_sym,
 )
-from repro.matfree.tensor_compiled import owner_writes_plan
+from repro.matfree.tensor_compiled import NEWTON_VALUES, owner_writes_plan
 from repro.parallel.executor import partition_range, replay_stashes
 from tests.conftest import dispatch_engine
 
@@ -46,6 +46,26 @@ def small_setup(shape=(3, 3, 4), seed=11):
 def compiled_op(shape=(3, 3, 4), **kwargs):
     mesh, eta, u = small_setup(shape)
     return make_operator("tensor_compiled", mesh, eta, quad=QUAD, **kwargs), u
+
+
+def newton_inputs(mesh, seed=12):
+    """A symmetric strain rate and an ``eta'`` of both signs."""
+    rng = np.random.default_rng(seed)
+    Du = rng.standard_normal((mesh.nel, QUAD.npoints, 3, 3))
+    deta = rng.normal(scale=0.3, size=(mesh.nel, QUAD.npoints))
+    assert deta.min() < 0 < deta.max()
+    return 0.5 * (Du + Du.transpose(0, 1, 3, 2)), deta
+
+
+def newton_op(shape=(5, 3, 2), **kwargs):
+    mesh, eta, u = small_setup(shape)
+    Du, deta = newton_inputs(mesh)
+    return NewtonTensorOperator(mesh, eta, Du, deta, quad=QUAD, **kwargs), u
+
+
+def kernel_op(kind, shape):
+    """The operator that ``tc_<kind>_<isa>`` applies, and an input."""
+    return compiled_op(shape) if kind == "apply" else newton_op(shape)
 
 
 @pytest.fixture
@@ -115,16 +135,18 @@ class TestBitwiseContract:
 
     @pytest.mark.parametrize("shape", ODD_SHAPES + [(3, 3, 4)])
     def test_every_isa_variant_gives_the_same_floats(self, shape):
-        op, u = compiled_op(shape)
-        variants = _ckernel.variants()
-        assert list(variants)[0] == "base" and list(variants)[-1] == op.isa
-        nel = op.mesh.nel
-        spans = [(0, nel), (1, nel - 2), (3, 12), (7, 9)]
-        for s, e in spans:
-            ys = [op._run_kernel(fn, u, s, e) for fn in variants.values()]
-            assert np.abs(ys[0]).max() > 0
-            for y in ys[1:]:
-                assert np.array_equal(ys[0], y)
+        for kind in _ckernel.KERNELS:
+            op, u = kernel_op(kind, shape)
+            variants = _ckernel.variants(kind)
+            assert list(variants)[0] == "base"
+            assert list(variants)[-1] == op.isa
+            nel = op.mesh.nel
+            spans = [(0, nel), (1, nel - 2), (3, 12), (7, 9)]
+            for s, e in spans:
+                ys = [op._run_kernel(fn, u, s, e) for fn in variants.values()]
+                assert np.abs(ys[0]).max() > 0
+                for y in ys[1:]:
+                    assert np.array_equal(ys[0], y), (kind, s, e)
 
     @pytest.mark.parametrize("shape", ODD_SHAPES)
     def test_arbitrary_span_cuts_match_ordered_element_sum(self, shape):
@@ -149,24 +171,26 @@ class TestBitwiseContract:
     def test_owner_writes_equals_one_span_serial(self, cut):
         """Owner-writes over any cut -- tasks run in reverse order, stashes
         replayed in span order -- is the one-span serial apply, bitwise,
-        on every ISA variant."""
-        op, u = compiled_op((5, 3, 7))  # 15 elements per layer, 7 layers
-        nel = op.mesh.nel
-        spans = {
-            "mid-layer": list(zip([0, 7, 22, 50, 80], [7, 22, 50, 80, nel])),
-            "more-spans-than-layers": partition_range(nel, 10),
-            "one-element-per-span": [(el, el + 1) for el in range(nel)],
-        }[cut]
-        lo, stashes = owner_writes_plan(op._conn64, spans)
-        assert sum(map(len, stashes)) > 0
-        for name, fn in _ckernel.variants().items():
-            serial = op._run_kernel(fn, u, 0, nel)
-            out = np.zeros(op.ndof)
-            vals = [np.empty(len(idx)) for idx in stashes]
-            for (s, e), stash in reversed(list(zip(spans, vals))):
-                op._run_kernel(fn, u, s, e, out, lo[s], stash)
-            assert np.array_equal(replay_stashes(out, stashes, vals),
-                                  serial), name
+        on every ISA variant of both kernels."""
+        for kind in _ckernel.KERNELS:
+            op, u = kernel_op(kind, (5, 3, 7))  # 15 elements/layer, 7 layers
+            nel = op.mesh.nel
+            spans = {
+                "mid-layer": list(zip([0, 7, 22, 50, 80],
+                                      [7, 22, 50, 80, nel])),
+                "more-spans-than-layers": partition_range(nel, 10),
+                "one-element-per-span": [(el, el + 1) for el in range(nel)],
+            }[cut]
+            lo, stashes = owner_writes_plan(op._conn64, spans)
+            assert sum(map(len, stashes)) > 0
+            for name, fn in _ckernel.variants(kind).items():
+                serial = op._run_kernel(fn, u, 0, nel)
+                out = np.zeros(op.ndof)
+                vals = [np.empty(len(idx)) for idx in stashes]
+                for (s, e), stash in reversed(list(zip(spans, vals))):
+                    op._run_kernel(fn, u, s, e, out, lo[s], stash)
+                assert np.array_equal(replay_stashes(out, stashes, vals),
+                                      serial), (kind, name)
 
     def test_element_floats_do_not_depend_on_the_lane(self):
         """The same coefficients and the same local input at every lane
@@ -269,6 +293,70 @@ class TestAccuracy:
             assert np.abs(op(B[:, j])).max() < 1e-9
 
 
+class TestNewtonKernel:
+    """``tc_newton_<isa>``: the Picard kernel plus the rank-one term, under
+    the same bitwise contract, against the einsum oracle."""
+
+    @pytest.mark.parametrize("shape", ODD_SHAPES)
+    def test_matches_einsum_oracle(self, shape):
+        op, u = newton_op(shape)
+        y = op.apply(u)
+        ref = op._apply_einsum(u)
+        assert np.abs(y - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_rank_one_term_is_the_newton_term(self):
+        """The packed ``a (M:g) M`` is the einsum flux's ``2 eta' (Du:Dw)
+        Du`` pulled back with ``K^T``: compare the two directly."""
+        from repro.matfree.tensor_compiled import newton_coefficients
+
+        rng = np.random.default_rng(1)
+        K = rng.standard_normal((4, 27, 3, 3))
+        wdet = np.abs(rng.standard_normal((4, 27))) + 0.1
+        Du, deta = newton_inputs(StructuredMesh((2, 2, 1), order=2))
+        g = rng.standard_normal((4, 27, 3, 3))
+        packed = newton_coefficients(K, wdet, Du, deta)
+        assert packed.shape == (4, 27, NEWTON_VALUES)
+        a, M = packed[..., 0], packed[..., 1:].reshape(4, 27, 3, 3)
+        t = (a * np.einsum("nqcd,nqcd->nq", M, g))[..., None, None] * M
+        Dw = 0.5 * (np.einsum("nqcd,nqde->nqce", g, K)
+                    + np.einsum("nqcd,nqde->nqec", g, K))
+        tau = (2.0 * deta * wdet * np.einsum("nqcd,nqcd->nq", Du, Dw)
+               )[..., None, None] * Du
+        ref = np.einsum("nqce,nqde->nqcd", tau, K)
+        assert np.allclose(t, ref, rtol=1e-13, atol=1e-13)
+
+    @needs_kernel
+    def test_zero_eta_prime_is_the_picard_kernel_bitwise(self):
+        mesh, eta, u = small_setup((5, 3, 2))
+        Du, deta = newton_inputs(mesh)
+        newton = NewtonTensorOperator(mesh, eta, Du, np.zeros_like(deta),
+                                      quad=QUAD)
+        picard = make_operator("tensor_compiled", mesh, eta, quad=QUAD)
+        assert np.array_equal(newton.apply(u), picard.apply(u))
+
+    @needs_kernel
+    def test_layout_and_rebuild(self):
+        """``_N[b, q, k, l]`` is value k of point q of element 8 b + l; a
+        viscosity update repacks both streams like a fresh build."""
+        op, u = newton_op()
+        nel = op.mesh.nel
+        assert op._N.shape == (-(-nel // _ckernel.LANES), 27, NEWTON_VALUES,
+                               _ckernel.LANES)
+        by_element = op._N.transpose(0, 3, 1, 2).reshape(-1, 27, NEWTON_VALUES)
+        assert not by_element[nel:].any()
+        assert np.array_equal(by_element[:nel, :, 0],
+                              2.0 * op.eta_prime_q * op._geometry(0, nel)[1])
+        fresh = NewtonTensorOperator(op.mesh, 2.0 * op.eta_q, op.Du_q,
+                                     op.eta_prime_q, quad=QUAD)
+        op.set_viscosity(2.0 * op.eta_q)
+        assert np.array_equal(op.apply(u), fresh.apply(u))
+
+    def test_fallback_is_the_einsum_oracle(self, no_toolchain):
+        op, u = newton_op()
+        assert not op.compiled and not hasattr(op, "_C")
+        assert np.array_equal(op.apply(u), op._apply_einsum(u))
+
+
 class TestFallback:
     def test_kill_switch_forces_numpy_path(self, no_toolchain):
         mesh, eta, u = small_setup()
@@ -351,6 +439,7 @@ class TestDefaults:
 
         c = OPERATOR_COUNTS["tensor_compiled"]
         assert c.flops == 10773 < OPERATOR_COUNTS["tensor_c"].flops
+        assert OPERATOR_COUNTS["newton"].flops == c.flops + 27 * 36
 
     def test_default_solve_runs_the_compiled_kernel(self):
         from repro.mg.gmg import GMGConfig
