@@ -28,9 +28,9 @@ def obs_trace(request):
     """
     obs.reset()
     obs.enable()
-    # CI sets $REPRO_TIMELINE=1 so candidate BENCH documents carry a
-    # "timeline" section (Perfetto trace artifact + --max-imbalance gate);
-    # plain/baseline runs stay span-free
+    # $REPRO_TIMELINE=1 arms span capture, so the BENCH document carries
+    # a "timeline" section (``python -m repro.obs.timeline`` turns it into
+    # a Perfetto trace); unset, the document stays span-free
     armed_here = obs.timeline.armed() is None and (
         obs.timeline.maybe_arm_from_env() is not None
     )

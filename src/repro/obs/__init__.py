@@ -26,10 +26,10 @@ Profiling is off by default; the disabled fast path is a single flag test
 hot paths permanently.
 """
 
-# NOTE: .compare and .timeline are deliberately not imported eagerly --
-# both are ``python -m`` CLIs, and pre-importing them here would trip
-# runpy's double-import warning on every invocation; reach them lazily
-# via attribute access (``obs.timeline`` works through __getattr__ below)
+# NOTE: .timeline is deliberately not imported eagerly -- it is a
+# ``python -m`` CLI, and pre-importing it here would trip runpy's
+# double-import warning on every invocation; reach it lazily via
+# attribute access (``obs.timeline`` works through __getattr__ below)
 from . import flight, metrics
 from .flight import FLIGHT_SCHEMA, ProgressLine, validate_flight
 from .registry import (
@@ -70,14 +70,14 @@ __all__ = [
     "log_view", "roofline_fraction",
     "SCHEMA", "snapshot", "validate", "write_json", "attach_monitor",
     "trace_ksp", "trace_snes", "trace_mg", "trace_resilience",
-    "metrics", "flight", "timeline", "compare",
+    "metrics", "flight", "timeline",
     "FLIGHT_SCHEMA", "ProgressLine", "validate_flight",
 ]
 
 
 def __getattr__(name):
-    # lazy submodule access for the python -m CLIs (see NOTE above)
-    if name in ("timeline", "compare"):
+    # lazy submodule access for the python -m CLI (see NOTE above)
+    if name == "timeline":
         import importlib
 
         return importlib.import_module(f".{name}", __name__)

@@ -39,9 +39,8 @@ Analysis
 facts: wall time split into serial vs parallel segments (the critical
 path), per-worker busy/idle utilization, and per-dispatch
 straggler/imbalance factors (``max task time / mean task time``).  The
-``-log_view`` tail (:func:`summary`), the export's ``analysis`` block,
-this module's CLI and the ``--max-imbalance`` gate of
-:mod:`repro.obs.compare` all read it.
+``-log_view`` tail (:func:`summary`), the export's ``analysis`` block
+and this module's CLI all read it.
 """
 
 from __future__ import annotations

@@ -218,7 +218,8 @@ def validate(doc: dict) -> dict:
         raise ValueError("trace document must be a dict")
     if doc.get("schema") != SCHEMA:
         raise ValueError(f"unknown schema tag {doc.get('schema')!r}")
-    for key in ("stages", "events", "traces", "monitors", "meta"):
+    for key in ("stages", "events", "traces", "monitors", "meta", "metrics",
+                "manifest"):
         if key not in doc:
             raise ValueError(f"missing top-level key {key!r}")
     for i, ev in enumerate(doc["events"]):
@@ -233,23 +234,18 @@ def validate(doc: dict) -> dict:
             _check_fields(rec, fields, f"traces[{kind!r}][{i}]")
     if not isinstance(doc["monitors"], dict) or not isinstance(doc["meta"], dict):
         raise ValueError("monitors and meta must be dicts")
-    # "metrics" and "manifest" are emitted by every snapshot() but stay
-    # optional in validate() so documents written before the telemetry
-    # layer existed still pass (back-compat of the repro.obs/1 contract)
-    if "metrics" in doc:
-        m = doc["metrics"]
-        if not isinstance(m, dict) or not isinstance(m.get("series"), list):
-            raise ValueError("metrics must be a dict with a 'series' list")
-        for i, s in enumerate(m["series"]):
-            _check_fields(s, _SERIES_FIELDS, f"metrics.series[{i}]")
-            if len(s["steps"]) != len(s["values"]):
-                raise ValueError(
-                    f"metrics.series[{i}]: steps/values length mismatch"
-                )
-    if "manifest" in doc and not isinstance(doc["manifest"], dict):
+    m = doc["metrics"]
+    if not isinstance(m, dict) or not isinstance(m.get("series"), list):
+        raise ValueError("metrics must be a dict with a 'series' list")
+    for i, s in enumerate(m["series"]):
+        _check_fields(s, _SERIES_FIELDS, f"metrics.series[{i}]")
+        if len(s["steps"]) != len(s["values"]):
+            raise ValueError(
+                f"metrics.series[{i}]: steps/values length mismatch"
+            )
+    if not isinstance(doc["manifest"], dict):
         raise ValueError("manifest must be a dict")
-    # "timeline" only appears while repro.obs.timeline is armed; optional
-    # for the same back-compat reason as metrics/manifest above
+    # "timeline" only appears while repro.obs.timeline is armed
     if "timeline" in doc:
         from . import timeline as _timeline
 

@@ -10,7 +10,7 @@ that keeps Krylov methods from converging unrealistically fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,11 +92,10 @@ def make_sinker(cfg: SinkerConfig | None = None,
         inside |= np.linalg.norm(pts.x - c, axis=1) < cfg.radius
     pts.lithology = inside.astype(np.int32)
     sim_config = sim_config or SimulationConfig()
-    # the sinker rheologies are linear: disable the Newton operator and pin
-    # the inner tolerance to the paper's 1e-5 so one correction suffices
-    sim_config.use_newton_operator = False
+    # the sinker rheologies are linear: pin the inner tolerance to the
+    # paper's 1e-5 so one correction suffices
     if sim_config.linear_rtol is None:
-        sim_config.linear_rtol = 1e-5
+        sim_config = replace(sim_config, linear_rtol=1e-5)
     sim = Simulation(
         mesh, sinker_materials(cfg), pts, free_slip_bc,
         config=sim_config, gravity=cfg.gravity,

@@ -62,6 +62,11 @@ from .fields import (
     temperature_at_points,
 )
 
+#: leading Picard-linearized corrections per nonlinear solve before the
+#: Krylov matvec switches to the true Newton operator -- the paper's
+#: "Newton in the terminal phase" strategy (SS III-A)
+PICARD_CORRECTIONS = 1
+
 #: per-step listeners fed from ``_advance``: the ensemble worker
 #: (``repro.serve.worker``) registers one to pipe heartbeats to the
 #: scheduler's watchdog.  Listeners fire once per ``_advance`` that
@@ -96,11 +101,6 @@ class SimulationConfig:
     stokes: StokesConfig = field(default_factory=StokesConfig)
     newton_rtol: float = 1e-2
     max_newton: int = 5
-    use_newton_operator: bool = True
-    #: number of leading Picard-linearized corrections per nonlinear solve
-    #: before switching the Krylov matvec to the true Newton operator --
-    #: the paper's "Newton in the terminal phase" strategy (SS III-A)
-    newton_after: int = 1
     picard_only: bool = False
     #: fixed relative tolerance for the inner linear solves; None enables
     #: Eisenstat-Walker adaptive forcing.  Linear rheologies (the sinker)
@@ -339,9 +339,10 @@ class Simulation:
             lin = self.linearize(x)
             picard = lin.picard
             vel_op = None
-            newton_phase = solve_count[0] >= cfg.newton_after
+            newton_phase = solve_count[0] >= PICARD_CORRECTIONS
             solve_count[0] += 1
-            if cfg.use_newton_operator and newton_phase and not cfg.picard_only:
+            # with eta' == 0 the Newton operator is the Picard one
+            if newton_phase and not cfg.picard_only and lin.deta_q.any():
                 Du_q = strain_rate_at_quadrature(mesh, x[:nu], self.quad)
                 vel_op = NewtonTensorOperator(
                     mesh, picard.problem.eta_q, Du_q, lin.deta_q,

@@ -17,6 +17,7 @@ from repro.sim import (
 from repro.sim.rifting import RiftingConfig, rifting_materials
 from repro.sim.sinker import (
     SinkerConfig,
+    free_slip_bc,
     place_spheres,
     sinker_stokes_problem,
 )
@@ -124,6 +125,77 @@ class TestSinker:
         assert eta_q.max() <= 1.0 + 1e-12
         assert rho_q.max() <= 1.2 + 1e-12
 
+    def test_make_sinker_leaves_its_config_alone(self):
+        sc = SimulationConfig(stokes=StokesConfig(mg_levels=2,
+                                                  coarse_solver="lu"))
+        sim = make_sinker(SinkerConfig(shape=(3, 3, 3), n_spheres=1,
+                                       radius=0.2), sc)
+        assert sc == SimulationConfig(stokes=StokesConfig(
+            mg_levels=2, coarse_solver="lu"))
+        assert sim.config.linear_rtol == 1e-5
+
+
+class _ClaimsNonzero(np.ndarray):
+    """A ``deta_q`` whose ``any()`` says yes: forces the Newton operator."""
+
+    def any(self, *args, **kwargs):
+        return True
+
+
+class TestNewtonOperatorIsDerived:
+    """The Newton matvec is built only when ``eta'`` is nonzero somewhere;
+    with ``eta' == 0`` it is the Picard operator, so a constant-viscosity
+    run builds none and gets the same floats."""
+
+    @staticmethod
+    def constant_viscosity_sim():
+        base = make_sinker(SinkerConfig(shape=(4, 4, 4), n_spheres=2,
+                                        radius=0.15, delta_eta=1.0))
+        # the default nonlinear settings: Eisenstat-Walker forcing, so the
+        # solve takes a second (Newton-phase) correction
+        return Simulation(
+            base.mesh, base.materials, base.points, free_slip_bc,
+            config=SimulationConfig(
+                stokes=StokesConfig(mg_levels=2, coarse_solver="lu")),
+        )
+
+    def test_constant_viscosity_builds_no_newton_operator(self, monkeypatch):
+        from repro.sim import timeloop
+
+        built = []
+
+        class Spy(timeloop.NewtonTensorOperator):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(timeloop, "NewtonTensorOperator", Spy)
+        sim = self.constant_viscosity_sim()
+        res = sim.solve_stokes_nonlinear()
+        assert res.iterations > timeloop.PICARD_CORRECTIONS
+        assert not built
+
+        # the oracle: the same solve with the zero-eta' Newton operator
+        linearize = Simulation.linearize
+
+        def forced(self, x):
+            lin = linearize(self, x)
+            lin.deta_q = lin.deta_q.view(_ClaimsNonzero)
+            return lin
+
+        monkeypatch.setattr(Simulation, "linearize", forced)
+        ref_sim = self.constant_viscosity_sim()
+        ref = ref_sim.solve_stokes_nonlinear()
+        assert built
+        assert res.iterations == ref.iterations
+        if built[0].compiled:
+            assert res.residuals == ref.residuals
+            assert np.array_equal(res.x, ref.x)
+        else:  # the einsum fallback reassociates: equal up to rounding
+            assert res.residuals == pytest.approx(ref.residuals, rel=1e-9)
+            assert np.allclose(res.x, ref.x, rtol=0,
+                               atol=1e-10 * np.abs(ref.x).max())
+
 
 class TestRifting:
     def test_materials(self):
@@ -218,7 +290,6 @@ class TestTimeLoopPlumbing:
         mesh = StructuredMesh((2, 2, 2), order=2)
         from repro.rheology import Material
         from repro.mpm import seed_points
-        from repro.sim.sinker import free_slip_bc
 
         with pytest.raises(ValueError):
             Simulation(mesh, [Material.simple("m", 1.0, 1.0)],

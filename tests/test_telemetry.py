@@ -1,7 +1,6 @@
 """Run telemetry: metric time-series, run manifest, flight recorder,
-progress line, machine resolution, and the cross-run compare gate."""
+progress line, machine resolution, and the document schema."""
 
-import copy
 import json
 import os
 import pathlib
@@ -15,7 +14,6 @@ import pytest
 from repro import SimulationConfig, obs
 from repro.fem import GaussQuadrature, StructuredMesh
 from repro.matfree import make_operator
-from repro.obs import compare as obs_compare
 from repro.obs import flight, metrics
 from repro.perf import LAPTOP, MACHINES, MachineModel, resolve_machine
 from repro.stokes.solve import StokesConfig
@@ -392,11 +390,12 @@ class TestDocumentSchema:
         assert doc["metrics"]["series"][0]["name"] == "k"
         assert doc["manifest"]["schema"] == metrics.MANIFEST_SCHEMA
 
-    def test_pre_telemetry_documents_still_validate(self):
+    @pytest.mark.parametrize("key", ["metrics", "manifest"])
+    def test_document_without_metrics_or_manifest_rejected(self, key):
         doc = obs.snapshot()
-        doc.pop("metrics")
-        doc.pop("manifest")
-        obs.validate(doc)  # optional keys: back-compat with old exports
+        doc.pop(key)
+        with pytest.raises(ValueError, match=f"missing top-level key '{key}'"):
+            obs.validate(doc)
 
     def test_malformed_series_rejected(self):
         doc = obs.snapshot()
@@ -412,140 +411,10 @@ class TestDocumentSchema:
         path = tmp_path / "trace.json"         # a pathlib.Path, not a str
         assert isinstance(path, pathlib.Path)
         obs.write_json(path, meta={"case": "pathlike"})
-        doc = obs_compare.load_document(path)
+        with open(path) as fh:
+            doc = obs.validate(json.load(fh))
         assert doc["meta"]["case"] == "pathlike"
         assert doc["manifest"]["machine_model"] == "laptop"
-
-
-# --------------------------------------------------------------------- #
-# cross-run compare gate
-# --------------------------------------------------------------------- #
-def tiny_document(sleep=0.03, ksp_iters=4, steps=2):
-    """A real, validated document from a synthetic instrumented 'run'."""
-    obs.reset()
-    obs.enable()
-    for step in range(steps):
-        with obs.stage("TimeStep"):
-            with obs.timed("StokesSolve"):
-                time.sleep(sleep)
-            obs.trace_ksp("fgmres", 0, 1.0)
-            for i in range(1, ksp_iters + 1):
-                obs.trace_ksp("fgmres", i, 10.0 ** -i)
-        metrics.gauge("dt", 0.1)
-        metrics.commit_step(step)
-    doc = obs.validate(obs.snapshot())
-    obs.disable()
-    obs.reset()
-    return doc
-
-
-def slow_copy(doc, factor=2.0):
-    """A candidate with every event wall time scaled by ``factor``."""
-    out = copy.deepcopy(doc)
-    for ev in out["events"]:
-        ev["seconds"] *= factor
-        ev["self_seconds"] *= factor
-        if ev["gflops_per_s"]:
-            ev["gflops_per_s"] /= factor
-    return out
-
-
-class TestCompare:
-    @pytest.fixture(scope="class")
-    def base_doc(self):
-        return tiny_document()
-
-    def test_identical_documents_pass(self, base_doc):
-        result = obs_compare.compare(base_doc, copy.deepcopy(base_doc))
-        assert result.passed and result.findings
-        assert "PASS" in obs_compare.render(result)
-
-    def test_synthetic_2x_slowdown_fails(self, base_doc):
-        result = obs_compare.compare(base_doc, slow_copy(base_doc, 2.0))
-        assert not result.passed
-        names = {f.name for f in result.regressions}
-        assert "total_self_seconds" in names
-        assert any(f.name.endswith("StokesSolve") for f in result.regressions)
-        (tot,) = [f for f in result.regressions
-                  if f.name == "total_self_seconds"]
-        assert tot.ratio == pytest.approx(2.0)
-        assert "FAIL" in obs_compare.render(result)
-
-    def test_threshold_is_configurable(self, base_doc):
-        cand = slow_copy(base_doc, 2.0)
-        assert obs_compare.compare(base_doc, cand, max_slowdown=3.0).passed
-
-    def test_iteration_growth_is_gated_separately(self, base_doc):
-        cand = tiny_document(ksp_iters=8)
-        result = obs_compare.compare(base_doc, cand, max_slowdown=1e9)
-        bad = {f.name for f in result.regressions}
-        assert bad == {"ksp_iterations"}
-
-    def test_step_count_mismatch_flagged(self, base_doc):
-        result = obs_compare.compare(base_doc, tiny_document(steps=1),
-                                     max_slowdown=1e9, max_iter_growth=1e9)
-        assert {f.name for f in result.regressions} == {"time_steps"}
-
-    def test_min_seconds_skips_noise_events(self, base_doc):
-        cand = slow_copy(base_doc, 100.0)
-        result = obs_compare.compare(base_doc, cand, min_seconds=1e9)
-        assert not any(f.kind in ("event", "total") for f in result.findings)
-
-    def test_iterations_fall_back_to_traces(self, base_doc):
-        b = copy.deepcopy(base_doc)
-        c = copy.deepcopy(base_doc)
-        for d in (b, c):
-            d["metrics"]["series"] = []   # pre-metrics document
-        for rec in c["traces"]["ksp"]:
-            rec["iteration"] *= 2         # looks like twice the iterations
-        result = obs_compare.compare(b, c, max_slowdown=1e9)
-        assert result.passed  # same *count* of nonzero iterations
-        assert any(f.name == "ksp_iterations" for f in result.findings)
-
-    def test_as_dict_round_trips(self, base_doc):
-        d = obs_compare.compare(base_doc, base_doc).as_dict()
-        assert d["schema"] == "repro.obs.compare/1"
-        assert json.loads(json.dumps(d)) == d
-
-
-class TestCompareCLI:
-    @pytest.fixture()
-    def docs_on_disk(self, tmp_path):
-        base = tiny_document()
-        paths = {}
-        for name, doc in (("base", base),
-                          ("same", copy.deepcopy(base)),
-                          ("slow", slow_copy(base, 2.0))):
-            p = tmp_path / f"{name}.json"
-            p.write_text(json.dumps(doc))
-            paths[name] = str(p)
-        return paths
-
-    def test_exit_codes(self, docs_on_disk, capsys):
-        d = docs_on_disk
-        assert obs_compare.main([d["base"], d["same"]]) == 0
-        assert obs_compare.main([d["base"], d["slow"]]) == 1
-        assert obs_compare.main([d["base"], d["slow"], "--warn-only"]) == 0
-        out = capsys.readouterr().out
-        assert "warn-only" in out
-
-    def test_bad_input_exits_2(self, docs_on_disk, tmp_path, capsys):
-        assert obs_compare.main([docs_on_disk["base"],
-                                 str(tmp_path / "missing.json")]) == 2
-        bad = tmp_path / "bad.json"
-        bad.write_text("{\"schema\": \"nope\"}")
-        assert obs_compare.main([docs_on_disk["base"], str(bad)]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_json_diff_artifact(self, docs_on_disk, tmp_path, capsys):
-        out = tmp_path / "diff.json"
-        code = obs_compare.main([docs_on_disk["base"], docs_on_disk["slow"],
-                                 "--json", str(out)])
-        assert code == 1
-        diff = json.loads(out.read_text())
-        assert diff["passed"] is False
-        assert any(f["regression"] for f in diff["findings"])
-        capsys.readouterr()
 
 
 # --------------------------------------------------------------------- #
@@ -587,7 +456,8 @@ class TestTelemetryUnderParallelism:
         # and the on-disk document equals the in-memory snapshot
         path = tmp_path / f"par_{backend}.json"
         obs.write_json(path)
-        loaded = obs_compare.load_document(path)
+        with open(path) as fh:
+            loaded = obs.validate(json.load(fh))
         for key in ("metrics", "events", "stages", "traces"):
             assert json.dumps(loaded[key], sort_keys=True) == \
                 json.dumps(json.loads(json.dumps(doc[key])), sort_keys=True)

@@ -1,5 +1,5 @@
 """Timeline tracing: span capture, per-worker merge, Chrome trace export,
-critical-path/utilization/imbalance analysis, report/compare surfacing."""
+critical-path/utilization/imbalance analysis, report surfacing."""
 
 import json
 import re
@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro import SimulationConfig, obs
-from repro.obs import compare as obs_compare
 from repro.obs import metrics
 from repro.obs import timeline as tl
 from repro.parallel import use_executor
@@ -533,7 +532,7 @@ def test_log_view_export_and_cli_agree(tmp_path, capsys):
 
 
 # --------------------------------------------------------------------- #
-# metrics gauges + report tail + compare gate
+# metrics gauges + report tail
 # --------------------------------------------------------------------- #
 class TestSurfacing:
     def _two_task_dispatch(self, t, durs):
@@ -583,58 +582,3 @@ class TestSurfacing:
         with obs.timed("E"):
             pass
         assert "timeline:" not in obs.log_view(stream=False)
-
-    def _doc_with_imbalance(self, imb):
-        spans = [
-            span("ParExecTask:a", "task", "", 0.0, imb, rank=0, dispatch=0),
-            span("ParExecTask:a", "task", "", 0.0, 2.0 - imb, rank=1,
-                 dispatch=0),
-        ]
-        obs.enable()
-        doc = obs.snapshot()
-        doc["timeline"] = {
-            "schema": tl.TIMELINE_SCHEMA, "clock": "perf_counter",
-            "capacity": 16, "recorded": 2, "dropped": 0, "spans": spans,
-            "analysis": tl.analyze(spans),
-        }
-        return obs.validate(doc)
-
-    def test_compare_reports_imbalance_informational(self):
-        base = self._doc_with_imbalance(1.0)   # balanced: imb 1.0
-        cand = self._doc_with_imbalance(1.8)   # imb 1.8/1.0
-        res = obs_compare.compare(base, cand)
-        (f,) = [x for x in res.findings
-                if x.name == "dispatch_imbalance_max"]
-        assert f.kind == "timeline" and not f.regression
-        assert f.candidate == pytest.approx(1.8)
-        utils = [x for x in res.findings if "utilization" in x.name]
-        assert {x.name for x in utils} == {"worker0_utilization",
-                                           "worker1_utilization"}
-        assert res.passed
-
-    def test_compare_max_imbalance_gate(self):
-        base = self._doc_with_imbalance(1.0)
-        cand = self._doc_with_imbalance(1.8)
-        res = obs_compare.compare(base, cand, max_imbalance=1.5)
-        (f,) = res.regressions
-        assert f.name == "dispatch_imbalance_max"
-        assert "max-imbalance" in f.note
-        ok = obs_compare.compare(base, cand, max_imbalance=2.5)
-        assert ok.passed
-        # rendered output shows the timeline rows without --verbose
-        text = obs_compare.render(res)
-        assert "dispatch_imbalance_max" in text and "REGRESSION" in text
-
-    def test_compare_cli_flag(self, tmp_path):
-        base = tmp_path / "base.json"
-        cand = tmp_path / "cand.json"
-        with open(base, "w") as fh:
-            json.dump(self._doc_with_imbalance(1.0), fh)
-        obs.reset()
-        with open(cand, "w") as fh:
-            json.dump(self._doc_with_imbalance(1.8), fh)
-        assert obs_compare.main(
-            [str(base), str(cand), "--max-imbalance", "1.5"]) == 1
-        assert obs_compare.main(
-            [str(base), str(cand), "--max-imbalance", "2.5"]) == 0
-        assert obs_compare.main([str(base), str(cand)]) == 0
