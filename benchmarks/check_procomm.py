@@ -14,9 +14,11 @@ the final ``state_digest`` is identical everywhere:
    respawn the cohort, resume from the last per-step cohort checkpoint,
    and still land on the oracle's digest.
 
-Exits nonzero on any digest mismatch, missed recovery, or comm-stats
-divergence between oracle and clean procomm.  Prints one JSON document
-so CI logs carry the full evidence.
+Exits nonzero on any digest mismatch, missed recovery, comm-stats
+divergence between oracle and clean procomm, or a cohort respawn that is
+not a recovery (the clean leg must report ``comm.respawns == 0``, the
+kill leg ``respawns == recoveries``).  Prints one JSON document so CI
+logs carry the full evidence.
 
 Run:  python benchmarks/check_procomm.py --ranks 2 --kill
 """
@@ -92,11 +94,18 @@ def main(argv=None) -> int:
         if clean["comm"][key] != oracle["comm"][key]:
             failures.append(f"procomm comm.{key} {clean['comm'][key]} != "
                             f"oracle {oracle['comm'][key]}")
+    # ranks fork once: only recover() respawns the cohort
+    if clean["comm"]["respawns"] != 0:
+        failures.append(f"clean procomm leg respawned the cohort "
+                        f"{clean['comm']['respawns']} times")
     if args.kill:
         kill = legs[2]
         if kill["recoveries"] < 1:
             failures.append("kill leg recorded no recovery -- the fault "
                             "did not fire or the death went undetected")
+        if kill["comm"]["respawns"] != kill["recoveries"]:
+            failures.append(f"kill leg respawned {kill['comm']['respawns']} "
+                            f"times for {kill['recoveries']} recoveries")
 
     print(json.dumps({"legs": legs, "failures": failures}, indent=2,
                      sort_keys=True))

@@ -33,7 +33,7 @@ class AssembledOperator(ViscousOperatorBase):
         self.matrix = assembly.assemble_viscous(self.mesh, self.eta_q,
                                                 self.quad)
         if self.executor is not None:
-            # a new state object: rank processes snapshot it afresh
+            # a new state object: rank processes are sent it afresh
             self._spmv = ParallelCSRMatVec(self.matrix, self.executor)
 
     def _apply(self, u: np.ndarray) -> np.ndarray:

@@ -14,8 +14,8 @@ gets its speed from:
 * **eight elements are evaluated at once**, one per SIMD lane, streaming a
   lane-interleaved packed-coefficient array ``(ceil(nel/8), 27, 16, 8)``
   that is repacked only when ``set_viscosity`` or a mesh move bumps the
-  operator's ``version`` (which rank processes snapshot by) and is the
-  only coefficient copy this operator holds;
+  operator's ``version`` (rank processes are sent it once per version)
+  and is the only coefficient copy this operator holds;
 * all per-batch scratch lives on the C stack, the scatter is scalar and in
   element order, and the widest ISA variant the CPU runs (AVX-512, AVX2 or
   the baseline ABI) is picked at load time -- every variant and lane
@@ -143,8 +143,18 @@ class TensorCompiledOperator(TensorCOperator):
 
     @property
     def _parallel_state_version(self) -> int:
-        """Rank-snapshot stamp: the operator's rebuild :attr:`version`."""
+        """Rank-state stamp: the operator's rebuild :attr:`version`."""
         return self.version
+
+    #: the pickled form, shipped to rank processes: what ``_apply_span`` reads
+    _rank_payload = ("_C", "_conn64", "_BD", "_lo", "ndof", "isa")
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k in self._rank_payload}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._kernel = _ckernel.variants(self.kernel_kind).get(self.isa)
 
     def _rebuild(self) -> None:
         """Repack ``_C`` lane-interleaved, ``(ceil(nel/8), nq, 16, 8)``, for
@@ -173,7 +183,7 @@ class TensorCompiledOperator(TensorCOperator):
         u = np.ascontiguousarray(u, dtype=np.float64)
         if u.size != self.ndof:
             raise ValueError(f"u has {u.size} entries, expected {self.ndof}")
-        nel = self.mesh.nel
+        nel = len(self._conn64)
         kernel(
             *self._streams(), self._conn64.ctypes.data,
             self._BD.ctypes.data, u.ctypes.data, out.ctypes.data,
@@ -229,6 +239,7 @@ class NewtonTensorOperator(TensorCompiledOperator):
 
     name = "newton"
     kernel_kind = "newton"
+    _rank_payload = TensorCompiledOperator._rank_payload + ("_N",)
 
     def __init__(self, mesh, eta_q, Du_q, eta_prime_q, quad=None, chunk=4096,
                  workers=None, executor=None):

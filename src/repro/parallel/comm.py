@@ -62,7 +62,7 @@ class CommStats:
     """Running totals of communication (virtual or real).
 
     The fault counters stay zero on :class:`VirtualComm` -- only the real
-    transport can time out, lose a rank, or respawn a cohort -- but they
+    transport can time out, lose a rank, or ``recover()`` -- but they
     live here so a simulation samples one shape of its own communicator
     into ``comm.*`` gauges (``Simulation._commit_telemetry``).
     """

@@ -9,7 +9,8 @@ whole solve stack via :func:`~repro.parallel.executor.use_executor`:
     Fans span tasks and dot partials out to the **real rank processes**
     of a :class:`~repro.parallel.procomm.ProcessComm`; the input vector,
     the shared output vector and the stashes live in the communicator's
-    shared-memory blocks, state reaches the ranks by fork inheritance.
+    shared-memory blocks, and a state reaches the ranks once per version
+    (:meth:`~repro.parallel.procomm.ProcessComm.share_state`).
 
 :class:`VirtualRankEngine`
     The single-process **oracle**: the identical span partition, kernels,
@@ -52,7 +53,7 @@ from .executor import (
     stash_sizes,
     use_executor,
 )
-from .procomm import CommError, ProcessComm, _register_state, span_dot
+from .procomm import CommError, ProcessComm, span_dot
 
 __all__ = [
     "ProcommEngine",
@@ -165,19 +166,14 @@ class ProcommEngine(_RankEngineBase):
     it, every span's stash live in the output block, zeroed by the master;
     one ``span`` op per task is posted round-robin to the ranks, each
     writing its own entries of the output and its own stash; the master
-    copies the output out and replays the stashes in span order.  State
-    objects reach the ranks by fork inheritance (the communicator's fork
-    registry): a ``(token, version)`` pair the live cohort has not
-    snapshotted triggers a cohort respawn.
+    copies the output out and replays the stashes in span order.  The
+    span ops name the state by the ``(token, version)`` key
+    :meth:`~repro.parallel.procomm.ProcessComm.share_state` returns,
+    which ships it first if the ranks do not hold that version yet.
     """
 
     def _rank_of(self, task: int) -> int:
         return task % self.comm.size
-
-    def _ensure_snapshot(self, token: int, version) -> None:
-        if (token, version) not in self.comm.snapshot_known:
-            self.comm.respawn()
-            self.stats.respawns += 1
 
     def _dot_partials(self, x, y, spans):
         comm = self.comm
@@ -196,12 +192,9 @@ class ProcommEngine(_RankEngineBase):
         return [float(comm._wait(r, seq, "dot")["value"])
                 for r, seq in seqs]
 
-    def _run_spans(self, state, method, spans, u, n_out, sizes,
-                   _retry: bool = True):
+    def _run_spans(self, state, method, spans, u, n_out, sizes):
         comm = self.comm
-        token = _register_state(state)
-        version = getattr(state, "_parallel_state_version", 0)
-        self._ensure_snapshot(token, version)
+        token, version = comm.share_state(state)
         comm.shm_in.ensure(u.nbytes)
         comm.shm_in.view(u.size)[:] = u
         # stash k starts at offsets[k], right after the output vector
@@ -218,18 +211,6 @@ class ProcommEngine(_RankEngineBase):
             for i, (s, e) in enumerate(spans)
         ]
         replies = [comm._wait(r, seq, "span") for r, seq in seqs]
-        if any(reply.get("status") == "stale" for reply in replies):
-            # the state mutated without a version bump since the cohort
-            # forked; one respawn re-snapshots it
-            comm.snapshot_known.discard((token, version))
-            if not _retry:
-                raise CommError(
-                    f"rank state for {type(state).__name__}.{method} is "
-                    "stale even after a cohort respawn"
-                )
-            self._ensure_snapshot(token, version)
-            return self._run_spans(state, method, spans, u, n_out, sizes,
-                                   _retry=False)
         # ranks stamp perf_counter, a system-wide clock on Linux
         account_tasks(method, [(reply["t0"], reply["t1"]) for reply in replies])
         vals = [comm.shm_out.view(n, int(offsets[i])) if n else None
@@ -314,14 +295,14 @@ def run_sinker_distributed(
 
     ``faults`` is a list of transport-fault dicts (``{"rank": 1, "kind":
     "kill", "at": 3, "sentinel": path}``) armed on the real transport
-    before the loop; a sentinel path makes a fault one-shot across the
-    respawns that recovery performs.  An ``"after_step": N`` key defers
-    arming until step ``N``'s cohort checkpoint exists, pinning the
-    fault into step ``N + 1`` so recovery provably resumes from the
-    checkpoint instead of rebuilding from scratch.  On :class:`CommError` (rank death,
-    collective timeout) the driver respawns the cohort, rebuilds the
-    simulation, and resumes from the last per-step cohort checkpoint;
-    ``max_recoveries`` bounds the attempts.
+    before the loop; a sentinel path makes a fault one-shot across
+    recoveries.  An ``"after_step": N`` key defers arming until step
+    ``N``'s cohort checkpoint exists, pinning the fault into step ``N + 1``
+    so recovery provably resumes from the checkpoint instead of rebuilding
+    from scratch.  On :class:`CommError` (rank death, collective timeout)
+    the driver respawns the cohort (``recover()``, the only respawn),
+    rebuilds the simulation, and resumes from the last per-step cohort
+    checkpoint; ``max_recoveries`` bounds the attempts.
     """
     from ..serve.store import state_digest
     from ..sim.checkpoint import cohort_checkpoint, load_checkpoint
@@ -344,11 +325,9 @@ def run_sinker_distributed(
         for f in faults:
             f = dict(f)
             # "after_step": N defers arming until step N's cohort
-            # checkpoint is on disk, so a kill with a small "at" lands
-            # deterministically in step N+1 and recovery must exercise
-            # the resume path (a fault armed upfront races the cohort
-            # respawns of normal version churn, which reset the worker's
-            # work-op counter)
+            # checkpoint is on disk, so a kill with a small "at" lands in
+            # step N+1 and recovery must resume from that checkpoint
+            # rather than rebuild from scratch
             when = int(f.pop("after_step", 0) or 0)
             if when > 0:
                 deferred.append((when, f))

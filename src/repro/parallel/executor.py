@@ -13,7 +13,8 @@ kernels, the diagonal, assembly -- is a plain serial function.
 :mod:`repro.parallel.distributed` run the same tasks inline
 (:class:`~repro.parallel.distributed.VirtualRankEngine`) or in real rank
 processes over shared memory
-(:class:`~repro.parallel.distributed.ProcommEngine`).
+(:class:`~repro.parallel.distributed.ProcommEngine`), which are sent a
+state's pickle once per version: only what its span method reads.
 
 Owner-writes contract
 ---------------------
@@ -86,7 +87,6 @@ class ExecutorStats:
     tasks: int = 0
     bytes_in: int = 0      # input-vector bytes handed to the tasks
     bytes_out: int = 0     # output and stash bytes the tasks wrote
-    respawns: int = 0
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -245,6 +245,9 @@ class ParallelCSRMatVec:
         self.executor = executor
         self.spans = partition_range(self.matrix.shape[0], executor.workers)
         self._blocks = {(s, e): self.matrix[s:e] for s, e in self.spans}
+
+    def __getstate__(self) -> dict:  # the pickle ranks get: the row blocks
+        return {"_blocks": self._blocks}
 
     def _apply_rows(self, u: np.ndarray, s: int, e: int, out: np.ndarray,
                     stash) -> None:

@@ -13,14 +13,13 @@ wired to the master by two pipes:
   the same newline-JSON watchdog protocol the ensemble scheduler speaks
   with its workers (PR 8), read by a per-rank reader thread.
 
-Bulk array data never rides the pipes: input vectors, output vectors and
-stashes move through master-owned, grow-only shared-memory blocks
-(:class:`_ShmBlock`).  State objects reach the ranks by fork inheritance
-through ``_FORK_REGISTRY``: a respawned cohort re-snapshots every live
-registered state, and a state carries an integer
-``_parallel_state_version`` stamp (an operator's rebuild ``version``) so
-that dispatching a ``(token, version)`` pair the cohort has not
-snapshotted respawns it.
+Bulk data never rides the pipes: vectors, stashes and state payloads
+move through master-owned, grow-only shared-memory blocks
+(:class:`_ShmBlock`).  Ranks are forked once (again only by
+:meth:`ProcessComm.recover`) and hold ``token -> (version, state)``:
+:meth:`ProcessComm.share_state` ships a state version the cohort lacks
+as one ``state`` op, and a ``span`` naming a key a rank was never sent
+fails as a :class:`CommError`.
 
 Fault tolerance, end to end:
 
@@ -75,8 +74,8 @@ __all__ = [
 ]
 
 #: operations that advance a rank's work-op counter (fault trigger points);
-#: control traffic (ping, fault arming, mail_count liveness probes, exit)
-#: deliberately does not trigger faults
+#: control traffic (ping, state shipments, fault arming, mail_count
+#: liveness probes, exit) deliberately does not trigger faults
 _WORK_OPS = frozenset({"span", "dot", "put_mail", "drain_mail", "contrib",
                        "barrier", "bcast"})
 
@@ -152,11 +151,12 @@ def span_dot(x: np.ndarray, y: np.ndarray, s: int, e: int) -> float:
 
 
 # --------------------------------------------------------------------- #
-# state and shared-memory transport (module level so ranks inherit it)
+# state tokens and shared-memory transport
 # --------------------------------------------------------------------- #
 _TOKENS = itertools.count(1)
-#: token -> state object; ranks snapshot this at fork time
-_FORK_REGISTRY: "weakref.WeakValueDictionary[int, object]" = (
+#: token -> state object, weakly: the dispatched states still alive in the
+#: master; every ``state`` op lists these tokens and ranks drop the rest
+_LIVE_STATES: "weakref.WeakValueDictionary[int, object]" = (
     weakref.WeakValueDictionary()
 )
 #: rank-side cache of attached shared-memory blocks, keyed by name
@@ -171,20 +171,6 @@ def _attach_shm(name: str):
         cached = shared_memory.SharedMemory(name=name)
         _WORKER_SHM[name] = cached
     return cached
-
-
-def _register_state(state) -> int:
-    """The fork-registry token of ``state`` (registered on first use)."""
-    token = getattr(state, "_repro_exec_token", None)
-    if token is not None and _FORK_REGISTRY.get(token) is state:
-        return token
-    token = next(_TOKENS)
-    try:
-        state._repro_exec_token = token
-    except AttributeError:
-        pass  # slotted objects get a fresh token per dispatch (still correct)
-    _FORK_REGISTRY[token] = state
-    return token
 
 
 class _ShmBlock:
@@ -221,7 +207,7 @@ class _ShmBlock:
 
 
 def _claim(path: str | None) -> bool:
-    """Worker-side O_EXCL sentinel claim (one-shot across respawns)."""
+    """Worker-side O_EXCL sentinel claim (one-shot across recoveries)."""
     if path is None:
         return True
     try:
@@ -272,6 +258,8 @@ def _worker_loop(rank: int, cmd_fd: int, evt_fd: int, cfg: dict) -> None:
 
     mailbox: list = []
     faults: list[dict] = []
+    #: token -> (version, state): what the master shipped, live tokens only
+    states: dict = {}
     nwork = 0
     buf = b""
     while True:
@@ -301,27 +289,33 @@ def _worker_loop(rank: int, cmd_fd: int, evt_fd: int, cfg: dict) -> None:
         try:
             if op == "ping":
                 reply["rank"] = rank
+            elif op == "state":
+                block = _attach_shm(doc["in_shm"]).buf
+                states[doc["token"]] = (
+                    doc["version"], pickle.loads(block[:int(doc["nbytes"])]))
+                states = {t: v for t, v in states.items() if t in doc["live"]}
+                reply["held"] = len(states)
             elif op == "span":
                 t0 = time.perf_counter()
-                state = _FORK_REGISTRY.get(doc["token"])
-                version = getattr(state, "_parallel_state_version", 0)
-                if state is None or version != doc["version"]:
-                    reply["status"] = "stale"
-                else:
-                    u = np.ndarray((doc["n_in"],), dtype=np.float64,
-                                   buffer=_attach_shm(doc["in_shm"]).buf)
-                    u.flags.writeable = False
-                    # owner-writes: the shared output vector, then this
-                    # span's stash further down the same block
-                    block = _attach_shm(doc["out_shm"]).buf
-                    out = np.ndarray((doc["n_out"],), dtype=np.float64,
-                                     buffer=block)
-                    n = int(doc["stash_len"])
-                    stash = np.ndarray((n,), dtype=np.float64, buffer=block,
-                                       offset=8 * doc["stash_off"]) if n else None
-                    getattr(state, doc["method"])(
-                        u, int(doc["s"]), int(doc["e"]), out, stash)
-                    reply["t0"], reply["t1"] = t0, time.perf_counter()
+                version, state = states.get(doc["token"], (None, None))
+                if version != doc["version"]:
+                    raise CommError(f"state {doc['token']} version "
+                                    f"{doc['version']} was never sent to "
+                                    f"rank {rank}")
+                u = np.ndarray((doc["n_in"],), dtype=np.float64,
+                               buffer=_attach_shm(doc["in_shm"]).buf)
+                u.flags.writeable = False
+                # owner-writes: the shared output vector, then this span's
+                # stash further down the same block
+                block = _attach_shm(doc["out_shm"]).buf
+                out = np.ndarray((doc["n_out"],), dtype=np.float64,
+                                 buffer=block)
+                n = int(doc["stash_len"])
+                stash = np.ndarray((n,), dtype=np.float64, buffer=block,
+                                   offset=8 * doc["stash_off"]) if n else None
+                getattr(state, doc["method"])(
+                    u, int(doc["s"]), int(doc["e"]), out, stash)
+                reply["t0"], reply["t1"] = t0, time.perf_counter()
             elif op == "dot":
                 n = int(doc["n"])
                 block = _attach_shm(doc["in_shm"])
@@ -415,7 +409,7 @@ class ProcessComm:
     Drop-in for :class:`~repro.parallel.comm.VirtualComm`: the same
     ``send``/``recv_all``/``allreduce``/``bcast``/``barrier``/``pending``
     surface with the same :class:`CommStats` accounting, plus the
-    engine-facing span/dot transport used by
+    engine-facing state/span/dot transport used by
     :class:`repro.parallel.distributed.ProcommEngine` and the
     fault-tolerance surface (:meth:`inject_fault`, :meth:`recover`).
     """
@@ -428,11 +422,9 @@ class ProcessComm:
         self.stats = CommStats()
         self._seq = itertools.count(1)
         self._ranks: list[_Rank] = []
-        #: armed transport faults, re-applied to every respawned cohort
-        #: (their O_EXCL sentinels keep one-shot semantics across respawns)
+        #: armed transport faults, re-applied to every recovered cohort
+        #: (their O_EXCL sentinels keep one-shot semantics across cohorts)
         self._armed: list[tuple[int, dict]] = []
-        #: ``(token, version)`` state snapshots the live cohort inherited
-        self.snapshot_known: set = set()
         self.shm_in = _ShmBlock()
         self.shm_out = _ShmBlock()
         # materialize the segments (and the master's resource tracker)
@@ -482,12 +474,9 @@ class ProcessComm:
         seqs = [self._post(r, "ping") for r in range(self.size)]
         for r, seq in enumerate(seqs):
             self._wait(r, seq, "ping", timeout=self.config.startup_timeout)
-        # the cohort forked off current master memory: every state in the
-        # fork registry is snapshotted at its current version
-        self.snapshot_known = {
-            (tok, getattr(st, "_parallel_state_version", 0))
-            for tok, st in list(_FORK_REGISTRY.items())
-        }
+        #: token -> version every rank holds; states per rank after the
+        #: last ``state`` op
+        self._shipped, self.held = {}, [0] * self.size
         for rank_index, fault in self._armed:
             seq = self._post(rank_index, "fault", fault=fault)
             self._wait(rank_index, seq, "fault")
@@ -534,29 +523,12 @@ class ProcessComm:
         self.shm_in.close()
         self.shm_out.close()
 
-    def respawn(self) -> None:
-        """Replace the cohort with a fresh fork of current master memory.
-
-        Used by the dispatch engine when a state/version pair is not in
-        the cohort's snapshot.
-        Refuses to drop undelivered mail -- respawn is for state
-        refresh, not recovery, and must not lose messages silently.
-        """
-        n = self.pending()
-        if n:
-            raise CommError(
-                f"refusing to respawn with {n} undelivered messages in "
-                "rank mailboxes"
-            )
-        self.stats.respawns += 1
-        self.shutdown()
-        self._spawn_cohort()
-
     def recover(self) -> None:
-        """Failure-path respawn: SIGKILL every rank's process group first.
+        """Failure-path respawn, the only one (``stats.respawns``):
+        SIGKILL every rank's process group first.
 
-        Mailbox contents die with the ranks -- recovery is only sound
-        from a collective-consistent checkpoint, which
+        Mailbox contents and shipped states die with the ranks -- recovery
+        is only sound from a collective-consistent checkpoint, which
         :func:`repro.sim.checkpoint.cohort_checkpoint` guarantees by
         refusing to write while messages are in flight.
         """
@@ -694,6 +666,40 @@ class ProcessComm:
         return [self._wait(r, seq, op, timeout=timeout)
                 for r, seq in enumerate(seqs)]
 
+    # -- state shipping --------------------------------------------------- #
+    def share_state(self, state) -> tuple[int, int]:
+        """The ``(token, version)`` key every rank holds ``state`` under.
+
+        A version this cohort lacks is shipped once (one ``CommState``
+        event): the state's pickle, its rank payload, goes into the input
+        block, and every rank gets one ``state`` op -- control traffic,
+        like ``ping`` -- listing the live tokens it may keep.
+        """
+        token = getattr(state, "_repro_exec_token", None)
+        if token is None or _LIVE_STATES.get(token) is not state:
+            token = next(_TOKENS)
+            try:
+                state._repro_exec_token = token
+            except AttributeError:
+                pass  # slotted objects get a fresh token per dispatch
+            _LIVE_STATES[token] = state
+        version = int(getattr(state, "_parallel_state_version", 0))
+        if self._shipped.get(token) == version:
+            return token, version
+        with _obs.timed("CommState", cat="comm") as event:
+            data = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+            event.add_bytes(len(data) * self.size)
+            self.shm_in.ensure(len(data)).shm.buf[:len(data)] = data
+            replies = self.call_all("state", [{
+                "token": token, "version": version, "nbytes": len(data),
+                "in_shm": self.shm_in.name, "live": list(_LIVE_STATES),
+            }] * self.size)
+        self.held = [int(reply["held"]) for reply in replies]
+        self._shipped = {t: v for t, v in self._shipped.items()
+                         if t in _LIVE_STATES}
+        self._shipped[token] = version
+        return token, version
+
     # -- VirtualComm-compatible surface ---------------------------------- #
     def send(self, src: int, dest: int, payload,
              nbytes: int | None = None) -> None:
@@ -768,8 +774,8 @@ class ProcessComm:
         ``"stall"`` (sleep ``seconds`` before replying), or
         ``"drop_message"`` (silently drop one incoming mailbox payload).
         ``sentinel`` (an O_EXCL path) makes the fault one-shot across
-        cohort respawns; armed faults are re-applied to fresh cohorts so
-        an unfired fault survives an unrelated respawn.
+        :meth:`recover`; armed faults are re-applied to the recovered
+        cohort, so an unfired fault survives a recovery.
         """
         if kind not in ("kill", "stall", "drop_message"):
             raise ValueError(f"unknown transport fault {kind!r}")
@@ -779,7 +785,7 @@ class ProcessComm:
         self.call(rank, "fault", fault=fault)
 
     def clear_faults(self) -> None:
-        """Disarm every transport fault, in live ranks and for respawns."""
+        """Disarm every transport fault, in live ranks and for recovery."""
         self._armed.clear()
         self.call_all("clear_faults")
 

@@ -372,10 +372,10 @@ class FaultInjector:
         control pings never trigger).
 
         Unlike the monkey-patch faults above, transport faults live
-        *inside* the rank worker process and survive cohort respawns (the
+        *inside* the rank worker process and survive ``recover()`` (the
         communicator re-arms them); ``sentinel`` -- an ``O_CREAT|O_EXCL``
         path, the :func:`claim_sentinel` mechanism -- makes the fault
-        one-shot across those respawns, so the recovery path runs clean.
+        one-shot across recoveries, so the recovery path runs clean.
         The firing is observed as a :class:`repro.parallel.procomm.
         RankFailure` (not via :attr:`fired`, which only tracks in-process
         patches).

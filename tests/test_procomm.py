@@ -9,18 +9,22 @@ injected mid-solve rank kill.
 """
 
 import contextlib
+import gc
 import json
 import os
+import pickle
 import time
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.matfree import _ckernel
+from repro.fem import GaussQuadrature, StructuredMesh
+from repro.matfree import _ckernel, make_operator
 from repro.obs import metrics
 from repro.parallel import (
     BlockDecomposition,
+    CommError,
     CommTimeout,
     ProcessComm,
     ProcommConfig,
@@ -33,8 +37,11 @@ from repro.parallel import (
     tree_reduce,
     validate_decomposition_compat,
 )
-from repro.parallel.procomm import span_dot
+from repro.parallel.procomm import _LIVE_STATES, span_dot
 from repro.resilience.inject import FaultInjector
+
+
+QUAD = GaussQuadrature.hex(3)
 
 
 @contextlib.contextmanager
@@ -44,6 +51,13 @@ def procomm(size, **cfg):
         yield comm
     finally:
         comm.close()
+
+
+def _operator_problem(shape=(3, 3, 4)):
+    rng = np.random.default_rng(7)
+    mesh = StructuredMesh(shape, order=2)
+    eta = np.exp(rng.normal(scale=0.5, size=(mesh.nel, QUAD.npoints)))
+    return mesh, eta, rng.standard_normal(3 * mesh.nnodes)
 
 
 # --------------------------------------------------------------------- #
@@ -154,7 +168,7 @@ class TestTransportFaults:
 
     def test_unfired_fault_survives_respawn(self, tmp_path):
         # without a sentinel the armed fault is re-applied to every
-        # fresh cohort, so it fires again after an unrelated respawn
+        # recovered cohort, so it fires again after the recovery
         with procomm(2) as comm:
             comm.inject_fault(1, "kill", at=1)
             with pytest.raises(RankFailure):
@@ -167,6 +181,22 @@ class TestTransportFaults:
             # before any work op can trigger it
             comm.clear_faults()
             comm.barrier()
+
+    def test_kill_counts_work_ops_across_state_updates(self):
+        # the cohort is never re-forked for a new state, so a kill armed
+        # up front fires on the at-th work op even with set_viscosity
+        # (a new state object, then a state shipment) between dispatches
+        mesh, eta, u = _operator_problem()
+        with procomm(2) as comm:
+            op = make_operator("asmb", mesh, eta, quad=QUAD,
+                               executor=ProcommEngine(comm))
+            comm.inject_fault(1, "kill", at=3)
+            op.apply(u)  # rank 1 serves one span per dispatch
+            op.set_viscosity(2.0 * eta)
+            op.apply(u)
+            with pytest.raises(RankFailure):
+                op.apply(u)
+            assert comm.stats.respawns == 0
 
     def test_stall_hits_deadline_not_hang(self):
         # the stalled rank keeps heartbeating (dedicated thread), so this
@@ -240,32 +270,6 @@ class TestRankEngines:
             assert real.reductions == oracle.comm.stats.reductions
         oracle.shutdown()
 
-    def test_stale_snapshot_respawns_once(self):
-        """Ranks holding an older snapshot than the stamp the master
-        believes they hold answer ``stale``; the engine respawns the
-        cohort once and gets the current answer."""
-
-        class Scaled:
-            _parallel_state_version = 0
-            factor = 1.0
-
-            def apply(self, u, s, e, out, stash):
-                out[s:e] = self.factor * u[s:e]
-
-        u = np.arange(6.0)
-        spans = [(0, 3), (3, 6)]
-        state = Scaled()
-        with procomm(2) as comm:
-            engine = ProcommEngine(comm)
-            assert np.array_equal(engine.dispatch(state, "apply", spans, u, 6),
-                                  u)
-            state.factor, state._parallel_state_version = 2.0, 1
-            comm.snapshot_known.add((state._repro_exec_token, 1))
-            before = comm.stats.respawns
-            assert np.array_equal(engine.dispatch(state, "apply", spans, u, 6),
-                                  2.0 * u)
-            assert comm.stats.respawns == before + 1
-
     def test_cg_reductions_route_through_engine(self):
         # use_dot must steer every CG inner product through the fixed
         # tree; oracle and real transport land on the same iterates
@@ -290,6 +294,84 @@ class TestRankEngines:
         np.testing.assert_array_equal(res_oracle.x, res_real.x)
         assert res_oracle.iterations == res_real.iterations
         oracle.shutdown()
+
+
+# --------------------------------------------------------------------- #
+# state shipping: one versioned message per state version, no re-fork
+# --------------------------------------------------------------------- #
+def _shipments() -> int:
+    rec = obs.registry.REGISTRY.events.get(("", "CommState"))
+    return 0 if rec is None else rec.count
+
+
+class TestStateShipping:
+    @pytest.fixture(autouse=True)
+    def clean_obs(self):
+        obs.disable()
+        obs.reset()
+        yield
+        obs.disable()
+        obs.reset()
+
+    @pytest.mark.parametrize("kind", ["asmb", "tensor_compiled"])
+    def test_one_shipment_per_version(self, kind):
+        if kind == "tensor_compiled" and not _ckernel.available():
+            pytest.skip("the NumPy fallback applies serially")
+        mesh, eta, u = _operator_problem()
+        obs.enable()
+        with procomm(2) as comm:
+            op = make_operator(kind, mesh, eta, quad=QUAD,
+                               executor=ProcommEngine(comm))
+            for _ in range(3):
+                op.apply(u)
+            assert _shipments() == 1
+            op.set_viscosity(2.0 * eta)
+            y = op.apply(u)
+            op.apply(u)
+            assert _shipments() == 2
+            assert comm.stats.respawns == 0
+        ref = make_operator(kind, mesh, 2.0 * eta, quad=QUAD, workers=1)
+        assert np.array_equal(y, ref.apply(u))
+
+    def test_span_for_unsent_state_is_comm_error(self):
+        with procomm(2) as comm:
+            with pytest.raises(CommError, match="never sent"):
+                comm.call(0, "span", token=-1, version=0)
+            assert comm.call(0, "ping")["rank"] == 0
+            assert comm.stats.respawns == 0
+
+    def test_ranks_hold_live_states_only(self):
+        mesh, eta, u = _operator_problem()
+        with procomm(2) as comm:
+            engine = ProcommEngine(comm)
+            for k in range(10):
+                op = make_operator("asmb", mesh, eta, quad=QUAD,
+                                   executor=engine)
+                op.apply(u)
+                op.set_viscosity((2.0 + k) * eta)
+                op.apply(u)
+                assert max(comm.held) <= len(_LIVE_STATES)
+                del op
+                gc.collect()
+            # the last shipment found one live state of this cohort's
+            assert comm.held == [1, 1]
+            assert comm.stats.respawns == 0
+
+    @pytest.mark.skipif(not _ckernel.available(),
+                        reason="the NumPy fallback applies serially")
+    def test_compiled_payload_is_the_kernel_inputs(self):
+        # the 8^3 fine level ships its kernel inputs only (~1.9 MB), and
+        # the unpickled payload applies the operator
+        mesh, eta, u = _operator_problem((8, 8, 8))
+        op = make_operator("tensor_compiled", mesh, eta, quad=QUAD,
+                           workers=2)
+        data = pickle.dumps(op, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(data) <= 2.5e6
+        rank_op = pickle.loads(data)
+        out = np.zeros(op.ndof)
+        rank_op._apply_span(u, 0, mesh.nel, out, None)
+        assert np.array_equal(out, op.apply(u))
+        op.executor.shutdown()
 
 
 # --------------------------------------------------------------------- #
@@ -439,6 +521,12 @@ class TestDistributedSolve:
         # only collectives -- in step 2's checkpoint barrier
         assert out["events"][0]["step"] == (1 if _ckernel.available() else 2)
         assert out["digest"] == oracle["digest"]
+        # recover() is the only respawn
+        assert out["comm"]["respawns"] == out["recoveries"]
+
+    def test_clean_run_forks_ranks_once(self):
+        out = run_sinker_distributed(ranks=2, nsteps=3)
+        assert out["comm"]["respawns"] == 0
 
     def test_oracle_digest_is_rank_count_sensitive(self):
         # documents WHY digests are compared at equal rank counts: the

@@ -661,7 +661,7 @@ class TestExecutorCrashRecovery:
         comm = ProcessComm(2)
         try:
             engine = ProcommEngine(comm)
-            engine.dispatch(state, "apply_span", spans, u, n)  # snapshot it
+            engine.dispatch(state, "apply_span", spans, u, n)  # ship it
             comm.inject_fault(1, "kill", at=1, sentinel=sentinel)
             with pytest.raises(RankFailure):
                 engine.dispatch(state, "apply_span", spans, u, n)
