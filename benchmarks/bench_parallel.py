@@ -21,6 +21,7 @@ import pytest
 from repro import obs
 from repro.fem import GaussQuadrature, StructuredMesh
 from repro.matfree import make_operator
+from repro.parallel import thread_pool, use_executor
 from repro.perf import OPERATOR_COUNTS
 
 from conftest import print_table, fmt, once
@@ -41,10 +42,11 @@ def setting():
     quad = GaussQuadrature.hex(3)
     eta = np.exp(rng.normal(size=(mesh.nel, quad.npoints)))
     u = rng.standard_normal(3 * mesh.nnodes)
-    serial_op = make_operator(KIND, mesh, eta, quad=quad, workers=1)
-    par_op = make_operator(KIND, mesh, eta, quad=quad, workers=WORKERS)
-    yield mesh, u, serial_op, par_op
-    par_op.executor.shutdown()
+    with use_executor(None):
+        serial_op = make_operator(KIND, mesh, eta, quad=quad)
+    with use_executor(thread_pool(WORKERS)):
+        par_op = make_operator(KIND, mesh, eta, quad=quad)
+    return mesh, u, serial_op, par_op
 
 
 def _time_apply(op, u, rounds=3) -> float:
@@ -71,7 +73,7 @@ def test_parallel_apply(benchmark, setting):
     # one answer, however many workers
     assert np.array_equal(y, serial_op.apply(u))
     benchmark.extra_info.update(
-        workers=WORKERS, nel=mesh.nel, **par_op.executor.stats.as_dict(),
+        workers=WORKERS, nel=mesh.nel, **par_op.engine.stats.as_dict(),
     )
 
 

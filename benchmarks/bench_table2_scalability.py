@@ -125,8 +125,9 @@ def test_table2_halo_model(benchmark):
     rows = []
     for ranks in [(2, 2, 2), (4, 2, 2), (4, 4, 2)]:
         d = BlockDecomposition(mesh, ranks)
-        msgs, total, per_rank = halo_exchange_plan(d)
-        rows.append([str(ranks), d.nranks, msgs, total, per_rank])
+        plan = halo_exchange_plan(d)
+        rows.append([str(ranks), d.nranks, plan.messages, plan.bytes_total,
+                     plan.max_bytes_per_rank])
     print_table("halo-exchange plan (one ghost update, 3 dofs/node)",
                 ["rank grid", "ranks", "messages", "total bytes",
                  "max bytes/rank"], rows)

@@ -38,8 +38,9 @@ it directly, so it is not a ``make_operator`` kind.
 All five produce identical discrete operators (to rounding), which the test
 suite asserts; they differ only in flops-vs-bytes balance.  Only
 ``asmb`` (row-split SpMV), ``tensor_compiled`` and ``newton`` dispatch
-over workers; ``mf``, ``tensor`` and ``tensor_c`` are serial reference
-kernels.
+over workers, on the engine in scope when they are built
+(:func:`repro.parallel.executor.current_engine`); ``mf``, ``tensor`` and
+``tensor_c`` are serial reference kernels.
 
 An operator owns its inputs (:mod:`repro.matfree.base`): after
 ``set_viscosity`` or a mesh move it equals a freshly built one bit for bit.
@@ -61,21 +62,14 @@ OPERATOR_TYPES = {
 }
 
 
-def make_operator(kind: str, mesh, eta_q, workers=None, executor=None,
-                  **kwargs):
-    """Factory over the operator implementations of Table I.
-
-    ``workers`` / ``executor`` reach the two kinds that dispatch (``asmb``,
-    ``tensor_compiled``); the serial reference kernels do not take them.
-    """
+def make_operator(kind: str, mesh, eta_q, **kwargs):
+    """Factory over the operator implementations of Table I."""
     try:
         cls = OPERATOR_TYPES[kind]
     except KeyError:
         raise ValueError(
             f"unknown operator kind {kind!r}; expected one of {sorted(OPERATOR_TYPES)}"
         ) from None
-    if cls in (AssembledOperator, TensorCompiledOperator):
-        kwargs.update(workers=workers, executor=executor)
     return cls(mesh, eta_q, **kwargs)
 
 

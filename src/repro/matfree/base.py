@@ -39,10 +39,10 @@ class ViscousOperatorBase:
 
     #: label used in benchmark tables (matches Table I rows)
     name = "base"
-    #: the dispatch engine applies run through; only the two kinds that
-    #: dispatch (``asmb``, ``tensor_compiled``) set one, the NumPy
-    #: reference kernels are serial
-    executor = None
+    #: the dispatch engine applies run through, bound at construction;
+    #: only the kinds that dispatch (``asmb``, ``tensor_compiled``,
+    #: ``newton``) set one, the NumPy reference kernels are serial
+    engine = None
 
     def __init__(self, mesh, eta_q: np.ndarray, quad: GaussQuadrature | None = None,
                  chunk: int = 2048):

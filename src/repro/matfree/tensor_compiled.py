@@ -21,11 +21,12 @@ gets its speed from:
   the baseline ABI) is picked at load time -- every variant and lane
   position produces the same floats (see the determinism contract in
   :mod:`~repro.matfree._ckernel`);
-* the kernel is a plain ``ctypes`` call, so the GIL is released: with
-  ``workers > 1`` (or a rank engine armed by
-  :func:`~repro.parallel.executor.use_executor`) the element slabs of
+* the kernel is a plain ``ctypes`` call, so the GIL is released: on the
+  engine in scope when the operator is built
+  (:func:`~repro.parallel.executor.current_engine`: a thread pool or a
+  rank engine) the element slabs of
   :func:`~repro.parallel.executor.partition_elements` run as concurrent
-  tasks under the executor's owner-writes contract.  Span ``k`` writes
+  tasks under the owner-writes contract.  Span ``k`` writes
   every node no earlier span touches straight into the shared output and
   stashes the rest (nodes below ``lo_k``, one more than the largest node
   of elements ``[0, s_k)``); the stashes are replayed in span order, so
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..parallel.executor import make_executor, partition_elements
+from ..parallel.executor import current_engine, partition_elements
 from . import _ckernel
 from .base import _owned_copy
 from .tensor_c import (
@@ -109,8 +110,7 @@ class TensorCompiledOperator(TensorCOperator):
     #: which :data:`~repro.matfree._ckernel.KERNELS` entry applies it
     kernel_kind = "apply"
 
-    def __init__(self, mesh, eta_q, quad=None, chunk=4096, workers=None,
-                 executor=None):
+    def __init__(self, mesh, eta_q, quad=None, chunk=4096):
         # resolved before the base constructor packs the coefficients: the
         # layout of ``_C`` depends on which path applies them.  ``isa`` names
         # the variant in use (None on the NumPy fallback).
@@ -124,11 +124,10 @@ class TensorCompiledOperator(TensorCOperator):
         self._BD = np.ascontiguousarray(
             np.stack([self.B_hat, self.D_hat]), dtype=np.float64
         )
-        #: also serves the hierarchy's assembled levels (row-split SpMV)
-        self.executor = make_executor(workers, executor)
-        if self.executor is not None:
+        self.engine = current_engine()
+        if self.engine is not None:
             #: contiguous element slabs, one task each
-            self._spans = partition_elements(mesh, self.executor.workers)
+            self._spans = partition_elements(mesh, self.engine.workers)
             self._lo, self._stashes = owner_writes_plan(self._conn64,
                                                         self._spans)
 
@@ -199,10 +198,10 @@ class TensorCompiledOperator(TensorCOperator):
     def _apply(self, u: np.ndarray) -> np.ndarray:
         if not self.compiled:
             return super()._apply(u)
-        if self.executor is None:
+        if self.engine is None:
             return self._run_kernel(self._kernel, u, 0, self.mesh.nel)
-        return self.executor.dispatch(self, "_apply_span", self._spans, u,
-                                      self.ndof, self._stashes)
+        return self.engine.dispatch(self, "_apply_span", self._spans, u,
+                                    self.ndof, self._stashes)
 
 
 class NewtonTensorOperator(TensorCompiledOperator):
@@ -241,13 +240,12 @@ class NewtonTensorOperator(TensorCompiledOperator):
     kernel_kind = "newton"
     _rank_payload = TensorCompiledOperator._rank_payload + ("_N",)
 
-    def __init__(self, mesh, eta_q, Du_q, eta_prime_q, quad=None, chunk=4096,
-                 workers=None, executor=None):
+    def __init__(self, mesh, eta_q, Du_q, eta_prime_q, quad=None, chunk=4096):
         # the first _rebuild (in the base constructor) packs them
         self.Du_q = _owned_copy(Du_q, (mesh.nel, 27, 3, 3), "Du_q")
         self.eta_prime_q = _owned_copy(eta_prime_q, (mesh.nel, 27),
                                        "eta_prime_q")
-        super().__init__(mesh, eta_q, quad, chunk, workers, executor)
+        super().__init__(mesh, eta_q, quad, chunk)
 
     def _rebuild(self) -> None:
         """Pack ``_C`` and ``_N`` lane-interleaved; nothing on the einsum

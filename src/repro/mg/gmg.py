@@ -33,7 +33,7 @@ from ..fem import assembly
 from ..fem.bc import DirichletBC
 from ..fem.quadrature import GaussQuadrature
 from ..matfree import make_operator
-from ..parallel.executor import ParallelCSRMatVec, make_executor
+from ..parallel.executor import ParallelCSRMatVec, current_engine
 from ..solvers.chebyshev import ChebyshevSmoother
 from ..solvers.relaxation import BlockJacobiLU
 from .cycles import MGLevel, MGHierarchy
@@ -72,10 +72,9 @@ class GMGConfig:
         ``lu``, ``bjacobi-lu``, or ``asm-cg`` (SS V configuration).
     coarse_nblocks:
         Virtual subdomain count for block-Jacobi / ASM coarse solvers.
-    workers:
-        Shared-memory worker count for the compiled applies and the
-        assembled levels' SpMV (``None`` reads ``$REPRO_WORKERS``; 1 =
-        serial).  One executor is shared by every level.
+
+    Every level's applies run on the engine in scope when the hierarchy
+    is built (:func:`~repro.parallel.executor.current_engine`).
     """
 
     levels: int = 3
@@ -85,7 +84,6 @@ class GMGConfig:
     smoother_degree: int = 2
     coarse_solver: str = "sa"
     coarse_nblocks: int = 1
-    workers: int | None = None
     sa_config: SAConfig = field(default_factory=SAConfig)
     asm_overlap: int = 4
     asm_rtol: float = 1e-4
@@ -104,11 +102,12 @@ class GMGSetupStats:
     level_ndofs: list[int] = field(default_factory=list)
 
 
-def _wrap_assembled(A_bc: sp.csr_matrix, executor=None):
-    if executor is not None:
-        # row-partitioned SpMV through the shared executor; bit-identical
-        # to the plain matvec (each row is one task's dot product)
-        return ParallelCSRMatVec(A_bc, executor)
+def _wrap_assembled(A_bc: sp.csr_matrix):
+    engine = current_engine()
+    if engine is not None:
+        # row-partitioned SpMV on the engine in scope; bit-identical to
+        # the plain matvec (each row is one task's dot product)
+        return ParallelCSRMatVec(A_bc, engine)
     return lambda v: A_bc @ v
 
 
@@ -166,8 +165,7 @@ def build_gmg(
         An already built ``config.fine_operator`` operator on ``meshes[0]``
         with viscosity ``eta_levels[0]`` to use as the finest level instead
         of constructing an identical one (the coupled solve shares its
-        viscous block this way); the hierarchy then runs on its executor
-        when it has one.
+        viscous block this way).
     """
     cfg = config or GMGConfig()
     if len(meshes) < cfg.levels:
@@ -176,8 +174,6 @@ def build_gmg(
     stats = GMGSetupStats()
     quad = GaussQuadrature.hex(3)
     bcs = [bc_builder(m) for m in meshes]
-    # one shared worker pool for every level's applies and smoothing
-    executor = getattr(fine_op, "executor", None) or make_executor(cfg.workers)
 
     if cfg.levels == 1:
         # degenerate hierarchy: assemble and hand the whole problem to the
@@ -192,7 +188,7 @@ def build_gmg(
         stats.coarse_setup_seconds += time.perf_counter() - t0
         stats.level_ndofs.append(3 * meshes[0].nnodes)
         lvl = MGLevel(
-            apply=_wrap_assembled(A_bc, executor), coarse_solve=coarse,
+            apply=_wrap_assembled(A_bc), coarse_solve=coarse,
             bc_mask=bc0.mask, ndof=3 * meshes[0].nnodes,
             label=f"single[{cfg.coarse_solver}]",
         )
@@ -218,9 +214,7 @@ def build_gmg(
     bc0 = bcs[0]
     t0 = time.perf_counter()
     op = fine_op if fine_op is not None else make_operator(
-        cfg.fine_operator, meshes[0], eta_levels[0], quad=quad,
-        executor=executor,
-    )
+        cfg.fine_operator, meshes[0], eta_levels[0], quad=quad)
     levels = [operator_level(op, bc0, f"gmg-fine[{cfg.fine_operator}]")]
     # matrix of the level above, while a Galerkin product may need it
     A_above = None
@@ -260,10 +254,8 @@ def build_gmg(
         # rebinding drops the matrix above unless its level applies it
         A_above = Ak
         if matrix_free:
-            op_k = make_operator(
-                cfg.fine_operator, mesh, eta_levels[k], quad=quad,
-                executor=executor,
-            )
+            op_k = make_operator(cfg.fine_operator, mesh, eta_levels[k],
+                                 quad=quad)
             levels.append(
                 operator_level(op_k, bc, f"gmg-mf[{cfg.fine_operator}]")
             )
@@ -273,7 +265,7 @@ def build_gmg(
             stats.coarse_setup_seconds += time.perf_counter() - t0
             levels.append(
                 MGLevel(
-                    apply=_wrap_assembled(Ak, executor),
+                    apply=_wrap_assembled(Ak),
                     coarse_solve=coarse,
                     bc_mask=bc.mask,
                     ndof=ndof,
@@ -281,7 +273,7 @@ def build_gmg(
                 )
             )
         else:
-            apply_k = _wrap_assembled(Ak, executor)
+            apply_k = _wrap_assembled(Ak)
             diag = Ak.diagonal().copy()
             diag[diag == 0.0] = 1.0
             levels.append(

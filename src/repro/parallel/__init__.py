@@ -31,16 +31,16 @@ from .executor import (
     ExecutorStats,
     ParallelCSRMatVec,
     ParallelExecutor,
-    make_executor,
+    current_engine,
     partition_elements,
     partition_range,
     resolve_workers,
+    thread_pool,
     use_executor,
 )
 from .halo import (
     ExchangeStats,
     halo_exchange_plan,
-    measured_exchange,
     reduction_count,
     validate_decomposition_compat,
 )
@@ -68,14 +68,14 @@ __all__ = [
     "ProcommEngine",
     "RankFailure",
     "VirtualRankEngine",
+    "current_engine",
     "halo_exchange_plan",
-    "make_executor",
-    "measured_exchange",
     "partition_elements",
     "partition_range",
     "reduction_count",
     "resolve_workers",
     "run_sinker_distributed",
+    "thread_pool",
     "tree_reduce",
     "use_executor",
     "validate_decomposition_compat",

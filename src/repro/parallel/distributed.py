@@ -1,9 +1,8 @@
 """Rank-decomposed dispatch engines and the distributed sinker driver.
 
-Two engines satisfy the executor's owner-writes dispatch contract
-(:mod:`repro.parallel.executor`: ``dispatch(state, method, spans, u,
-n_out, stashes)``, ``.workers``, ``.stats``) and are injected into the
-whole solve stack via :func:`~repro.parallel.executor.use_executor`:
+Two rank transports of the one owner-writes dispatch
+(:class:`~repro.parallel.executor.DispatchEngine`), armed for the whole
+solve stack by :func:`~repro.parallel.executor.use_executor`:
 
 :class:`ProcommEngine`
     Fans span tasks and dot partials out to the **real rank processes**
@@ -46,11 +45,9 @@ from ..obs import registry as _obs
 from .comm import VirtualComm, tree_reduce
 from .decomposition import BlockDecomposition
 from .executor import (
-    ExecutorStats,
+    DispatchEngine,
     account_tasks,
     partition_range,
-    replay_stashes,
-    stash_sizes,
     use_executor,
 )
 from .procomm import CommError, ProcessComm, span_dot
@@ -62,16 +59,6 @@ __all__ = [
 ]
 
 
-def _account_dispatch(comm, ntasks: int, nbytes_in: int,
-                      nbytes_out: int) -> None:
-    """Comm-stats accounting of one engine dispatch, shared by both
-    engines so the oracle's ``comm.*`` gauges match the real transport's:
-    one input-vector broadcast plus one output (and stash) block back per
-    task."""
-    comm.stats.messages += ntasks + 1
-    comm.stats.bytes += nbytes_in + nbytes_out
-
-
 def _account_dot(comm, ntasks: int, nbytes: int) -> None:
     """One distributed dot: a partial per rank, one tree reduction."""
     comm.stats.messages += ntasks
@@ -79,15 +66,25 @@ def _account_dot(comm, ntasks: int, nbytes: int) -> None:
     comm.stats.reductions += 1
 
 
-class _RankEngineBase:
-    """Shared surface of the rank engines (dispatch contract + dot)."""
+class _RankEngineBase(DispatchEngine):
+    """What the rank engines add to the shared dispatch: the distributed
+    dot, the ``CommHaloExchange`` event and comm-stats accounting."""
+
+    _event, _event_cat = "CommHaloExchange", "comm"
 
     def __init__(self, comm):
+        super().__init__(comm.size)
         self.comm = comm
-        self.workers = int(comm.size)
-        self.stats = ExecutorStats()
 
-    # -- distributed dot ------------------------------------------------- #
+    def _count(self, ntasks: int, nbytes_in: int, nbytes_out: int) -> None:
+        """Also count the dispatch in the comm stats, identically on both
+        engines so the oracle's ``comm.*`` gauges match the real
+        transport's: one input-vector broadcast plus one output (and
+        stash) block back per task."""
+        super()._count(ntasks, nbytes_in, nbytes_out)
+        self.comm.stats.messages += ntasks + 1
+        self.comm.stats.bytes += nbytes_in + nbytes_out
+
     def dot(self, x: np.ndarray, y: np.ndarray) -> float:
         """Distributed inner product: per-rank partials, fixed-tree sum.
 
@@ -104,31 +101,6 @@ class _RankEngineBase:
             _account_dot(self.comm, len(spans), x.nbytes + y.nbytes)
             return float(tree_reduce(partials, "sum"))
 
-    # -- dispatch contract ----------------------------------------------- #
-    def dispatch(self, state, method: str, spans, u: np.ndarray,
-                 n_out: int, stashes=None) -> np.ndarray:
-        """Run ``getattr(state, method)(u, s, e, out, stash)`` over the
-        ranks under the owner-writes contract of
-        :mod:`repro.parallel.executor`; return ``out``."""
-        u = np.ascontiguousarray(u, dtype=np.float64)
-        sizes = stash_sizes(spans, stashes)
-        nbytes_out = 8 * (int(n_out) + sum(sizes))
-        with _obs.timed("CommHaloExchange", nbytes=u.nbytes + nbytes_out,
-                        cat="comm"):
-            out, vals = self._run_spans(state, method, spans, u,
-                                        int(n_out), sizes)
-            with _obs.timed("ParExecReduce"):
-                replay_stashes(out, stashes, vals)
-        self.stats.dispatches += 1
-        self.stats.tasks += len(spans)
-        self.stats.bytes_in += u.nbytes
-        self.stats.bytes_out += nbytes_out
-        _account_dispatch(self.comm, len(spans), u.nbytes, nbytes_out)
-        return out
-
-    def shutdown(self) -> None:  # symmetry with ParallelExecutor
-        pass
-
 
 class VirtualRankEngine(_RankEngineBase):
     """The sequential oracle engine over a :class:`VirtualComm`.
@@ -144,17 +116,14 @@ class VirtualRankEngine(_RankEngineBase):
     def _dot_partials(self, x, y, spans):
         return [span_dot(x, y, s, e) for s, e in spans]
 
-    def _run_spans(self, state, method, spans, u, n_out, sizes):
+    def _run_spans(self, state, method, spans, u, out, vals) -> None:
         fn = getattr(state, method)
-        out = np.zeros(n_out)
-        vals = [np.empty(n) if n else None for n in sizes]
         times = []
         for (s, e), stash in zip(spans, vals):
             t0 = time.perf_counter()
             fn(u, int(s), int(e), out, stash)
             times.append((t0, time.perf_counter()))
         account_tasks(method, times)
-        return out, vals
 
 
 class ProcommEngine(_RankEngineBase):
@@ -166,8 +135,9 @@ class ProcommEngine(_RankEngineBase):
     it, every span's stash live in the output block, zeroed by the master;
     one ``span`` op per task is posted round-robin to the ranks, each
     writing its own entries of the output and its own stash; the master
-    copies the output out and replays the stashes in span order.  The
-    span ops name the state by the ``(token, version)`` key
+    copies the output and the stashes out, and the shared dispatch
+    replays the stashes in span order.  The span ops name the state by
+    the ``(token, version)`` key
     :meth:`~repro.parallel.procomm.ProcessComm.share_state` returns,
     which ships it first if the ranks do not hold that version yet.
     """
@@ -192,11 +162,13 @@ class ProcommEngine(_RankEngineBase):
         return [float(comm._wait(r, seq, "dot")["value"])
                 for r, seq in seqs]
 
-    def _run_spans(self, state, method, spans, u, n_out, sizes):
+    def _run_spans(self, state, method, spans, u, out, vals) -> None:
         comm = self.comm
         token, version = comm.share_state(state)
         comm.shm_in.ensure(u.nbytes)
         comm.shm_in.view(u.size)[:] = u
+        n_out = out.size
+        sizes = [0 if v is None else v.size for v in vals]
         # stash k starts at offsets[k], right after the output vector
         offsets = np.cumsum([n_out, *sizes])
         comm.shm_out.ensure(8 * int(offsets[-1]))
@@ -213,9 +185,10 @@ class ProcommEngine(_RankEngineBase):
         replies = [comm._wait(r, seq, "span") for r, seq in seqs]
         # ranks stamp perf_counter, a system-wide clock on Linux
         account_tasks(method, [(reply["t0"], reply["t1"]) for reply in replies])
-        vals = [comm.shm_out.view(n, int(offsets[i])) if n else None
-                for i, n in enumerate(sizes)]
-        return comm.shm_out.view(n_out).copy(), vals
+        out[:] = comm.shm_out.view(n_out)
+        for i, stash in enumerate(vals):
+            if stash is not None:
+                stash[:] = comm.shm_out.view(stash.size, int(offsets[i]))
 
 
 # --------------------------------------------------------------------- #
@@ -379,10 +352,6 @@ def run_sinker_distributed(
                         load_checkpoint(ck, sim)
             migration = (_exercise_migration(sim, comm, ranks)
                          if migrate else None)
-        from .halo import halo_exchange_plan
-
-        decomp = BlockDecomposition(sim.mesh, (1, 1, ranks))
-        plan = halo_exchange_plan(decomp, executor=engine)
         return {
             "digest": state_digest(sim),
             "steps": int(sim.step_index),
@@ -394,12 +363,6 @@ def run_sinker_distributed(
             "events": events,
             "comm": comm.stats.as_dict(),
             "engine": engine.stats.as_dict(),
-            "halo": {
-                "messages": int(plan.messages),
-                "bytes_total": int(plan.bytes_total),
-                "max_bytes_per_rank": int(plan.max_bytes_per_rank),
-                "measured": bool(plan.measured),
-            },
             "migration": migration,
             "checkpoint": ck + ".npz",
         }

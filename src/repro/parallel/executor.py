@@ -1,4 +1,4 @@
-"""Shared-memory thread pool and the owner-writes dispatch contract.
+"""Engine choice, the thread pool and the one owner-writes dispatch.
 
 The paper's Stokes operator is a per-rank element loop whose answer must
 not depend on how the mesh is cut.  Two kernels here fan out over
@@ -8,9 +8,19 @@ released) and the row-split CSR SpMV of the assembled multigrid levels
 (:class:`ParallelCSRMatVec`).  Everything else -- the NumPy element
 kernels, the diagonal, assembly -- is a plain serial function.
 
-:class:`ParallelExecutor` runs the tasks on a persistent
-``ThreadPoolExecutor``; the rank engines of
-:mod:`repro.parallel.distributed` run the same tasks inline
+:mod:`repro.parallel.executor` is the one place that decides which
+engine a kernel dispatches on.  An operator binds :func:`current_engine`
+when it is built: the innermost :func:`use_executor` engine, else the
+process's one :class:`ParallelExecutor` for the ``$REPRO_WORKERS`` width
+(:func:`thread_pool`), else ``None`` -- serial, the compiled apply a
+direct kernel call.  ``StokesConfig.workers`` arms its width's pool for a
+solve or a step through :func:`use_workers`, unless an outer scope
+armed an engine first.
+
+Every engine is a :class:`DispatchEngine` and shares its ``dispatch``; a
+transport supplies only how the spans run: :class:`ParallelExecutor` on
+a ``ThreadPoolExecutor`` whose threads stop before any ``os.fork``; the
+rank engines of :mod:`repro.parallel.distributed` inline
 (:class:`~repro.parallel.distributed.VirtualRankEngine`) or in real rank
 processes over shared memory
 (:class:`~repro.parallel.distributed.ProcommEngine`), which are sent a
@@ -40,10 +50,11 @@ DESIGN.md for why that reproduces the serial scatter for any cut).
 
 Observation
 -----------
-A thread-pool dispatch is one ``ParExecDispatch`` event around one
-``ParExecTask:<method>`` and one ``ParExecQueueWait`` span per task,
-each recorded once by :func:`account_tasks` through
-:func:`repro.obs.record_span`, and the ``ParExecReduce`` stash replay.
+A thread-pool dispatch is one ``ParExecDispatch`` event (a rank
+engine's: ``CommHaloExchange``) around one ``ParExecTask:<method>`` and,
+on threads, one ``ParExecQueueWait`` span per task, each recorded once by
+:func:`account_tasks` through :func:`repro.obs.record_span`, and the
+``ParExecReduce`` stash replay.
 :class:`ExecutorStats` keeps counts only.
 """
 
@@ -52,6 +63,7 @@ from __future__ import annotations
 import contextlib
 import os
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -61,20 +73,23 @@ from ..obs import registry as _obs
 from .decomposition import BlockDecomposition
 
 __all__ = [
+    "DispatchEngine",
     "ExecutorStats",
     "ParallelCSRMatVec",
     "ParallelExecutor",
     "account_tasks",
-    "make_executor",
+    "current_engine",
     "partition_elements",
     "partition_range",
     "replay_stashes",
     "resolve_workers",
     "stash_sizes",
+    "thread_pool",
     "use_executor",
+    "use_workers",
 ]
 
-#: environment knob honored when the call site passes ``None``
+#: the thread count when nothing explicit is given (read when needed)
 ENV_WORKERS = "REPRO_WORKERS"
 
 
@@ -173,62 +188,112 @@ def account_tasks(method: str, times, submitted=()) -> None:
                          dispatch=dispatch)
 
 
-class ParallelExecutor:
-    """Persistent thread pool running owner-writes span tasks.
+class DispatchEngine:
+    """The owner-writes ``dispatch``; a transport supplies ``_run_spans``.
 
-    ``workers=None`` reads ``$REPRO_WORKERS`` (default 1).  With one
-    worker, or one span, the tasks run inline on the caller's thread.
+    ``dispatch`` sizes the stashes, allocates the output and the stash
+    buffers, has the transport run every span into them, replays the
+    stashes and counts the dispatch in :attr:`stats`, all inside one
+    ``repro.obs`` event named by ``_event`` (category ``_event_cat``).
+    ``_run_spans(state, method, spans, u, out, vals)`` calls
+    ``getattr(state, method)(u, s, e, out, stash)`` once per span, however
+    its transport runs them: :class:`ParallelExecutor` on its threads,
+    :class:`~repro.parallel.distributed.VirtualRankEngine` inline,
+    :class:`~repro.parallel.distributed.ProcommEngine` on rank processes.
     """
 
-    def __init__(self, workers: int | None = None):
-        self.workers = resolve_workers(workers)
-        self.stats = ExecutorStats()
-        self._pool = None
+    _event, _event_cat = "ParExecDispatch", "event"
 
-    def shutdown(self) -> None:
-        """Stop the worker threads (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
+    def __init__(self, workers: int):
+        self.workers = int(workers)
+        self.stats = ExecutorStats()
 
     def dispatch(self, state, method: str, spans: list[tuple[int, int]],
                  u: np.ndarray, n_out: int, stashes=None) -> np.ndarray:
         """Run ``getattr(state, method)(u, s, e, out, stash)`` over
         ``spans`` under the owner-writes contract; return ``out``."""
         u = np.ascontiguousarray(u, dtype=np.float64)
-        out = np.zeros(n_out)
         sizes = stash_sizes(spans, stashes)
+        out = np.zeros(n_out)
         vals = [np.empty(n) if n else None for n in sizes]
+        nbytes_out = 8 * (int(n_out) + sum(sizes))
+        with _obs.timed(self._event, nbytes=u.nbytes + nbytes_out,
+                        cat=self._event_cat):
+            self._run_spans(state, method, spans, u, out, vals)
+            with _obs.timed("ParExecReduce"):
+                replay_stashes(out, stashes, vals)
+        self._count(len(spans), u.nbytes, nbytes_out)
+        return out
+
+    def _count(self, ntasks: int, nbytes_in: int, nbytes_out: int) -> None:
+        st = self.stats
+        st.dispatches += 1
+        st.tasks += ntasks
+        st.bytes_in += nbytes_in
+        st.bytes_out += nbytes_out
+
+    def shutdown(self) -> None:
+        """Release the transport's resources (idempotent)."""
+
+
+#: thread pools with live threads, stopped before every ``os.fork``
+_STARTED: weakref.WeakSet = weakref.WeakSet()
+
+
+def _stop_threads() -> None:
+    for engine in list(_STARTED):
+        engine.shutdown()
+
+
+# a child forked while engine threads run inherits their locks but not the
+# threads: rank processes and serve jobs always fork from a thread-free pool
+os.register_at_fork(before=_stop_threads)
+
+
+class ParallelExecutor(DispatchEngine):
+    """Thread-pool transport: a dispatch's tasks run on ``workers`` threads.
+
+    The threads start at the first multi-span dispatch and stop before
+    any ``os.fork`` (and at :meth:`shutdown`); the next dispatch starts
+    them again.  ``workers=None`` reads ``$REPRO_WORKERS``.  With one
+    worker, or one span, the tasks run inline on the caller's thread.
+    Operators get the process's one pool per width from
+    :func:`thread_pool`.
+    """
+
+    def __init__(self, workers: int | None = None):
+        super().__init__(resolve_workers(workers))
+        self._pool = None
+
+    def shutdown(self) -> None:
+        """Stop the worker threads (idempotent)."""
+        _STARTED.discard(self)
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
+
+    def _run_spans(self, state, method, spans, u, out, vals) -> None:
         fn = getattr(state, method)
         if self.workers == 1 or len(spans) == 1:
             for (s, e), stash in zip(spans, vals):
                 fn(u, s, e, out, stash)
-            return replay_stashes(out, stashes, vals)
+            return
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=self.workers, thread_name_prefix="repro-exec",
             )
+            _STARTED.add(self)
 
         def task(s, e, stash):
             t0 = time.perf_counter()
             fn(u, s, e, out, stash)
             return t0, time.perf_counter()
 
-        nbytes_out = 8 * (n_out + sum(sizes))
-        with _obs.timed("ParExecDispatch", nbytes=u.nbytes + nbytes_out):
-            submitted, futures = [], []
-            for (s, e), stash in zip(spans, vals):
-                submitted.append(time.perf_counter())
-                futures.append(self._pool.submit(task, s, e, stash))
-            times = [fut.result() for fut in futures]
-            account_tasks(method, times, submitted)
-            with _obs.timed("ParExecReduce"):
-                replay_stashes(out, stashes, vals)
-        self.stats.dispatches += 1
-        self.stats.tasks += len(spans)
-        self.stats.bytes_in += u.nbytes
-        self.stats.bytes_out += nbytes_out
-        return out
+        submitted, futures = [], []
+        for (s, e), stash in zip(spans, vals):
+            submitted.append(time.perf_counter())
+            futures.append(self._pool.submit(task, s, e, stash))
+        account_tasks(method, [fut.result() for fut in futures], submitted)
 
 
 class ParallelCSRMatVec:
@@ -240,10 +305,10 @@ class ParallelCSRMatVec:
     assembled (Galerkin) multigrid levels.
     """
 
-    def __init__(self, matrix, executor):
+    def __init__(self, matrix, engine):
         self.matrix = matrix.tocsr() if not hasattr(matrix, "indptr") else matrix
-        self.executor = executor
-        self.spans = partition_range(self.matrix.shape[0], executor.workers)
+        self.engine = engine
+        self.spans = partition_range(self.matrix.shape[0], engine.workers)
         self._blocks = {(s, e): self.matrix[s:e] for s, e in self.spans}
 
     def __getstate__(self) -> dict:  # the pickle ranks get: the row blocks
@@ -254,49 +319,61 @@ class ParallelCSRMatVec:
         out[s:e] = self._blocks[(s, e)] @ u
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        return self.executor.dispatch(self, "_apply_rows", self.spans, u,
-                                      self.matrix.shape[0])
+        return self.engine.dispatch(self, "_apply_rows", self.spans, u,
+                                    self.matrix.shape[0])
 
 
-#: engine override stack armed by :func:`use_executor` -- while non-empty,
-#: every call site resolving an executor through :func:`make_executor`
-#: (operators, GMG hierarchies, assembled matvecs) gets the innermost
-#: override instead of building its own pool.  This is how the
-#: rank-decomposed driver (:mod:`repro.parallel.distributed`) injects one
-#: engine into the whole solve stack without threading it through every
-#: constructor.
-_EXECUTOR_OVERRIDE: list = []
+#: the process's thread pools, one per width
+_POOLS: dict[int, ParallelExecutor] = {}
+#: engines armed by :func:`use_executor`, innermost last
+_ARMED: list = []
+
+
+def thread_pool(workers: int | None = None) -> ParallelExecutor | None:
+    """The process's pool of ``resolve_workers(workers)`` threads, built
+    at the first request for that width; ``None`` (serial) for one."""
+    workers = resolve_workers(workers)
+    if workers == 1:
+        return None
+    if workers not in _POOLS:
+        _POOLS[workers] = ParallelExecutor(workers)
+    return _POOLS[workers]
+
+
+def current_engine():
+    """The engine an operator built now runs on.
+
+    The innermost :func:`use_executor` engine; else the process's
+    :func:`thread_pool` for ``$REPRO_WORKERS`` (read now, not at import,
+    so a forked job's environment counts); else ``None`` (serial).
+    Operators, :class:`ParallelCSRMatVec` users and multigrid levels call
+    it once, when they are built.
+    """
+    if _ARMED:
+        return _ARMED[-1]
+    return thread_pool()
 
 
 @contextlib.contextmanager
 def use_executor(engine):
-    """Route every :func:`make_executor` call site through ``engine``.
+    """Make ``engine`` the :func:`current_engine` inside the block.
 
-    ``engine`` must satisfy the dispatch contract (``dispatch(state,
-    method, spans, u, n_out, stashes)``, ``.workers``, ``.stats``); it may
-    be a :class:`ParallelExecutor` or a rank engine from
-    :mod:`repro.parallel.distributed`.  Overrides nest (innermost wins)
-    and only cover call sites that do not pass an explicit ``executor``.
+    ``engine`` is a :class:`DispatchEngine` (a thread pool or a rank
+    engine from :mod:`repro.parallel.distributed`) or ``None`` (serial).
+    Scopes nest; the innermost wins.
     """
-    _EXECUTOR_OVERRIDE.append(engine)
+    _ARMED.append(engine)
     try:
         yield engine
     finally:
-        _EXECUTOR_OVERRIDE.pop()
+        _ARMED.pop()
 
 
-def make_executor(workers: int | None = None, executor=None):
-    """Resolve the executor for an operator call site.
-
-    Returns ``executor`` unchanged when given; else the innermost
-    :func:`use_executor` override when one is armed; otherwise builds one
-    when the resolved worker count exceeds 1, and returns ``None`` (pure
-    serial, no engine in the loop) when it does not.
-    """
-    if executor is not None:
-        return executor
-    if _EXECUTOR_OVERRIDE:
-        return _EXECUTOR_OVERRIDE[-1]
-    if resolve_workers(workers) <= 1:
-        return None
-    return ParallelExecutor(workers)
+def use_workers(workers: int | None):
+    """Arm the :func:`thread_pool` of ``workers`` threads for a solve or a
+    step (``StokesConfig.workers``); a no-op when ``workers`` is ``None``
+    (``$REPRO_WORKERS`` decides) or when an outer scope already armed an
+    engine, whose choice wins."""
+    if _ARMED or workers is None:
+        return contextlib.nullcontext()
+    return use_executor(thread_pool(workers))

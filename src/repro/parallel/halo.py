@@ -3,67 +3,24 @@
 The sequential run operates on global vectors, so historically no data
 moved and these routines were purely analytic: message counts and byte
 volumes a real distributed run would incur, which the Edison machine model
-converts into communication time for Tables II/III.
-
-With a dispatch engine (:mod:`repro.parallel.executor`) data *does* move
-per operator application -- the input vector goes to every task and each
-task writes its owned entries of the output plus its stash.  When an
-executor is passed, :func:`halo_exchange_plan` reports those **measured**
-byte volumes in place of the analytic ghost-layer estimate.
+converts into communication time for Tables II/III.  The bytes a
+dispatch engine actually moves are its own ``ExecutorStats``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .decomposition import BlockDecomposition
 
 
 @dataclass
 class ExchangeStats:
-    """One exchange round: messages, total bytes, per-rank maximum.
-
-    ``measured`` distinguishes executor-observed traffic from the analytic
-    ghost-layer model.  Iterable for backward compatibility with the
-    ``(messages, bytes_total, max_bytes_per_rank)`` tuple return.
-    """
+    """One exchange round: messages, total bytes, per-rank maximum."""
 
     messages: int
     bytes_total: int
     max_bytes_per_rank: int
-    measured: bool = False
-
-    def __iter__(self):
-        return iter((self.messages, self.bytes_total, self.max_bytes_per_rank))
-
-    def __len__(self):
-        return 3
-
-    def __getitem__(self, i):
-        return (self.messages, self.bytes_total, self.max_bytes_per_rank)[i]
-
-
-def measured_exchange(executor) -> ExchangeStats | None:
-    """Per-dispatch traffic actually moved by a dispatch engine.
-
-    Each dispatch hands the input vector to the tasks once and gets the
-    output vector plus the stashes back; returns the average per
-    dispatch, or ``None`` if the executor has not dispatched yet.
-    """
-    st = getattr(executor, "stats", None)
-    if st is None or st.dispatches == 0:
-        return None
-    per_in = st.bytes_in / st.dispatches
-    per_out = st.bytes_out / st.dispatches
-    tasks_per = max(1, round(st.tasks / st.dispatches))
-    return ExchangeStats(
-        messages=tasks_per + 1,  # one broadcast in, one block back per task
-        bytes_total=int(round(per_in + per_out)),
-        max_bytes_per_rank=int(round(per_in + per_out / tasks_per)),
-        measured=True,
-    )
 
 
 def validate_decomposition_compat(
@@ -87,24 +44,17 @@ def validate_decomposition_compat(
 
 
 def halo_exchange_plan(
-    decomp: BlockDecomposition, dofs_per_node: int = 3, executor=None,
+    decomp: BlockDecomposition, dofs_per_node: int = 3,
     peer: BlockDecomposition | None = None,
 ) -> ExchangeStats:
     """Per-rank halo traffic for one ghost update of a nodal field.
 
-    Returns an :class:`ExchangeStats` (tuple-compatible:
-    ``(messages_total, bytes_total, max_bytes_per_rank)``).  When
-    ``executor`` is given and has dispatched, the byte volumes are the ones
-    the engine actually moved rather than the analytic ghost-node count.
+    Returns an :class:`ExchangeStats` from the analytic ghost-node count.
     ``peer`` (the decomposition on the other side of the exchange, when it
     is not ``decomp`` itself) is validated for compatibility up front.
     """
     if peer is not None:
         validate_decomposition_compat(decomp, peer)
-    if executor is not None:
-        measured = measured_exchange(executor)
-        if measured is not None:
-            return measured
     msgs = 0
     total_bytes = 0
     max_rank_bytes = 0
@@ -115,7 +65,7 @@ def halo_exchange_plan(
         msgs += len(nbrs)
         total_bytes += b
         max_rank_bytes = max(max_rank_bytes, b)
-    return ExchangeStats(msgs, total_bytes, max_rank_bytes, measured=False)
+    return ExchangeStats(msgs, total_bytes, max_rank_bytes)
 
 
 def reduction_count(krylov_iterations: int, method: str = "gcr") -> int:

@@ -461,13 +461,14 @@ class ProcessComm:
                     os._exit(1)
             os.close(cmd_r)
             os.close(evt_w)
-            rank = _Rank(r, pid, cmd_w, evt_r)
+            ranks.append(_Rank(r, pid, cmd_w, evt_r))
+        # readers start once every rank is forked: no fork with threads
+        for rank in ranks:
             rank.reader = threading.Thread(
                 target=self._read_events, args=(rank,),
-                name=f"procomm-rank{r}", daemon=True,
+                name=f"procomm-rank{rank.index}", daemon=True,
             )
             rank.reader.start()
-            ranks.append(rank)
         self._ranks = ranks
         self._holder["pids"] = [rank.pid for rank in ranks]
         # liveness: every rank must answer the startup ping in time

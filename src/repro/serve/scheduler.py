@@ -56,6 +56,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..obs import metrics as _metrics
+from ..parallel.executor import resolve_workers
 from ..resilience.reasons import BreakdownError, ConvergedReason
 from .jobs import (
     REASON_CRASH,
@@ -379,7 +380,7 @@ class Scheduler:
         """
         requested = record.spec.workers
         if requested is None:
-            requested = int(os.environ.get("REPRO_WORKERS", "1") or 1)
+            requested = resolve_workers(None)
         requested = max(1, int(requested))
         if record.spec.ranks:
             # rank processes draw on the same core budget as pool workers;

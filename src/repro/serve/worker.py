@@ -48,7 +48,7 @@ import numpy as np
 
 from ..obs import metrics as _metrics
 from ..parallel.distributed import ProcommEngine
-from ..parallel.executor import use_executor
+from ..parallel.executor import resolve_workers, use_executor
 from ..parallel.procomm import ProcessComm
 from ..resilience.inject import FaultInjector, claim_sentinel
 from ..resilience.reasons import BreakdownError, ConvergedReason
@@ -214,7 +214,7 @@ def run_job(job_path: str, t_fork: float | None = None) -> int:
         phases["fork_to_started"] = time.perf_counter() - t0
         _emit("started", resumed_from=resumed_from, nsteps=int(spec.nsteps),
               config_hash=config_hash,
-              workers=os.environ.get("REPRO_WORKERS"))
+              workers=resolve_workers(None))
 
         # rank-decomposed execution: the scheduler's grant arrives as
         # $REPRO_PROCOMM_RANKS; >= 2 routes every operator dispatch and

@@ -39,6 +39,7 @@ from ..obs import flight as _flight
 from ..obs import metrics as _metrics
 from ..obs import registry as _obs
 from ..obs.trace import trace_resilience
+from ..parallel.executor import use_workers
 from ..resilience.health import HealthConfig, HealthMonitor
 from ..resilience.reasons import BreakdownError, ConvergedReason
 from ..solvers.nonlinear import newton
@@ -303,8 +304,7 @@ class Simulation:
         )
         stokes = self.config.stokes
         picard = StokesOperator(problem, kind=stokes.operator,
-                                divergence=self._divergence(),
-                                workers=stokes.workers)
+                                divergence=self._divergence())
         self._linearization = Linearization(x.copy(), yielding, deta_q,
                                             picard)
         return self._linearization
@@ -346,8 +346,7 @@ class Simulation:
                 Du_q = strain_rate_at_quadrature(mesh, x[:nu], self.quad)
                 vel_op = NewtonTensorOperator(
                     mesh, picard.problem.eta_q, Du_q, lin.deta_q,
-                    quad=self.quad, workers=cfg.stokes.workers,
-                    executor=picard.A_op.executor,
+                    quad=self.quad,
                 )
 
             rtol = cfg.linear_rtol if cfg.linear_rtol is not None else max(rtol_lin, 1e-10)
@@ -403,12 +402,14 @@ class Simulation:
         ``TimeStep``), so a ``-log_view`` report splits the step the way
         the paper's per-phase timings do.  The resolved dt (given or CFL)
         is multiplied by the rollback engine's ``_dt_scale``, which is 1.0
-        outside resilient mode.
+        outside resilient mode.  Every operator of the step is built on
+        the thread pool of ``config.stokes.workers``
+        (:func:`~repro.parallel.executor.use_workers`).
         """
         cfg = self.config
         t0 = time.perf_counter()
         self._step_fallback_events = []
-        with _obs.stage("TimeStep"):
+        with use_workers(cfg.stokes.workers), _obs.stage("TimeStep"):
             if self.health is not None:
                 with _obs.stage("HealthGate"):
                     self.health.pre_step()

@@ -101,7 +101,8 @@ class StokesOperator:
     problem:
         The :class:`StokesProblem` definition.
     kind:
-        Which Table I kernel applies the viscous block.
+        Which Table I kernel applies the viscous block (on the engine in
+        scope now, :func:`~repro.parallel.executor.current_engine`).
     divergence:
         The assembled ``B`` when the caller already has it (it depends on
         the geometry only).
@@ -109,8 +110,7 @@ class StokesOperator:
 
     def __init__(self, problem: StokesProblem,
                  kind: str = "tensor_compiled",
-                 divergence: sp.spmatrix | None = None,
-                 workers: int | None = None, executor=None):
+                 divergence: sp.spmatrix | None = None):
         self.problem = problem
         mesh, quad = problem.mesh, problem.quad
         # geometry-only block; callers in nonlinear loops pass a cached one
@@ -132,10 +132,8 @@ class StokesOperator:
         #: gradient block stored as CSR once, so ``B^T p`` is a row-wise
         #: SpMV instead of SciPy's column-scatter ``csc_matvec``
         self.B_int_T = self.B_int.T.tocsr()
-        self._set_velocity_operator(make_operator(
-            kind, mesh, problem.eta_q, quad=quad,
-            workers=workers, executor=executor,
-        ))
+        self._set_velocity_operator(
+            make_operator(kind, mesh, problem.eta_q, quad=quad))
 
     def _set_velocity_operator(self, A_op) -> None:
         self.A_op = A_op

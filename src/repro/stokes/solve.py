@@ -19,6 +19,7 @@ from ..mg.coefficients import coefficient_hierarchy
 from ..mg.gmg import GMGConfig, build_gmg
 from ..obs import registry as _obs
 from ..obs.trace import trace_resilience
+from ..parallel.executor import use_workers
 from ..resilience.fallback import FallbackLadder, default_rungs
 from ..resilience.guard import DEFAULT_DTOL
 from ..resilience.reasons import ConvergedReason
@@ -53,7 +54,8 @@ class StokesConfig:
     gamma: int = 1  # multigrid cycle index (1 = V, 2 = W)
     #: shared-memory workers for the compiled apply and the assembled
     #: levels' SpMV (None reads $REPRO_WORKERS; 1 = serial); any count
-    #: gives the serial result bit for bit
+    #: gives the serial result bit for bit.  A solve arms this width's
+    #: thread pool unless an outer scope armed an engine first
     workers: int | None = None
     #: velocity-block preconditioner: 'gmg' (the paper's V-cycle) or
     #: 'jacobi' (diagonal scaling -- the last rung of the fallback ladder,
@@ -73,7 +75,6 @@ class StokesConfig:
             coarse_nblocks=self.coarse_nblocks,
             cycles=self.mg_cycles,
             gamma=self.gamma,
-            workers=self.workers,
         )
 
 
@@ -147,13 +148,14 @@ def solve_stokes(
         raise ValueError("solve_stokes needs problem.bc_builder for the MG levels")
 
     t0 = time.perf_counter()
-    with _obs.stage("StokesSetup"):
+    # every operator and level is built here, on the engine it then runs on
+    with use_workers(cfg.workers), _obs.stage("StokesSetup"):
         # the Picard operator: preconditioned by every velocity_pc, and the
         # matvec too unless a Newton linearization replaces its viscous block
         picard = stokes_operator
         if picard is None or picard.A_op.name != cfg.operator:
             picard = StokesOperator(
-                problem, kind=cfg.operator, workers=cfg.workers,
+                problem, kind=cfg.operator,
                 divergence=getattr(stokes_operator, "B", None),
             )
         op = (picard if velocity_operator is None

@@ -13,31 +13,33 @@ from repro.parallel import (
     ProcommEngine,
     VirtualRankEngine,
     resolve_workers,
+    use_executor,
 )
 
 
 @contextlib.contextmanager
 def dispatch_engine(kind: str, workers: int | None = None):
-    """A dispatch engine with ``workers`` tasks (``None``: ``$REPRO_WORKERS``).
+    """A dispatch engine with ``workers`` tasks (``None``: ``$REPRO_WORKERS``),
+    armed for the block: every operator built inside runs on it.
 
-    ``thread``: the shared-memory pool; ``process``: real rank processes
+    ``thread``: a shared-memory pool; ``process``: real rank processes
     (:class:`ProcommEngine`); ``inline``: the rank oracle run in-process.
     """
     workers = resolve_workers(workers)
     if kind == "inline":
-        yield VirtualRankEngine(size=workers)
+        engine = VirtualRankEngine(size=workers)
+        close = engine.shutdown
     elif kind == "thread":
         engine = ParallelExecutor(workers)
-        try:
-            yield engine
-        finally:
-            engine.shutdown()
+        close = engine.shutdown
     else:
         comm = ProcessComm(workers)
-        try:
-            yield ProcommEngine(comm)
-        finally:
-            comm.close()
+        engine, close = ProcommEngine(comm), comm.close
+    try:
+        with use_executor(engine):
+            yield engine
+    finally:
+        close()
 
 
 @pytest.fixture

@@ -41,48 +41,50 @@ def problem():
 
 def serial(kind, problem):
     mesh, eta, _ = problem
-    return make_operator(kind, mesh, eta, quad=QUAD, workers=1)
+    with use_executor(None):
+        return make_operator(kind, mesh, eta, quad=QUAD)
 
 
-def on_engine(kind, problem, engine):
+def on_engine(kind, problem):
+    """Built inside ``dispatch_engine``: runs on that engine."""
     mesh, eta, _ = problem
-    return make_operator(kind, mesh, eta, quad=QUAD, executor=engine)
+    return make_operator(kind, mesh, eta, quad=QUAD)
 
 
 def test_apply(problem, substrate, workers):
     u = problem[2]
-    with dispatch_engine(substrate, workers) as engine:
-        y = on_engine("tensor_compiled", problem, engine).apply(u)
+    with dispatch_engine(substrate, workers):
+        y = on_engine("tensor_compiled", problem).apply(u)
     assert np.array_equal(y, serial("tensor_compiled", problem).apply(u))
 
 
 def test_newton_apply(problem, substrate, workers):
     """The compiled Newton linearization dispatches like the Picard
-    kernel: owner-writes spans on the operator's executor."""
+    kernel: owner-writes spans on the engine it was built on."""
     mesh, eta, u = problem
     rng = np.random.default_rng(22)
     Du = rng.standard_normal((mesh.nel, QUAD.npoints, 3, 3))
     Du = 0.5 * (Du + Du.transpose(0, 1, 3, 2))
     deta = rng.normal(scale=0.3, size=eta.shape)
-    ref = NewtonTensorOperator(mesh, eta, Du, deta, quad=QUAD, workers=1)
-    with dispatch_engine(substrate, workers) as engine:
-        op = NewtonTensorOperator(mesh, eta, Du, deta, quad=QUAD,
-                                  executor=engine)
+    with use_executor(None):
+        ref = NewtonTensorOperator(mesh, eta, Du, deta, quad=QUAD)
+    with dispatch_engine(substrate, workers):
+        op = NewtonTensorOperator(mesh, eta, Du, deta, quad=QUAD)
         y = op.apply(u)
     assert np.array_equal(y, ref.apply(u))
 
 
 def test_diagonal(problem, substrate, workers):
-    with dispatch_engine(substrate, workers) as engine:
-        d = on_engine("tensor_compiled", problem, engine).diagonal()
+    with dispatch_engine(substrate, workers):
+        d = on_engine("tensor_compiled", problem).diagonal()
     assert np.array_equal(d, serial("tensor_compiled", problem).diagonal())
 
 
 def test_assembled_matrix(problem, substrate, workers):
     u = problem[2]
     ref = serial("asmb", problem)
-    with dispatch_engine(substrate, workers) as engine:
-        op = on_engine("asmb", problem, engine)
+    with dispatch_engine(substrate, workers):
+        op = on_engine("asmb", problem)
         y = op.apply(u)
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(op.matrix, attr),
@@ -92,12 +94,14 @@ def test_assembled_matrix(problem, substrate, workers):
 
 @pytest.mark.parametrize("kind", ["asmb", "tensor_compiled"])
 def test_set_viscosity(problem, substrate, workers, kind):
-    """A viscosity update reaches every engine (rank processes respawn on
-    the version bump): the updated operator is the fresh one's floats."""
+    """A viscosity update reaches every engine (rank processes are sent
+    the new version, no re-fork): the updated operator is the fresh one's
+    floats."""
     mesh, eta, u = problem
-    ref = make_operator(kind, mesh, 1.7 * eta, quad=QUAD, workers=1)
-    with dispatch_engine(substrate, workers) as engine:
-        op = on_engine(kind, problem, engine)
+    with use_executor(None):
+        ref = make_operator(kind, mesh, 1.7 * eta, quad=QUAD)
+    with dispatch_engine(substrate, workers):
+        op = on_engine(kind, problem)
         op.apply(u)
         op.set_viscosity(1.7 * eta)
         y = op.apply(u)
@@ -127,10 +131,9 @@ def serial_digest():
 
 def test_sinker_digest(serial_digest, substrate, workers):
     if substrate == "thread":
-        # the production path: the solve builds its own pool
+        # the production path: each step arms the process's pool
         digest = sinker_digest(workers)
     else:
-        with dispatch_engine(substrate, workers) as engine, \
-                use_executor(engine):
+        with dispatch_engine(substrate, workers):
             digest = sinker_digest()
     assert digest == serial_digest

@@ -184,8 +184,8 @@ class TestHaloModel:
         mesh = StructuredMesh((8, 8, 8), order=2)
         small = halo_exchange_plan(BlockDecomposition(mesh, (2, 1, 1)))
         large = halo_exchange_plan(BlockDecomposition(mesh, (2, 2, 2)))
-        assert large[0] > small[0]  # more messages
-        assert large[1] > small[1]  # more total bytes
+        assert large.messages > small.messages
+        assert large.bytes_total > small.bytes_total
 
     def test_reduction_count(self):
         assert reduction_count(10, "cg") == 20

@@ -1,6 +1,10 @@
 """Parallel dispatch: the owner-writes contract on threads and rank
-processes, state versioning, failure modes, and the wiring through
-operators, assembly, and multigrid."""
+processes, state versioning, failure modes, the engine an operator binds
+(one thread pool per process, none alive across a fork), and the wiring
+through operators, assembly, and multigrid."""
+
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -11,14 +15,15 @@ from repro.matfree import _ckernel, make_operator
 from repro.parallel import (
     ParallelCSRMatVec,
     ParallelExecutor,
-    make_executor,
-    measured_exchange,
+    ProcessComm,
+    current_engine,
+    executor,
     partition_elements,
     partition_range,
     resolve_workers,
+    thread_pool,
     use_executor,
 )
-from repro.parallel.halo import halo_exchange_plan
 from repro.parallel.decomposition import BlockDecomposition
 from repro.parallel.procomm import CommError
 from tests.conftest import dispatch_engine
@@ -47,7 +52,13 @@ def small_setup(shape=(3, 3, 4), seed=7):
 
 
 def serial_apply(kind, mesh, eta, u):
-    return make_operator(kind, mesh, eta, quad=QUAD, workers=1).apply(u)
+    with use_executor(None):
+        return make_operator(kind, mesh, eta, quad=QUAD).apply(u)
+
+
+def exec_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate()
+            if t.name.startswith("repro-exec")]
 
 
 class TestPartitioning:
@@ -87,23 +98,85 @@ class TestResolution:
         with pytest.raises(ValueError):
             resolve_workers(0)
 
-    def test_make_executor(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert make_executor(None) is None
-        assert make_executor(1) is None
-        ex = make_executor(2)
-        assert isinstance(ex, ParallelExecutor) and ex.workers == 2
-        assert make_executor(4, executor=ex) is ex
-        ex.shutdown()
-
     def test_env_workers_activate_operator(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
         mesh, eta, u = small_setup()
         op = make_operator("tensor_compiled", mesh, eta, quad=QUAD)
-        assert op.executor is not None and op.executor.workers == 2
+        assert op.engine is thread_pool(2) and op.engine.workers == 2
         assert np.array_equal(op.apply(u),
                               serial_apply("tensor_compiled", mesh, eta, u))
-        op.executor.shutdown()
+
+    def test_env_read_when_an_engine_is_needed(self, monkeypatch):
+        # repro is imported long before this runs: a width set now (a
+        # forked serve job's environment) is the one that counts
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        assert current_engine() is thread_pool(3)
+        assert current_engine().workers == 3
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        assert current_engine() is None
+
+    def test_innermost_scope_wins(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        pool = ParallelExecutor(3)
+        with use_executor(pool):
+            assert current_engine() is pool
+            with use_executor(None):
+                assert current_engine() is None
+            # a solve's own width yields to the armed engine
+            with executor.use_workers(2):
+                assert current_engine() is pool
+        with executor.use_workers(1):
+            assert current_engine() is None
+        assert current_engine() is thread_pool(2)
+
+
+class TestOnePoolPerProcess:
+    def test_coupled_run_builds_one_pool(self, monkeypatch):
+        """Every Picard and Newton operator and every hierarchy of a
+        coupled run binds the process's one pool for its width."""
+        from repro.sim.rifting import RiftingConfig, make_rifting
+
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        # a fresh process as far as pools go
+        monkeypatch.setattr(executor, "_POOLS", {}, raising=False)
+        built = []
+        init = ParallelExecutor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ParallelExecutor, "__init__", counting_init)
+        earlier = set(exec_threads())
+        sim = make_rifting(RiftingConfig(shape=(12, 6, 4), seed=0))
+        for _ in range(2):
+            sim.step()
+        assert len(built) == 1
+        assert len(set(exec_threads()) - earlier) <= 2
+
+    def test_no_engine_thread_across_fork(self, monkeypatch):
+        """Rank processes fork from a thread-free pool, and the pool comes
+        back at the next dispatch with the serial floats."""
+        mesh, eta, u = small_setup()
+        with use_executor(thread_pool(2)):
+            op = make_operator("asmb", mesh, eta, quad=QUAD)
+        y_ser = serial_apply("asmb", mesh, eta, u)
+        assert np.array_equal(op.apply(u), y_ser)
+        assert exec_threads()
+        at_fork = []
+        fork = os.fork
+
+        def watched_fork():
+            pid = fork()
+            if pid:  # the parent, right after the fork
+                at_fork.append([t.name for t in exec_threads()])
+            return pid
+
+        monkeypatch.setattr(os, "fork", watched_fork)
+        comm = ProcessComm(2)
+        comm.close()
+        assert at_fork == [[], []]
+        assert np.array_equal(op.apply(u), y_ser)
 
 
 class TestBitIdenticalOperators:
@@ -116,7 +189,7 @@ class TestBitIdenticalOperators:
     def test_apply_matches_serial_exactly(self, kind, backend):
         mesh, eta, u = small_setup()
         with dispatch_engine(backend, 3) as ex:
-            op = make_operator(kind, mesh, eta, quad=QUAD, executor=ex)
+            op = make_operator(kind, mesh, eta, quad=QUAD)
             y_par = op.apply(u)
         assert np.array_equal(y_par, serial_apply(kind, mesh, eta, u))
 
@@ -133,7 +206,7 @@ class TestBitIdenticalOperators:
         sys.setswitchinterval(1e-6)
         try:
             with dispatch_engine("thread", 16) as ex:
-                op = make_operator(kind, mesh, eta, quad=QUAD, executor=ex)
+                op = make_operator(kind, mesh, eta, quad=QUAD)
                 for _ in range(20):
                     assert np.array_equal(op.apply(u), y_ser)
         finally:
@@ -143,7 +216,7 @@ class TestBitIdenticalOperators:
     def test_assembled_matvec_matches_plain_spmv(self, backend):
         mesh, eta, u = small_setup()
         with dispatch_engine(backend, 3) as ex:
-            op = make_operator("asmb", mesh, eta, quad=QUAD, executor=ex)
+            op = make_operator("asmb", mesh, eta, quad=QUAD)
             assert np.array_equal(op.apply(u), op.matrix @ u)
             assert ex.stats.dispatches == 1
 
@@ -152,8 +225,7 @@ class TestBitIdenticalOperators:
         mesh, eta, _ = small_setup()
         A_ser = assembly.assemble_viscous(mesh, eta, QUAD)
         with dispatch_engine(backend, 3) as ex:
-            A_par = make_operator("asmb", mesh, eta, quad=QUAD,
-                                  executor=ex).matrix
+            A_par = make_operator("asmb", mesh, eta, quad=QUAD).matrix
         assert np.array_equal(A_ser.indptr, A_par.indptr)
         assert np.array_equal(A_ser.indices, A_par.indices)
         assert np.array_equal(A_ser.data, A_par.data)
@@ -164,8 +236,7 @@ class TestBitIdenticalOperators:
         mesh, eta, _ = small_setup()
         d_ser = assembly.viscous_diagonal(mesh, eta, QUAD)
         with dispatch_engine(backend, 3) as ex:
-            op = make_operator("tensor_compiled", mesh, eta, quad=QUAD,
-                               executor=ex)
+            op = make_operator("tensor_compiled", mesh, eta, quad=QUAD)
             assert np.array_equal(op.diagonal(), d_ser)
 
     def test_diagonal_partials_bitwise_across_backends(self):
@@ -174,7 +245,7 @@ class TestBitIdenticalOperators:
         mesh, eta, _ = small_setup(shape=(9, 8, 8))
         d_ser = assembly.viscous_diagonal(mesh, eta, QUAD)
         for backend in BACKENDS:
-            with dispatch_engine(backend, 2) as ex, use_executor(ex):
+            with dispatch_engine(backend, 2):
                 d_par = make_operator("tensor_compiled", mesh, eta,
                                       quad=QUAD).diagonal()
             assert np.array_equal(d_par, d_ser), backend
@@ -199,7 +270,7 @@ class TestStateVersioning:
     def test_mesh_deform_keeps_process_backend_exact(self, kind):
         mesh, eta, u = small_setup()
         with dispatch_engine("process", 2) as ex:
-            op = make_operator(kind, mesh, eta, quad=QUAD, executor=ex)
+            op = make_operator(kind, mesh, eta, quad=QUAD)
             op.apply(u)
             mesh.deform(
                 lambda c: c + 0.02 * np.sin(2 * np.pi * c[:, [1, 2, 0]]))
@@ -217,7 +288,7 @@ class TestStateVersioning:
         ranks are sent the operator under -- the same ranks, no re-fork."""
         mesh, eta, u = small_setup()
         with dispatch_engine("process", 2) as ex:
-            op = make_operator(kind, mesh, eta, quad=QUAD, executor=ex)
+            op = make_operator(kind, mesh, eta, quad=QUAD)
             op.apply(u)  # the ranks hold the original viscosity
             with pytest.raises(ValueError):
                 op.eta_q *= 1.7
@@ -230,8 +301,7 @@ class TestStateVersioning:
     def test_set_viscosity_reaches_process_ranks(self):
         mesh, eta, u = small_setup()
         with dispatch_engine("process", 2) as ex:
-            op = make_operator("tensor_compiled", mesh, eta, quad=QUAD,
-                               executor=ex)
+            op = make_operator("tensor_compiled", mesh, eta, quad=QUAD)
             op.apply(u)
             op.set_viscosity(eta * 0.25)
             y = op.apply(u)
@@ -269,7 +339,7 @@ class TestStatsAndObservability:
     def test_stats_accumulate(self, backend):
         mesh, eta, u = small_setup()
         with dispatch_engine(backend, 3) as ex:
-            op = make_operator("asmb", mesh, eta, quad=QUAD, executor=ex)
+            op = make_operator("asmb", mesh, eta, quad=QUAD)
             for _ in range(3):
                 op.apply(u)
             st = ex.stats
@@ -286,7 +356,8 @@ class TestStatsAndObservability:
     def test_obs_events_emitted(self):
         obs.enable()
         mesh, eta, u = small_setup()
-        op = make_operator("asmb", mesh, eta, quad=QUAD, workers=2)
+        with use_executor(thread_pool(2)):
+            op = make_operator("asmb", mesh, eta, quad=QUAD)
         op.apply(u)
         events = obs.registry.REGISTRY.events
         names = {name for (_, name) in events}
@@ -296,24 +367,6 @@ class TestStatsAndObservability:
         # one event per task of the one dispatch
         assert events[("", "ParExecTask:_apply_rows")].count == 2
         assert events[("", "ParExecQueueWait")].count == 2
-        op.executor.shutdown()
-
-    def test_measured_halo_exchange(self):
-        mesh, eta, u = small_setup()
-        op = make_operator("asmb", mesh, eta, quad=QUAD, workers=2)
-        decomp = BlockDecomposition(mesh, (1, 1, 2))
-        before = halo_exchange_plan(decomp, executor=op.executor)
-        assert not before.measured  # no dispatch yet: analytic model
-        op.apply(u)
-        after = halo_exchange_plan(decomp, executor=op.executor)
-        assert after.measured
-        assert after.bytes_total == u.nbytes + 8 * op.ndof
-        assert after.messages == 3  # one broadcast in, one block per task
-        # tuple compatibility with the historic return value
-        msgs, total, per_rank = after
-        assert (msgs, total) == (after.messages, after.bytes_total)
-        assert measured_exchange(None) is None
-        op.executor.shutdown()
 
 
 class TestMultigridWiring:
@@ -327,13 +380,14 @@ class TestMultigridWiring:
         eta = np.exp(rng.normal(scale=0.5, size=(mesh.nel, QUAD.npoints)))
         meshes = mesh.hierarchy(2)[::-1]
         etas = coefficient_hierarchy(meshes, eta, QUAD)
-        # workers=1 pins the serial reference even under $REPRO_WORKERS
-        mg_s, _ = build_gmg(meshes, etas, free_slip_bc,
-                            GMGConfig(levels=2, coarse_solver="lu", workers=1))
+        # no engine pins the serial reference even under $REPRO_WORKERS
+        with use_executor(None):
+            mg_s, _ = build_gmg(meshes, etas, free_slip_bc,
+                                GMGConfig(levels=2, coarse_solver="lu"))
         b = rng.standard_normal(3 * mesh.nnodes)
         b[free_slip_bc(mesh).mask] = 0.0
         x_s = mg_s(b)
-        with dispatch_engine("thread", 2) as ex, use_executor(ex):
+        with dispatch_engine("thread", 2) as ex:
             mg_p, _ = build_gmg(meshes, etas, free_slip_bc,
                                 GMGConfig(levels=2, coarse_solver="lu"))
             x_p = mg_p(b)

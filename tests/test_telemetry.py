@@ -425,7 +425,6 @@ class TestTelemetryUnderParallelism:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_export_round_trips_with_executor_stats(self, tmp_path,
                                                     monkeypatch, backend):
-        from repro.parallel import use_executor
         from tests.conftest import dispatch_engine
 
         monkeypatch.setenv("REPRO_WORKERS", "2")
@@ -434,7 +433,7 @@ class TestTelemetryUnderParallelism:
         eta = np.exp(rng.normal(scale=0.5, size=(mesh.nel, QUAD.npoints)))
         obs.enable()
         # workers from env; the assembled SpMV dispatches on every host
-        with dispatch_engine(backend) as ex, use_executor(ex):
+        with dispatch_engine(backend):
             op = make_operator("asmb", mesh, eta, quad=QUAD)
             with obs.stage("TimeStep"):
                 y = op.apply(rng.standard_normal(3 * mesh.nnodes))

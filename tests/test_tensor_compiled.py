@@ -18,7 +18,9 @@ from repro.matfree.tensor_c import (
     PACKED_VALUES, build_packed_coefficients, unpack_sym,
 )
 from repro.matfree.tensor_compiled import NEWTON_VALUES, owner_writes_plan
-from repro.parallel.executor import partition_range, replay_stashes
+from repro.parallel.executor import (
+    partition_range, replay_stashes, use_executor,
+)
 from tests.conftest import dispatch_engine
 
 QUAD = GaussQuadrature.hex(3)
@@ -219,9 +221,10 @@ class TestBitwiseContract:
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("shape", ODD_SHAPES)
     def test_parallel_matches_serial_exactly(self, backend, workers, shape):
-        serial, u = compiled_op(shape, workers=1)
-        with dispatch_engine(backend, workers) as ex:
-            op, _ = compiled_op(shape, executor=ex)
+        with use_executor(None):
+            serial, u = compiled_op(shape)
+        with dispatch_engine(backend, workers):
+            op, _ = compiled_op(shape)
             assert np.array_equal(op.apply(u), serial.apply(u))
 
     def test_chunk_size_does_not_change_compiled_result(self):
@@ -236,11 +239,11 @@ class TestBitwiseContract:
         after ``set_viscosity`` the interleaved coefficients rebuild and
         workers see them."""
         mesh, eta, u = small_setup((5, 3, 2))
-        ref = make_operator("tensor_compiled", mesh, eta * 3.0, quad=QUAD,
-                            workers=1).apply(u)
-        with dispatch_engine(backend, 2) as ex:
-            op = make_operator("tensor_compiled", mesh, eta, quad=QUAD,
-                               executor=ex)
+        with use_executor(None):
+            ref = make_operator("tensor_compiled", mesh, eta * 3.0,
+                                quad=QUAD).apply(u)
+        with dispatch_engine(backend, 2):
+            op = make_operator("tensor_compiled", mesh, eta, quad=QUAD)
             y_before = op.apply(u)
             with pytest.raises(ValueError):
                 op.eta_q *= 3.0

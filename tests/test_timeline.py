@@ -10,7 +10,6 @@ import pytest
 from repro import SimulationConfig, obs
 from repro.obs import metrics
 from repro.obs import timeline as tl
-from repro.parallel import use_executor
 from repro.stokes.solve import StokesConfig
 from tests.conftest import dispatch_engine
 
@@ -427,8 +426,7 @@ def _run_sinker(backend=None, arm_timeline=False):
         tl.arm()
     with ExitStack() as stack:
         if backend is not None:
-            stack.enter_context(use_executor(
-                stack.enter_context(dispatch_engine(backend, 2))))
+            stack.enter_context(dispatch_engine(backend, 2))
         sim = make_sinker(
             SinkerConfig(shape=(4, 4, 4)),
             SimulationConfig(
@@ -504,7 +502,7 @@ def test_log_view_export_and_cli_agree(tmp_path, capsys):
 
     obs.enable()
     tl.arm()
-    with dispatch_engine("thread", 2) as ex, use_executor(ex):
+    with dispatch_engine("thread", 2) as ex:
         sim = make_sinker(
             SinkerConfig(shape=(4, 4, 4)),
             SimulationConfig(stokes=StokesConfig(
