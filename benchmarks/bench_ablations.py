@@ -28,8 +28,6 @@ import numpy as np
 import pytest
 
 from repro.fem import GaussQuadrature, assembly
-from repro.mg import GMGConfig, build_gmg
-from repro.mg.coefficients import coefficient_hierarchy
 from repro.serve import JobSpec, JobState, ServeConfig, run_battery
 from repro.sim.sinker import SinkerConfig, free_slip_bc, sinker_stokes_problem
 from repro.solvers import AdditiveSchwarz, cg, gcr

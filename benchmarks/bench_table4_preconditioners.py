@@ -65,16 +65,16 @@ def build_configuration(name, pb):
         meshes = mesh.hierarchy(3)[::-1]
         etas = coefficient_hierarchy(meshes, pb.eta_q, QUAD)
         cfg = {
-            "GMG-mf": GMGConfig(levels=3, fine_operator="tensor",
+            "GMG-mf": GMGConfig(mg_levels=3, operator="tensor",
                                 galerkin=True, coarse_solver="sa"),
-            "GMG-i": GMGConfig(levels=3, fine_operator="asmb",
+            "GMG-i": GMGConfig(mg_levels=3, operator="asmb",
                                galerkin=False, coarse_solver="sa"),
-            "GMG-ii": GMGConfig(levels=3, fine_operator="asmb",
-                                galerkin=True, galerkin_from_fine=True,
-                                coarse_solver="sa"),
+            "GMG-ii": GMGConfig(mg_levels=3, operator="asmb",
+                                galerkin=True, coarse_solver="sa"),
         }[name]
-        pc, _ = build_gmg(meshes, etas, free_slip_bc, cfg)
-        kind = cfg.fine_operator
+        pc, _ = build_gmg(meshes, etas, free_slip_bc, cfg,
+                          galerkin_from_fine=name == "GMG-ii")
+        kind = cfg.operator
     else:
         A = assembly.assemble_viscous(mesh, pb.eta_q, QUAD)
         A_bc, _ = pb.bc.eliminate(A, np.zeros(3 * mesh.nnodes))

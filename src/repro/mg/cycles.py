@@ -8,7 +8,7 @@ geometric and algebraic parts of the multigrid cycle".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -65,7 +65,7 @@ class MGHierarchy:
     the action of ``J_uu^{-1}``).
     """
 
-    def __init__(self, levels: list[MGLevel], cycles: int = 1, gamma: int = 1):
+    def __init__(self, levels: list[MGLevel], gamma: int = 1):
         if not levels:
             raise ValueError("empty hierarchy")
         if levels[-1].coarse_solve is None:
@@ -76,7 +76,6 @@ class MGHierarchy:
             if lvl.prolong is not None and lvl.restrict is None:
                 lvl.restrict = sp.csr_matrix(lvl.prolong.T)
         self.levels = levels
-        self.cycles = int(cycles)
         #: cycle index: 1 = V-cycle, 2 = W-cycle
         self.gamma = int(gamma)
         self.coarse_solve_calls = 0
@@ -132,15 +131,12 @@ class MGHierarchy:
             )
         return x
 
-    def solve_iterate(self, b, x=None, cycles=None):
+    def solve_iterate(self, b, x=None, cycles=1):
         """Run repeated V-cycles as a stationary iteration."""
-        for _ in range(cycles or self.cycles):
+        for _ in range(cycles):
             x = self.vcycle(b, x)
         return x
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        """Preconditioner interface: ``cycles`` V-cycles from a zero guess."""
-        x = None
-        for _ in range(self.cycles):
-            x = self.vcycle(r, x)
-        return x
+        """Preconditioner interface: one V-cycle from a zero guess."""
+        return self.vcycle(r)

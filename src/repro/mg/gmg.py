@@ -16,14 +16,15 @@ Hierarchy layout (paper default, 3 levels):
   exact LU, block-Jacobi LU, or CG/ASM (the SS V rifting configuration).
 
 Table IV's GMG-i / GMG-ii configurations are expressed through
-:class:`GMGConfig` (``fine_operator="asmb"``: every level assembled,
-Galerkin everywhere).
+:class:`GMGConfig` (``operator="asmb"``: every level assembled) and, for
+GMG-ii, ``build_gmg(..., galerkin_from_fine=True)`` (Galerkin everywhere).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,64 +33,76 @@ import scipy.sparse.linalg as spla
 from ..fem import assembly
 from ..fem.bc import DirichletBC
 from ..fem.quadrature import GaussQuadrature
-from ..matfree import make_operator
+from ..matfree import OPERATOR_TYPES, make_operator
 from ..parallel.executor import ParallelCSRMatVec, current_engine
 from ..solvers.chebyshev import ChebyshevSmoother
 from ..solvers.relaxation import BlockJacobiLU
 from .cycles import MGLevel, MGHierarchy
 from .transfer import vector_prolongation
-from .sa import SAConfig, smoothed_aggregation, rigid_body_modes
+from .sa import COARSE_NBLOCKS, smoothed_aggregation, rigid_body_modes
+
+
+#: coarsest-level solvers of the geometric hierarchy
+COARSE_SOLVERS = ("sa", "lu", "bjacobi-lu", "asm-cg")
+#: overlap, tolerance and iteration cap of the ``asm-cg`` coarse solve
+ASM_OVERLAP = 4
+ASM_RTOL = 1e-4
+ASM_MAXITER = 25
 
 
 @dataclass
 class GMGConfig:
-    """Geometric multigrid configuration.
+    """Geometric multigrid configuration: the one declaration of the
+    multigrid settings (:class:`~repro.stokes.solve.StokesConfig` inherits
+    them and adds the outer solve's).
 
     Attributes
     ----------
-    levels:
-        Number of geometric levels (paper uses 3).
-    fine_operator:
+    operator:
         One of ``asmb | mf | tensor | tensor_c | tensor_compiled`` -- the
         Table I kernel applying the finest level and every other level that
         is rediscretized and smoothed (``asmb`` keeps all levels assembled).
         The default compiled kernel falls back to the packed NumPy apply on
         hosts without a C toolchain.
+    mg_levels:
+        Number of geometric levels (paper uses 3).
     galerkin:
         If True, levels below the first assembled one use Galerkin RAP;
         otherwise they are rediscretized.
-    galerkin_from_fine:
-        If True *and* the fine operator is assembled, the first coarse
-        level is also a Galerkin product of the fine matrix (the paper's
-        GMG-ii configuration).  Default False: level 1 is rediscretized
-        regardless of the fine kernel, so all four Table I kernels share
-        an identical hierarchy.
     smoother_degree:
         Chebyshev degree per pre/post smooth: 2 gives the paper's V(2,2),
         3 gives the V(3,3) used in the rifting runs.
     coarse_solver:
-        ``sa`` (one V-cycle of smoothed aggregation, the paper's default),
-        ``lu``, ``bjacobi-lu``, or ``asm-cg`` (SS V configuration).
-    coarse_nblocks:
-        Virtual subdomain count for block-Jacobi / ASM coarse solvers.
+        ``sa`` (one V-cycle of smoothed aggregation with the default
+        :class:`~repro.mg.sa.SAConfig`, the paper's default), ``lu``,
+        ``bjacobi-lu``, or ``asm-cg`` (SS V configuration, with
+        :data:`ASM_OVERLAP`, :data:`ASM_RTOL` and :data:`ASM_MAXITER`).
+    gamma:
+        Cycle index: 1 = V-cycle, 2 = W-cycle.
 
-    Every level's applies run on the engine in scope when the hierarchy
-    is built (:func:`~repro.parallel.executor.current_engine`).
+    An unknown ``operator`` or ``coarse_solver`` raises ``ValueError`` at
+    construction.  Every level's applies run on the engine in scope when
+    the hierarchy is built
+    (:func:`~repro.parallel.executor.current_engine`).
     """
 
-    levels: int = 3
-    fine_operator: str = "tensor_compiled"
+    operator: str = "tensor_compiled"
+    mg_levels: int = 3
     galerkin: bool = True
-    galerkin_from_fine: bool = False
     smoother_degree: int = 2
     coarse_solver: str = "sa"
-    coarse_nblocks: int = 1
-    sa_config: SAConfig = field(default_factory=SAConfig)
-    asm_overlap: int = 4
-    asm_rtol: float = 1e-4
-    asm_maxiter: int = 25
-    cycles: int = 1
-    gamma: int = 1  # 1 = V-cycle, 2 = W-cycle
+    gamma: int = 1
+
+    #: field -> the values it may take
+    _CHOICES: ClassVar[dict] = {"operator": tuple(OPERATOR_TYPES),
+                                "coarse_solver": COARSE_SOLVERS}
+
+    def __post_init__(self):
+        for name, allowed in self._CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"unknown {name} {value!r}; expected one "
+                                 f"of {sorted(allowed)}")
 
 
 @dataclass
@@ -117,27 +130,23 @@ def _coarsest_solver(A_bc: sp.csr_matrix, mesh, bc: DirichletBC, cfg: GMGConfig)
         lu = spla.splu(A_bc.tocsc())
         return lu.solve
     if cfg.coarse_solver == "bjacobi-lu":
-        return BlockJacobiLU(A_bc, cfg.coarse_nblocks)
+        return BlockJacobiLU(A_bc, COARSE_NBLOCKS)
     if cfg.coarse_solver == "sa":
         B = rigid_body_modes(mesh.coords, bc.mask)
-        sa = smoothed_aggregation(A_bc, B, cfg.sa_config)
-        return sa
-    if cfg.coarse_solver == "asm-cg":
-        from ..solvers.asm import AdditiveSchwarz
-        from ..solvers.krylov import cg
+        return smoothed_aggregation(A_bc, B)
+    # asm-cg, the last of COARSE_SOLVERS
+    from ..solvers.asm import AdditiveSchwarz
+    from ..solvers.krylov import cg
 
-        # symmetric (non-restricted) variant: the inner accelerator is CG
-        M = AdditiveSchwarz(
-            A_bc, nsub=cfg.coarse_nblocks, overlap=cfg.asm_overlap,
-            subsolve="ilu0", restricted=False,
-        )
-        def solve(b):
-            return cg(
-                lambda v: A_bc @ v, b, M=M, rtol=cfg.asm_rtol,
-                maxiter=cfg.asm_maxiter,
-            ).x
-        return solve
-    raise ValueError(f"unknown coarse solver {cfg.coarse_solver!r}")
+    # symmetric (non-restricted) variant: the inner accelerator is CG
+    M = AdditiveSchwarz(
+        A_bc, nsub=COARSE_NBLOCKS, overlap=ASM_OVERLAP,
+        subsolve="ilu0", restricted=False,
+    )
+    def solve(b):
+        return cg(lambda v: A_bc @ v, b, M=M, rtol=ASM_RTOL,
+                  maxiter=ASM_MAXITER).x
+    return solve
 
 
 def build_gmg(
@@ -146,6 +155,7 @@ def build_gmg(
     bc_builder,
     config: GMGConfig | None = None,
     fine_op=None,
+    galerkin_from_fine: bool = False,
 ) -> tuple[MGHierarchy, GMGSetupStats]:
     """Assemble the geometric hierarchy for the viscous block.
 
@@ -153,8 +163,8 @@ def build_gmg(
     ----------
     meshes:
         Nested meshes, *finest first* (e.g. ``mesh.hierarchy(3)`` reversed --
-        use ``mesh.hierarchy(n)[::-1]``); only the first ``config.levels``
-        are used.
+        use ``mesh.hierarchy(n)[::-1]``); only the first
+        ``config.mg_levels`` are used.
     eta_levels:
         Viscosity at quadrature points per mesh, finest first.  Entries for
         Galerkin levels may be ``None``.
@@ -162,20 +172,26 @@ def build_gmg(
         ``mesh -> DirichletBC`` building the velocity-space constraints for
         a given level (same faces/components on every level).
     fine_op:
-        An already built ``config.fine_operator`` operator on ``meshes[0]``
+        An already built ``config.operator`` operator on ``meshes[0]``
         with viscosity ``eta_levels[0]`` to use as the finest level instead
         of constructing an identical one (the coupled solve shares its
         viscous block this way).
+    galerkin_from_fine:
+        If True *and* the fine operator is assembled, the first coarse
+        level is also a Galerkin product of the fine matrix (the paper's
+        GMG-ii configuration).  Default False: level 1 is rediscretized
+        regardless of the fine kernel, so all four Table I kernels share
+        an identical hierarchy.
     """
     cfg = config or GMGConfig()
-    if len(meshes) < cfg.levels:
-        raise ValueError(f"need {cfg.levels} meshes, got {len(meshes)}")
-    meshes = meshes[: cfg.levels]
+    if len(meshes) < cfg.mg_levels:
+        raise ValueError(f"need {cfg.mg_levels} meshes, got {len(meshes)}")
+    meshes = meshes[: cfg.mg_levels]
     stats = GMGSetupStats()
     quad = GaussQuadrature.hex(3)
     bcs = [bc_builder(m) for m in meshes]
 
-    if cfg.levels == 1:
+    if cfg.mg_levels == 1:
         # degenerate hierarchy: assemble and hand the whole problem to the
         # coarse solver (useful for tiny meshes and unit tests)
         bc0 = bcs[0]
@@ -192,7 +208,7 @@ def build_gmg(
             bc_mask=bc0.mask, ndof=3 * meshes[0].nnodes,
             label=f"single[{cfg.coarse_solver}]",
         )
-        return MGHierarchy([lvl], cycles=cfg.cycles, gamma=cfg.gamma), stats
+        return MGHierarchy([lvl], gamma=cfg.gamma), stats
 
     def operator_level(op, bc, label):
         """Smoothed level applying through a viscous operator kernel."""
@@ -209,13 +225,13 @@ def build_gmg(
             label=label,
         )
 
-    fine_is_assembled = cfg.fine_operator == "asmb"
+    fine_is_assembled = cfg.operator == "asmb"
     # finest level
     bc0 = bcs[0]
     t0 = time.perf_counter()
     op = fine_op if fine_op is not None else make_operator(
-        cfg.fine_operator, meshes[0], eta_levels[0], quad=quad)
-    levels = [operator_level(op, bc0, f"gmg-fine[{cfg.fine_operator}]")]
+        cfg.operator, meshes[0], eta_levels[0], quad=quad)
+    levels = [operator_level(op, bc0, f"gmg-fine[{cfg.operator}]")]
     # matrix of the level above, while a Galerkin product may need it
     A_above = None
     if fine_is_assembled:
@@ -225,15 +241,15 @@ def build_gmg(
 
     # coarser levels: each needs the prolongator from itself to the level
     # above, both for the cycle and for the Galerkin products
-    for k in range(1, cfg.levels):
+    for k in range(1, cfg.mg_levels):
         mesh = meshes[k]
         bc = bcs[k]
         ndof = 3 * mesh.nnodes
         P = vector_prolongation(meshes[k - 1], mesh)
         levels[k - 1].prolong = P
-        coarsest = k == cfg.levels - 1
+        coarsest = k == cfg.mg_levels - 1
         use_galerkin = cfg.galerkin and A_above is not None
-        if k == 1 and not cfg.galerkin_from_fine:
+        if k == 1 and not galerkin_from_fine:
             use_galerkin = False
         # a rediscretized, smoothed level applies through the fine kernel;
         # its matrix is then only the input of the Galerkin product below
@@ -254,10 +270,10 @@ def build_gmg(
         # rebinding drops the matrix above unless its level applies it
         A_above = Ak
         if matrix_free:
-            op_k = make_operator(cfg.fine_operator, mesh, eta_levels[k],
+            op_k = make_operator(cfg.operator, mesh, eta_levels[k],
                                  quad=quad)
             levels.append(
-                operator_level(op_k, bc, f"gmg-mf[{cfg.fine_operator}]")
+                operator_level(op_k, bc, f"gmg-mf[{cfg.operator}]")
             )
         elif coarsest:
             t0 = time.perf_counter()
@@ -286,4 +302,4 @@ def build_gmg(
                 )
             )
         stats.level_ndofs.append(ndof)
-    return MGHierarchy(levels, cycles=cfg.cycles, gamma=cfg.gamma), stats
+    return MGHierarchy(levels, gamma=cfg.gamma), stats

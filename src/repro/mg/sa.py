@@ -22,7 +22,7 @@ is supplied (the SAML-ii row of Table IV uses FGMRES(2)/block-Jacobi-ILU0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -218,27 +218,33 @@ def _drop_small(P: sp.csr_matrix, tol: float) -> sp.csr_matrix:
     return out
 
 
+#: LU subdomains of the block-Jacobi coarse solvers (one per virtual
+#: rank; here and in the geometric hierarchy's ``bjacobi-lu``/``asm-cg``)
+COARSE_NBLOCKS = 1
+#: cap on the aggregation hierarchy's depth
+MAX_LEVELS = 10
+
+
 @dataclass
 class SAConfig:
     """Smoothed-aggregation configuration (defaults mirror the paper's GAMG).
 
     ``theta=0.01`` is the paper's strength threshold; ``drop_tol`` enables
     the ML-style pruning of the smoothed prolongator (SAML rows of
-    Table IV); ``coarse_nblocks`` emulates one LU subdomain per virtual
-    rank in the block-Jacobi coarse solver.
+    Table IV).  Aggregation stops at ``max_coarse`` unknowns or
+    :data:`MAX_LEVELS` levels; the block-Jacobi coarse solver uses
+    :data:`COARSE_NBLOCKS` subdomains, and the hierarchy applies one
+    V-cycle per call.
     """
 
     theta: float = 0.01
     block_size: int = 3
     max_coarse: int = 400
-    max_levels: int = 10
     smoother_degree: int = 2
     prolongator_smooth: bool = True
     drop_tol: float = 0.0
     coarse_solver: str = "bjacobi-lu"  # or "lu", "fgmres-ilu"
-    coarse_nblocks: int = 1
     coarse_rtol: float = 1e-3
-    cycles: int = 1
     smoother_factory: Callable | None = None
 
 
@@ -247,7 +253,7 @@ def _coarse_solver(A: sp.csr_matrix, cfg: SAConfig) -> Callable:
         lu = spla.splu(A.tocsc())
         return lambda b: lu.solve(b)
     if cfg.coarse_solver == "bjacobi-lu":
-        bj = BlockJacobiLU(A, cfg.coarse_nblocks)
+        bj = BlockJacobiLU(A, COARSE_NBLOCKS)
         return bj
     if cfg.coarse_solver == "fgmres-ilu":
         from ..solvers.krylov import fgmres
@@ -282,7 +288,7 @@ def smoothed_aggregation(
     prolongs = []
     while (
         level_matrices[-1].shape[0] > cfg.max_coarse
-        and len(level_matrices) < cfg.max_levels
+        and len(level_matrices) < MAX_LEVELS
     ):
         Ak = level_matrices[-1]
         if Ak.shape[0] % block_size != 0:
@@ -336,4 +342,4 @@ def smoothed_aggregation(
                     label=f"sa[{Ak.shape[0]}]",
                 )
             )
-    return MGHierarchy(levels, cycles=cfg.cycles)
+    return MGHierarchy(levels)

@@ -13,7 +13,7 @@ trigger            fired by
 ``rollback``       :meth:`repro.sim.timeloop.Simulation.step` restoring
                    its snapshot after a ``BreakdownError`` /
                    ``HealthCheckFailure`` or a hard-diverged Newton step
-``breakdown``      the same step loop exhausting ``max_step_retries``
+``breakdown``      the same step loop exhausting ``MAX_STEP_RETRIES``
                    (the error still propagates; the dump is the black box)
 ``manual``         :func:`trigger` called by the application
 =================  ====================================================

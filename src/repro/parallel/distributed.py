@@ -280,7 +280,6 @@ def run_sinker_distributed(
     from ..serve.store import state_digest
     from ..sim.checkpoint import cohort_checkpoint, load_checkpoint
     from ..sim.sinker import make_sinker
-    from ..solvers.krylov import use_dot
 
     if ranks < 1:
         raise ValueError("need at least one rank")
@@ -325,7 +324,7 @@ def run_sinker_distributed(
     recoveries = 0
     events: list[dict] = []
     try:
-        with use_executor(engine), use_dot(engine.dot):
+        with use_executor(engine):
             sim = build()
             while sim.step_index < nsteps:
                 try:

@@ -23,7 +23,7 @@ fails as a :class:`CommError`.
 
 Fault tolerance, end to end:
 
-* every rank emits a heartbeat every ``heartbeat_interval`` seconds from
+* every rank emits a heartbeat every :data:`HEARTBEAT_INTERVAL` seconds from
   a dedicated thread, so a rank stalled inside a kernel still beats and a
   *dead* rank goes silent;
 * every collective and point-to-point wait is **deadline-bounded**: no
@@ -118,12 +118,14 @@ class RankFailure(CommError):
         self.op = op
 
 
+#: seconds between worker heartbeats (a dedicated thread per rank)
+HEARTBEAT_INTERVAL = 0.25
+
+
 @dataclass
 class ProcommConfig:
-    """Deadlines and cadences of the fault-tolerant transport."""
+    """Deadlines of the fault-tolerant transport."""
 
-    #: seconds between worker heartbeats (a dedicated thread per rank)
-    heartbeat_interval: float = 0.25
     #: heartbeat silence that declares a rank stalled (CommTimeout)
     heartbeat_timeout: float = 15.0
     #: per-operation reply deadline (CommTimeout); bounds every collective
@@ -132,8 +134,7 @@ class ProcommConfig:
     startup_timeout: float = 30.0
 
     def __post_init__(self):
-        for name in ("heartbeat_interval", "heartbeat_timeout",
-                     "op_timeout", "startup_timeout"):
+        for name in ("heartbeat_timeout", "op_timeout", "startup_timeout"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -221,7 +222,7 @@ def _claim(path: str | None) -> bool:
 # --------------------------------------------------------------------- #
 # rank worker (runs in the forked child; never returns)
 # --------------------------------------------------------------------- #
-def _worker_loop(rank: int, cmd_fd: int, evt_fd: int, cfg: dict) -> None:
+def _worker_loop(rank: int, cmd_fd: int, evt_fd: int) -> None:
     # Attach-side shared-memory views must NOT register with a resource
     # tracker: a rank forked before the master's tracker existed would
     # lazily spawn its *own*, and that private tracker -- at the rank's
@@ -246,9 +247,8 @@ def _worker_loop(rank: int, cmd_fd: int, evt_fd: int, cfg: dict) -> None:
                 off += os.write(evt_fd, data[off:])
 
     def beat() -> None:
-        interval = float(cfg["heartbeat_interval"])
         while True:
-            time.sleep(interval)
+            time.sleep(HEARTBEAT_INTERVAL)
             try:
                 emit({"event": "hb"})
             except OSError:
@@ -438,7 +438,6 @@ class ProcessComm:
 
     # -- lifecycle ------------------------------------------------------ #
     def _spawn_cohort(self) -> None:
-        cfg = {"heartbeat_interval": self.config.heartbeat_interval}
         ranks: list[_Rank] = []
         for r in range(self.size):
             cmd_r, cmd_w = os.pipe()
@@ -456,7 +455,7 @@ class ProcessComm:
                     os.close(prev.cmd_fd)
                     os.close(prev.evt_fd)
                 try:
-                    _worker_loop(r, cmd_r, evt_w, cfg)
+                    _worker_loop(r, cmd_r, evt_w)
                 finally:
                     os._exit(1)
             os.close(cmd_r)

@@ -16,15 +16,18 @@ taxonomy and recovery"):
   repair ladder, material-point census/thinning/injection with a
   conservation audit, projected-field bound guards, and a discrete
   divergence monitor, all wired into the time loop via
-  ``SimulationConfig(health=HealthConfig())``;
+  ``SimulationConfig(health=HealthConfig())`` (its thresholds are module
+  constants there; ``health=None`` switches every gate off);
 * :mod:`~repro.resilience.inject` -- deterministic fault injection
   (NaN matvecs, singular diagonals, rank kills, truncated checkpoints,
   plus the physics-level ``fold_surface`` / ``starve_cells`` /
   ``poison_viscosity`` modes) for the adversarial test suite and the
   quickstart demo.
 
-Time-loop self-healing (snapshot + dt rollback) lives with the time loop
-in :mod:`repro.sim.timeloop`; it consumes this package's reasons and
+Time-loop self-healing (snapshot + dt rollback, with the budget and the
+back-off in the constants ``MAX_STEP_RETRIES``, ``DT_BACKOFF`` and
+``DT_RECOVER_AFTER``) lives with the time loop in
+:mod:`repro.sim.timeloop`; it consumes this package's reasons and
 records through the same obs trace stream.
 """
 

@@ -38,7 +38,7 @@ with it enabled the gates are bounded < 5% by
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,74 +68,56 @@ def _count_event(name: str, n: int) -> None:
     _obs.record_span(name, now, now, count=n)
 
 
+#: mesh gate: fails when any Gauss- or vertex-sampled detJ is <= this
+MIN_DETJ = 0.0
+#: mesh gate: worst tolerated element bounding-box edge ratio
+MAX_ASPECT = 100.0
+#: mesh gate: worst tolerated within-element detJ spread (vertex max/min)
+MAX_TAPER = 1e6
+#: smoothing rung of the mesh repair ladder: damped-Jacobi passes over
+#: the surface plane (at :func:`smooth_surface`'s default ``alpha``)
+SMOOTHING_PASSES = 2
+
+
 @dataclass
 class HealthConfig:
-    """Invariant thresholds and degradation policy of the health gates.
+    """Bounds of the health gates.
 
     Attach an instance as ``SimulationConfig(health=HealthConfig())``;
-    ``None`` (the default) disables the whole subsystem.
+    ``None`` (the default) disables the whole subsystem.  With it, every
+    gate runs: the mesh gate (:data:`MIN_DETJ`, :data:`MAX_ASPECT`,
+    :data:`MAX_TAPER`) and its repair ladder (remesh at zero minimum
+    column thickness, then :data:`SMOOTHING_PASSES` smoothing passes),
+    the particle census with its conservation audit, the field guards
+    (non-finite values reject, out-of-bound values are clipped) and the
+    divergence monitor.
     """
 
-    # -- mesh ----------------------------------------------------------- #
-    check_mesh: bool = True
-    #: gate fails when any Gauss- or vertex-sampled detJ is <= this
-    min_detj: float = 0.0
-    #: worst tolerated element bounding-box edge ratio
-    max_aspect: float = 100.0
-    #: worst tolerated within-element detJ spread (vertex max/min)
-    max_taper: float = 1e6
-    #: run the repair ladder (remesh -> smoothing) before rejecting
-    mesh_repair: bool = True
-    #: smoothing rung: damped-Jacobi passes over the surface plane
-    smoothing_passes: int = 2
-    smoothing_alpha: float = 0.5
-    #: minimum surviving column thickness for the remesh repair rung
-    min_column_thickness: float = 0.0
-
-    # -- particles ------------------------------------------------------ #
-    check_particles: bool = True
     #: thin elements above this population (farthest-point downsampling,
     #: lithology fractions preserved); None disables thinning
     max_points_per_element: int | None = 64
-    #: verify the advect/thin/inject bookkeeping conserves the population
-    audit_conservation: bool = True
-
-    # -- fields --------------------------------------------------------- #
-    check_fields: bool = True
     #: (lo, hi) bounds on the projected coefficient fields; None skips the
-    #: bound check for that field (non-finite values always reject)
+    #: bound check for that field (non-finite values always reject).  An
+    #: out-of-bound quadrature value is pulled to the nearest bound
+    #: (counted in the HealthClip_<field> obs event)
     eta_bounds: tuple[float, float] | None = None
     rho_bounds: tuple[float, float] | None = None
     T_bounds: tuple[float, float] | None = None
-    #: "clip" pulls out-of-bound quadrature values to the nearest bound
-    #: (counted in the HealthClip_<field> obs event); "reject" raises
-    field_action: str = "clip"
-
-    # -- incompressibility ---------------------------------------------- #
-    check_divergence: bool = True
     #: reject when ``|B u| / |u|`` exceeds this; None = monitor only
     max_divergence: float | None = None
-
-    def __post_init__(self):
-        if self.field_action not in ("clip", "reject"):
-            raise ValueError(
-                f"field_action must be 'clip' or 'reject', "
-                f"got {self.field_action!r}"
-            )
 
 
 def guard_field(
     name: str,
     values: np.ndarray,
     bounds: tuple[float, float] | None,
-    action: str = "clip",
 ) -> tuple[np.ndarray, int]:
     """Bound-guard one projected field; returns ``(values, n_clipped)``.
 
     Non-finite entries always reject (a NaN viscosity poisons the whole
     operator; no clip can repair it) with ``DIVERGED_NAN`` so the
     rollback engine classifies it like a solver NaN.  Out-of-bound
-    entries are clipped (copy-on-write) or rejected per ``action``.
+    entries are clipped (copy-on-write).
     """
     if not np.isfinite(values).all():
         bad = int((~np.isfinite(values)).sum())
@@ -153,15 +135,6 @@ def guard_field(
     n_out = int(out.sum())
     if n_out == 0:
         return values, 0
-    if action == "reject":
-        raise HealthCheckFailure(
-            f"projected field {name!r} has {n_out} value(s) outside "
-            f"[{lo:g}, {hi:g}] (range [{values.min():.3g}, "
-            f"{values.max():.3g}])",
-            check=f"field:{name}",
-            details={"out_of_bounds": n_out, "lo": lo, "hi": hi,
-                     "min": float(values.min()), "max": float(values.max())},
-        )
     return np.clip(values, lo, hi), n_out
 
 
@@ -197,15 +170,15 @@ class HealthMonitor:
     # ------------------------------------------------------------------ #
     # mesh
     # ------------------------------------------------------------------ #
-    def _mesh_bad(self, q: dict) -> str | None:
-        cfg = self.config
-        if min(q["min_detJ"], q["min_detJ_vertex"]) <= cfg.min_detj:
+    @staticmethod
+    def _mesh_bad(q: dict) -> str | None:
+        if min(q["min_detJ"], q["min_detJ_vertex"]) <= MIN_DETJ:
             return (f"detJ {min(q['min_detJ'], q['min_detJ_vertex']):.3g} "
-                    f"<= {cfg.min_detj:g}")
-        if q["max_aspect"] > cfg.max_aspect:
-            return f"aspect {q['max_aspect']:.3g} > {cfg.max_aspect:g}"
-        if q["max_taper"] > cfg.max_taper:
-            return f"taper {q['max_taper']:.3g} > {cfg.max_taper:g}"
+                    f"<= {MIN_DETJ:g}")
+        if q["max_aspect"] > MAX_ASPECT:
+            return f"aspect {q['max_aspect']:.3g} > {MAX_ASPECT:g}"
+        if q["max_taper"] > MAX_TAPER:
+            return f"taper {q['max_taper']:.3g} > {MAX_TAPER:g}"
         return None
 
     def _reject(self, exc: HealthCheckFailure) -> None:
@@ -225,12 +198,6 @@ class HealthMonitor:
         into a *different* healthy mesh without desynchronizing the
         rollback snapshot.
         """
-        if not self.config.check_mesh:
-            if repair_surface:
-                remesh_vertical(self.sim.mesh,
-                                self.config.min_column_thickness, "repair")
-            return {}
-        cfg = self.config
         t0 = time.perf_counter()
         self.stats["mesh_gates"] += 1
         actions = []
@@ -241,19 +208,16 @@ class HealthMonitor:
                 self.stats["folds_detected"] += folds
             # rung 1: vertical remesh (always runs here -- it *is* the ALE
             # interior update -- with bottom-crossing columns clamped)
-            repaired = remesh_vertical(
-                self.sim.mesh, cfg.min_column_thickness, "repair"
-            )
+            repaired = remesh_vertical(self.sim.mesh, on_degenerate="repair")
             if repaired:
                 actions.append(f"remesh_clamped[{repaired}]")
         q = mesh_quality(self.sim.mesh)
         why = self._mesh_bad(q)
-        if why is not None and repair_surface and cfg.mesh_repair:
+        if why is not None and repair_surface:
             # rung 2: smooth the surface and redistribute again
-            smooth_surface(self.sim.mesh, cfg.smoothing_passes,
-                           cfg.smoothing_alpha)
-            remesh_vertical(self.sim.mesh, cfg.min_column_thickness, "repair")
-            actions.append(f"smooth[{cfg.smoothing_passes}]")
+            smooth_surface(self.sim.mesh, SMOOTHING_PASSES)
+            remesh_vertical(self.sim.mesh, on_degenerate="repair")
+            actions.append(f"smooth[{SMOOTHING_PASSES}]")
             q = mesh_quality(self.sim.mesh)
             why = self._mesh_bad(q)
         if actions:
@@ -291,15 +255,9 @@ class HealthMonitor:
         """
         cfg = self.config
         sim = self.sim
-        if not cfg.check_particles:
-            inj = populate_empty_cells(
-                sim.mesh, sim.points, sim.config.min_points_per_element
-            )
-            return {"injected": inj["total"], "thinned": 0}
         t0 = time.perf_counter()
         pts = sim.points
-        if cfg.audit_conservation and expected is not None \
-                and pts.n != expected:
+        if expected is not None and pts.n != expected:
             self._reject(HealthCheckFailure(
                 f"particle conservation violated: census {pts.n} != "
                 f"expected {expected}",
@@ -355,13 +313,11 @@ class HealthMonitor:
     def guard_coefficient_fields(self, eta_q, deta_q, rho_q):
         """Bound-guard the projected Stokes coefficients (Eq. 12/13)."""
         cfg = self.config
-        if not cfg.check_fields:
-            return eta_q, deta_q, rho_q
         for name, vals, bounds in (
             ("eta", eta_q, cfg.eta_bounds),
             ("rho", rho_q, cfg.rho_bounds),
         ):
-            guarded, n = self._guarded(name, vals, bounds, cfg.field_action)
+            guarded, n = self._guarded(name, vals, bounds)
             if n:
                 self._step["clipped"] += n
                 self.stats["clipped"] += n
@@ -374,23 +330,22 @@ class HealthMonitor:
                 rho_q = guarded
         # the viscosity derivative only needs finiteness: its magnitude is
         # already clamped by the Newton positivity safeguard
-        deta_q, _ = self._guarded("deta", deta_q, None, cfg.field_action)
+        deta_q, _ = self._guarded("deta", deta_q, None)
         return eta_q, deta_q, rho_q
 
-    def _guarded(self, name, vals, bounds, action):
+    def _guarded(self, name, vals, bounds):
         """:func:`guard_field` routed through :meth:`_reject` so field
         rejections are counted and traced like every other gate's."""
         try:
-            return guard_field(name, vals, bounds, action)
+            return guard_field(name, vals, bounds)
         except HealthCheckFailure as exc:
             self._reject(exc)
 
     def guard_temperature(self, T: np.ndarray) -> np.ndarray:
         """Bound-guard the advected temperature after the energy solve."""
-        cfg = self.config
-        if not cfg.check_fields or T is None:
+        if T is None:
             return T
-        guarded, n = self._guarded("T", T, cfg.T_bounds, cfg.field_action)
+        guarded, n = self._guarded("T", T, self.config.T_bounds)
         if n:
             self._step["clipped"] += n
             self.stats["clipped"] += n
@@ -411,8 +366,6 @@ class HealthMonitor:
         divergence assembly).  Monitor-only unless ``max_divergence`` is
         set.
         """
-        if not self.config.check_divergence:
-            return 0.0
         t0 = time.perf_counter()
         unorm = float(np.linalg.norm(u))
         div = float(np.linalg.norm(B @ u)) / max(unorm, 1e-300)
@@ -436,23 +389,19 @@ class HealthMonitor:
     # ------------------------------------------------------------------ #
     def pre_step(self) -> None:
         """Detect-only gate before the step consumes the state."""
-        if self.config.check_mesh:
-            self.mesh_gate("pre")
-        if self.config.check_particles:
-            pts = self.sim.points
-            if pts.n == 0 or not np.isfinite(pts.x).all():
-                self._reject(HealthCheckFailure(
-                    "material points corrupt at step entry "
-                    f"(n={pts.n}, finite={bool(np.isfinite(pts.x).all())})",
-                    check="particles", details={"census": pts.n},
-                ))
+        self.mesh_gate("pre")
+        pts = self.sim.points
+        if pts.n == 0 or not np.isfinite(pts.x).all():
+            self._reject(HealthCheckFailure(
+                "material points corrupt at step entry "
+                f"(n={pts.n}, finite={bool(np.isfinite(pts.x).all())})",
+                check="particles", details={"census": pts.n},
+            ))
 
     def post_step(self, B, u: np.ndarray) -> None:
         """Field finiteness + divergence monitor after the step's solves."""
         sim = self.sim
-        if self.config.check_fields and not (
-            np.isfinite(u).all() and np.isfinite(sim.p).all()
-        ):
+        if not (np.isfinite(u).all() and np.isfinite(sim.p).all()):
             self._reject(HealthCheckFailure(
                 "non-finite velocity/pressure at step exit",
                 check="field:solution", details={},

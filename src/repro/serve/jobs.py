@@ -100,7 +100,9 @@ class JobSpec:
     see :func:`repro.serve.worker.build_simulation`); ``scenario_config``
     and ``sim_config`` are plain-JSON overrides applied to the scenario's
     config dataclass and :class:`~repro.sim.timeloop.SimulationConfig`
-    (with a nested ``"stokes"`` dict for the linear-solve knobs).  ``fn``
+    (with nested ``"stokes"`` and ``"health"`` dicts for
+    :class:`~repro.stokes.solve.StokesConfig` and
+    :class:`~repro.resilience.health.HealthConfig`).  ``fn``
     is the inline escape hatch -- an arbitrary callable executed in the
     driver process (no subprocess isolation, no serialization) used by
     the benchmark port; such jobs never enter the results cache unless

@@ -122,8 +122,9 @@ class ServeConfig:
     startup_timeout: float = 90.0
     #: failed attempts a job may retry (budget; 2 -> up to 3 attempts)
     max_retries: int = 2
+    #: retry delay: ``backoff_base`` doubling per failed attempt, capped
+    #: at ``backoff_max`` (:func:`backoff_delay`)
     backoff_base: float = 0.05
-    backoff_factor: float = 2.0
     backoff_max: float = 2.0
     #: consecutive failures of one config hash that open its breaker
     quarantine_after: int = 3
@@ -334,9 +335,7 @@ class Scheduler:
         record.transition(JobState.RETRYING)
         record.not_before = time.monotonic() + backoff_delay(
             record.config_hash, record.attempt_index,
-            base=self.config.backoff_base,
-            factor=self.config.backoff_factor,
-            cap=self.config.backoff_max,
+            base=self.config.backoff_base, cap=self.config.backoff_max,
         )
         self._retries += 1
 

@@ -50,13 +50,13 @@ from ..obs import metrics as _metrics
 from ..parallel.distributed import ProcommEngine
 from ..parallel.executor import resolve_workers, use_executor
 from ..parallel.procomm import ProcessComm
+from ..resilience.health import HealthConfig
 from ..resilience.inject import FaultInjector, claim_sentinel
 from ..resilience.reasons import BreakdownError, ConvergedReason
 from ..sim import checkpoint, timeloop
 from ..sim.rifting import RiftingConfig, make_rifting
 from ..sim.sinker import SinkerConfig, make_sinker
 from ..sim.timeloop import SimulationConfig
-from ..solvers.krylov import use_dot
 from ..stokes.solve import StokesConfig
 from .jobs import PHASES, JobSpec
 from .store import ResultStore, state_digest
@@ -89,12 +89,19 @@ def build_simulation(spec):
     ``scenario_config`` feeds the scenario's config dataclass (JSON lists
     are coerced to the tuples the dataclasses expect); ``sim_config``
     feeds :class:`~repro.sim.timeloop.SimulationConfig`, with a nested
-    ``"stokes"`` dict for :class:`~repro.stokes.solve.StokesConfig`.
+    ``"stokes"`` dict for :class:`~repro.stokes.solve.StokesConfig` and a
+    nested ``"health"`` dict for
+    :class:`~repro.resilience.health.HealthConfig`.
     """
     sim_kwargs = dict(spec.sim_config)
     stokes = sim_kwargs.pop("stokes", None)
     if stokes is not None:
         sim_kwargs["stokes"] = StokesConfig(**stokes)
+    health = sim_kwargs.pop("health", None)
+    if health is not None:
+        sim_kwargs["health"] = HealthConfig(**{
+            key: tuple(val) if isinstance(val, list) else val
+            for key, val in health.items()})
     sim_config = SimulationConfig(**sim_kwargs)
 
     sc = dict(spec.scenario_config)
@@ -222,18 +229,16 @@ def run_job(job_path: str, t_fork: float | None = None) -> int:
         # result stays bit-identical to the serial run of the oracle
         # engine -- same spans, same fixed-tree reductions)
         ranks = int(os.environ.get("REPRO_PROCOMM_RANKS", "1") or 1)
-        stack = contextlib.ExitStack()
+        scope = contextlib.nullcontext()
         if ranks >= 2:
             comm = ProcessComm(ranks)
-            engine = ProcommEngine(comm)
             sim.comm = comm
-            stack.enter_context(use_executor(engine))
-            stack.enter_context(use_dot(engine.dot))
+            scope = use_executor(ProcommEngine(comm))
 
         newton_its = 0
         krylov_its = 0
         nsteps = int(spec.nsteps)
-        with stack:
+        with scope:
             while sim.step_index < nsteps:
                 t = time.perf_counter()
                 stats = sim.step(spec.dt)

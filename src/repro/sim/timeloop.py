@@ -68,6 +68,14 @@ from .fields import (
 #: "Newton in the terminal phase" strategy (SS III-A)
 PICARD_CORRECTIONS = 1
 
+#: resilient time loop (``SimulationConfig.resilient``): rollback attempts
+#: per step before giving up, the dt multiplier of each rollback
+#: (geometric back-off), and the consecutive clean steps after which one
+#: back-off factor is undone
+MAX_STEP_RETRIES = 3
+DT_BACKOFF = 0.5
+DT_RECOVER_AFTER = 2
+
 #: per-step listeners fed from ``_advance``: the ensemble worker
 #: (``repro.serve.worker``) registers one to pipe heartbeats to the
 #: scheduler's watchdog.  Listeners fire once per ``_advance`` that
@@ -108,20 +116,15 @@ class SimulationConfig:
     #: should pin this to the paper's 1e-5 so one correction suffices.
     linear_rtol: float | None = None
     cfl: float = 0.5
-    advection_scheme: str = "rk2"
     free_surface: bool = False
     min_points_per_element: int = 2
     thermal_kappa: float = 0.0  # 0 disables the energy solve
     #: self-healing time loop: route linear solves through the fallback
     #: ladder and retry a hard-diverged step from an in-memory snapshot
-    #: with a reduced dt (see DESIGN.md, "Failure taxonomy and recovery")
+    #: with a reduced dt (:data:`MAX_STEP_RETRIES`, :data:`DT_BACKOFF`,
+    #: :data:`DT_RECOVER_AFTER`; DESIGN.md, "Failure taxonomy and
+    #: recovery")
     resilient: bool = False
-    #: rollback attempts per step before giving up (resilient mode)
-    max_step_retries: int = 3
-    #: dt multiplier applied on each rollback (geometric back-off)
-    dt_backoff: float = 0.5
-    #: consecutive clean steps before one back-off factor is undone
-    dt_recover_after: int = 2
     #: physics-state health gates (mesh/particle/field invariants with
     #: guarded degradation); None disables the subsystem entirely.  A
     #: rejected gate raises :class:`HealthCheckFailure`, which the
@@ -442,9 +445,7 @@ class Simulation:
             if dt > 0:
                 with _obs.stage("MPMAdvect"):
                     n_before = self.points.n
-                    lost = advect_points(
-                        self.mesh, self.u, self.points, dt, cfg.advection_scheme
-                    )
+                    lost = advect_points(self.mesh, self.u, self.points, dt)
                     lost_count = int(lost.sum())
                     if lost.any():
                         self.points.remove(lost)
@@ -593,10 +594,10 @@ class Simulation:
         serialization, so file and rollback restores cannot drift), attempt
         the step, and on a *hard* failure -- a ``BreakdownError`` escaping
         the solve stack, a hard-DIVERGED Newton reason, or non-finite
-        fields -- restore the snapshot, halve dt (``dt_backoff``), and
-        retry up to ``max_step_retries`` times.  Every rollback is an obs
-        event plus a ``resilience`` trace record.  After
-        ``dt_recover_after`` consecutive clean steps one back-off factor is
+        fields -- restore the snapshot, halve dt (:data:`DT_BACKOFF`), and
+        retry up to :data:`MAX_STEP_RETRIES` times.  Every rollback is an
+        obs event plus a ``resilience`` trace record.  After
+        :data:`DT_RECOVER_AFTER` consecutive clean steps one back-off factor is
         undone, so dt climbs back geometrically once the transient passes.
         """
         cfg = self.config
@@ -604,7 +605,7 @@ class Simulation:
             return self._advance(dt)
         snapshot = state_dict(self)
         last_reason = None
-        for attempt in range(cfg.max_step_retries + 1):
+        for attempt in range(MAX_STEP_RETRIES + 1):
             t0 = time.perf_counter()
             try:
                 stats = self._advance(dt)
@@ -619,9 +620,9 @@ class Simulation:
                     # step: the recovery count starts at the *next* step
                     self._clean_steps = self._clean_steps + 1 if attempt == 0 else 0
                     if (self._dt_scale < 1.0
-                            and self._clean_steps >= cfg.dt_recover_after):
+                            and self._clean_steps >= DT_RECOVER_AFTER):
                         self._dt_scale = min(
-                            1.0, self._dt_scale / cfg.dt_backoff
+                            1.0, self._dt_scale / DT_BACKOFF
                         )
                         self._clean_steps = 0
                         trace_resilience(
@@ -633,7 +634,7 @@ class Simulation:
             last_reason = reason
             elapsed = time.perf_counter() - t0
             restore_state(self, snapshot)
-            self._dt_scale *= cfg.dt_backoff
+            self._dt_scale *= DT_BACKOFF
             self._clean_steps = 0
             _obs.record_span("ResilienceRollback", t0, t0 + elapsed)
             trace_resilience(
@@ -648,13 +649,13 @@ class Simulation:
             )
         _flight.trigger(
             "breakdown", step=self.step_index,
-            attempts=cfg.max_step_retries + 1,
+            attempts=MAX_STEP_RETRIES + 1,
             reason=ConvergedReason(last_reason).name,
             dt_scale=self._dt_scale,
         )
         raise BreakdownError(
             f"time step {self.step_index} failed after "
-            f"{cfg.max_step_retries + 1} attempts "
+            f"{MAX_STEP_RETRIES + 1} attempts "
             f"(dt_scale={self._dt_scale:.3g}); last reason: "
             f"{ConvergedReason(last_reason).name}",
             reason=last_reason,

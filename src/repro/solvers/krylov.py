@@ -34,6 +34,7 @@ import numpy as np
 
 from ..obs.registry import STATE as _OBS, instrument
 from ..obs.trace import trace_ksp
+from ..parallel.executor import current_engine
 from ..resilience.guard import DEFAULT_DTOL, ResidualGuard
 from ..resilience.reasons import ConvergedReason, nonfinite
 from .result import SolveResult
@@ -60,48 +61,8 @@ def _identity(r: np.ndarray) -> np.ndarray:
 GCR_BLOCK = 4
 
 
-#: inner-product override stack armed by :func:`use_dot` -- while
-#: non-empty, CG evaluates its inner products through the innermost
-#: override instead of ``a @ b``.  The distributed driver
-#: (:mod:`repro.parallel.distributed`) pushes its engine's tree-reduced
-#: rank-partitioned dot here, turning every Krylov reduction of the solve
-#: into a distributed collective without threading a parameter through
-#: the solver stack.
-_DOT_OVERRIDE: list = []
-
-
-class _DotOverride:
-    """Context manager pushing one inner-product callable on the stack."""
-
-    def __init__(self, dot):
-        self.dot = dot
-
-    def __enter__(self):
-        _DOT_OVERRIDE.append(self.dot)
-        return self.dot
-
-    def __exit__(self, *exc):
-        _DOT_OVERRIDE.pop()
-        return False
-
-
-def use_dot(dot: Callable) -> _DotOverride:
-    """Route CG inner products through ``dot(a, b) -> float``.
-
-    Overrides nest (innermost wins) and only cover call sites that do not
-    pass an explicit ``dot=``.  The callable must be deterministic for
-    the solve to stay reproducible; the distributed engines' fixed-tree
-    reduction (:func:`repro.parallel.comm.tree_reduce`) is.
-    """
-    return _DotOverride(dot)
-
-
-def _resolve_dot(dot: Callable | None) -> Callable:
-    if dot is not None:
-        return dot
-    if _DOT_OVERRIDE:
-        return _DOT_OVERRIDE[-1]
-    return lambda a, b: a @ b
+def _matmul_dot(a: np.ndarray, b: np.ndarray) -> float:
+    return a @ b
 
 
 def _tolerance(
@@ -432,16 +393,15 @@ def cg(
     maxiter: int = 1000,
     monitor: Callable | None = None,
     dtol: float = DEFAULT_DTOL,
-    dot: Callable | None = None,
 ) -> SolveResult:
     """Preconditioned conjugate gradients for SPD operators.
 
-    ``dot(a, b) -> float`` overrides the inner product (default
-    ``a @ b``; see :func:`use_dot`): the hook through which the
-    distributed engines make every CG reduction a rank collective while
-    keeping the iteration bitwise-identical to the oracle's.
+    The inner products are those of the :func:`current_engine` in scope:
+    a rank engine's tree-reduced ``dot`` (every CG reduction a rank
+    collective, bitwise-identical between the oracle and the real
+    transport), otherwise ``a @ b``.
     """
-    dot = _resolve_dot(dot)
+    dot = getattr(current_engine(), "dot", _matmul_dot)
     M = M or _identity
     x = np.zeros_like(b) if x0 is None else x0.copy()
     r = b - A(x)

@@ -12,35 +12,42 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from ..mg.coefficients import coefficient_hierarchy
 from ..mg.gmg import GMGConfig, build_gmg
 from ..obs import registry as _obs
-from ..obs.trace import trace_resilience
 from ..parallel.executor import use_workers
 from ..resilience.fallback import FallbackLadder, default_rungs
 from ..resilience.guard import DEFAULT_DTOL
 from ..resilience.reasons import ConvergedReason
 from ..solvers.krylov import gcr, fgmres
-from .fieldsplit import FieldSplitPreconditioner, SchurMass
+from .fieldsplit import FieldSplitPreconditioner
 from .operators import StokesOperator, StokesProblem
 from .scr import solve_scr
 
 
-@dataclass
-class StokesConfig:
-    """Configuration of the linear Stokes solve."""
+#: outer flexible Krylov methods, by ``StokesConfig.outer``
+OUTER_METHODS = {"gcr": gcr, "fgmres": fgmres}
 
-    #: Table I kernel for the fine viscous block; the compiled kernel
-    #: degrades to the packed NumPy path on hosts without a C toolchain
-    operator: str = "tensor_compiled"
-    mg_levels: int = 3
-    smoother_degree: int = 2  # V(2,2)
-    coarse_solver: str = "sa"
-    coarse_nblocks: int = 1
-    galerkin: bool = True
+
+@dataclass
+class StokesConfig(GMGConfig):
+    """Configuration of the linear Stokes solve.
+
+    The multigrid settings of the velocity block (``operator``,
+    ``mg_levels``, ``galerkin``, ``smoother_degree``, ``coarse_solver``,
+    ``gamma``) are :class:`~repro.mg.gmg.GMGConfig`'s, which
+    :func:`solve_stokes` hands to :func:`~repro.mg.gmg.build_gmg` as they
+    are; the fields below configure the outer solve.  An unknown
+    ``operator``, ``coarse_solver``, ``outer``, ``scheme`` or
+    ``velocity_pc`` raises ``ValueError`` at construction.  The SCR
+    scheme's inner solves run to :func:`~repro.stokes.scr.solve_scr`'s
+    ``inner_rtol``.
+    """
+
     outer: str = "gcr"  # 'gcr' | 'fgmres'
     rtol: float = 1e-5
     maxiter: int = 400
@@ -48,10 +55,7 @@ class StokesConfig:
     #: converge (Fig. 2), so the recurrence must outlive the plateau
     restart: int = 100
     scheme: str = "fieldsplit"  # 'fieldsplit' | 'scr'
-    scr_inner_rtol: float = 1e-8
     project_pressure_nullspace: bool = False
-    mg_cycles: int = 1
-    gamma: int = 1  # multigrid cycle index (1 = V, 2 = W)
     #: shared-memory workers for the compiled apply and the assembled
     #: levels' SpMV (None reads $REPRO_WORKERS; 1 = serial); any count
     #: gives the serial result bit for bit.  A solve arms this width's
@@ -65,17 +69,10 @@ class StokesConfig:
     #: stops the solve with ``DIVERGED_DTOL`` (0 disables)
     dtol: float = DEFAULT_DTOL
 
-    def gmg_config(self) -> GMGConfig:
-        return GMGConfig(
-            levels=self.mg_levels,
-            fine_operator=self.operator,
-            galerkin=self.galerkin,
-            smoother_degree=self.smoother_degree,
-            coarse_solver=self.coarse_solver,
-            coarse_nblocks=self.coarse_nblocks,
-            cycles=self.mg_cycles,
-            gamma=self.gamma,
-        )
+    _CHOICES: ClassVar[dict] = {
+        **GMGConfig._CHOICES, "outer": tuple(OUTER_METHODS),
+        "scheme": ("fieldsplit", "scr"), "velocity_pc": ("gmg", "jacobi"),
+    }
 
 
 @dataclass
@@ -171,7 +168,7 @@ def solve_stokes(
                 dinv = 1.0 / d
             vel_pc = lambda ru: dinv * ru  # noqa: E731
             mg_stats = None
-        elif cfg.velocity_pc == "gmg":
+        else:  # "gmg"
             meshes = mesh.hierarchy(cfg.mg_levels)[::-1]
             # the Picard viscous block on problem.eta_q is multigrid level
             # 0; caller-supplied level viscosities get their own operator
@@ -182,11 +179,9 @@ def solve_stokes(
                 )
             with _obs.timed("PCSetUp_gmg"):
                 vel_pc, mg_stats = build_gmg(
-                    meshes, eta_levels, problem.bc_builder, cfg.gmg_config(),
+                    meshes, eta_levels, problem.bc_builder, cfg,
                     fine_op=fine_op,
                 )
-        else:
-            raise ValueError(f"unknown velocity_pc {cfg.velocity_pc!r}")
         with _obs.timed("PCSetUp_fieldsplit"):
             pc = FieldSplitPreconditioner(op, vel_pc)
     setup_s = time.perf_counter() - t0
@@ -209,8 +204,7 @@ def solve_stokes(
         with _obs.stage("StokesSolve"):
             x, scr_stats = solve_scr(
                 op, b, velocity_pc=vel_pc, rtol=cfg.rtol,
-                inner_rtol=cfg.scr_inner_rtol, maxiter=cfg.maxiter,
-                monitor=monitor,
+                maxiter=cfg.maxiter, monitor=monitor,
             )
         x = project(x)
         solve_s = time.perf_counter() - t0
@@ -221,10 +215,7 @@ def solve_stokes(
             extra={"scr": scr_stats}, reason=scr_stats.reason,
         )
 
-    if cfg.scheme != "fieldsplit":
-        raise ValueError(f"unknown scheme {cfg.scheme!r}")
-
-    method = {"gcr": gcr, "fgmres": fgmres}[cfg.outer]
+    method = OUTER_METHODS[cfg.outer]
 
     apply_op = op.apply
     pc_apply = pc

@@ -1,0 +1,116 @@
+"""The configuration surface: which settings exist, and how a battery
+spells them.
+
+A config field exists only when a caller outside the tests sets it; a
+setting nobody varies is a module constant next to the code that reads
+it.  ``FIELDS`` pins the set, so a new knob is a deliberate edit here.
+"""
+
+import dataclasses
+import json
+
+import pytest
+
+from repro.mg.gmg import GMGConfig
+from repro.mg.sa import SAConfig
+from repro.parallel.procomm import ProcommConfig
+from repro.resilience.health import HealthConfig
+from repro.serve.jobs import JobSpec
+from repro.serve.scheduler import ServeConfig
+from repro.serve.worker import build_simulation
+from repro.sim.timeloop import SimulationConfig
+from repro.stokes.solve import StokesConfig
+
+#: fields each class declares itself (StokesConfig inherits GMGConfig's)
+FIELDS = {
+    GMGConfig: ["operator", "mg_levels", "galerkin", "smoother_degree",
+                "coarse_solver", "gamma"],
+    StokesConfig: ["outer", "rtol", "maxiter", "restart", "scheme",
+                   "project_pressure_nullspace", "workers", "velocity_pc",
+                   "dtol"],
+    SimulationConfig: ["stokes", "newton_rtol", "max_newton", "picard_only",
+                       "linear_rtol", "cfl", "free_surface",
+                       "min_points_per_element", "thermal_kappa",
+                       "resilient", "health"],
+    HealthConfig: ["max_points_per_element", "eta_bounds", "rho_bounds",
+                   "T_bounds", "max_divergence"],
+    SAConfig: ["theta", "block_size", "max_coarse", "smoother_degree",
+               "prolongator_smooth", "drop_tol", "coarse_solver",
+               "coarse_rtol", "smoother_factory"],
+    ServeConfig: ["max_jobs", "total_workers", "isolation", "step_timeout",
+                  "term_grace", "startup_timeout", "max_retries",
+                  "backoff_base", "backoff_max", "quarantine_after",
+                  "checkpoint_every", "store_dir", "resume", "fresh",
+                  "python"],
+    ProcommConfig: ["heartbeat_timeout", "op_timeout", "startup_timeout"],
+}
+
+SINKER = {"shape": [4, 4, 4], "n_spheres": 1, "radius": 0.2,
+          "delta_eta": 10.0, "points_per_dim": 2}
+
+
+def declared(cls) -> list[str]:
+    inherited = {f.name for base in cls.__mro__[1:]
+                 if dataclasses.is_dataclass(base)
+                 for f in dataclasses.fields(base)}
+    return [f.name for f in dataclasses.fields(cls)
+            if f.name not in inherited]
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
+def test_declared_fields_are_pinned(cls):
+    assert declared(cls) == FIELDS[cls]
+
+
+def test_each_multigrid_setting_is_declared_once():
+    assert sum(len(names) for names in FIELDS.values()) == 58
+    assert issubclass(StokesConfig, GMGConfig)
+    gmg = [f.name for f in dataclasses.fields(GMGConfig)]
+    assert [f.name for f in dataclasses.fields(StokesConfig)][:6] == gmg
+
+
+def test_simulation_config_round_trips_through_a_battery():
+    config = SimulationConfig(
+        stokes=StokesConfig(mg_levels=2, coarse_solver="lu", rtol=1e-6),
+        linear_rtol=1e-5, resilient=True,
+        health=HealthConfig(eta_bounds=(1e-3, 1e3), max_divergence=1.0),
+    )
+    wire = json.loads(json.dumps(dataclasses.asdict(config)))
+    spec = JobSpec(name="rt", scenario_config=SINKER, sim_config=wire)
+    sim = build_simulation(spec)
+    assert sim.config == config
+    assert sim.config.health.eta_bounds == (1e-3, 1e3)
+
+
+def test_battery_health_dict_runs_the_gates():
+    spec = JobSpec(name="h", scenario_config=SINKER, sim_config={
+        "stokes": {"mg_levels": 2, "coarse_solver": "lu"},
+        "health": {"eta_bounds": [1e-3, 1e3]}})
+    sim = build_simulation(spec)
+    assert isinstance(sim.config.health, HealthConfig)
+    stats = sim.step(0.05)
+    assert stats["health"]["divergence"] > 0.0
+    assert sim.health.stats["mesh_gates"] >= 1
+
+
+@pytest.mark.parametrize("cls, name, bad, allowed", [
+    (GMGConfig, "operator", "tensor_cuda", "tensor_compiled"),
+    (GMGConfig, "coarse_solver", "magic", "asm-cg"),
+    (StokesConfig, "operator", "tensor_cuda", "tensor_compiled"),
+    (StokesConfig, "coarse_solver", "magic", "bjacobi-lu"),
+    (StokesConfig, "outer", "cg", "fgmres"),
+    (StokesConfig, "scheme", "uzawa", "scr"),
+    (StokesConfig, "velocity_pc", "ilu", "jacobi"),
+])
+def test_unknown_choice_fails_at_construction(cls, name, bad, allowed):
+    with pytest.raises(ValueError, match=f"unknown {name} '{bad}'") as exc:
+        cls(**{name: bad})
+    assert allowed in str(exc.value)
+
+
+def test_battery_with_unknown_outer_fails_before_setup():
+    spec = JobSpec(name="bad", scenario_config=SINKER,
+                   sim_config={"stokes": {"outer": "cg"}})
+    with pytest.raises(ValueError, match="unknown outer 'cg'"):
+        build_simulation(spec)
+

@@ -217,7 +217,7 @@ class TestWcycleGMG:
         meshes = mesh.hierarchy(2)[::-1]
         etas = [np.ones((m.nel, QUAD.npoints)) for m in meshes]
         mg, _ = build_gmg(meshes, etas, no_slip_bc,
-                          GMGConfig(levels=2, coarse_solver="lu", gamma=2))
+                          GMGConfig(mg_levels=2, coarse_solver="lu", gamma=2))
         assert mg.gamma == 2
         bc = no_slip_bc(mesh)
         from repro.matfree import make_operator

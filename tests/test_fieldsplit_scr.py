@@ -55,7 +55,7 @@ class TestFieldSplit:
         meshes = mesh.hierarchy(2)[::-1]
         etas = coefficient_hierarchy(meshes, eta, QUAD)
         mg, _ = build_gmg(meshes, etas, free_slip_bc,
-                          GMGConfig(levels=2, coarse_solver="lu"))
+                          GMGConfig(mg_levels=2, coarse_solver="lu"))
         return pb, op, FieldSplitPreconditioner(op, mg)
 
     def test_preconditioned_solve_converges(self):

@@ -21,20 +21,22 @@ def smooth_eta(x):
     )
 
 
-def solve_with_gmg(shape, levels=2, config=None, rtol=1e-8):
+def solve_with_gmg(shape, levels=2, config=None, rtol=1e-8,
+                   galerkin_from_fine=False):
     mesh = StructuredMesh(shape, order=2)
     meshes = mesh.hierarchy(levels)[::-1]
     etas = []
     for m in meshes:
         _, _, xq = m.geometry_at(QUAD)
         etas.append(smooth_eta(xq))
-    config = config or GMGConfig(levels=levels, coarse_solver="lu")
-    mg, stats = build_gmg(meshes, etas, no_slip_bc, config)
+    config = config or GMGConfig(mg_levels=levels, coarse_solver="lu")
+    mg, stats = build_gmg(meshes, etas, no_slip_bc, config,
+                          galerkin_from_fine=galerkin_from_fine)
     bc = no_slip_bc(mesh)
     rng = np.random.default_rng(0)
     b = rng.standard_normal(3 * mesh.nnodes)
     b[bc.mask] = 0.0
-    op = make_operator(config.fine_operator, mesh, etas[0], quad=QUAD)
+    op = make_operator(config.operator, mesh, etas[0], quad=QUAD)
     A = bc.wrap_apply(op.apply)
     res = cg(A, b, M=mg, rtol=rtol, maxiter=100)
     return res, stats
@@ -63,7 +65,7 @@ class TestConvergence:
 
     def test_single_level_fallback(self):
         res, _ = solve_with_gmg(
-            (2, 2, 2), levels=1, config=GMGConfig(levels=1, coarse_solver="lu")
+            (2, 2, 2), levels=1, config=GMGConfig(mg_levels=1, coarse_solver="lu")
         )
         assert res.converged and res.iterations <= 3
 
@@ -74,12 +76,12 @@ class TestOperatorChoices:
         # galerkin=False so all four kinds build the *same* hierarchy
         # (an assembled fine level would otherwise enable Galerkin RAP)
         res, _ = solve_with_gmg(
-            (4, 4, 4), config=GMGConfig(levels=2, coarse_solver="lu",
-                                        fine_operator=kind, galerkin=False)
+            (4, 4, 4), config=GMGConfig(mg_levels=2, coarse_solver="lu",
+                                        operator=kind, galerkin=False)
         )
         assert res.converged
         ref, _ = solve_with_gmg(
-            (4, 4, 4), config=GMGConfig(levels=2, coarse_solver="lu",
+            (4, 4, 4), config=GMGConfig(mg_levels=2, coarse_solver="lu",
                                         galerkin=False)
         )
         # identical operator => identical Krylov trajectory (to roundoff)
@@ -92,7 +94,7 @@ class TestOperatorChoices:
         for galerkin in (True, False):
             res, _ = solve_with_gmg(
                 (8, 8, 8), levels=3,
-                config=GMGConfig(levels=3, coarse_solver="lu", galerkin=galerkin),
+                config=GMGConfig(mg_levels=3, coarse_solver="lu", galerkin=galerkin),
             )
             assert res.converged
             its[galerkin] = res.iterations
@@ -102,8 +104,9 @@ class TestOperatorChoices:
         """GMG-ii configuration: assembled fine level, Galerkin everywhere."""
         res, _ = solve_with_gmg(
             (4, 4, 4), levels=2,
-            config=GMGConfig(levels=2, fine_operator="asmb", galerkin=True,
-                             galerkin_from_fine=True, coarse_solver="lu"),
+            config=GMGConfig(mg_levels=2, operator="asmb", galerkin=True,
+                             coarse_solver="lu"),
+            galerkin_from_fine=True,
         )
         assert res.converged
 
@@ -111,14 +114,14 @@ class TestOperatorChoices:
 class TestCoarseSolvers:
     @pytest.mark.parametrize("coarse", ["lu", "bjacobi-lu", "sa", "asm-cg"])
     def test_converges_with_each_coarse_solver(self, coarse):
-        cfg = GMGConfig(levels=2, coarse_solver=coarse, coarse_nblocks=2)
+        cfg = GMGConfig(mg_levels=2, coarse_solver=coarse)
         res, _ = solve_with_gmg((4, 4, 4), config=cfg, rtol=1e-6)
         assert res.converged
 
     def test_unknown_coarse_solver(self):
         with pytest.raises(ValueError):
             solve_with_gmg((4, 4, 4),
-                           config=GMGConfig(levels=2, coarse_solver="magic"))
+                           config=GMGConfig(mg_levels=2, coarse_solver="magic"))
 
 
 class TestSmootherDegree:
@@ -127,7 +130,7 @@ class TestSmootherDegree:
         for degree in (2, 3):
             res, _ = solve_with_gmg(
                 (4, 4, 4),
-                config=GMGConfig(levels=2, coarse_solver="lu",
+                config=GMGConfig(mg_levels=2, coarse_solver="lu",
                                  smoother_degree=degree),
             )
             its[degree] = res.iterations
@@ -142,7 +145,7 @@ class TestSetupStats:
     def test_mesh_count_validation(self):
         mesh = StructuredMesh((4, 4, 4), order=2)
         with pytest.raises(ValueError):
-            build_gmg([mesh], [None], no_slip_bc, GMGConfig(levels=3))
+            build_gmg([mesh], [None], no_slip_bc, GMGConfig(mg_levels=3))
 
 
 class TestCoefficientHierarchy:
@@ -174,7 +177,7 @@ class TestCoefficientHierarchy:
 
 class TestMatrixFreeLevels:
     """A rediscretized, smoothed level (level 1 of the default 3-level
-    hierarchy) applies through the fine kernel; ``fine_operator="asmb"``
+    hierarchy) applies through the fine kernel; ``operator="asmb"``
     builds the same hierarchy with every level assembled and is the
     oracle."""
 
@@ -187,7 +190,7 @@ class TestMatrixFreeLevels:
             etas.append(smooth_eta(xq))
         mg, stats = build_gmg(
             meshes, etas, no_slip_bc,
-            GMGConfig(levels=3, coarse_solver="lu", fine_operator=kind),
+            GMGConfig(mg_levels=3, coarse_solver="lu", operator=kind),
         )
         return mesh, mg, stats
 
@@ -251,7 +254,7 @@ class TestMatrixFreeLevels:
 
         monkeypatch.setattr(assembly, "assemble_viscous", counting)
         mg, _ = build_gmg(meshes, etas, no_slip_bc,
-                          GMGConfig(levels=3, coarse_solver="lu",
+                          GMGConfig(mg_levels=3, coarse_solver="lu",
                                     galerkin=False))
         assert assembled == [meshes[2].nel]
         assert mg.levels[1].label == "gmg-mf[tensor_compiled]"

@@ -318,25 +318,15 @@ class TestGuardField:
 
     def test_clip_counts_and_copies(self):
         v = np.array([0.5, 20.0, -1.0, 2.0])
-        out, n = guard_field("eta", v, (0.0, 10.0), action="clip")
+        out, n = guard_field("eta", v, (0.0, 10.0))
         assert n == 2
         assert out.min() == 0.0 and out.max() == 10.0
         assert v[1] == 20.0  # original untouched
-
-    def test_reject_action(self):
-        with pytest.raises(HealthCheckFailure) as exc:
-            guard_field("rho", np.array([100.0]), (0.0, 10.0),
-                        action="reject")
-        assert exc.value.check == "field:rho"
 
     def test_nonfinite_always_rejects_even_unbounded(self):
         with pytest.raises(HealthCheckFailure) as exc:
             guard_field("eta", np.array([1.0, np.nan]), None)
         assert exc.value.reason == ConvergedReason.DIVERGED_NAN
-
-    def test_config_validates_action(self):
-        with pytest.raises(ValueError):
-            HealthConfig(field_action="ignore")
 
 
 # --------------------------------------------------------------------- #
@@ -410,13 +400,6 @@ class TestHealthMonitor:
         out = monitor.guard_temperature(T)
         assert out.min() == 0.0 and out.max() == 1.0
         assert monitor.stats["clipped"] == 2
-
-    def test_disabled_checks_skip_gates(self):
-        health = HealthConfig(check_mesh=False, check_particles=False,
-                              check_fields=False, check_divergence=False)
-        sim = small_sinker(health=health)
-        stats = sim.step()
-        assert stats["health"]["divergence"] == 0.0
 
 
 # --------------------------------------------------------------------- #

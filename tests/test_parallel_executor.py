@@ -383,13 +383,13 @@ class TestMultigridWiring:
         # no engine pins the serial reference even under $REPRO_WORKERS
         with use_executor(None):
             mg_s, _ = build_gmg(meshes, etas, free_slip_bc,
-                                GMGConfig(levels=2, coarse_solver="lu"))
+                                GMGConfig(mg_levels=2, coarse_solver="lu"))
         b = rng.standard_normal(3 * mesh.nnodes)
         b[free_slip_bc(mesh).mask] = 0.0
         x_s = mg_s(b)
         with dispatch_engine("thread", 2) as ex:
             mg_p, _ = build_gmg(meshes, etas, free_slip_bc,
-                                GMGConfig(levels=2, coarse_solver="lu"))
+                                GMGConfig(mg_levels=2, coarse_solver="lu"))
             x_p = mg_p(b)
         # every level runs through the one engine; the compiled smoother
         # applies dispatch, the NumPy fallback runs serially

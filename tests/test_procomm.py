@@ -273,9 +273,10 @@ class TestRankEngines:
         oracle.shutdown()
 
     def test_cg_reductions_route_through_engine(self):
-        # use_dot must steer every CG inner product through the fixed
-        # tree; oracle and real transport land on the same iterates
-        from repro.solvers.krylov import cg, use_dot
+        # an armed rank engine must steer every CG inner product through
+        # the fixed tree; oracle and real transport land on the same
+        # iterates
+        from repro.solvers.krylov import cg
 
         rng = np.random.default_rng(5)
         A = rng.standard_normal((40, 40))
@@ -286,15 +287,16 @@ class TestRankEngines:
             return A @ v
 
         oracle = VirtualRankEngine(size=2)
-        with use_dot(oracle.dot):
+        with use_executor(oracle):
             res_oracle = cg(apply_a, b, rtol=1e-10, maxiter=100)
         with procomm(2) as comm:
-            engine = ProcommEngine(comm)
-            with use_dot(engine.dot):
+            with use_executor(ProcommEngine(comm)):
                 res_real = cg(apply_a, b, rtol=1e-10, maxiter=100)
         assert res_oracle.converged and res_real.converged
         np.testing.assert_array_equal(res_oracle.x, res_real.x)
         assert res_oracle.iterations == res_real.iterations
+        # two reductions per iteration went through the oracle's tree
+        assert oracle.comm.stats.reductions >= 2 * res_oracle.iterations
         oracle.shutdown()
 
 
@@ -568,8 +570,6 @@ class TestServeIntegration:
         from repro.serve import worker
         from repro.serve.jobs import JobSpec
         from repro.serve.store import state_digest
-        from repro.solvers.krylov import use_dot
-
         spec = JobSpec(
             name="ranked", scenario="sinker",
             scenario_config={"shape": [4, 4, 4], "n_spheres": 1,
@@ -597,7 +597,7 @@ class TestServeIntegration:
         # inline oracle reference: same spec under the virtual engine
         sim = worker.build_simulation(spec)
         engine = VirtualRankEngine(size=2)
-        with use_executor(engine), use_dot(engine.dot):
+        with use_executor(engine):
             for _ in range(2):
                 sim.step(spec.dt)
         assert result["digest"] == state_digest(sim)

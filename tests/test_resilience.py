@@ -711,21 +711,23 @@ class TestTimeLoopRollback:
         assert np.isfinite(sim.u).all() and np.isfinite(sim.p).all()
 
     def test_dt_recovers_after_clean_steps(self):
-        sim = _resilient_sinker(dt_recover_after=1)
+        sim = _resilient_sinker()
         i0 = sim.step_index
         with FaultInjector() as fi:
             fi.poison_nan(StokesOperator, "residual", mode="all", limit=1,
                           when=lambda: sim.step_index == i0)
             sim.step()
         assert sim._dt_scale == 0.5
-        sim.step()  # clean -> one back-off factor undone
+        sim.step()  # one clean step: not yet
+        assert sim._dt_scale == 0.5
+        sim.step()  # DT_RECOVER_AFTER clean -> one back-off factor undone
         assert sim._dt_scale == 1.0
 
     def test_persistent_failure_raises_after_budget(self):
-        sim = _resilient_sinker(max_step_retries=2)
+        sim = _resilient_sinker()
         with FaultInjector() as fi:
             fi.poison_nan(StokesOperator, "residual", mode="all")
-            with pytest.raises(BreakdownError, match="failed after 3 attempts"):
+            with pytest.raises(BreakdownError, match="failed after 4 attempts"):
                 sim.step()
         # the evolving state was restored to the pre-step snapshot
         assert sim.step_index == 0

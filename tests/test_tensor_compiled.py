@@ -450,7 +450,7 @@ class TestDefaults:
         from repro.stokes import StokesConfig, StokesOperator, solve_stokes
 
         assert StokesConfig().operator == "tensor_compiled"
-        assert GMGConfig().fine_operator == "tensor_compiled"
+        assert GMGConfig().operator == "tensor_compiled"
         pb = sinker_stokes_problem(SinkerConfig(
             shape=(4, 4, 4), n_spheres=2, radius=0.15, delta_eta=100.0))
         assert StokesOperator(pb).A_op.name == "tensor_compiled"
@@ -477,7 +477,7 @@ class TestDefaults:
                 bc.add(component_dofs(boundary_nodes(m, face), comp), 0.0)
             return bc.finalize()
 
-        cfg = GMGConfig(levels=2, coarse_solver="lu")
+        cfg = GMGConfig(mg_levels=2, coarse_solver="lu")
         mg, _ = build_gmg(meshes, etas, bc_builder, cfg)
         b = rng.standard_normal(3 * meshes[0].nnodes)
         b[mg.levels[0].bc_mask] = 0.0
