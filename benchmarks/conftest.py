@@ -24,16 +24,11 @@ def obs_trace(request):
     Every ``bench_*`` module runs with the observability layer enabled and,
     at teardown, writes its stage/event/trace document as
     ``BENCH_<module>.json`` (schema ``repro.obs/1``) next to the benchmarks
-    -- or under ``$REPRO_BENCH_JSON_DIR`` when set.
+    -- or under ``$REPRO_BENCH_JSON_DIR`` when set.  A module that arms
+    :mod:`repro.obs.timeline` itself gets a ``timeline`` section as well.
     """
     obs.reset()
     obs.enable()
-    # $REPRO_TIMELINE=1 arms span capture, so the BENCH document carries
-    # a "timeline" section (``python -m repro.obs.timeline`` turns it into
-    # a Perfetto trace); unset, the document stays span-free
-    armed_here = obs.timeline.armed() is None and (
-        obs.timeline.maybe_arm_from_env() is not None
-    )
     yield
     obs.disable()
     mod = request.module.__name__
@@ -45,8 +40,6 @@ def obs_trace(request):
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"BENCH_{mod.removeprefix('bench_')}.json"
     obs.write_json(path, meta={"module": mod})
-    if armed_here:
-        obs.timeline.disarm()
     obs.reset()
 
 

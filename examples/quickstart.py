@@ -65,8 +65,7 @@ def log_view_run(trace_path: str = "quickstart_trace.json",
     """Profile a small end-to-end run and print the ``-log_view`` table.
 
     ``machine`` selects the roofline machine model by name (default:
-    ``$REPRO_MACHINE`` or ``laptop``); the model used is recorded in the
-    exported run manifest.  ``trace_out`` additionally arms the
+    ``laptop``); the model used is recorded in the exported run manifest.  ``trace_out`` additionally arms the
     per-worker timeline and writes the merged spans as Chrome
     trace-event JSON -- drop the file on https://ui.perfetto.dev.
     """
@@ -278,8 +277,8 @@ if __name__ == "__main__":
     )
     parser.add_argument(
         "--machine", default=None, metavar="NAME",
-        help="roofline machine model for --log-view (default: $REPRO_MACHINE "
-             "or 'laptop'); recorded in the exported run manifest",
+        help="roofline machine model for --log-view (default: 'laptop'); "
+             "recorded in the exported run manifest",
     )
     parser.add_argument(
         "--trace-out", default=None, metavar="PATH",

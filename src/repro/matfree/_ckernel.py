@@ -4,7 +4,7 @@ The container bakes in NumPy but no Numba/Cython, so the compiled backend
 is a small C translation unit compiled *at first use* with whatever system
 compiler is available (``cc``/``gcc``/``clang``) and loaded through
 :mod:`ctypes`.  Everything is guarded: if no toolchain exists, compilation
-fails, or ``$REPRO_NO_CKERNEL`` is set, :func:`load` returns ``None`` and
+fails, or ``$REPRO_NO_CKERNEL=1``, :func:`load` returns ``None`` and
 :class:`~repro.matfree.tensor_compiled.TensorCompiledOperator` falls back
 to the pure-NumPy packed-coefficient path -- the suite passes either way.
 
@@ -76,7 +76,8 @@ from pathlib import Path
 __all__ = ["available", "load", "unavailable_reason", "variants", "isa",
            "status", "KERNEL_SOURCE", "KERNELS", "LANES"]
 
-#: environment kill-switch: force the pure-NumPy fallback (CI fallback leg)
+#: environment kill-switch: ``1`` forces the pure-NumPy fallback (CI
+#: fallback leg); unset, empty or ``0`` keep the kernel
 ENV_DISABLE = "REPRO_NO_CKERNEL"
 #: override the shared-object cache directory
 ENV_CACHE = "REPRO_CKERNEL_CACHE"
@@ -455,8 +456,12 @@ def load() -> ctypes.CDLL | None:
         return _lib
     if _load_attempted:
         return None
+    raw = os.environ.get(ENV_DISABLE, "").strip()
+    if raw not in ("", "0", "1"):
+        raise ValueError(
+            f"${ENV_DISABLE} must be unset, empty, 0 or 1; got {raw!r}")
     _load_attempted = True
-    if os.environ.get(ENV_DISABLE):
+    if raw == "1":
         _reason = f"disabled via ${ENV_DISABLE}"
         return None
     _reason = "compile failed: no C compiler found (tried: %s)" % ", ".join(

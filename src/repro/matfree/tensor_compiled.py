@@ -34,7 +34,7 @@ gets its speed from:
 
 The arithmetic differs from the einsum path in association order, so the
 two agree to a few ulp (``<= 1e-13 max|y|`` is tested), not bitwise.  When
-no C toolchain is available (or ``$REPRO_NO_CKERNEL`` is set) the operator
+no C toolchain is available (or ``$REPRO_NO_CKERNEL=1``) the operator
 transparently degrades to the inherited NumPy packed apply -- same
 contracts, slower, serial, last bits differ.
 """

@@ -18,15 +18,15 @@ trigger            fired by
 ``manual``         :func:`trigger` called by the application
 =================  ====================================================
 
-The recorder is **armed explicitly** (:func:`arm`) or via
-``$REPRO_FLIGHT=1`` -- it is never on by accident, and while disarmed
-:func:`record_step` / :func:`trigger` are one ``is None`` test.  Dumps go
-to ``$REPRO_FLIGHT_DIR`` (default: the working directory).
+The recorder is **armed explicitly** (:func:`arm`) -- it is never on by
+accident, and while disarmed :func:`record_step` / :func:`trigger` are
+one ``is None`` test.  Dumps go to ``$REPRO_FLIGHT_DIR`` (default: the
+working directory).
 
 :class:`ProgressLine` is the companion live view for long runs: one
 ``\\r``-rewritten stderr line with step, dt, steps/s, the latest residual
-norm, and how many workers were busy -- enabled with ``$REPRO_PROGRESS=1``
-or ``Simulation.run(..., progress=True)``.
+norm, and how many workers were busy -- enabled with
+``Simulation.run(..., progress=True)``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import time
 from collections import deque
 
 from . import metrics
-from .registry import REGISTRY, _env_flag, register_reset_hook
+from .registry import REGISTRY, register_reset_hook
 
 __all__ = [
     "FLIGHT_SCHEMA",
@@ -47,7 +47,6 @@ __all__ = [
     "arm",
     "armed",
     "disarm",
-    "maybe_arm_from_env",
     "record_step",
     "trigger",
     "validate_flight",
@@ -55,7 +54,6 @@ __all__ = [
 
 #: schema tag of every flight dump; bump on breaking change
 FLIGHT_SCHEMA = "repro.obs.flight/1"
-ENV_FLIGHT = "REPRO_FLIGHT"
 ENV_FLIGHT_DIR = "REPRO_FLIGHT_DIR"
 
 #: trace records kept per stream in a dump (the tail is what matters)
@@ -183,20 +181,6 @@ def armed() -> FlightRecorder | None:
     return _RECORDER
 
 
-def maybe_arm_from_env() -> FlightRecorder | None:
-    """Arm from ``$REPRO_FLIGHT`` (truthy value; a number sets capacity)."""
-    if _RECORDER is not None:
-        return _RECORDER
-    raw = _env_flag(ENV_FLIGHT)
-    if raw is None:
-        return None
-    try:
-        capacity = max(1, int(raw))
-    except ValueError:
-        capacity = 32
-    return arm(capacity=capacity)
-
-
 def record_step(record: dict) -> None:
     """Buffer one step record into the armed recorder (cheap no-op else)."""
     if _RECORDER is not None:
@@ -258,13 +242,6 @@ def validate_flight(doc: dict) -> dict:
 # --------------------------------------------------------------------- #
 # live progress line
 # --------------------------------------------------------------------- #
-ENV_PROGRESS = "REPRO_PROGRESS"
-
-
-def progress_enabled() -> bool:
-    return _env_flag(ENV_PROGRESS) is not None
-
-
 def _task_seconds() -> float:
     """Seconds booked so far into executor task events (``ParExecTask:*``,
     one per dispatched method); zero while ``repro.obs`` is disabled."""

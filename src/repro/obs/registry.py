@@ -31,7 +31,6 @@ enough to leave on every hot path permanently (verified by
 from __future__ import annotations
 
 import functools
-import os
 import time
 import tracemalloc
 from dataclasses import dataclass, field
@@ -51,17 +50,6 @@ class _State:
 
 
 STATE = _State()
-
-
-def _env_flag(name: str) -> str | None:
-    """The stripped value of ``$name`` when it switches a feature on.
-
-    One rule for every ``REPRO_*`` on/off flag: unset, empty, ``0``,
-    ``false``, ``no`` and ``off`` (in any case) mean off and give
-    ``None``; any other value means on (a number may also size a buffer).
-    """
-    raw = os.environ.get(name, "").strip()
-    return None if raw.lower() in ("", "0", "false", "no", "off") else raw
 
 
 @dataclass

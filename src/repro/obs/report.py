@@ -59,9 +59,9 @@ def log_view(
         the string.
     machine:
         Machine model for the roofline column: a :class:`MachineModel`, a
-        registered name (``"laptop"``, ``"edison"``), or ``None`` to read
-        ``$REPRO_MACHINE`` (default ``laptop``).  The model actually used
-        is recorded in the run manifest of every subsequent JSON export.
+        registered name (``"laptop"``, ``"edison"``), or ``None`` for
+        ``laptop``.  The model actually used is recorded in the run
+        manifest of every subsequent JSON export.
     min_seconds:
         Hide events below this inclusive time (declutter long runs).
     """

@@ -16,11 +16,10 @@ ring per worker and merged into one global timeline that exports as
 
 Capture model
 -------------
-The timeline is **armed explicitly** (:func:`arm`) or via
-``$REPRO_TIMELINE=1`` (a number > 1 sets the per-worker ring capacity);
-while disarmed the registry's span sink is ``None`` and every hot path
-stays a single test.  Spans only accumulate while profiling is enabled
-(the registry entry points are no-ops otherwise).  The timeline stores
+The timeline is **armed explicitly** (:func:`arm`); while disarmed the
+registry's span sink is ``None`` and every hot path stays a single test.
+Spans only accumulate while profiling is enabled (the registry entry
+points are no-ops otherwise).  The timeline stores
 spans and one counter, the next dispatch id, so the tasks of every
 engine's dispatches get distinct ids.
 
@@ -54,7 +53,7 @@ import time
 from collections import deque
 
 from . import metrics as _metrics
-from .registry import MAIN_RANK, _env_flag, register_reset_hook, set_span_sink
+from .registry import MAIN_RANK, register_reset_hook, set_span_sink
 from .trace import _check_fields
 
 __all__ = [
@@ -69,7 +68,6 @@ __all__ = [
     "commit_metrics",
     "disarm",
     "main",
-    "maybe_arm_from_env",
     "summary",
     "validate_chrome_trace",
     "validate_timeline",
@@ -78,7 +76,6 @@ __all__ = [
 
 #: schema tag of the timeline section; bump on breaking change
 TIMELINE_SCHEMA = "repro.obs.timeline/1"
-ENV_TIMELINE = "REPRO_TIMELINE"
 #: per-worker ring capacity when not given explicitly
 DEFAULT_CAPACITY = 16384
 
@@ -194,22 +191,6 @@ def disarm() -> None:
 def armed() -> Timeline | None:
     """The armed timeline, or ``None``."""
     return _TIMELINE
-
-
-def maybe_arm_from_env() -> Timeline | None:
-    """Arm from ``$REPRO_TIMELINE`` (truthy; a number > 1 sets capacity)."""
-    if _TIMELINE is not None:
-        return _TIMELINE
-    raw = _env_flag(ENV_TIMELINE)
-    if raw is None:
-        return None
-    try:
-        capacity = int(raw)
-    except ValueError:
-        capacity = DEFAULT_CAPACITY
-    if capacity <= 1:  # "1" means "on", not a one-slot ring
-        capacity = DEFAULT_CAPACITY
-    return arm(capacity=capacity)
 
 
 def _clear_on_reset() -> None:
@@ -542,7 +523,7 @@ def main(argv: list | None = None) -> int:
         else:
             raise ValueError(
                 f"{args.document}: no timeline section (was the run "
-                "armed with repro.obs.timeline.arm() / $REPRO_TIMELINE?)")
+                "armed with repro.obs.timeline.arm()?)")
         validate_timeline(section)
     except (OSError, ValueError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -110,7 +110,13 @@ class ExecutorStats:
 def resolve_workers(workers: int | None = None) -> int:
     """Worker count: explicit argument, else ``$REPRO_WORKERS``, else 1."""
     if workers is None:
-        workers = int(os.environ.get(ENV_WORKERS, "1") or "1")
+        raw = os.environ.get(ENV_WORKERS, "") or "1"
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"${ENV_WORKERS} must be an integer >= 1, got {raw!r}"
+            ) from None
     workers = int(workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -344,8 +350,8 @@ def current_engine():
     """The engine an operator built now runs on.
 
     The innermost :func:`use_executor` engine; else the process's
-    :func:`thread_pool` for ``$REPRO_WORKERS`` (read now, not at import,
-    so a forked job's environment counts); else ``None`` (serial).
+    :func:`thread_pool` for ``$REPRO_WORKERS`` (read now, not at
+    import); else ``None`` (serial).
     Operators, :class:`ParallelCSRMatVec` users and multigrid levels call
     it once, when they are built.
     """

@@ -10,11 +10,7 @@ floating-point peak.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass
-
-#: environment knob selecting the default machine model by name
-ENV_MACHINE = "REPRO_MACHINE"
 
 
 @dataclass(frozen=True)
@@ -68,22 +64,20 @@ LAPTOP = MachineModel(
     stream_gbytes_per_node=40.0,
 )
 
-#: machine models selectable by name (``$REPRO_MACHINE`` / ``machine=``)
+#: machine models selectable by name (``machine=``)
 MACHINES: dict[str, MachineModel] = {m.name: m for m in (EDISON, LAPTOP)}
 
 
 def resolve_machine(spec: MachineModel | str | None = None) -> MachineModel:
-    """Resolve a machine model from a model, a name, or the environment.
+    """Resolve a machine model from a model or a name.
 
-    ``None`` reads ``$REPRO_MACHINE`` and falls back to ``laptop`` -- the
-    roofline default every report and export goes through, so which model
-    a run was judged against is always recorded, never hardcoded.
+    ``None`` means ``laptop`` -- the roofline default every report and
+    export goes through, so which model a run was judged against is
+    always recorded, never hardcoded.
     """
     if isinstance(spec, MachineModel):
         return spec
-    if spec is None:
-        spec = os.environ.get(ENV_MACHINE, "") or "laptop"
-    key = str(spec).strip().lower()
+    key = str("laptop" if spec is None else spec).strip().lower()
     if key not in MACHINES:
         raise ValueError(
             f"unknown machine model {spec!r}; known: {sorted(MACHINES)}"

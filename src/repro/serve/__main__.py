@@ -13,7 +13,8 @@ The battery file is plain JSON::
 
 ``serve`` takes any :class:`~repro.serve.scheduler.ServeConfig` field;
 ``jobs`` entries are :class:`~repro.serve.jobs.JobSpec` wire dicts.
-Command-line flags override the file's ``serve`` section.
+The file's ``serve`` section is the one place to set them; ``--store``
+alone overrides it, so one battery file can fill several stores.
 
 Exit status: 0 when every job reached a terminal state (the scheduler's
 accounting contract) -- or, with ``--require-done``, only when every job
@@ -39,15 +40,6 @@ def _parse_args(argv):
     parser.add_argument("--store", help="results store directory "
                         "(default: the battery file's setting, else a "
                         "temporary directory)")
-    parser.add_argument("--max-jobs", type=int, help="concurrent jobs")
-    parser.add_argument("--step-timeout", type=float,
-                        help="watchdog seconds between heartbeats")
-    parser.add_argument("--startup-timeout", type=float,
-                        help="watchdog seconds from fork to 'started'")
-    parser.add_argument("--max-retries", type=int,
-                        help="retry budget per job")
-    parser.add_argument("--fresh", action="store_true",
-                        help="ignore cached results and checkpoints")
     parser.add_argument("--require-done", action="store_true",
                         help="exit non-zero unless every job is DONE "
                         "(default requires only terminal states)")
@@ -67,17 +59,8 @@ def main(argv=None) -> int:
         return 2
 
     serve = dict(doc.get("serve", {}))
-    for key, value in (
-        ("store_dir", args.store),
-        ("max_jobs", args.max_jobs),
-        ("step_timeout", args.step_timeout),
-        ("startup_timeout", args.startup_timeout),
-        ("max_retries", args.max_retries),
-    ):
-        if value is not None:
-            serve[key] = value
-    if args.fresh:
-        serve["fresh"] = True
+    if args.store is not None:
+        serve["store_dir"] = args.store
     config = ServeConfig(**serve)
 
     specs = [JobSpec.from_wire(job) for job in doc["jobs"]]

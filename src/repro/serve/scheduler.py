@@ -32,7 +32,7 @@ Failure policy, layered (DESIGN.md section 6 has the full table):
   *configuration* (config hash, not job name) quarantine the job and its
   queued twins instead of burning their budgets.
 * **Graceful degradation** -- under pressure a job's ``parallel.executor``
-  grant shrinks (floor 1, exported as ``REPRO_WORKERS``) instead of the
+  grant shrinks (floor 1, written into the job file) instead of the
   job being rejected; the executor is bit-identical for any worker count.
 
 ``JobSpec.fn`` callables and ``isolation="inline"`` schedulers run jobs
@@ -532,22 +532,21 @@ class Scheduler:
         job_path = os.path.join(job_dir, "job.json")
         serve = {"store_dir": self.store.root,
                  "checkpoint_every": int(self.config.checkpoint_every),
-                 "resume": bool(self.config.resume and not self.config.fresh)}
+                 "resume": bool(self.config.resume and not self.config.fresh),
+                 "workers": record.granted_workers,
+                 "ranks": max(1, min(int(spec.ranks or 1),
+                                     record.granted_workers))}
         with open(job_path, "w") as fh:
             json.dump({"spec": spec.to_wire(), "serve": serve}, fh,
                       indent=1, sort_keys=True)
         log_path = os.path.join(job_dir,
                                 f"attempt_{record.attempt_index:02d}.log")
-        env = {"REPRO_WORKERS": str(record.granted_workers)}
-        if spec.ranks:
-            env["REPRO_PROCOMM_RANKS"] = str(
-                max(1, min(int(spec.ranks), record.granted_workers)))
         self._sel = self._sel or selectors.DefaultSelector()
         try:
             if self._zygote is None:   # one per run, on first use
                 self._zygote = zygote.start(self.config.python)
                 self._sel.register(self._zygote[1], selectors.EVENT_READ)
-            pipe_r = zygote.submit(self._zygote[1], job_path, env, log_path)
+            pipe_r = zygote.submit(self._zygote[1], job_path, log_path)
         except OSError as err:
             record.attempts.append({
                 "attempt": record.attempt_index, "outcome": "spawn_failed",

@@ -1,7 +1,8 @@
 """Job body of the ensemble service: run one supervised simulation.
 
 :func:`run_job` reads a job file written by the scheduler -- ``{"spec":
-<JobSpec wire dict>, "serve": <runtime options>}`` -- builds the scenario,
+<JobSpec wire dict>, "serve": <runtime options and the job's grant of
+workers and ranks>}`` -- builds the scenario under the granted engine,
 and runs it to completion, speaking a line-based JSON protocol on stdout
 (one flushed object per line)::
 
@@ -36,7 +37,6 @@ bit-identical to an uninterrupted run (asserted in ``tests/test_serve.py``).
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import signal
@@ -48,7 +48,7 @@ import numpy as np
 
 from ..obs import metrics as _metrics
 from ..parallel.distributed import ProcommEngine
-from ..parallel.executor import resolve_workers, use_executor
+from ..parallel.executor import thread_pool, use_executor
 from ..parallel.procomm import ProcessComm
 from ..resilience.health import HealthConfig
 from ..resilience.inject import FaultInjector, claim_sentinel
@@ -62,6 +62,10 @@ from .jobs import PHASES, JobSpec
 from .store import ResultStore, state_digest
 
 __all__ = ["build_simulation", "main", "run_job"]
+
+#: the job file's ``serve`` section, all written by the scheduler: the
+#: store, the checkpoint cadence, whether to resume, and the job's grant
+_SERVE_KEYS = ("store_dir", "checkpoint_every", "resume", "workers", "ranks")
 
 
 class _Terminated(BaseException):
@@ -175,12 +179,17 @@ def run_job(job_path: str, t_fork: float | None = None) -> int:
         doc = json.load(fh)
 
     spec = JobSpec.from_wire(doc["spec"])
-    opts = doc.get("serve", {})
-    store = ResultStore(opts.get("store_dir", "."))
+    opts = doc["serve"]
+    if set(opts) != set(_SERVE_KEYS):
+        raise ValueError(
+            f"serve options: unknown {sorted(set(opts) - set(_SERVE_KEYS))}"
+            f", missing {sorted(set(_SERVE_KEYS) - set(opts))}")
+    store = ResultStore(opts["store_dir"])
     config_hash = spec.config_hash()
     job_dir = store.job_dir(config_hash)
     cp_path = store.checkpoint_path(config_hash)
-    checkpoint_every = int(opts.get("checkpoint_every", 5))
+    checkpoint_every = int(opts["checkpoint_every"])
+    workers, ranks = int(opts["workers"]), int(opts["ranks"])
 
     def heartbeat(beat: dict) -> None:
         _emit("heartbeat", **beat)
@@ -195,50 +204,52 @@ def run_job(job_path: str, t_fork: float | None = None) -> int:
     comm = None
     last_committed: dict | None = None
     try:
-        t = time.perf_counter()
-        sim = build_simulation(spec)
-        # the Simulation constructor stamped its SimulationConfig hash;
-        # the *job* identity (scenario + seed + steps) is what names this
-        # run everywhere downstream -- flight dumps included
-        _metrics.set_manifest(config_hash=config_hash, job=spec.name)
-        install_job_faults(injector, spec.faults or {}, cp_path, job_dir)
-        phases["build"] = time.perf_counter() - t
-
-        resumed_from = 0
-        checkpoint_corrupt = False
-        if opts.get("resume", True) and os.path.exists(cp_path):
-            t = time.perf_counter()
-            try:
-                checkpoint.load_checkpoint(cp_path, sim)
-                resumed_from = sim.step_index
-            except ValueError as err:
-                # validated load rejected a corrupt archive with sim
-                # untouched: fall back to a fresh start
-                checkpoint_corrupt = True
-                _emit("checkpoint_corrupt", message=str(err))
-                store.clear_checkpoint(config_hash)
-            phases["resume_load"] = time.perf_counter() - t
-        phases["fork_to_started"] = time.perf_counter() - t0
-        _emit("started", resumed_from=resumed_from, nsteps=int(spec.nsteps),
-              config_hash=config_hash,
-              workers=resolve_workers(None))
-
-        # rank-decomposed execution: the scheduler's grant arrives as
-        # $REPRO_PROCOMM_RANKS; >= 2 routes every operator dispatch and
-        # CG reduction of this job through real rank processes (the
-        # result stays bit-identical to the serial run of the oracle
-        # engine -- same spans, same fixed-tree reductions)
-        ranks = int(os.environ.get("REPRO_PROCOMM_RANKS", "1") or 1)
-        scope = contextlib.nullcontext()
+        # the grant is the job's one engine, armed before anything is
+        # built so no ``StokesConfig.workers`` widens it: >= 2 ranks route
+        # every operator dispatch and CG reduction through real rank
+        # processes, else a pool of the granted width (the result is
+        # bit-identical either way -- same spans, same fixed-tree
+        # reductions)
         if ranks >= 2:
             comm = ProcessComm(ranks)
+            engine = ProcommEngine(comm)
+        else:
+            engine = thread_pool(workers)
+        with use_executor(engine):
+            t = time.perf_counter()
+            sim = build_simulation(spec)
             sim.comm = comm
-            scope = use_executor(ProcommEngine(comm))
+            # the Simulation constructor stamped its SimulationConfig
+            # hash; the *job* identity (scenario + seed + steps) is what
+            # names this run everywhere downstream -- flight dumps
+            # included -- next to the grant it ran under
+            _metrics.set_manifest(config_hash=config_hash, job=spec.name,
+                                  workers=workers, ranks=ranks)
+            install_job_faults(injector, spec.faults or {}, cp_path, job_dir)
+            phases["build"] = time.perf_counter() - t
 
-        newton_its = 0
-        krylov_its = 0
-        nsteps = int(spec.nsteps)
-        with scope:
+            resumed_from = 0
+            checkpoint_corrupt = False
+            if opts["resume"] and os.path.exists(cp_path):
+                t = time.perf_counter()
+                try:
+                    checkpoint.load_checkpoint(cp_path, sim)
+                    resumed_from = sim.step_index
+                except ValueError as err:
+                    # validated load rejected a corrupt archive with sim
+                    # untouched: fall back to a fresh start
+                    checkpoint_corrupt = True
+                    _emit("checkpoint_corrupt", message=str(err))
+                    store.clear_checkpoint(config_hash)
+                phases["resume_load"] = time.perf_counter() - t
+            phases["fork_to_started"] = time.perf_counter() - t0
+            _emit("started", resumed_from=resumed_from,
+                  nsteps=int(spec.nsteps), config_hash=config_hash,
+                  workers=workers)
+
+            newton_its = 0
+            krylov_its = 0
+            nsteps = int(spec.nsteps)
             while sim.step_index < nsteps:
                 t = time.perf_counter()
                 stats = sim.step(spec.dt)

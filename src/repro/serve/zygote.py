@@ -5,12 +5,13 @@ the first job that misses the cache) and :func:`submit` per attempt.  The
 process they talk to imports :mod:`repro.serve.worker` (everything a job
 body imports), loads the compiled Tensor kernel, and then, on one thread:
 
-* **forks** per datagram on its control socket: ``{"job", "env"}`` plus two
-  descriptors -- the scheduler's per-job pipe and the attempt log.  The
-  child calls ``setsid`` (so SIGKILLing its session sweeps the job's pool
-  and rank processes and nothing else), takes the pipe as stdout and the
-  log as stderr, applies ``env``, announces ``{"event": "spawned", "pid":
-  ...}`` and becomes :func:`repro.serve.worker.run_job`;
+* **forks** per datagram on its control socket: ``{"job"}`` (the job
+  file, which carries the job's grant) plus two descriptors -- the
+  scheduler's per-job pipe and the attempt log.  The child calls
+  ``setsid`` (so SIGKILLing its session sweeps the job's pool and rank
+  processes and nothing else), takes the pipe as stdout and the log as
+  stderr, announces ``{"event": "spawned", "pid": ...}`` and becomes
+  :func:`repro.serve.worker.run_job`;
 * **reaps** on SIGCHLD, writing ``{"event": "exit", "returncode": ...}`` to
   the dead job's own pipe, after everything the job wrote;
 * **leaves** at EOF on the control socket (the scheduler is gone), killing
@@ -57,9 +58,9 @@ def start(python: str) -> tuple[subprocess.Popen, socket.socket]:
         theirs.close()
 
 
-def submit(sock: socket.socket, job: str, env: dict, log_path: str) -> int:
+def submit(sock: socket.socket, job: str, log_path: str) -> int:
     """Ask for one forked job; returns the read end of its pipe."""
-    request = json.dumps({"job": job, "env": env}).encode()
+    request = json.dumps({"job": job}).encode()
     pipe_r, pipe_w = os.pipe()
     try:
         with open(log_path, "wb") as log_fh:
@@ -86,7 +87,6 @@ def _become_job(worker, request: dict, out_fd: int, log_fd: int,
         # the siblings' pipes and the zygote's plumbing are not ours
         for fd in (out_fd, log_fd, *inherited):
             os.close(fd)
-        os.environ.update(request["env"])
         worker._emit("spawned", pid=os.getpid())
         code = worker.run_job(request["job"], t_fork)
     except BaseException:  # noqa: BLE001 -- exits right below

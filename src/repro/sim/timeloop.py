@@ -216,14 +216,9 @@ class Simulation:
             if self.config.health is not None else None
         )
         # telemetry: stamp the run manifest (config hash rides into every
-        # JSON export) and honor $REPRO_FLIGHT auto-arming -- both are one
-        # dict update / env read at construction, not per-step cost
+        # JSON export) -- one dict update at construction, not per step
         _metrics.set_manifest(
             config_hash=_metrics.config_hash(self.config))
-        _flight.maybe_arm_from_env()
-        from ..obs import timeline as _timeline  # lazy: avoid import cycle
-
-        _timeline.maybe_arm_from_env()
         self.energy = None
         if self.config.thermal_kappa > 0.0:
             q1m = q1_companion_mesh(mesh)
@@ -663,16 +658,14 @@ class Simulation:
 
     def run(
         self, nsteps: int, dt: float | None = None,
-        progress: bool | None = None,
+        progress: bool = False,
     ) -> list[dict]:
         """Run ``nsteps`` steps; returns the per-step stats.
 
-        ``progress=True`` (or ``$REPRO_PROGRESS=1`` when ``None``) renders
-        a one-line live status to stderr after every step -- step, dt,
-        steps/s, latest residual, worker utilization -- for long runs.
+        ``progress=True`` renders a one-line live status to stderr after
+        every step -- step, dt, steps/s, latest residual, worker
+        utilization -- for long runs.
         """
-        if progress is None:
-            progress = _flight.progress_enabled()
         if not progress:
             return [self.step(dt) for _ in range(nsteps)]
         line = _flight.ProgressLine()

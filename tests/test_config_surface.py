@@ -3,14 +3,19 @@ spells them.
 
 A config field exists only when a caller outside the tests sets it; a
 setting nobody varies is a module constant next to the code that reads
-it.  ``FIELDS`` pins the set, so a new knob is a deliberate edit here.
+it.  Each setting has one way in: no environment variable or CLI flag
+shadows an argument or a config field.  ``FIELDS``, ``ENV_NAMES`` and
+``SERVE_FLAGS`` pin the sets, so a new knob is a deliberate edit here.
 """
 
 import dataclasses
 import json
+import pathlib
+import re
 
 import pytest
 
+import repro
 from repro.mg.gmg import GMGConfig
 from repro.mg.sa import SAConfig
 from repro.parallel.procomm import ProcommConfig
@@ -45,6 +50,15 @@ FIELDS = {
     ProcommConfig: ["heartbeat_timeout", "op_timeout", "startup_timeout"],
 }
 
+#: environment variables ``src/`` reads: CI legs and paths, nothing that
+#: an argument already takes
+ENV_NAMES = ["REPRO_CKERNEL_CACHE", "REPRO_FLIGHT_DIR", "REPRO_NO_CKERNEL",
+             "REPRO_WORKERS"]
+
+#: ``python -m repro.serve`` options; every other setting is a field of
+#: the battery file's ``serve`` section
+SERVE_FLAGS = ["--help", "--json", "--require-done", "--store"]
+
 SINKER = {"shape": [4, 4, 4], "n_spheres": 1, "radius": 0.2,
           "delta_eta": 10.0, "points_per_dim": 2}
 
@@ -67,6 +81,24 @@ def test_each_multigrid_setting_is_declared_once():
     assert issubclass(StokesConfig, GMGConfig)
     gmg = [f.name for f in dataclasses.fields(GMGConfig)]
     assert [f.name for f in dataclasses.fields(StokesConfig)][:6] == gmg
+
+
+def test_environment_variables_are_pinned():
+    src = pathlib.Path(repro.__file__).parent
+    names = {name for path in src.rglob("*.py")
+             for name in re.findall(r"REPRO_[A-Z_]+", path.read_text())}
+    assert sorted(names) == ENV_NAMES
+
+
+def test_serve_cli_flags_are_pinned(capsys):
+    from repro.serve.__main__ import main
+
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    text = capsys.readouterr().out
+    assert re.search(r"usage: .* battery\b", text, re.S)
+    assert sorted(set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))) \
+        == SERVE_FLAGS
 
 
 def test_simulation_config_round_trips_through_a_battery():

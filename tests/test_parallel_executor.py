@@ -98,6 +98,12 @@ class TestResolution:
         with pytest.raises(ValueError):
             resolve_workers(0)
 
+    @pytest.mark.parametrize("raw", ["two", "1.5"])
+    def test_bad_env_workers_name_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_WORKERS", raw)
+        with pytest.raises(ValueError, match=r"\$REPRO_WORKERS"):
+            resolve_workers(None)
+
     def test_env_workers_activate_operator(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
         mesh, eta, u = small_setup()

@@ -33,7 +33,6 @@ from repro.parallel import (
     VirtualComm,
     VirtualRankEngine,
     halo_exchange_plan,
-    resolve_workers,
     run_sinker_distributed,
     thread_pool,
     tree_reduce,
@@ -566,7 +565,7 @@ class TestServeIntegration:
         assert spec.config_hash() == plain.config_hash()
 
     def test_worker_ranks_run_bit_identical_to_oracle(
-            self, tmp_path, capsys, monkeypatch):
+            self, tmp_path, capsys):
         from repro.serve import worker
         from repro.serve.jobs import JobSpec
         from repro.serve.store import state_digest
@@ -581,18 +580,17 @@ class TestServeIntegration:
         job.write_text(json.dumps({
             "spec": spec.to_wire(),
             "serve": {"store_dir": str(tmp_path), "checkpoint_every": 0,
-                      "resume": False},
+                      "resume": False, "workers": 2, "ranks": 2},
         }))
 
-        monkeypatch.setenv("REPRO_PROCOMM_RANKS", "2")
         assert worker.run_job(str(job)) == 0
         events = [json.loads(line) for line in
                   capsys.readouterr().out.splitlines()]
         result = next(e for e in events if e["event"] == "result")
         assert result["ranks"] == 2
-        # the worker default is resolved in one place and reported as an int
+        # the job reports the grant its job file carries
         started = next(e for e in events if e["event"] == "started")
-        assert started["workers"] == resolve_workers(None)
+        assert started["workers"] == 2
 
         # inline oracle reference: same spec under the virtual engine
         sim = worker.build_simulation(spec)

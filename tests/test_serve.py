@@ -14,6 +14,7 @@ contracts everything else rests on:
 import glob
 import json
 import os
+import re
 import selectors
 import signal
 import subprocess
@@ -331,6 +332,90 @@ class TestWorkerGrants:
         sched = Scheduler(ServeConfig(total_workers=16))
         rec = sched.submit(sinker_spec("a", seed=1))
         assert sched._grant_workers(rec) == 5
+
+
+class TestJobFile:
+    """The job file's ``serve`` section is a job's one source of runtime
+    options, its grant of workers and ranks included."""
+
+    @staticmethod
+    def write_job(tmp_path, spec, **serve):
+        opts = {"store_dir": str(tmp_path), "checkpoint_every": 0,
+                "resume": False, "workers": 1, "ranks": 1, **serve}
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"spec": spec.to_wire(), "serve": opts}))
+        return str(path)
+
+    @pytest.mark.parametrize("request_kw, grant", [
+        ({"workers": 2}, {"workers": 2, "ranks": 1}),
+        ({"workers": 1, "ranks": 3}, {"workers": 3, "ranks": 3}),
+    ])
+    def test_scheduler_writes_the_grant(self, tmp_path, monkeypatch,
+                                        request_kw, grant):
+        def no_zygote(python):
+            raise OSError("no zygote in this test")
+
+        monkeypatch.setattr(zygote_mod, "start", no_zygote)
+        sched = Scheduler(battery_config(tmp_path, total_workers=4))
+        rec = sched.submit(sinker_spec("g", seed=1, **request_kw))
+        sched._launch(rec)
+        job = os.path.join(sched.store.job_dir(rec.config_hash), "job.json")
+        with open(job) as fh:
+            serve = json.load(fh)["serve"]
+        assert serve == {"store_dir": sched.store.root,
+                         "checkpoint_every": 1, "resume": True, **grant}
+
+    def test_zygote_request_is_the_job_file_alone(self, tmp_path):
+        import socket
+
+        ours, theirs = socket.socketpair(socket.AF_UNIX,
+                                         socket.SOCK_SEQPACKET)
+        with ours, theirs:
+            pipe_r = zygote_mod.submit(ours, "job.json",
+                                       str(tmp_path / "attempt.log"))
+            message, fds, _, _ = socket.recv_fds(theirs, 1 << 16, 2)
+            for fd in (pipe_r, *fds):
+                os.close(fd)
+        assert json.loads(message) == {"job": "job.json"}
+
+    def test_grant_beats_the_jobs_own_workers(self, tmp_path, capsys,
+                                              monkeypatch):
+        from repro.parallel import executor
+        from repro.serve import worker
+
+        monkeypatch.setattr(executor, "_POOLS", {})
+        spec = JobSpec(name="own", scenario="sinker", scenario_config=SC,
+                       sim_config={**SIM, "stokes": {**SIM["stokes"],
+                                                     "workers": 2}},
+                       nsteps=1, seed=61)
+        assert worker.run_job(self.write_job(tmp_path, spec)) == 0
+        # granted one worker, the job runs serial: its StokesConfig asked
+        # for 2, but no pool of that width was ever built
+        assert executor._POOLS == {}
+        events = [json.loads(line)
+                  for line in capsys.readouterr().out.splitlines()]
+        started = next(e for e in events if e["event"] == "started")
+        assert started["workers"] == 1
+        # exports and flight dumps record the grant the job ran under
+        manifest = metrics.build_manifest()
+        assert (manifest["workers"], manifest["ranks"]) == (1, 1)
+
+    @pytest.mark.parametrize("edit, word", [
+        (lambda serve: serve.update(fresh=True), "unknown ['fresh']"),
+        (lambda serve: serve.pop("ranks"), "missing ['ranks']"),
+    ])
+    def test_serve_section_is_exactly_what_the_scheduler_writes(
+            self, tmp_path, edit, word):
+        from repro.serve import worker
+
+        path = self.write_job(tmp_path, sinker_spec("x", seed=1, nsteps=1))
+        with open(path) as fh:
+            doc = json.load(fh)
+        edit(doc["serve"])
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(ValueError, match=re.escape(word)):
+            worker.run_job(path)
 
 
 class TestEligibility:
@@ -888,17 +973,35 @@ class TestCLI:
         assert states["a-twin"]["cache_hit"]
         assert "a-twin" in capsys.readouterr().out
 
-    def test_cli_flags_override_file(self, tmp_path):
+    def test_store_flag_overrides_file(self, tmp_path):
         from repro.serve.__main__ import main
 
         path = tmp_path / "battery.json"
-        path.write_text(json.dumps({"jobs": [
-            {"name": "a", "scenario": "sinker", "scenario_config": SC,
-             "sim_config": SIM, "nsteps": 1, "seed": 52},
-        ]}))
+        path.write_text(json.dumps({
+            "serve": {"max_jobs": 1, "max_retries": 0,
+                      "store_dir": str(tmp_path / "file-store")},
+            "jobs": [{"name": "a", "scenario": "sinker",
+                      "scenario_config": SC, "sim_config": SIM,
+                      "nsteps": 1, "seed": 52}],
+        }))
+        out_json = tmp_path / "report.json"
         rc = main([str(path), "--store", str(tmp_path / "s"),
-                   "--max-jobs", "1", "--max-retries", "0"])
+                   "--json", str(out_json)])
         assert rc == 0
+        job = json.loads(out_json.read_text())["jobs"][0]
+        store = ResultStore(str(tmp_path / "s"))
+        assert store.get(job["config_hash"]) is not None
+        assert not (tmp_path / "file-store").exists()
+
+    def test_flags_shadowing_the_serve_section_are_gone(self, tmp_path):
+        from repro.serve.__main__ import main
+
+        path = tmp_path / "battery.json"
+        path.write_text(json.dumps({"jobs": []}))
+        # the battery file's ``serve`` section sets max_jobs
+        with pytest.raises(SystemExit) as exc:
+            main([str(path), "--max-jobs", "1"])
+        assert exc.value.code == 2
 
     def test_malformed_battery_is_an_error(self, tmp_path):
         from repro.serve.__main__ import main

@@ -23,8 +23,6 @@ QUAD = GaussQuadrature.hex(3)
 
 @pytest.fixture(autouse=True)
 def clean_obs(monkeypatch):
-    monkeypatch.delenv("REPRO_MACHINE", raising=False)
-    monkeypatch.delenv("REPRO_FLIGHT", raising=False)
     monkeypatch.delenv("REPRO_FLIGHT_DIR", raising=False)
     obs.disable()
     obs.reset()
@@ -154,14 +152,6 @@ class TestMachineResolution:
     def test_default_is_laptop(self):
         assert resolve_machine(None) is LAPTOP
 
-    def test_env_selects(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MACHINE", "edison")
-        assert resolve_machine(None).name == "edison"
-
-    def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MACHINE", "edison")
-        assert resolve_machine("laptop") is LAPTOP
-
     def test_case_insensitive_and_passthrough(self):
         assert resolve_machine("EDISON").name == "edison"
         m = MACHINES["edison"]
@@ -234,20 +224,6 @@ class TestFlightRecorder:
         with open(path) as fh:
             step = json.load(fh)["steps"][0]
         assert step["stats"] == {"fnorm": 1e-9, "ok": True, "res": [0, 1, 2]}
-
-    def test_arm_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLIGHT", "0")
-        assert flight.maybe_arm_from_env() is None
-        monkeypatch.setenv("REPRO_FLIGHT", "8")
-        assert flight.maybe_arm_from_env().capacity == 8
-        flight.disarm()
-        monkeypatch.setenv("REPRO_FLIGHT", "yes")
-        assert flight.maybe_arm_from_env().capacity == 32
-
-    def test_arm_from_env_keeps_existing_recorder(self, monkeypatch):
-        rec = flight.arm(capacity=5)
-        monkeypatch.setenv("REPRO_FLIGHT", "16")
-        assert flight.maybe_arm_from_env() is rec
 
     def test_reset_clears_buffer_but_stays_armed(self, tmp_path):
         rec = flight.arm(capacity=4, directory=tmp_path)
@@ -349,33 +325,6 @@ class TestProgressLine:
         line = obs.ProgressLine(stream=Broken())
         line.update(0, 0.0, 0.1)
         line.close()
-
-    def test_progress_env_flag(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROGRESS", raising=False)
-        assert not flight.progress_enabled()
-        monkeypatch.setenv("REPRO_PROGRESS", "1")
-        assert flight.progress_enabled()
-        monkeypatch.setenv("REPRO_PROGRESS", "false")
-        assert not flight.progress_enabled()
-
-
-@pytest.mark.parametrize("raw, on", [
-    ("", False), ("0", False), ("false", False), ("False", False),
-    ("NO", False), ("No", False), ("off", False), (" no ", False),
-    ("1", True), ("yes", True), ("True", True), ("on", True), ("8", True),
-])
-def test_on_off_flags_share_one_rule(monkeypatch, raw, on):
-    from repro.obs import timeline
-
-    monkeypatch.setenv("REPRO_FLIGHT", raw)
-    monkeypatch.setenv("REPRO_PROGRESS", raw)
-    monkeypatch.setenv("REPRO_TIMELINE", raw)
-    try:
-        assert (flight.maybe_arm_from_env() is not None) is on
-        assert flight.progress_enabled() is on
-        assert (timeline.maybe_arm_from_env() is not None) is on
-    finally:
-        timeline.disarm()
 
 
 # --------------------------------------------------------------------- #

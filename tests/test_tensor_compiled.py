@@ -371,6 +371,26 @@ class TestFallback:
         ref = make_operator("tensor_c", mesh, eta, quad=QUAD)
         assert np.array_equal(op.apply(u), ref.apply(u))
 
+    @pytest.mark.parametrize("raw", ["", "0", "1"])
+    def test_kill_switch_is_exactly_one(self, monkeypatch, raw):
+        monkeypatch.setenv(_ckernel.ENV_DISABLE, raw)
+        _ckernel._reset_for_tests()
+        try:
+            disabled = f"disabled via ${_ckernel.ENV_DISABLE}"
+            assert (_ckernel.unavailable_reason() == disabled) is (raw == "1")
+        finally:
+            _ckernel._reset_for_tests()
+
+    @pytest.mark.parametrize("raw", ["yes", "true", "2"])
+    def test_kill_switch_rejects_other_values(self, monkeypatch, raw):
+        monkeypatch.setenv(_ckernel.ENV_DISABLE, raw)
+        _ckernel._reset_for_tests()
+        try:
+            with pytest.raises(ValueError, match=r"\$REPRO_NO_CKERNEL"):
+                _ckernel.load()
+        finally:
+            _ckernel._reset_for_tests()
+
     def test_compile_failure_degrades_gracefully(self, monkeypatch, tmp_path):
         monkeypatch.delenv(_ckernel.ENV_DISABLE, raising=False)
         monkeypatch.setenv(_ckernel.ENV_CACHE, str(tmp_path))

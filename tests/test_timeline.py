@@ -16,7 +16,6 @@ from tests.conftest import dispatch_engine
 
 @pytest.fixture(autouse=True)
 def clean_obs(monkeypatch):
-    monkeypatch.delenv("REPRO_TIMELINE", raising=False)
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     obs.disable()
     obs.reset()
@@ -71,22 +70,6 @@ class TestRingBuffer:
         assert t.recorded == 0 and t.buffers == {}
         # dispatch ids restart with the cleared timeline
         assert t.sink("T", "task", "", 0.0, 1.0, rank=0, dispatch=None) == 0
-
-    def test_env_arming(self, monkeypatch):
-        assert tl.maybe_arm_from_env() is None
-        monkeypatch.setenv("REPRO_TIMELINE", "0")
-        assert tl.maybe_arm_from_env() is None
-        monkeypatch.setenv("REPRO_TIMELINE", "false")
-        assert tl.maybe_arm_from_env() is None
-        monkeypatch.setenv("REPRO_TIMELINE", "1")
-        t = tl.maybe_arm_from_env()
-        assert t is not None
-        assert t.capacity == tl.DEFAULT_CAPACITY  # "1" is on, not capacity 1
-        tl.disarm()
-        monkeypatch.setenv("REPRO_TIMELINE", "512")
-        assert tl.maybe_arm_from_env().capacity == 512
-        # idempotent while armed: the same timeline comes back
-        assert tl.maybe_arm_from_env() is tl.armed()
 
 
 # --------------------------------------------------------------------- #
