@@ -13,9 +13,10 @@ polluted solve inflates at most two.  Fails above ``--max-overhead``.  The disab
 enabled path end to end, where per-event timer costs could silently grow.
 
 ``--mode sim`` guards the full telemetry layer instead: the timed work is
-a short coupled time-loop run, and the enabled side runs with the metric
-time-series *and* an armed flight recorder buffering every step -- the
-"telemetry-enabled overhead on the clean path" bound.
+a short coupled time-loop run, and the enabled side records the ``step``
+trace stream with an armed flight recorder, and derives the per-step
+metric series from it -- the "telemetry-enabled overhead on the clean
+path" bound.
 
 Run:  python benchmarks/check_obs_overhead.py [--mode solve|sim]
 """
@@ -50,8 +51,9 @@ def solve_once(enabled: bool) -> float:
 
 def sim_once(enabled: bool, timeline: bool = False) -> float:
     """Two coupled time steps, with the whole telemetry layer on one side:
-    profiling, per-step metric sampling, and an armed flight recorder --
-    plus armed timeline span capture when ``timeline`` is set."""
+    profiling, the step stream, an armed flight recorder and the derived
+    metric series -- plus armed timeline span capture when ``timeline``
+    is set."""
     from repro import SimulationConfig
     from repro.sim.sinker import make_sinker
 
@@ -69,8 +71,8 @@ def sim_once(enabled: bool, timeline: bool = False) -> float:
     stats = sim.run(2)
     elapsed = time.perf_counter() - t0
     if enabled:
-        assert obs.metrics.export()["series"], "telemetry recorded nothing"
-        assert len(obs.flight.armed().steps) == 2
+        assert len(obs.REGISTRY.traces["step"]) == 2, "expected 2 step records"
+        assert obs.metrics.export()["series"], "derived no metric series"
         if timeline:
             assert obs.timeline.armed().recorded > 0, \
                 "timeline armed but recorded no spans"
@@ -91,7 +93,7 @@ def main(argv=None) -> int:
     ap.add_argument("--mode", choices=("solve", "sim"), default="solve",
                     help="'solve': one Stokes solve, profiling only; "
                          "'sim': a short time-loop run with the full "
-                         "telemetry layer (metrics + flight recorder) on "
+                         "telemetry layer (step stream + flight recorder) on "
                          "the enabled side (default %(default)s)")
     ap.add_argument("--timeline", action="store_true",
                     help="(sim mode) also arm repro.obs.timeline span "

@@ -82,8 +82,7 @@ def log_view_run(trace_path: str = "quickstart_trace.json",
             free_surface=True,
         ),
     )
-    sim.run(2)
-    sim.log.attach()  # per-step Newton/Krylov counts ride into the JSON
+    sim.run(2)  # each step's Newton/Krylov counts ride into the JSON
     print()
     obs.log_view(machine=machine)
     doc = obs.write_json(trace_path, meta={"run": "quickstart", "steps": 2})
@@ -123,8 +122,8 @@ def inject_fault_run() -> None:
 
     The flight recorder is armed for the run, so the rollback fired by
     the second fault automatically dumps a schema-validated
-    ``FLIGHT_rollback_*.json`` black box with the final steps of metrics,
-    events, and traces leading up to the failure.
+    ``FLIGHT_rollback_*.json`` black box with the last accepted step
+    records, events, and traces leading up to the failure.
     """
     from repro import FaultInjector, SimulationConfig, obs
     from repro.sim.sinker import SinkerConfig, make_sinker
@@ -178,7 +177,7 @@ def inject_fault_run() -> None:
         dump = obs.validate_flight(json.load(fh))
     assert dump["trigger"]["kind"] == "rollback"
     assert dump["steps"], "flight dump carries no buffered steps"
-    assert all("metrics" in s and "stats" in s for s in dump["steps"])
+    assert all("dt" in s and "krylov_iterations" in s for s in dump["steps"])
     assert dump["metrics"]["series"], "flight dump carries no metric series"
     print(f"flight recorder dumped {len(recorder.dumps)} black box(es); "
           f"last: {recorder.dumps[-1]} ({len(dump['steps'])} buffered "

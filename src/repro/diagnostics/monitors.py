@@ -8,8 +8,6 @@ over GMRES (SS III-A).  :class:`FieldSplitMonitor` plugs into the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
@@ -48,45 +46,6 @@ class FieldSplitMonitor:
         }
 
     def attach(self, name: str = "fieldsplit") -> dict:
-        """Export into the ``repro.obs`` JSON document (``"monitors"`` key)."""
-        from ..obs.trace import attach_monitor
-
-        data = self.as_dict()
-        attach_monitor(name, data)
-        return data
-
-
-@dataclass
-class IterationLog:
-    """Per-time-step solver statistics (the Fig. 4 record)."""
-
-    newton_per_step: list[int] = field(default_factory=list)
-    krylov_per_step: list[int] = field(default_factory=list)
-    seconds_per_step: list[float] = field(default_factory=list)
-    nonlinear_converged: list[bool] = field(default_factory=list)
-
-    def record(self, newton: int, krylov: int, seconds: float, converged: bool):
-        self.newton_per_step.append(int(newton))
-        self.krylov_per_step.append(int(krylov))
-        self.seconds_per_step.append(float(seconds))
-        self.nonlinear_converged.append(bool(converged))
-
-    @property
-    def average_krylov(self) -> float:
-        ks = self.krylov_per_step
-        return float(np.mean(ks)) if ks else float("nan")
-
-    def as_dict(self) -> dict:
-        """JSON export, parallel to :meth:`FieldSplitMonitor.as_dict`."""
-        return {
-            "newton_per_step": list(self.newton_per_step),
-            "krylov_per_step": list(self.krylov_per_step),
-            "seconds_per_step": list(self.seconds_per_step),
-            "nonlinear_converged": list(self.nonlinear_converged),
-            "average_krylov": self.average_krylov,
-        }
-
-    def attach(self, name: str = "iteration_log") -> dict:
         """Export into the ``repro.obs`` JSON document (``"monitors"`` key)."""
         from ..obs.trace import attach_monitor
 

@@ -6,10 +6,14 @@ nested stage/event wall-time profiling with flop and byte accounting, and
 replies, failed recovery attempts) (:mod:`~repro.obs.registry`); a
 ``-log_view`` ASCII summary with achieved GF/s, GB/s and roofline
 fractions (:mod:`~repro.obs.report`); structured solver convergence
-traces exported through a stable JSON schema (:mod:`~repro.obs.trace`);
-per-step metric series and the run manifest (:mod:`~repro.obs.metrics`);
-the flight recorder (:mod:`~repro.obs.flight`); and the span timeline
-every load-balance number is computed from (:mod:`~repro.obs.timeline`).
+traces and the one record per accepted time step (``trace_step``),
+exported through a stable JSON schema (:mod:`~repro.obs.trace`); the
+per-step metric series derived from that step stream, and the run
+manifest (:mod:`~repro.obs.metrics`); the flight recorder, whose ring is
+the tail of the same stream (:mod:`~repro.obs.flight`); and the span
+timeline every load-balance number is computed from
+(:mod:`~repro.obs.timeline`).  Per-step data lives once, in
+``REGISTRY.traces``; series and rings are computed from it on export.
 
 Typical use::
 
@@ -58,6 +62,7 @@ from .trace import (
     trace_mg,
     trace_resilience,
     trace_snes,
+    trace_step,
     validate,
     write_json,
 )
@@ -69,7 +74,7 @@ __all__ = [
     "record_span",
     "log_view", "roofline_fraction",
     "SCHEMA", "snapshot", "validate", "write_json", "attach_monitor",
-    "trace_ksp", "trace_snes", "trace_mg", "trace_resilience",
+    "trace_ksp", "trace_snes", "trace_mg", "trace_resilience", "trace_step",
     "metrics", "flight", "timeline",
     "FLIGHT_SCHEMA", "ProgressLine", "validate_flight",
 ]

@@ -1,11 +1,11 @@
 """Failure flight recorder and live progress line (``repro.obs.flight``).
 
 A ``-log_view`` aggregate cannot show what the solver was doing in the
-moments *before* a rollback killed a step.  The flight recorder keeps a
-bounded ring buffer of the last N per-step records -- the step stats the
-time loop produces plus the committed metric row from
-:mod:`repro.obs.metrics` -- and dumps it automatically as a
-schema-validated ``FLIGHT_*.json`` whenever a failure trigger fires:
+moments *before* a rollback killed a step.  The flight recorder dumps a
+schema-validated ``FLIGHT_*.json`` black box whenever a failure trigger
+fires; its ``steps`` ring is the last ``capacity`` records of the
+``step`` trace stream (:func:`repro.obs.trace.trace_step`), read at dump
+time, so the recorder stores nothing of its own:
 
 =================  ====================================================
 trigger            fired by
@@ -19,13 +19,13 @@ trigger            fired by
 =================  ====================================================
 
 The recorder is **armed explicitly** (:func:`arm`) -- it is never on by
-accident, and while disarmed :func:`record_step` / :func:`trigger` are
-one ``is None`` test.  Dumps go to ``$REPRO_FLIGHT_DIR`` (default: the
-working directory).
+accident, and while disarmed :func:`trigger` is one ``is None`` test.
+Dumps go to ``$REPRO_FLIGHT_DIR`` (default: the working directory).
 
 :class:`ProgressLine` is the companion live view for long runs: one
 ``\\r``-rewritten stderr line with step, dt, steps/s, the latest residual
-norm, and how many workers were busy -- enabled with
+norm (the last ``snes``/``ksp`` trace record), and how many workers were
+busy -- enabled with
 ``Simulation.run(..., progress=True)``.
 """
 
@@ -35,10 +35,9 @@ import json
 import os
 import sys
 import time
-from collections import deque
 
 from . import metrics
-from .registry import REGISTRY, register_reset_hook
+from .registry import REGISTRY
 
 __all__ = [
     "FLIGHT_SCHEMA",
@@ -47,7 +46,6 @@ __all__ = [
     "arm",
     "armed",
     "disarm",
-    "record_step",
     "trigger",
     "validate_flight",
 ]
@@ -60,23 +58,8 @@ ENV_FLIGHT_DIR = "REPRO_FLIGHT_DIR"
 _TRACE_TAIL = 200
 
 
-def _jsonable(obj):
-    """Deep-convert numpy scalars/arrays so ``json.dump`` never chokes on
-    a stats dict assembled from solver internals."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if hasattr(obj, "item") and callable(obj.item):  # numpy scalar
-        try:
-            return obj.item()
-        except (ValueError, TypeError):
-            return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
 class FlightRecorder:
-    """Bounded ring buffer of per-step records with triggered dumps."""
+    """Triggered black-box dumps of the last ``capacity`` step records."""
 
     def __init__(self, capacity: int = 32,
                  directory: str | os.PathLike | None = None,
@@ -84,7 +67,6 @@ class FlightRecorder:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self.steps: deque = deque(maxlen=self.capacity)
         self.directory = os.fspath(
             directory
             if directory is not None
@@ -94,20 +76,13 @@ class FlightRecorder:
         self.dumps: list[str] = []   # paths written, oldest first
         self._dump_index = 0
 
-    def record_step(self, record: dict) -> None:
-        """Buffer one per-step record (evicts the oldest past capacity)."""
-        self.steps.append(_jsonable(record))
-
-    def clear(self) -> None:
-        self.steps.clear()
-
     def document(self, kind: str, detail: dict | None = None) -> dict:
         """The dump document for one trigger (schema-validated by dump)."""
         return {
             "schema": FLIGHT_SCHEMA,
             "trigger": {"kind": str(kind), **(detail or {})},
             "capacity": self.capacity,
-            "steps": [dict(s) for s in self.steps],
+            "steps": REGISTRY.traces["step"][-self.capacity:],
             "events": [e.as_dict() for e in REGISTRY.events.values()],
             "traces_tail": {
                 k: list(v[-_TRACE_TAIL:]) for k, v in REGISTRY.traces.items()
@@ -158,7 +133,7 @@ class FlightRecorder:
         return path
 
 
-#: the armed recorder; ``None`` keeps record_step/trigger a single test
+#: the armed recorder; ``None`` keeps trigger a single test
 _RECORDER: FlightRecorder | None = None
 
 
@@ -171,7 +146,7 @@ def arm(capacity: int = 32, directory: str | os.PathLike | None = None,
 
 
 def disarm() -> None:
-    """Disarm; buffered steps are dropped, written dumps stay on disk."""
+    """Disarm; written dumps stay on disk."""
     global _RECORDER
     _RECORDER = None
 
@@ -181,12 +156,6 @@ def armed() -> FlightRecorder | None:
     return _RECORDER
 
 
-def record_step(record: dict) -> None:
-    """Buffer one step record into the armed recorder (cheap no-op else)."""
-    if _RECORDER is not None:
-        _RECORDER.record_step(record)
-
-
 def trigger(kind: str, **detail) -> str | None:
     """Dump the black box for one failure event; returns the path (or
     ``None`` while disarmed -- the failure handling itself never depends
@@ -194,14 +163,6 @@ def trigger(kind: str, **detail) -> str | None:
     if _RECORDER is None:
         return None
     return _RECORDER.dump(kind, detail)
-
-
-def _clear_on_reset() -> None:
-    if _RECORDER is not None:
-        _RECORDER.clear()
-
-
-register_reset_hook(_clear_on_reset)
 
 
 # --------------------------------------------------------------------- #
@@ -249,6 +210,16 @@ def _task_seconds() -> float:
                if ev.name.startswith("ParExecTask:"))
 
 
+def _last_residual() -> float | None:
+    """The latest nonlinear residual norm, else the latest Krylov one."""
+    traces = REGISTRY.traces
+    if traces["snes"]:
+        return traces["snes"][-1]["fnorm"]
+    if traces["ksp"]:
+        return traces["ksp"][-1]["rnorm"]
+    return None
+
+
 class ProgressLine:
     """One-line ``\\r``-rewritten run status for long simulations.
 
@@ -256,9 +227,9 @@ class ProgressLine:
 
     Steps/s is a running average over the line's lifetime; busy workers
     is the executor task-event seconds added since the previous update
-    divided by the wall time since then.  Like the residual column it
-    reads ``repro.obs``, so it shows only while profiling is enabled and
-    some task has run.  Writes to ``stream`` (default stderr) and never
+    divided by the wall time since then.  Like the residual column (the
+    last ``snes``, else ``ksp``, trace record) it reads ``repro.obs``, so
+    it shows only while profiling is enabled and some task has run.  Writes to ``stream`` (default stderr) and never
     raises -- a broken pipe must not kill the run it narrates.
 
     The ``\\r`` rewrite only happens when the stream reports
@@ -304,9 +275,7 @@ class ProgressLine:
         self._last_busy = busy
         self._last_t = now
         if residual is None:
-            residual = metrics.get_gauge("snes_last_fnorm")
-            if residual is None:
-                residual = metrics.get_gauge("ksp_last_rnorm")
+            residual = _last_residual()
         text = self.format(step, sim_time, dt, residual, busy_workers)
         self._width = max(self._width, len(text))
         try:

@@ -1,39 +1,29 @@
-"""Per-step metric time-series and the run manifest (``repro.obs.metrics``).
+"""Per-step metric series and the run manifest (``repro.obs.metrics``).
 
 The ``-log_view`` registry (:mod:`repro.obs.registry`) answers *where the
-time went* as a post-mortem aggregate; this module answers *how the run
-evolved*: a compact set of instruments sampled once per time step (and,
-through the trace appenders, per solve) into columnar time-series that
-ride inside the ``repro.obs/1`` JSON document under ``"metrics"``.
+time went* as a post-mortem aggregate; the ``step`` trace stream
+(:func:`repro.obs.trace.trace_step`, one record per accepted time step)
+answers *how the run evolved*.  :func:`export` turns that stream into
+columnar series -- one per numeric step field, nested dicts flattened
+with dots (``health.clipped``, ``comm.messages``) -- that ride inside the
+``repro.obs/1`` JSON document under ``"metrics"``.  Nothing is stored
+here: the series are a pure function of ``REGISTRY.traces["step"]``.
 
-Three instrument kinds, Prometheus-style:
+Two series kinds, Prometheus-style:
 
 ``counter``
-    Monotone cumulative count (:func:`inc`): Krylov/Newton iterations,
-    V-cycle counts, points lost/injected, resilience events.  The series
-    records the cumulative value at each commit, so per-step rates are
-    first differences.
+    A field in :data:`COUNTS` (Newton/Krylov iterations, points lost or
+    injected, retries, health repairs): the series holds the cumulative
+    value at each step, so per-step values are first differences.
 ``gauge``
-    Last-write-wins sample (:func:`gauge`): dt, residual norms, MPM point
-    census, the simulation's communicator totals.
-``histogram``
-    Running ``count/sum/min/max`` summary (:func:`observe`), exported as
-    four sub-series (``name.count`` ...).
-
-:func:`commit_step` flushes every touched instrument as one sample row
-and returns it -- the flight recorder buffers it.  Every instrument is
-written by the code that owns the number (executor timings are
-``ParExec*`` events, not gauges).
+    Every other numeric field (``dt``, ``time``, ``points``, ``seconds``,
+    ``comm.*`` totals, ...): the step's value as recorded.
 
 Every export also carries a **run manifest** (:func:`build_manifest`):
 config hash, machine model, package versions, RNG seed, the compiled
 tensor kernel actually used (ISA variant, or why it fell back) and the
 ``REPRO_*`` environment -- so any ``BENCH_*.json`` / ``FLIGHT_*.json`` is
 self-describing and two documents can be compared knowing *what* ran.
-
-All appenders early-return on the module flag while profiling is
-disabled -- the clean path stays one attribute test, matching the
-registry contract.
 """
 
 from __future__ import annotations
@@ -44,138 +34,65 @@ import json
 import os
 import platform
 
-from .registry import STATE, register_reset_hook
+from .registry import REGISTRY, register_reset_hook
 
 __all__ = [
+    "COUNTS",
     "build_manifest",
-    "commit_step",
     "config_hash",
     "export",
-    "gauge",
-    "get_gauge",
-    "inc",
     "manifest_override",
-    "observe",
     "set_manifest",
 ]
 
 #: manifest schema tag (nested inside the ``repro.obs/1`` document)
 MANIFEST_SCHEMA = "repro.obs.manifest/1"
 
+#: step fields that count work done within the step: their series
+#: accumulate; every other numeric field is a gauge
+COUNTS = frozenset({
+    "newton_iterations", "krylov_iterations", "points_lost",
+    "points_injected", "retries", "health.mesh_repairs", "health.thinned",
+    "health.injected", "health.clipped",
+})
 
-class _Store:
-    """All metric state; cleared in place by the registry reset hook."""
-
-    __slots__ = ("counters", "gauges", "hists", "series", "overrides",
-                 "last_step")
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self):
-        self.counters: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
-        # name -> [count, sum, min, max]
-        self.hists: dict[str, list] = {}
-        # name -> {"kind": str, "steps": [int], "values": [float]}
-        self.series: dict[str, dict] = {}
-        #: manifest fields set by the application (config hash, seed, ...)
-        self.overrides: dict = {}
-        self.last_step: int | None = None
-
-
-_STORE = _Store()
-register_reset_hook(_STORE.clear)
+#: manifest fields set by the application (config hash, seed, ...)
+_OVERRIDES: dict = {}
+register_reset_hook(_OVERRIDES.clear)
 
 
 # --------------------------------------------------------------------- #
-# instruments
+# per-step series, derived from the step stream
 # --------------------------------------------------------------------- #
-def inc(name: str, n: float = 1) -> None:
-    """Bump a cumulative counter (no-op while profiling is disabled)."""
-    if not STATE.enabled:
-        return
-    _STORE.counters[name] = _STORE.counters.get(name, 0) + n
-
-
-def gauge(name: str, value: float) -> None:
-    """Set a last-write-wins gauge (no-op while profiling is disabled)."""
-    if not STATE.enabled:
-        return
-    _STORE.gauges[name] = float(value)
-
-
-def get_gauge(name: str, default: float | None = None) -> float | None:
-    """Current value of a gauge (the progress line reads residuals here)."""
-    return _STORE.gauges.get(name, default)
-
-
-def observe(name: str, value: float) -> None:
-    """Add one observation to a running histogram summary."""
-    if not STATE.enabled:
-        return
-    value = float(value)
-    h = _STORE.hists.get(name)
-    if h is None:
-        _STORE.hists[name] = [1, value, value, value]
-    else:
-        h[0] += 1
-        h[1] += value
-        h[2] = min(h[2], value)
-        h[3] = max(h[3], value)
-
-
-# --------------------------------------------------------------------- #
-# per-step sampling
-# --------------------------------------------------------------------- #
-def _append(name: str, kind: str, step: int, value: float) -> None:
-    s = _STORE.series.get(name)
-    if s is None:
-        s = _STORE.series[name] = {"kind": kind, "steps": [], "values": []}
-    s["steps"].append(int(step))
-    s["values"].append(float(value))
-
-
-def commit_step(step: int) -> dict:
-    """Sample every touched instrument at ``step``; returns the flat row.
-
-    Counters emit their cumulative value, gauges their current value,
-    histograms their ``count/sum/min/max`` summary -- one appended sample
-    per series per commit.
-    """
-    if not STATE.enabled:
-        return {}
-    row: dict[str, float] = {}
-    for name in sorted(_STORE.counters):
-        v = _STORE.counters[name]
-        _append(name, "counter", step, v)
-        row[name] = float(v)
-    for name in sorted(_STORE.gauges):
-        v = _STORE.gauges[name]
-        _append(name, "gauge", step, v)
-        row[name] = float(v)
-    for name in sorted(_STORE.hists):
-        cnt, tot, lo, hi = _STORE.hists[name]
-        for suffix, v in (("count", cnt), ("sum", tot), ("min", lo),
-                          ("max", hi)):
-            _append(f"{name}.{suffix}", "histogram", step, v)
-            row[f"{name}.{suffix}"] = float(v)
-    _STORE.last_step = int(step)
-    return row
+def _numeric_fields(record: dict, prefix: str = ""):
+    """``(dotted name, value)`` of every numeric field of a step record."""
+    for key, val in record.items():
+        if isinstance(val, dict):
+            yield from _numeric_fields(val, f"{prefix}{key}.")
+        elif isinstance(val, (int, float)) and not isinstance(val, bool):
+            yield prefix + key, val
 
 
 def export() -> dict:
-    """The metric time-series as the ``"metrics"`` block of the document."""
-    series = [
-        {
-            "name": name,
-            "kind": s["kind"],
-            "steps": list(s["steps"]),
-            "values": [float(v) for v in s["values"]],
-        }
-        for name, s in sorted(_STORE.series.items())
-    ]
-    return {"series": series, "last_step": _STORE.last_step}
+    """The ``"metrics"`` block of the document: one series per numeric
+    field of the ``step`` stream, sampled at each record's ``step``."""
+    records = REGISTRY.traces["step"]
+    series: dict[str, dict] = {}
+    for rec in records:
+        for name, value in _numeric_fields(rec):
+            if name == "step":
+                continue
+            s = series.get(name)
+            if s is None:
+                kind = "counter" if name in COUNTS else "gauge"
+                s = series[name] = {"name": name, "kind": kind,
+                                    "steps": [], "values": []}
+            if s["kind"] == "counter" and s["values"]:
+                value += s["values"][-1]
+            s["steps"].append(rec["step"])
+            s["values"].append(float(value))
+    return {"series": [series[name] for name in sorted(series)],
+            "last_step": records[-1]["step"] if records else None}
 
 
 # --------------------------------------------------------------------- #
@@ -187,7 +104,7 @@ def set_manifest(**fields) -> None:
     Recorded even while profiling is disabled (one dict update; the data
     is free) so a later ``enable()`` + export still knows what ran.
     """
-    _STORE.overrides.update(fields)
+    _OVERRIDES.update(fields)
 
 
 def manifest_override(key: str, default=None):
@@ -197,7 +114,7 @@ def manifest_override(key: str, default=None):
     files per run identity, so concurrent ensemble jobs sharing one dump
     directory cannot collide.
     """
-    return _STORE.overrides.get(key, default)
+    return _OVERRIDES.get(key, default)
 
 
 def config_hash(obj) -> str:
@@ -233,7 +150,7 @@ def build_manifest() -> dict:
 
     from ..matfree import _ckernel
 
-    over = dict(_STORE.overrides)
+    over = dict(_OVERRIDES)
     machine = resolve_machine(over.pop("machine_model", None))
     manifest = {
         "schema": MANIFEST_SCHEMA,

@@ -110,9 +110,9 @@ class Registry:
     def __init__(self):
         self.events: dict[tuple[str, str], EventRecord] = {}
         self.stages: dict[str, StageRecord] = {}
-        #: convergence traces appended by :mod:`repro.obs.trace`
+        #: convergence and per-step traces appended by :mod:`repro.obs.trace`
         self.traces: dict[str, list[dict]] = {
-            "ksp": [], "snes": [], "mg": [], "resilience": [],
+            "ksp": [], "snes": [], "mg": [], "resilience": [], "step": [],
         }
         #: monitor exports attached via :func:`repro.obs.trace.attach_monitor`
         self.monitors: dict[str, dict] = {}
@@ -160,9 +160,9 @@ def disable() -> None:
     STATE.mg_post_residuals = False
 
 
-#: callbacks run by :func:`reset` so satellite stores (metrics time-series,
-#: flight-recorder ring buffer) clear in lockstep with the registry without
-#: this module having to import them (they import us)
+#: callbacks run by :func:`reset` so satellite state (the manifest
+#: overrides, the armed timeline's spans) clears in lockstep with the
+#: registry without this module having to import it (it imports us)
 _RESET_HOOKS: list = []
 
 
@@ -173,7 +173,7 @@ def register_reset_hook(fn) -> None:
 
 
 def reset() -> None:
-    """Drop all accumulated events, stages, traces, and satellite stores."""
+    """Drop all accumulated events, stages, traces, and satellite state."""
     REGISTRY.__init__()
     for fn in _RESET_HOOKS:
         fn()

@@ -52,7 +52,6 @@ import threading
 import time
 from collections import deque
 
-from . import metrics as _metrics
 from .registry import MAIN_RANK, register_reset_hook, set_span_sink
 from .trace import _check_fields
 
@@ -65,7 +64,6 @@ __all__ = [
     "arm",
     "armed",
     "chrome_trace",
-    "commit_metrics",
     "disarm",
     "main",
     "summary",
@@ -316,18 +314,8 @@ def analyze(spans: list[dict]) -> dict:
 
 
 # --------------------------------------------------------------------- #
-# per-step gauges + report summary
+# report summary
 # --------------------------------------------------------------------- #
-def commit_metrics() -> None:
-    """Sample the ``timeline.spans``/``timeline.dropped`` gauges (once per
-    time step); the load-balance numbers live in :func:`analyze` only."""
-    tl = _TIMELINE
-    if tl is None:
-        return
-    _metrics.gauge("timeline.spans", tl.recorded)
-    _metrics.gauge("timeline.dropped", sum(tl.dropped.values()))
-
-
 def summary() -> str | None:
     """The armed timeline's analysis as the ``-log_view`` tail, rendered
     exactly as ``python -m repro.obs.timeline`` prints it (or ``None``

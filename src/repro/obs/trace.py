@@ -1,6 +1,6 @@
 """Structured convergence tracing and the ``repro.obs`` JSON schema.
 
-Three trace streams mirror the paper's solver diagnostics:
+Five trace streams mirror the paper's solver diagnostics:
 
 ``ksp``
     One record per Krylov iteration (Fig. 2's residual histories):
@@ -23,6 +23,14 @@ Three trace streams mirror the paper's solver diagnostics:
     ``health_clip``, ``health_divergence``, ``health_reject``) -- the
     audit trail of how a run survived (appended by
     :mod:`repro.resilience` and :mod:`repro.sim.timeloop`).
+``step``
+    One record per *accepted* time step (Fig. 4's per-step record): the
+    stats :meth:`repro.sim.timeloop.Simulation.step` returns plus
+    ``step``, ``time``, ``points`` and the owned communicator's ``comm``
+    totals.  A rolled-back attempt leaves no step record, only its
+    ``resilience`` ``rollback`` record.  The per-step metric series
+    (:func:`repro.obs.metrics.export`) and the flight recorder's ring are
+    read from this stream; nothing stores a step a second time.
 
 :func:`snapshot` exports everything -- stages, events, traces, attached
 monitors -- as one JSON document with a stable ``"schema"`` tag; the
@@ -52,10 +60,6 @@ def trace_ksp(solver: str, iteration: int, rnorm: float) -> None:
         return
     if iteration == 0:
         REGISTRY._ksp_index += 1
-        _metrics.inc("ksp_solves")
-    else:
-        _metrics.inc("ksp_iterations")
-    _metrics.gauge("ksp_last_rnorm", rnorm)
     REGISTRY.traces["ksp"].append({
         "solver": solver,
         "solve": REGISTRY._ksp_index,
@@ -75,10 +79,6 @@ def trace_snes(
         return
     if iteration == 0:
         REGISTRY._snes_index += 1
-        _metrics.inc("snes_solves")
-    else:
-        _metrics.inc("snes_iterations")
-    _metrics.gauge("snes_last_fnorm", fnorm)
     REGISTRY.traces["snes"].append({
         "solve": REGISTRY._snes_index,
         "iteration": int(iteration),
@@ -98,7 +98,6 @@ def trace_mg(
         return
     if level == 0 and phase == "presmooth":
         REGISTRY._mg_cycle += 1
-        _metrics.inc("mg_cycles")
     REGISTRY.traces["mg"].append({
         "cycle": REGISTRY._mg_cycle,
         "level": int(level),
@@ -118,16 +117,39 @@ def trace_resilience(event: str, **fields) -> None:
     """
     if not STATE.enabled:
         return
-    _metrics.inc(f"resilience.{event}")
     REGISTRY.traces["resilience"].append({"event": str(event), **fields})
 
 
+def _jsonable(obj):
+    """Deep-convert numpy scalars/arrays so ``json.dump`` never chokes on
+    a stats dict assembled from solver internals."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if hasattr(obj, "item") and callable(obj.item):  # numpy scalar
+        try:
+            return obj.item()
+        except (ValueError, TypeError):
+            return [_jsonable(v) for v in obj.tolist()]
+    return obj
+
+
+def trace_step(stats: dict, **fields) -> None:
+    """Record one accepted time step: ``fields`` (``step``, ``time``, ...)
+    and the step's ``stats``, converted to JSON types once (a copy: later
+    edits of ``stats`` do not reach the record)."""
+    if not STATE.enabled:
+        return
+    REGISTRY.traces["step"].append(_jsonable({**fields, **stats}))
+
+
 def attach_monitor(name: str, data: dict) -> None:
-    """Attach a monitor export (e.g. ``FieldSplitMonitor.as_dict()`` or
-    ``IterationLog.as_dict()``) so it rides along in :func:`snapshot` under
-    ``"monitors"`` -- the route the Fig. 2 / Fig. 4 benches use instead of
-    hand-rolled dicts.  Recorded even while profiling is disabled (the
-    caller already paid for the data)."""
+    """Attach a monitor export (e.g. ``FieldSplitMonitor.as_dict()``) so it
+    rides along in :func:`snapshot` under ``"monitors"`` -- the route the
+    benches publish their numbers by instead of hand-rolled dicts.
+    Recorded even while profiling is disabled (the caller already paid
+    for the data)."""
     REGISTRY.monitors[str(name)] = dict(data)
 
 
@@ -138,10 +160,10 @@ def snapshot(meta: dict | None = None) -> dict:
     """The full registry as one schema-tagged, JSON-serializable document.
 
     Besides the stage/event/trace/monitor aggregates this carries the
-    per-step metric time-series (``"metrics"``, see
-    :mod:`repro.obs.metrics`) and the run manifest (``"manifest"``:
-    config hash, machine model, package versions, seed) -- every export,
-    benchmarks included, is self-describing.
+    per-step metric series derived from the ``step`` stream
+    (``"metrics"``, see :mod:`repro.obs.metrics`) and the run manifest
+    (``"manifest"``: config hash, machine model, package versions, seed)
+    -- every export, benchmarks included, is self-describing.
     """
     doc = {
         "schema": SCHEMA,
@@ -188,6 +210,7 @@ _TRACE_FIELDS = {
     "snes": {"solve": int, "iteration": int, "fnorm": float},
     "mg": {"cycle": int, "level": int, "phase": str, "rnorm": float},
     "resilience": {"event": str},
+    "step": {"step": int, "time": float},
 }
 
 

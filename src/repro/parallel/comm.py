@@ -63,8 +63,9 @@ class CommStats:
 
     The fault counters stay zero on :class:`VirtualComm` -- only the real
     transport can time out, lose a rank, or ``recover()`` -- but they
-    live here so a simulation samples one shape of its own communicator
-    into ``comm.*`` gauges (``Simulation._commit_telemetry``).
+    live here so a simulation records one shape of its own communicator
+    as the ``comm`` totals of each ``step`` trace record
+    (``Simulation.step``).
     """
 
     messages: int = 0

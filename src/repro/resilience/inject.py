@@ -293,7 +293,7 @@ class FaultInjector:
         Patches ``Simulation._advance`` class-wide so the triggering call
         returns only after sleeping ``seconds`` -- long past any sane
         watchdog deadline.  The step's heartbeat has already been piped
-        (``_commit_telemetry`` runs inside ``_advance``), so the failure
+        (the step listeners run inside ``_advance``), so the failure
         signature is exactly the production one: a healthy-looking job
         that goes silent.  ``sentinel`` (a :func:`claim_sentinel` path)
         makes the hang one-shot across subprocess retries, so the

@@ -13,7 +13,7 @@ cache hits settles before any process, pipe or selector exists.
 The **watchdog** is the deadline each attempt carries: ``startup_timeout``
 from the launch request to ``spawned`` (the fork) and again from there to
 ``started``; then every committed time step emits a heartbeat (piped from
-``timeloop._commit_telemetry``) and silence longer than ``step_timeout``
+a ``timeloop`` step listener) and silence longer than ``step_timeout``
 means the job is stuck *inside* a step -- the scheduler SIGTERMs the
 worker, then SIGKILLs its session, and requeues the job, which resumes
 from its last atomic checkpoint.  The zygote reports each job's exit code
@@ -55,7 +55,6 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
-from ..obs import metrics as _metrics
 from ..parallel.executor import resolve_workers
 from ..resilience.reasons import BreakdownError, ConvergedReason
 from .jobs import (
@@ -270,9 +269,6 @@ class Scheduler:
         #: first launch, gone when it returns
         self._zygote: tuple | None = None
         self._sel: selectors.BaseSelector | None = None
-        self._watchdog_kills = 0
-        self._cache_hits = 0
-        self._retries = 0
 
     # -- submission ----------------------------------------------------- #
     def submit(self, spec: JobSpec) -> JobRecord:
@@ -311,8 +307,6 @@ class Scheduler:
         record.result = result
         record.value = value if value is not None else record.value
         record.cache_hit = cache_hit
-        if cache_hit:
-            self._cache_hits += 1
         self._fails[record.config_hash] = 0
         if not cache_hit and result is not None and record.spec.cache_allowed:
             self.store.put(record.config_hash, result)
@@ -337,7 +331,6 @@ class Scheduler:
             record.config_hash, record.attempt_index,
             base=self.config.backoff_base, cap=self.config.backoff_max,
         )
-        self._retries += 1
 
     def _quarantine_twins(self, config_hash: str) -> None:
         """Open breaker: quarantine every non-terminal twin still queued."""
@@ -346,18 +339,6 @@ class Scheduler:
                     and rec.state is not JobState.RUNNING):
                 rec.transition(JobState.QUARANTINED)
                 rec.reason = REASON_QUARANTINED
-
-    # -- metrics -------------------------------------------------------- #
-    def _update_gauges(self) -> None:
-        counts = {state: 0 for state in JobState}
-        for rec in self.records:
-            counts[rec.state] += 1
-        for state, n in counts.items():
-            _metrics.gauge(f"serve.jobs_{state.value}", n)
-        _metrics.gauge("serve.workers_in_use", self._workers_in_use())
-        _metrics.gauge("serve.cache_hits", self._cache_hits)
-        _metrics.gauge("serve.retries", self._retries)
-        _metrics.gauge("serve.watchdog_kills", self._watchdog_kills)
 
     # -- worker budget (graceful degradation) --------------------------- #
     def _worker_budget(self) -> int:
@@ -395,7 +376,6 @@ class Scheduler:
             self._run_inline()
         else:
             self._run_pool()
-        self._update_gauges()
         return BatteryReport(self.records, time.monotonic() - t0)
 
     # ---- inline mode -------------------------------------------------- #
@@ -404,7 +384,6 @@ class Scheduler:
             if record.terminal:
                 continue
             self._run_one_inline(record)
-            self._update_gauges()
 
     def _run_one_inline(self, record: JobRecord) -> None:
         spec = record.spec
@@ -472,7 +451,6 @@ class Scheduler:
         try:
             while True:
                 self._launch_eligible()
-                self._update_gauges()
                 if all(rec.terminal for rec in self.records):
                     return
                 self._wait()
@@ -671,7 +649,6 @@ class Scheduler:
             self._settle_done(record, result)
             return
         if attempt.killed or attempt.termed or terminated is not None:
-            self._watchdog_kills += 1
             entry.update(outcome="hang", reason=REASON_HANG,
                          started="started" in events,
                          graceful=terminated is not None,

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..ale.freesurface import remesh_vertical, update_free_surface
-from ..diagnostics.monitors import IterationLog
 from ..energy.supg import EnergySolver, q1_companion_mesh
 from ..fem.quadrature import GaussQuadrature
 from ..matfree import NewtonTensorOperator
@@ -38,7 +37,7 @@ from ..mpm.projection import project_to_quadrature
 from ..obs import flight as _flight
 from ..obs import metrics as _metrics
 from ..obs import registry as _obs
-from ..obs.trace import trace_resilience
+from ..obs.trace import trace_resilience, trace_step
 from ..parallel.executor import use_workers
 from ..resilience.health import HealthConfig, HealthMonitor
 from ..resilience.reasons import BreakdownError, ConvergedReason
@@ -200,7 +199,6 @@ class Simulation:
         self.T = T0
         self.time = 0.0
         self.step_index = 0
-        self.log = IterationLog()
         self.last_yielded_fraction = 0.0
         # resilience state: current dt reduction and the clean-step count
         # driving its geometric recovery
@@ -484,10 +482,6 @@ class Simulation:
         seconds = time.perf_counter() - t0
         self.time += dt
         self.step_index += 1
-        self.log.record(
-            result.iterations, result.total_linear_iterations, seconds,
-            result.converged,
-        )
         stats = {
             "dt": dt,
             "health": (self.health.step_summary()
@@ -504,8 +498,6 @@ class Simulation:
             "dt_scale": self._dt_scale,
             "retries": 0,
         }
-        if _obs.STATE.enabled:
-            self._commit_telemetry(stats)
         if _STEP_LISTENERS:
             beat = {
                 "step": int(self.step_index),
@@ -516,49 +508,6 @@ class Simulation:
             for fn in list(_STEP_LISTENERS):
                 fn(beat)
         return stats
-
-    def _commit_telemetry(self, stats: dict) -> None:
-        """Sample this step into the metric time-series + flight buffer.
-
-        Counters accumulate solver work and MPM churn, gauges sample the
-        instantaneous state (dt, census, residuals set by the trace
-        appenders) and the totals of this simulation's own communicator
-        (``comm.*``); :func:`repro.obs.metrics.commit_step` flushes one row
-        and the flight recorder, when armed, buffers it with the stats
-        dict.
-        """
-        m = _metrics
-        m.gauge("dt", stats["dt"])
-        m.gauge("dt_scale", stats["dt_scale"])
-        m.gauge("sim_time", self.time)
-        m.gauge("points", self.points.n)
-        m.gauge("yielded_fraction", stats["yielded_fraction"])
-        m.observe("step_seconds", stats["seconds"])
-        m.inc("newton_iterations", stats["newton_iterations"])
-        m.inc("krylov_iterations", stats["krylov_iterations"])
-        m.inc("points_lost", stats["points_lost"])
-        m.inc("points_injected", stats["points_injected"])
-        m.inc("fallback_events", len(stats["fallback_events"]))
-        for key, val in stats["health"].items():
-            if key == "divergence":
-                m.gauge("health.divergence", val)
-            elif val:
-                m.inc(f"health.{key}", val)
-        if self.comm is not None:
-            for key, val in self.comm.stats.as_dict().items():
-                m.gauge(f"comm.{key}", val)
-        # lazy: timeline is a python -m CLI (no eager package import); its
-        # commit_metrics is a no-op unless armed
-        from ..obs import timeline as _timeline
-
-        _timeline.commit_metrics()
-        row = m.commit_step(self.step_index)
-        _flight.record_step({
-            "step": self.step_index,
-            "time": float(self.time),
-            "stats": {k: v for k, v in stats.items()},
-            "metrics": row,
-        })
 
     def save_checkpoint(self, path: str) -> str:
         """Checkpoint this simulation, collective-consistently.
@@ -584,8 +533,27 @@ class Simulation:
     def step(self, dt: float | None = None) -> dict:
         """Advance one time step; in resilient mode, survive solver failure.
 
-        Non-resilient configs go straight to :meth:`_advance`.  Resilient
-        configs snapshot the evolving state in memory (the checkpoint
+        Returns the step stats.  While ``repro.obs`` is enabled the
+        accepted step is recorded once, here, as a ``step`` trace record
+        (:func:`~repro.obs.trace.trace_step`): its ``retries`` is final
+        and a rolled-back attempt leaves no step record.
+        """
+        if self.config.resilient:
+            stats = self._advance_resilient(dt)
+        else:
+            stats = self._advance(dt)
+        if _obs.STATE.enabled:
+            trace_step(
+                stats, step=self.step_index, time=float(self.time),
+                points=self.points.n,
+                comm=None if self.comm is None else self.comm.stats.as_dict(),
+            )
+        return stats
+
+    def _advance_resilient(self, dt: float | None) -> dict:
+        """One step that survives solver failure by rollback and retry.
+
+        Snapshot the evolving state in memory (the checkpoint
         serialization, so file and rollback restores cannot drift), attempt
         the step, and on a *hard* failure -- a ``BreakdownError`` escaping
         the solve stack, a hard-DIVERGED Newton reason, or non-finite
@@ -595,9 +563,6 @@ class Simulation:
         :data:`DT_RECOVER_AFTER` consecutive clean steps one back-off factor is
         undone, so dt climbs back geometrically once the transient passes.
         """
-        cfg = self.config
-        if not cfg.resilient:
-            return self._advance(dt)
         snapshot = state_dict(self)
         last_reason = None
         for attempt in range(MAX_STEP_RETRIES + 1):
@@ -636,7 +601,7 @@ class Simulation:
                 "rollback", step=self.step_index, attempt=attempt + 1,
                 reason=ConvergedReason(reason).name, dt_scale=self._dt_scale,
             )
-            # black box: dump the last N buffered steps + traces/metrics
+            # black box: dump the last N accepted steps + traces/metrics
             # the moment the failure fires (no-op while disarmed)
             _flight.trigger(
                 "rollback", step=self.step_index, attempt=attempt + 1,

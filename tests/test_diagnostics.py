@@ -7,7 +7,6 @@ import pytest
 
 from repro.diagnostics import (
     FieldSplitMonitor,
-    IterationLog,
     trace_streamlines,
     write_vts,
 )
@@ -39,18 +38,6 @@ class TestFieldSplitMonitor:
         d = mon.as_dict()
         assert set(d) == {"iterations", "total", "momentum",
                           "vertical_momentum", "pressure"}
-
-
-class TestIterationLog:
-    def test_record_and_average(self):
-        log = IterationLog()
-        log.record(3, 30, 1.5, True)
-        log.record(2, 20, 1.0, True)
-        assert log.newton_per_step == [3, 2]
-        assert log.average_krylov == 25.0
-
-    def test_empty_average_nan(self):
-        assert np.isnan(IterationLog().average_krylov)
 
 
 class TestStreamlines:

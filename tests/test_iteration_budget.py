@@ -5,7 +5,8 @@ an algorithmic regression (a weaker smoother, a dropped coarse level, a
 worse linearization) shows up here on any host, however fast.  The
 workload is a 4^3 2-sphere sinker solve and two coupled free-surface
 sinker steps.  Each count is read twice, from the returned objects and
-from the ``repro.obs`` counters, and must not exceed its budget.
+from the ``repro.obs`` traces (``ksp``/``snes``/``mg`` records and the
+``step`` stream), and must not exceed its budget.
 
 Measured budgets (identical compiled, with ``REPRO_NO_CKERNEL=1`` and at
 ``REPRO_WORKERS=2`` and 3):
@@ -18,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro import SimulationConfig, obs
-from repro.obs import metrics
 from repro.sim.sinker import SinkerConfig, make_sinker, sinker_stokes_problem
 from repro.stokes.solve import StokesConfig, solve_stokes
 
@@ -44,9 +44,14 @@ def small_config():
 
 
 def counters() -> dict:
-    """The final value of every ``repro.obs`` counter series."""
-    return {s["name"]: s["values"][-1] for s in metrics.export()["series"]
-            if s["kind"] == "counter"}
+    """Krylov and Newton iterations and V-cycles, counted in the traces."""
+    traces = obs.REGISTRY.traces
+    return {
+        "ksp_iterations": sum(r["iteration"] > 0 for r in traces["ksp"]),
+        "snes_iterations": sum(r["iteration"] > 0 for r in traces["snes"]),
+        "mg_cycles": sum(r["level"] == 0 and r["phase"] == "presmooth"
+                         for r in traces["mg"]),
+    }
 
 
 def test_sinker_solve_within_budget():
@@ -55,7 +60,6 @@ def test_sinker_solve_within_budget():
                      delta_eta=100.0)
     )
     sol = solve_stokes(pb, small_config())
-    metrics.commit_step(0)
     c = counters()
     assert sol.converged and np.isfinite(sol.u).all()
     assert sol.iterations == c["ksp_iterations"]
@@ -70,11 +74,14 @@ def test_coupled_steps_within_budget():
     )
     stats = sim.run(2)
     c = counters()
+    steps = obs.REGISTRY.traces["step"]
     assert all(s["newton_converged"] for s in stats)
     newton = [s["newton_iterations"] for s in stats]
     krylov = [s["krylov_iterations"] for s in stats]
-    assert sum(newton) == c["newton_iterations"] == c["snes_iterations"]
-    assert sum(krylov) == c["krylov_iterations"] == c["ksp_iterations"]
+    assert newton == [r["newton_iterations"] for r in steps]
+    assert krylov == [r["krylov_iterations"] for r in steps]
+    assert sum(newton) == c["snes_iterations"]
+    assert sum(krylov) == c["ksp_iterations"]
     for got, budget in zip(newton, STEP_NEWTON):
         assert got <= budget
     for got, budget in zip(krylov, STEP_KRYLOV):

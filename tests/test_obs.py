@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.diagnostics.monitors import FieldSplitMonitor, IterationLog
+from repro.diagnostics.monitors import FieldSplitMonitor
 from repro.fem.mesh import StructuredMesh
 from repro.matfree import make_operator
 from repro.sim.sinker import SinkerConfig, sinker_stokes_problem
@@ -291,18 +291,6 @@ class TestMonitors:
         mon.attach("fs")
         exported = obs.snapshot()["monitors"]["fs"]
         assert exported["total"] == [1.0]
-
-    def test_iteration_log_as_dict(self):
-        log = IterationLog()
-        log.record(2, 10, 0.5, True)
-        log.record(3, 14, 0.6, True)
-        d = log.as_dict()
-        assert d["newton_per_step"] == [2, 3]
-        assert d["krylov_per_step"] == [10, 14]
-        assert d["nonlinear_converged"] == [True, True]
-        assert d["average_krylov"] == pytest.approx(12.0)
-        log.attach()
-        assert obs.snapshot()["monitors"]["iteration_log"] == d
 
 
 # --------------------------------------------------------------------- #

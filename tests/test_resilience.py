@@ -749,6 +749,40 @@ class TestTimeLoopRollback:
         assert "ResilienceRollback" in names
         obs.reset()
 
+    def test_rollback_leaves_one_step_record_per_accepted_step(self,
+                                                               tmp_path):
+        # step 2 is rolled back once: the step stream, the series derived
+        # from it and the flight ring see only the three accepted steps
+        sim = _resilient_sinker()
+        obs.reset()
+        obs.enable()
+        rec = obs.flight.arm(capacity=8, directory=tmp_path)
+        try:
+            with FaultInjector() as fi:
+                fi.poison_nan(StokesOperator, "residual", mode="all", limit=1,
+                              when=lambda: sim.step_index == 1)
+                stats = [sim.step() for _ in range(3)]
+            series = obs.metrics.export()["series"]
+            traces = obs.REGISTRY.traces
+            ring = rec.document("manual")["steps"]
+        finally:
+            obs.flight.disarm()
+            obs.disable()
+            obs.reset()
+        assert fi.fired
+        assert [s["retries"] for s in stats] == [0, 1, 0]
+        for s in series:
+            assert all(a < b for a, b in zip(s["steps"], s["steps"][1:])), s
+        steps = traces["step"]
+        assert [r["step"] for r in steps] == [1, 2, 3]
+        assert [r["retries"] for r in steps] == [s["retries"] for s in stats]
+        assert [r["krylov_iterations"] for r in steps] == \
+            [s["krylov_iterations"] for s in stats]
+        assert ring == steps
+        rollbacks = [r for r in traces["resilience"]
+                     if r["event"] == "rollback"]
+        assert [(r["step"], r["attempt"]) for r in rollbacks] == [(1, 1)]
+
     def test_non_resilient_step_unchanged(self):
         sim = make_sinker(
             SinkerConfig(shape=(3, 3, 3), n_spheres=1, radius=0.2,

@@ -521,14 +521,14 @@ class TestFlightDumpNames:
 
     def test_legacy_name_without_config_hash(self, tmp_path):
         rec = self._arm(tmp_path)
-        rec.record_step({"step": 1})
+        obs.trace_step({}, step=1, time=0.1)
         path = rec.dump("manual")
         assert os.path.basename(path) == "FLIGHT_manual_001.json"
 
     def test_config_hash_prefixes_the_dump_name(self, tmp_path):
         rec = self._arm(tmp_path)
         metrics.set_manifest(config_hash="deadbeefcafe0123")
-        rec.record_step({"step": 1})
+        obs.trace_step({}, step=1, time=0.1)
         path = rec.dump("rollback")
         assert os.path.basename(path) == \
             "FLIGHT_deadbeefcafe_rollback_001.json"

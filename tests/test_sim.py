@@ -282,7 +282,7 @@ class TestTimeLoopPlumbing:
         ))
         stats = sim.run(2)
         assert len(stats) == 2
-        assert len(sim.log.newton_per_step) == 2
+        assert all(s["newton_iterations"] >= 1 for s in stats)
         assert sim.step_index == 2
         assert sim.time > 0
 

@@ -1,5 +1,6 @@
-"""Run telemetry: metric time-series, run manifest, flight recorder,
-progress line, machine resolution, and the document schema."""
+"""Run telemetry: the step stream and the series derived from it, run
+manifest, flight recorder, progress line, machine resolution, and the
+document schema."""
 
 import json
 import os
@@ -34,59 +35,62 @@ def clean_obs(monkeypatch):
 
 
 # --------------------------------------------------------------------- #
-# metric instruments
+# the step stream and the series derived from it
 # --------------------------------------------------------------------- #
 class TestInstruments:
     def test_disabled_appenders_are_noops(self):
-        metrics.inc("k", 5)
-        metrics.gauge("g", 1.0)
-        metrics.observe("h", 2.0)
-        assert metrics.commit_step(0) == {}
+        obs.trace_step({"krylov_iterations": 5}, step=1, time=0.1)
+        assert obs.REGISTRY.traces["step"] == []
         assert metrics.export()["series"] == []
         assert metrics.export()["last_step"] is None
 
     def test_counter_is_cumulative(self):
         obs.enable()
-        metrics.inc("krylov")
-        metrics.inc("krylov", 3)
-        metrics.commit_step(0)
-        metrics.inc("krylov", 2)
-        row = metrics.commit_step(1)
-        assert row["krylov"] == 6.0
-        (s,) = [s for s in metrics.export()["series"] if s["name"] == "krylov"]
+        obs.trace_step({"krylov_iterations": 4}, step=1, time=0.1)
+        obs.trace_step({"krylov_iterations": 2}, step=2, time=0.2)
+        (s,) = [s for s in metrics.export()["series"]
+                if s["name"] == "krylov_iterations"]
         assert s["kind"] == "counter"
-        assert s["steps"] == [0, 1]
+        assert s["steps"] == [1, 2]
         assert s["values"] == [4.0, 6.0]
+        assert metrics.export()["last_step"] == 2
 
     def test_gauge_is_last_write_wins(self):
         obs.enable()
-        metrics.gauge("dt", 0.1)
-        metrics.gauge("dt", 0.05)
-        row = metrics.commit_step(0)
-        assert row["dt"] == 0.05
-        assert metrics.get_gauge("dt") == 0.05
-        assert metrics.get_gauge("missing", -1.0) == -1.0
+        obs.trace_step({"dt": 0.1, "health": {"divergence": 1e-9}},
+                       step=1, time=0.1, comm={"messages": 3})
+        obs.trace_step({"dt": 0.05, "health": {"divergence": 2e-9}},
+                       step=2, time=0.15, comm={"messages": 5})
+        series = {s["name"]: s for s in metrics.export()["series"]}
+        # each step's own value, nested dicts flattened with dots
+        assert series["dt"]["kind"] == "gauge"
+        assert series["dt"]["values"] == [0.1, 0.05]
+        assert series["health.divergence"]["values"] == [1e-9, 2e-9]
+        assert series["comm.messages"]["values"] == [3.0, 5.0]
+        assert series["time"]["values"] == [0.1, 0.15]
+        assert "step" not in series
 
-    def test_histogram_summary(self):
+    def test_step_record_is_a_jsonable_copy(self):
         obs.enable()
-        for v in (1.0, 3.0, 2.0):
-            metrics.observe("step_seconds", v)
-        row = metrics.commit_step(0)
-        assert row["step_seconds.count"] == 3
-        assert row["step_seconds.sum"] == 6.0
-        assert row["step_seconds.min"] == 1.0
-        assert row["step_seconds.max"] == 3.0
-        names = {s["name"] for s in metrics.export()["series"]}
-        assert {"step_seconds.count", "step_seconds.sum",
-                "step_seconds.min", "step_seconds.max"} <= names
+        stats = {"dt": np.float64(0.1), "newton_converged": np.bool_(True),
+                 "fallback_events": [{"next": "asmb"}]}
+        obs.trace_step(stats, step=np.int64(1), time=0.1)
+        stats["fallback_events"].append({"next": "amg"})
+        (rec,) = obs.REGISTRY.traces["step"]
+        assert rec == {"step": 1, "time": 0.1, "dt": 0.1,
+                       "newton_converged": True,
+                       "fallback_events": [{"next": "asmb"}]}
+        assert type(rec["step"]) is int
+        # bools and lists carry no series
+        assert {s["name"] for s in metrics.export()["series"]} == \
+            {"dt", "time"}
 
     def test_reset_clears_instruments(self):
         obs.enable()
-        metrics.inc("k")
-        metrics.commit_step(0)
+        obs.trace_step({"krylov_iterations": 1}, step=1, time=0.1)
         obs.reset()
+        assert obs.REGISTRY.traces["step"] == []
         assert metrics.export()["series"] == []
-        assert metrics.get_gauge("k") is None
 
 
 # --------------------------------------------------------------------- #
@@ -179,22 +183,23 @@ class TestMachineResolution:
 # --------------------------------------------------------------------- #
 class TestFlightRecorder:
     def test_disarmed_is_noop(self):
-        flight.record_step({"step": 0})
+        obs.enable()
+        obs.trace_step({}, step=0, time=0.0)
         assert flight.trigger("manual") is None
         assert flight.armed() is None
 
     def test_ring_buffer_evicts_oldest(self, tmp_path):
+        obs.enable()
         rec = flight.arm(capacity=3, directory=tmp_path)
         for i in range(5):
-            flight.record_step({"step": i})
-        assert [s["step"] for s in rec.steps] == [2, 3, 4]
+            obs.trace_step({}, step=i, time=0.1 * i)
+        assert [s["step"] for s in rec.document("manual")["steps"]] == \
+            [2, 3, 4]
 
     def test_trigger_dumps_validated_document(self, tmp_path):
         obs.enable()
         rec = flight.arm(capacity=4, directory=tmp_path)
-        metrics.gauge("dt", 0.1)
-        row = metrics.commit_step(0)
-        flight.record_step({"step": 0, "metrics": row})
+        obs.trace_step({"dt": 0.1}, step=0, time=0.0)
         path = flight.trigger("rollback", step=0, reason="diverged")
         assert path in rec.dumps
         assert os.path.basename(path) == "FLIGHT_rollback_001.json"
@@ -202,12 +207,13 @@ class TestFlightRecorder:
             doc = flight.validate_flight(json.load(fh))
         assert doc["trigger"] == {"kind": "rollback", "step": 0,
                                   "reason": "diverged"}
-        assert doc["steps"][0]["metrics"]["dt"] == 0.1
+        assert doc["steps"][0]["dt"] == 0.1
+        (dt,) = [s for s in doc["metrics"]["series"] if s["name"] == "dt"]
+        assert dt["values"] == [0.1]
         assert doc["manifest"]["machine_model"] == "laptop"
 
     def test_dump_indices_increment(self, tmp_path):
         rec = flight.arm(capacity=2, directory=tmp_path)
-        rec.record_step({"step": 0})
         p1 = flight.trigger("manual")
         p2 = flight.trigger("breakdown")
         assert p1.endswith("FLIGHT_manual_001.json")
@@ -215,22 +221,23 @@ class TestFlightRecorder:
         assert rec.dumps == [p1, p2]
 
     def test_numpy_records_are_jsonable(self, tmp_path):
+        obs.enable()
         flight.arm(capacity=2, directory=tmp_path)
-        flight.record_step({"step": 0,
-                            "stats": {"fnorm": np.float64(1e-9),
-                                      "ok": np.bool_(True),
-                                      "res": np.arange(3)}})
+        obs.trace_step({"fnorm": np.float64(1e-9), "ok": np.bool_(True),
+                        "res": np.arange(3)}, step=0, time=0.0)
         path = flight.trigger("manual")
         with open(path) as fh:
             step = json.load(fh)["steps"][0]
-        assert step["stats"] == {"fnorm": 1e-9, "ok": True, "res": [0, 1, 2]}
+        assert step == {"step": 0, "time": 0.0, "fnorm": 1e-9, "ok": True,
+                        "res": [0, 1, 2]}
 
     def test_reset_clears_buffer_but_stays_armed(self, tmp_path):
+        obs.enable()
         rec = flight.arm(capacity=4, directory=tmp_path)
-        flight.record_step({"step": 0})
+        obs.trace_step({}, step=0, time=0.0)
         obs.reset()
         assert flight.armed() is rec
-        assert len(rec.steps) == 0
+        assert rec.document("manual")["steps"] == []
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -244,8 +251,9 @@ class TestFlightRecorder:
          "more buffered steps than capacity"),
     ])
     def test_validate_flight_rejects(self, tmp_path, mutate, match):
+        obs.enable()
         rec = flight.arm(capacity=2, directory=tmp_path)
-        rec.record_step({"step": 0})
+        obs.trace_step({}, step=0, time=0.0)
         doc = rec.document("manual")
         mutate(doc)
         with pytest.raises(ValueError, match=match):
@@ -255,7 +263,8 @@ class TestFlightRecorder:
 class TestProgressLine:
     def test_renders_step_dt_and_residual_gauge(self):
         obs.enable()
-        metrics.gauge("snes_last_fnorm", 3.2e-7)
+        obs.trace_ksp("gcr", 0, 5e-3)
+        obs.trace_snes(0, 3.2e-7)
         out = StringIO()  # StringIO.isatty() is False: the non-TTY path
         line = obs.ProgressLine(stream=out)
         text = line.update(4, 0.25, 1e-3)
@@ -333,10 +342,11 @@ class TestProgressLine:
 class TestDocumentSchema:
     def test_snapshot_carries_metrics_and_manifest(self):
         obs.enable()
-        metrics.inc("k")
-        metrics.commit_step(0)
+        obs.trace_step({"krylov_iterations": 3}, step=1, time=0.1)
         doc = obs.validate(obs.snapshot())
-        assert doc["metrics"]["series"][0]["name"] == "k"
+        assert doc["traces"]["step"][0]["krylov_iterations"] == 3
+        names = [s["name"] for s in doc["metrics"]["series"]]
+        assert names == ["krylov_iterations", "time"]
         assert doc["manifest"]["schema"] == metrics.MANIFEST_SCHEMA
 
     @pytest.mark.parametrize("key", ["metrics", "manifest"])
@@ -351,6 +361,14 @@ class TestDocumentSchema:
         doc["metrics"]["series"] = [{"name": "x", "kind": "gauge",
                                      "steps": [0, 1], "values": [1.0]}]
         with pytest.raises(ValueError, match="steps/values"):
+            obs.validate(doc)
+
+    def test_malformed_step_record_rejected(self):
+        obs.enable()
+        obs.trace_step({}, step=1, time=0.1)
+        doc = obs.snapshot()
+        doc["traces"]["step"][0]["step"] = "1"
+        with pytest.raises(ValueError, match="'step'"):
             obs.validate(doc)
 
     def test_write_json_accepts_pathlike(self, tmp_path):
@@ -387,7 +405,7 @@ class TestTelemetryUnderParallelism:
             with obs.stage("TimeStep"):
                 y = op.apply(rng.standard_normal(3 * mesh.nnodes))
             assert np.isfinite(y).all()
-            metrics.commit_step(0)
+            obs.trace_step({"seconds": 0.0}, step=0, time=0.0)
             doc = obs.validate(obs.snapshot())
 
         # every task booked once, in the event table of the document

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro import SimulationConfig, obs
-from repro.obs import metrics
 from repro.obs import timeline as tl
 from repro.stokes.solve import StokesConfig
 from tests.conftest import dispatch_engine
@@ -513,7 +512,7 @@ def test_log_view_export_and_cli_agree(tmp_path, capsys):
 
 
 # --------------------------------------------------------------------- #
-# metrics gauges + report tail
+# report tail
 # --------------------------------------------------------------------- #
 class TestSurfacing:
     def _two_task_dispatch(self, t, durs):
@@ -522,26 +521,6 @@ class TestSurfacing:
             d = obs.record_span("ParExecTask:apply", t.origin,
                                 t.origin + dur, cat="task", rank=rank,
                                 dispatch=d)
-
-    def test_commit_metrics_gauges(self):
-        t = tl.arm()
-        obs.enable()
-        with obs.timed("E"):
-            pass
-        self._two_task_dispatch(t, [0.5, 0.1])
-        tl.commit_metrics()
-        row = metrics.commit_step(0)
-        assert row["timeline.spans"] == 3.0
-        assert row["timeline.dropped"] == 0.0
-        # load balance is analyze()'s alone: no running gauges
-        assert not [k for k in row if "imbalance" in k or "utiliz" in k]
-        an = t.export()["analysis"]
-        assert an["dispatches"]["max_imbalance"] == pytest.approx(0.5 / 0.3)
-
-    def test_commit_metrics_noop_disarmed(self):
-        obs.enable()
-        tl.commit_metrics()
-        assert metrics.commit_step(0) == {}
 
     def test_report_tail_lists_workers(self):
         t = tl.arm()
