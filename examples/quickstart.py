@@ -127,6 +127,7 @@ def inject_fault_run() -> None:
     """
     from repro import FaultInjector, SimulationConfig, obs
     from repro.sim.sinker import SinkerConfig, make_sinker
+    from repro.stokes import solve as stokes_solve
     from repro.stokes.fieldsplit import FieldSplitPreconditioner
     from repro.stokes.operators import StokesOperator
 
@@ -151,8 +152,17 @@ def inject_fault_run() -> None:
         fi.poison_nan(StokesOperator, "residual", mode="all", limit=1,
                       when=lambda: sim.step_index == 3,
                       label="nan:newton-residual")
+        # record the reason of every linear solve of step 2, the rungs'
+        # included, to check that the rung after the downgrade converged
+        step2_reasons = []
+        fi.install(stokes_solve, "solve_stokes",
+                   lambda sol: step2_reasons.append(sol.reason) or sol,
+                   when=lambda: sim.step_index == 1, label="record:step2")
+        downgraded = []
         for _ in range(nsteps):
             stats = sim.step()
+            if stats["fallback_events"]:
+                downgraded.append(stats["fallback_events"])
             extra = ""
             if stats["fallback_events"]:
                 rungs = " -> ".join(e["next"] for e in stats["fallback_events"])
@@ -163,7 +173,13 @@ def inject_fault_run() -> None:
             print(f"step {sim.step_index}: newton={stats['newton_reason']}"
                   f"{extra}")
     assert {f["label"] for f in fi.fired} == {"nan:preconditioner",
-                                              "nan:newton-residual"}
+                                              "nan:newton-residual",
+                                              "record:step2"}
+    # exactly one downgrade, off the poisoned primary, and the next rung's
+    # solve converged
+    assert [[e["rung"] for e in ev] for ev in downgraded] == [["primary"]]
+    assert step2_reasons[0].name == "DIVERGED_NAN"
+    assert step2_reasons[1].is_converged, step2_reasons[1]
     assert sim.step_index == nsteps
     assert np.isfinite(sim.u).all() and np.isfinite(sim.p).all()
     recovery = [t["event"] for t in obs.REGISTRY.traces["resilience"]]

@@ -67,7 +67,6 @@ from .sim import Simulation, SimulationConfig, make_sinker, make_rifting
 from .resilience import (
     BreakdownError,
     ConvergedReason,
-    FallbackLadder,
     FaultInjector,
     HealthCheckFailure,
     HealthConfig,
@@ -117,7 +116,6 @@ __all__ = [
     "DruckerPrager",
     "BreakdownError",
     "ConvergedReason",
-    "FallbackLadder",
     "FaultInjector",
     "HealthCheckFailure",
     "HealthConfig",

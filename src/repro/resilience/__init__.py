@@ -4,13 +4,11 @@ Four pieces, layered the way PETSc layers them (see DESIGN.md, "Failure
 taxonomy and recovery"):
 
 * :mod:`~repro.resilience.reasons` -- the :class:`ConvergedReason` enum
-  every Krylov/Newton entry point returns via its result object, plus the
-  :class:`BreakdownError` recoverable exception;
+  every Krylov/Newton entry point returns via its result object (its
+  ``needs_recovery`` is the one policy for which failures trigger a
+  recovery), plus the :class:`BreakdownError` recoverable exception;
 * :mod:`~repro.resilience.guard` -- cheap per-iteration NaN/Inf,
   divergence-tolerance, and stagnation checks on residual norms;
-* :mod:`~repro.resilience.fallback` -- the configurable preconditioner
-  downgrade ladder (matrix-free GMG -> assembled GMG -> SA-AMG -> Jacobi
-  restart) used by ``solve_stokes_resilient``;
 * :mod:`~repro.resilience.health` -- physics-state invariant monitoring
   and guarded degradation: mesh validity gates with a remesh/smoothing
   repair ladder, material-point census/thinning/injection with a
@@ -24,11 +22,13 @@ taxonomy and recovery"):
   ``poison_viscosity`` modes) for the adversarial test suite and the
   quickstart demo.
 
-Time-loop self-healing (snapshot + dt rollback, with the budget and the
-back-off in the constants ``MAX_STEP_RETRIES``, ``DT_BACKOFF`` and
-``DT_RECOVER_AFTER``) lives with the time loop in
-:mod:`repro.sim.timeloop`; it consumes this package's reasons and
-records through the same obs trace stream.
+The two recovery policies live with the code they recover:
+``solve_stokes_resilient`` walks the preconditioner fallback
+(primary -> SA-AMG -> Jacobi restart, ``repro.stokes.solve.FALLBACK_RUNGS``)
+and the time loop in :mod:`repro.sim.timeloop` does snapshot + dt
+rollback (budget and back-off in ``MAX_STEP_RETRIES``, ``DT_BACKOFF`` and
+``DT_RECOVER_AFTER``).  Both branch on ``needs_recovery`` and record
+through the same obs trace stream.
 """
 
 from .reasons import (
@@ -39,13 +39,6 @@ from .reasons import (
     nonfinite,
 )
 from .guard import DEFAULT_DTOL, ResidualGuard
-from .fallback import (
-    DEFAULT_RETRY_ON,
-    FallbackLadder,
-    RECOVERABLE,
-    Rung,
-    default_rungs,
-)
 from .health import HealthConfig, HealthMonitor, guard_field
 from .inject import FaultInjector
 
@@ -60,10 +53,5 @@ __all__ = [
     "nonfinite",
     "DEFAULT_DTOL",
     "ResidualGuard",
-    "DEFAULT_RETRY_ON",
-    "FallbackLadder",
-    "RECOVERABLE",
-    "Rung",
-    "default_rungs",
     "FaultInjector",
 ]

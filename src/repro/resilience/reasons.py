@@ -54,6 +54,15 @@ class ConvergedReason(enum.IntEnum):
     def is_diverged(self) -> bool:
         return self.value < 0
 
+    @property
+    def needs_recovery(self) -> bool:
+        """A failure the caller recovers from: every ``DIVERGED_*`` except
+        ``DIVERGED_ITS``, whose exhausted budget still leaves a usable
+        finite iterate.  The preconditioner fallback of
+        ``solve_stokes_resilient`` and the time loop's rollback both
+        branch on it."""
+        return self.value < 0 and self is not ConvergedReason.DIVERGED_ITS
+
 
 class BreakdownError(RuntimeError):
     """A numerical component failed in a way its caller can recover from.

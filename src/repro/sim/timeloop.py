@@ -45,16 +45,6 @@ from ..solvers.nonlinear import newton
 from ..stokes.operators import StokesOperator, StokesProblem
 from ..stokes.solve import StokesConfig, solve_stokes, solve_stokes_resilient
 from .checkpoint import restore_state, state_dict
-
-#: nonlinear-solve outcomes that trigger a rollback: hard divergence only.
-#: ``DIVERGED_ITS`` is deliberately excluded -- Newton with the rifting
-#: budget (max 5 steps) routinely exhausts its iterations on a healthy
-#: visco-plastic step while leaving a perfectly usable finite iterate.
-_HARD_DIVERGED = frozenset({
-    ConvergedReason.DIVERGED_NAN,
-    ConvergedReason.DIVERGED_DTOL,
-    ConvergedReason.DIVERGED_BREAKDOWN,
-})
 from .fields import (
     pressure_at_points,
     strain_invariant_at_points,
@@ -573,7 +563,9 @@ class Simulation:
                 reason = err.reason
             else:
                 reason = ConvergedReason[stats["newton_reason"]]
-                hard = reason in _HARD_DIVERGED or not self._fields_finite()
+                # DIVERGED_ITS is no rollback: Newton with the rifting budget
+                # routinely exhausts it on a healthy visco-plastic step
+                hard = reason.needs_recovery or not self._fields_finite()
                 if not hard:
                     stats["retries"] = attempt
                     # a step that needed retries is a recovery, not a clean

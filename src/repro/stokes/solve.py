@@ -11,7 +11,7 @@ grid solver.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -19,10 +19,10 @@ import numpy as np
 from ..mg.coefficients import coefficient_hierarchy
 from ..mg.gmg import GMGConfig, build_gmg
 from ..obs import registry as _obs
+from ..obs.trace import trace_resilience
 from ..parallel.executor import use_workers
-from ..resilience.fallback import FallbackLadder, default_rungs
 from ..resilience.guard import DEFAULT_DTOL
-from ..resilience.reasons import ConvergedReason
+from ..resilience.reasons import BreakdownError, ConvergedReason
 from ..solvers.krylov import gcr, fgmres
 from .fieldsplit import FieldSplitPreconditioner
 from .operators import StokesOperator, StokesProblem
@@ -31,6 +31,10 @@ from .scr import solve_scr
 
 #: outer flexible Krylov methods, by ``StokesConfig.outer``
 OUTER_METHODS = {"gcr": gcr, "fgmres": fgmres}
+
+#: a ``CONVERGED_*`` solve whose true relative residual exceeds
+#: ``EXIT_SLACK * rtol`` is reported as ``DIVERGED_BREAKDOWN``
+EXIT_SLACK = 10.0
 
 
 @dataclass
@@ -62,8 +66,8 @@ class StokesConfig(GMGConfig):
     #: thread pool unless an outer scope armed an engine first
     workers: int | None = None
     #: velocity-block preconditioner: 'gmg' (the paper's V-cycle) or
-    #: 'jacobi' (diagonal scaling -- the last rung of the fallback ladder,
-    #: slow but nearly unbreakable since it needs no hierarchy setup)
+    #: 'jacobi' (diagonal scaling -- the ``jacobi-restart`` rung of
+    #: :func:`solve_stokes_resilient`, slow but built without a hierarchy)
     velocity_pc: str = "gmg"
     #: outer divergence tolerance: residual growth past ``dtol * ||r0||``
     #: stops the solve with ``DIVERGED_DTOL`` (0 disables)
@@ -77,7 +81,12 @@ class StokesConfig(GMGConfig):
 
 @dataclass
 class StokesSolution:
-    """Velocity/pressure fields plus solver diagnostics."""
+    """Velocity/pressure fields plus solver diagnostics.
+
+    ``extra["true_relres"]`` is ``||b - K x|| / ||b||`` of the returned
+    ``x``, measured with one coupled apply after the solve; a
+    ``CONVERGED_*`` reason guarantees it is at most ``EXIT_SLACK * rtol``.
+    """
 
     u: np.ndarray
     p: np.ndarray
@@ -135,9 +144,12 @@ def solve_stokes(
     stokes_operator:
         The Picard :class:`StokesOperator` of ``problem``, already built
         (the nonlinear loop builds one per iterate for its residual).  Used
-        as it is when its viscous kernel is ``config.operator``; a rung of
-        the fallback ladder with another kernel builds its own and takes
-        only its ``B``.
+        as it is when its viscous kernel is ``config.operator``; a fallback
+        rung with another kernel builds its own and takes only its ``B``.
+
+    A scheme that reports ``CONVERGED_*`` while the true relative residual
+    misses ``rtol`` by more than :data:`EXIT_SLACK` returns
+    ``DIVERGED_BREAKDOWN`` instead.
     """
     cfg = config or StokesConfig()
     mesh = problem.mesh
@@ -158,8 +170,8 @@ def solve_stokes(
         op = (picard if velocity_operator is None
               else picard.with_velocity_operator(velocity_operator))
         if cfg.velocity_pc == "jacobi":
-            # last rung of the fallback ladder: diagonal scaling of the
-            # viscous block, no hierarchy to build and nothing to break
+            # the jacobi-restart rung: diagonal scaling of the viscous
+            # block, no hierarchy to build and nothing to break
             with _obs.timed("PCSetUp_jacobi"):
                 d = np.array(picard.A_op.diagonal(), dtype=np.float64)
                 if problem.bc is not None:
@@ -187,39 +199,17 @@ def solve_stokes(
     setup_s = time.perf_counter() - t0
 
     b = op.rhs() if rhs is None else rhs
-    nullvec = None
+    nu = op.nu
+    apply_op = op.apply
+    pc_apply = pc
     if cfg.project_pressure_nullspace:
         nullvec = _pressure_null_vector(mesh)
         nn2 = nullvec @ nullvec
 
-    nu = op.nu
-
-    def project(x):
-        if nullvec is not None:
+        def project(x):
             x[nu:] -= ((x[nu:] @ nullvec) / nn2) * nullvec
-        return x
+            return x
 
-    t0 = time.perf_counter()
-    if cfg.scheme == "scr":
-        with _obs.stage("StokesSolve"):
-            x, scr_stats = solve_scr(
-                op, b, velocity_pc=vel_pc, rtol=cfg.rtol,
-                maxiter=cfg.maxiter, monitor=monitor,
-            )
-        x = project(x)
-        solve_s = time.perf_counter() - t0
-        return StokesSolution(
-            u=x[:nu], p=x[nu:], iterations=scr_stats.outer_iterations,
-            converged=scr_stats.converged, residuals=[],
-            setup_seconds=setup_s, solve_seconds=solve_s, mg_stats=mg_stats,
-            extra={"scr": scr_stats}, reason=scr_stats.reason,
-        )
-
-    method = OUTER_METHODS[cfg.outer]
-
-    apply_op = op.apply
-    pc_apply = pc
-    if nullvec is not None:
         b = project(b.copy())
 
         def apply_op(x, _op=op):
@@ -227,52 +217,125 @@ def solve_stokes(
 
         def pc_apply(r, _pc=pc):
             return project(_pc(r))
+    else:
+        def project(x):
+            return x
 
+    t0 = time.perf_counter()
     with _obs.stage("StokesSolve"):
-        res = method(
-            apply_op, b, x0=x0, M=pc_apply, rtol=cfg.rtol, maxiter=cfg.maxiter,
-            restart=cfg.restart, monitor=monitor, dtol=cfg.dtol,
-        )
-    x = project(res.x)
+        if cfg.scheme == "scr":
+            x, scr_stats = solve_scr(
+                op, b, velocity_pc=vel_pc, rtol=cfg.rtol,
+                maxiter=cfg.maxiter, monitor=monitor,
+            )
+            its, reason, residuals = (scr_stats.outer_iterations,
+                                      scr_stats.reason, [])
+            extra = {"scr": scr_stats}
+        else:
+            res = OUTER_METHODS[cfg.outer](
+                apply_op, b, x0=x0, M=pc_apply, rtol=cfg.rtol,
+                maxiter=cfg.maxiter, restart=cfg.restart, monitor=monitor,
+                dtol=cfg.dtol,
+            )
+            x, its, reason, residuals = (res.x, res.iterations, res.reason,
+                                         res.residuals)
+            extra = {"operator": op, "preconditioner": pc}
+        x = project(x)
+        # exit check: one coupled apply confirms what the scheme reported
+        bnorm = float(np.linalg.norm(b))
+        relres = float(np.linalg.norm(b - apply_op(x)))
+        if bnorm > 0.0:
+            relres /= bnorm
     solve_s = time.perf_counter() - t0
+    if reason.is_converged and not relres <= EXIT_SLACK * cfg.rtol:
+        reason = ConvergedReason.DIVERGED_BREAKDOWN
+    extra["true_relres"] = relres
     return StokesSolution(
-        u=x[:nu], p=x[nu:], iterations=res.iterations, converged=res.converged,
-        residuals=res.residuals, setup_seconds=setup_s, solve_seconds=solve_s,
-        mg_stats=mg_stats, extra={"operator": op, "preconditioner": pc},
-        reason=res.reason,
+        u=x[:nu], p=x[nu:], iterations=its, converged=reason.is_converged,
+        residuals=residuals, setup_seconds=setup_s, solve_seconds=solve_s,
+        mg_stats=mg_stats, extra=extra, reason=reason,
     )
+
+
+#: the fallback ladder of :func:`solve_stokes_resilient`: each rung is a
+#: name and the config it solves with, made from the caller's config
+FALLBACK_RUNGS = (
+    ("primary", lambda cfg: cfg),
+    # one smoothed-aggregation V-cycle on the assembled viscous block: no
+    # geometric transfer chain, and it converges where Jacobi needs 350+ its
+    ("sa-amg", lambda cfg: replace(
+        cfg, operator="asmb", mg_levels=1, coarse_solver="sa")),
+    # diagonal scaling under FGMRES with twice the budget: slow, but its
+    # setup cannot fail
+    ("jacobi-restart", lambda cfg: replace(
+        cfg, velocity_pc="jacobi", outer="fgmres", maxiter=2 * cfg.maxiter)),
+)
+
+#: exceptions a rung may raise and the next rung absorb; anything else
+#: (programming errors, interrupts) propagates
+RECOVERABLE = (
+    BreakdownError,
+    FloatingPointError,
+    ZeroDivisionError,
+    np.linalg.LinAlgError,
+    ValueError,
+)
 
 
 def solve_stokes_resilient(
     problem: StokesProblem,
     config: StokesConfig | None = None,
-    ladder: FallbackLadder | None = None,
     **kwargs,
 ) -> StokesSolution:
-    """:func:`solve_stokes` behind the preconditioner fallback ladder.
+    """:func:`solve_stokes` behind the :data:`FALLBACK_RUNGS` ladder.
 
-    Attempts the configured solve; on a recoverable failure (a DIVERGED
-    reason in :data:`~repro.resilience.fallback.DEFAULT_RETRY_ON`, or a
-    recoverable exception such as a smoother breakdown) it walks the
-    downgrade ladder -- matrix-free GMG -> assembled GMG -> single-level
-    SA-AMG -> Jacobi-preconditioned FGMRES restart -- re-running the solve
-    under each progressively cheaper-to-trust configuration.  Each
-    downgrade is recorded as a ``ResilienceFallback[...]`` obs event and a
-    ``resilience`` trace record, and the walk's event list lands in
+    Runs the configured solve (``primary``).  When it raises one of
+    :data:`RECOVERABLE` or returns a reason whose
+    :attr:`~repro.resilience.reasons.ConvergedReason.needs_recovery` holds
+    (NaN, dtol, breakdown -- including a convergence the exit check
+    refuted -- or stagnation; not ``DIVERGED_ITS``), it re-runs the solve
+    on the next rung: single-level SA-AMG on the assembled operator, then
+    Jacobi-preconditioned FGMRES with twice the iteration budget.  Each
+    downgrade is a ``ResilienceFallback[<rung>]`` obs span and a
+    ``resilience`` trace record, and the list of downgrades lands in
     ``solution.extra["fallback_events"]``.
 
     Raises :class:`~repro.resilience.reasons.BreakdownError` only when
-    every rung *raised*; a final rung that merely failed to converge
-    returns its (finite, best-effort) solution with the DIVERGED reason so
-    the time loop can decide between accepting and rolling back.
+    every rung *raised*; otherwise the last result is returned, so a last
+    rung that merely failed to converge hands back its (finite) iterate
+    with its DIVERGED reason and the time loop decides between accepting
+    and rolling back.
     """
     cfg = config or StokesConfig()
-    ladder = ladder or FallbackLadder(default_rungs())
-
-    def attempt(rung_cfg: StokesConfig) -> StokesSolution:
-        return solve_stokes(problem, rung_cfg, **kwargs)
-
-    sol, events = ladder.walk(cfg, attempt, classify=lambda s: s.reason)
+    events: list[dict] = []
+    sol = error = None
+    for i, (name, transform) in enumerate(FALLBACK_RUNGS):
+        t0 = time.perf_counter()
+        try:
+            result = solve_stokes(problem, transform(cfg), **kwargs)
+        except RECOVERABLE as err:
+            error = err
+            reason = getattr(err, "reason", ConvergedReason.DIVERGED_BREAKDOWN)
+        else:
+            sol, error, reason = result, None, result.reason
+            if not reason.needs_recovery:
+                break
+        elapsed = time.perf_counter() - t0
+        nxt = FALLBACK_RUNGS[i + 1][0] if i + 1 < len(FALLBACK_RUNGS) else None
+        events.append({
+            "rung": name, "reason": ConvergedReason(reason).name,
+            "error": repr(error) if error is not None else None,
+            "seconds": elapsed, "next": nxt,
+        })
+        _obs.record_span(f"ResilienceFallback[{name}]", t0, t0 + elapsed)
+        trace_resilience("fallback", rung=name, reason=events[-1]["reason"],
+                         next=nxt)
+    if sol is None:
+        raise BreakdownError(
+            f"every fallback rung failed "
+            f"({', '.join(e['rung'] for e in events)}); last error: {error!r}",
+            reason=ConvergedReason.DIVERGED_BREAKDOWN,
+        ) from error
     if events:
         sol.extra["fallback_events"] = events
     return sol

@@ -13,12 +13,8 @@ from repro.parallel.executor import partition_range
 from repro.resilience import (
     BreakdownError,
     ConvergedReason,
-    DEFAULT_RETRY_ON,
-    FallbackLadder,
     FaultInjector,
     ResidualGuard,
-    Rung,
-    default_rungs,
     nonfinite,
 )
 from repro.sim import (
@@ -40,7 +36,9 @@ from repro.solvers import (
     gmres,
     newton,
 )
+from repro.mg import gmg as gmg_module
 from repro.stokes import StokesConfig, solve_stokes, solve_stokes_resilient
+from repro.stokes.solve import EXIT_SLACK, FALLBACK_RUNGS, OUTER_METHODS
 from repro.stokes.fieldsplit import FieldSplitPreconditioner
 from repro.stokes.operators import StokesOperator
 from repro import obs
@@ -70,6 +68,12 @@ class TestReasons:
             assert r.is_diverged and not r.is_converged
         assert not ConvergedReason.CONVERGED_ITERATING.is_converged
         assert not ConvergedReason.CONVERGED_ITERATING.is_diverged
+
+    def test_needs_recovery(self):
+        # one policy for the fallback ladder and the time-step rollback
+        assert {r for r in ConvergedReason if r.needs_recovery} == {
+            ConvergedReason.DIVERGED_DTOL, ConvergedReason.DIVERGED_BREAKDOWN,
+            ConvergedReason.DIVERGED_NAN, ConvergedReason.DIVERGED_STAGNATION}
 
     def test_nonfinite(self):
         assert nonfinite(float("nan"))
@@ -364,127 +368,138 @@ class TestFaultInjector:
 
 
 # --------------------------------------------------------------------- #
-# fallback ladder
-# --------------------------------------------------------------------- #
-class _Cfg:
-    """Duck-typed config stand-in (the ladder only names rungs here)."""
-
-    def __init__(self, name="primary"):
-        self.name = name
-
-
-class _Result:
-    def __init__(self, reason):
-        self.reason = reason
-
-
-class TestFallbackLadder:
-    def _ladder(self, names=("a", "b", "c")):
-        return FallbackLadder([Rung(n, lambda cfg, n=n: _Cfg(n)) for n in names])
-
-    def test_first_rung_success_no_events(self):
-        ladder = self._ladder()
-        result, events = ladder.walk(
-            _Cfg(), lambda cfg: _Result(ConvergedReason.CONVERGED_RTOL),
-            classify=lambda r: r.reason,
-        )
-        assert result.reason == ConvergedReason.CONVERGED_RTOL
-        assert events == []
-
-    def test_walks_to_second_rung(self):
-        ladder = self._ladder()
-        seen = []
-
-        def attempt(cfg):
-            seen.append(cfg.name)
-            if cfg.name == "a":
-                return _Result(ConvergedReason.DIVERGED_NAN)
-            return _Result(ConvergedReason.CONVERGED_RTOL)
-
-        result, events = ladder.walk(_Cfg(), attempt,
-                                     classify=lambda r: r.reason)
-        assert seen == ["a", "b"]
-        assert result.reason == ConvergedReason.CONVERGED_RTOL
-        assert len(events) == 1
-        assert events[0]["rung"] == "a"
-        assert events[0]["reason"] == "DIVERGED_NAN"
-        assert events[0]["next"] == "b"
-
-    def test_recoverable_exception_downgrades(self):
-        ladder = self._ladder()
-
-        def attempt(cfg):
-            if cfg.name == "a":
-                raise BreakdownError("smoother died",
-                                     reason=ConvergedReason.DIVERGED_NAN)
-            return _Result(ConvergedReason.CONVERGED_RTOL)
-
-        result, events = ladder.walk(_Cfg(), attempt,
-                                     classify=lambda r: r.reason)
-        assert result.reason == ConvergedReason.CONVERGED_RTOL
-        assert events[0]["reason"] == "DIVERGED_NAN"
-        assert "smoother died" in events[0]["error"]
-
-    def test_diverged_its_not_retried_by_default(self):
-        ladder = self._ladder()
-        seen = []
-
-        def attempt(cfg):
-            seen.append(cfg.name)
-            return _Result(ConvergedReason.DIVERGED_ITS)
-
-        result, events = ladder.walk(_Cfg(), attempt,
-                                     classify=lambda r: r.reason)
-        assert seen == ["a"]  # budget exhaustion is not a ladder trigger
-        assert result.reason == ConvergedReason.DIVERGED_ITS
-        assert ConvergedReason.DIVERGED_ITS not in DEFAULT_RETRY_ON
-
-    def test_all_rungs_raise(self):
-        ladder = self._ladder()
-
-        def attempt(cfg):
-            raise BreakdownError(f"rung {cfg.name} died")
-
-        with pytest.raises(BreakdownError) as exc:
-            ladder.walk(_Cfg(), attempt, classify=lambda r: r.reason)
-        assert "every fallback rung failed" in str(exc.value)
-
-    def test_last_rung_diverged_result_returned(self):
-        ladder = self._ladder(names=("a", "b"))
-
-        def attempt(cfg):
-            return _Result(ConvergedReason.DIVERGED_DTOL)
-
-        result, events = ladder.walk(
-            _Cfg(), attempt,
-            classify=lambda r: r.reason,
-        )
-        # caller sees the reason and owns the next policy level
-        assert result.reason == ConvergedReason.DIVERGED_DTOL
-        assert len(events) == 2
-
-    def test_default_rungs_transforms(self):
-        cfg = StokesConfig(maxiter=100)
-        rungs = default_rungs()
-        assert [r.name for r in rungs] == [
-            "primary", "assembled-gmg", "sa-amg", "jacobi-restart"]
-        assert rungs[0].transform(cfg) is cfg
-        assert rungs[1].transform(cfg).operator == "asmb"
-        sa = rungs[2].transform(cfg)
-        assert sa.mg_levels == 1 and sa.coarse_solver == "sa"
-        jac = rungs[3].transform(cfg)
-        assert jac.velocity_pc == "jacobi"
-        assert jac.outer == "fgmres"
-        assert jac.maxiter == 200
-
-
-# --------------------------------------------------------------------- #
 # stokes-level fallback
 # --------------------------------------------------------------------- #
 def _tiny_problem():
     return sinker_stokes_problem(
         SinkerConfig(shape=(3, 3, 3), n_spheres=1, radius=0.2, delta_eta=10.0)
     )
+
+
+def _sinker_4(delta_eta=100.0):
+    """4^3, 8 spheres of radius 0.1, seed 42: the rung-rescue cells."""
+    return sinker_stokes_problem(
+        SinkerConfig(shape=(4, 4, 4), delta_eta=delta_eta))
+
+
+class TestFallbackLadder:
+    """The walk of ``solve_stokes_resilient`` over ``FALLBACK_RUNGS``, and
+    one cell per lower rung that only that rung rescues."""
+
+    CFG = StokesConfig(mg_levels=1, coarse_solver="lu", maxiter=200)
+
+    def test_rung_tuple(self):
+        cfg = StokesConfig(maxiter=100)
+        names = [name for name, _ in FALLBACK_RUNGS]
+        assert names == ["primary", "sa-amg", "jacobi-restart"]
+        primary, sa, jac = (t(cfg) for _, t in FALLBACK_RUNGS)
+        assert primary is cfg
+        assert (sa.operator, sa.mg_levels, sa.coarse_solver) == (
+            "asmb", 1, "sa")
+        assert (jac.velocity_pc, jac.outer, jac.maxiter) == (
+            "jacobi", "fgmres", 200)
+
+    def test_first_rung_success_no_events(self):
+        # a clean primary solve stops the walk at the first rung: the
+        # result is the primary's own, with no fallback events recorded
+        pb = _tiny_problem()
+        sol = solve_stokes_resilient(pb, self.CFG)
+        ref = solve_stokes(pb, FALLBACK_RUNGS[0][1](self.CFG))
+        assert sol.reason == ref.reason
+        assert sol.reason.is_converged
+        assert sol.iterations == ref.iterations
+        np.testing.assert_array_equal(sol.u, ref.u)
+        np.testing.assert_array_equal(sol.p, ref.p)
+        assert "fallback_events" not in sol.extra
+
+    def test_walks_to_second_rung(self):
+        # sa-amg rescues: with a NaN primary it converges in ~45 its,
+        # where the Jacobi rung's 2 x 150 its end DIVERGED_ITS
+        pb = _sinker_4()
+        cfg = StokesConfig(maxiter=150)
+        with FaultInjector() as fi:
+            fi.poison_nan(FieldSplitPreconditioner, "__call__", calls={1},
+                          mode="all")
+            sol = solve_stokes_resilient(pb, cfg)
+        assert sol.reason.is_converged
+        assert sol.extra["true_relres"] <= cfg.rtol
+        events = sol.extra["fallback_events"]
+        assert [(e["rung"], e["reason"], e["next"]) for e in events] == [
+            ("primary", "DIVERGED_NAN", "sa-amg")]
+        jac = solve_stokes(pb, FALLBACK_RUNGS[2][1](cfg))
+        assert jac.reason == ConvergedReason.DIVERGED_ITS
+
+    def test_jacobi_restart_rescues(self):
+        # a failing smoothed-aggregation build takes down both the primary
+        # (its coarse solver) and the sa-amg rung; Jacobi needs no setup
+        pb = _sinker_4()
+        with FaultInjector() as fi:
+            fi.fail_with(gmg_module, "smoothed_aggregation",
+                         BreakdownError("SA setup failed"))
+            sol = solve_stokes_resilient(pb, StokesConfig())
+        assert len(fi.fired) == 2
+        assert sol.reason.is_converged
+        assert sol.extra["true_relres"] <= 1e-5
+        events = sol.extra["fallback_events"]
+        assert [(e["rung"], e["next"]) for e in events] == [
+            ("primary", "sa-amg"), ("sa-amg", "jacobi-restart")]
+        assert all("SA setup failed" in e["error"] for e in events)
+
+    def test_recoverable_exception_downgrades(self):
+        pb = _tiny_problem()
+        with FaultInjector() as fi:
+            fi.fail_with(FieldSplitPreconditioner, "__call__",
+                         BreakdownError("smoother died",
+                                        reason=ConvergedReason.DIVERGED_NAN),
+                         calls={1})
+            sol = solve_stokes_resilient(pb, self.CFG)
+        assert sol.reason.is_converged
+        events = sol.extra["fallback_events"]
+        assert len(events) == 1
+        assert events[0]["reason"] == "DIVERGED_NAN"
+        assert "smoother died" in events[0]["error"]
+
+    def test_diverged_its_not_retried_by_default(self):
+        pb = _tiny_problem()
+        sol = solve_stokes_resilient(
+            pb, StokesConfig(mg_levels=1, coarse_solver="lu", maxiter=2))
+        # budget exhaustion is not a ladder trigger
+        assert sol.reason == ConvergedReason.DIVERGED_ITS
+        assert not ConvergedReason.DIVERGED_ITS.needs_recovery
+        assert "fallback_events" not in sol.extra
+
+    def test_all_rungs_raise(self):
+        pb = _tiny_problem()
+        with FaultInjector() as fi:
+            fi.fail_with(FieldSplitPreconditioner, "__call__",
+                         BreakdownError("rung died"))
+            with pytest.raises(BreakdownError) as exc:
+                solve_stokes_resilient(pb, self.CFG)
+        assert "every fallback rung failed" in str(exc.value)
+        assert len(fi.fired) == len(FALLBACK_RUNGS)
+
+    def test_last_rung_diverged_result_returned(self):
+        pb = _tiny_problem()
+        # primary and sa-amg go NaN on their first PC apply; the Jacobi
+        # rung runs out of its (2 x 5) iterations with a finite iterate
+        cfg = StokesConfig(mg_levels=1, coarse_solver="lu", maxiter=5)
+        with FaultInjector() as fi:
+            fi.poison_nan(FieldSplitPreconditioner, "__call__",
+                          calls={1, 2}, mode="all")
+            sol = solve_stokes_resilient(pb, cfg)
+        assert sol.reason == ConvergedReason.DIVERGED_ITS
+        assert sol.iterations == 10
+        assert np.isfinite(sol.u).all() and np.isfinite(sol.p).all()
+        assert [e["rung"] for e in sol.extra["fallback_events"]] == [
+            "primary", "sa-amg"]
+        # a last rung that fails with a recoverable reason is returned
+        # too: the caller sees the reason and owns the next policy level
+        with FaultInjector() as fi:
+            fi.poison_nan(FieldSplitPreconditioner, "__call__", mode="all")
+            sol = solve_stokes_resilient(pb, cfg)
+        assert sol.reason == ConvergedReason.DIVERGED_NAN
+        events = sol.extra["fallback_events"]
+        assert len(events) == 3 and events[-1]["next"] is None
 
 
 class TestStokesResilient:
@@ -518,7 +533,7 @@ class TestStokesResilient:
         events = sol.extra["fallback_events"]
         assert events[0]["rung"] == "primary"
         assert events[0]["reason"] == "DIVERGED_NAN"
-        assert events[0]["next"] == "assembled-gmg"
+        assert events[0]["next"] == "sa-amg"
 
     def test_fallback_records_obs_events(self):
         pb = _tiny_problem()
@@ -540,6 +555,54 @@ class TestStokesResilient:
         doc = obs.snapshot()
         obs.validate(doc)  # resilience stream passes the schema
         obs.reset()
+
+
+# --------------------------------------------------------------------- #
+# exit check: a reported convergence is one the true residual confirms
+# --------------------------------------------------------------------- #
+class TestExitCheck:
+    @pytest.mark.parametrize("scheme", ["fieldsplit", "scr"])
+    @pytest.mark.parametrize("delta_eta", [1e2, 1e4])
+    def test_reason_agrees_with_true_residual(self, scheme, delta_eta):
+        pb = _sinker_4(delta_eta)
+        cfg = StokesConfig(scheme=scheme)
+        sol = solve_stokes(pb, cfg)
+        op = StokesOperator(pb, kind="asmb")
+        b = op.rhs()
+        true = np.linalg.norm(b - op.apply(np.concatenate([sol.u, sol.p])))
+        true /= np.linalg.norm(b)
+        assert sol.extra["true_relres"] == pytest.approx(true, rel=1e-6)
+        # converged means the true residual is within the exit slack of
+        # rtol; a diverged solve must not have met rtol at all (SCR at
+        # 1e4 reaches 5e-5 with inner solves short of inner_rtol)
+        if sol.reason.is_converged:
+            assert true <= EXIT_SLACK * cfg.rtol
+        else:
+            assert true > cfg.rtol
+        if delta_eta == 1e2:
+            assert sol.reason.is_converged
+            assert true <= cfg.rtol
+
+    def test_refuted_convergence_falls_back(self, monkeypatch):
+        # a GCR that reports convergence for a wrong iterate: the exit
+        # check turns it into DIVERGED_BREAKDOWN, and the ladder walks to
+        # the FGMRES (Jacobi) rung
+        def lying_gcr(*args, **kwargs):
+            res = gcr(*args, **kwargs)
+            res.x[:] = 0.0
+            return res
+
+        monkeypatch.setitem(OUTER_METHODS, "gcr", lying_gcr)
+        pb = _tiny_problem()
+        cfg = StokesConfig(mg_levels=1, coarse_solver="lu")
+        sol = solve_stokes(pb, cfg)
+        assert sol.reason == ConvergedReason.DIVERGED_BREAKDOWN
+        assert not sol.converged
+        assert sol.extra["true_relres"] == pytest.approx(1.0)
+        sol = solve_stokes_resilient(pb, cfg)
+        assert sol.reason.is_converged
+        assert [e["reason"] for e in sol.extra["fallback_events"]] == [
+            "DIVERGED_BREAKDOWN", "DIVERGED_BREAKDOWN"]
 
 
 # --------------------------------------------------------------------- #
