@@ -60,7 +60,7 @@ def sim_once(enabled: bool, timeline: bool = False) -> float:
     obs.reset()
     if enabled:
         obs.enable()
-        obs.flight.arm(capacity=16, directory=tempfile.gettempdir())
+        obs.flight.arm(directory=tempfile.gettempdir())
         if timeline:
             obs.timeline.arm(capacity=4096)
     sim = make_sinker(

@@ -121,9 +121,9 @@ def inject_fault_run() -> None:
     """Survive two injected faults: PC fallback, then dt rollback.
 
     The flight recorder is armed for the run, so the rollback fired by
-    the second fault automatically dumps a schema-validated
-    ``FLIGHT_rollback_*.json`` black box with the last accepted step
-    records, events, and traces leading up to the failure.
+    the second fault automatically dumps a ``FLIGHT_rollback_*.json``
+    black box: the ``repro.obs/1`` document (accepted step records,
+    events, traces) as it stood when the failure fired.
     """
     from repro import FaultInjector, SimulationConfig, obs
     from repro.sim.sinker import SinkerConfig, make_sinker
@@ -132,7 +132,7 @@ def inject_fault_run() -> None:
     from repro.stokes.operators import StokesOperator
 
     obs.enable()
-    recorder = obs.flight.arm(capacity=16)
+    recorder = obs.flight.arm()
     sim = make_sinker(
         SinkerConfig(shape=(4, 4, 4)),
         SimulationConfig(
@@ -190,14 +190,16 @@ def inject_fault_run() -> None:
     import json
 
     with open(recorder.dumps[-1]) as fh:
-        dump = obs.validate_flight(json.load(fh))
-    assert dump["trigger"]["kind"] == "rollback"
-    assert dump["steps"], "flight dump carries no buffered steps"
-    assert all("dt" in s and "krylov_iterations" in s for s in dump["steps"])
+        dump = obs.validate(json.load(fh))
+    trigger = dump["meta"]["trigger"]
+    steps = dump["traces"]["step"]
+    assert trigger["kind"] == "rollback"
+    assert steps, "flight dump carries no accepted steps"
+    assert all("dt" in s and "krylov_iterations" in s for s in steps)
     assert dump["metrics"]["series"], "flight dump carries no metric series"
     print(f"flight recorder dumped {len(recorder.dumps)} black box(es); "
-          f"last: {recorder.dumps[-1]} ({len(dump['steps'])} buffered "
-          f"steps, trigger '{dump['trigger']['kind']}')")
+          f"last: {recorder.dumps[-1]} ({len(steps)} accepted steps, "
+          f"trigger '{trigger['kind']}')")
     obs.flight.disarm()
     obs.disable()
     obs.reset()

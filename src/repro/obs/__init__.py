@@ -9,11 +9,12 @@ fractions (:mod:`~repro.obs.report`); structured solver convergence
 traces and the one record per accepted time step (``trace_step``),
 exported through a stable JSON schema (:mod:`~repro.obs.trace`); the
 per-step metric series derived from that step stream, and the run
-manifest (:mod:`~repro.obs.metrics`); the flight recorder, whose ring is
-the tail of the same stream (:mod:`~repro.obs.flight`); and the span
-timeline every load-balance number is computed from
+manifest (:mod:`~repro.obs.metrics`); the flight recorder, which dumps
+that same document when a failure fires (:mod:`~repro.obs.flight`); and
+the span timeline every load-balance number is computed from
 (:mod:`~repro.obs.timeline`).  Per-step data lives once, in
-``REGISTRY.traces``; series and rings are computed from it on export.
+``REGISTRY.traces``; series are computed from it on export, and
+``repro.obs/1`` is the only document this package writes.
 
 Typical use::
 
@@ -30,12 +31,7 @@ Profiling is off by default; the disabled fast path is a single flag test
 hot paths permanently.
 """
 
-# NOTE: .timeline is deliberately not imported eagerly -- it is a
-# ``python -m`` CLI, and pre-importing it here would trip runpy's
-# double-import warning on every invocation; reach it lazily via
-# attribute access (``obs.timeline`` works through __getattr__ below)
-from . import flight, metrics
-from .flight import FLIGHT_SCHEMA, ProgressLine, validate_flight
+from . import flight, metrics, timeline
 from .registry import (
     REGISTRY,
     STATE,
@@ -76,14 +72,4 @@ __all__ = [
     "SCHEMA", "snapshot", "validate", "write_json", "attach_monitor",
     "trace_ksp", "trace_snes", "trace_mg", "trace_resilience", "trace_step",
     "metrics", "flight", "timeline",
-    "FLIGHT_SCHEMA", "ProgressLine", "validate_flight",
 ]
-
-
-def __getattr__(name):
-    # lazy submodule access for the python -m CLI (see NOTE above)
-    if name == "timeline":
-        import importlib
-
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

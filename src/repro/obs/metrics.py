@@ -41,7 +41,6 @@ __all__ = [
     "build_manifest",
     "config_hash",
     "export",
-    "manifest_override",
     "set_manifest",
 ]
 
@@ -105,16 +104,6 @@ def set_manifest(**fields) -> None:
     is free) so a later ``enable()`` + export still knows what ran.
     """
     _OVERRIDES.update(fields)
-
-
-def manifest_override(key: str, default=None):
-    """An application-set manifest field (see :func:`set_manifest`).
-
-    The flight recorder reads ``config_hash`` here to namespace its dump
-    files per run identity, so concurrent ensemble jobs sharing one dump
-    directory cannot collide.
-    """
-    return _OVERRIDES.get(key, default)
 
 
 def config_hash(obj) -> str:

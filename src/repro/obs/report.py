@@ -15,6 +15,7 @@ import sys
 
 from ..perf.machine import MachineModel, resolve_machine
 from . import metrics as _metrics
+from . import timeline as _timeline
 from .registry import REGISTRY
 
 
@@ -125,10 +126,7 @@ def log_view(
                 f"{srec.seconds:.4f} s{mem}\n"
             )
     out.write("-" * w + "\n")
-    # timeline tail: the analysis of the armed timeline's spans, as
-    # python -m repro.obs.timeline prints it (lazy import: python -m CLI)
-    from . import timeline as _timeline
-
+    # timeline tail: the analysis of the armed timeline's spans
     tail = _timeline.summary()
     if tail is not None:
         out.write(tail + "\n" + "-" * w + "\n")

@@ -11,8 +11,7 @@ ring per worker and merged into one global timeline that exports as
 * a ``repro.obs.timeline/1`` section inside every ``repro.obs/1`` JSON
   document (:func:`repro.obs.snapshot` attaches it while armed), and
 * Chrome trace-event JSON (:func:`chrome_trace` /
-  :func:`write_chrome_trace`), viewable at https://ui.perfetto.dev --
-  ``python -m repro.obs.timeline run.json --out trace.json``.
+  :func:`write_chrome_trace`), viewable at https://ui.perfetto.dev.
 
 Capture model
 -------------
@@ -38,16 +37,14 @@ Analysis
 facts: wall time split into serial vs parallel segments (the critical
 path), per-worker busy/idle utilization, and per-dispatch
 straggler/imbalance factors (``max task time / mean task time``).  The
-``-log_view`` tail (:func:`summary`), the export's ``analysis`` block
-and this module's CLI all read it.
+``-log_view`` tail (:func:`summary`) and the export's ``analysis`` block
+both read it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
-import sys
 import threading
 import time
 from collections import deque
@@ -65,7 +62,6 @@ __all__ = [
     "armed",
     "chrome_trace",
     "disarm",
-    "main",
     "summary",
     "validate_chrome_trace",
     "validate_timeline",
@@ -317,9 +313,8 @@ def analyze(spans: list[dict]) -> dict:
 # report summary
 # --------------------------------------------------------------------- #
 def summary() -> str | None:
-    """The armed timeline's analysis as the ``-log_view`` tail, rendered
-    exactly as ``python -m repro.obs.timeline`` prints it (or ``None``
-    while disarmed or empty)."""
+    """The armed timeline's analysis as the ``-log_view`` tail (or
+    ``None`` while disarmed or empty)."""
     tl = _TIMELINE
     if tl is None or tl.recorded == 0:
         return None
@@ -446,12 +441,11 @@ def validate_chrome_trace(doc: dict) -> dict:
 
 
 # --------------------------------------------------------------------- #
-# text (the -log_view tail) + CLI: python -m repro.obs.timeline run.json
+# text: the -log_view tail
 # --------------------------------------------------------------------- #
 def _render(section: dict) -> str:
-    """A timeline section's analysis as text: the one rendering shared by
-    the ``-log_view`` tail and this CLI."""
-    analysis = section.get("analysis") or analyze(section["spans"])
+    """A timeline section's analysis as text (the ``-log_view`` tail)."""
+    analysis = section["analysis"]
     cp = analysis["critical_path"]
     disp = analysis["dispatches"]
     lines = [
@@ -486,44 +480,3 @@ def _render(section: dict) -> str:
         )
     return "\n".join(lines)
 
-
-def main(argv: list | None = None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.obs.timeline",
-        description="Analyze a run's timeline section and export it as "
-                    "Chrome trace-event JSON (Perfetto-viewable).",
-    )
-    ap.add_argument("document",
-                    help="a repro.obs/1 run document with a 'timeline' "
-                         "section, or a bare repro.obs.timeline/1 section")
-    ap.add_argument("--out", metavar="PATH", default=None,
-                    help="write the Chrome trace here "
-                         "(open at https://ui.perfetto.dev)")
-    args = ap.parse_args(argv)
-
-    try:
-        with open(args.document) as fh:
-            doc = json.load(fh)
-        if doc.get("schema") == TIMELINE_SCHEMA:
-            section = doc
-        elif "timeline" in doc:
-            section = doc["timeline"]
-        else:
-            raise ValueError(
-                f"{args.document}: no timeline section (was the run "
-                "armed with repro.obs.timeline.arm()?)")
-        validate_timeline(section)
-    except (OSError, ValueError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-
-    print(_render(section))
-    if args.out:
-        trace = write_chrome_trace(args.out, section)
-        print(f"Chrome trace ({len(trace['traceEvents'])} events) written "
-              f"to {args.out} -- open at https://ui.perfetto.dev")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

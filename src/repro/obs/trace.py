@@ -29,8 +29,8 @@ Five trace streams mirror the paper's solver diagnostics:
     ``step``, ``time``, ``points`` and the owned communicator's ``comm``
     totals.  A rolled-back attempt leaves no step record, only its
     ``resilience`` ``rollback`` record.  The per-step metric series
-    (:func:`repro.obs.metrics.export`) and the flight recorder's ring are
-    read from this stream; nothing stores a step a second time.
+    (:func:`repro.obs.metrics.export`) are read from this stream; nothing
+    stores a step a second time.
 
 :func:`snapshot` exports everything -- stages, events, traces, attached
 monitors -- as one JSON document with a stable ``"schema"`` tag; the
@@ -175,8 +175,8 @@ def snapshot(meta: dict | None = None) -> dict:
         "manifest": _metrics.build_manifest(),
         "meta": dict(meta or {}),
     }
-    # lazy: repro.obs.timeline is runnable via ``python -m`` and must not
-    # be imported eagerly from the package path (runpy double-import)
+    # function-level: repro.obs.timeline imports _check_fields from this
+    # module, so a module-level import here would be an import cycle
     from . import timeline as _timeline
 
     tl = _timeline.armed()

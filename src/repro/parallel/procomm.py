@@ -207,8 +207,15 @@ class _ShmBlock:
             self.shm = None
 
 
-def _claim(path: str | None) -> bool:
-    """Worker-side O_EXCL sentinel claim (one-shot across recoveries)."""
+def claim_sentinel(path: str | None) -> bool:
+    """Atomically claim a cross-process one-shot token; ``True`` on first call.
+
+    A fault must fire **once**, not once per process: a respawned rank or
+    a killed job's retry is a fresh process with fresh state, so the only
+    memory that survives is the filesystem.  The token is an
+    ``O_CREAT | O_EXCL`` file.  ``path=None`` always claims (the fault
+    fires every time).
+    """
     if path is None:
         return True
     try:
@@ -280,9 +287,10 @@ def _worker_loop(rank: int, cmd_fd: int, evt_fd: int) -> None:
             for f in list(faults):
                 if nwork < int(f.get("at", 1)):
                     continue
-                if f["kind"] == "kill" and _claim(f.get("sentinel")):
+                if f["kind"] == "kill" and claim_sentinel(f.get("sentinel")):
                     os._exit(int(f.get("exit_code", 137)))
-                elif f["kind"] == "stall" and _claim(f.get("sentinel")):
+                elif (f["kind"] == "stall"
+                      and claim_sentinel(f.get("sentinel"))):
                     faults.remove(f)
                     time.sleep(float(f.get("seconds", 3600.0)))
         reply = {"event": "reply", "seq": seq, "status": "ok"}
@@ -326,7 +334,7 @@ def _worker_loop(rank: int, cmd_fd: int, evt_fd: int) -> None:
             elif op == "put_mail":
                 dropped = False
                 for f in list(faults):
-                    if f["kind"] == "drop_message" and _claim(
+                    if f["kind"] == "drop_message" and claim_sentinel(
                             f.get("sentinel")):
                         faults.remove(f)
                         dropped = True

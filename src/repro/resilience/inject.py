@@ -2,12 +2,14 @@
 
 Production lithosphere runs die in ways unit tests never exercise: a NaN
 escaping a yield-condition evaluation mid-run, a near-degenerate coarse
-level handing the smoother a singular diagonal, a rank process killed
-mid-dispatch, a checkpoint truncated by a dying filesystem.  This module
-makes each of those failures *reproducible*: faults are installed by
-monkey-patching a named method with a counting wrapper, fire at explicit
-call numbers (or caller-supplied predicates), and disarm deterministically,
-so a test can assert both the failure and the recovery path byte for byte.
+level handing the smoother a singular diagonal, a worker killed mid-job,
+a checkpoint truncated by a dying filesystem.  This module makes each of
+those failures *reproducible*: faults are installed by monkey-patching a
+named method with a counting wrapper, fire at explicit call numbers (or
+caller-supplied predicates), and disarm deterministically, so a test can
+assert both the failure and the recovery path byte for byte.  Faults
+inside a rank process (kill, stall, dropped message) are armed on the
+communicator itself, :meth:`repro.parallel.procomm.ProcessComm.inject_fault`.
 
 Nothing here runs in production paths: when no :class:`FaultInjector` is
 active the patched methods do not exist and the clean path pays zero cost.
@@ -29,25 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-
-def claim_sentinel(path: str | None) -> bool:
-    """Atomically claim a cross-process one-shot token; ``True`` on first call.
-
-    Job-level faults must fire **once per job**, not once per process: a
-    killed worker's retry is a fresh subprocess with fresh patch state, so
-    the only memory that survives is the filesystem.  The token is an
-    ``O_CREAT | O_EXCL`` file, the same mechanism the rank transport's
-    fault sentinels use.  ``path=None`` always claims (fault fires on
-    every attempt).
-    """
-    if path is None:
-        return True
-    try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return False
-    os.close(fd)
-    return True
+from ..parallel.procomm import claim_sentinel
 
 
 @dataclass
@@ -363,51 +347,6 @@ class FaultInjector:
             when=(lambda: claim_sentinel(sentinel)), limit=1,
             label=label or "job:corrupt_checkpoint",
         )
-
-    # -- transport faults (repro.parallel.procomm) ------------------------ #
-    def kill_rank(self, comm, rank: int, at: int = 1,
-                  exit_code: int = 137, sentinel: str | None = None) -> None:
-        """Arm a rank death: ``os._exit`` inside rank ``rank`` at its
-        ``at``-th work operation (span/dot/collective/mailbox traffic;
-        control pings never trigger).
-
-        Unlike the monkey-patch faults above, transport faults live
-        *inside* the rank worker process and survive ``recover()`` (the
-        communicator re-arms them); ``sentinel`` -- an ``O_CREAT|O_EXCL``
-        path, the :func:`claim_sentinel` mechanism -- makes the fault
-        one-shot across recoveries, so the recovery path runs clean.
-        The firing is observed as a :class:`repro.parallel.procomm.
-        RankFailure` (not via :attr:`fired`, which only tracks in-process
-        patches).
-        """
-        comm.inject_fault(rank, "kill", at=int(at),
-                          exit_code=int(exit_code), sentinel=sentinel)
-
-    def stall_rank(self, comm, rank: int, seconds: float = 3600.0,
-                   at: int = 1, sentinel: str | None = None) -> None:
-        """Arm a rank stall: rank ``rank`` sleeps ``seconds`` before
-        serving its ``at``-th work operation.
-
-        The rank keeps heartbeating (the beat thread is separate), so
-        this exercises the **deadline** bound of the collectives: the
-        master raises ``CommTimeout(kind="deadline")`` after
-        ``op_timeout`` instead of hanging.  Observed via the raised
-        timeout, not :attr:`fired`.
-        """
-        comm.inject_fault(rank, "stall", seconds=float(seconds),
-                          at=int(at), sentinel=sentinel)
-
-    def drop_message(self, comm, rank: int,
-                     sentinel: str | None = None) -> None:
-        """Arm a silent message drop: rank ``rank`` discards its next
-        incoming mailbox payload.
-
-        Exercises the conservation audits downstream -- a dropped
-        migration message must surface as a
-        :class:`~repro.resilience.reasons.HealthCheckFailure` from the
-        point-migration audit, never as silently missing material.
-        """
-        comm.inject_fault(rank, "drop_message", sentinel=sentinel)
 
     # -- file faults ----------------------------------------------------- #
     @staticmethod

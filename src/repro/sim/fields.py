@@ -75,13 +75,6 @@ def temperature_at_points(mesh, T_nodal, els, xi) -> np.ndarray:
     return interpolate_nodal_at_points(mesh, T_nodal, els, xi)
 
 
-def temperature_at_quadrature(mesh, T_nodal, quad: GaussQuadrature) -> np.ndarray:
-    """Corner-lattice temperature at quadrature points."""
-    from ..mg.coefficients import corner_nodal_to_quadrature
-
-    return corner_nodal_to_quadrature(mesh, T_nodal, quad)
-
-
 def stress_invariant_at_quadrature(
     mesh, u, eta_q: np.ndarray, quad: GaussQuadrature
 ) -> np.ndarray:

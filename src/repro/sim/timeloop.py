@@ -593,8 +593,9 @@ class Simulation:
                 "rollback", step=self.step_index, attempt=attempt + 1,
                 reason=ConvergedReason(reason).name, dt_scale=self._dt_scale,
             )
-            # black box: dump the last N accepted steps + traces/metrics
-            # the moment the failure fires (no-op while disarmed)
+            # black box: dump the repro.obs/1 document (accepted steps,
+            # traces, events) the moment the failure fires (no-op while
+            # disarmed)
             _flight.trigger(
                 "rollback", step=self.step_index, attempt=attempt + 1,
                 reason=ConvergedReason(reason).name, dt_scale=self._dt_scale,
@@ -613,25 +614,6 @@ class Simulation:
             reason=last_reason,
         )
 
-    def run(
-        self, nsteps: int, dt: float | None = None,
-        progress: bool = False,
-    ) -> list[dict]:
-        """Run ``nsteps`` steps; returns the per-step stats.
-
-        ``progress=True`` renders a one-line live status to stderr after
-        every step -- step, dt, steps/s, latest residual, worker
-        utilization -- for long runs.
-        """
-        if not progress:
-            return [self.step(dt) for _ in range(nsteps)]
-        line = _flight.ProgressLine()
-        out = []
-        try:
-            for _ in range(nsteps):
-                stats = self.step(dt)
-                out.append(stats)
-                line.update(self.step_index, self.time, stats["dt"])
-        finally:
-            line.close()
-        return out
+    def run(self, nsteps: int, dt: float | None = None) -> list[dict]:
+        """Run ``nsteps`` steps; returns the per-step stats."""
+        return [self.step(dt) for _ in range(nsteps)]

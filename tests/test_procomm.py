@@ -13,6 +13,7 @@ import gc
 import json
 import os
 import pickle
+import signal
 import time
 
 import numpy as np
@@ -40,7 +41,6 @@ from repro.parallel import (
     validate_decomposition_compat,
 )
 from repro.parallel.procomm import _LIVE_STATES, span_dot
-from repro.resilience.inject import FaultInjector
 
 
 QUAD = GaussQuadrature.hex(3)
@@ -221,19 +221,19 @@ class TestTransportFaults:
             assert [p for _, p in msgs] == ["kept"]
             comm.clear_faults()
 
-    def test_injector_delegation(self, tmp_path):
-        # the resilience layer's transport faults are thin wrappers over
-        # comm.inject_fault -- same arming, same observation channel
-        injector = FaultInjector()
-        with procomm(2) as comm:
-            injector.drop_message(comm, 1)
-            comm.send(0, 1, "x")
-            assert comm.recv_all(1) == []
-        with procomm(2) as comm:
-            injector.kill_rank(comm, 0, at=1,
-                               sentinel=str(tmp_path / "k"))
-            with pytest.raises(RankFailure):
-                comm.allreduce([1.0, 1.0], "sum")
+    def test_stopped_rank_hits_heartbeat_not_deadline(self):
+        # a SIGSTOPped rank stops beating too: the heartbeat bound fires
+        # long before the per-op deadline
+        with procomm(2, heartbeat_timeout=2.0, op_timeout=60.0) as comm:
+            comm.barrier()
+            os.killpg(comm._ranks[1].pid, signal.SIGSTOP)  # pid == pgid
+            t0 = time.perf_counter()
+            with pytest.raises(CommTimeout) as err:
+                comm.barrier()
+            assert time.perf_counter() - t0 < 30.0
+            assert err.value.kind == "heartbeat"
+            assert err.value.rank == 1
+            comm.shutdown(kill=True)
 
 
 # --------------------------------------------------------------------- #

@@ -2,6 +2,7 @@
 rollback, and crash recovery (the adversarial suite of the robustness PR)."""
 
 import glob
+import json
 import os
 
 import numpy as np
@@ -815,11 +816,11 @@ class TestTimeLoopRollback:
     def test_rollback_leaves_one_step_record_per_accepted_step(self,
                                                                tmp_path):
         # step 2 is rolled back once: the step stream, the series derived
-        # from it and the flight ring see only the three accepted steps
+        # from it and a flight dump see only the three accepted steps
         sim = _resilient_sinker()
         obs.reset()
         obs.enable()
-        rec = obs.flight.arm(capacity=8, directory=tmp_path)
+        rec = obs.flight.arm(directory=tmp_path)
         try:
             with FaultInjector() as fi:
                 fi.poison_nan(StokesOperator, "residual", mode="all", limit=1,
@@ -827,7 +828,7 @@ class TestTimeLoopRollback:
                 stats = [sim.step() for _ in range(3)]
             series = obs.metrics.export()["series"]
             traces = obs.REGISTRY.traces
-            ring = rec.document("manual")["steps"]
+            dumps = [rec.dumps[0], rec.dump("manual")]
         finally:
             obs.flight.disarm()
             obs.disable()
@@ -841,7 +842,15 @@ class TestTimeLoopRollback:
         assert [r["retries"] for r in steps] == [s["retries"] for s in stats]
         assert [r["krylov_iterations"] for r in steps] == \
             [s["krylov_iterations"] for s in stats]
-        assert ring == steps
+        docs = []
+        for path in dumps:
+            with open(path) as fh:
+                docs.append(obs.validate(json.load(fh)))
+        rollback_doc, manual_doc = docs
+        # the rollback dump fired inside step 2: one accepted step so far
+        assert rollback_doc["meta"]["trigger"]["kind"] == "rollback"
+        assert rollback_doc["traces"]["step"] == steps[:1]
+        assert manual_doc["traces"]["step"] == steps
         rollbacks = [r for r in traces["resilience"]
                      if r["event"] == "rollback"]
         assert [(r["step"], r["attempt"]) for r in rollbacks] == [(1, 1)]

@@ -517,7 +517,7 @@ class TestHeartbeatsAndCheckpoint:
 class TestFlightDumpNames:
     def _arm(self, tmp_path):
         obs.enable()
-        return flight.arm(capacity=4, directory=tmp_path)
+        return flight.arm(directory=tmp_path)
 
     def test_legacy_name_without_config_hash(self, tmp_path):
         rec = self._arm(tmp_path)
@@ -541,7 +541,7 @@ class TestFlightDumpNames:
         p1 = rec1.dump("rollback")
         obs.reset()
         obs.enable()
-        rec2 = flight.arm(capacity=4, directory=tmp_path)
+        rec2 = flight.arm(directory=tmp_path)
         metrics.set_manifest(config_hash="bbbbbbbbbbbbbbbb")
         p2 = rec2.dump("rollback")
         assert p1 != p2 and os.path.exists(p1) and os.path.exists(p2)

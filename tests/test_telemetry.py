@@ -1,12 +1,9 @@
 """Run telemetry: the step stream and the series derived from it, run
-manifest, flight recorder, progress line, machine resolution, and the
-document schema."""
+manifest, flight recorder, machine resolution, and the document schema."""
 
 import json
 import os
 import pathlib
-import re
-import time
 from io import StringIO
 
 import numpy as np
@@ -188,32 +185,33 @@ class TestFlightRecorder:
         assert flight.trigger("manual") is None
         assert flight.armed() is None
 
-    def test_ring_buffer_evicts_oldest(self, tmp_path):
+    def test_dump_carries_the_step_stream(self, tmp_path):
         obs.enable()
-        rec = flight.arm(capacity=3, directory=tmp_path)
+        rec = flight.arm(directory=tmp_path)
         for i in range(5):
             obs.trace_step({}, step=i, time=0.1 * i)
-        assert [s["step"] for s in rec.document("manual")["steps"]] == \
-            [2, 3, 4]
+        with open(rec.dump("manual")) as fh:
+            doc = json.load(fh)
+        assert [s["step"] for s in doc["traces"]["step"]] == [0, 1, 2, 3, 4]
 
     def test_trigger_dumps_validated_document(self, tmp_path):
         obs.enable()
-        rec = flight.arm(capacity=4, directory=tmp_path)
+        rec = flight.arm(directory=tmp_path)
         obs.trace_step({"dt": 0.1}, step=0, time=0.0)
         path = flight.trigger("rollback", step=0, reason="diverged")
         assert path in rec.dumps
         assert os.path.basename(path) == "FLIGHT_rollback_001.json"
         with open(path) as fh:
-            doc = flight.validate_flight(json.load(fh))
-        assert doc["trigger"] == {"kind": "rollback", "step": 0,
-                                  "reason": "diverged"}
-        assert doc["steps"][0]["dt"] == 0.1
+            doc = obs.validate(json.load(fh))
+        assert doc["meta"]["trigger"] == {"kind": "rollback", "step": 0,
+                                          "reason": "diverged"}
+        assert doc["traces"]["step"][0]["dt"] == 0.1
         (dt,) = [s for s in doc["metrics"]["series"] if s["name"] == "dt"]
         assert dt["values"] == [0.1]
         assert doc["manifest"]["machine_model"] == "laptop"
 
     def test_dump_indices_increment(self, tmp_path):
-        rec = flight.arm(capacity=2, directory=tmp_path)
+        rec = flight.arm(directory=tmp_path)
         p1 = flight.trigger("manual")
         p2 = flight.trigger("breakdown")
         assert p1.endswith("FLIGHT_manual_001.json")
@@ -222,118 +220,23 @@ class TestFlightRecorder:
 
     def test_numpy_records_are_jsonable(self, tmp_path):
         obs.enable()
-        flight.arm(capacity=2, directory=tmp_path)
+        flight.arm(directory=tmp_path)
         obs.trace_step({"fnorm": np.float64(1e-9), "ok": np.bool_(True),
                         "res": np.arange(3)}, step=0, time=0.0)
         path = flight.trigger("manual")
         with open(path) as fh:
-            step = json.load(fh)["steps"][0]
+            step = json.load(fh)["traces"]["step"][0]
         assert step == {"step": 0, "time": 0.0, "fnorm": 1e-9, "ok": True,
                         "res": [0, 1, 2]}
 
     def test_reset_clears_buffer_but_stays_armed(self, tmp_path):
         obs.enable()
-        rec = flight.arm(capacity=4, directory=tmp_path)
+        rec = flight.arm(directory=tmp_path)
         obs.trace_step({}, step=0, time=0.0)
         obs.reset()
         assert flight.armed() is rec
-        assert rec.document("manual")["steps"] == []
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            flight.FlightRecorder(capacity=0)
-
-    @pytest.mark.parametrize("mutate, match", [
-        (lambda d: d.update(schema="bogus/9"), "schema"),
-        (lambda d: d.pop("manifest"), "missing top-level key"),
-        (lambda d: d.update(steps=[{"no_step": 1}]), "int 'step'"),
-        (lambda d: d.update(steps=[{"step": i} for i in range(9)]),
-         "more buffered steps than capacity"),
-    ])
-    def test_validate_flight_rejects(self, tmp_path, mutate, match):
-        obs.enable()
-        rec = flight.arm(capacity=2, directory=tmp_path)
-        obs.trace_step({}, step=0, time=0.0)
-        doc = rec.document("manual")
-        mutate(doc)
-        with pytest.raises(ValueError, match=match):
-            flight.validate_flight(doc)
-
-
-class TestProgressLine:
-    def test_renders_step_dt_and_residual_gauge(self):
-        obs.enable()
-        obs.trace_ksp("gcr", 0, 5e-3)
-        obs.trace_snes(0, 3.2e-7)
-        out = StringIO()  # StringIO.isatty() is False: the non-TTY path
-        line = obs.ProgressLine(stream=out)
-        text = line.update(4, 0.25, 1e-3)
-        assert "step 4" in text and "dt 1.00e-03" in text
-        assert "|F| 3.20e-07" in text and "steps/s" in text
-        assert "\r" not in out.getvalue()
-        assert out.getvalue().endswith("\n")
-        line.close()
-
-    def test_tty_stream_gets_carriage_return_rewrites(self):
-        class FakeTty(StringIO):
-            def isatty(self):
-                return True
-
-        out = FakeTty()
-        line = obs.ProgressLine(stream=out)
-        line.update(1, 0.0, 1e-3)
-        line.update(2, 0.1, 1e-3)
-        assert out.getvalue().count("\r") == 2
-        assert "\n" not in out.getvalue()
-        line.close()
-        assert out.getvalue().endswith("\n")
-
-    def test_non_tty_stream_writes_interval_lines(self):
-        out = StringIO()
-        line = obs.ProgressLine(stream=out, interval=5)
-        for step in range(1, 13):
-            line.update(step, 0.1 * step, 1e-3)
-        line.close()
-        text = out.getvalue()
-        assert "\r" not in text
-        lines = [l for l in text.splitlines() if l]
-        # first update plus every 5th (counts 5 and 10)
-        assert len(lines) == 3
-        assert "step 1" in lines[0]
-        assert "step 5" in lines[1] and "step 10" in lines[2]
-        assert not text.endswith("\n\n")  # close() adds nothing off-TTY
-
-    def test_explicit_residual_and_no_worker_column(self):
-        line = obs.ProgressLine(stream=StringIO())
-        text = line.update(0, 0.0, 0.1, residual=1e-2)
-        assert "|F| 1.00e-02" in text
-        assert "workers" not in text  # no task has run
-
-    def test_busy_workers_from_task_events(self):
-        obs.enable()
-        line = obs.ProgressLine(stream=StringIO())
-        t0 = time.perf_counter()
-        for rank in (0, 1):
-            obs.record_span("ParExecTask:apply", t0, t0 + 0.01, cat="task",
-                            rank=rank)
-        time.sleep(0.01)
-        text = line.update(1, 0.0, 0.1)
-        busy = float(re.search(r"([\d.]+) workers busy", text).group(1))
-        # 0.02 task seconds over at least 0.01 s of wall
-        assert 0.0 < busy <= 2.0
-        # nothing ran since: the next update reports an idle pool
-        assert "0.0 workers busy" in line.update(2, 0.0, 0.1)
-
-    def test_broken_stream_never_raises(self):
-        class Broken:
-            def write(self, _):
-                raise BrokenPipeError
-            def flush(self):
-                raise BrokenPipeError
-
-        line = obs.ProgressLine(stream=Broken())
-        line.update(0, 0.0, 0.1)
-        line.close()
+        with open(rec.dump("manual")) as fh:
+            assert json.load(fh)["traces"]["step"] == []
 
 
 # --------------------------------------------------------------------- #

@@ -227,31 +227,6 @@ class TestExport:
         with open(out) as fh:
             assert json.load(fh) == doc
 
-    def test_cli_roundtrip(self, tmp_path, capsys):
-        self._armed_run()
-        run = tmp_path / "run.json"
-        obs.write_json(run)
-        trace = tmp_path / "trace.json"
-        assert tl.main([str(run), "--out", str(trace)]) == 0
-        text = capsys.readouterr().out
-        assert "serial fraction" in text and "perfetto" in text.lower()
-        with open(trace) as fh:
-            tl.validate_chrome_trace(json.load(fh))
-        # a bare timeline section is accepted too
-        bare = tmp_path / "bare.json"
-        with open(run) as fh:
-            bare.write_text(json.dumps(json.load(fh)["timeline"]))
-        assert tl.main([str(bare)]) == 0
-
-    def test_cli_errors(self, tmp_path, capsys):
-        missing = tmp_path / "nope.json"
-        assert tl.main([str(missing)]) == 2
-        no_section = tmp_path / "plain.json"
-        obs.enable()
-        obs.write_json(no_section)
-        assert tl.main([str(no_section)]) == 2
-        assert "no timeline section" in capsys.readouterr().err
-
 
 # --------------------------------------------------------------------- #
 # analysis math on a hand-built timeline
@@ -477,9 +452,9 @@ def test_dispatch_ids_are_unique_across_engines():
     assert disp["max_imbalance"] == pytest.approx(max(imbs), rel=1e-12)
 
 
-def test_log_view_export_and_cli_agree(tmp_path, capsys):
-    # one reduction: the -log_view tail, the export's analysis and the
-    # CLI print the same dispatch count, imbalance and per-rank busy time
+def test_log_view_export_and_cli_agree(tmp_path):
+    # one reduction: the -log_view tail prints the written export's
+    # dispatch count, imbalance and per-rank busy time
     from repro.sim.sinker import SinkerConfig, make_sinker
 
     obs.enable()
@@ -493,11 +468,10 @@ def test_log_view_export_and_cli_agree(tmp_path, capsys):
         sim.run(2)
     report = obs.log_view(stream=False)
     path = tmp_path / "run.json"
-    doc = obs.write_json(path)
-    an = doc["timeline"]["analysis"]
+    obs.write_json(path)
+    with open(path) as fh:
+        an = json.load(fh)["timeline"]["analysis"]
     assert an["dispatches"]["count"] == ex.stats.dispatches > 0
-    assert tl.main([str(path)]) == 0
-    cli = capsys.readouterr().out
     disp = an["dispatches"]
     expected = [f"{disp['count']} dispatches: imbalance max "
                 f"{disp['max_imbalance']:.2f}"]
@@ -508,7 +482,6 @@ def test_log_view_export_and_cli_agree(tmp_path, capsys):
     assert {w["rank"] for w in an["workers"]} >= {-1, 0, 1}
     for line in expected:
         assert line in report, line
-        assert line in cli, line
 
 
 # --------------------------------------------------------------------- #
