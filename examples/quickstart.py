@@ -30,8 +30,10 @@ schema-validated JSON trace (``quickstart_trace.json``).
 
 With ``--trace-out PATH`` (implies ``--log-view``) the per-worker span
 timeline is armed as well and the merged spans are written as Chrome
-trace-event JSON -- open the file at https://ui.perfetto.dev to scrub
-through every stage, event, and executor task of the run.
+trace-event JSON, read back and checked with
+``obs.timeline.validate_chrome_trace`` -- open the file at
+https://ui.perfetto.dev to scrub through every stage, event, and executor
+task of the run.
 """
 
 import argparse
@@ -106,7 +108,12 @@ def log_view_run(trace_path: str = "quickstart_trace.json",
     if trace_out is not None:
         section = doc["timeline"]
         assert section["spans"], "timeline armed but no spans captured"
-        trace = obs.timeline.write_chrome_trace(trace_out, section)
+        obs.timeline.write_chrome_trace(trace_out, section)
+        # read back and check the file Perfetto will load
+        import json
+
+        with open(trace_out) as fh:
+            trace = obs.timeline.validate_chrome_trace(json.load(fh))
         an = section["analysis"]
         print(f"Perfetto trace ({len(trace['traceEvents'])} events, "
               f"{len(an['workers'])} track(s), serial fraction "

@@ -197,7 +197,8 @@ def mesh_quality(mesh) -> dict:
 
     The determinants are computed directly (not through
     ``mesh.geometry_at``), so the per-step health gate never evicts the
-    single-entry geometry cache the Stokes operators sit on.
+    single-entry ``(Jinv, detJ, xq)`` cache that the Stokes assembly,
+    right-hand side and coefficient evaluation read.
     """
     from ..fem import geometry
     from ..fem.quadrature import GaussQuadrature

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from ..fem.assembly import DEFAULT_CHUNK, _chunks
 from ..fem.mesh import StructuredMesh
 from ..obs.registry import instrument
 from ..fem.quadrature import GaussQuadrature
@@ -59,7 +60,6 @@ class EnergySolver:
         self.kappa = float(kappa)
         self.bc = bc
         self.quad = GaussQuadrature.hex(2)
-        self._dN = mesh.basis.grad(self.quad.points)
         self._N = mesh.basis.eval(self.quad.points)
 
     @instrument("EnergyAssemble")
@@ -69,7 +69,7 @@ class EnergySolver:
         ``u_q``: velocity at this solver's quadrature points ``(nel, nq, 3)``.
         """
         mesh, quad = self.mesh, self.quad
-        G, det, _ = mesh.geometry_at(quad)
+        _, det, _ = mesh.geometry_at(quad)
         wdet = det * quad.weights[None, :]
         N, kappa = self._N, self.kappa
         # element size along the flow (bounding-box scale is adequate here)
@@ -77,22 +77,26 @@ class EnergySolver:
         h = h_el.min(axis=1)
         u_norm = np.linalg.norm(u_q, axis=2)  # (nel, nq)
         tau = supg_tau(u_norm, h[:, None], kappa)
-        # streamline-derivative of each basis function: (u . grad) N_a
-        ugN = np.einsum("nqc,nqac->nqa", u_q, G, optimize=True)
-        # test function with SUPG perturbation: w_a = N_a + tau (u.grad)N_a
-        W = N[None, :, :] + tau[:, :, None] * ugN
-        Me = np.einsum("nq,nqa,qb->nab", wdet, W, N, optimize=True)
-        Ce = np.einsum("nq,nqa,nqb->nab", wdet, W, ugN, optimize=True)
-        Ke = kappa * np.einsum("nq,nqad,nqbd->nab", wdet, G, G, optimize=True)
         conn = mesh.connectivity
         nb = conn.shape[1]
+        Me = np.empty((mesh.nel, nb, nb))
+        Ae = np.empty_like(Me)
+        for s, e in _chunks(mesh.nel, DEFAULT_CHUNK):
+            G = mesh.gradients_at(quad, s, e)
+            # streamline-derivative of each basis function: (u . grad) N_a
+            ugN = np.einsum("nqc,nqac->nqa", u_q[s:e], G, optimize=True)
+            # test function with SUPG perturbation: w_a = N_a + tau (u.grad)N_a
+            W = N[None, :, :] + tau[s:e, :, None] * ugN
+            Me[s:e] = np.einsum("nq,nqa,qb->nab", wdet[s:e], W, N, optimize=True)
+            Ce = np.einsum("nq,nqa,nqb->nab", wdet[s:e], W, ugN, optimize=True)
+            Ke = kappa * np.einsum("nq,nqad,nqbd->nab", wdet[s:e], G, G,
+                                   optimize=True)
+            Ae[s:e] = Me[s:e] / dt + Ce + Ke
         rows = np.repeat(conn, nb, axis=1).ravel()
         cols = np.tile(conn, (1, nb)).ravel()
         n = mesh.nnodes
         M = sp.coo_matrix((Me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-        A = sp.coo_matrix(
-            ((Me / dt + Ce + Ke).ravel(), (rows, cols)), shape=(n, n)
-        ).tocsr()
+        A = sp.coo_matrix((Ae.ravel(), (rows, cols)), shape=(n, n)).tocsr()
         return A, M
 
     def velocity_at_quadrature(self, q2_mesh, u: np.ndarray) -> np.ndarray:

@@ -88,12 +88,13 @@ def assemble_viscous(
     rows = np.repeat(edofs, 3 * nb, axis=1).ravel()
     cols = np.tile(edofs, (1, 3 * nb)).ravel()
     eta_q = np.asarray(eta_q, float)
-    G, det, _ = mesh.geometry_at(quad)
+    _, det, _ = mesh.geometry_at(quad)
     wdet = det * quad.weights[None, :]
     block = (3 * nb) ** 2
     vals = np.empty(mesh.nel * block)
     for s, e in _chunks(mesh.nel, chunk):
-        Ke = viscous_element_matrices(G[s:e], wdet[s:e], eta_q[s:e])
+        G = mesh.gradients_at(quad, s, e)
+        Ke = viscous_element_matrices(G, wdet[s:e], eta_q[s:e])
         vals[s * block:e * block] = Ke.ravel()
     A = sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof))
     return A.tocsr()
@@ -110,16 +111,17 @@ def viscous_diagonal(
     """
     quad = quad or GaussQuadrature.hex(3)
     eta_q = np.asarray(eta_q, float)
-    G, det, _ = mesh.geometry_at(quad)
+    _, det, _ = mesh.geometry_at(quad)
     conn = mesh.connectivity
     dloc = np.empty((mesh.nel, conn.shape[1], 3))
-    # element chunks bound the G*G temporary (17 kB per element)
+    # element chunks bound G and the G*G temporary (17 kB per element)
     for s, e in _chunks(mesh.nel, DEFAULT_CHUNK):
         weta = det[s:e] * quad.weights[None, :]
         weta *= eta_q[s:e]
+        G = mesh.gradients_at(quad, s, e)
         # K[ai, ai] = sum_q w eta (|G_a|^2 + G_ai^2): the cross term
         # for (a,i)=(b,j), and its sum over i is the delta_ij term
-        cross = np.einsum("nq,nqai->nai", weta, G[s:e] * G[s:e])
+        cross = np.einsum("nq,nqai->nai", weta, G * G)
         np.add(cross.sum(-1)[:, :, None], cross, out=dloc[s:e])
     edofs = 3 * conn[:, :, None] + np.arange(3)[None, None, :]
     return np.bincount(
@@ -137,7 +139,7 @@ def assemble_divergence(
     ``B.T``.
     """
     quad = quad or GaussQuadrature.hex(3)
-    G, det, xq = mesh.geometry_at(quad)
+    _, det, xq = mesh.geometry_at(quad)
     wdet = det * quad.weights[None, :]
     centroid, h = mesh.element_centroids_and_extents()
     conn = mesh.connectivity
@@ -151,8 +153,9 @@ def assemble_divergence(
     rows, cols, vals = [], [], []
     for s, e in _chunks(mesh.nel, chunk):
         psi = P1DiscBasis.eval(xq[s:e], centroid[s:e], h[s:e])
+        G = mesh.gradients_at(quad, s, e)
         Be = -np.einsum(
-            "nq,nqm,nqbj->nmbj", wdet[s:e], psi, G[s:e], optimize=True
+            "nq,nqm,nqbj->nmbj", wdet[s:e], psi, G, optimize=True
         ).reshape(e - s, 4, 3 * nb)
         rows.append(np.repeat(pdofs[s:e], 3 * nb, axis=1).ravel())
         cols.append(np.tile(edofs[s:e].reshape(e - s, 1, 3 * nb), (1, 4, 1)).ravel())
@@ -297,7 +300,7 @@ def assemble_poisson(
     in the multigrid unit tests.
     """
     quad = quad or GaussQuadrature.hex(mesh.order + 1)
-    G, det, _ = mesh.geometry_at(quad)
+    _, det, _ = mesh.geometry_at(quad)
     wdet = det * quad.weights[None, :]
     if kappa_q is not None:
         wdet = wdet * kappa_q
@@ -305,9 +308,8 @@ def assemble_poisson(
     nb = conn.shape[1]
     rows, cols, vals = [], [], []
     for s, e in _chunks(mesh.nel, chunk):
-        Ke = np.einsum(
-            "nq,nqad,nqbd->nab", wdet[s:e], G[s:e], G[s:e], optimize=True
-        )
+        G = mesh.gradients_at(quad, s, e)
+        Ke = np.einsum("nq,nqad,nqbd->nab", wdet[s:e], G, G, optimize=True)
         ed = conn[s:e]
         rows.append(np.repeat(ed, nb, axis=1).ravel())
         cols.append(np.tile(ed, (1, nb)).ravel())

@@ -71,25 +71,33 @@ def invert_3x3(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Jinv, det
 
 
+def gradients(dN: np.ndarray, Jinv: np.ndarray) -> np.ndarray:
+    """Physical basis gradients ``G[n, q, a, d] = d N_a / d x_d``.
+
+    From reference gradients ``dN`` ``(nq, nbasis, 3)`` and ``Jinv``
+    ``(nel, nq, 3, 3)``.  Element ``n`` reads ``Jinv[n]`` only, so
+    ``Jinv[s:e]`` gives ``G[s:e]`` bit for bit: form ``G`` by chunk.
+    """
+    # dN/dx_d = sum_e dN/dxi_e * dxi_e/dx_d, with Jinv[d, e] = dxi_d/dx_e
+    return np.einsum("qae,nqed->nqad", dN, Jinv, optimize=True)
+
+
 def physical_gradients(
     coords_el: np.ndarray, dN: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Physical basis gradients and quadrature weights-times-detJ.
+    """Physical basis gradients and Jacobian determinants, for all elements.
 
     Returns
     -------
     G:
-        ``G[n, q, a, d] = d N_a / d x_d`` at quadrature point ``q`` of
-        element ``n``; shape ``(nel, nq, nbasis, 3)``.
+        :func:`gradients` of every element, ``(nel, nq, nbasis, 3)``: for
+        Q2, 9x the size of the ``Jinv`` it is formed from.
     det:
         ``det[n, q] = det J``; multiply by reference quadrature weights to
         get physical integration weights.
     """
-    J = jacobians(coords_el, dN)
-    Jinv, det = invert_3x3(J)
-    # dN/dx_d = sum_e dN/dxi_e * dxi_e/dx_d, with Jinv[d, e] = dxi_d/dx_e
-    G = np.einsum("qae,nqed->nqad", dN, Jinv, optimize=True)
-    return G, det
+    Jinv, det = invert_3x3(jacobians(coords_el, dN))
+    return gradients(dN, Jinv), det
 
 
 def map_to_physical(coords_el: np.ndarray, N: np.ndarray) -> np.ndarray:

@@ -60,6 +60,7 @@ class StructuredMesh:
         self.coords_version = 0
         self._conn: np.ndarray | None = None
         self._geom_cache: dict = {}
+        self._ref_grads: dict = {}  # reference gradients by quadrature order
 
     # ------------------------------------------------------------------ #
     # lattice bookkeeping
@@ -132,22 +133,32 @@ class StructuredMesh:
     # geometry caches
     # ------------------------------------------------------------------ #
     def geometry_at(self, quad: GaussQuadrature):
-        """Cached ``(G, detJ, xq)`` at the quadrature points of ``quad``.
+        """Cached ``(Jinv, detJ, xq)`` at the quadrature points of ``quad``.
 
-        ``G`` are physical basis gradients ``(nel, nq, nbasis, 3)``, ``detJ``
-        the Jacobian determinants ``(nel, nq)`` and ``xq`` the physical
-        quadrature-point coordinates ``(nel, nq, 3)``.
+        ``Jinv`` are the inverse Jacobians ``(nel, nq, 3, 3)``, ``detJ``
+        their determinants ``(nel, nq)`` and ``xq`` the physical quadrature
+        points ``(nel, nq, 3)``; one entry, dropped when the coordinates
+        change.  Physical basis gradients (9x ``Jinv`` for Q2) are not
+        stored: see :meth:`gradients_at`.
         """
         key = (quad.npoints_1d, self.coords_version)
         if key not in self._geom_cache:
             self._geom_cache.clear()
-            dN = self.basis.grad(quad.points)
+            dN = self._ref_grads.setdefault(
+                quad.npoints_1d, self.basis.grad(quad.points))
             N = self.basis.eval(quad.points)
             ecoords = self.element_coords()
-            G, det = geometry.physical_gradients(ecoords, dN)
+            Jinv, det = geometry.invert_3x3(geometry.jacobians(ecoords, dN))
             xq = geometry.map_to_physical(ecoords, N)
-            self._geom_cache[key] = (G, det, xq)
+            self._geom_cache[key] = (Jinv, det, xq)
         return self._geom_cache[key]
+
+    def gradients_at(self, quad: GaussQuadrature, s: int, e: int) -> np.ndarray:
+        """Physical basis gradients of elements ``[s, e)``, shape
+        ``(e - s, nq, nbasis, 3)``, formed from the cached ``Jinv`` on each
+        call: consumers take them one element chunk at a time."""
+        Jinv = self.geometry_at(quad)[0]  # keeps _ref_grads filled
+        return geometry.gradients(self._ref_grads[quad.npoints_1d], Jinv[s:e])
 
     @property
     def coords(self) -> np.ndarray:

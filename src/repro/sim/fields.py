@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..fem.assembly import DEFAULT_CHUNK, _chunks
 from ..fem.basis import P1DiscBasis
 from ..fem.geometry import invert_3x3
 from ..fem.quadrature import GaussQuadrature
@@ -36,9 +37,11 @@ def strain_invariant_at_points(mesh, u, els, xi) -> np.ndarray:
 
 def strain_rate_at_quadrature(mesh, u, quad: GaussQuadrature) -> np.ndarray:
     """Strain-rate tensor ``D[n, q, 3, 3]`` at quadrature points."""
-    G, _, _ = mesh.geometry_at(quad)
     ue = u.reshape(-1, 3)[mesh.connectivity]
-    H = np.einsum("nac,nqad->nqcd", ue, G, optimize=True)
+    H = np.empty((mesh.nel, quad.npoints, 3, 3))
+    for s, e in _chunks(mesh.nel, DEFAULT_CHUNK):
+        G = mesh.gradients_at(quad, s, e)
+        H[s:e] = np.einsum("nac,nqad->nqcd", ue[s:e], G, optimize=True)
     return strain_rate_tensor(H)
 
 

@@ -78,5 +78,5 @@ class FieldSplitPreconditioner:
             ru = r[: self.nu]
             rp = r[self.nu:]
             du = self.velocity_pc(ru)
-            dp = self.schur(rp - self.op.B_int @ du)
+            dp = self.schur(rp - self.op.divergence(du))
             return np.concatenate([du, dp])

@@ -96,6 +96,12 @@ class StokesProblem:
 class StokesOperator:
     """Matrix-free coupled operator and right-hand side builder.
 
+    Holds one sparse matrix, ``B_int``: ``B`` with its columns at
+    constrained velocity dofs zeroed, read as ``B_int @ u`` (divergence)
+    and ``B_int.T @ p`` (gradient, constrained rows zeroed).  The unmasked
+    ``B`` is used once, for the pressure lift ``-B g`` of the boundary
+    values ``g``, and only that vector is kept.
+
     Parameters
     ----------
     problem:
@@ -104,8 +110,8 @@ class StokesOperator:
         Which Table I kernel applies the viscous block (on the engine in
         scope now, :func:`~repro.parallel.executor.current_engine`).
     divergence:
-        The assembled ``B`` when the caller already has it (it depends on
-        the geometry only).
+        The assembled, unmasked ``B`` when the caller already has it (it
+        depends on the geometry only).
     """
 
     def __init__(self, problem: StokesProblem,
@@ -114,7 +120,7 @@ class StokesOperator:
         self.problem = problem
         mesh, quad = problem.mesh, problem.quad
         # geometry-only block; callers in nonlinear loops pass a cached one
-        self.B = (
+        B = (
             divergence
             if divergence is not None
             else assembly.assemble_divergence(mesh, quad)
@@ -122,16 +128,17 @@ class StokesOperator:
         self.bc = problem.bc
         self.nu = problem.nu
         self.ndof = problem.ndof
+        self._lift_p = np.zeros(problem.npress)
         if self.bc is not None:
             # zero divergence columns at constrained dofs (B acts on
             # interior velocity only)
             keep = sp.diags((~self.bc.mask).astype(float))
-            self.B_int = (self.B @ keep).tocsr()
+            self.B_int = (B @ keep).tocsr()
+            g = np.zeros(self.nu)
+            g[self.bc.dofs] = self.bc.values
+            self._lift_p -= B @ g
         else:
-            self.B_int = self.B
-        #: gradient block stored as CSR once, so ``B^T p`` is a row-wise
-        #: SpMV instead of SciPy's column-scatter ``csc_matvec``
-        self.B_int_T = self.B_int.T.tocsr()
+            self.B_int = B
         self._set_velocity_operator(
             make_operator(kind, mesh, problem.eta_q, quad=quad))
 
@@ -140,23 +147,31 @@ class StokesOperator:
         self._apply_A = A_op if self.bc is None else self.bc.wrap_apply(A_op)
 
     def with_velocity_operator(self, A_op) -> "StokesOperator":
-        """This operator with ``A_op`` (e.g. the Newton linearization) as
-        its viscous block; ``B``, ``B^T`` and the problem are shared."""
+        """This operator with ``A_op`` (e.g. the Newton linearization, or
+        another kernel) as its viscous block; ``B_int``, the pressure lift
+        and the problem are shared."""
         op = copy.copy(self)
         op._set_velocity_operator(A_op)
         return op
 
     # ------------------------------------------------------------------ #
+    def divergence(self, u: np.ndarray) -> np.ndarray:
+        """``B_int u``: the constraint rows, blind to constrained dofs."""
+        return self.B_int @ u
+
+    def gradient(self, p: np.ndarray) -> np.ndarray:
+        """``B_int^T p`` with the constrained velocity rows zeroed."""
+        gp = self.B_int.T @ p
+        if self.bc is not None:
+            gp[self.bc.dofs] = 0.0
+        return gp
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Coupled matvec ``[A u + B^T p ; B u]`` with BC rows identity."""
         u = x[: self.nu]
-        p = x[self.nu:]
         yu = self._apply_A(u)
-        gp = self.B_int_T @ p
-        if self.bc is not None:
-            gp[self.bc.dofs] = 0.0
-        yu += gp
-        return np.concatenate([yu, self.B_int @ u])
+        yu += self.gradient(x[self.nu:])
+        return np.concatenate([yu, self.divergence(u)])
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x)
@@ -166,14 +181,12 @@ class StokesOperator:
         """Assembled right-hand side including boundary lifting."""
         pb = self.problem
         Fu = assembly.rhs_body_force(pb.mesh, pb.rho_q, np.asarray(pb.gravity), pb.quad)
-        Fp = np.zeros(pb.npress)
         if self.bc is not None:
             g = np.zeros(self.nu)
             g[self.bc.dofs] = self.bc.values
             Fu = Fu - self.A_op.apply(g)
             Fu[self.bc.dofs] = self.bc.values
-            Fp = Fp - self.B @ g
-        return np.concatenate([Fu, Fp])
+        return np.concatenate([Fu, self._lift_p])
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """Linear residual ``rhs - J x``."""
@@ -189,14 +202,13 @@ class StokesOperator:
         """
         pb = self.problem
         A = assembly.assemble_viscous(pb.mesh, pb.eta_q, pb.quad)
+        G = self.B_int.T
         if self.bc is not None:
             A_bc, _ = self.bc.eliminate(A, np.zeros(self.nu))
-            G = self.B_int_T
             # zero gradient rows at constrained dofs
             keep = sp.diags((~self.bc.mask).astype(float))
-            G = (keep @ G).tocsr()
+            G = keep @ G
         else:
             A_bc = A
-            G = self.B_int_T
         Z = sp.csr_matrix((self.ndof - self.nu, self.ndof - self.nu))
         return sp.bmat([[A_bc, G], [self.B_int, Z]], format="csr")

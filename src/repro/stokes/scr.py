@@ -76,15 +76,11 @@ def solve_scr(
         return res.x
 
     w = solve_A(bu)
-    rhs_p = bp - stokes_op.B_int @ w
+    rhs_p = bp - stokes_op.divergence(w)
 
     def minus_S(p: np.ndarray) -> np.ndarray:
         """Apply ``-S = D A^{-1} G`` (symmetric positive semidefinite)."""
-        gp = stokes_op.B_int.T @ p
-        if stokes_op.bc is not None:
-            gp[stokes_op.bc.mask] = 0.0
-        z = solve_A(gp)
-        return stokes_op.B_int @ z
+        return stokes_op.divergence(solve_A(stokes_op.gradient(p)))
 
     def M_schur(rp: np.ndarray) -> np.ndarray:
         # preconditioner for -S is +M_p(1/eta)^{-1}
@@ -101,10 +97,7 @@ def solve_scr(
     dp = res_p.x
     stats.outer_iterations = res_p.iterations
 
-    gdp = stokes_op.B_int.T @ dp
-    if stokes_op.bc is not None:
-        gdp[stokes_op.bc.mask] = 0.0
-    du = solve_A(bu - gdp)
+    du = solve_A(bu - stokes_op.gradient(dp))
     if stokes_op.bc is not None:
         du[stokes_op.bc.dofs] = stokes_op.bc.values
     stats.reason = res_p.reason

@@ -16,6 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from ..matfree import make_operator
 from ..mg.coefficients import coefficient_hierarchy
 from ..mg.gmg import GMGConfig, build_gmg
 from ..obs import registry as _obs
@@ -145,7 +146,8 @@ def solve_stokes(
         The Picard :class:`StokesOperator` of ``problem``, already built
         (the nonlinear loop builds one per iterate for its residual).  Used
         as it is when its viscous kernel is ``config.operator``; a fallback
-        rung with another kernel builds its own and takes only its ``B``.
+        rung with another kernel swaps in its own viscous block
+        (:meth:`StokesOperator.with_velocity_operator`).
 
     A scheme that reports ``CONVERGED_*`` while the true relative residual
     misses ``rtol`` by more than :data:`EXIT_SLACK` returns
@@ -162,11 +164,12 @@ def solve_stokes(
         # the Picard operator: preconditioned by every velocity_pc, and the
         # matvec too unless a Newton linearization replaces its viscous block
         picard = stokes_operator
-        if picard is None or picard.A_op.name != cfg.operator:
-            picard = StokesOperator(
-                problem, kind=cfg.operator,
-                divergence=getattr(stokes_operator, "B", None),
-            )
+        if picard is None:
+            picard = StokesOperator(problem, kind=cfg.operator)
+        elif picard.A_op.name != cfg.operator:
+            # a fallback rung's kernel, on the caller's B_int and lift
+            picard = picard.with_velocity_operator(make_operator(
+                cfg.operator, mesh, problem.eta_q, quad=problem.quad))
         op = (picard if velocity_operator is None
               else picard.with_velocity_operator(velocity_operator))
         if cfg.velocity_pc == "jacobi":

@@ -71,7 +71,7 @@ def solve_on(n, deformed):
     g[pb.bc.dofs] = pb.bc.values
     Fu -= op.A_op.apply(g)
     Fu[pb.bc.dofs] = pb.bc.values
-    b = np.concatenate([Fu, -op.B @ g])
+    b = np.concatenate([Fu, op.rhs()[pb.nu:]])
     sol = solve_stokes(pb, StokesConfig(mg_levels=1, coarse_solver="lu",
                                         rtol=1e-11, maxiter=800,
                                         project_pressure_nullspace=True),

@@ -106,6 +106,43 @@ class TestGeometry:
         assert np.all(np.abs(xq - cent[:, None, :]) <= h[:, None, :] / 2 + 1e-12)
 
 
+class TestGeometryStorage:
+    """The geometry cache stores ``Jinv``; gradients are formed by chunk."""
+
+    @staticmethod
+    def _deformed():
+        m = StructuredMesh((3, 2, 4), order=2, extent=(1.0, 0.7, 1.3))
+        m.deform(lambda c: c + 0.03 * np.sin(2 * np.pi * c[:, [1, 2, 0]]))
+        return m
+
+    @pytest.mark.parametrize("cut", [1, 7, None])
+    def test_chunked_gradients_bit_equal(self, quad, cut):
+        from repro.fem import geometry
+
+        m = self._deformed()
+        dN = m.basis.grad(quad.points)
+        G, det = geometry.physical_gradients(m.element_coords(), dN)
+        Jinv, detJ, _ = m.geometry_at(quad)
+        assert np.array_equal(det, detJ)
+        cut = cut or m.nel
+        for s in range(0, m.nel, cut):
+            e = min(m.nel, s + cut)
+            assert np.array_equal(geometry.gradients(dN, Jinv[s:e]), G[s:e])
+            assert np.array_equal(m.gradients_at(quad, s, e), G[s:e])
+
+    def test_cache_holds_no_basis_axis(self, quad):
+        m = self._deformed()
+        nb = m.basis.nbasis
+        arrays = m.geometry_at(quad)
+        assert len(arrays) == 3
+        # (nel, nq, ...) each; for Q2 at hex(3) nq == nbasis, so only the
+        # trailing axes could be a basis axis
+        assert all(a.shape[:2] == (m.nel, quad.npoints) for a in arrays)
+        assert all(nb not in a.shape[2:] for a in arrays)
+        g_size = m.nel * quad.npoints * nb * 3
+        assert sum(a.size for a in arrays) <= g_size / 5
+
+
 class TestCoarsening:
     def test_can_coarsen(self):
         assert StructuredMesh((4, 4, 4)).can_coarsen()

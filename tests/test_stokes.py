@@ -42,25 +42,84 @@ class TestOperatorStructure:
         y = op(x)
         assert np.allclose(y[: pb.nu][pb.bc.mask], x[: pb.nu][pb.bc.mask])
 
-    def test_gradient_block_is_stored_csr_transpose(self, rng):
-        """B_int^T is transposed once at setup; its row-wise product adds
-        in the same order as SciPy's transposed (CSC) product, and the
-        coupled apply leaves its argument alone."""
+    def test_one_divergence_matrix(self, rng):
+        """The operator stores one sparse matrix, ``B_int``; its transposed
+        (CSC) product adds in the same order as a stored CSR transpose, and
+        the coupled apply leaves its argument alone."""
         import scipy.sparse as sp
 
         mesh = StructuredMesh((3, 2, 2), order=2)
         eta, rho = ones_fields(mesh)
         pb = StokesProblem(mesh, eta, rho, bc_builder=free_slip_bc)
         op = StokesOperator(pb)
-        assert sp.isspmatrix_csr(op.B_int_T)
+        held = [v for v in vars(op).values() if sp.issparse(v)]
+        assert len(held) == 1 and held[0] is op.B_int
+        assert sp.isspmatrix_csr(op.B_int)
         p = rng.standard_normal(pb.npress)
-        assert np.array_equal(op.B_int_T @ p, op.B_int.T @ p)
+        gp = op.B_int.T.tocsr() @ p
+        gp[pb.bc.dofs] = 0.0
+        assert np.array_equal(op.gradient(p), gp)
         x = rng.standard_normal(pb.ndof)
         x_in = x.copy()
         y1, y2 = op.apply(x), op.apply(x)
         assert np.array_equal(x, x_in) and np.array_equal(y1, y2)
         assert y1 is not y2
         assert np.allclose(y1, op.assemble() @ x, atol=1e-12)
+
+    @pytest.mark.parametrize("bc_builder", [free_slip_bc, no_slip_bc])
+    def test_apply_and_rhs_match_three_matrix_formulas(self, rng, bc_builder):
+        """``apply`` and ``rhs`` are bit-equal to the formulas on ``B``,
+        ``B_int`` and a stored CSR ``B_int^T``, rebuilt here from a freshly
+        assembled ``B`` as the oracle."""
+        import scipy.sparse as sp
+        from repro.fem import assembly
+
+        mesh = StructuredMesh((3, 2, 2), order=2)
+        mesh.deform(lambda c: c + 0.03 * np.sin(2 * np.pi * c[:, [1, 2, 0]]))
+        eta = 1.0 + rng.random((mesh.nel, QUAD.npoints))
+        rho = rng.random((mesh.nel, QUAD.npoints))
+        pb = StokesProblem(mesh, eta, rho, bc_builder=bc_builder)
+        op = StokesOperator(pb)
+        bc = pb.bc
+        B = assembly.assemble_divergence(mesh, QUAD)
+        B_int = (B @ sp.diags((~bc.mask).astype(float))).tocsr()
+        B_int_T = B_int.T.tocsr()
+        x = rng.standard_normal(pb.ndof)
+        u, p = x[: pb.nu], x[pb.nu:]
+        gp = B_int_T @ p
+        gp[bc.dofs] = 0.0
+        yu = bc.wrap_apply(op.A_op)(u)
+        yu += gp
+        y = np.concatenate([yu, B_int @ u])
+        assert op.apply(x).tobytes() == y.tobytes()
+        g = np.zeros(pb.nu)
+        g[bc.dofs] = bc.values
+        Fu = assembly.rhs_body_force(mesh, rho, np.asarray(pb.gravity), QUAD)
+        Fu = Fu - op.A_op.apply(g)
+        Fu[bc.dofs] = bc.values
+        b = np.concatenate([Fu, np.zeros(pb.npress) - B @ g])
+        assert op.rhs().tobytes() == b.tobytes()
+
+    def test_fallback_kernel_shares_divergence(self):
+        """The ``sa-amg`` rung's operator, made from the caller's with
+        ``with_velocity_operator``, has the right-hand side of one built
+        fresh on the same ``B``."""
+        from repro.fem import assembly
+        from repro.matfree import make_operator
+        from repro.stokes.solve import FALLBACK_RUNGS
+
+        mesh = StructuredMesh((2, 2, 2), order=2)
+        eta = eta_at_quadrature(mesh, lambda x: 1.0 + x[..., 0], QUAD)
+        rho = eta_at_quadrature(mesh, lambda x: 1.0 + x[..., 2], QUAD)
+        pb = StokesProblem(mesh, eta, rho, bc_builder=no_slip_bc)
+        cfg = dict(FALLBACK_RUNGS)["sa-amg"](StokesConfig())
+        op = StokesOperator(pb)
+        swapped = op.with_velocity_operator(
+            make_operator(cfg.operator, mesh, eta, quad=QUAD))
+        assert swapped.B_int is op.B_int
+        fresh = StokesOperator(pb, kind=cfg.operator,
+                               divergence=assembly.assemble_divergence(mesh))
+        assert swapped.rhs().tobytes() == fresh.rhs().tobytes()
 
     def test_rhs_satisfies_bc(self):
         mesh = StructuredMesh((2, 2, 2), order=2)
@@ -185,7 +244,7 @@ class TestManufacturedSolution:
         g[pb.bc.dofs] = pb.bc.values
         Fu = Fu - op.A_op.apply(g)
         Fu[pb.bc.dofs] = pb.bc.values
-        Fp = -op.B @ g
+        Fp = op.rhs()[pb.nu:]
         b = np.concatenate([Fu, Fp])
         sol = solve_stokes(pb, StokesConfig(mg_levels=2, coarse_solver="lu",
                                             rtol=1e-10, maxiter=600,
