@@ -80,12 +80,11 @@ def build_configuration(name, pb):
         A_bc, _ = pb.bc.eliminate(A, np.zeros(3 * mesh.nnodes))
         B = rigid_body_modes(mesh.coords, pb.bc.mask)
         sa_cfg = {
-            "SA-i": SAConfig(theta=0.01, max_coarse=400,
-                             coarse_solver="bjacobi-lu"),
-            "SAML-i": SAConfig(theta=0.01, drop_tol=0.01, max_coarse=100,
+            "SA-i": SAConfig(max_coarse=400, coarse_solver="bjacobi-lu"),
+            "SAML-i": SAConfig(drop_tol=0.01, max_coarse=100,
                                coarse_solver="bjacobi-lu"),
-            "SAML-ii": SAConfig(theta=0.01, drop_tol=0.01, max_coarse=100,
-                                coarse_solver="fgmres-ilu", coarse_rtol=1e-3,
+            "SAML-ii": SAConfig(drop_tol=0.01, max_coarse=100,
+                                coarse_solver="fgmres-ilu",
                                 smoother_factory=KrylovSmoother),
         }[name]
         pc = smoothed_aggregation(A_bc, B, sa_cfg)

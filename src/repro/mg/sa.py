@@ -6,7 +6,7 @@ six rigid-body modes as the near-nullspace and a strength threshold of 0.01
 This module implements the same algorithm family from scratch:
 
 1. block strength-of-connection graph on nodes (Frobenius norms of the
-   3x3 velocity blocks), threshold ``theta``;
+   3x3 velocity blocks), threshold :data:`THETA`;
 2. greedy MIS-style aggregation (root pass / attach pass / leftover pass);
 3. tentative prolongator from a local QR of the near-nullspace restricted
    to each aggregate (coarse near-nullspace = stacked R factors);
@@ -223,28 +223,28 @@ def _drop_small(P: sp.csr_matrix, tol: float) -> sp.csr_matrix:
 COARSE_NBLOCKS = 1
 #: cap on the aggregation hierarchy's depth
 MAX_LEVELS = 10
+#: strength-of-connection threshold (the paper's GAMG setting)
+THETA = 0.01
+#: Chebyshev degree of the aggregation levels' smoothers
+SMOOTHER_DEGREE = 2
+#: relative tolerance of the ``fgmres-ilu`` coarse solve
+COARSE_RTOL = 1e-3
 
 
 @dataclass
 class SAConfig:
     """Smoothed-aggregation configuration (defaults mirror the paper's GAMG).
 
-    ``theta=0.01`` is the paper's strength threshold; ``drop_tol`` enables
-    the ML-style pruning of the smoothed prolongator (SAML rows of
-    Table IV).  Aggregation stops at ``max_coarse`` unknowns or
-    :data:`MAX_LEVELS` levels; the block-Jacobi coarse solver uses
-    :data:`COARSE_NBLOCKS` subdomains, and the hierarchy applies one
-    V-cycle per call.
+    ``drop_tol`` enables the ML-style pruning of the smoothed prolongator
+    (SAML rows of Table IV).  Aggregation stops at ``max_coarse``
+    unknowns or :data:`MAX_LEVELS` levels; the other settings (:data:`THETA`,
+    :data:`SMOOTHER_DEGREE`, :data:`COARSE_NBLOCKS`, :data:`COARSE_RTOL`)
+    are module constants.  The hierarchy applies one V-cycle per call.
     """
 
-    theta: float = 0.01
-    block_size: int = 3
     max_coarse: int = 400
-    smoother_degree: int = 2
-    prolongator_smooth: bool = True
     drop_tol: float = 0.0
     coarse_solver: str = "bjacobi-lu"  # or "lu", "fgmres-ilu"
-    coarse_rtol: float = 1e-3
     smoother_factory: Callable | None = None
 
 
@@ -261,7 +261,7 @@ def _coarse_solver(A: sp.csr_matrix, cfg: SAConfig) -> Callable:
 
         M = ILU0(A)
         def solve(b):
-            return fgmres(lambda v: A @ v, b, M=M, rtol=cfg.coarse_rtol,
+            return fgmres(lambda v: A @ v, b, M=M, rtol=COARSE_RTOL,
                           maxiter=50).x
         return solve
     raise ValueError(f"unknown coarse solver {cfg.coarse_solver!r}")
@@ -275,7 +275,8 @@ def smoothed_aggregation(
     """Build a smoothed-aggregation hierarchy for ``A``.
 
     ``near_nullspace`` defaults to the constant vector (scalar problems);
-    pass :func:`rigid_body_modes` output for elasticity/viscous blocks.
+    pass :func:`rigid_body_modes` output (six columns: three dofs per
+    node) for elasticity/viscous blocks.
     """
     cfg = config or SAConfig()
     A = A.tocsr()
@@ -283,7 +284,7 @@ def smoothed_aggregation(
         near_nullspace = np.ones((A.shape[0], 1))
     B = near_nullspace
     levels: list[MGLevel] = []
-    block_size = cfg.block_size
+    block_size = 3 if B.shape[1] == 6 else 1
     level_matrices = [A]
     prolongs = []
     while (
@@ -293,20 +294,19 @@ def smoothed_aggregation(
         Ak = level_matrices[-1]
         if Ak.shape[0] % block_size != 0:
             block_size = 1
-        S = block_strength_graph(Ak, block_size, cfg.theta)
+        S = block_strength_graph(Ak, block_size, THETA)
         skip = isolated_nodes(Ak, block_size)
         agg = aggregate(S, skip)
         n_agg = int(agg.max()) + 1
         if n_agg <= 0 or n_agg >= agg.size:  # no coarsening possible
             break
         P, B = tentative_prolongator(agg, B, block_size)
-        if cfg.prolongator_smooth:
-            diag = Ak.diagonal()
-            diag = np.where(diag != 0, diag, 1.0)
-            dinv = 1.0 / diag
-            lmax = estimate_lambda_max(lambda v: Ak @ v, dinv)
-            omega = 4.0 / (3.0 * lmax)
-            P = (P - sp.diags(omega * dinv) @ (Ak @ P)).tocsr()
+        diag = Ak.diagonal()
+        diag = np.where(diag != 0, diag, 1.0)
+        dinv = 1.0 / diag
+        lmax = estimate_lambda_max(lambda v: Ak @ v, dinv)
+        omega = 4.0 / (3.0 * lmax)
+        P = (P - sp.diags(omega * dinv) @ (Ak @ P)).tocsr()
         if cfg.drop_tol > 0:
             P = _drop_small(P, cfg.drop_tol)
         Ac = (P.T @ Ak @ P).tocsr()
@@ -332,7 +332,8 @@ def smoothed_aggregation(
             if cfg.smoother_factory is not None:
                 smoother = cfg.smoother_factory(apply_k, diag, Ak)
             else:
-                smoother = ChebyshevSmoother(apply_k, diag, degree=cfg.smoother_degree)
+                smoother = ChebyshevSmoother(apply_k, diag,
+                                             degree=SMOOTHER_DEGREE)
             levels.append(
                 MGLevel(
                     apply=apply_k,

@@ -48,7 +48,6 @@ from .procomm import (
     CommError,
     CommTimeout,
     ProcessComm,
-    ProcommConfig,
     RankFailure,
 )
 from .views import LocalView, rank_local_residual
@@ -64,7 +63,6 @@ __all__ = [
     "ParallelCSRMatVec",
     "ParallelExecutor",
     "ProcessComm",
-    "ProcommConfig",
     "ProcommEngine",
     "RankFailure",
     "VirtualRankEngine",

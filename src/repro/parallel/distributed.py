@@ -252,7 +252,6 @@ def run_sinker_distributed(
     faults: list[dict] | None = None,
     checkpoint_dir: str | None = None,
     comm=None,
-    config=None,
     max_recoveries: int = 4,
     oracle: bool = False,
     migrate: bool = True,
@@ -287,8 +286,7 @@ def run_sinker_distributed(
     sim_config = sim_config or _default_sim_config()
     owns_comm = comm is None
     if comm is None:
-        comm = (VirtualComm(ranks) if oracle
-                else ProcessComm(ranks, config=config))
+        comm = VirtualComm(ranks) if oracle else ProcessComm(ranks)
     deferred: list[tuple[int, dict]] = []
     if faults:
         if oracle or not hasattr(comm, "inject_fault"):

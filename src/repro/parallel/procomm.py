@@ -27,9 +27,10 @@ Fault tolerance, end to end:
   a dedicated thread, so a rank stalled inside a kernel still beats and a
   *dead* rank goes silent;
 * every collective and point-to-point wait is **deadline-bounded**: no
-  reply within ``op_timeout`` (or heartbeat silence beyond
-  ``heartbeat_timeout``) raises a typed :class:`CommTimeout` -- nothing
-  in this module can hang indefinitely;
+  reply within :data:`OP_TIMEOUT` (or heartbeat silence beyond
+  :data:`HEARTBEAT_TIMEOUT`; a new cohort's startup ping within
+  :data:`STARTUP_TIMEOUT`) raises a typed :class:`CommTimeout` --
+  nothing in this module can hang indefinitely;
 * rank death is detected by event-pipe EOF plus ``waitpid`` and raised
   as :class:`RankFailure` carrying the exit status;
 * :meth:`ProcessComm.recover` SIGKILLs every straggler's process group,
@@ -58,7 +59,6 @@ import signal
 import threading
 import time
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +69,6 @@ __all__ = [
     "CommError",
     "CommTimeout",
     "ProcessComm",
-    "ProcommConfig",
     "RankFailure",
 ]
 
@@ -120,23 +119,13 @@ class RankFailure(CommError):
 
 #: seconds between worker heartbeats (a dedicated thread per rank)
 HEARTBEAT_INTERVAL = 0.25
-
-
-@dataclass
-class ProcommConfig:
-    """Deadlines of the fault-tolerant transport."""
-
-    #: heartbeat silence that declares a rank stalled (CommTimeout)
-    heartbeat_timeout: float = 15.0
-    #: per-operation reply deadline (CommTimeout); bounds every collective
-    op_timeout: float = 60.0
-    #: deadline for a fresh cohort to answer its startup ping
-    startup_timeout: float = 30.0
-
-    def __post_init__(self):
-        for name in ("heartbeat_timeout", "op_timeout", "startup_timeout"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+#: deadlines of the fault-tolerant transport, in seconds: heartbeat
+#: silence that declares a rank stalled, the per-operation reply deadline
+#: that bounds every collective, and the deadline for a new cohort to
+#: answer its startup ping (each raises :class:`CommTimeout`)
+HEARTBEAT_TIMEOUT = 15.0
+OP_TIMEOUT = 60.0
+STARTUP_TIMEOUT = 30.0
 
 
 def span_dot(x: np.ndarray, y: np.ndarray, s: int, e: int) -> float:
@@ -422,11 +411,10 @@ class ProcessComm:
     fault-tolerance surface (:meth:`inject_fault`, :meth:`recover`).
     """
 
-    def __init__(self, size: int, config: ProcommConfig | None = None):
+    def __init__(self, size: int):
         if size < 1:
             raise ValueError("communicator needs at least one rank")
         self.size = int(size)
-        self.config = config or ProcommConfig()
         self.stats = CommStats()
         self._seq = itertools.count(1)
         self._ranks: list[_Rank] = []
@@ -481,7 +469,7 @@ class ProcessComm:
         # liveness: every rank must answer the startup ping in time
         seqs = [self._post(r, "ping") for r in range(self.size)]
         for r, seq in enumerate(seqs):
-            self._wait(r, seq, "ping", timeout=self.config.startup_timeout)
+            self._wait(r, seq, "ping", timeout=STARTUP_TIMEOUT)
         #: token -> version every rank holds; states per rank after the
         #: last ``state`` op
         self._shipped, self.held = {}, [0] * self.size
@@ -628,7 +616,7 @@ class ProcessComm:
     def _wait(self, rank_index: int, seq: int, op: str,
               timeout: float | None = None) -> dict:
         rank = self._ranks[rank_index]
-        budget = self.config.op_timeout if timeout is None else timeout
+        budget = OP_TIMEOUT if timeout is None else timeout
         deadline = time.monotonic() + budget
         while True:
             try:
@@ -641,7 +629,7 @@ class ProcessComm:
                 if now >= deadline:
                     self.stats.timeouts += 1
                     raise CommTimeout(op, rank_index, budget, kind="deadline")
-                if now - rank.last_beat > self.config.heartbeat_timeout:
+                if now - rank.last_beat > HEARTBEAT_TIMEOUT:
                     self.stats.timeouts += 1
                     raise CommTimeout(op, rank_index,
                                       now - rank.last_beat, kind="heartbeat")

@@ -35,7 +35,6 @@ from .reasons import (
     BreakdownError,
     ConvergedReason,
     HealthCheckFailure,
-    converged_reason,
     nonfinite,
 )
 from .guard import DEFAULT_DTOL, ResidualGuard
@@ -49,7 +48,6 @@ __all__ = [
     "HealthConfig",
     "HealthMonitor",
     "guard_field",
-    "converged_reason",
     "nonfinite",
     "DEFAULT_DTOL",
     "ResidualGuard",

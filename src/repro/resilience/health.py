@@ -77,6 +77,12 @@ MAX_TAPER = 1e6
 #: smoothing rung of the mesh repair ladder: damped-Jacobi passes over
 #: the surface plane (at :func:`smooth_surface`'s default ``alpha``)
 SMOOTHING_PASSES = 2
+#: material points per element: the time loop refills every element to
+#: at least the minimum after advection (with or without the gates); the
+#: particle gate thins elements above the maximum (farthest-point
+#: downsampling, lithology fractions preserved)
+MIN_POINTS_PER_ELEMENT = 2
+MAX_POINTS_PER_ELEMENT = 64
 
 
 @dataclass
@@ -88,14 +94,12 @@ class HealthConfig:
     gate runs: the mesh gate (:data:`MIN_DETJ`, :data:`MAX_ASPECT`,
     :data:`MAX_TAPER`) and its repair ladder (remesh at zero minimum
     column thickness, then :data:`SMOOTHING_PASSES` smoothing passes),
-    the particle census with its conservation audit, the field guards
-    (non-finite values reject, out-of-bound values are clipped) and the
-    divergence monitor.
+    the particle census with its conservation audit and population band
+    (:data:`MIN_POINTS_PER_ELEMENT` to :data:`MAX_POINTS_PER_ELEMENT`),
+    the field guards (non-finite values reject, out-of-bound values are
+    clipped) and the divergence monitor.
     """
 
-    #: thin elements above this population (farthest-point downsampling,
-    #: lithology fractions preserved); None disables thinning
-    max_points_per_element: int | None = 64
     #: (lo, hi) bounds on the projected coefficient fields; None skips the
     #: bound check for that field (non-finite values always reject).  An
     #: out-of-bound quadrature value is pulled to the nearest bound
@@ -253,7 +257,6 @@ class HealthMonitor:
         always rejects -- there is no repair for silently corrupted
         material state, only rollback.
         """
-        cfg = self.config
         sim = self.sim
         t0 = time.perf_counter()
         pts = sim.points
@@ -269,22 +272,16 @@ class HealthMonitor:
                 "particle population collapsed to zero",
                 check="particles", details={"census": 0},
             ))
-        thin = {"removed": 0}
-        if cfg.max_points_per_element is not None:
-            thin = thin_overcrowded_cells(
-                sim.mesh, pts, cfg.max_points_per_element
+        thin = thin_overcrowded_cells(sim.mesh, pts, MAX_POINTS_PER_ELEMENT)
+        if thin["removed"]:
+            self._step["thinned"] += thin["removed"]
+            self.stats["thinned"] += thin["removed"]
+            _count_event("HealthThin", thin["removed"])
+            trace_resilience(
+                "health_thin", step=sim.step_index,
+                removed=thin["removed"], elements=thin["elements"],
             )
-            if thin["removed"]:
-                self._step["thinned"] += thin["removed"]
-                self.stats["thinned"] += thin["removed"]
-                _count_event("HealthThin", thin["removed"])
-                trace_resilience(
-                    "health_thin", step=sim.step_index,
-                    removed=thin["removed"], elements=thin["elements"],
-                )
-        inj = populate_empty_cells(
-            sim.mesh, pts, sim.config.min_points_per_element
-        )
+        inj = populate_empty_cells(sim.mesh, pts, MIN_POINTS_PER_ELEMENT)
         if inj["total"]:
             self._step["injected"] += inj["total"]
             self.stats["injected"] += inj["total"]
@@ -296,10 +293,10 @@ class HealthMonitor:
             )
         # the gate's own bookkeeping must close exactly
         counts = count_points_per_element(sim.mesh, pts)
-        if counts.min() < sim.config.min_points_per_element:
+        if counts.min() < MIN_POINTS_PER_ELEMENT:
             self._reject(HealthCheckFailure(
                 f"element population {int(counts.min())} below minimum "
-                f"{sim.config.min_points_per_element} after injection",
+                f"{MIN_POINTS_PER_ELEMENT} after injection",
                 check="particles",
                 details={"min_count": int(counts.min())},
             ))

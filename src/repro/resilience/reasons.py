@@ -108,9 +108,18 @@ def nonfinite(value: float) -> bool:
     return value != value or value == _INF or value == -_INF
 
 
-def converged_reason(rnorm: float, rtol_bound: float,
-                     atol: float) -> ConvergedReason:
-    """Which tolerance a converged solve satisfied (ATOL wins when binding)."""
-    if atol > 0.0 and rnorm <= atol and atol >= rtol_bound:
-        return ConvergedReason.CONVERGED_ATOL
-    return ConvergedReason.CONVERGED_RTOL
+def stopping_tolerance(
+    b_norm: float, r0_norm: float, rtol: float, atol: float
+) -> tuple[float, ConvergedReason]:
+    """Stopping tolerance plus the reason reported when it is met.
+
+    Relative to ``||b||`` (PETSc's default), so an exact initial guess
+    converges immediately; falls back to ``||r0||`` for homogeneous
+    systems.  The binding criterion is fixed per solve: whichever of
+    ``rtol * ref`` / ``atol`` is larger decides the reported reason.
+    """
+    ref = b_norm if b_norm > 0.0 else r0_norm
+    rbound = rtol * ref
+    if atol > rbound:
+        return atol, ConvergedReason.CONVERGED_ATOL
+    return rbound, ConvergedReason.CONVERGED_RTOL

@@ -16,7 +16,8 @@ The battery file is plain JSON::
 The file's ``serve`` section is the one place to set them; ``--store``
 alone overrides it, so one battery file can fill several stores.
 
-Exit status: 0 when every job reached a terminal state (the scheduler's
+Exit status: 2, before any job runs, for an unknown key or choice in the
+file; 0 when every job reached a terminal state (the scheduler's
 accounting contract) -- or, with ``--require-done``, only when every job
 is DONE.  Any lost, stuck, or unaccounted job is a non-zero exit.
 """
@@ -27,8 +28,9 @@ import argparse
 import json
 import sys
 
-from .jobs import JobSpec
+from .jobs import JobSpec, config_from
 from .scheduler import ServeConfig, run_battery
+from .worker import job_configs
 
 
 def _parse_args(argv):
@@ -61,9 +63,17 @@ def main(argv=None) -> int:
     serve = dict(doc.get("serve", {}))
     if args.store is not None:
         serve["store_dir"] = args.store
-    config = ServeConfig(**serve)
-
-    specs = [JobSpec.from_wire(job) for job in doc["jobs"]]
+    try:
+        config = config_from(ServeConfig, serve, "serve")
+        specs = [JobSpec.from_wire(job) for job in doc["jobs"]]
+        for spec in specs:
+            try:
+                job_configs(spec)
+            except ValueError as err:
+                raise ValueError(f"job {spec.name!r}: {err}") from None
+    except ValueError as err:
+        sys.stderr.write(f"error: {err}\n")
+        return 2
     report = run_battery(specs, config)
 
     print(report.summary())

@@ -26,6 +26,7 @@ design rules anchor everything else:
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import time
 from dataclasses import dataclass, field
@@ -43,6 +44,7 @@ __all__ = [
     "REASON_QUARANTINED",
     "REASON_SPAWN_FAILED",
     "TERMINAL_STATES",
+    "config_from",
 ]
 
 #: job-level failure codes (the solver-level ones are ConvergedReason names)
@@ -50,6 +52,17 @@ REASON_HANG = "JOB_HANG"                 # watchdog killed a silent worker
 REASON_CRASH = "JOB_CRASH"               # worker died without a result
 REASON_SPAWN_FAILED = "JOB_SPAWN_FAILED"  # subprocess could not start
 REASON_QUARANTINED = "JOB_QUARANTINED"   # circuit breaker opened for the config
+
+
+def config_from(cls, doc: dict, section: str):
+    """``cls(**doc)``; a key ``cls`` lacks raises ``ValueError`` naming
+    it, the battery ``section`` and the allowed set."""
+    allowed = {f.name for f in dataclasses.fields(cls)}
+    unknown = set(doc) - allowed
+    if unknown:
+        raise ValueError(f"unknown {section} fields {sorted(unknown)}; "
+                         f"allowed: {sorted(allowed)}")
+    return cls(**doc)
 
 
 #: where a run's seconds go; ``fork_to_started`` contains the next two

@@ -15,22 +15,24 @@ from the launch request to ``spawned`` (the fork) and again from there to
 ``started``; then every committed time step emits a heartbeat (piped from
 a ``timeloop`` step listener) and silence longer than ``step_timeout``
 means the job is stuck *inside* a step -- the scheduler SIGTERMs the
-worker, then SIGKILLs its session, and requeues the job, which resumes
-from its last atomic checkpoint.  The zygote reports each job's exit code
-on its pipe; if the zygote dies, its in-flight jobs are swept and settle
-as crashes, and the next launch starts a new one.
+worker, SIGKILLs its session :data:`TERM_GRACE` seconds later, and
+requeues the job, which resumes from its last atomic checkpoint.  The
+zygote reports each job's exit code on its pipe; if the zygote dies, its
+in-flight jobs are swept and settle as crashes, and the next launch
+starts a new one.
 
 Failure policy, layered (DESIGN.md section 6 has the full table):
 
 * **Retry with backoff** -- hangs, crashes, spawn errors and solver
   breakdowns each consume one attempt of a per-job budget
   (``max_retries``); re-eligibility waits out an exponential backoff with
-  deterministic jitter (:func:`backoff_delay`).  Budget exhausted ->
+  deterministic jitter (:func:`backoff_delay` from :data:`BACKOFF_BASE`,
+  capped at :data:`BACKOFF_MAX`).  Budget exhausted ->
   ``FAILED(reason)``, with the PR-3 ``ConvergedReason`` name when the
   solver itself broke down.
-* **Circuit breaker** -- ``quarantine_after`` consecutive failures of one
-  *configuration* (config hash, not job name) quarantine the job and its
-  queued twins instead of burning their budgets.
+* **Circuit breaker** -- :data:`QUARANTINE_AFTER` consecutive failures of
+  one *configuration* (config hash, not job name) quarantine the job and
+  its queued twins instead of burning their budgets.
 * **Graceful degradation** -- under pressure a job's ``parallel.executor``
   grant shrinks (floor 1, written into the job file) instead of the
   job being rejected; the executor is bit-identical for any worker count.
@@ -78,8 +80,20 @@ __all__ = [
 ]
 
 
-def backoff_delay(config_hash: str, attempt: int, base: float = 0.05,
-                  factor: float = 2.0, cap: float = 2.0) -> float:
+#: seconds a watchdog-expired worker gets, after SIGTERM, to flush its
+#: last *committed* step (a ``terminated`` event) before its session is
+#: SIGKILLed
+TERM_GRACE = 5.0
+#: retry delay: ``BACKOFF_BASE`` doubling per failed attempt, capped at
+#: ``BACKOFF_MAX``
+BACKOFF_BASE = 0.05
+BACKOFF_MAX = 2.0
+#: consecutive failures of one config hash that open its breaker
+QUARANTINE_AFTER = 3
+
+
+def backoff_delay(config_hash: str, attempt: int, base: float = BACKOFF_BASE,
+                  factor: float = 2.0, cap: float = BACKOFF_MAX) -> float:
     """Retry delay before attempt ``attempt + 1`` (deterministic jitter).
 
     Exponential in the number of failed attempts, capped, then stretched
@@ -97,7 +111,9 @@ def backoff_delay(config_hash: str, attempt: int, base: float = 0.05,
 
 @dataclass
 class ServeConfig:
-    """Policy knobs of one :class:`Scheduler`."""
+    """Policy knobs of one :class:`Scheduler` (the grace period, backoff
+    and breaker are module constants; a retry always resumes from the
+    last checkpoint that validates)."""
 
     #: concurrent jobs (subprocess mode); inline mode is always serial
     max_jobs: int = 2
@@ -110,31 +126,16 @@ class ServeConfig:
     #: seconds without a heartbeat after ``started`` before the watchdog
     #: kills the worker (covers one full time step incl. rollback retries)
     step_timeout: float = 60.0
-    #: graceful-shutdown grace period: on watchdog expiry the worker gets
-    #: SIGTERM first and this many seconds to flush a final checkpoint of
-    #: its last *committed* step (it exits with a ``terminated`` event);
-    #: only then is its whole session SIGKILLed.  0: straight to SIGKILL.
-    term_grace: float = 5.0
     #: seconds from the fork (``spawned``) to ``started``: scenario build
     #: + optional checkpoint load.  The same bound covers launch request
     #: -> fork, i.e. the zygote's one-time imports for the first launches.
     startup_timeout: float = 90.0
     #: failed attempts a job may retry (budget; 2 -> up to 3 attempts)
     max_retries: int = 2
-    #: retry delay: ``backoff_base`` doubling per failed attempt, capped
-    #: at ``backoff_max`` (:func:`backoff_delay`)
-    backoff_base: float = 0.05
-    backoff_max: float = 2.0
-    #: consecutive failures of one config hash that open its breaker
-    quarantine_after: int = 3
     #: worker saves a resume checkpoint every N committed steps (0 = off)
     checkpoint_every: int = 1
     #: results-store root; ``None`` -> private temporary directory
     store_dir: str | None = None
-    #: resume killed/crashed jobs from their last checkpoint
-    resume: bool = True
-    #: ignore existing store entries (cache reads and resume both bypassed)
-    fresh: bool = False
     python: str = sys.executable
 
     def __post_init__(self):
@@ -279,8 +280,7 @@ class Scheduler:
     # -- shared policy -------------------------------------------------- #
     def _breaker_open(self, config_hash: str) -> bool:
         return (config_hash in self._quarantined_hashes
-                or self._fails.get(config_hash, 0)
-                >= self.config.quarantine_after)
+                or self._fails.get(config_hash, 0) >= QUARANTINE_AFTER)
 
     def _settled_without_running(self, record: JobRecord) -> bool:
         """Open breaker -> QUARANTINED; stored result -> DONE (cache hit).
@@ -294,7 +294,7 @@ class Scheduler:
         if self._breaker_open(record.config_hash):
             record.transition(JobState.QUARANTINED)
             record.reason = REASON_QUARANTINED
-        elif spec.cache_allowed and not (self.config.fresh or spec.faults):
+        elif spec.cache_allowed and not spec.faults:
             cached = self.store.get(record.config_hash)
             if cached is not None:
                 self._settle_done(record, cached, cache_hit=True)
@@ -317,7 +317,7 @@ class Scheduler:
         record.reason = reason
         count = self._fails.get(record.config_hash, 0) + 1
         self._fails[record.config_hash] = count
-        if count >= self.config.quarantine_after:
+        if count >= QUARANTINE_AFTER:
             self._quarantined_hashes.add(record.config_hash)
             record.transition(JobState.QUARANTINED)
             record.reason = REASON_QUARANTINED
@@ -329,7 +329,7 @@ class Scheduler:
         record.transition(JobState.RETRYING)
         record.not_before = time.monotonic() + backoff_delay(
             record.config_hash, record.attempt_index,
-            base=self.config.backoff_base, cap=self.config.backoff_max,
+            base=BACKOFF_BASE, cap=BACKOFF_MAX,
         )
 
     def _quarantine_twins(self, config_hash: str) -> None:
@@ -510,7 +510,6 @@ class Scheduler:
         job_path = os.path.join(job_dir, "job.json")
         serve = {"store_dir": self.store.root,
                  "checkpoint_every": int(self.config.checkpoint_every),
-                 "resume": bool(self.config.resume and not self.config.fresh),
                  "workers": record.granted_workers,
                  "ranks": max(1, min(int(spec.ranks or 1),
                                      record.granted_workers))}
@@ -591,12 +590,11 @@ class Scheduler:
         now = time.monotonic()
         if attempt.killed:
             self._finish(attempt)   # the zygote never confirmed the death
-        elif (not attempt.termed and self.config.term_grace > 0
-                and attempt.pid is not None):
+        elif not attempt.termed and attempt.pid is not None:
             # SIGTERM the worker only: its rank/pool children must live
             # while it flushes (the later SIGKILL sweeps the session)
             attempt.termed = True
-            attempt.deadline = now + self.config.term_grace
+            attempt.deadline = now + TERM_GRACE
             with contextlib.suppress(OSError):
                 os.kill(attempt.pid, signal.SIGTERM)
         else:

@@ -58,14 +58,14 @@ from ..sim.rifting import RiftingConfig, make_rifting
 from ..sim.sinker import SinkerConfig, make_sinker
 from ..sim.timeloop import SimulationConfig
 from ..stokes.solve import StokesConfig
-from .jobs import PHASES, JobSpec
+from .jobs import PHASES, JobSpec, config_from
 from .store import ResultStore, state_digest
 
-__all__ = ["build_simulation", "main", "run_job"]
+__all__ = ["build_simulation", "job_configs", "main", "run_job"]
 
 #: the job file's ``serve`` section, all written by the scheduler: the
-#: store, the checkpoint cadence, whether to resume, and the job's grant
-_SERVE_KEYS = ("store_dir", "checkpoint_every", "resume", "workers", "ranks")
+#: store, the checkpoint cadence, and the job's grant
+_SERVE_KEYS = ("store_dir", "checkpoint_every", "workers", "ranks")
 
 
 class _Terminated(BaseException):
@@ -87,39 +87,50 @@ def _emit(event: str, **payload) -> None:
     sys.stdout.flush()
 
 
-def build_simulation(spec):
-    """Instantiate the scenario a :class:`~repro.serve.jobs.JobSpec` names.
+#: scenario name -> (config dataclass, ``make_*`` function)
+_SCENARIOS = {"sinker": (SinkerConfig, make_sinker),
+              "rifting": (RiftingConfig, make_rifting)}
+
+
+def job_configs(spec) -> tuple:
+    """The config dataclasses a :class:`~repro.serve.jobs.JobSpec` names:
+    ``(scenario config, SimulationConfig)``.
 
     ``scenario_config`` feeds the scenario's config dataclass (JSON lists
     are coerced to the tuples the dataclasses expect); ``sim_config``
     feeds :class:`~repro.sim.timeloop.SimulationConfig`, with a nested
     ``"stokes"`` dict for :class:`~repro.stokes.solve.StokesConfig` and a
     nested ``"health"`` dict for
-    :class:`~repro.resilience.health.HealthConfig`.
+    :class:`~repro.resilience.health.HealthConfig`.  An unknown name
+    raises ``ValueError``.
     """
     sim_kwargs = dict(spec.sim_config)
     stokes = sim_kwargs.pop("stokes", None)
     if stokes is not None:
-        sim_kwargs["stokes"] = StokesConfig(**stokes)
+        sim_kwargs["stokes"] = config_from(StokesConfig, stokes, "stokes")
     health = sim_kwargs.pop("health", None)
     if health is not None:
-        sim_kwargs["health"] = HealthConfig(**{
+        sim_kwargs["health"] = config_from(HealthConfig, {
             key: tuple(val) if isinstance(val, list) else val
-            for key, val in health.items()})
-    sim_config = SimulationConfig(**sim_kwargs)
+            for key, val in health.items()}, "health")
+    sim_config = config_from(SimulationConfig, sim_kwargs, "sim_config")
 
+    if spec.scenario not in _SCENARIOS:
+        raise ValueError(f"unknown scenario {spec.scenario!r}")
     sc = dict(spec.scenario_config)
     if spec.seed is not None:
         sc["seed"] = int(spec.seed)
     for key in ("shape", "extent", "gravity", "damage_strain"):
         if isinstance(sc.get(key), list):
             sc[key] = tuple(sc[key])
+    scenario_cls = _SCENARIOS[spec.scenario][0]
+    return config_from(scenario_cls, sc, "scenario_config"), sim_config
 
-    if spec.scenario == "sinker":
-        return make_sinker(SinkerConfig(**sc), sim_config)
-    if spec.scenario == "rifting":
-        return make_rifting(RiftingConfig(**sc), sim_config)
-    raise ValueError(f"unknown scenario {spec.scenario!r}")
+
+def build_simulation(spec):
+    """Instantiate the scenario a job names, from its :func:`job_configs`."""
+    scenario_config, sim_config = job_configs(spec)
+    return _SCENARIOS[spec.scenario][1](scenario_config, sim_config)
 
 
 def install_job_faults(injector, faults: dict, checkpoint_path: str,
@@ -230,7 +241,7 @@ def run_job(job_path: str, t_fork: float | None = None) -> int:
 
             resumed_from = 0
             checkpoint_corrupt = False
-            if opts["resume"] and os.path.exists(cp_path):
+            if os.path.exists(cp_path):
                 t = time.perf_counter()
                 try:
                     checkpoint.load_checkpoint(cp_path, sim)

@@ -39,7 +39,11 @@ from ..obs import metrics as _metrics
 from ..obs import registry as _obs
 from ..obs.trace import trace_resilience, trace_step
 from ..parallel.executor import use_workers
-from ..resilience.health import HealthConfig, HealthMonitor
+from ..resilience.health import (
+    MIN_POINTS_PER_ELEMENT,
+    HealthConfig,
+    HealthMonitor,
+)
 from ..resilience.reasons import BreakdownError, ConvergedReason
 from ..solvers.nonlinear import newton
 from ..stokes.operators import StokesOperator, StokesProblem
@@ -106,7 +110,6 @@ class SimulationConfig:
     linear_rtol: float | None = None
     cfl: float = 0.5
     free_surface: bool = False
-    min_points_per_element: int = 2
     thermal_kappa: float = 0.0  # 0 disables the energy solve
     #: self-healing time loop: route linear solves through the fallback
     #: ladder and retry a hard-diverged step from an in-memory snapshot
@@ -439,7 +442,7 @@ class Simulation:
                         injected = gate["injected"]
                     else:
                         injected = populate_empty_cells(
-                            self.mesh, self.points, cfg.min_points_per_element
+                            self.mesh, self.points, MIN_POINTS_PER_ELEMENT
                         )["total"]
             else:
                 injected = 0

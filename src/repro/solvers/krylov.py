@@ -36,7 +36,7 @@ from ..obs.registry import STATE as _OBS, instrument
 from ..obs.trace import trace_ksp
 from ..parallel.executor import current_engine
 from ..resilience.guard import DEFAULT_DTOL, ResidualGuard
-from ..resilience.reasons import ConvergedReason, nonfinite
+from ..resilience.reasons import ConvergedReason, nonfinite, stopping_tolerance
 from .result import SolveResult
 
 Operator = Callable[[np.ndarray], np.ndarray]
@@ -63,23 +63,6 @@ GCR_BLOCK = 4
 
 def _matmul_dot(a: np.ndarray, b: np.ndarray) -> float:
     return a @ b
-
-
-def _tolerance(
-    b_norm: float, r0_norm: float, rtol: float, atol: float
-) -> tuple[float, ConvergedReason]:
-    """Stopping tolerance plus the reason reported when it is met.
-
-    Relative to ``||b||`` (PETSc's default), so an exact initial guess
-    converges immediately; falls back to ``||r0||`` for homogeneous
-    systems.  The binding criterion is fixed per solve: whichever of
-    ``rtol * ref`` / ``atol`` is larger decides the reported reason.
-    """
-    ref = b_norm if b_norm > 0.0 else r0_norm
-    rbound = rtol * ref
-    if atol > rbound:
-        return atol, ConvergedReason.CONVERGED_ATOL
-    return rbound, ConvergedReason.CONVERGED_RTOL
 
 
 @instrument("KSPSolve_gcr")
@@ -111,7 +94,7 @@ def gcr(
     r = b - A(x)
     rnorm = float(np.linalg.norm(r))
     residuals = [rnorm]
-    tol, good = _tolerance(np.linalg.norm(b), rnorm, rtol, atol)
+    tol, good = stopping_tolerance(np.linalg.norm(b), rnorm, rtol, atol)
     if _OBS.enabled:
         trace_ksp("gcr", 0, rnorm)
     if monitor:
@@ -224,7 +207,7 @@ def _gmres_core(
     r = b - A(x)
     rnorm = float(np.linalg.norm(r))
     residuals = [rnorm]
-    tol, good = _tolerance(np.linalg.norm(b), rnorm, rtol, atol)
+    tol, good = stopping_tolerance(np.linalg.norm(b), rnorm, rtol, atol)
     if _OBS.enabled:
         trace_ksp(name, 0, rnorm)
     if monitor:
@@ -407,7 +390,7 @@ def cg(
     r = b - A(x)
     rnorm = float(np.linalg.norm(r))
     residuals = [rnorm]
-    tol, good = _tolerance(np.linalg.norm(b), rnorm, rtol, atol)
+    tol, good = stopping_tolerance(np.linalg.norm(b), rnorm, rtol, atol)
     if _OBS.enabled:
         trace_ksp("cg", 0, rnorm)
     if monitor:
@@ -475,7 +458,7 @@ def bicgstab(
     r = b - A(x)
     rnorm = float(np.linalg.norm(r))
     residuals = [rnorm]
-    tol, good = _tolerance(np.linalg.norm(b), rnorm, rtol, atol)
+    tol, good = stopping_tolerance(np.linalg.norm(b), rnorm, rtol, atol)
     if _OBS.enabled:
         trace_ksp("bicgstab", 0, rnorm)
     if monitor:

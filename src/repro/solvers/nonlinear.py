@@ -19,7 +19,7 @@ import numpy as np
 from ..obs.registry import STATE as _OBS, instrument
 from ..obs.trace import trace_snes
 from ..resilience.guard import DEFAULT_DTOL
-from ..resilience.reasons import ConvergedReason, nonfinite
+from ..resilience.reasons import ConvergedReason, nonfinite, stopping_tolerance
 
 _NAN = ConvergedReason.DIVERGED_NAN
 _ITS = ConvergedReason.DIVERGED_ITS
@@ -121,12 +121,7 @@ def newton(
     F = residual(x)
     fnorm = float(np.linalg.norm(F))
     residuals = [fnorm]
-    tol = max(rtol * fnorm, atol)
-    good = (
-        ConvergedReason.CONVERGED_ATOL
-        if atol > rtol * fnorm
-        else ConvergedReason.CONVERGED_RTOL
-    )
+    tol, good = stopping_tolerance(fnorm, fnorm, rtol, atol)
     limit = dtol * fnorm if dtol else 0.0
     lin_its: list[int] = []
     steps: list[float] = []
@@ -202,12 +197,7 @@ def picard(
     F = residual(x)
     fnorm = float(np.linalg.norm(F))
     residuals = [fnorm]
-    tol = max(rtol * fnorm, atol)
-    good = (
-        ConvergedReason.CONVERGED_ATOL
-        if atol > rtol * fnorm
-        else ConvergedReason.CONVERGED_RTOL
-    )
+    tol, good = stopping_tolerance(fnorm, fnorm, rtol, atol)
     limit = dtol * fnorm if dtol else 0.0
     lin_its: list[int] = []
     if _OBS.enabled:

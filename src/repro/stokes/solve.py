@@ -22,7 +22,6 @@ from ..mg.gmg import GMGConfig, build_gmg
 from ..obs import registry as _obs
 from ..obs.trace import trace_resilience
 from ..parallel.executor import use_workers
-from ..resilience.guard import DEFAULT_DTOL
 from ..resilience.reasons import BreakdownError, ConvergedReason
 from ..solvers.krylov import gcr, fgmres
 from .fieldsplit import FieldSplitPreconditioner
@@ -50,7 +49,8 @@ class StokesConfig(GMGConfig):
     ``operator``, ``coarse_solver``, ``outer``, ``scheme`` or
     ``velocity_pc`` raises ``ValueError`` at construction.  The SCR
     scheme's inner solves run to :func:`~repro.stokes.scr.solve_scr`'s
-    ``inner_rtol``.
+    ``inner_rtol``; the outer method's divergence tolerance is
+    :data:`~repro.resilience.guard.DEFAULT_DTOL`.
     """
 
     outer: str = "gcr"  # 'gcr' | 'fgmres'
@@ -70,9 +70,6 @@ class StokesConfig(GMGConfig):
     #: 'jacobi' (diagonal scaling -- the ``jacobi-restart`` rung of
     #: :func:`solve_stokes_resilient`, slow but built without a hierarchy)
     velocity_pc: str = "gmg"
-    #: outer divergence tolerance: residual growth past ``dtol * ||r0||``
-    #: stops the solve with ``DIVERGED_DTOL`` (0 disables)
-    dtol: float = DEFAULT_DTOL
 
     _CHOICES: ClassVar[dict] = {
         **GMGConfig._CHOICES, "outer": tuple(OUTER_METHODS),
@@ -238,7 +235,6 @@ def solve_stokes(
             res = OUTER_METHODS[cfg.outer](
                 apply_op, b, x0=x0, M=pc_apply, rtol=cfg.rtol,
                 maxiter=cfg.maxiter, restart=cfg.restart, monitor=monitor,
-                dtol=cfg.dtol,
             )
             x, its, reason, residuals = (res.x, res.iterations, res.reason,
                                          res.residuals)

@@ -3,11 +3,16 @@ spells them.
 
 A config field exists only when a caller outside the tests sets it; a
 setting nobody varies is a module constant next to the code that reads
-it.  Each setting has one way in: no environment variable or CLI flag
-shadows an argument or a config field.  ``FIELDS``, ``ENV_NAMES`` and
+it.  :func:`test_every_field_has_a_caller` checks the first half by name
+(``TEST_ONLY`` lists the exceptions, each with its reason).  Each
+setting has one way in: no environment variable or CLI flag shadows an
+argument or a config field.  ``FIELDS``, ``ENV_NAMES`` and
 ``SERVE_FLAGS`` pin the sets, so a new knob is a deliberate edit here.
+A battery file spells every setting by field name, and a name no class
+declares fails before any job runs.
 """
 
+import ast
 import dataclasses
 import json
 import pathlib
@@ -18,7 +23,6 @@ import pytest
 import repro
 from repro.mg.gmg import GMGConfig
 from repro.mg.sa import SAConfig
-from repro.parallel.procomm import ProcommConfig
 from repro.resilience.health import HealthConfig
 from repro.serve.jobs import JobSpec
 from repro.serve.scheduler import ServeConfig
@@ -31,24 +35,32 @@ FIELDS = {
     GMGConfig: ["operator", "mg_levels", "galerkin", "smoother_degree",
                 "coarse_solver", "gamma"],
     StokesConfig: ["outer", "rtol", "maxiter", "restart", "scheme",
-                   "project_pressure_nullspace", "workers", "velocity_pc",
-                   "dtol"],
+                   "project_pressure_nullspace", "workers", "velocity_pc"],
     SimulationConfig: ["stokes", "newton_rtol", "max_newton", "picard_only",
                        "linear_rtol", "cfl", "free_surface",
-                       "min_points_per_element", "thermal_kappa",
-                       "resilient", "health"],
-    HealthConfig: ["max_points_per_element", "eta_bounds", "rho_bounds",
-                   "T_bounds", "max_divergence"],
-    SAConfig: ["theta", "block_size", "max_coarse", "smoother_degree",
-               "prolongator_smooth", "drop_tol", "coarse_solver",
-               "coarse_rtol", "smoother_factory"],
+                       "thermal_kappa", "resilient", "health"],
+    HealthConfig: ["eta_bounds", "rho_bounds", "T_bounds", "max_divergence"],
+    SAConfig: ["max_coarse", "drop_tol", "coarse_solver",
+               "smoother_factory"],
     ServeConfig: ["max_jobs", "total_workers", "isolation", "step_timeout",
-                  "term_grace", "startup_timeout", "max_retries",
-                  "backoff_base", "backoff_max", "quarantine_after",
-                  "checkpoint_every", "store_dir", "resume", "fresh",
-                  "python"],
-    ProcommConfig: ["heartbeat_timeout", "op_timeout", "startup_timeout"],
+                  "startup_timeout", "max_retries", "checkpoint_every",
+                  "store_dir", "python"],
 }
+
+#: fields only the tests set, and why each still earns its place
+TEST_ONLY = {
+    "project_pressure_nullspace": "the verification suite's enclosed-flow "
+                                  "solves reach rtol 1e-12 only with the "
+                                  "constant pressure projected out",
+    "T_bounds": "a health gate: a safety check that is off by default",
+    "max_divergence": "a health gate: a safety check that is off by "
+                      "default",
+}
+
+#: where a caller may set a field: the package, the benchmarks (the
+#: end-to-end workloads included) and the examples
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CALLER_DIRS = ("src", "benchmarks", "examples")
 
 #: environment variables ``src/`` reads: CI legs and paths, nothing that
 #: an argument already takes
@@ -77,10 +89,44 @@ def test_declared_fields_are_pinned(cls):
 
 
 def test_each_multigrid_setting_is_declared_once():
-    assert sum(len(names) for names in FIELDS.values()) == 58
+    assert sum(len(names) for names in FIELDS.values()) == 41
     assert issubclass(StokesConfig, GMGConfig)
     gmg = [f.name for f in dataclasses.fields(GMGConfig)]
     assert [f.name for f in dataclasses.fields(StokesConfig)][:6] == gmg
+
+
+def _json_keys(doc) -> set[str]:
+    if isinstance(doc, dict):
+        return set(doc).union(*map(_json_keys, doc.values()))
+    if isinstance(doc, list):
+        return set().union(*map(_json_keys, doc))
+    return set()
+
+
+def spelled_names() -> set[str]:
+    """Every call keyword and string dict key in the callers' Python
+    files, and every key of the example battery files."""
+    names = set()
+    for top in CALLER_DIRS:
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.keyword) and node.arg:
+                    names.add(node.arg)
+                elif isinstance(node, ast.Dict):
+                    names.update(key.value for key in node.keys
+                                 if isinstance(key, ast.Constant)
+                                 and isinstance(key.value, str))
+    for path in (ROOT / "examples").glob("*.json"):
+        names |= _json_keys(json.loads(path.read_text()))
+    return names
+
+
+def test_every_field_has_a_caller():
+    """Necessary, not sufficient: a name another class (or a plain
+    function's keyword) spells also counts here."""
+    fields = {name for names in FIELDS.values() for name in names}
+    assert set(TEST_ONLY) <= fields
+    assert sorted(fields - spelled_names()) == sorted(TEST_ONLY)
 
 
 def test_environment_variables_are_pinned():
@@ -146,3 +192,36 @@ def test_battery_with_unknown_outer_fails_before_setup():
     with pytest.raises(ValueError, match="unknown outer 'cg'"):
         build_simulation(spec)
 
+
+
+def run_cli(tmp_path, capsys, battery: dict) -> tuple[int, str]:
+    from repro.serve.__main__ import main
+
+    path = tmp_path / "battery.json"
+    path.write_text(json.dumps(battery))
+    store = tmp_path / "store"
+    code = main([str(path), "--store", str(store)])
+    assert not store.exists()   # nothing ran, nothing was stored
+    return code, capsys.readouterr().err
+
+
+def test_battery_with_unknown_serve_key_exits_before_running(
+        tmp_path, capsys):
+    code, err = run_cli(tmp_path, capsys, {
+        "serve": {"max_job": 2, "isolation": "inline"},
+        "jobs": [{"name": "a", "scenario_config": SINKER, "nsteps": 1}]})
+    assert code == 2
+    assert "unknown serve fields ['max_job']" in err
+    assert "max_jobs" in err   # the allowed set
+
+
+def test_battery_with_unknown_job_config_key_names_the_job(
+        tmp_path, capsys):
+    code, err = run_cli(tmp_path, capsys, {
+        "serve": {"isolation": "inline"},
+        "jobs": [{"name": "ok", "scenario_config": SINKER, "nsteps": 1},
+                 {"name": "typo", "scenario_config": SINKER, "nsteps": 1,
+                  "sim_config": {"min_point": 2}}]})
+    assert code == 2
+    assert "job 'typo'" in err
+    assert "unknown sim_config fields ['min_point']" in err

@@ -29,7 +29,8 @@ from repro.resilience import (
     HealthConfig,
     guard_field,
 )
-from repro.resilience.health import HealthMonitor
+from repro.resilience import health as health_mod
+from repro.resilience.health import MIN_POINTS_PER_ELEMENT, HealthMonitor
 from repro.resilience.reasons import BreakdownError, ConvergedReason
 from repro.sim import SimulationConfig, make_rifting, make_sinker
 from repro.sim.rifting import RiftingConfig
@@ -378,9 +379,9 @@ class TestHealthMonitor:
             sim.step()
         assert exc.value.check == "divergence"
 
-    def test_thinning_fires_through_gate(self):
-        health = HealthConfig(max_points_per_element=8)
-        sim = small_sinker(health=health)
+    def test_thinning_fires_through_gate(self, monkeypatch):
+        monkeypatch.setattr(health_mod, "MAX_POINTS_PER_ELEMENT", 8)
+        sim = small_sinker(health=HealthConfig())
         # crowd one element well past the cap
         from repro.mpm import locate_points
         rng = np.random.default_rng(1)
@@ -427,7 +428,7 @@ class TestPhysicsFaultModes:
         assert fi.fired
         assert sim.health.stats["injected"] > 0
         counts = count_points_per_element(sim.mesh, sim.points)
-        assert counts.min() >= sim.config.min_points_per_element
+        assert counts.min() >= MIN_POINTS_PER_ELEMENT
 
     def test_poison_viscosity_spike_clipped(self):
         health = HealthConfig(eta_bounds=(1e-4, 1e4))
@@ -475,8 +476,7 @@ class TestPhysicsFaultModes:
 class TestRiftingSurvivesPhysicsFaults:
     def test_five_steps_with_three_faults(self):
         cfg = RiftingConfig(shape=(6, 4, 2), mg_levels=1)
-        health = HealthConfig(eta_bounds=(1e-6, 1e6),
-                              max_points_per_element=64)
+        health = HealthConfig(eta_bounds=(1e-6, 1e6))
         sim = make_rifting(cfg, None)
         sim.config.resilient = True
         sim.config.health = health
@@ -520,4 +520,4 @@ class TestRiftingSurvivesPhysicsFaults:
         assert np.isfinite(sim.p).all()
         assert np.isfinite(sim.points.x).all()
         counts = count_points_per_element(sim.mesh, sim.points)
-        assert counts.min() >= sim.config.min_points_per_element
+        assert counts.min() >= MIN_POINTS_PER_ELEMENT

@@ -28,7 +28,6 @@ from repro.parallel import (
     CommError,
     CommTimeout,
     ProcessComm,
-    ProcommConfig,
     ProcommEngine,
     RankFailure,
     VirtualComm,
@@ -40,6 +39,7 @@ from repro.parallel import (
     use_executor,
     validate_decomposition_compat,
 )
+from repro.parallel import procomm as procomm_mod
 from repro.parallel.procomm import _LIVE_STATES, span_dot
 
 
@@ -47,8 +47,8 @@ QUAD = GaussQuadrature.hex(3)
 
 
 @contextlib.contextmanager
-def procomm(size, **cfg):
-    comm = ProcessComm(size, config=ProcommConfig(**cfg) if cfg else None)
+def procomm(size):
+    comm = ProcessComm(size)
     try:
         yield comm
     finally:
@@ -199,10 +199,12 @@ class TestTransportFaults:
                 op.apply(u)
             assert comm.stats.respawns == 0
 
-    def test_stall_hits_deadline_not_hang(self):
+    def test_stall_hits_deadline_not_hang(self, monkeypatch):
         # the stalled rank keeps heartbeating (dedicated thread), so this
         # exercises the per-op deadline: typed CommTimeout, bounded wall
-        with procomm(2, op_timeout=1.5, heartbeat_timeout=30.0) as comm:
+        monkeypatch.setattr(procomm_mod, "OP_TIMEOUT", 1.5)
+        monkeypatch.setattr(procomm_mod, "HEARTBEAT_TIMEOUT", 30.0)
+        with procomm(2) as comm:
             comm.inject_fault(1, "stall", seconds=60.0, at=1)
             t0 = time.perf_counter()
             with pytest.raises(CommTimeout) as err:
@@ -221,10 +223,11 @@ class TestTransportFaults:
             assert [p for _, p in msgs] == ["kept"]
             comm.clear_faults()
 
-    def test_stopped_rank_hits_heartbeat_not_deadline(self):
+    def test_stopped_rank_hits_heartbeat_not_deadline(self, monkeypatch):
         # a SIGSTOPped rank stops beating too: the heartbeat bound fires
-        # long before the per-op deadline
-        with procomm(2, heartbeat_timeout=2.0, op_timeout=60.0) as comm:
+        # long before the per-op deadline (OP_TIMEOUT, 60 s)
+        monkeypatch.setattr(procomm_mod, "HEARTBEAT_TIMEOUT", 2.0)
+        with procomm(2) as comm:
             comm.barrier()
             os.killpg(comm._ranks[1].pid, signal.SIGSTOP)  # pid == pgid
             t0 = time.perf_counter()
@@ -580,7 +583,7 @@ class TestServeIntegration:
         job.write_text(json.dumps({
             "spec": spec.to_wire(),
             "serve": {"store_dir": str(tmp_path), "checkpoint_every": 0,
-                      "resume": False, "workers": 2, "ranks": 2},
+                      "workers": 2, "ranks": 2},
         }))
 
         assert worker.run_job(str(job)) == 0
@@ -601,7 +604,9 @@ class TestServeIntegration:
         assert result["digest"] == state_digest(sim)
         engine.shutdown()
 
-    def test_sigterm_flushes_checkpoint_and_resume_completes(self, tmp_path):
+    def test_sigterm_flushes_checkpoint_and_resume_completes(
+            self, tmp_path, monkeypatch):
+        from repro.serve import scheduler
         from repro.serve.jobs import JobSpec
         from repro.serve.scheduler import ServeConfig, run_battery
 
@@ -613,10 +618,10 @@ class TestServeIntegration:
             sim_config={"stokes": {"mg_levels": 2, "coarse_solver": "lu"}},
             nsteps=3, dt=0.05, seed=1,
             faults={"hang": {"after_step": 2, "seconds": 3600.0}})
+        monkeypatch.setattr(scheduler, "TERM_GRACE", 10.0)
         report = run_battery([spec], ServeConfig(
             max_jobs=1, step_timeout=5.0, startup_timeout=120.0,
-            term_grace=10.0, checkpoint_every=0, max_retries=2,
-            store_dir=str(tmp_path)))
+            checkpoint_every=0, max_retries=2, store_dir=str(tmp_path)))
         rec = report.record("graceful")
         first = rec.attempts[0]
         assert first["outcome"] == "hang"

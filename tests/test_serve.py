@@ -62,6 +62,13 @@ SC = {"shape": [4, 4, 4], "n_spheres": 1}
 SIM = {"picard_only": True, "stokes": {"mg_levels": 2, "rtol": 1e-4}}
 
 
+def serve_policy(monkeypatch, **constants):
+    """Set the scheduler's policy constants (``BACKOFF_BASE``, ...) for
+    one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(scheduler_mod, name, value)
+
+
 def sinker_spec(name, seed, nsteps=3, faults=None, **kw):
     return JobSpec(name=name, scenario="sinker", scenario_config=SC,
                    sim_config=SIM, nsteps=nsteps, seed=seed,
@@ -226,7 +233,10 @@ class TestInlinePolicy:
         assert report.values() == {f"j{i}": i * i for i in range(4)}
         assert report.all_done and report.all_terminal
 
-    def test_retry_budget_exhaustion_keeps_breakdown_reason(self):
+    def test_retry_budget_exhaustion_keeps_breakdown_reason(
+            self, monkeypatch):
+        serve_policy(monkeypatch, QUARANTINE_AFTER=5, BACKOFF_BASE=0.0,
+                     BACKOFF_MAX=0.0)
         calls = []
 
         def fail():
@@ -236,9 +246,7 @@ class TestInlinePolicy:
 
         report = run_battery(
             [JobSpec(name="bad", fn=fail, use_cache=False)],
-            ServeConfig(isolation="inline", max_retries=1,
-                        quarantine_after=5, backoff_base=0.0,
-                        backoff_max=0.0),
+            ServeConfig(isolation="inline", max_retries=1),
         )
         rec = report.record("bad")
         assert rec.state is JobState.FAILED
@@ -247,7 +255,10 @@ class TestInlinePolicy:
         assert isinstance(rec.exception, BreakdownError)
         assert report.all_terminal and not report.all_done
 
-    def test_circuit_breaker_quarantines_config_and_twins(self):
+    def test_circuit_breaker_quarantines_config_and_twins(self, monkeypatch):
+        serve_policy(monkeypatch, QUARANTINE_AFTER=2, BACKOFF_BASE=0.0,
+                     BACKOFF_MAX=0.0)
+
         def fail():
             raise RuntimeError("boom")
 
@@ -256,9 +267,7 @@ class TestInlinePolicy:
                  JobSpec(name="ok", fn=lambda: 42, use_cache=False)]
         report = run_battery(
             specs,
-            ServeConfig(isolation="inline", max_retries=5,
-                        quarantine_after=2, backoff_base=0.0,
-                        backoff_max=0.0),
+            ServeConfig(isolation="inline", max_retries=5),
         )
         bad1, bad2 = report.record("bad1"), report.record("bad2")
         # breaker opened after 2 consecutive failures of the same config:
@@ -270,7 +279,8 @@ class TestInlinePolicy:
         assert report.record("ok").value == 42
         assert report.all_terminal
 
-    def test_failure_counts_are_per_config_not_global(self):
+    def test_failure_counts_are_per_config_not_global(self, monkeypatch):
+        serve_policy(monkeypatch, QUARANTINE_AFTER=2)
         seen = []
 
         def fail(tag):
@@ -282,8 +292,7 @@ class TestInlinePolicy:
         report = run_battery(
             [JobSpec(name="a", fn=fail("a"), cache_key="ka"),
              JobSpec(name="b", fn=fail("b"), cache_key="kb")],
-            ServeConfig(isolation="inline", max_retries=0,
-                        quarantine_after=2),
+            ServeConfig(isolation="inline", max_retries=0),
         )
         # one failure each: neither config reaches the breaker threshold
         assert report.record("a").state is JobState.FAILED
@@ -341,7 +350,7 @@ class TestJobFile:
     @staticmethod
     def write_job(tmp_path, spec, **serve):
         opts = {"store_dir": str(tmp_path), "checkpoint_every": 0,
-                "resume": False, "workers": 1, "ranks": 1, **serve}
+                "workers": 1, "ranks": 1, **serve}
         path = tmp_path / "job.json"
         path.write_text(json.dumps({"spec": spec.to_wire(), "serve": opts}))
         return str(path)
@@ -363,7 +372,7 @@ class TestJobFile:
         with open(job) as fh:
             serve = json.load(fh)["serve"]
         assert serve == {"store_dir": sched.store.root,
-                         "checkpoint_every": 1, "resume": True, **grant}
+                         "checkpoint_every": 1, **grant}
 
     def test_zygote_request_is_the_job_file_alone(self, tmp_path):
         import socket
@@ -401,7 +410,7 @@ class TestJobFile:
         assert (manifest["workers"], manifest["ranks"]) == (1, 1)
 
     @pytest.mark.parametrize("edit, word", [
-        (lambda serve: serve.update(fresh=True), "unknown ['fresh']"),
+        (lambda serve: serve.update(resume=True), "unknown ['resume']"),
         (lambda serve: serve.pop("ranks"), "missing ['ranks']"),
     ])
     def test_serve_section_is_exactly_what_the_scheduler_writes(
@@ -731,10 +740,11 @@ class TestEventLoopAndZygote:
         monkeypatch.setattr(zygote_mod, "start", counting_start)
         monkeypatch.setattr(scheduler_mod.selectors, "DefaultSelector",
                             KillingSelector)
+        serve_policy(monkeypatch, BACKOFF_BASE=0.01, BACKOFF_MAX=0.05)
         report = run_battery(
             [sinker_spec("a", seed=11), sinker_spec("b", seed=12),
              sinker_spec("c", seed=13), sinker_spec("b-twin", seed=12)],
-            battery_config(store, backoff_base=0.01, backoff_max=0.05))
+            battery_config(store))
         assert killed and len(started) == 2          # restarted exactly once
         assert report.counts["done"] == 4
         outcomes = [a["outcome"] for rec in report.records
@@ -751,12 +761,12 @@ class TestEventLoopAndZygote:
         assert all(_process_state(pid) in (None, "Z") for pid in pids)
 
     def test_unstartable_python_fails_through_the_retry_budget(
-            self, tmp_path, recorded_selects):
+            self, tmp_path, recorded_selects, monkeypatch):
+        serve_policy(monkeypatch, QUARANTINE_AFTER=9, BACKOFF_BASE=0.3)
         t0 = time.monotonic()
         report = run_battery(
             [sinker_spec("a", seed=1)],
-            battery_config(tmp_path, python="/nonexistent", max_retries=1,
-                           quarantine_after=9, backoff_base=0.3))
+            battery_config(tmp_path, python="/nonexistent", max_retries=1))
         rec = report.record("a")
         assert rec.state is JobState.FAILED
         assert rec.reason == "JOB_SPAWN_FAILED"
@@ -767,12 +777,13 @@ class TestEventLoopAndZygote:
         assert 0.25 < max(timeout for timeout, _, _ in recorded_selects) < 0.61
         assert time.monotonic() - t0 < 5.0
 
-    def test_watchdog_fires_at_the_deadline(self, tmp_path, recorded_selects):
+    def test_watchdog_fires_at_the_deadline(self, tmp_path, recorded_selects,
+                                            monkeypatch):
+        serve_policy(monkeypatch, BACKOFF_BASE=0.0)
         report = run_battery(
             [sinker_spec("hangs", seed=12,
                          faults={"hang": {"after_step": 1, "seconds": 600}})],
-            battery_config(tmp_path, step_timeout=1.0, term_grace=0.0,
-                           backoff_base=0.0))
+            battery_config(tmp_path, step_timeout=1.0))
         rec = report.record("hangs")
         assert [a["outcome"] for a in rec.attempts] == ["hang", "done"]
         # exactly one select ran into its timeout: the watchdog's, asked
@@ -807,14 +818,14 @@ class TestEventLoopAndZygote:
                 == reference.record("corrupt").result["digest"])
 
     def test_ranked_job_and_graceful_flush_under_the_zygote(
-            self, fault_battery, tmp_path):
+            self, fault_battery, tmp_path, monkeypatch):
         reference, _ = fault_battery
+        serve_policy(monkeypatch, TERM_GRACE=10.0)
         report = run_battery(
             [sinker_spec("ranked", seed=11, ranks=2),
              sinker_spec("flush", seed=12,
                          faults={"hang": {"after_step": 2, "seconds": 600}})],
-            battery_config(tmp_path, step_timeout=5.0, term_grace=10.0,
-                           checkpoint_every=0))
+            battery_config(tmp_path, step_timeout=5.0, checkpoint_every=0))
         ranked = report.record("ranked")
         assert ranked.state is JobState.DONE
         assert ranked.granted_workers == 2 and ranked.result["ranks"] == 2
@@ -843,7 +854,10 @@ class TestEventLoopAndZygote:
 
 
 class TestRetryExhaustionAndQuarantine:
-    def test_persistent_solver_breakdown_fails_with_reason(self, tmp_path):
+    def test_persistent_solver_breakdown_fails_with_reason(
+            self, tmp_path, monkeypatch):
+        serve_policy(monkeypatch, QUARANTINE_AFTER=5, BACKOFF_BASE=0.01,
+                     BACKOFF_MAX=0.05)
         # poison fires on every attempt (once=False): the retry budget
         # burns down and the job fails with the solver's own reason code
         spec = sinker_spec(
@@ -852,9 +866,7 @@ class TestRetryExhaustionAndQuarantine:
         )
         report = run_battery(
             [spec],
-            battery_config(tmp_path / "store", max_retries=1,
-                           quarantine_after=5, backoff_base=0.01,
-                           backoff_max=0.05),
+            battery_config(tmp_path / "store", max_retries=1),
         )
         rec = report.record("poisoned")
         assert rec.state is JobState.FAILED
@@ -862,7 +874,10 @@ class TestRetryExhaustionAndQuarantine:
         assert rec.reason and "JOB" not in rec.reason  # a solver reason
         assert report.all_terminal
 
-    def test_repeat_offender_config_is_quarantined(self, tmp_path):
+    def test_repeat_offender_config_is_quarantined(self, tmp_path,
+                                                   monkeypatch):
+        serve_policy(monkeypatch, QUARANTINE_AFTER=2, BACKOFF_BASE=0.01,
+                     BACKOFF_MAX=0.05)
         spec = sinker_spec(
             "offender", seed=22, nsteps=2,
             faults={"poison_viscosity": {"mode": "nan", "once": False}},
@@ -873,9 +888,7 @@ class TestRetryExhaustionAndQuarantine:
         )
         report = run_battery(
             [spec, twin],
-            battery_config(tmp_path / "store", max_retries=5,
-                           quarantine_after=2, backoff_base=0.01,
-                           backoff_max=0.05),
+            battery_config(tmp_path / "store", max_retries=5),
         )
         rec = report.record("offender")
         assert rec.state is JobState.QUARANTINED
