@@ -204,7 +204,7 @@ def mesh_quality(mesh) -> dict:
     from ..fem.quadrature import GaussQuadrature
 
     quad = GaussQuadrature.hex(2)
-    dN = mesh.basis.grad(quad.points)
+    dN = mesh.basis.at_quadrature(quad)[1]
     det = geometry.det_3x3(geometry.jacobians(mesh.element_coords(), dN))
     det_v = detj_at_vertices(mesh)
     _, h = mesh.element_centroids_and_extents()

@@ -60,7 +60,7 @@ class EnergySolver:
         self.kappa = float(kappa)
         self.bc = bc
         self.quad = GaussQuadrature.hex(2)
-        self._N = mesh.basis.eval(self.quad.points)
+        self._N = mesh.basis.at_quadrature(self.quad)[0]
 
     @instrument("EnergyAssemble")
     def _assemble(self, u_q: np.ndarray, dt: float):
@@ -101,7 +101,7 @@ class EnergySolver:
 
     def velocity_at_quadrature(self, q2_mesh, u: np.ndarray) -> np.ndarray:
         """Restrict a Q2 velocity field to this solver's quadrature points."""
-        N2 = q2_mesh.basis.eval(self.quad.points)  # same reference coords
+        N2 = q2_mesh.basis.at_quadrature(self.quad)[0]  # same reference coords
         ue = u.reshape(-1, 3)[q2_mesh.connectivity]  # (nel, 27, 3)
         return np.einsum("qa,nac->nqc", N2, ue, optimize=True)
 

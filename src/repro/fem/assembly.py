@@ -212,7 +212,7 @@ def rhs_body_force(
     quad = quad or GaussQuadrature.hex(3)
     _, det, _ = mesh.geometry_at(quad)
     wdet = det * quad.weights[None, :]
-    N = mesh.basis.eval(quad.points)
+    N = mesh.basis.at_quadrature(quad)[0]
     g = np.asarray(g, dtype=np.float64)
     fe = np.einsum("nq,qa,c->nac", wdet * rho_q, N, g, optimize=True)
     F = np.zeros(3 * mesh.nnodes)
@@ -326,7 +326,7 @@ def scalar_mass_lumped(mesh, quad: GaussQuadrature | None = None) -> np.ndarray:
     quad = quad or GaussQuadrature.hex(mesh.order + 1)
     _, det, _ = mesh.geometry_at(quad)
     wdet = det * quad.weights[None, :]
-    N = mesh.basis.eval(quad.points)
+    N = mesh.basis.at_quadrature(quad)[0]
     me = np.einsum("nq,qa->na", wdet, N, optimize=True)
     m = np.zeros(mesh.nnodes)
     np.add.at(m, mesh.connectivity.ravel(), me.ravel())

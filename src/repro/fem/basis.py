@@ -24,34 +24,42 @@ def lagrange_1d(nodes: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     nodes:
         Interpolation nodes, shape ``(n,)``.
     x:
-        Evaluation points, shape ``(m,)``.
+        Evaluation points, any shape ``s`` (a scalar counts as ``(1,)``).
 
     Returns
     -------
     (values, derivs):
-        Arrays of shape ``(m, n)``: ``values[q, a]`` is the a-th basis
-        function at ``x[q]``.
+        Arrays of shape ``s + (n,)``: ``values[..., a]`` is the a-th basis
+        function at ``x[...]``.  Each entry is formed by the same
+        elementwise product recurrence whatever ``s`` is, so one batched
+        call equals one call per coordinate bit for bit.
     """
     nodes = np.asarray(nodes, dtype=np.float64)
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 0:
+        x = x[None]
     n = nodes.size
-    m = x.size
-    vals = np.ones((m, n))
+    vals = np.ones(x.shape + (n,))
     for a in range(n):
         for b in range(n):
             if b != a:
-                vals[:, a] *= (x - nodes[b]) / (nodes[a] - nodes[b])
-    derivs = np.zeros((m, n))
+                vals[..., a] *= (x - nodes[b]) / (nodes[a] - nodes[b])
+    derivs = np.zeros(x.shape + (n,))
     for a in range(n):
         for c in range(n):
             if c == a:
                 continue
-            term = np.full(m, 1.0 / (nodes[a] - nodes[c]))
+            term = np.full(x.shape, 1.0 / (nodes[a] - nodes[c]))
             for b in range(n):
                 if b != a and b != c:
                     term *= (x - nodes[b]) / (nodes[a] - nodes[b])
-            derivs[:, a] += term
+            derivs[..., a] += term
     return vals, derivs
+
+
+#: read-only reference tables per (basis nodes, quadrature points); see
+#: :meth:`HexBasis.at_quadrature`
+_QUADRATURE_TABLES: dict = {}
 
 
 @dataclass(frozen=True)
@@ -82,36 +90,50 @@ class HexBasis:
         Z, Y, X = np.meshgrid(n1, n1, n1, indexing="ij")
         return np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
 
+    def tables(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values and reference gradients at ``points`` (npts, 3) in one pass.
+
+        Returns ``(N, dN)`` of shapes ``(npts, nbasis)`` and
+        ``(npts, nbasis, 3)``.  One :func:`lagrange_1d` recurrence covers
+        all three coordinates, and each tensor product is formed as
+        ``(fx * fy) * fz`` directly in the x-fastest node layout.
+        """
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        m = points.shape[0]
+        n = self.nbasis_1d
+        v, d = lagrange_1d(self.nodes_1d, points)  # (m, 3, n) each
+        vx, vy, vz = v[:, 0], v[:, 1], v[:, 2]
+        dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
+        # axes (q, k, j, i) flatten to the node index a = i + n*(j + n*k)
+        vxy = (vy[:, :, None] * vx[:, None, :])[:, None]
+        N = vz[:, :, None, None] * vxy
+        dN = np.empty((m, n, n, n, 3))
+        np.multiply((vy[:, :, None] * dx[:, None, :])[:, None],
+                    vz[:, :, None, None], out=dN[..., 0])
+        np.multiply((dy[:, :, None] * vx[:, None, :])[:, None],
+                    vz[:, :, None, None], out=dN[..., 1])
+        np.multiply(vxy, dz[:, :, None, None], out=dN[..., 2])
+        return N.reshape(m, n**3), dN.reshape(m, n**3, 3)
+
     def eval(self, points: np.ndarray) -> np.ndarray:
         """Basis values at reference ``points`` (npts, 3) -> (npts, nbasis)."""
-        points = np.atleast_2d(points)
-        vx, _ = lagrange_1d(self.nodes_1d, points[:, 0])
-        vy, _ = lagrange_1d(self.nodes_1d, points[:, 1])
-        vz, _ = lagrange_1d(self.nodes_1d, points[:, 2])
-        # N[q, a] with a = i + n*(j + n*k)
-        n = self.nbasis_1d
-        N = (
-            vx[:, :, None, None]
-            * vy[:, None, :, None]
-            * vz[:, None, None, :]
-        )
-        # axes currently (q, i, j, k); flatten with i fastest
-        return N.transpose(0, 3, 2, 1).reshape(points.shape[0], n**3)
+        return self.tables(points)[0]
 
     def grad(self, points: np.ndarray) -> np.ndarray:
         """Reference gradients at ``points``: shape ``(npts, nbasis, 3)``."""
-        points = np.atleast_2d(points)
-        vx, dx = lagrange_1d(self.nodes_1d, points[:, 0])
-        vy, dy = lagrange_1d(self.nodes_1d, points[:, 1])
-        vz, dz = lagrange_1d(self.nodes_1d, points[:, 2])
-        n = self.nbasis_1d
-        npts = points.shape[0]
-        out = np.empty((npts, n**3, 3))
-        for d, (fx, fy, fz) in enumerate(
-            [(dx, vy, vz), (vx, dy, vz), (vx, vy, dz)]
-        ):
-            G = fx[:, :, None, None] * fy[:, None, :, None] * fz[:, None, None, :]
-            out[:, :, d] = G.transpose(0, 3, 2, 1).reshape(npts, n**3)
+        return self.tables(points)[1]
+
+    def at_quadrature(self, quad) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`tables` at the points of ``quad``, built once per
+        (basis, rule) and returned read-only: every mesh, operator and
+        projection on the same rule shares one copy."""
+        key = (self.nodes_1d.tobytes(), quad.points.tobytes())
+        out = _QUADRATURE_TABLES.get(key)
+        if out is None:
+            out = self.tables(quad.points)
+            for a in out:
+                a.flags.writeable = False
+            _QUADRATURE_TABLES[key] = out
         return out
 
 

@@ -59,8 +59,8 @@ class StructuredMesh:
         # bumped by set_coords so geometry caches and operators rebuild
         self.coords_version = 0
         self._conn: np.ndarray | None = None
+        self._corner_conn: np.ndarray | None = None
         self._geom_cache: dict = {}
-        self._ref_grads: dict = {}  # reference gradients by quadrature order
 
     # ------------------------------------------------------------------ #
     # lattice bookkeeping
@@ -144,9 +144,7 @@ class StructuredMesh:
         key = (quad.npoints_1d, self.coords_version)
         if key not in self._geom_cache:
             self._geom_cache.clear()
-            dN = self._ref_grads.setdefault(
-                quad.npoints_1d, self.basis.grad(quad.points))
-            N = self.basis.eval(quad.points)
+            N, dN = self.basis.at_quadrature(quad)
             ecoords = self.element_coords()
             Jinv, det = geometry.invert_3x3(geometry.jacobians(ecoords, dN))
             xq = geometry.map_to_physical(ecoords, N)
@@ -157,8 +155,8 @@ class StructuredMesh:
         """Physical basis gradients of elements ``[s, e)``, shape
         ``(e - s, nq, nbasis, 3)``, formed from the cached ``Jinv`` on each
         call: consumers take them one element chunk at a time."""
-        Jinv = self.geometry_at(quad)[0]  # keeps _ref_grads filled
-        return geometry.gradients(self._ref_grads[quad.npoints_1d], Jinv[s:e])
+        Jinv = self.geometry_at(quad)[0]
+        return geometry.gradients(self.basis.at_quadrature(quad)[1], Jinv[s:e])
 
     @property
     def coords(self) -> np.ndarray:
@@ -232,6 +230,19 @@ class StructuredMesh:
         l = np.arange(0, k * P + 1, k)
         K, J, I = np.meshgrid(l, j, i, indexing="ij")
         return self.node_index(I.ravel(), J.ravel(), K.ravel())
+
+    def corner_lattice_connectivity(self) -> np.ndarray:
+        """Per-element corner ids in the corner-lattice numbering of
+        :meth:`corner_node_lattice`, shape ``(nel, 8)``; topology only, so
+        built once and read-only."""
+        if self._corner_conn is None:
+            lattice = self.corner_node_lattice()
+            remap = np.full(self.nnodes, -1, dtype=np.int64)
+            remap[lattice] = np.arange(lattice.size)
+            local = remap[self.corner_connectivity()]
+            local.flags.writeable = False
+            self._corner_conn = local
+        return self._corner_conn
 
     # ------------------------------------------------------------------ #
     # hierarchy

@@ -24,7 +24,7 @@ class MFOperator(ViscousOperatorBase):
 
     def __init__(self, mesh, eta_q, quad=None, chunk=2048):
         super().__init__(mesh, eta_q, quad, chunk)
-        self._dN = mesh.basis.grad(self.quad.points)  # (nq, nb, 3)
+        self._dN = mesh.basis.at_quadrature(self.quad)[1]  # (nq, nb, 3)
 
     def _apply(self, u: np.ndarray) -> np.ndarray:
         y = np.zeros(self.ndof)

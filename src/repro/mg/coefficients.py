@@ -22,34 +22,25 @@ def quadrature_to_corner_nodal(mesh, f_q: np.ndarray, quad: GaussQuadrature) -> 
     Returns the nodal field on the corner (Q1) lattice, shape
     ``((M+1)*(N+1)*(P+1),)``, x-fastest.
     """
-    q1 = q1_basis()
-    N1 = q1.eval(quad.points)  # (nq, 8)
+    N1 = q1_basis().at_quadrature(quad)[0]  # (nq, 8)
     w = quad.weights
     num_el = np.einsum("q,qa,nq->na", w, N1, f_q, optimize=True)
     den_el = np.einsum("q,qa->a", w, N1)
-    corner_conn = mesh.corner_connectivity()  # global node ids (Q2 lattice)
-    lattice = mesh.corner_node_lattice()
-    # map global Q2-lattice node ids -> corner lattice positions
-    remap = np.full(mesh.nnodes, -1, dtype=np.int64)
-    remap[lattice] = np.arange(lattice.size)
-    local = remap[corner_conn]
-    num = np.bincount(local.ravel(), weights=num_el.ravel(), minlength=lattice.size)
+    local = mesh.corner_lattice_connectivity()
+    size = mesh.corner_node_lattice().size
+    num = np.bincount(local.ravel(), weights=num_el.ravel(), minlength=size)
     den = np.bincount(
         local.ravel(),
         weights=np.broadcast_to(den_el, local.shape).ravel(),
-        minlength=lattice.size,
+        minlength=size,
     )
     return num / den
 
 
 def corner_nodal_to_quadrature(mesh, f_nodal: np.ndarray, quad: GaussQuadrature) -> np.ndarray:
     """Interpolate a corner-lattice nodal field at the quadrature points."""
-    q1 = q1_basis()
-    N1 = q1.eval(quad.points)
-    lattice = mesh.corner_node_lattice()
-    remap = np.full(mesh.nnodes, -1, dtype=np.int64)
-    remap[lattice] = np.arange(lattice.size)
-    local = remap[mesh.corner_connectivity()]
+    N1 = q1_basis().at_quadrature(quad)[0]
+    local = mesh.corner_lattice_connectivity()
     return np.einsum("qa,na->nq", N1, f_nodal[local], optimize=True)
 
 

@@ -9,6 +9,8 @@ three 1D linear-interpolation matrices, and restriction is its transpose.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -37,8 +39,11 @@ def nodal_prolongation(fine_mesh, coarse_mesh) -> sp.csr_matrix:
     Global node ordering is x-fastest (``g = i + nx*(j + ny*k)``), so the
     3D operator is ``kron(Pz, kron(Py, Px))``.
     """
-    nf = fine_mesh.nodes_per_dim
-    nc = coarse_mesh.nodes_per_dim
+    return _lattice_prolongation(tuple(fine_mesh.nodes_per_dim),
+                                 tuple(coarse_mesh.nodes_per_dim))
+
+
+def _lattice_prolongation(nf: tuple, nc: tuple) -> sp.csr_matrix:
     if tuple(2 * c - 1 for c in nc) != tuple(nf):
         raise ValueError(
             f"meshes are not nested: fine lattice {nf}, coarse lattice {nc}"
@@ -50,6 +55,24 @@ def nodal_prolongation(fine_mesh, coarse_mesh) -> sp.csr_matrix:
 
 
 def vector_prolongation(fine_mesh, coarse_mesh, ncomp: int = 3) -> sp.csr_matrix:
-    """Prolongator for interleaved vector dofs (``dof = ncomp*node + c``)."""
-    P = nodal_prolongation(fine_mesh, coarse_mesh)
-    return sp.kron(P, sp.eye(ncomp), format="csr")
+    """Prolongator for interleaved vector dofs (``dof = ncomp*node + c``).
+
+    It depends only on the two node lattices, so each ``(fine lattice,
+    coarse lattice, ncomp)`` is built once (the last :data:`PROLONGATION_CACHE`
+    are kept) and shared read-only by every hierarchy on those lattices.
+    """
+    return _vector_prolongation(tuple(fine_mesh.nodes_per_dim),
+                                tuple(coarse_mesh.nodes_per_dim), int(ncomp))
+
+
+#: lattice pairs whose vector prolongator is kept (a hierarchy has a few)
+PROLONGATION_CACHE = 8
+
+
+@functools.lru_cache(maxsize=PROLONGATION_CACHE)
+def _vector_prolongation(nf: tuple, nc: tuple, ncomp: int) -> sp.csr_matrix:
+    P = sp.kron(_lattice_prolongation(nf, nc), sp.eye(ncomp), format="csr")
+    P.sum_duplicates()  # canonical now, so no later product sorts it in place
+    for a in (P.data, P.indices, P.indptr):
+        a.flags.writeable = False
+    return P

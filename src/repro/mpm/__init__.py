@@ -9,9 +9,13 @@ velocity field and migrate any that crossed subdomain boundaries
 (the L_s / L_r protocol of SS II-D).
 """
 
-from .points import MaterialPoints, seed_points
+from .points import MaterialPoints, PointTables, seed_points
 from .location import invert_map, locate_points
-from .projection import project_to_corners, project_to_quadrature
+from .projection import (
+    EmptySupportError,
+    project_to_corners,
+    project_to_quadrature,
+)
 from .advection import interpolate_velocity, advect_points
 from .migration import (
     migrate_points,
@@ -22,9 +26,11 @@ from .migration import (
 
 __all__ = [
     "MaterialPoints",
+    "PointTables",
     "seed_points",
     "invert_map",
     "locate_points",
+    "EmptySupportError",
     "project_to_corners",
     "project_to_quadrature",
     "interpolate_velocity",

@@ -19,7 +19,7 @@ def interpolate_velocity(
 ) -> np.ndarray:
     """Q2 velocity at (element, local coordinate) pairs; shape ``(np, 3)``."""
     N = mesh.basis.eval(xi)  # (np, nb)
-    ue = u.reshape(-1, 3)[mesh.connectivity[els]]  # (np, nb, 3)
+    ue = np.take(u.reshape(-1, 3), mesh.connectivity[els], axis=0)
     return np.einsum("pa,pac->pc", N, ue, optimize=True)
 
 

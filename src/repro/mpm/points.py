@@ -1,8 +1,93 @@
-"""Material point container and seeding."""
+"""Material point container, its per-point geometric tables, and seeding."""
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
+
+from ..fem.basis import q1_basis
+from ..fem.geometry import invert_3x3
+
+
+class PointTables:
+    """Geometric tables of one ``(els, xi)`` placement on one mesh geometry.
+
+    Everything a reader of point data needs besides the field itself:
+    the physical Q2 gradients ``G`` and the P1disc values ``psi`` (strain
+    rate, pressure), the Q1 corner weights and corner ids (temperature,
+    projection), and the projection's clamped weights and denominators.
+    Each group is built on its first read and kept; the arrays are
+    read-only.  :meth:`MaterialPoints.tables` holds one instance per
+    relocation; the ``(mesh, field, els, xi)`` reader forms build a
+    throwaway one, so both go through the same arithmetic.
+    """
+
+    def __init__(self, mesh, els: np.ndarray, xi: np.ndarray):
+        self.mesh = mesh
+        self.els = els
+        self.xi = xi
+        self.coords_version = mesh.coords_version
+
+    @cached_property
+    def _q2(self) -> tuple[np.ndarray, np.ndarray]:
+        mesh, els = self.mesh, self.els
+        N, dN = mesh.basis.tables(self.xi)
+        coords = np.take(mesh.coords, mesh.connectivity[els], axis=0)
+        # per-point Jacobian: J[p, c, d] = sum_a dN[p, a, d] x[p, a, c]
+        Jp = np.einsum("pad,pac->pcd", dN, coords, optimize=True)
+        Jinv, _ = invert_3x3(Jp)
+        # kept in einsum's own output layout: the strain-rate contraction
+        # sums in an order that follows G's strides
+        G = np.einsum("pae,ped->pad", dN, Jinv, optimize=True)
+        x = np.einsum("pa,pac->pc", N, coords, optimize=True)
+        centroid, h = mesh.element_centroids_and_extents()
+        psi = np.empty((els.size, 4))
+        psi[:, 0] = 1.0
+        psi[:, 1:] = (x - centroid[els]) / h[els]
+        return _frozen(G), _frozen(psi)
+
+    @property
+    def G(self) -> np.ndarray:
+        """Physical Q2 gradients ``G[p, a, d] = dN_a/dx_d``, ``(np, nb, 3)``."""
+        return self._q2[0]
+
+    @property
+    def psi(self) -> np.ndarray:
+        """P1disc basis values at the points, ``(np, 4)``."""
+        return self._q2[1]
+
+    @cached_property
+    def _q1(self) -> tuple[np.ndarray, np.ndarray]:
+        w = q1_basis().eval(self.xi)
+        ids = self.mesh.corner_lattice_connectivity()[self.els]
+        return _frozen(w), _frozen(ids)
+
+    @property
+    def q1_weights(self) -> np.ndarray:
+        """Trilinear corner weights ``(np, 8)``."""
+        return self._q1[0]
+
+    @property
+    def corner_ids(self) -> np.ndarray:
+        """Corner-lattice ids of each point's element corners ``(np, 8)``."""
+        return self._q1[1]
+
+    @cached_property
+    def projection(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(w, den, empty)`` of the Eq. 12 reconstruction: the weights
+        clamped at 0 (jittered points can sit marginally outside), their
+        per-vertex sums and the vertices whose support holds no point."""
+        w = np.maximum(self.q1_weights, 0.0)
+        size = self.mesh.corner_node_lattice().size
+        den = np.bincount(self.corner_ids.ravel(), weights=w.ravel(),
+                          minlength=size)
+        return _frozen(w), _frozen(den), _frozen(den <= 0.0)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class MaterialPoints:
@@ -12,6 +97,10 @@ class MaterialPoints:
     accumulated ``plastic_strain``, and the location cache ``(el, xi)``
     maintained by :func:`repro.mpm.location.locate_points`.  Arbitrary
     extra per-point history fields can be attached via :meth:`add_field`.
+
+    ``el`` and ``xi`` are read-only: assigning either (the one way to
+    change them) stores a read-only copy and drops the point tables of
+    :meth:`tables`, which are also rebuilt when the mesh coordinates move.
     """
 
     def __init__(self, x: np.ndarray, lithology: np.ndarray | None = None):
@@ -34,6 +123,35 @@ class MaterialPoints:
     def n(self) -> int:
         return self.x.shape[0]
 
+    @property
+    def el(self) -> np.ndarray:
+        """Containing element per point (``-1``: outside the domain)."""
+        return self._el
+
+    @el.setter
+    def el(self, value: np.ndarray) -> None:
+        self._el = _frozen(np.array(value, dtype=np.int64))
+        self._tables = None
+
+    @property
+    def xi(self) -> np.ndarray:
+        """Reference coordinates of each point in its element, ``(n, 3)``."""
+        return self._xi
+
+    @xi.setter
+    def xi(self, value: np.ndarray) -> None:
+        self._xi = _frozen(np.array(value, dtype=np.float64))
+        self._tables = None
+
+    def tables(self, mesh) -> PointTables:
+        """The :class:`PointTables` of the current ``(el, xi)`` on ``mesh``,
+        built once per relocation and geometry (``mesh.coords_version``)."""
+        t = self._tables
+        if (t is None or t.mesh is not mesh
+                or t.coords_version != mesh.coords_version):
+            t = self._tables = PointTables(mesh, self._el, self._xi)
+        return t
+
     def add_field(self, name: str, values: np.ndarray) -> None:
         values = np.asarray(values)
         if values.shape[0] != self.n:
@@ -51,8 +169,8 @@ class MaterialPoints:
         """A new point set holding rows ``idx`` (copy)."""
         out = MaterialPoints(self.x[idx], self.lithology[idx])
         out.plastic_strain = self.plastic_strain[idx].copy()
-        out.el = self.el[idx].copy()
-        out.xi = self.xi[idx].copy()
+        out.el = self.el[idx]
+        out.xi = self.xi[idx]
         for k, v in self._extra.items():
             out._extra[k] = v[idx].copy()
         return out

@@ -15,18 +15,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..fem.basis import q1_basis
 from ..fem.quadrature import GaussQuadrature
 from ..mg.coefficients import corner_nodal_to_quadrature
 from ..obs.registry import instrument
+from .points import PointTables
 
 
-def _corner_local_ids(mesh) -> np.ndarray:
-    """Per-element corner ids in the corner (Q1) lattice numbering."""
-    lattice = mesh.corner_node_lattice()
-    remap = np.full(mesh.nnodes, -1, dtype=np.int64)
-    remap[lattice] = np.arange(lattice.size)
-    return remap[mesh.corner_connectivity()]  # (nel, 8)
+class EmptySupportError(ValueError):
+    """No corner vertex has a material point in its support, so the
+    reconstruction (Eq. 12) has no data to average."""
 
 
 def project_to_corners(
@@ -34,22 +31,25 @@ def project_to_corners(
     els: np.ndarray,
     xi: np.ndarray,
     values: np.ndarray,
+    tables: PointTables | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reconstruct point ``values`` on the corner lattice.
 
     Returns ``(nodal, empty)`` where ``empty`` marks vertices whose support
     contains no material point (their nodal value is 0 and the caller
-    should trigger population control).
+    should trigger population control).  ``tables`` are the points'
+    :meth:`~repro.mpm.points.MaterialPoints.tables`; without them a
+    throwaway set is built from ``(els, xi)``.  Raises
+    :class:`EmptySupportError` when no vertex has support (no points).
     """
-    q1 = q1_basis()
-    w = q1.eval(xi)  # (np, 8) trilinear weights, nonnegative inside
-    w = np.maximum(w, 0.0)  # jittered points can sit marginally outside
-    local = _corner_local_ids(mesh)[els]  # (np, 8)
-    size = mesh.corner_node_lattice().size
-    num = np.bincount(local.ravel(), weights=(w * values[:, None]).ravel(),
-                      minlength=size)
-    den = np.bincount(local.ravel(), weights=w.ravel(), minlength=size)
-    empty = den <= 0.0
+    t = tables if tables is not None else PointTables(mesh, els, xi)
+    w, den, empty = t.projection
+    if empty.all():
+        raise EmptySupportError(
+            f"empty support: none of the {empty.size} corner vertices has a "
+            f"material point in its support ({els.size} points)")
+    num = np.bincount(t.corner_ids.ravel(),
+                      weights=(w * values[:, None]).ravel(), minlength=den.size)
     nodal = np.divide(num, den, out=np.zeros_like(num), where=~empty)
     return nodal, empty
 
@@ -62,15 +62,16 @@ def project_to_quadrature(
     values: np.ndarray,
     quad: GaussQuadrature | None = None,
     fill_empty: float | None = None,
+    tables: PointTables | None = None,
 ) -> np.ndarray:
     """Point values -> quadrature points, via the corner reconstruction.
 
     ``fill_empty`` substitutes vertices with empty support (defaults to the
     mean of the reconstructed field, matching a pragmatic population-control
-    fallback).
+    fallback); ``tables`` as in :func:`project_to_corners`.
     """
     quad = quad or GaussQuadrature.hex(3)
-    nodal, empty = project_to_corners(mesh, els, xi, values)
+    nodal, empty = project_to_corners(mesh, els, xi, values, tables)
     if empty.any():
         fill = float(nodal[~empty].mean()) if fill_empty is None else fill_empty
         nodal = np.where(empty, fill, nodal)
@@ -79,10 +80,10 @@ def project_to_quadrature(
 
 @instrument("MPMInterp")
 def interpolate_nodal_at_points(
-    mesh, nodal: np.ndarray, els: np.ndarray, xi: np.ndarray
+    mesh, nodal: np.ndarray, els: np.ndarray, xi: np.ndarray,
+    tables: PointTables | None = None,
 ) -> np.ndarray:
     """Evaluate a corner-lattice nodal field at material points (Eq. 13)."""
-    q1 = q1_basis()
-    w = q1.eval(xi)
-    local = _corner_local_ids(mesh)[els]
-    return np.einsum("pa,pa->p", w, nodal[local], optimize=True)
+    t = tables if tables is not None else PointTables(mesh, els, xi)
+    return np.einsum("pa,pa->p", t.q1_weights, nodal[t.corner_ids],
+                     optimize=True)

@@ -12,26 +12,29 @@ import numpy as np
 
 from ..fem.assembly import DEFAULT_CHUNK, _chunks
 from ..fem.basis import P1DiscBasis
-from ..fem.geometry import invert_3x3
 from ..fem.quadrature import GaussQuadrature
+from ..mpm.points import PointTables
 from ..rheology.laws import strain_rate_invariant, strain_rate_tensor
 
 
-def velocity_gradient_at_points(mesh, u, els, xi) -> np.ndarray:
+# The ``*_at_points`` readers take the points' ``(els, xi)``; passing the
+# points' own ``tables`` (:meth:`repro.mpm.points.MaterialPoints.tables`)
+# reuses the geometry built once per relocation, otherwise a throwaway
+# :class:`~repro.mpm.points.PointTables` is built from ``(els, xi)``.
+
+
+def velocity_gradient_at_points(mesh, u, els, xi,
+                                tables: PointTables | None = None) -> np.ndarray:
     """Physical velocity gradient ``H[p, c, d] = du_c/dx_d`` at points."""
-    dN = mesh.basis.grad(xi)  # (np, nb, 3)
-    coords = mesh.coords[mesh.connectivity[els]]
-    # per-point Jacobian: J[p, c, d] = sum_a dN[p, a, d] x[p, a, c]
-    Jp = np.einsum("pad,pac->pcd", dN, coords, optimize=True)
-    Jinv, _ = invert_3x3(Jp)
-    G = np.einsum("pae,ped->pad", dN, Jinv, optimize=True)
-    ue = u.reshape(-1, 3)[mesh.connectivity[els]]
-    return np.einsum("pac,pad->pcd", ue, G, optimize=True)
+    t = tables if tables is not None else PointTables(mesh, els, xi)
+    ue = np.take(u.reshape(-1, 3), mesh.connectivity[els], axis=0)
+    return np.einsum("pac,pad->pcd", ue, t.G, optimize=True)
 
 
-def strain_invariant_at_points(mesh, u, els, xi) -> np.ndarray:
+def strain_invariant_at_points(mesh, u, els, xi,
+                               tables: PointTables | None = None) -> np.ndarray:
     """``eps_II`` at material points."""
-    H = velocity_gradient_at_points(mesh, u, els, xi)
+    H = velocity_gradient_at_points(mesh, u, els, xi, tables)
     return strain_rate_invariant(strain_rate_tensor(H))
 
 
@@ -50,17 +53,12 @@ def strain_invariant_at_quadrature(mesh, u, quad: GaussQuadrature) -> np.ndarray
     return strain_rate_invariant(strain_rate_at_quadrature(mesh, u, quad))
 
 
-def pressure_at_points(mesh, p, els, xi) -> np.ndarray:
+def pressure_at_points(mesh, p, els, xi,
+                       tables: PointTables | None = None) -> np.ndarray:
     """P1disc pressure at material points."""
-    N = mesh.basis.eval(xi)
-    coords = mesh.coords[mesh.connectivity[els]]
-    x = np.einsum("pa,pac->pc", N, coords, optimize=True)
-    centroid, h = mesh.element_centroids_and_extents()
-    psi = np.empty((els.size, 4))
-    psi[:, 0] = 1.0
-    psi[:, 1:] = (x - centroid[els]) / h[els]
+    t = tables if tables is not None else PointTables(mesh, els, xi)
     pe = p.reshape(-1, 4)[els]
-    return np.einsum("pm,pm->p", psi, pe, optimize=True)
+    return np.einsum("pm,pm->p", t.psi, pe, optimize=True)
 
 
 def pressure_at_quadrature(mesh, p, quad: GaussQuadrature) -> np.ndarray:
@@ -71,11 +69,12 @@ def pressure_at_quadrature(mesh, p, quad: GaussQuadrature) -> np.ndarray:
     return np.einsum("nqm,nm->nq", psi, p.reshape(-1, 4), optimize=True)
 
 
-def temperature_at_points(mesh, T_nodal, els, xi) -> np.ndarray:
+def temperature_at_points(mesh, T_nodal, els, xi,
+                          tables: PointTables | None = None) -> np.ndarray:
     """Corner-lattice (Q1) temperature at material points."""
     from ..mpm.projection import interpolate_nodal_at_points
 
-    return interpolate_nodal_at_points(mesh, T_nodal, els, xi)
+    return interpolate_nodal_at_points(mesh, T_nodal, els, xi, tables)
 
 
 def stress_invariant_at_quadrature(

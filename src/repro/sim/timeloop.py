@@ -232,10 +232,11 @@ class Simulation:
     def point_properties(self, u: np.ndarray, p: np.ndarray):
         """Per-point ``(eta, deta_dJ2, rho, yielding)`` from the flow laws."""
         pts = self.points
-        eps = strain_invariant_at_points(self.mesh, u, pts.el, pts.xi)
-        prs = pressure_at_points(self.mesh, p, pts.el, pts.xi)
+        tab = pts.tables(self.mesh)
+        eps = strain_invariant_at_points(self.mesh, u, pts.el, pts.xi, tab)
+        prs = pressure_at_points(self.mesh, p, pts.el, pts.xi, tab)
         if self.T is not None:
-            Tp = temperature_at_points(self.mesh, self.T, pts.el, pts.xi)
+            Tp = temperature_at_points(self.mesh, self.T, pts.el, pts.xi, tab)
         else:
             Tp = None
         eta = np.empty(pts.n)
@@ -278,9 +279,11 @@ class Simulation:
         eta_p, deta_p, rho_p, yielding = self.point_properties(x[:nu], x[nu:])
         self.last_yielded_fraction = float(yielding.mean()) if yielding.size else 0.0
         pts = self.points
-        eta_q = project_to_quadrature(self.mesh, pts.el, pts.xi, eta_p, self.quad)
-        deta_q = project_to_quadrature(self.mesh, pts.el, pts.xi, deta_p, self.quad)
-        rho_q = project_to_quadrature(self.mesh, pts.el, pts.xi, rho_p, self.quad)
+        tab = pts.tables(self.mesh)
+        eta_q, deta_q, rho_q = (
+            project_to_quadrature(self.mesh, pts.el, pts.xi, v, self.quad,
+                                  tables=tab)
+            for v in (eta_p, deta_p, rho_p))
         if self.health is not None:
             # guard *after* projection so any corruption upstream (flow
             # law, projection, injected faults) is caught at the last
@@ -422,9 +425,10 @@ class Simulation:
                     np.concatenate([self.u, self.p])).yielding
                 self._linearization = None  # the material state moves on
                 if yielding.any() and dt > 0:
+                    pts = self.points
                     eps_p = strain_invariant_at_points(
-                        self.mesh, self.u, self.points.el, self.points.xi
-                    )
+                        self.mesh, self.u, pts.el, pts.xi,
+                        pts.tables(self.mesh))
                     self.points.plastic_strain[yielding] += eps_p[yielding] * dt
 
             lost_count = 0

@@ -132,3 +132,70 @@ class TestP1DiscBasis:
         x = np.full((1, 1, 3), 0.5)
         psi = P1DiscBasis.eval(x, np.zeros((1, 3)), np.array([[2.0, 1.0, 0.5]]))
         assert np.allclose(psi[0, 0], [1.0, 0.25, 0.5, 1.0])
+
+
+# --------------------------------------------------------------------- #
+# the batched tables against the per-coordinate construction they replaced
+# --------------------------------------------------------------------- #
+def oracle_eval(basis, points):
+    """Three 1D evaluations and a transposed tensor product."""
+    vx, _ = lagrange_1d(basis.nodes_1d, points[:, 0])
+    vy, _ = lagrange_1d(basis.nodes_1d, points[:, 1])
+    vz, _ = lagrange_1d(basis.nodes_1d, points[:, 2])
+    n = basis.nbasis_1d
+    N = vx[:, :, None, None] * vy[:, None, :, None] * vz[:, None, None, :]
+    return N.transpose(0, 3, 2, 1).reshape(points.shape[0], n**3)
+
+
+def oracle_grad(basis, points):
+    vx, dx = lagrange_1d(basis.nodes_1d, points[:, 0])
+    vy, dy = lagrange_1d(basis.nodes_1d, points[:, 1])
+    vz, dz = lagrange_1d(basis.nodes_1d, points[:, 2])
+    n = basis.nbasis_1d
+    npts = points.shape[0]
+    out = np.empty((npts, n**3, 3))
+    for d, (fx, fy, fz) in enumerate(
+        [(dx, vy, vz), (vx, dy, vz), (vx, vy, dz)]
+    ):
+        G = fx[:, :, None, None] * fy[:, None, :, None] * fz[:, None, None, :]
+        out[:, :, d] = G.transpose(0, 3, 2, 1).reshape(npts, n**3)
+    return out
+
+
+@pytest.mark.parametrize("basis", [q1_basis(), q2_basis()],
+                         ids=["q1", "q2"])
+class TestBatchedTables:
+    @pytest.mark.parametrize("npts", [1, 27, 1728])
+    def test_bitwise_equal_to_oracle(self, basis, npts, rng):
+        """Inside and outside the reference cube (the Newton iterates of
+        point location leave it), bit for bit."""
+        pts = rng.uniform(-2.5, 2.5, size=(npts, 3))
+        N, dN = basis.tables(pts)
+        assert np.array_equal(N, oracle_eval(basis, pts))
+        assert np.array_equal(dN, oracle_grad(basis, pts))
+        assert N.flags.c_contiguous and dN.flags.c_contiguous
+        assert np.array_equal(basis.eval(pts), N)
+        assert np.array_equal(basis.grad(pts), dN)
+
+    def test_batched_lagrange_equals_per_coordinate(self, basis, rng):
+        pts = rng.uniform(-1.5, 1.5, size=(40, 3))
+        v, d = lagrange_1d(basis.nodes_1d, pts)
+        for c in range(3):
+            vc, dc = lagrange_1d(basis.nodes_1d, pts[:, c])
+            assert np.array_equal(v[:, c], vc)
+            assert np.array_equal(d[:, c], dc)
+
+    def test_quadrature_tables_shared_and_read_only(self, basis):
+        from repro.fem.quadrature import GaussQuadrature
+
+        q = GaussQuadrature.hex(3)
+        N, dN = basis.at_quadrature(q)
+        again = basis.at_quadrature(GaussQuadrature.hex(3))
+        assert again[0] is N and again[1] is dN
+        assert np.array_equal(N, oracle_eval(basis, q.points))
+        assert np.array_equal(dN, oracle_grad(basis, q.points))
+        with pytest.raises(ValueError):
+            N[0, 0] = 1.0
+        # another rule is another entry
+        N2, _ = basis.at_quadrature(GaussQuadrature.hex(2))
+        assert N2.shape == (8, basis.nbasis)

@@ -286,8 +286,9 @@ class TestMigrationAudit:
         donor = int(np.flatnonzero(decomp.element_owner[pts.el] == 2)[0])
         mover = rank_points[0]
         mover.x[0] = pts.x[donor]
-        mover.el[0] = pts.el[donor]
-        mover.xi[0] = pts.xi[donor]
+        el, xi = mover.el.copy(), mover.xi.copy()
+        el[0], xi[0] = pts.el[donor], pts.xi[donor]
+        mover.el, mover.xi = el, xi  # (el, xi) change through the setters
         with pytest.raises(HealthCheckFailure) as exc:
             migrate_points(decomp, comm, rank_points)
         assert exc.value.check == "particles"
@@ -300,8 +301,9 @@ class TestMigrationAudit:
         donor = int(np.flatnonzero(decomp.element_owner[pts.el] == 2)[0])
         mover = rank_points[0]
         mover.x[0] = pts.x[donor]
-        mover.el[0] = pts.el[donor]
-        mover.xi[0] = pts.xi[donor]
+        el, xi = mover.el.copy(), mover.xi.copy()
+        el[0], xi[0] = pts.el[donor], pts.xi[donor]
+        mover.el, mover.xi = el, xi  # (el, xi) change through the setters
         before = sum(p.n for p in rank_points)
         out, deleted = migrate_points(decomp, comm, rank_points, audit=False)
         # the loss happened; only the audit was off

@@ -6,7 +6,9 @@ worker count and on any engine: the thread pool, the in-process rank
 oracle, and real rank processes.  Every case here is ``np.array_equal``
 to ``workers=1``: one compiled apply, one compiled Newton apply, one
 diagonal, one assembled matrix, an operator updated through
-``set_viscosity``, and the state digest of a 4^3 three-step sinker run.
+``set_viscosity``, the state digest of a 4^3 three-step sinker run, and
+that of a two-step (6, 4, 2) rifting run (plasticity and the Newton
+operator, the temperature and projection point tables, the ALE remesh).
 """
 
 import numpy as np
@@ -137,3 +139,34 @@ def test_sinker_digest(serial_digest, substrate, workers):
         with dispatch_engine(substrate, workers):
             digest = sinker_digest()
     assert digest == serial_digest
+
+
+def rift_digest(workers=1):
+    """Two coupled rifting steps: free surface, energy, plastic yielding."""
+    spec = JobSpec(
+        name="one-answer-rift", scenario="rifting",
+        scenario_config={"shape": [6, 4, 2]},
+        sim_config={"free_surface": True, "thermal_kappa": 0.01,
+                    "cfl": 0.25, "max_newton": 2,
+                    "stokes": {"mg_levels": 2, "smoother_degree": 3,
+                               "coarse_solver": "lu", "rtol": 1e-4,
+                               "maxiter": 300, "workers": workers}},
+        nsteps=2, seed=7)
+    sim = build_simulation(spec)
+    for _ in range(spec.nsteps):
+        sim.step()
+    return state_digest(sim)
+
+
+@pytest.fixture(scope="module")
+def serial_rift_digest():
+    return rift_digest(workers=1)
+
+
+def test_rift_digest(serial_rift_digest, substrate, workers):
+    if substrate == "thread":
+        digest = rift_digest(workers)
+    else:
+        with dispatch_engine(substrate, workers):
+            digest = rift_digest()
+    assert digest == serial_rift_digest

@@ -73,3 +73,21 @@ class Test3D:
         assert np.allclose(out[1::3], P @ uc)
         assert np.allclose(out[0::3], 0)
         assert np.allclose(out[2::3], 0)
+
+    def test_vector_prolongation_built_once_per_lattice_pair(self):
+        """Shared by every hierarchy on the same lattices, read-only, and
+        equal to a fresh Kronecker build."""
+        import scipy.sparse as sp
+
+        fine = StructuredMesh((4, 2, 2), order=2)
+        coarse = fine.coarsen()
+        Pv = vector_prolongation(fine, coarse)
+        other = StructuredMesh((4, 2, 2), order=2, extent=(3.0, 1.0, 1.0))
+        assert vector_prolongation(other, other.coarsen()) is Pv
+        assert vector_prolongation(fine, coarse, ncomp=1) is not Pv
+        with pytest.raises(ValueError):
+            Pv.data[0] = 2.0
+        fresh = sp.kron(nodal_prolongation(fine, coarse), sp.eye(3),
+                        format="csr")
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(Pv, attr), getattr(fresh, attr))
