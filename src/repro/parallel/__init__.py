@@ -13,7 +13,7 @@ Two communicators share one surface:
 * :class:`VirtualComm` executes ranks sequentially in-process -- the
   deterministic **oracle**;
 * :class:`~repro.parallel.procomm.ProcessComm` runs them as real worker
-  processes with heartbeats, deadline-bounded collectives, rank-failure
+  processes with heartbeats, deadline-bounded operations, rank-failure
   detection, and checkpoint-based recovery
   (:mod:`repro.parallel.procomm`), with the rank-decomposed solve
   (:mod:`repro.parallel.distributed`) asserted bit-identical to the
@@ -41,7 +41,6 @@ from .executor import (
 from .halo import (
     ExchangeStats,
     halo_exchange_plan,
-    reduction_count,
     validate_decomposition_compat,
 )
 from .procomm import (
@@ -50,7 +49,6 @@ from .procomm import (
     ProcessComm,
     RankFailure,
 )
-from .views import LocalView, rank_local_residual
 
 __all__ = [
     "VirtualComm",
@@ -70,13 +68,10 @@ __all__ = [
     "halo_exchange_plan",
     "partition_elements",
     "partition_range",
-    "reduction_count",
     "resolve_workers",
     "run_sinker_distributed",
     "thread_pool",
     "tree_reduce",
     "use_executor",
     "validate_decomposition_compat",
-    "LocalView",
-    "rank_local_residual",
 ]

@@ -7,10 +7,10 @@ model's latency/bandwidth terms.
 
 With the real multi-process transport (:mod:`repro.parallel.procomm`)
 this class is the **oracle**: both communicators expose the same
-``send``/``recv_all``/``allreduce``/``bcast``/``barrier``/``pending``
-surface, both reduce with the same fixed binary tree
-(:func:`tree_reduce`), and CI asserts the distributed solve is
-bit-identical to the virtual one.
+``send``/``recv_all``/``barrier``/``pending`` surface, the rank engines
+over them (:mod:`repro.parallel.distributed`) reduce their dot partials
+with the same fixed binary tree (:func:`tree_reduce`), and CI asserts
+the distributed solve is bit-identical to the virtual one.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import numpy as np
 
 from ..obs import registry as _obs
 
-#: reduction combiners shared by :class:`VirtualComm` and the real
-#: transport -- one implementation, so the oracle cannot drift
+#: reduction combiners of :func:`tree_reduce`, the one reduction both
+#: rank engines use -- so the oracle cannot drift
 _REDUCE_OPS = {
     "sum": lambda a, b: a + b,
     "max": np.maximum,
@@ -107,10 +107,9 @@ def _payload_bytes(payload) -> int:
 class VirtualComm:
     """A communicator of ``size`` virtual ranks.
 
-    Point-to-point: :meth:`send` / :meth:`recv_all`.  Collectives:
-    :meth:`allreduce` / :meth:`bcast` / :meth:`barrier`.  There is no
-    concurrency -- the caller iterates over ranks -- but message counting
-    and the mailbox discipline mirror MPI.
+    Point-to-point: :meth:`send` / :meth:`recv_all`; collective:
+    :meth:`barrier`.  There is no concurrency -- the caller iterates over
+    ranks -- but message counting and the mailbox discipline mirror MPI.
     """
 
     def __init__(self, size: int):
@@ -142,30 +141,6 @@ class VirtualComm:
         out = self._mailboxes[rank]
         self._mailboxes[rank] = []
         return out
-
-    def allreduce(self, values, op: str = "sum"):
-        """Reduce a per-rank list of values; counted as one reduction.
-
-        The fixed-tree evaluation order (:func:`tree_reduce`) matches the
-        real transport's bit for bit, which is what makes this class the
-        determinism oracle for distributed Krylov dot products.
-        """
-        if len(values) != self.size:
-            raise ValueError(f"expected {self.size} values, got {len(values)}")
-        with _obs.timed("CommAllreduce", nbytes=_payload_bytes(values),
-                        cat="comm"):
-            self.stats.reductions += 1
-            return tree_reduce(values, op)
-
-    def bcast(self, value, root: int = 0):
-        """Broadcast ``value`` from ``root``: ``size - 1`` messages."""
-        self._check_rank(root)
-        size = _payload_bytes(value)
-        with _obs.timed("CommBcast", nbytes=size * (self.size - 1),
-                        cat="comm"):
-            self.stats.messages += self.size - 1
-            self.stats.bytes += size * (self.size - 1)
-        return value
 
     def barrier(self) -> None:
         """Synchronize all ranks (trivially satisfied: ranks are serial)."""

@@ -2,8 +2,8 @@
 
 The paper decomposes the ``M x N x P`` element mesh into structured
 subdomains, one per rank, with material points owned by the rank whose
-subdomain contains them.  This class computes the ownership maps, the
-neighbor topology (26-neighborhood), and per-rank element/node sets used
+subdomain contains them.  This class computes the element ownership map,
+the neighbor topology (26-neighborhood), and the ghost-node counts used
 by migration and by the halo-exchange accounting.
 """
 
@@ -72,18 +72,6 @@ class BlockDecomposition:
             return -1
         return rx + px * (ry + py * rz)
 
-    def elements_of(self, rank: int) -> np.ndarray:
-        """Element indices owned by ``rank``."""
-        return np.flatnonzero(self.element_owner == rank)
-
-    def subdomain_shape(self, rank: int) -> tuple[int, int, int]:
-        rx, ry, rz = self.rank_coords(rank)
-        return (
-            int(self.bx[rx + 1] - self.bx[rx]),
-            int(self.by[ry + 1] - self.by[ry]),
-            int(self.bz[rz + 1] - self.bz[rz]),
-        )
-
     def neighbors(self, rank: int) -> list[int]:
         """The (up to 26) face/edge/corner neighbor ranks."""
         rx, ry, rz = self.rank_coords(rank)
@@ -97,23 +85,6 @@ class BlockDecomposition:
                     if r >= 0:
                         out.append(r)
         return out
-
-    def owned_node_counts(self) -> np.ndarray:
-        """Nodes per rank under an owner-computes split at subdomain faces.
-
-        Interior subdomain boundaries assign shared lattice planes to the
-        lower-index rank, mirroring PETSc's DMDA ownership.
-        """
-        k = self.mesh.order
-        counts = np.zeros(self.nranks, dtype=np.int64)
-        px, py, pz = self.ranks
-        for rank in range(self.nranks):
-            rx, ry, rz = self.rank_coords(rank)
-            nx = k * (self.bx[rx + 1] - self.bx[rx]) + (1 if rx == px - 1 else 0)
-            ny = k * (self.by[ry + 1] - self.by[ry]) + (1 if ry == py - 1 else 0)
-            nz = k * (self.bz[rz + 1] - self.bz[rz]) + (1 if rz == pz - 1 else 0)
-            counts[rank] = nx * ny * nz
-        return counts
 
     def ghost_node_count(self, rank: int) -> int:
         """Ghost-layer node count for one rank (one element layer wide).

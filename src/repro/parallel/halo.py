@@ -67,13 +67,3 @@ def halo_exchange_plan(
         max_rank_bytes = max(max_rank_bytes, b)
     return ExchangeStats(msgs, total_bytes, max_rank_bytes)
 
-
-def reduction_count(krylov_iterations: int, method: str = "gcr") -> int:
-    """Global reductions per solve: dot products of the Krylov method.
-
-    GCR/GMRES perform O(restart) dots per iteration; we count the paper-
-    relevant scaling (2 dots + 1 norm per iteration amortized) -- the term
-    that makes fully distributed coarse solves latency-bound (SS V).
-    """
-    per_it = {"gcr": 3, "fgmres": 3, "gmres": 3, "cg": 2, "chebyshev": 0}
-    return per_it.get(method, 3) * int(krylov_iterations)

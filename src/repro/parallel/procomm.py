@@ -8,10 +8,11 @@ wired to the master by two pipes:
 
 * a **command pipe** (master -> rank) carrying one newline-delimited JSON
   document per operation (span kernels, dot partials, mailbox traffic,
-  collectives, fault arming);
+  barriers, fault arming);
 * an **event pipe** (rank -> master) carrying heartbeats and replies --
   the same newline-JSON watchdog protocol the ensemble scheduler speaks
-  with its workers (PR 8), read by a per-rank reader thread.
+  with its workers.  The master starts no thread: it reads a rank's pipe
+  only while it awaits that rank's reply (:meth:`ProcessComm._wait`).
 
 Bulk data never rides the pipes: vectors, stashes and state payloads
 move through master-owned, grow-only shared-memory blocks
@@ -25,7 +26,10 @@ Fault tolerance, end to end:
 
 * every rank emits a heartbeat every :data:`HEARTBEAT_INTERVAL` seconds from
   a dedicated thread, so a rank stalled inside a kernel still beats and a
-  *dead* rank goes silent;
+  *dead* rank goes silent.  Every event carries the rank's
+  ``time.monotonic()`` (CLOCK_MONOTONIC, one clock for the whole
+  machine), so beats that waited in the pipe while the master was busy
+  still date the rank's last sign of life exactly;
 * every collective and point-to-point wait is **deadline-bounded**: no
   reply within :data:`OP_TIMEOUT` (or heartbeat silence beyond
   :data:`HEARTBEAT_TIMEOUT`; a new cohort's startup ping within
@@ -52,9 +56,10 @@ from __future__ import annotations
 import base64
 import itertools
 import json
+import math
 import os
 import pickle
-import queue
+import select
 import signal
 import threading
 import time
@@ -63,7 +68,7 @@ import weakref
 import numpy as np
 
 from ..obs import registry as _obs
-from .comm import CommStats, _payload_bytes, tree_reduce
+from .comm import CommStats, _payload_bytes
 
 __all__ = [
     "CommError",
@@ -75,8 +80,7 @@ __all__ = [
 #: operations that advance a rank's work-op counter (fault trigger points);
 #: control traffic (ping, state shipments, fault arming, mail_count
 #: liveness probes, exit) deliberately does not trigger faults
-_WORK_OPS = frozenset({"span", "dot", "put_mail", "drain_mail", "contrib",
-                       "barrier", "bcast"})
+_WORK_OPS = frozenset({"span", "dot", "put_mail", "drain_mail", "barrier"})
 
 
 class CommError(RuntimeError):
@@ -236,6 +240,9 @@ def _worker_loop(rank: int, cmd_fd: int, evt_fd: int) -> None:
     wlock = threading.Lock()
 
     def emit(doc: dict) -> None:
+        # a beat blocks here while the pipe is full (64 KiB, minutes of
+        # beats of an idle master) until the master's next wait drains it
+        doc["t"] = time.monotonic()
         data = (json.dumps(doc) + "\n").encode()
         with wlock:
             off = 0
@@ -338,12 +345,6 @@ def _worker_loop(rank: int, cmd_fd: int, evt_fd: int) -> None:
                 mailbox = []
             elif op == "mail_count":
                 reply["count"] = len(mailbox)
-            elif op == "contrib":
-                # allreduce leg: the value is this rank's contribution;
-                # echo it back through the real transport bit-for-bit
-                reply["b64"] = doc["b64"]
-            elif op == "bcast":
-                pickle.loads(base64.b64decode(doc["b64"]))  # receive it
             elif op == "barrier":
                 pass
             elif op == "fault":
@@ -366,23 +367,42 @@ def _worker_loop(rank: int, cmd_fd: int, evt_fd: int) -> None:
 # master side
 # --------------------------------------------------------------------- #
 class _Rank:
-    """Master-side handle of one rank process."""
+    """Master-side handle of one rank process.
 
-    __slots__ = ("index", "pid", "cmd_fd", "evt_fd", "replies", "last_beat",
-                 "eof", "returncode", "reaped", "reader", "reap_lock")
+    ``buf`` holds what was read from the event pipe but not yet parsed:
+    replies to ops posted after the one being awaited, and a torn line.
+    ``last_beat`` is the rank's own clock in its latest event read.
+    """
+
+    __slots__ = ("index", "pid", "cmd_fd", "evt_fd", "poll", "buf",
+                 "last_beat", "eof", "returncode", "reaped")
 
     def __init__(self, index: int, pid: int, cmd_fd: int, evt_fd: int):
         self.index = index
         self.pid = pid
         self.cmd_fd = cmd_fd
         self.evt_fd = evt_fd
-        self.replies: queue.Queue = queue.Queue()
+        self.poll = select.poll()
+        self.poll.register(evt_fd, select.POLLIN)
+        self.buf = b""
         self.last_beat = time.monotonic()
         self.eof = False
         self.returncode: int | None = None
         self.reaped = False
-        self.reader: threading.Thread | None = None
-        self.reap_lock = threading.Lock()
+
+    def readable(self, seconds: float) -> bool:
+        """Wait up to ``seconds`` for the event pipe to have data or EOF."""
+        return bool(self.poll.poll(math.ceil(1e3 * max(seconds, 0.0))))
+
+    def read(self) -> bool:
+        """Append one read of the event pipe to ``buf``; ``False`` at EOF."""
+        try:
+            chunk = os.read(self.evt_fd, 1 << 16)
+        except OSError:
+            chunk = b""
+        self.eof = not chunk
+        self.buf += chunk
+        return not self.eof
 
 
 def _cohort_cleanup(holder: dict) -> None:
@@ -404,11 +424,11 @@ class ProcessComm:
     """A communicator of ``size`` real rank processes.
 
     Drop-in for :class:`~repro.parallel.comm.VirtualComm`: the same
-    ``send``/``recv_all``/``allreduce``/``bcast``/``barrier``/``pending``
-    surface with the same :class:`CommStats` accounting, plus the
-    engine-facing state/span/dot transport used by
-    :class:`repro.parallel.distributed.ProcommEngine` and the
-    fault-tolerance surface (:meth:`inject_fault`, :meth:`recover`).
+    ``send``/``recv_all``/``barrier``/``pending`` surface with the same
+    :class:`CommStats` accounting, plus the engine-facing state/span/dot
+    transport used by :class:`repro.parallel.distributed.ProcommEngine`
+    and the fault-tolerance surface (:meth:`inject_fault`,
+    :meth:`recover`).  The master side is single-threaded.
     """
 
     def __init__(self, size: int):
@@ -457,13 +477,6 @@ class ProcessComm:
             os.close(cmd_r)
             os.close(evt_w)
             ranks.append(_Rank(r, pid, cmd_w, evt_r))
-        # readers start once every rank is forked: no fork with threads
-        for rank in ranks:
-            rank.reader = threading.Thread(
-                target=self._read_events, args=(rank,),
-                name=f"procomm-rank{rank.index}", daemon=True,
-            )
-            rank.reader.start()
         self._ranks = ranks
         self._holder["pids"] = [rank.pid for rank in ranks]
         # liveness: every rank must answer the startup ping in time
@@ -480,7 +493,8 @@ class ProcessComm:
     def shutdown(self, kill: bool = False) -> None:
         """Stop the cohort: cooperative ``exit`` op, or SIGKILL the groups.
 
-        Idempotent; always reaps children and joins reader threads.
+        Idempotent; always reaps children.  A cooperative stop reads every
+        rank to EOF under one 5 s deadline, then SIGKILLs what is left.
         """
         ranks, self._ranks = self._ranks, []
         if not kill:
@@ -493,16 +507,15 @@ class ProcessComm:
                 except CommError:
                     pass
             deadline = time.monotonic() + 5.0
-            while (time.monotonic() < deadline
-                   and not all(r.eof for r in ranks)):
-                time.sleep(0.01)
+            for rank in ranks:
+                while (not rank.eof
+                       and rank.readable(deadline - time.monotonic())
+                       and rank.read()):
+                    rank.buf = b""
         for rank in ranks:
             if not rank.eof:
                 self._kill_rank(rank)
-        for rank in ranks:
-            self._reap(rank, timeout=5.0)
-            if rank.reader is not None:
-                rank.reader.join(timeout=5.0)
+            self._reap(rank)
             try:
                 os.close(rank.cmd_fd)
             except OSError:
@@ -541,54 +554,17 @@ class ProcessComm:
             except OSError:
                 pass
 
-    def _reap(self, rank: _Rank, timeout: float = 5.0) -> None:
-        with rank.reap_lock:
-            if rank.reaped:
-                return
-            deadline = time.monotonic() + timeout
-            while True:
-                try:
-                    pid, status = os.waitpid(rank.pid, os.WNOHANG)
-                except (ChildProcessError, OSError):
-                    rank.reaped = True
-                    return
-                if pid == rank.pid:
-                    rank.returncode = (
-                        -os.WTERMSIG(status) if os.WIFSIGNALED(status)
-                        else os.WEXITSTATUS(status)
-                    )
-                    rank.reaped = True
-                    return
-                if time.monotonic() >= deadline:
-                    return
-                time.sleep(0.01)
-
-    # -- event-pipe reader (one thread per rank) ------------------------ #
-    def _read_events(self, rank: _Rank) -> None:
-        buf = b""
-        while True:
-            try:
-                chunk = os.read(rank.evt_fd, 1 << 16)
-            except OSError:
-                chunk = b""
-            if not chunk:
-                break
-            buf += chunk
-            while b"\n" in buf:
-                line, buf = buf.split(b"\n", 1)
-                try:
-                    doc = json.loads(line)
-                except ValueError:
-                    continue
-                event = doc.get("event")
-                if event == "hb":
-                    rank.last_beat = time.monotonic()
-                elif event == "reply":
-                    rank.last_beat = time.monotonic()
-                    rank.replies.put(doc)
-        # EOF: the rank exited (cleanly or not); record how
-        rank.eof = True
-        self._reap(rank, timeout=5.0)
+    def _reap(self, rank: _Rank) -> None:
+        """Record the exit status of a rank that is gone: its pipe hit EOF
+        or EPIPE, or it was SIGKILLed, so ``waitpid`` returns promptly."""
+        if rank.reaped:
+            return
+        try:
+            _, status = os.waitpid(rank.pid, 0)
+            rank.returncode = os.waitstatus_to_exitcode(status)
+        except ChildProcessError:
+            pass
+        rank.reaped = True
 
     # -- wire protocol --------------------------------------------------- #
     def _post_rank(self, rank: _Rank, doc: dict) -> None:
@@ -598,7 +574,7 @@ class ProcessComm:
             while off < len(data):
                 off += os.write(rank.cmd_fd, data[off:])
         except OSError as err:
-            self._reap(rank, timeout=2.0)
+            self._reap(rank)
             self.stats.rank_failures += 1
             raise RankFailure(rank.index, rank.returncode,
                               op=str(doc.get("op", ""))) from err
@@ -615,32 +591,49 @@ class ProcessComm:
 
     def _wait(self, rank_index: int, seq: int, op: str,
               timeout: float | None = None) -> dict:
+        """Read rank ``rank_index``'s event pipe until the reply to ``seq``.
+
+        Blocks in ``poll`` on that one pipe until the nearer of the op
+        deadline and ``last_beat + HEARTBEAT_TIMEOUT``.  The heartbeat
+        bound is checked only when the pipe has nothing more to read, so
+        beats that queued while the master was busy elsewhere count with
+        the rank time they carry.  Replies to ops posted after ``seq``
+        stay in the rank's buffer for their own wait.
+        """
         rank = self._ranks[rank_index]
         budget = OP_TIMEOUT if timeout is None else timeout
         deadline = time.monotonic() + budget
+        drained = False
         while True:
-            try:
-                doc = rank.replies.get(timeout=0.05)
-            except queue.Empty:
-                now = time.monotonic()
-                if rank.eof and rank.replies.empty():
-                    self.stats.rank_failures += 1
-                    raise RankFailure(rank_index, rank.returncode, op=op)
-                if now >= deadline:
-                    self.stats.timeouts += 1
-                    raise CommTimeout(op, rank_index, budget, kind="deadline")
-                if now - rank.last_beat > HEARTBEAT_TIMEOUT:
-                    self.stats.timeouts += 1
-                    raise CommTimeout(op, rank_index,
-                                      now - rank.last_beat, kind="heartbeat")
-                continue
-            if doc.get("seq") != seq:
-                continue  # stale reply from an op abandoned pre-recovery
-            if doc.get("status") == "error":
-                raise CommError(
-                    f"rank {rank_index} failed op {op!r}: {doc.get('error')}"
-                )
-            return doc
+            *lines, rank.buf = rank.buf.split(b"\n")
+            for i, line in enumerate(lines):
+                try:
+                    doc = json.loads(line)
+                    rank.last_beat = max(rank.last_beat, float(doc["t"]))
+                except (ValueError, TypeError, KeyError):
+                    continue  # torn or foreign line: not protocol
+                # skip beats, and replies to ops abandoned by an exception
+                if doc.get("event") != "reply" or doc.get("seq") != seq:
+                    continue
+                rank.buf = b"\n".join([*lines[i + 1:], rank.buf])
+                if doc.get("status") == "error":
+                    raise CommError(f"rank {rank_index} failed op {op!r}: "
+                                    f"{doc.get('error')}")
+                return doc
+            now = time.monotonic()
+            if now >= deadline:
+                self.stats.timeouts += 1
+                raise CommTimeout(op, rank_index, budget, kind="deadline")
+            if drained and now - rank.last_beat > HEARTBEAT_TIMEOUT:
+                self.stats.timeouts += 1
+                raise CommTimeout(op, rank_index, now - rank.last_beat,
+                                  kind="heartbeat")
+            wake = min(deadline, rank.last_beat + HEARTBEAT_TIMEOUT)
+            drained = not rank.readable(wake - now)
+            if not drained and not rank.read():
+                self._reap(rank)
+                self.stats.rank_failures += 1
+                raise RankFailure(rank_index, rank.returncode, op=op)
 
     def call(self, rank_index: int, op: str, timeout: float | None = None,
              **fields) -> dict:
@@ -717,40 +710,6 @@ class ProcessComm:
         with _obs.timed("CommRecv", cat="comm"):
             reply = self.call(rank, "drain_mail")
             return pickle.loads(base64.b64decode(reply["b64"]))
-
-    def allreduce(self, values, op: str = "sum"):
-        """Reduce one contribution per rank; bit-identical to the oracle.
-
-        Each contribution makes a round trip through its owning rank's
-        real transport; the reduction then runs over the **rank-indexed**
-        list with the shared fixed tree (:func:`tree_reduce`), so the
-        result is independent of reply arrival order.
-        """
-        if len(values) != self.size:
-            raise ValueError(f"expected {self.size} values, got {len(values)}")
-        with _obs.timed("CommAllreduce", nbytes=_payload_bytes(values),
-                        cat="comm"):
-            per_rank = [
-                {"b64": base64.b64encode(pickle.dumps(v)).decode("ascii")}
-                for v in values
-            ]
-            replies = self.call_all("contrib", per_rank)
-            echoed = [pickle.loads(base64.b64decode(r["b64"]))
-                      for r in replies]
-            self.stats.reductions += 1
-            return tree_reduce(echoed, op)
-
-    def bcast(self, value, root: int = 0):
-        """Broadcast ``value`` to every rank; ``size - 1`` messages."""
-        self._check_rank(root)
-        size = _payload_bytes(value)
-        with _obs.timed("CommBcast", nbytes=size * (self.size - 1),
-                        cat="comm"):
-            b64 = base64.b64encode(pickle.dumps(value)).decode("ascii")
-            self.call_all("bcast", [{"b64": b64}] * self.size)
-            self.stats.messages += self.size - 1
-            self.stats.bytes += size * (self.size - 1)
-        return value
 
     def barrier(self) -> None:
         """Synchronize: every rank must answer within the op deadline."""

@@ -23,14 +23,11 @@ from ..obs import registry as _obs
 from ..obs.trace import trace_resilience
 from ..parallel.executor import use_workers
 from ..resilience.reasons import BreakdownError, ConvergedReason
-from ..solvers.krylov import gcr, fgmres
+from ..solvers import krylov
 from .fieldsplit import FieldSplitPreconditioner
 from .operators import StokesOperator, StokesProblem
 from .scr import solve_scr
 
-
-#: outer flexible Krylov methods, by ``StokesConfig.outer``
-OUTER_METHODS = {"gcr": gcr, "fgmres": fgmres}
 
 #: a ``CONVERGED_*`` solve whose true relative residual exceeds
 #: ``EXIT_SLACK * rtol`` is reported as ``DIVERGED_BREAKDOWN``
@@ -72,7 +69,7 @@ class StokesConfig(GMGConfig):
     velocity_pc: str = "gmg"
 
     _CHOICES: ClassVar[dict] = {
-        **GMGConfig._CHOICES, "outer": tuple(OUTER_METHODS),
+        **GMGConfig._CHOICES, "outer": ("gcr", "fgmres"),
         "scheme": ("fieldsplit", "scr"), "velocity_pc": ("gmg", "jacobi"),
     }
 
@@ -232,7 +229,8 @@ def solve_stokes(
                                       scr_stats.reason, [])
             extra = {"scr": scr_stats}
         else:
-            res = OUTER_METHODS[cfg.outer](
+            # looked up per solve: a wrapped or patched module function runs
+            res = getattr(krylov, cfg.outer)(
                 apply_op, b, x0=x0, M=pc_apply, rtol=cfg.rtol,
                 maxiter=cfg.maxiter, restart=cfg.restart, monitor=monitor,
             )

@@ -5,7 +5,7 @@ import pytest
 
 from repro.fem import StructuredMesh
 from repro.mg.coefficients import inject_corner_field
-from repro.parallel import BlockDecomposition, LocalView
+from repro.parallel import BlockDecomposition
 
 
 class TestGhostCountFormula:
@@ -40,15 +40,15 @@ class TestLocalViewVsGhostFormula:
         mesh = StructuredMesh((4, 4, 4), order=2)
         d = BlockDecomposition(mesh, (2, 2, 1))
         for rank in range(d.nranks):
-            v = LocalView(d, rank)
-            # the rank touches exactly the nodes of its own elements; all
+            # the rank's local view is the nodes of its own elements; all
             # of them lie in its subdomain's lattice block
+            nodes = np.unique(mesh.connectivity[d.element_owner == rank])
             k = mesh.order
             rx, ry, rz = d.rank_coords(rank)
             nnx, nny, _ = mesh.nodes_per_dim
-            i = v.nodes % nnx
-            j = (v.nodes // nnx) % nny
-            l = v.nodes // (nnx * nny)
+            i = nodes % nnx
+            j = (nodes // nnx) % nny
+            l = nodes // (nnx * nny)
             assert i.min() >= k * d.bx[rx] and i.max() <= k * d.bx[rx + 1]
             assert j.min() >= k * d.by[ry] and j.max() <= k * d.by[ry + 1]
             assert l.min() >= k * d.bz[rz] and l.max() <= k * d.bz[rz + 1]

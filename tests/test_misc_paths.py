@@ -90,19 +90,11 @@ class TestAdvectionHints:
 
 
 class TestCommValidation:
-    def test_allreduce_size_check(self):
-        from repro.parallel import VirtualComm
-
-        comm = VirtualComm(3)
-        with pytest.raises(ValueError):
-            comm.allreduce([1.0, 2.0])
-
     def test_unknown_op(self):
-        from repro.parallel import VirtualComm
+        from repro.parallel import tree_reduce
 
-        comm = VirtualComm(2)
         with pytest.raises(ValueError):
-            comm.allreduce([1.0, 2.0], op="median")
+            tree_reduce([1.0, 2.0], op="median")
 
     def test_size_validation(self):
         from repro.parallel import VirtualComm

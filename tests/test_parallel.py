@@ -9,8 +9,8 @@ from repro.mpm.migration import count_points_per_element, populate_empty_cells
 from repro.parallel import (
     BlockDecomposition,
     VirtualComm,
+    VirtualRankEngine,
     halo_exchange_plan,
-    reduction_count,
 )
 
 
@@ -42,10 +42,12 @@ class TestVirtualComm:
             comm.send(0, 5, np.zeros(1))
 
     def test_allreduce(self):
+        # the solve's allreduce is a rank engine's dot over the comm: one
+        # fixed-tree reduction of the per-rank partials
         comm = VirtualComm(3)
-        assert comm.allreduce([1.0, 2.0, 3.0], "sum") == 6.0
-        assert comm.allreduce([1.0, 2.0, 3.0], "max") == 3.0
-        assert comm.stats.reductions == 2
+        x = np.arange(7.0)
+        assert VirtualRankEngine(comm).dot(x, x) == 91.0  # exact integers
+        assert comm.stats.reductions == 1
 
 
 class TestDecomposition:
@@ -55,13 +57,20 @@ class TestDecomposition:
         counts = np.bincount(d.element_owner, minlength=d.nranks)
         assert counts.sum() == mesh.nel
         assert np.all(counts > 0)
-        all_els = np.concatenate([d.elements_of(r) for r in range(d.nranks)])
-        assert np.array_equal(np.sort(all_els), np.arange(mesh.nel))
 
     def test_subdomain_shapes_tile_mesh(self):
+        # each rank owns exactly the elements of its (bx, by, bz) block,
+        # and the blocks cover the mesh
         mesh = StructuredMesh((5, 4, 3), order=2)
         d = BlockDecomposition(mesh, (2, 2, 3))
-        total = sum(np.prod(d.subdomain_shape(r)) for r in range(d.nranks))
+        owner = d.element_owner.reshape(mesh.shape[::-1])  # (z, y, x)
+        total = 0
+        for r in range(d.nranks):
+            rx, ry, rz = d.rank_coords(r)
+            block = owner[d.bz[rz]:d.bz[rz + 1], d.by[ry]:d.by[ry + 1],
+                          d.bx[rx]:d.bx[rx + 1]]
+            assert block.size > 0 and np.all(block == r)
+            total += block.size
         assert total == mesh.nel
 
     def test_neighbors_symmetric(self):
@@ -80,11 +89,6 @@ class TestDecomposition:
         mesh = StructuredMesh((2, 2, 2), order=2)
         with pytest.raises(ValueError):
             BlockDecomposition(mesh, (4, 1, 1))
-
-    def test_owned_nodes_partition_lattice(self):
-        mesh = StructuredMesh((4, 4, 4), order=2)
-        d = BlockDecomposition(mesh, (2, 1, 2))
-        assert d.owned_node_counts().sum() == mesh.nnodes
 
     def test_ghost_counts_positive_interior(self):
         mesh = StructuredMesh((6, 6, 6), order=2)
@@ -186,8 +190,3 @@ class TestHaloModel:
         large = halo_exchange_plan(BlockDecomposition(mesh, (2, 2, 2)))
         assert large.messages > small.messages
         assert large.bytes_total > small.bytes_total
-
-    def test_reduction_count(self):
-        assert reduction_count(10, "cg") == 20
-        assert reduction_count(10, "gcr") == 30
-        assert reduction_count(10, "chebyshev") == 0

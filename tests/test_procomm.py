@@ -14,6 +14,7 @@ import json
 import os
 import pickle
 import signal
+import threading
 import time
 
 import numpy as np
@@ -53,6 +54,13 @@ def procomm(size):
         yield comm
     finally:
         comm.close()
+
+
+class _Broadcast:
+    """A state for ``share_state``: picklable, weakly referenceable."""
+
+    def __init__(self, values):
+        self.values = values
 
 
 def _operator_problem(shape=(3, 3, 4)):
@@ -105,21 +113,27 @@ class TestProcessComm:
 
     @pytest.mark.parametrize("size", [2, 3, 4, 5])
     def test_allreduce_bitwise_matches_oracle(self, size):
-        # satellite contract: allreduce is bitwise-stable for ANY rank
-        # count, and identical between the real transport and the oracle
+        # the solve's allreduce is the engine dot: rank partials summed
+        # over the fixed tree, bitwise-equal between the real transport
+        # and the oracle for ANY rank count
         rng = np.random.default_rng(size)
-        vals = list(rng.standard_normal(size) * 10.0 ** rng.integers(
-            -6, 6, size=size))
-        expected = tree_reduce(list(vals), "sum")
+        x = rng.standard_normal(997) * 10.0 ** rng.integers(-6, 6, size=997)
+        y = rng.standard_normal(997)
+        oracle = VirtualRankEngine(size=size)
+        expected = oracle.dot(x, y)
         with procomm(size) as comm:
-            assert comm.allreduce(list(vals), "sum") == expected
-            assert comm.allreduce(list(vals), "max") == tree_reduce(
-                list(vals), "max")
-        assert VirtualComm(size).allreduce(list(vals), "sum") == expected
+            assert ProcommEngine(comm).dot(x, y) == expected
+            assert comm.stats.reductions == oracle.comm.stats.reductions
+        oracle.shutdown()
 
     def test_bcast_and_barrier(self):
+        # the cohort's broadcast is a state shipment: one ``state`` op per
+        # rank, after which every rank holds the state's one version
+        payload = _Broadcast(np.arange(4.0))
         with procomm(2) as comm:
-            assert comm.bcast({"a": [1, 2]}, root=0) == {"a": [1, 2]}
+            key = comm.share_state(payload)
+            assert comm.held == [1, 1]
+            assert comm.share_state(payload) == key
             comm.barrier()  # must simply not hang
 
     def test_send_recv_roundtrip(self):
@@ -138,10 +152,45 @@ class TestProcessComm:
         with procomm(2) as comm:
             comm.send(0, 1, np.zeros(10))
             comm.recv_all(1)
-            comm.allreduce([1.0, 2.0], "sum")
+            comm.barrier()
             assert comm.stats.messages == 1  # sends count; delivery doesn't
             assert comm.stats.reductions == 1
             assert comm.stats.bytes >= 80
+
+
+# --------------------------------------------------------------------- #
+# the master side is one thread: it reads a rank's pipe while it waits
+# --------------------------------------------------------------------- #
+class TestSingleThreadedMaster:
+    def test_master_starts_no_thread(self):
+        before = set(threading.enumerate())
+        with procomm(4) as comm:
+            comm.barrier()
+            assert not set(threading.enumerate()) - before
+
+    def test_idle_master_sees_no_heartbeat_timeout(self, monkeypatch):
+        # beats pile up in the pipe while nobody waits; the next wait
+        # drains them and dates the rank's liveness by its own clock
+        monkeypatch.setattr(procomm_mod, "HEARTBEAT_TIMEOUT", 1.0)
+        with procomm(2) as comm:
+            comm.barrier()
+            time.sleep(2.0)
+            comm.barrier()
+            assert comm.stats.timeouts == 0
+
+    def test_full_event_pipe_does_not_wedge(self, monkeypatch):
+        # ~170 KB of beats against a 64 KiB pipe: the beat thread blocks
+        # in write until the next wait drains the pipe
+        monkeypatch.setattr(procomm_mod, "HEARTBEAT_INTERVAL", 1e-4)
+        with procomm(2) as comm:
+            time.sleep(1.0)
+            t0 = time.perf_counter()
+            comm.barrier()
+            payload = np.arange(10_000, dtype=np.float64)  # 80 KB
+            comm.send(0, 1, payload)
+            msgs = comm.recv_all(1)
+            assert time.perf_counter() - t0 < 5.0
+            np.testing.assert_array_equal(msgs[0][1], payload)
 
 
 # --------------------------------------------------------------------- #
@@ -165,7 +214,7 @@ class TestTransportFaults:
                 comm.barrier()
             comm.recover()
             # sentinel claimed: the re-armed fault must not re-fire
-            assert comm.allreduce([1.0, 2.0], "sum") == 3.0
+            comm.barrier()
             assert comm.stats.respawns >= 1
 
     def test_unfired_fault_survives_respawn(self, tmp_path):
@@ -416,7 +465,7 @@ class TestCommGauges:
         try:
             sim = make_sinker(_default_sinker(), _default_sim_config())
             sim.comm = VirtualComm(2)
-            sim.comm.allreduce([1.0, 2.0], "sum")
+            sim.comm.barrier()
             sim.comm.send(0, 1, np.zeros(8))
             sim.step(0.01)
             row = metrics.export()

@@ -38,8 +38,9 @@ from repro.solvers import (
     newton,
 )
 from repro.mg import gmg as gmg_module
+from repro.solvers import krylov
 from repro.stokes import StokesConfig, solve_stokes, solve_stokes_resilient
-from repro.stokes.solve import EXIT_SLACK, FALLBACK_RUNGS, OUTER_METHODS
+from repro.stokes.solve import EXIT_SLACK, FALLBACK_RUNGS
 from repro.stokes.fieldsplit import FieldSplitPreconditioner
 from repro.stokes.operators import StokesOperator
 from repro import obs
@@ -593,7 +594,7 @@ class TestExitCheck:
             res.x[:] = 0.0
             return res
 
-        monkeypatch.setitem(OUTER_METHODS, "gcr", lying_gcr)
+        monkeypatch.setattr(krylov, "gcr", lying_gcr)
         pb = _tiny_problem()
         cfg = StokesConfig(mg_levels=1, coarse_solver="lu")
         sol = solve_stokes(pb, cfg)

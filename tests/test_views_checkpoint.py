@@ -1,13 +1,10 @@
-"""Local views (DMDA-style gather/scatter), assembled saddle matrix,
-checkpointing, stress diagnostics."""
+"""Assembled saddle matrix, checkpointing, stress diagnostics."""
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from repro.fem import GaussQuadrature, StructuredMesh
-from repro.matfree import make_operator
-from repro.parallel import BlockDecomposition, LocalView, rank_local_residual
 from repro.sim import (
     SimulationConfig,
     load_checkpoint,
@@ -20,64 +17,6 @@ from repro.sim.sinker import SinkerConfig, sinker_stokes_problem
 from repro.stokes import StokesConfig, StokesOperator, solve_stokes
 
 QUAD = GaussQuadrature.hex(3)
-
-
-class TestLocalView:
-    def _decomp(self, shape=(4, 4, 4), ranks=(2, 2, 1)):
-        mesh = StructuredMesh(shape, order=2)
-        return mesh, BlockDecomposition(mesh, ranks)
-
-    def test_nodes_cover_lattice_once_owned(self):
-        mesh, d = self._decomp()
-        owned = np.zeros(mesh.nnodes, dtype=int)
-        for r in range(d.nranks):
-            v = LocalView(d, r)
-            owned[v.nodes[v.owned_mask]] += 1
-        assert np.all(owned == 1)  # every node owned by exactly one rank
-
-    def test_ghosts_are_shared_nodes(self):
-        mesh, d = self._decomp()
-        v = LocalView(d, 0)
-        assert v.n_ghost > 0
-        assert v.n_owned + v.n_ghost == v.nodes.size
-
-    def test_gather_scatter_roundtrip(self, rng):
-        mesh, d = self._decomp()
-        g = rng.standard_normal(mesh.nnodes)
-        out = np.zeros(mesh.nnodes)
-        for r in range(d.nranks):
-            v = LocalView(d, r)
-            local = v.gather(g)
-            v.scatter_add(local, out)
-        assert np.allclose(out, g)
-
-    def test_vector_gather(self, rng):
-        mesh, d = self._decomp()
-        g = rng.standard_normal(3 * mesh.nnodes)
-        v = LocalView(d, 1)
-        loc = v.gather(g, ncomp=3)
-        assert loc.shape == (v.nodes.size, 3)
-        assert np.allclose(loc, g.reshape(-1, 3)[v.nodes])
-
-    def test_local_connectivity_consistent(self):
-        mesh, d = self._decomp()
-        v = LocalView(d, 2)
-        assert np.array_equal(
-            v.nodes[v.local_connectivity],
-            mesh.connectivity[v.elements],
-        )
-
-    def test_rank_local_residuals_sum_to_global(self, rng):
-        """Owner-computes assembly: per-rank operator contributions sum to
-        the global apply."""
-        mesh, d = self._decomp()
-        eta = np.exp(rng.normal(size=(mesh.nel, QUAD.npoints)))
-        op = make_operator("tensor", mesh, eta, quad=QUAD)
-        u = rng.standard_normal(3 * mesh.nnodes)
-        total = np.zeros_like(u)
-        for r in range(d.nranks):
-            total += rank_local_residual(d, r, op, u)
-        assert np.allclose(total, op.apply(u), atol=1e-10)
 
 
 class TestAssembledSaddle:
