@@ -26,8 +26,6 @@ from ..obs import registry as _obs
 #: rank engines use -- so the oracle cannot drift
 _REDUCE_OPS = {
     "sum": lambda a, b: a + b,
-    "max": np.maximum,
-    "min": np.minimum,
 }
 
 

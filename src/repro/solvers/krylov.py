@@ -5,11 +5,14 @@ Design notes (SS III-A of the paper):
 * Multigrid V-cycles with Chebyshev smoothers and inner iterative coarse
   solves make the preconditioner *nonlinear*, so the outer method must be
   flexible: GCR or FGMRES.
-* GCR maintains the current iterate and true residual explicitly, which the
-  paper exploits to monitor velocity- and pressure-block residuals
-  separately (Fig. 2).  All methods here accept a ``monitor`` callback; GCR
-  and CG pass it the *actual residual vector* each iteration, GMRES-family
-  methods pass ``None`` (the residual exists only through a recurrence).
+* The paper monitors velocity- and pressure-block residuals separately
+  (Fig. 2).  All methods here accept a ``monitor`` callback and pass it the
+  residual vector each iteration: GCR, CG and BiCGstab the one their
+  recurrence updates, GMRES and FGMRES one rebuilt from the Arnoldi basis
+  and the Givens rotations (only when a monitor is attached).
+* FGMRES is :func:`~repro.stokes.solve.solve_stokes`'s default outer
+  method.  GMRES and FGMRES orthogonalize by one classical Gram-Schmidt
+  pass (PETSc's default), two matrix-vector products per basis block.
 
 Operators and preconditioners are plain callables ``v -> A v`` and
 ``r -> M^{-1} r``; convergence is tested on the unpreconditioned residual
@@ -18,9 +21,9 @@ Operators and preconditioners are plain callables ``v -> A v`` and
 Every method returns a :class:`SolveResult` carrying a typed
 :class:`~repro.resilience.reasons.ConvergedReason` -- no solver path can
 hand back a non-finite iterate without ``DIVERGED_NAN``, growth past
-``dtol * ||r0||`` stops with ``DIVERGED_DTOL``, and GCR/BiCGstab declare
-``DIVERGED_STAGNATION`` instead of spinning to ``maxiter`` when no
-residual reduction happens over a window (see
+``dtol * ||r0||`` stops with ``DIVERGED_DTOL``, and GCR, (F)GMRES and
+BiCGstab declare ``DIVERGED_STAGNATION`` instead of spinning to
+``maxiter`` when no residual reduction happens over a window (see
 :class:`~repro.resilience.guard.ResidualGuard`; the checks are scalar
 compares on norms the iterations already compute, so the clean path is
 unaffected).
@@ -45,10 +48,10 @@ _NAN = ConvergedReason.DIVERGED_NAN
 _ITS = ConvergedReason.DIVERGED_ITS
 _BREAKDOWN = ConvergedReason.DIVERGED_BREAKDOWN
 
-#: stagnation windows for the methods that can truly spin (satellite of the
-#: resilience layer); GMRES/CG trust their minimization/orthogonality
-#: properties and only carry NaN/dtol guards
-GCR_STAG_WINDOW = 60
+#: iterations without a new best residual before a minimal-residual outer
+#: method (GCR, GMRES, FGMRES) or BiCGstab declares stagnation; CG trusts
+#: its orthogonality and carries only the NaN/dtol guards
+STAG_WINDOW = 60
 BICGSTAB_STAG_WINDOW = 40
 
 
@@ -59,10 +62,21 @@ def _identity(r: np.ndarray) -> np.ndarray:
 
 #: GCR allocates its direction storage this many rows at a time
 GCR_BLOCK = 4
+#: GMRES and FGMRES allocate their bases this many rows at a time; the
+#: last block of V and of Z is partly unused, and at 16 rows that slack
+#: alone raised a 12^3 solve's high-water 12 % above GCR's
+GMRES_BLOCK = 8
 
 
 def _matmul_dot(a: np.ndarray, b: np.ndarray) -> float:
     return a @ b
+
+
+def _rows(blocks: list[np.ndarray], k: int):
+    """``(start, rows)`` spans of the first ``k`` rows of vectors stored
+    in a list of equal-height blocks."""
+    for s, block in zip(range(0, k, len(blocks[0])), blocks):
+        yield s, block[:k - s]
 
 
 @instrument("KSPSolve_gcr")
@@ -77,7 +91,7 @@ def gcr(
     restart: int = 30,
     monitor: Callable | None = None,
     dtol: float = DEFAULT_DTOL,
-    stag_window: int = GCR_STAG_WINDOW,
+    stag_window: int = STAG_WINDOW,
 ) -> SolveResult:
     """Preconditioned Generalized Conjugate Residual method.
 
@@ -136,9 +150,8 @@ def gcr(
             q -= t
         # p takes the same combination; it does not feed back into the
         # coefficients, so it is one matrix-vector product per block
-        for s, block in zip(range(0, k, GCR_BLOCK), p_blocks):
-            m = min(GCR_BLOCK, k - s)
-            np.dot(betas[s:s + m], block[:m], out=t)
+        for s, rows in _rows(p_blocks, k):
+            np.dot(betas[s:s + len(rows)], rows, out=t)
             p -= t
         qnorm = float(np.linalg.norm(q))
         if qnorm == 0.0:
@@ -169,6 +182,38 @@ def gcr(
     return SolveResult(x, False, it, residuals, _ITS)
 
 
+def _row(blocks: list[np.ndarray], rows: list[np.ndarray], i: int,
+         n: int) -> np.ndarray:
+    """Row ``i`` of a basis stored in ``blocks``; a new block of
+    :data:`GMRES_BLOCK` rows is allocated when ``i`` reaches it."""
+    if i == len(rows):
+        blocks.append(np.empty((GMRES_BLOCK, n)))
+        rows.extend(blocks[-1])
+    return rows[i]
+
+
+def _combination(blocks: list[np.ndarray], c: np.ndarray) -> np.ndarray:
+    """``sum_i c[i] * row_i`` over the first ``len(c)`` rows of a basis."""
+    out = np.zeros(blocks[0].shape[1])
+    for s, rows in _rows(blocks, c.size):
+        out += c[s:s + len(rows)] @ rows
+    return out
+
+
+def _gmres_residual(blocks, cs, sn, g, j) -> np.ndarray:
+    """The residual of the ``j``-th GMRES iterate as a vector.
+
+    ``r_j = V_{j+1} Q_j^T (g_j e_j)``: the rotated right-hand side keeps
+    only its last entry once the triangular system is solved, and the
+    transposed Givens rotations carry it back to basis coordinates.
+    """
+    c = np.zeros(j + 1)
+    c[j] = g[j]
+    for i in range(j - 1, -1, -1):
+        c[i], c[i + 1] = -sn[i] * c[i + 1], cs[i] * c[i + 1]
+    return _combination(blocks, c)
+
+
 def _gmres_core(
     A: Operator,
     b: np.ndarray,
@@ -188,14 +233,23 @@ def _gmres_core(
     ``flexible=True`` stores the preconditioned basis ``Z`` (Saad's FGMRES),
     so ``M`` may change between iterations.  ``flexible=False`` keeps only
     ``V`` and reconstructs the update as ``x += M(V^T y)``, which is exact
-    for a *linear* fixed preconditioner and saves the ``(m, n)`` Z block.
+    for a *linear* fixed preconditioner and saves the ``Z`` basis.
+
+    Each new Arnoldi vector is orthogonalized by one classical
+    Gram-Schmidt pass (PETSc's default, ``KSP_GMRES_CGS_REFINE_NEVER``):
+    all coefficients ``h = V w`` against the unmodified ``w``, then one
+    combined subtraction ``w - h V`` into the next basis row -- two
+    matrix-vector products per block of the basis instead of a Python loop
+    over its rows.
 
     Happy breakdown (``H[j+1, j] == 0``): the Krylov space is invariant, so
     the small least-squares problem is solved and the (exact) iterate is
     returned immediately instead of orthogonalizing against a zero vector.
     A fully dependent column (``H[j, j] == H[j+1, j] == 0`` after rotations,
     e.g. from a singular preconditioner) is discarded rather than driven
-    into a singular triangular solve.
+    into a singular triangular solve.  :data:`STAG_WINDOW` iterations
+    without a new best residual return ``DIVERGED_STAGNATION``, as in
+    :func:`gcr`.
 
     A NaN/Inf anywhere in a matvec or preconditioner output propagates into
     the Givens-recurrence residual estimate within the same iteration, so
@@ -211,41 +265,52 @@ def _gmres_core(
     if _OBS.enabled:
         trace_ksp(name, 0, rnorm)
     if monitor:
-        monitor(0, None, rnorm)
+        monitor(0, r, rnorm)
     if nonfinite(rnorm):
         return SolveResult(x, False, 0, residuals, _NAN)
     if rnorm <= tol:
         return SolveResult(x, True, 0, residuals, good)
-    guard = ResidualGuard(rnorm, dtol, stag_window=0)
+    guard = ResidualGuard(rnorm, dtol, STAG_WINDOW)
+    # basis storage owned by the solve, as in gcr: blocks of GMRES_BLOCK
+    # rows allocated when the iterations reach them (a (restart + 1, n)
+    # array up front commits memory a short solve never touches) and
+    # reused by every restart cycle.  NumPy products only (see gcr).
+    V: list[np.ndarray] = []  # blocks of the Arnoldi basis
+    Z: list[np.ndarray] = []  # blocks of the preconditioned basis
+    vs: list[np.ndarray] = []  # rows of V
+    zs: list[np.ndarray] = []  # rows of Z
+    t = np.empty(n)
     it = 0
     while it < maxiter and rnorm > tol:
         m = min(restart, maxiter - it)
-        V = np.zeros((m + 1, n))
-        Z = np.zeros((m, n)) if flexible else None
         H = np.zeros((m + 1, m))
+        h = np.empty(m + 1)
         cs = np.zeros(m)
         sn = np.zeros(m)
         g = np.zeros(m + 1)
-        V[0] = r / rnorm
+        np.divide(r, rnorm, out=_row(V, vs, 0, n))
         g[0] = rnorm
         j = 0
         breakdown = False
         bad = None
         while j < m:
             if flexible:
-                Z[j] = M(V[j])
-                w = A(Z[j])
+                z = _row(Z, zs, j, n)
+                np.copyto(z, M(vs[j]))
+                w = A(z)
             else:
-                w = A(M(V[j]))
-            H[0, j] = w @ V[0]
-            # out-of-place first step: A may have returned a view of the
-            # basis row it was handed (e.g. an identity operator), and an
-            # in-place update would corrupt the stored basis
-            w = w - H[0, j] * V[0]
-            for i in range(1, j + 1):
-                H[i, j] = w @ V[i]
-                w -= H[i, j] * V[i]
-            H[j + 1, j] = float(np.linalg.norm(w))
+                w = A(M(vs[j]))
+            # one classical Gram-Schmidt pass over V_0..V_j, written into
+            # the next basis row: out of place, because A may have returned
+            # a view of the basis row it was handed (an identity operator)
+            v = _row(V, vs, j + 1, n)
+            for s, rows in _rows(V, j + 1):
+                np.dot(rows, w, out=h[s:s + len(rows)])
+            for s, rows in _rows(V, j + 1):
+                np.dot(h[s:s + len(rows)], rows, out=t)
+                np.subtract(w if s == 0 else v, t, out=v)
+            H[:j + 1, j] = h[:j + 1]
+            H[j + 1, j] = float(np.linalg.norm(v))
             if nonfinite(H[j + 1, j]):
                 # poisoned matvec/preconditioner: the column is unusable,
                 # but the iterate built from the accepted columns is not
@@ -253,12 +318,12 @@ def _gmres_core(
                 break
             breakdown = H[j + 1, j] == 0.0
             if not breakdown:
-                V[j + 1] = w / H[j + 1, j]
+                v /= H[j + 1, j]
             # apply stored Givens rotations to the new column
             for i in range(j):
-                t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
+                tmp = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
                 H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-                H[i, j] = t
+                H[i, j] = tmp
             denom = np.hypot(H[j, j], H[j + 1, j])
             if denom == 0.0:
                 # the new column lies entirely in the span of the accepted
@@ -278,7 +343,7 @@ def _gmres_core(
             if _OBS.enabled:
                 trace_ksp(name, it, rnorm)
             if monitor:
-                monitor(it, None, rnorm)
+                monitor(it, _gmres_residual(V, cs, sn, g, j), rnorm)
             if breakdown or rnorm <= tol:
                 break
             bad = guard.check(rnorm)
@@ -291,9 +356,9 @@ def _gmres_core(
         # solve the small triangular system and update
         y = np.linalg.solve(H[:j, :j], g[:j])
         if flexible:
-            x += Z[:j].T @ y
+            x += _combination(Z, y)
         else:
-            x += M(V[:j].T @ y)
+            x += M(_combination(V, y))
         r = b - A(x)
         rnorm = float(np.linalg.norm(r))
         residuals[-1] = rnorm
@@ -327,9 +392,10 @@ def fgmres(
 ) -> SolveResult:
     """Flexible GMRES (Saad): right preconditioning, per-iterate Z storage.
 
-    The residual norm is tracked through the Givens recurrence, so the
-    monitor receives ``None`` as the residual vector -- the paper's stated
-    reason for preferring GCR when per-field residuals matter.
+    The default outer method of :func:`~repro.stokes.solve.solve_stokes`.
+    The residual norm is tracked through the Givens recurrence; when a
+    monitor is attached it also receives the residual vector, rebuilt from
+    the basis each iteration, so per-field monitors work as under GCR.
     """
     return _gmres_core(
         A, b, x0, M, rtol, atol, maxiter, restart, monitor,
@@ -353,11 +419,11 @@ def gmres(
     """Right-preconditioned GMRES (fixed *linear* preconditioner).
 
     Identical iterates to :func:`fgmres` when the preconditioner is linear,
-    but stores no ``(m, n)`` Z block: the update is reconstructed from the
-    Arnoldi basis as ``x += M(V^T y)`` at the cost of one extra
-    preconditioner application per restart cycle.  Kept as a distinct entry
-    point for the Krylov ablation bench (A3); use :func:`fgmres` or
-    :func:`gcr` whenever the preconditioner changes between iterations.
+    but stores no Z basis: the update is reconstructed from the Arnoldi
+    basis as ``x += M(V^T y)`` at the cost of one extra preconditioner
+    application per restart cycle.  The monitor receives the residual
+    vector as under :func:`fgmres`.  Use :func:`fgmres` or :func:`gcr`
+    whenever the preconditioner changes between iterations.
     """
     return _gmres_core(
         A, b, x0, M, rtol, atol, maxiter, restart, monitor,

@@ -18,6 +18,17 @@ def spd_system(n=120, seed=0):
     return A, b, np.linalg.solve(A.toarray(), b)
 
 
+def ill_conditioned_system(n=200, seed=2):
+    """Nonsymmetric, condition ~1e3 in a random basis, so Jacobi scaling
+    does not help: GMRES needs about a hundred iterations."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    S = (Q * np.geomspace(1.0, 1e3, n)) @ Q.T
+    A = sp.csr_matrix(S + 0.1 * rng.standard_normal((n, n)))
+    b = rng.standard_normal(n)
+    return A, b, np.linalg.solve(A.toarray(), b)
+
+
 def nonsym_system(n=120, seed=1):
     rng = np.random.default_rng(seed)
     Q = rng.standard_normal((n, n))
@@ -126,12 +137,31 @@ class TestMonitorsAndHistories:
         assert len(seen) > 1
         assert max(seen) < 1e-10
 
-    def test_fgmres_monitor_gets_none_residual(self):
-        A, b, _ = spd_system()
-        rs = []
-        fgmres(lambda v: A @ v, b, rtol=1e-8,
-               monitor=lambda k, r, rn: rs.append(r))
-        assert all(r is None for r in rs)
+    @pytest.mark.parametrize("method", [gmres, fgmres])
+    def test_gmres_family_monitor_gets_true_residual(self, method):
+        """The vector rebuilt from the basis and the rotations is
+        ``b - A x_j`` of the iterate the solve would return after ``j``
+        iterations, in every basis block (restart > GMRES_BLOCK)."""
+        from repro.solvers.krylov import GMRES_BLOCK
+
+        A, b, _ = ill_conditioned_system()
+        matvec = lambda v: A @ v  # noqa: E731
+        M = JacobiPreconditioner(A.diagonal())
+        its, restart = 3 * GMRES_BLOCK + 2, 2 * GMRES_BLOCK + 3
+        seen = {}
+
+        def monitor(k, r, rnorm):
+            seen[k] = (r.copy(), rnorm)
+
+        method(matvec, b, M=M, rtol=1e-30, maxiter=its, restart=restart,
+               monitor=monitor)
+        assert sorted(seen) == list(range(its + 1))
+        bnorm = np.linalg.norm(b)
+        for j, (r, rnorm) in seen.items():
+            x_j = method(matvec, b, M=M, rtol=1e-30, maxiter=j,
+                         restart=restart).x
+            assert np.linalg.norm(r - (b - A @ x_j)) <= 1e-10 * bnorm
+            assert np.linalg.norm(r) == pytest.approx(rnorm, rel=1e-8)
 
     def test_residual_history_monotone_gcr(self):
         A, b, _ = spd_system()
@@ -321,6 +351,46 @@ def gcr_reference(A, b, M, rtol, maxiter, restart):
             qs.clear()
         residuals.append(float(np.linalg.norm(r)))
     return x, residuals
+
+
+class TestGMRESBasis:
+    """FGMRES's classical Gram-Schmidt over its block-grown basis against
+    GCR, and the basis memory."""
+
+    def test_fgmres_iterates_equal_gcr_across_restart(self):
+        """Both minimize the residual over the same space: the iterates
+        agree at every step, inside and after a restart cycle."""
+        A, b, _ = ill_conditioned_system()
+        matvec = lambda v: A @ v  # noqa: E731
+        M = JacobiPreconditioner(A.diagonal())
+        restart = 20
+        for j in (1, 7, 19, 20, 21, 33, 40, 47):
+            x_f = fgmres(matvec, b, M=M, rtol=1e-30, maxiter=j,
+                         restart=restart).x
+            x_g = gcr(matvec, b, M=M, rtol=1e-30, maxiter=j,
+                      restart=restart).x
+            assert np.linalg.norm(x_f - x_g) <= 1e-10 * np.linalg.norm(x_g)
+
+    def test_basis_allocated_only_as_iterations_run(self):
+        """A 3-iteration solve with restart=100 holds one block each of V
+        and Z, not 101 + 100 rows."""
+        import tracemalloc
+
+        from repro.solvers.krylov import GMRES_BLOCK
+
+        n = 100_000
+        d = np.linspace(1.0, 2.0, n)
+        b = np.ones(n)
+        tracemalloc.start()
+        try:
+            res = fgmres(lambda v: d * v, b, rtol=1e-30, maxiter=3,
+                         restart=100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.iterations == 3
+        # one block each of V and Z rows + x, r, w and temporaries
+        assert peak < (2 * GMRES_BLOCK + 8) * n * 8
 
 
 class TestGCRInPlace:
