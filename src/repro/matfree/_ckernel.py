@@ -1,4 +1,4 @@
-"""Build/load machinery for the compiled sum-factorized tensor kernel.
+"""Build/load machinery for the compiled sum-factorized tensor kernels.
 
 The container bakes in NumPy but no Numba/Cython, so the compiled backend
 is a small C translation unit compiled *at first use* with whatever system
@@ -42,6 +42,24 @@ the Picard flux plus one rank-one term per point, ``t += a (M:g) M`` with
 ``(ceil(nel/8), 27, 10, 8)`` laid out like ``cpk``; 36 flops per point
 more.  With ``NEWTON 0`` those lines drop out, so the Picard variants are
 the unchanged apply, and both kinds keep every contract below.
+
+The flag ``PRESSURE`` applies the whole Stokes operator in the same pass
+(:data:`KERNELS` lists the five kinds):
+
+* ``tc_coupled_<isa>(cpk, ppk, conn, bd, u, y, p, yp, ...)`` and
+  ``tc_coupled_newton_<isa>(cpk, npk, ppk, ...)`` (``PRESSURE 1``) read
+  the P1disc pressures ``p`` and a third stream ``ppk``
+  ``(ceil(nel/8), 27, 4, 8)`` of ``w det psi_m``; per point they take
+  ``tr(grad u)`` from the ``(g K)`` already formed, accumulate the
+  element's four divergence rows ``-sum_q w det psi_m tr`` into ``yp``,
+  and add ``-(sum_m w det psi_m p_m) K^T`` to the flux before the adjoint
+  sweep, so ``y`` gets ``A u + B^T p``;
+* ``tc_divergence_<isa>(cpk, ppk, conn, bd, u, yp, ...)``
+  (``PRESSURE 2``) is the gather, the forward sweep and the trace alone:
+  ``yp = B u``.
+
+A pressure row belongs to one element and is written once, by the span
+that owns the element: nothing of it is stashed.
 
 Determinism contract
 --------------------
@@ -130,9 +148,10 @@ typedef double vec_u
 """
 
 # One ISA variant of the apply, a C "template" over the macros TC_APPLY
-# (function name), W (lanes per vector), TARGET (function attribute) and
-# NEWTON (1 adds the Newton rank-one stream; with 0 every `#if NEWTON` line
-# drops out and the Picard apply is left as it always was).
+# (function name), W (lanes per vector), TARGET (function attribute),
+# NEWTON (1 adds the Newton rank-one stream) and PRESSURE (1: the coupled
+# Stokes apply, 2: the divergence alone).  With NEWTON 0 and PRESSURE 0
+# every `#if` line drops out and the Picard apply is left as it always was.
 _VARIANT = r"""
 /* Apply of the packed-coefficient Q2 viscous operator to elements [s, e).
  *
@@ -144,24 +163,39 @@ _VARIANT = r"""
  * npk  : (NEWTON only) (ceil(nel/8), 27, 10, 8) Newton coefficients in
  *        the same layout, per point [a, M row-major (9)] with
  *        M = Du K^T and a = 2 eta' w det: the flux gains a (M:g) M.
+ * ppk  : (PRESSURE only) (ceil(nel/8), 27, 4, 8) per point w*det*psi_m,
+ *        psi the four P1disc modes, in the same layout.
  * conn : (nel, 27) element-to-node map (int64).
  * bd   : (2, 3, 3) one-dimensional B_hat then D_hat, [point][basis].
  * u    : (nnodes*3,) interleaved input velocities.
- * y    : (nnodes*3,) output accumulator (the caller zeroes it).
+ * y    : (nnodes*3,) output accumulator (the caller zeroes it); with
+ *        PRESSURE 2 the (4*nel,) divergence B u instead.
+ * pres : (PRESSURE 1 only) (4*nel,) P1disc pressures; yp (4*nel,) gets
+ *        B u.  The flux
+ *        gains -(sum_m w det psi_m p_m) K^T, so y is A u + B^T p.
  * s, e : element half-open range, 0 <= s <= e <= nel (the caller checks);
  * nel  : total element count.
  * lo   : nodes below lo are shared with an earlier span: their values go,
  *        in scatter order, to stash (3 per node visit) instead of y.
+ *        Pressure rows belong to one element each and are never stashed
+ *        (PRESSURE 2 ignores lo and stash).
  */
 TARGET
 void TC_APPLY(const double *restrict cpk,
 #if NEWTON
               const double *restrict npk,
 #endif
+#if PRESSURE
+              const double *restrict ppk,
+#endif
               const int64_t *restrict conn,
               const double *restrict bd,
               const double *restrict u,
               double *restrict y,
+#if PRESSURE == 1
+              const double *restrict pres,
+              double *restrict yp,
+#endif
               int64_t s, int64_t e, int64_t nel,
               int64_t lo, double *restrict stash)
 {
@@ -175,6 +209,12 @@ void TC_APPLY(const double *restrict cpk,
 #if NEWTON
         const double *cr =
             npk + (el0 / LANES) * (27 * 10 * LANES) + el0 % LANES;
+#endif
+#if PRESSURE
+        const double *cw =
+            ppk + (el0 / LANES) * (27 * 4 * LANES) + el0 % LANES;
+        /* dv[m] accumulates sum_q w det psi_m tr(grad u) */
+        vec dv[4] = {(vec){0}, (vec){0}, (vec){0}, (vec){0}};
 #endif
 
         /* gather: ue[c][a] holds component c of local node a, per lane */
@@ -193,6 +233,13 @@ void TC_APPLY(const double *restrict cpk,
                     ue[0][a][l] = ue[1][a][l] = ue[2][a][l] = 0.0;
             }
         }
+#if PRESSURE == 1
+        double pl[4][W] __attribute__((aligned(8 * W)));
+        for (int l = 0; l < W; ++l)
+            for (int m = 0; m < 4; ++m)
+                pl[m][l] = el0 + l < nel ? pres[4 * (el0 + l) + m] : 0.0;
+        const vec *pe = (const vec *)pl;
+#endif
 
         /* reference gradient g[q][3*c + d] = d u_c / d xi_d at point q,
          * lattice indices [z][y][x] flattened x-fastest */
@@ -232,12 +279,14 @@ void TC_APPLY(const double *restrict cpk,
         for (int q = 0; q < 27; ++q) {
             const double *p = cq + 16 * LANES * q;
 #define CP(k) (*(const vec_u *)(p + LANES * (k)))
-            const vec S00 = CP(0), S01 = CP(1), S02 = CP(2);
-            const vec S11 = CP(3), S12 = CP(4), S22 = CP(5);
             const vec K0 = CP(6), K1 = CP(7), K2 = CP(8);
             const vec K3 = CP(9), K4 = CP(10), K5 = CP(11);
             const vec K6 = CP(12), K7 = CP(13), K8 = CP(14);
+#if PRESSURE != 2
+            const vec S00 = CP(0), S01 = CP(1), S02 = CP(2);
+            const vec S11 = CP(3), S12 = CP(4), S22 = CP(5);
             const vec w = CP(15);
+#endif
 #undef CP
             vec *gq = g[q];
 #if NEWTON
@@ -259,6 +308,24 @@ void TC_APPLY(const double *restrict cpk,
                 gk[c][1] = g0 * K1 + g1 * K4 + g2 * K7;
                 gk[c][2] = g0 * K2 + g1 * K5 + g2 * K8;
             }
+#if PRESSURE
+            /* w det psi_m at this point; tr(grad u) = tr(g K) */
+            const double *pw = cw + 4 * LANES * q;
+            vec wpsi[4];
+            for (int m = 0; m < 4; ++m)
+                wpsi[m] = *(const vec_u *)(pw + LANES * m);
+            const vec tr = gk[0][0] + gk[1][1] + gk[2][2];
+            for (int m = 0; m < 4; ++m)
+                dv[m] = dv[m] + wpsi[m] * tr;
+#endif
+#if PRESSURE != 2
+#if PRESSURE == 1
+            /* the pressure at this point times w det; the flux gains
+             * -P K^T, the gradient's share */
+            const vec P = wpsi[0] * pe[0] + wpsi[1] * pe[1]
+                        + wpsi[2] * pe[2] + wpsi[3] * pe[3];
+            const vec Kt[9] = {K0, K3, K6, K1, K4, K7, K2, K5, K8};
+#endif
             for (int c = 0; c < 3; ++c) {
                 const vec g0 = gq[3 * c], g1 = gq[3 * c + 1], g2 = gq[3 * c + 2];
                 /* (g S)_cd with S symmetric */
@@ -277,9 +344,33 @@ void TC_APPLY(const double *restrict cpk,
                 gq[3 * c + 1] += am * M[3 * c + 1];
                 gq[3 * c + 2] += am * M[3 * c + 2];
 #endif
+#if PRESSURE == 1
+                /* t_cd -= P K_dc */
+                gq[3 * c] -= P * Kt[3 * c];
+                gq[3 * c + 1] -= P * Kt[3 * c + 1];
+                gq[3 * c + 2] -= P * Kt[3 * c + 2];
+#endif
             }
+#endif
         }
 
+#if PRESSURE
+        /* B u = -sum_q w det psi tr(grad u): four rows per element, each
+         * written by the one span that owns the element */
+        double yl[4][W] __attribute__((aligned(8 * W)));
+        for (int m = 0; m < 4; ++m)
+            ((vec *)yl)[m] = -dv[m];
+#if PRESSURE == 2
+        double *yp = y;
+#endif
+        for (int l = 0; l < W; ++l) {
+            const int64_t el = el0 + l;
+            if (el < s || el >= e) continue;
+            for (int m = 0; m < 4; ++m)
+                yp[4 * el + m] = yl[m][l];
+        }
+#endif
+#if PRESSURE != 2
         /* adjoint gradient: the forward sweeps transposed, z then y then x */
         double ye[3][27][W] __attribute__((aligned(8 * W)));
         for (int c = 0; c < 3; ++c) {
@@ -333,23 +424,29 @@ void TC_APPLY(const double *restrict cpk,
                 yn[2] += ye[2][a][l];
             }
         }
+#endif
     }
 }
 """
 
 
-#: the kernels each ISA variant carries: ``tc_<kind>_<isa>``, NEWTON flag
-KERNELS = {"apply": 0, "newton": 1}
+#: the kernels each ISA variant carries: ``tc_<kind>_<isa>`` and its
+#: ``(NEWTON, PRESSURE)`` flags.  ``apply``/``newton`` map ``u -> A u``;
+#: ``coupled``/``coupled_newton`` map ``(u, p) -> (A u + B^T p, B u)``;
+#: ``divergence`` maps ``u -> B u``
+KERNELS = {"apply": (0, 0), "newton": (1, 0), "coupled": (0, 1),
+           "coupled_newton": (1, 1), "divergence": (0, 2)}
 
 
 def _kernel_source() -> str:
     parts = [_PRELUDE]
     for name, width, target in _ISA_VARIANTS:
         block = f"#define W {width}\n#define TARGET {target}\n{_VECTOR_TYPES}"
-        for kind, newton in KERNELS.items():
+        for kind, (newton, pressure) in KERNELS.items():
             block += (f"#define TC_APPLY tc_{kind}_{name}\n"
-                      f"#define NEWTON {newton}\n{_VARIANT}\n"
-                      "#undef TC_APPLY\n#undef NEWTON\n")
+                      f"#define NEWTON {newton}\n#define PRESSURE {pressure}\n"
+                      f"{_VARIANT}\n"
+                      "#undef TC_APPLY\n#undef NEWTON\n#undef PRESSURE\n")
         block += "#undef W\n#undef TARGET"
         if target:  # an x86 ISA extension
             block = f"#if defined(__x86_64__)\n{block}\n#endif"
@@ -403,18 +500,12 @@ def _compile(cc_path: str, so_path: Path) -> str | None:
     return None
 
 
-_APPLY_ARGTYPES = [
-    ctypes.c_void_p,  # cpk
-    ctypes.c_void_p,  # conn
-    ctypes.c_void_p,  # bd
-    ctypes.c_void_p,  # u
-    ctypes.c_void_p,  # y
-    ctypes.c_int64,   # s
-    ctypes.c_int64,   # e
-    ctypes.c_int64,   # nel
-    ctypes.c_int64,   # lo
-    ctypes.c_void_p,  # stash
-]
+def _argtypes(newton: int, pressure: int) -> list:
+    """ctypes signature of ``tc_<kind>_<isa>`` with these template flags."""
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    streams = [ptr] * (1 + newton + (pressure > 0))  # cpk [npk] [ppk]
+    vectors = [ptr] * (4 + 2 * (pressure == 1))      # conn bd u y [pres yp]
+    return streams + vectors + [i64, i64, i64, i64, ptr]  # s e nel lo stash
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
@@ -423,11 +514,10 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.tc_isa_level.argtypes = []
     level = lib.tc_isa_level()
     for name, _, _ in _ISA_VARIANTS[: level + 1]:
-        for kind, newton in KERNELS.items():
+        for kind, flags in KERNELS.items():
             fn = getattr(lib, f"tc_{kind}_{name}")
             fn.restype = None
-            # a Newton kernel takes one more pointer, npk, next to cpk
-            fn.argtypes = [ctypes.c_void_p] * newton + _APPLY_ARGTYPES
+            fn.argtypes = _argtypes(*flags)
     return lib
 
 

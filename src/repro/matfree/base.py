@@ -55,8 +55,8 @@ class ViscousOperatorBase:
         self._coords_version = mesh.coords_version
         self.chunk = int(chunk)
         self.ndof = 3 * mesh.nnodes
-        #: lazy (flops, bytes) per apply for the MatMult event
-        self._event_cost = None
+        #: lazy (flops, bytes) per apply of each MatMult_<kind> event
+        self._event_costs = {}
         conn = mesh.connectivity
         self._edofs = (
             3 * conn[:, :, None] + np.arange(3)[None, None, :]
@@ -120,21 +120,27 @@ class ViscousOperatorBase:
         return self._apply(u)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        """:meth:`apply` under a ``MatMult_<kind>`` event seeded with the
-        analytic per-element flop/byte counts of :mod:`repro.perf.counts`,
+        """:meth:`apply` under a ``MatMult_<kind>`` event (:meth:`_event`),
         so a ``-log_view`` report turns measured time into achieved GF/s."""
         if not _obs.STATE.enabled:
             return self.apply(u)
-        if self._event_cost is None:
+        with self._event(self.name):
+            return self.apply(u)
+
+    def _event(self, kind: str):
+        """The ``MatMult_<kind>`` event of one pass over the mesh, seeded
+        with the analytic per-element flop/byte counts of
+        :mod:`repro.perf.counts` (zero for a kind without a row)."""
+        cost = self._event_costs.get(kind)
+        if cost is None:
             from ..perf.counts import OPERATOR_COUNTS
 
-            c = OPERATOR_COUNTS.get(self.name)
+            c = OPERATOR_COUNTS.get(kind)
             nel = self.mesh.nel
-            self._event_cost = ((0, 0) if c is None else
-                                (c.flops * nel, c.bytes_perfect_cache * nel))
-        flops, nbytes = self._event_cost
-        with _obs.timed("MatMult_" + self.name, flops=flops, nbytes=nbytes):
-            return self.apply(u)
+            cost = self._event_costs[kind] = (
+                (0, 0) if c is None
+                else (c.flops * nel, c.bytes_perfect_cache * nel))
+        return _obs.timed("MatMult_" + kind, flops=cost[0], nbytes=cost[1])
 
     def diagonal(self) -> np.ndarray:
         """Operator diagonal (for Jacobi/Chebyshev), computed matrix-free."""

@@ -32,6 +32,12 @@ gets its speed from:
   of elements ``[0, s_k)``); the stashes are replayed in span order, so
   the result equals the serial apply bit for bit for any worker count.
 
+The same kernel pass applies the coupled Stokes operator, ``(u, p) ->
+(A u + B^T p, B u)``, and the divergence alone
+(:meth:`TensorCompiledOperator.apply_coupled`, ``apply_divergence``), so a
+Stokes operator over a compiled viscous block holds no sparse matrix
+(:class:`~repro.stokes.operators.StokesOperator`).
+
 The arithmetic differs from the einsum path in association order, so the
 two agree to a few ulp (``<= 1e-13 max|y|`` is tested), not bitwise.  When
 no C toolchain is available (or ``$REPRO_NO_CKERNEL=1``) the operator
@@ -43,6 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..fem.basis import P1DiscBasis
 from ..parallel.executor import current_engine, partition_elements
 from . import _ckernel
 from .base import _owned_copy
@@ -53,6 +60,8 @@ from .tensor_c import (
 LANES = _ckernel.LANES
 #: Newton coefficient values per quadrature point (a, then M row-major)
 NEWTON_VALUES = 10
+#: pressure-stream values per quadrature point: w det psi_m, m < 4
+PRESSURE_VALUES = 4
 
 
 def lane_batches(nel: int, values: int) -> np.ndarray:
@@ -104,18 +113,30 @@ def owner_writes_plan(conn: np.ndarray, spans):
 
 
 class TensorCompiledOperator(TensorCOperator):
-    """Compiled sum-factorized apply of the packed Tensor-C operator."""
+    """Compiled sum-factorized apply of the packed Tensor-C operator.
+
+    Besides ``A u`` it applies the coupled Stokes operator in the same
+    kernel pass (:meth:`apply_coupled`, ``(u, p) -> (A u + B^T p, B u)``)
+    and the divergence alone (:meth:`apply_divergence`), both without
+    boundary conditions; they read a third lane-interleaved stream ``_P``,
+    ``(ceil(nel/8), 27, 4, 8)`` values ``w det psi_m``, packed at the first
+    such call and repacked with ``_C`` from then on.
+    """
 
     name = "tensor_compiled"
-    #: which :data:`~repro.matfree._ckernel.KERNELS` entry applies it
+    #: which :data:`~repro.matfree._ckernel.KERNELS` entries apply ``A u``
+    #: and the coupled operator
     kernel_kind = "apply"
+    coupled_kind = "coupled"
 
     def __init__(self, mesh, eta_q, quad=None, chunk=4096):
         # resolved before the base constructor packs the coefficients: the
         # layout of ``_C`` depends on which path applies them.  ``isa`` names
         # the variant in use (None on the NumPy fallback).
         self.isa = _ckernel.isa()
-        self._kernel = _ckernel.variants(self.kernel_kind).get(self.isa)
+        self._bind_kernels()
+        #: the pressure stream, None until a coupled or divergence apply
+        self._P = None
         super().__init__(mesh, eta_q, quad, chunk)
         # the kernel reads these as raw pointers: pin dtypes/contiguity once
         self._conn64 = np.ascontiguousarray(
@@ -131,6 +152,15 @@ class TensorCompiledOperator(TensorCOperator):
             self._lo, self._stashes = owner_writes_plan(self._conn64,
                                                         self._spans)
 
+    def _bind_kernels(self) -> None:
+        """The ``isa`` variants of the viscous, coupled and divergence
+        kernels (None on the NumPy fallback)."""
+        self._kernel = _ckernel.variants(self.kernel_kind).get(self.isa)
+        self._coupled_kernel = _ckernel.variants(self.coupled_kind).get(
+            self.isa)
+        self._divergence_kernel = _ckernel.variants("divergence").get(
+            self.isa)
+
     @property
     def compiled(self) -> bool:
         """True when applies go through the C kernel (else NumPy fallback)."""
@@ -141,59 +171,124 @@ class TensorCompiledOperator(TensorCOperator):
         return None if self.compiled else _ckernel.unavailable_reason()
 
     @property
-    def _parallel_state_version(self) -> int:
-        """Rank-state stamp: the operator's rebuild :attr:`version`."""
-        return self.version
+    def npress(self) -> int:
+        """P1disc pressure dofs, four per element."""
+        return 4 * len(self._conn64)
 
-    #: the pickled form, shipped to rank processes: what ``_apply_span`` reads
-    _rank_payload = ("_C", "_conn64", "_BD", "_lo", "ndof", "isa")
+    @property
+    def _parallel_state_version(self) -> int:
+        """Rank-state stamp: the operator's rebuild :attr:`version`, and
+        whether the pressure stream is packed (ranks need it once it is)."""
+        return 2 * self.version + (self._P is not None)
+
+    #: the pickled form, shipped to rank processes: what the span methods
+    #: read
+    _rank_payload = ("_C", "_P", "_conn64", "_BD", "_lo", "ndof", "isa")
 
     def __getstate__(self) -> dict:
         return {k: v for k, v in vars(self).items() if k in self._rank_payload}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._kernel = _ckernel.variants(self.kernel_kind).get(self.isa)
+        self._bind_kernels()
 
     def _rebuild(self) -> None:
         """Repack ``_C`` lane-interleaved, ``(ceil(nel/8), nq, 16, 8)``, for
         the C kernel: element ``8 b + l`` is lane ``l`` of batch ``b``,
-        lanes past ``nel`` stay zero."""
+        lanes past ``nel`` stay zero.  A packed pressure stream is repacked
+        too."""
         if not self.compiled:
             return super()._rebuild()
+        self._pack()
+        if self._P is not None:
+            self._pack_pressure()
+
+    def _pack(self) -> None:
         C = lane_batches(self.mesh.nel, PACKED_VALUES)
         for s, e, packed in self._packed_chunks():
             put_lanes(C, s, e, packed)
         self._C = C
 
+    def _pack_pressure(self) -> None:
+        """Pack ``_P``: ``w det psi_m`` per point, the weights of
+        :func:`~repro.fem.assembly.assemble_divergence`'s rows."""
+        mesh, quad = self.mesh, self.quad
+        _, det, xq = mesh.geometry_at(quad)
+        centroid, h = mesh.element_centroids_and_extents()
+        P = lane_batches(mesh.nel, PRESSURE_VALUES)
+        for s, e in self._chunks():
+            psi = P1DiscBasis.eval(xq[s:e], centroid[s:e], h[s:e])
+            wdet = det[s:e] * quad.weights
+            put_lanes(P, s, e, wdet[..., None] * psi)
+        self._P = P
+
     def _streams(self) -> tuple:
-        """Addresses of the coefficient arrays the kernel reads, in its
-        argument order."""
+        """Addresses of the coefficient arrays the viscous kernel reads, in
+        its argument order."""
         return (self._C.ctypes.data,)
+
+    def _call(self, kernel, streams, vectors, s0, e0, lo, stash) -> None:
+        """One kernel call over elements ``[s0, e0)`` (clipped to the mesh)."""
+        nel = len(self._conn64)
+        kernel(
+            *streams, self._conn64.ctypes.data, self._BD.ctypes.data,
+            *vectors, max(0, int(s0)), max(0, min(nel, int(e0))), nel,
+            int(lo), None if stash is None else stash.ctypes.data,
+        )
+
+    @staticmethod
+    def _input(x, n: int) -> np.ndarray:
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if x.size != n:
+            raise ValueError(f"input has {x.size} entries, expected {n}")
+        return x
 
     def _run_kernel(self, kernel, u: np.ndarray, s0: int, e0: int,
                     out: np.ndarray | None = None, lo: int = 0,
                     stash: np.ndarray | None = None) -> np.ndarray:
-        """Elements ``[s0, e0)`` through one ISA variant, accumulated into
-        ``out`` (a fresh zero vector by default); values for nodes below
-        ``lo`` go to ``stash`` instead."""
+        """``A u`` of elements ``[s0, e0)`` through one ISA variant,
+        accumulated into ``out`` (a fresh zero vector by default); values
+        for nodes below ``lo`` go to ``stash`` instead."""
         if out is None:
             out = np.zeros(self.ndof)
-        u = np.ascontiguousarray(u, dtype=np.float64)
-        if u.size != self.ndof:
-            raise ValueError(f"u has {u.size} entries, expected {self.ndof}")
-        nel = len(self._conn64)
-        kernel(
-            *self._streams(), self._conn64.ctypes.data,
-            self._BD.ctypes.data, u.ctypes.data, out.ctypes.data,
-            max(0, int(s0)), max(0, min(nel, int(e0))), nel, int(lo),
-            None if stash is None else stash.ctypes.data,
-        )
+        u = self._input(u, self.ndof)
+        self._call(kernel, self._streams(), (u.ctypes.data, out.ctypes.data),
+                   s0, e0, lo, stash)
         return out
 
+    def _run_coupled(self, kernel, x: np.ndarray, s0: int, e0: int,
+                     out: np.ndarray | None = None, lo: int = 0,
+                     stash: np.ndarray | None = None) -> np.ndarray:
+        """``[A u + B^T p ; B u]`` of ``x = [u ; p]`` over elements
+        ``[s0, e0)``, as :meth:`_run_kernel`: the velocity rows accumulate
+        (and stash), each element writes its own four pressure rows."""
+        n = self.ndof + self.npress
+        if out is None:
+            out = np.zeros(n)
+        x = self._input(x, n)
+        xp, yp = (a.ctypes.data for a in (x, out))
+        off = 8 * self.ndof  # byte offset of the pressure block
+        self._call(kernel, self._streams() + (self._P.ctypes.data,),
+                   (xp, yp, xp + off, yp + off), s0, e0, lo, stash)
+        return out
+
+    def _run_divergence(self, kernel, u: np.ndarray, s0: int, e0: int,
+                        out: np.ndarray | None = None) -> np.ndarray:
+        """``B u`` rows of elements ``[s0, e0)`` into ``out`` (``4 nel``)."""
+        if out is None:
+            out = np.zeros(self.npress)
+        u = self._input(u, self.ndof)
+        self._call(kernel, (self._C.ctypes.data, self._P.ctypes.data),
+                   (u.ctypes.data, out.ctypes.data), s0, e0, 0, None)
+        return out
+
+    # executor tasks: owner-writes applies of elements [s, e)
     def _apply_span(self, u, s, e, out, stash) -> None:
-        """Executor task: owner-writes apply of elements ``[s, e)``."""
         self._run_kernel(self._kernel, u, s, e, out, self._lo[s], stash)
+
+    def _coupled_span(self, x, s, e, out, stash) -> None:
+        self._run_coupled(self._coupled_kernel, x, s, e, out, self._lo[s],
+                          stash)
 
     def _apply(self, u: np.ndarray) -> np.ndarray:
         if not self.compiled:
@@ -202,6 +297,40 @@ class TensorCompiledOperator(TensorCOperator):
             return self._run_kernel(self._kernel, u, 0, self.mesh.nel)
         return self.engine.dispatch(self, "_apply_span", self._spans, u,
                                     self.ndof, self._stashes)
+
+    def _pressure_pass(self, kind: str):
+        """Ready a pass of a pressure kernel (current derived state, packed
+        ``_P``) and return its ``MatMult_<kind>`` event."""
+        if not self.compiled:
+            raise RuntimeError(
+                f"{self.name}: no compiled kernel ({self.fallback_reason})")
+        self._sync()
+        if self._P is None:
+            self._pack_pressure()
+        return self._event(kind)
+
+    def apply_coupled(self, x: np.ndarray) -> np.ndarray:
+        """``[A u + B^T p ; B u]`` of ``x = [u ; p]`` in one kernel pass, no
+        boundary conditions (``B`` is
+        :func:`~repro.fem.assembly.assemble_divergence`'s, to rounding).
+        Compiled operators only."""
+        with self._pressure_pass(self.coupled_kind):
+            if self.engine is None:
+                return self._run_coupled(self._coupled_kernel, x, 0,
+                                         self.mesh.nel)
+            return self.engine.dispatch(self, "_coupled_span", self._spans,
+                                        x, self.ndof + self.npress,
+                                        self._stashes)
+
+    def apply_divergence(self, u: np.ndarray) -> np.ndarray:
+        """``B u`` in one kernel pass (gather, forward sweep, trace), no
+        boundary conditions.  Compiled operators only.  It runs here, not
+        on the engine: each element writes only its own rows, so the
+        floats are the same either way, and a third of an apply's work
+        does not pay for a dispatch to rank processes."""
+        with self._pressure_pass("divergence"):
+            return self._run_divergence(self._divergence_kernel, u, 0,
+                                        self.mesh.nel)
 
 
 class NewtonTensorOperator(TensorCompiledOperator):
@@ -238,6 +367,7 @@ class NewtonTensorOperator(TensorCompiledOperator):
 
     name = "newton"
     kernel_kind = "newton"
+    coupled_kind = "coupled_newton"
     _rank_payload = TensorCompiledOperator._rank_payload + ("_N",)
 
     def __init__(self, mesh, eta_q, Du_q, eta_prime_q, quad=None, chunk=4096):
@@ -248,10 +378,13 @@ class NewtonTensorOperator(TensorCompiledOperator):
         super().__init__(mesh, eta_q, quad, chunk)
 
     def _rebuild(self) -> None:
-        """Pack ``_C`` and ``_N`` lane-interleaved; nothing on the einsum
-        fallback, which reads the geometry and its inputs per apply."""
-        if not self.compiled:
-            return
+        """Pack ``_C`` and ``_N`` lane-interleaved (and ``_P`` once used);
+        nothing on the einsum fallback, which reads the geometry and its
+        inputs per apply."""
+        if self.compiled:
+            super()._rebuild()
+
+    def _pack(self) -> None:
         nel = self.mesh.nel
         C = lane_batches(nel, PACKED_VALUES)
         N = lane_batches(nel, NEWTON_VALUES)

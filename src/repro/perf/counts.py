@@ -33,7 +33,11 @@ Two tables live here, and the distinction is the point:
     eight elements (same 16 values per point, so the same bytes per
     element; the zero lanes padding the last batch are not counted).
     ``newton`` is that kernel with the rank-one Newton term: 36 flops and
-    10 streamed values more per quadrature point.
+    10 streamed values more per quadrature point.  ``coupled`` and
+    ``coupled_newton`` are those kernels applying the whole Stokes
+    operator, ``(u, p) -> (A u + B^T p, B u)``: 35 flops and 4 streamed
+    values (``w det psi_m``) more per point, plus the element's pressures;
+    ``divergence`` is the gather, the forward sweep and the trace alone.
 
 Paper rows (SS III-D):
 
@@ -202,6 +206,53 @@ assert _NEWTON.flops == 11745, _NEWTON.flops
 assert _NEWTON.bytes_perfect_cache == 6216
 assert _NEWTON.bytes_pessimal_cache == 7128
 
+# -- the coupled Stokes apply and the divergence, one kernel pass each ----- #
+# per quadrature point, on top of the viscous kernel's flux:
+#   tr(g K)      the diagonal of (g K) is already formed: 2 add   =  2
+#   B u rows     dv_m += (w det psi_m) tr, m < 4: 4 mul + 4 add   =  8
+#   P            sum_m (w det psi_m) p_m: 4 mul + 3 add           =  7
+#   t -= P K^T   9 mul + 9 sub                                    = 18
+_DIV_POINT_FLOPS = 2 + 8
+_GRAD_POINT_FLOPS = 7 + 18
+assert _DIV_POINT_FLOPS + _GRAD_POINT_FLOPS == 35
+# streamed: the third lane-interleaved array, w det psi_m (4 doubles per
+# point), and the element's four pressures in and four rows out
+_PRESSURE_STREAM_BYTES = 8 * 4 * 27
+_PRESSURE_VECTOR_BYTES = 8 * 2 * 4
+assert _PRESSURE_STREAM_BYTES + _PRESSURE_VECTOR_BYTES == 928
+
+
+def _coupled(name: str, viscous: OperatorCounts) -> OperatorCounts:
+    """``(u, p) -> (A u + B^T p, B u)``: ``viscous`` plus the pressure
+    terms and streams."""
+    extra = _PRESSURE_STREAM_BYTES + _PRESSURE_VECTOR_BYTES
+    return OperatorCounts(
+        name=name,
+        flops=viscous.flops + 27 * (_DIV_POINT_FLOPS + _GRAD_POINT_FLOPS),
+        bytes_perfect_cache=viscous.bytes_perfect_cache + extra,
+        bytes_pessimal_cache=viscous.bytes_pessimal_cache + extra,
+    )
+
+
+_COUPLED = _coupled("coupled", _TENSOR_COMPILED)
+_COUPLED_NEWTON = _coupled("coupled_newton", _NEWTON)
+assert _COUPLED.flops == 11718, _COUPLED.flops
+assert _COUPLED_NEWTON.flops == 12690, _COUPLED_NEWTON.flops
+
+# the divergence alone: gather and forward sweep, then per point the
+# diagonal of (g K) (3 x (3 mul + 2 add) = 15) and the B u rows; it streams
+# K (9 of the 16 packed values), the pressure weights, the gather map, the
+# velocities in (8 fresh nodes perfect, 27 pessimal) and 4 rows out
+_DIVERGENCE = OperatorCounts(
+    name="divergence",
+    flops=_FACTORED_GRAD_FLOPS + 27 * (15 + _DIV_POINT_FLOPS),
+    bytes_perfect_cache=8 * (9 + 4) * 27 + 8 * 27 + 8 * 8 * 3 + 8 * 4,
+    bytes_pessimal_cache=8 * (9 + 4) * 27 + 8 * 27 + 8 * 27 * 3 + 8 * 4,
+)
+assert _DIVERGENCE.flops == 3915, _DIVERGENCE.flops
+assert _DIVERGENCE.bytes_perfect_cache == 3248
+assert _DIVERGENCE.bytes_pessimal_cache == 3704
+
 #: Table I exactly as the paper prints it (four rows, paper arithmetic)
 PAPER_COUNTS: dict[str, OperatorCounts] = {
     c.name: c for c in (_ASSEMBLED, _MF, _TENSOR, _TENSOR_C_PAPER)
@@ -211,7 +262,7 @@ PAPER_COUNTS: dict[str, OperatorCounts] = {
 OPERATOR_COUNTS: dict[str, OperatorCounts] = {
     c.name: c
     for c in (_ASSEMBLED, _MF, _TENSOR, _TENSOR_C_IMPL, _TENSOR_COMPILED,
-              _NEWTON)
+              _NEWTON, _COUPLED, _COUPLED_NEWTON, _DIVERGENCE)
 }
 
 

@@ -57,6 +57,12 @@ class ResidualGuard:
         self.since_best = 0
         self.stag_window = int(stag_window)
 
+    def restart(self, rnorm: float) -> None:
+        """A restarted method's true residual: the best any later
+        iteration has to beat (an estimate that undershot must not set
+        the bar for the next cycle)."""
+        self.best = rnorm
+
     def check(self, rnorm: float) -> ConvergedReason | None:
         """Feed one residual norm; returns a DIVERGED_* reason or ``None``."""
         if nonfinite(rnorm):

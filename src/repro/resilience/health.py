@@ -354,18 +354,21 @@ class HealthMonitor:
     # ------------------------------------------------------------------ #
     # incompressibility
     # ------------------------------------------------------------------ #
-    def divergence_check(self, B, u: np.ndarray) -> float:
+    def divergence_check(self, u: np.ndarray) -> float:
         """Monitor the discrete divergence ``|B u| / |u|`` of the solve.
 
         The Stokes solve enforces ``B u = 0`` only to the Krylov
         tolerance; a drifting constraint residual is the earliest signal
         of an inconsistent operator (stale geometry cache, corrupted
-        divergence assembly).  Monitor-only unless ``max_divergence`` is
-        set.
+        divergence).  ``B u`` is read through the Picard operator of the
+        simulation's current iterate (the linearization the plastic update
+        reuses).  Monitor-only unless ``max_divergence`` is set.
         """
+        sim = self.sim
+        op = sim.linearize(np.concatenate([u, sim.p])).picard
         t0 = time.perf_counter()
         unorm = float(np.linalg.norm(u))
-        div = float(np.linalg.norm(B @ u)) / max(unorm, 1e-300)
+        div = float(np.linalg.norm(op.constraint(u))) / max(unorm, 1e-300)
         self._step["divergence"] = div
         self.stats["divergence"] = div
         _obs.record_span("HealthDivergence", t0, time.perf_counter())
@@ -395,7 +398,7 @@ class HealthMonitor:
                 check="particles", details={"census": pts.n},
             ))
 
-    def post_step(self, B, u: np.ndarray) -> None:
+    def post_step(self, u: np.ndarray) -> None:
         """Field finiteness + divergence monitor after the step's solves."""
         sim = self.sim
         if not (np.isfinite(u).all() and np.isfinite(sim.p).all()):
@@ -404,4 +407,4 @@ class HealthMonitor:
                 check="field:solution", details={},
                 reason=ConvergedReason.DIVERGED_NAN,
             ))
-        self.divergence_check(B, u)
+        self.divergence_check(u)

@@ -154,8 +154,6 @@ def restore_state(sim, data: dict) -> None:
         if key.startswith("point_field_"):
             pts.add_field(key[len("point_field_"):], np.array(data[key]))
     sim.points = pts
-    # caches keyed on geometry must be rebuilt against the restored coords
-    sim._B = None
     if sim.energy is not None:
         sim.energy.mesh.set_coords(
             sim.mesh.coords[sim.mesh.corner_node_lattice()]

@@ -198,8 +198,6 @@ class Simulation:
         self._dt_scale = 1.0
         self._clean_steps = 0
         self._step_fallback_events: list[dict] = []
-        self._B = None
-        self._B_coords_version = -1
         #: the last iterate's linearization (see :meth:`linearize`)
         self._linearization = None
         self.health = (
@@ -295,8 +293,7 @@ class Simulation:
             bc_builder=self.bc_builder, quad=self.quad,
         )
         stokes = self.config.stokes
-        picard = StokesOperator(problem, kind=stokes.operator,
-                                divergence=self._divergence())
+        picard = StokesOperator(problem, kind=stokes.operator)
         self._linearization = Linearization(x.copy(), yielding, deta_q,
                                             picard)
         return self._linearization
@@ -304,14 +301,6 @@ class Simulation:
     # ------------------------------------------------------------------ #
     # nonlinear Stokes
     # ------------------------------------------------------------------ #
-    def _divergence(self):
-        from ..fem import assembly
-
-        if self._B is None or self._B_coords_version != self.mesh.coords_version:
-            self._B = assembly.assemble_divergence(self.mesh, self.quad)
-            self._B_coords_version = self.mesh.coords_version
-        return self._B
-
     def solve_stokes_nonlinear(self):
         """Newton (or Picard) solve of the current-configuration Stokes flow.
 
@@ -408,10 +397,10 @@ class Simulation:
             with _obs.stage("StokesNonlinear"):
                 result = self.solve_stokes_nonlinear()
             if self.health is not None:
-                # validate the solution against the *same* divergence
-                # operator the solve used (the ALE move below changes it)
+                # validate the solution on the geometry the solve used
+                # (the ALE move below changes it)
                 with _obs.stage("HealthGate"):
-                    self.health.post_step(self._divergence(), self.u)
+                    self.health.post_step(self.u)
             if dt is None:
                 dt = self.stable_dt()
                 if not np.isfinite(dt):
@@ -462,7 +451,6 @@ class Simulation:
                     else:
                         remesh_vertical(self.mesh)
                     self._relocate_points()
-                    self._B = None  # geometry changed
 
             if self.energy is not None and dt > 0:
                 with _obs.stage("Energy"):

@@ -47,6 +47,7 @@ Operator = Callable[[np.ndarray], np.ndarray]
 _NAN = ConvergedReason.DIVERGED_NAN
 _ITS = ConvergedReason.DIVERGED_ITS
 _BREAKDOWN = ConvergedReason.DIVERGED_BREAKDOWN
+_STAGNATION = ConvergedReason.DIVERGED_STAGNATION
 
 #: iterations without a new best residual before a minimal-residual outer
 #: method (GCR, GMRES, FGMRES) or BiCGstab declares stagnation; CG trusts
@@ -251,6 +252,15 @@ def _gmres_core(
     without a new best residual return ``DIVERGED_STAGNATION``, as in
     :func:`gcr`.
 
+    Each cycle ends by forming the true residual ``b - A x`` of its
+    update; only that decides convergence, and the result carries its
+    norm (:attr:`~repro.solvers.result.SolveResult.true_residual`).  The
+    one-pass estimate can undershoot once the basis loses orthogonality,
+    so a restart resets the guard's best residual to the true one, and a
+    cycle whose true residual exceeds its start's is discarded: the start
+    iterate is returned (``DIVERGED_STAGNATION``, or ``DIVERGED_ITS`` at
+    ``maxiter``).
+
     A NaN/Inf anywhere in a matvec or preconditioner output propagates into
     the Givens-recurrence residual estimate within the same iteration, so
     the guard catches it without touching the vectors.
@@ -282,6 +292,9 @@ def _gmres_core(
     t = np.empty(n)
     it = 0
     while it < maxiter and rnorm > tol:
+        if it:
+            guard.restart(rnorm)
+        r_start = rnorm  # the true residual of the cycle's start iterate
         m = min(restart, maxiter - it)
         H = np.zeros((m + 1, m))
         h = np.empty(m + 1)
@@ -355,26 +368,30 @@ def _gmres_core(
             return SolveResult(x, False, it, residuals, bad or _BREAKDOWN)
         # solve the small triangular system and update
         y = np.linalg.solve(H[:j, :j], g[:j])
-        if flexible:
-            x += _combination(Z, y)
-        else:
-            x += M(_combination(V, y))
-        r = b - A(x)
+        x_new = x + (_combination(Z, y) if flexible
+                     else M(_combination(V, y)))
+        r = b - A(x_new)
         rnorm = float(np.linalg.norm(r))
-        residuals[-1] = rnorm
         if nonfinite(rnorm):
-            return SolveResult(x, False, it, residuals, _NAN)
+            residuals[-1] = rnorm
+            return SolveResult(x_new, False, it, residuals, _NAN)
+        if rnorm > r_start:
+            # the estimate misled the cycle: keep the iterate it started at
+            residuals[-1] = r_start
+            reason = (bad if bad is not None
+                      else _ITS if it >= maxiter else _STAGNATION)
+            return SolveResult(x, False, it, residuals, reason, r_start)
+        x = x_new
+        residuals[-1] = rnorm
         if rnorm <= tol:
-            return SolveResult(x, True, it, residuals, good)
+            return SolveResult(x, True, it, residuals, good, rnorm)
         if bad is not None:
-            return SolveResult(x, False, it, residuals, bad)
+            return SolveResult(x, False, it, residuals, bad, rnorm)
         if breakdown:
             # the Krylov space was invariant yet the exact iterate misses
             # the tolerance: nothing further can happen
-            return SolveResult(x, False, it, residuals, _BREAKDOWN)
-    if rnorm <= tol:
-        return SolveResult(x, True, it, residuals, good)
-    return SolveResult(x, False, it, residuals, _ITS)
+            return SolveResult(x, False, it, residuals, _BREAKDOWN, rnorm)
+    return SolveResult(x, False, it, residuals, _ITS, rnorm)
 
 
 @instrument("KSPSolve_fgmres")

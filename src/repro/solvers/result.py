@@ -30,6 +30,9 @@ class SolveResult:
         the constructor derives a consistent default (``CONVERGED_RTOL`` /
         ``DIVERGED_ITS``) from ``converged`` for legacy construction
         sites, so ``converged == reason.is_converged`` always holds.
+    true_residual:
+        ``||b - A x||`` of the returned ``x`` when the method formed it
+        (GMRES and FGMRES at a cycle end), else ``None``.
     """
 
     x: np.ndarray
@@ -37,6 +40,7 @@ class SolveResult:
     iterations: int
     residuals: list[float] = field(default_factory=list)
     reason: ConvergedReason = ConvergedReason.CONVERGED_ITERATING
+    true_residual: float | None = None
 
     def __post_init__(self):
         if self.reason == ConvergedReason.CONVERGED_ITERATING:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -96,11 +97,18 @@ class StokesProblem:
 class StokesOperator:
     """Matrix-free coupled operator and right-hand side builder.
 
-    Holds one sparse matrix, ``B_int``: ``B`` with its columns at
-    constrained velocity dofs zeroed, read as ``B_int @ u`` (divergence)
-    and ``B_int.T @ p`` (gradient, constrained rows zeroed).  The unmasked
-    ``B`` is used once, for the pressure lift ``-B g`` of the boundary
-    values ``g``, and only that vector is kept.
+    With a compiled viscous block (``tensor_compiled``, or a compiled
+    Newton linearization swapped in by :meth:`with_velocity_operator`) the
+    coupled apply is one kernel pass, ``(u, p) -> (A u + B^T p, B u)``,
+    and the divergence one more
+    (:meth:`~repro.matfree.tensor_compiled.TensorCompiledOperator.apply_coupled`,
+    ``apply_divergence``): no sparse matrix is assembled.  Every other
+    kind reads ``B_int``, ``B`` with its columns at constrained velocity
+    dofs zeroed, as ``B_int @ u`` (divergence) and ``B_int.T @ p``
+    (gradient, constrained rows zeroed); it is assembled on first use, as
+    it is by :meth:`assemble`.  The unmasked ``B`` is used once, for the
+    pressure lift ``-B g`` of the boundary values ``g``, and only that
+    vector is kept.
 
     Parameters
     ----------
@@ -109,65 +117,94 @@ class StokesOperator:
     kind:
         Which Table I kernel applies the viscous block (on the engine in
         scope now, :func:`~repro.parallel.executor.current_engine`).
-    divergence:
-        The assembled, unmasked ``B`` when the caller already has it (it
-        depends on the geometry only).
     """
 
     def __init__(self, problem: StokesProblem,
-                 kind: str = "tensor_compiled",
-                 divergence: sp.spmatrix | None = None):
+                 kind: str = "tensor_compiled"):
         self.problem = problem
         mesh, quad = problem.mesh, problem.quad
-        # geometry-only block; callers in nonlinear loops pass a cached one
-        B = (
-            divergence
-            if divergence is not None
-            else assembly.assemble_divergence(mesh, quad)
-        )  # (4*nel, 3*nn)
         self.bc = problem.bc
         self.nu = problem.nu
         self.ndof = problem.ndof
-        self._lift_p = np.zeros(problem.npress)
-        if self.bc is not None:
-            # zero divergence columns at constrained dofs (B acts on
-            # interior velocity only)
-            keep = sp.diags((~self.bc.mask).astype(float))
-            self.B_int = (B @ keep).tocsr()
-            g = np.zeros(self.nu)
-            g[self.bc.dofs] = self.bc.values
-            self._lift_p -= B @ g
-        else:
-            self.B_int = B
         self._set_velocity_operator(
             make_operator(kind, mesh, problem.eta_q, quad=quad))
+        self._lift_p = np.zeros(problem.npress)
+        if self.bc is not None:
+            g = np.zeros(self.nu)
+            g[self.bc.dofs] = self.bc.values
+            if self._fused:
+                self._lift_p -= self.A_op.apply_divergence(g)
+            else:
+                B = assembly.assemble_divergence(mesh, quad)
+                self.B_int = self._interior(B)
+                self._lift_p -= B @ g
+
+    def _interior(self, B: sp.spmatrix) -> sp.csr_matrix:
+        """``B`` with its columns at constrained velocity dofs zeroed (it
+        acts on interior velocity only)."""
+        if self.bc is None:
+            return B
+        return (B @ sp.diags((~self.bc.mask).astype(float))).tocsr()
+
+    @cached_property
+    def B_int(self) -> sp.csr_matrix:
+        """The divergence on interior velocity dofs, assembled on first use
+        (the compiled kernels never read it)."""
+        pb = self.problem
+        return self._interior(assembly.assemble_divergence(pb.mesh, pb.quad))
 
     def _set_velocity_operator(self, A_op) -> None:
         self.A_op = A_op
         self._apply_A = A_op if self.bc is None else self.bc.wrap_apply(A_op)
+        #: True when the coupled and divergence applies are kernel passes
+        self._fused = bool(getattr(A_op, "compiled", False))
 
     def with_velocity_operator(self, A_op) -> "StokesOperator":
         """This operator with ``A_op`` (e.g. the Newton linearization, or
-        another kernel) as its viscous block; ``B_int``, the pressure lift
-        and the problem are shared."""
+        another kernel) as its viscous block; the pressure lift, the
+        problem and ``B_int`` (once built) are shared."""
         op = copy.copy(self)
         op._set_velocity_operator(A_op)
         return op
 
     # ------------------------------------------------------------------ #
+    def _interior_input(self, x: np.ndarray) -> np.ndarray:
+        """A copy of ``x`` with the constrained velocity dofs zeroed."""
+        x = np.array(x, dtype=np.float64)
+        if self.bc is not None:
+            x[self.bc.dofs] = 0.0
+        return x
+
     def divergence(self, u: np.ndarray) -> np.ndarray:
         """``B_int u``: the constraint rows, blind to constrained dofs."""
+        if self._fused:
+            return self.A_op.apply_divergence(self._interior_input(u))
         return self.B_int @ u
+
+    def constraint(self, u: np.ndarray) -> np.ndarray:
+        """``B u`` of a velocity that carries the boundary values: the
+        divergence of its interior dofs minus the pressure lift ``-B g``."""
+        return self.divergence(u) - self._lift_p
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
         """``B_int^T p`` with the constrained velocity rows zeroed."""
-        gp = self.B_int.T @ p
+        if self._fused:
+            x = np.zeros(self.ndof)
+            x[self.nu:] = p
+            gp = self.A_op.apply_coupled(x)[: self.nu]
+        else:
+            gp = self.B_int.T @ p
         if self.bc is not None:
             gp[self.bc.dofs] = 0.0
         return gp
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Coupled matvec ``[A u + B^T p ; B u]`` with BC rows identity."""
+        if self._fused:
+            y = self.A_op.apply_coupled(self._interior_input(x))
+            if self.bc is not None:
+                y[self.bc.dofs] = x[self.bc.dofs]
+            return y
         u = x[: self.nu]
         yu = self._apply_A(u)
         yu += self.gradient(x[self.nu:])

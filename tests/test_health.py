@@ -354,6 +354,34 @@ class TestHealthMonitor:
         # summary drained: next reset state is zeroed
         assert sim.health._step["divergence"] == 0.0
 
+    def test_divergence_check_is_the_assembled_divergence(self):
+        """``|B u| / |u|`` through the iterate's Picard operator -- its
+        interior divergence minus the boundary lift -- is the assembled
+        ``B``'s, and a step assembles no ``B`` when the kernel is
+        compiled."""
+        from repro.fem import assembly
+        from repro.matfree import _ckernel
+
+        calls = []
+        assemble = assembly.assemble_divergence
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return assemble(*args, **kwargs)
+
+        sim = small_sinker(health=HealthConfig())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(assembly, "assemble_divergence", counted)
+            sim.step()
+        assert bool(calls) is not _ckernel.available()
+        bc = sim.bc_builder(sim.mesh)
+        u = np.random.default_rng(3).standard_normal(sim.u.size)
+        u[bc.dofs] = bc.values
+        B = assemble(sim.mesh, sim.quad)
+        ref = np.linalg.norm(B @ u) / np.linalg.norm(u)
+        assert sim.health.divergence_check(u) == pytest.approx(ref,
+                                                               rel=1e-12)
+
     def test_pre_step_rejects_inverted_mesh(self):
         sim = small_sinker(health=HealthConfig())
         sim.config.resilient = False

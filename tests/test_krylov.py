@@ -371,6 +371,31 @@ class TestGMRESBasis:
                       restart=restart).x
             assert np.linalg.norm(x_f - x_g) <= 1e-10 * np.linalg.norm(x_g)
 
+    @pytest.mark.parametrize("method", [gmres, fgmres])
+    def test_guard_best_is_the_true_residual_after_a_restart(
+            self, method, monkeypatch):
+        """At every restart the stagnation guard's best residual is the
+        true residual of the iterate the new cycle starts from, and the
+        result carries the true residual of the iterate it returns."""
+        from repro.solvers import krylov
+
+        bests = []
+
+        class Recording(krylov.ResidualGuard):
+            def restart(self, rnorm):
+                super().restart(rnorm)
+                bests.append(self.best)
+
+        monkeypatch.setattr(krylov, "ResidualGuard", Recording)
+        A, b, _ = ill_conditioned_system()
+        matvec = lambda v: A @ v  # noqa: E731
+        res = method(matvec, b, rtol=1e-30, maxiter=20, restart=5)
+        assert len(bests) == 3
+        for k, best in enumerate(list(bests), start=1):
+            x_k = method(matvec, b, rtol=1e-30, maxiter=5 * k, restart=5).x
+            assert best == np.linalg.norm(b - A @ x_k)
+        assert res.true_residual == np.linalg.norm(b - A @ res.x)
+
     def test_basis_allocated_only_as_iterations_run(self):
         """A 3-iteration solve with restart=100 holds one block each of V
         and Z, not 101 + 100 rows."""

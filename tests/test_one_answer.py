@@ -4,7 +4,8 @@ Under the owner-writes contract (:mod:`repro.parallel.executor`) every
 kernel that dispatches reproduces the serial result bit for bit, for any
 worker count and on any engine: the thread pool, the in-process rank
 oracle, and real rank processes.  Every case here is ``np.array_equal``
-to ``workers=1``: one compiled apply, one compiled Newton apply, one
+to ``workers=1``: one compiled apply, one compiled Newton apply, the
+coupled Stokes apply (Picard and Newton) with its divergence, one
 diagonal, one assembled matrix, an operator updated through
 ``set_viscosity``, the state digest of a 4^3 three-step sinker run, and
 that of a two-step (6, 4, 2) rifting run (plasticity and the Newton
@@ -74,6 +75,41 @@ def test_newton_apply(problem, substrate, workers):
         op = NewtonTensorOperator(mesh, eta, Du, deta, quad=QUAD)
         y = op.apply(u)
     assert np.array_equal(y, ref.apply(u))
+
+
+@pytest.mark.parametrize("newton", [False, True])
+def test_coupled_apply(problem, substrate, workers, newton):
+    """The coupled Stokes apply, its divergence and its gradient -- one
+    kernel pass each on a compiled viscous block, Picard or Newton --
+    dispatch under the same contract."""
+    from repro.stokes import StokesOperator, StokesProblem
+    from tests.conftest import free_slip_bc
+
+    mesh, eta, u = problem
+    rng = np.random.default_rng(23)
+    x = np.concatenate([u, rng.standard_normal(4 * mesh.nel)])
+    Du = rng.standard_normal((mesh.nel, QUAD.npoints, 3, 3))
+    Du = 0.5 * (Du + Du.transpose(0, 1, 3, 2))
+    deta = rng.normal(scale=0.3, size=eta.shape)
+    pb = StokesProblem(mesh, eta, np.ones_like(eta), bc_builder=free_slip_bc)
+
+    def build():
+        op = StokesOperator(pb)
+        if newton:
+            op = op.with_velocity_operator(
+                NewtonTensorOperator(mesh, eta, Du, deta, quad=QUAD))
+        return op
+
+    def applies(op):
+        return (op.apply(x), op.divergence(u), op.gradient(x[op.nu:]),
+                op.rhs())
+
+    with use_executor(None):
+        ref = applies(build())
+    with dispatch_engine(substrate, workers):
+        got = applies(build())
+    for y, y_ref in zip(got, ref):
+        assert np.array_equal(y, y_ref)
 
 
 def test_diagonal(problem, substrate, workers):

@@ -98,6 +98,32 @@ class TestImplementationCounts:
         assert c.bytes_perfect_cache == ref.bytes_perfect_cache + 27 * 10 * 8
         assert c.bytes_pessimal_cache == ref.bytes_pessimal_cache + 27 * 10 * 8
 
+    def test_coupled_counts_the_pressure_terms(self):
+        """The coupled rows add, per point, the trace (2 adds, the
+        diagonal of g K is formed anyway), four B u accumulations (8), the
+        point pressure (7) and t -= P K^T (18), and stream w det psi_m
+        (4 doubles per point) plus four pressures in and four rows out."""
+        for name, ref in (("coupled", "tensor_compiled"),
+                          ("coupled_newton", "newton")):
+            c, v = OPERATOR_COUNTS[name], OPERATOR_COUNTS[ref]
+            assert c.flops == v.flops + 27 * (2 + 8 + 7 + 18)
+            extra = 8 * 4 * 27 + 8 * 2 * 4
+            assert c.bytes_perfect_cache == v.bytes_perfect_cache + extra
+            assert c.bytes_pessimal_cache == v.bytes_pessimal_cache + extra
+        assert OPERATOR_COUNTS["coupled"].flops == 11718
+
+    def test_divergence_counts_the_forward_sweep(self):
+        """The divergence is the forward sweep (3 x 8 lines of 135 flops),
+        the diagonal of g K (15), its trace (2) and the rows (8) per
+        point; it streams K,
+        w det psi_m, the gather map, the velocities and four rows out."""
+        c = OPERATOR_COUNTS["divergence"]
+        assert c.flops == 3 * 8 * 27 * 5 + 27 * (15 + 2 + 8) == 3915
+        streams = 8 * (9 + 4) * 27 + 8 * 27 + 8 * 4
+        assert c.bytes_perfect_cache == streams + 8 * 8 * 3
+        assert c.bytes_pessimal_cache == streams + 8 * 27 * 3
+        assert c.flops < OPERATOR_COUNTS["tensor_compiled"].flops / 2.5
+
     def test_compiled_memory_counts_whole_batches(self):
         from repro.perf.roofline import memory_bytes
 

@@ -115,6 +115,16 @@ class TestResidualGuard:
         for r in (0.9, 0.8, 0.7, 0.6, 0.5, 0.4):
             assert g.check(r) is None
 
+    def test_restart_sets_best_to_the_true_residual(self):
+        """An estimate that undershot (0.1) does not set the bar after a
+        restart: the true residual does, and beating it is progress."""
+        g = ResidualGuard(1.0, dtol=0.0, stag_window=2)
+        assert g.check(0.1) is None
+        g.restart(0.5)
+        assert g.best == 0.5
+        assert g.check(0.45) is None and g.check(0.4) is None
+        assert g.since_best == 0
+
 
 # --------------------------------------------------------------------- #
 # reason threading through every solver entry point
@@ -219,6 +229,16 @@ class TestIndefiniteRegressions:
         res = method(lambda v: d * v, b, rtol=1e-12, maxiter=1000)
         assert res.reason == ConvergedReason.DIVERGED_STAGNATION
         assert res.iterations < 200
+        # the returned iterate is no worse than the one the solve started
+        # from; FGMRES keeps a cycle's start iterate when the cycle's true
+        # residual grew (its one-pass estimate undershoots the floor 1.0
+        # here), so it returns the best cycle end: the first of its
+        # restart length of 30
+        true = np.linalg.norm(b - d * res.x)
+        assert true <= res.residuals[0]
+        if method is fgmres:
+            assert res.true_residual == true
+            assert true <= res.residuals[30]
 
     def test_cg_indefinite_breakdown(self):
         n = 40
@@ -585,11 +605,38 @@ class TestExitCheck:
             assert sol.reason.is_converged
             assert true <= cfg.rtol
 
+    @pytest.mark.parametrize("outer", ["fgmres", "gcr"])
+    def test_exit_check_reuses_the_measured_residual(self, outer,
+                                                     monkeypatch):
+        """FGMRES formed ``b - A x`` for the ``x`` it returns, so the exit
+        check makes no coupled apply of its own (initial residual, one per
+        iteration, the cycle end); GCR's recurrence residual is not one it
+        formed, so the check applies once.  Either way ``true_relres`` is
+        the measured norm, bit for bit."""
+        calls = []
+        apply = StokesOperator.apply
+
+        def counted(self, x):
+            calls.append(1)
+            return apply(self, x)
+
+        monkeypatch.setattr(StokesOperator, "apply", counted)
+        pb = _tiny_problem()
+        sol = solve_stokes(pb, StokesConfig(mg_levels=1, coarse_solver="lu",
+                                            outer=outer))
+        assert sol.converged and sol.iterations < StokesConfig().restart
+        assert len(calls) == sol.iterations + 2
+        op = sol.extra["operator"]
+        b = op.rhs()
+        true = np.linalg.norm(b - apply(op, np.concatenate([sol.u, sol.p])))
+        assert sol.extra["true_relres"] == true / np.linalg.norm(b)
+
     def test_refuted_convergence_falls_back(self, monkeypatch):
         # the default outer method reports convergence for a wrong iterate
-        # on its first two calls (the primary and sa-amg rungs): the exit
-        # check turns each into DIVERGED_BREAKDOWN, and the ladder walks to
-        # the jacobi-restart rung, whose solve is honest
+        # on its first two calls (the primary and sa-amg rungs), without a
+        # measured residual for it: the exit check measures, turns each
+        # into DIVERGED_BREAKDOWN, and the ladder walks to the
+        # jacobi-restart rung, whose solve is honest
         outer = StokesConfig().outer
         honest = getattr(krylov, outer)
         calls = []
@@ -599,6 +646,7 @@ class TestExitCheck:
             calls.append(outer)
             if len(calls) <= 2:
                 res.x[:] = 0.0
+                res.true_residual = None
             return res
 
         monkeypatch.setattr(krylov, outer, lying)

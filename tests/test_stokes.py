@@ -43,15 +43,16 @@ class TestOperatorStructure:
         assert np.allclose(y[: pb.nu][pb.bc.mask], x[: pb.nu][pb.bc.mask])
 
     def test_one_divergence_matrix(self, rng):
-        """The operator stores one sparse matrix, ``B_int``; its transposed
-        (CSC) product adds in the same order as a stored CSR transpose, and
-        the coupled apply leaves its argument alone."""
+        """A non-compiled kind stores one sparse matrix, ``B_int``; its
+        transposed (CSC) product adds in the same order as a stored CSR
+        transpose, and the coupled apply leaves its argument alone.  The
+        compiled default stores none until ``B_int`` is asked for."""
         import scipy.sparse as sp
 
         mesh = StructuredMesh((3, 2, 2), order=2)
         eta, rho = ones_fields(mesh)
         pb = StokesProblem(mesh, eta, rho, bc_builder=free_slip_bc)
-        op = StokesOperator(pb)
+        op = StokesOperator(pb, kind="tensor")
         held = [v for v in vars(op).values() if sp.issparse(v)]
         assert len(held) == 1 and held[0] is op.B_int
         assert sp.isspmatrix_csr(op.B_int)
@@ -60,17 +61,27 @@ class TestOperatorStructure:
         gp[pb.bc.dofs] = 0.0
         assert np.array_equal(op.gradient(p), gp)
         x = rng.standard_normal(pb.ndof)
-        x_in = x.copy()
-        y1, y2 = op.apply(x), op.apply(x)
-        assert np.array_equal(x, x_in) and np.array_equal(y1, y2)
-        assert y1 is not y2
-        assert np.allclose(y1, op.assemble() @ x, atol=1e-12)
+        compiled = StokesOperator(pb)
+        held = [v for v in vars(compiled).values() if sp.issparse(v)]
+        if compiled._fused:
+            assert not held
+        else:  # the NumPy fallback reads B_int like any other kind
+            assert len(held) == 1 and held[0] is compiled.B_int
+        for o in (op, compiled):
+            x_in = x.copy()
+            y1, y2 = o.apply(x), o.apply(x)
+            assert np.array_equal(x, x_in) and np.array_equal(y1, y2)
+            assert y1 is not y2
+            assert np.allclose(y1, o.assemble() @ x, atol=1e-12)
+        assert sp.isspmatrix_csr(compiled.B_int)  # built on first use
 
     @pytest.mark.parametrize("bc_builder", [free_slip_bc, no_slip_bc])
     def test_apply_and_rhs_match_three_matrix_formulas(self, rng, bc_builder):
-        """``apply`` and ``rhs`` are bit-equal to the formulas on ``B``,
-        ``B_int`` and a stored CSR ``B_int^T``, rebuilt here from a freshly
-        assembled ``B`` as the oracle."""
+        """A non-compiled kind's ``apply`` and ``rhs`` are bit-equal to the
+        formulas on ``B``, ``B_int`` and a stored CSR ``B_int^T``, rebuilt
+        here from a freshly assembled ``B`` as the oracle; the compiled
+        default, which applies ``B`` and ``B^T`` in its kernel, meets them
+        to a few ulp."""
         import scipy.sparse as sp
         from repro.fem import assembly
 
@@ -79,7 +90,6 @@ class TestOperatorStructure:
         eta = 1.0 + rng.random((mesh.nel, QUAD.npoints))
         rho = rng.random((mesh.nel, QUAD.npoints))
         pb = StokesProblem(mesh, eta, rho, bc_builder=bc_builder)
-        op = StokesOperator(pb)
         bc = pb.bc
         B = assembly.assemble_divergence(mesh, QUAD)
         B_int = (B @ sp.diags((~bc.mask).astype(float))).tocsr()
@@ -88,23 +98,29 @@ class TestOperatorStructure:
         u, p = x[: pb.nu], x[pb.nu:]
         gp = B_int_T @ p
         gp[bc.dofs] = 0.0
-        yu = bc.wrap_apply(op.A_op)(u)
-        yu += gp
-        y = np.concatenate([yu, B_int @ u])
-        assert op.apply(x).tobytes() == y.tobytes()
         g = np.zeros(pb.nu)
         g[bc.dofs] = bc.values
         Fu = assembly.rhs_body_force(mesh, rho, np.asarray(pb.gravity), QUAD)
-        Fu = Fu - op.A_op.apply(g)
-        Fu[bc.dofs] = bc.values
-        b = np.concatenate([Fu, np.zeros(pb.npress) - B @ g])
-        assert op.rhs().tobytes() == b.tobytes()
+        for kind in ("tensor", "tensor_compiled"):
+            op = StokesOperator(pb, kind=kind)
+            yu = bc.wrap_apply(op.A_op)(u)
+            yu += gp
+            y = np.concatenate([yu, B_int @ u])
+            F = Fu - op.A_op.apply(g)
+            F[bc.dofs] = bc.values
+            b = np.concatenate([F, np.zeros(pb.npress) - B @ g])
+            if kind == "tensor":
+                assert op.apply(x).tobytes() == y.tobytes()
+                assert op.rhs().tobytes() == b.tobytes()
+            else:
+                assert np.abs(op.apply(x) - y).max() <= 1e-13 * np.abs(y).max()
+                assert np.abs(op.rhs() - b).max() <= 1e-13 * np.abs(b).max()
 
-    def test_fallback_kernel_shares_divergence(self):
-        """The ``sa-amg`` rung's operator, made from the caller's with
-        ``with_velocity_operator``, has the right-hand side of one built
-        fresh on the same ``B``."""
-        from repro.fem import assembly
+    def test_fallback_kernel_shares_divergence(self, rng):
+        """The ``sa-amg`` rung's operator, made from the caller's compiled
+        one with ``with_velocity_operator``, reads ``B_int`` (assembled on
+        first use): its apply is the floats of one built fresh with that
+        kind, and its right-hand side keeps the caller's lift."""
         from repro.matfree import make_operator
         from repro.stokes.solve import FALLBACK_RUNGS
 
@@ -116,10 +132,12 @@ class TestOperatorStructure:
         op = StokesOperator(pb)
         swapped = op.with_velocity_operator(
             make_operator(cfg.operator, mesh, eta, quad=QUAD))
-        assert swapped.B_int is op.B_int
-        fresh = StokesOperator(pb, kind=cfg.operator,
-                               divergence=assembly.assemble_divergence(mesh))
-        assert swapped.rhs().tobytes() == fresh.rhs().tobytes()
+        fresh = StokesOperator(pb, kind=cfg.operator)
+        x = rng.standard_normal(pb.ndof)
+        assert swapped.apply(x).tobytes() == fresh.apply(x).tobytes()
+        assert np.array_equal(swapped._lift_p, op._lift_p)
+        b, ref = swapped.rhs(), fresh.rhs()
+        assert np.abs(b - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_rhs_satisfies_bc(self):
         mesh = StructuredMesh((2, 2, 2), order=2)

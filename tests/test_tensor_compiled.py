@@ -65,9 +65,29 @@ def newton_op(shape=(5, 3, 2), **kwargs):
     return NewtonTensorOperator(mesh, eta, Du, deta, quad=QUAD, **kwargs), u
 
 
-def kernel_op(kind, shape):
-    """The operator that ``tc_<kind>_<isa>`` applies, and an input."""
-    return compiled_op(shape) if kind == "apply" else newton_op(shape)
+#: the operator method that runs a ``tc_<kind>_<isa>`` variant with the
+#: owner-writes arguments ``(fn, x, s, e, out, lo, stash)``
+RUNNERS = {"apply": "_run_kernel", "newton": "_run_kernel",
+           "coupled": "_run_coupled", "coupled_newton": "_run_coupled"}
+
+
+def kernel_case(kind, shape):
+    """``(op, x, run)``: the operator whose ``tc_<kind>_<isa>`` variants
+    ``run(fn, x, s, e, out=None, lo=0, stash=None)`` calls, with its
+    pressure stream packed, and an input (``[u ; p]`` for a coupled
+    kernel)."""
+    newton, pressure = _ckernel.KERNELS[kind]
+    op, x = newton_op(shape) if newton else compiled_op(shape)
+    if pressure:
+        op._pack_pressure()
+    if pressure == 1:
+        p = np.random.default_rng(13).standard_normal(op.npress)
+        x = np.concatenate([x, p])
+    if pressure == 2:  # writes each element's rows once, stashes nothing
+        def run(fn, x, s, e, out=None, lo=0, stash=None):
+            return op._run_divergence(fn, x, s, e, out)
+        return op, x, run
+    return op, x, getattr(op, RUNNERS[kind])
 
 
 @pytest.fixture
@@ -138,14 +158,14 @@ class TestBitwiseContract:
     @pytest.mark.parametrize("shape", ODD_SHAPES + [(3, 3, 4)])
     def test_every_isa_variant_gives_the_same_floats(self, shape):
         for kind in _ckernel.KERNELS:
-            op, u = kernel_op(kind, shape)
+            op, x, run = kernel_case(kind, shape)
             variants = _ckernel.variants(kind)
             assert list(variants)[0] == "base"
             assert list(variants)[-1] == op.isa
             nel = op.mesh.nel
             spans = [(0, nel), (1, nel - 2), (3, 12), (7, 9)]
             for s, e in spans:
-                ys = [op._run_kernel(fn, u, s, e) for fn in variants.values()]
+                ys = [run(fn, x, s, e) for fn in variants.values()]
                 assert np.abs(ys[0]).max() > 0
                 for y in ys[1:]:
                     assert np.array_equal(ys[0], y), (kind, s, e)
@@ -173,9 +193,11 @@ class TestBitwiseContract:
     def test_owner_writes_equals_one_span_serial(self, cut):
         """Owner-writes over any cut -- tasks run in reverse order, stashes
         replayed in span order -- is the one-span serial apply, bitwise,
-        on every ISA variant of both kernels."""
+        on every ISA variant of every kernel (the divergence writes each
+        element's rows once and stashes nothing)."""
         for kind in _ckernel.KERNELS:
-            op, u = kernel_op(kind, (5, 3, 7))  # 15 elements/layer, 7 layers
+            # 15 elements/layer, 7 layers
+            op, x, run = kernel_case(kind, (5, 3, 7))
             nel = op.mesh.nel
             spans = {
                 "mid-layer": list(zip([0, 7, 22, 50, 80],
@@ -185,12 +207,14 @@ class TestBitwiseContract:
             }[cut]
             lo, stashes = owner_writes_plan(op._conn64, spans)
             assert sum(map(len, stashes)) > 0
+            if kind == "divergence":
+                stashes = [idx[:0] for idx in stashes]
             for name, fn in _ckernel.variants(kind).items():
-                serial = op._run_kernel(fn, u, 0, nel)
-                out = np.zeros(op.ndof)
+                serial = run(fn, x, 0, nel)
+                out = np.zeros_like(serial)
                 vals = [np.empty(len(idx)) for idx in stashes]
                 for (s, e), stash in reversed(list(zip(spans, vals))):
-                    op._run_kernel(fn, u, s, e, out, lo[s], stash)
+                    run(fn, x, s, e, out, lo[s], stash)
                 assert np.array_equal(replay_stashes(out, stashes, vals),
                                       serial), (kind, name)
 
@@ -358,6 +382,151 @@ class TestNewtonKernel:
         op, u = newton_op()
         assert not op.compiled and not hasattr(op, "_C")
         assert np.array_equal(op.apply(u), op._apply_einsum(u))
+
+
+def stokes_case(bc_builder, newton=False, shape=(5, 3, 2)):
+    """A compiled coupled operator on a deformed mesh (Newton: the
+    linearization swapped in as the viscous block) and an input."""
+    from repro.stokes import StokesOperator, StokesProblem
+
+    mesh, eta, u = small_setup(shape)
+    rho = np.random.default_rng(14).random(eta.shape)
+    op = StokesOperator(StokesProblem(mesh, eta, rho,
+                                      bc_builder=bc_builder))
+    if newton:
+        Du, deta = newton_inputs(mesh)
+        op = op.with_velocity_operator(
+            NewtonTensorOperator(mesh, eta, Du, deta, quad=QUAD))
+    p = np.random.default_rng(15).standard_normal(4 * mesh.nel)
+    return op, np.concatenate([u, p])
+
+
+def assert_close(y, ref):
+    """The few-ulp bound: ``<= 1e-13`` relative to ``max |ref|``."""
+    assert np.abs(ref).max() > 0
+    assert np.abs(y - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@needs_kernel
+class TestCoupledKernels:
+    """``tc_coupled[_newton]_<isa>``: ``(u, p) -> (A u + B^T p, B u)`` in
+    one pass, and ``tc_divergence_<isa>``: ``u -> B u``, against the CSR
+    ``B`` of :func:`~repro.fem.assembly.assemble_divergence`."""
+
+    @pytest.mark.parametrize("newton", [False, True])
+    @pytest.mark.parametrize("bc_name", ["free_slip", "no_slip"])
+    def test_match_the_csr_formulas(self, bc_name, newton):
+        """``apply``, ``divergence`` and ``gradient`` of the compiled
+        operator are the ``B_int`` formulas of the non-compiled kinds,
+        Dirichlet semantics included, to a few ulp."""
+        import scipy.sparse as sp
+        from repro.fem import assembly
+        from tests.conftest import free_slip_bc, no_slip_bc
+
+        bc_builder = {"free_slip": free_slip_bc, "no_slip": no_slip_bc}[bc_name]
+        op, x = stokes_case(bc_builder, newton)
+        assert op._fused and "B_int" not in vars(op)
+        mesh, bc, nu = op.problem.mesh, op.bc, op.nu
+        B = assembly.assemble_divergence(mesh, QUAD)
+        B_int = (B @ sp.diags((~bc.mask).astype(float))).tocsr()
+        u, p = x[:nu], x[nu:]
+        gp = B_int.T @ p
+        gp[bc.dofs] = 0.0
+        yu = bc.wrap_apply(op.A_op.apply)(u) + gp
+        y = op.apply(x)
+        assert_close(y[:nu], yu)
+        assert np.array_equal(y[bc.dofs], x[bc.dofs])  # identity rows
+        assert_close(y[nu:], B_int @ u)
+        assert_close(op.divergence(u), B_int @ u)
+        assert_close(op.gradient(p), gp)
+        assert np.array_equal(op.gradient(p)[bc.dofs], np.zeros(bc.dofs.size))
+        # nothing assembled on the way
+        assert "B_int" not in vars(op)
+
+    def test_pressure_lift_matches_the_csr_lift(self):
+        """Nonzero boundary values: the lift ``-B g`` built by the
+        divergence kernel is the CSR one, and ``constraint`` is ``B u``."""
+        from repro.fem import DirichletBC, assembly, boundary_nodes
+        from repro.fem import component_dofs
+
+        def lid_bc(mesh):
+            bc = DirichletBC(3 * mesh.nnodes)
+            for face in ("xmin", "xmax", "ymin", "ymax", "zmin"):
+                nodes = boundary_nodes(mesh, face)
+                for c in range(3):
+                    bc.add(component_dofs(nodes, c), 0.0)
+            top = boundary_nodes(mesh, "zmax")
+            bc.add(component_dofs(top, 0), 1.0 + mesh.coords[top, 1])
+            return bc.finalize()
+
+        op, x = stokes_case(lid_bc)
+        bc, nu = op.bc, op.nu
+        B = assembly.assemble_divergence(op.problem.mesh, QUAD)
+        g = np.zeros(nu)
+        g[bc.dofs] = bc.values
+        assert_close(op.rhs()[nu:], -(B @ g))
+        u = x[:nu].copy()
+        u[bc.dofs] = bc.values
+        assert_close(op.constraint(u), B @ u)
+
+    @pytest.mark.parametrize("kind", ["apply", "newton"])
+    def test_one_pass_is_both_kernels_bitwise(self, kind):
+        """With ``p = 0`` the coupled velocity rows are the viscous
+        kernel's floats, and its pressure rows are always the divergence
+        kernel's."""
+        coupled = {"apply": "coupled", "newton": "coupled_newton"}[kind]
+        op, x, run = kernel_case(coupled, ODD_SHAPES[1])
+        nel, nu = op.mesh.nel, op.ndof
+        x0 = x.copy()
+        x0[nu:] = 0.0
+        y0 = run(op._coupled_kernel, x0, 0, nel)
+        assert np.array_equal(y0[:nu], op._run_kernel(op._kernel, x[:nu],
+                                                      0, nel))
+        y = run(op._coupled_kernel, x, 0, nel)
+        div = op._run_divergence(op._divergence_kernel, x[:nu], 0, nel)
+        assert np.array_equal(y[nu:], div) and np.array_equal(y0[nu:], div)
+
+    @pytest.mark.parametrize("kind", ["coupled", "divergence"])
+    def test_span_cuts_match_ordered_element_sum(self, kind):
+        """As for the viscous kernel: a span's partial is the in-order sum
+        of its elements' one-element partials, pressure rows included."""
+        op, x, run = kernel_case(kind, ODD_SHAPES[0])
+        fn = _ckernel.variants(kind)[op.isa]
+        nel = op.mesh.nel
+        single = [run(fn, x, el, el + 1) for el in range(nel)]
+        for s, e in [(0, 5), (5, 13), (13, nel)]:
+            expect = np.zeros_like(single[0])
+            for el in range(s, e):
+                expect += single[el]
+            assert np.array_equal(run(fn, x, s, e), expect)
+
+    def test_pressure_stream_layout_and_rebuild(self):
+        """``_P`` is packed at the first coupled apply (a new rank-state
+        version), holds ``w det psi_m`` lane-interleaved, and is repacked
+        with ``_C``: after a mesh move the operator equals a fresh one."""
+        from repro.fem.basis import P1DiscBasis
+        from repro.matfree.tensor_compiled import PRESSURE_VALUES
+
+        op, u = compiled_op((5, 3, 2))
+        mesh, nel = op.mesh, op.mesh.nel
+        assert op._P is None
+        version = op._parallel_state_version
+        d = op.apply_divergence(u)
+        assert op._parallel_state_version == version + 1
+        nb = -(-nel // _ckernel.LANES)
+        assert op._P.shape == (nb, 27, PRESSURE_VALUES, _ckernel.LANES)
+        by_element = op._P.transpose(0, 3, 1, 2).reshape(-1, 27,
+                                                          PRESSURE_VALUES)
+        assert not by_element[nel:].any()
+        _, det, xq = mesh.geometry_at(QUAD)
+        psi = P1DiscBasis.eval(xq, *mesh.element_centroids_and_extents())
+        assert np.array_equal(by_element[:nel],
+                              (det * QUAD.weights)[..., None] * psi)
+        mesh.deform(lambda c: c * 1.1)
+        moved = op.apply_divergence(u)
+        assert not np.array_equal(moved, d)
+        fresh = make_operator("tensor_compiled", mesh, op.eta_q, quad=QUAD)
+        assert np.array_equal(moved, fresh.apply_divergence(u))
 
 
 class TestFallback:
