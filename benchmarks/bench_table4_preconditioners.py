@@ -3,11 +3,15 @@
 Reproduces the preconditioner shoot-out of SS IV-C on the multi-sinker
 problem.  Configurations (names as in the paper):
 
-* ``GMG-mf``   -- our default: tensor matrix-free fine level, rediscretized
-  assembled level, Galerkin coarsest, SA coarse solve;
-* ``GMG-i``    -- identical but the finest level is an assembled matrix;
+* ``GMG-mf``   -- our default: tensor matrix-free fine level, Galerkin
+  coarse levels formed cell by cell from the fine coefficient, SA coarse
+  solve;
+* ``GMG-i``    -- assembled fine level, every coarse level rediscretized
+  and assembled on its own mesh;
 * ``GMG-ii``   -- assembled fine level with *Galerkin* coarse operators on
-  all levels (lowest iterations, highest setup cost in the paper);
+  all levels (lowest iterations, highest setup cost in the paper): the
+  default hierarchy with ``operator="asmb"``, so its coarse levels are
+  GMG-mf's;
 * ``SA-i``     -- pure smoothed aggregation on the assembled fine matrix
   (GAMG configuration: theta = 0.01, rigid-body modes);
 * ``SAML-i``   -- SA with an ML-style 0.01 drop tolerance and max coarse
@@ -63,7 +67,6 @@ def build_configuration(name, pb):
     t0 = time.perf_counter()
     if name in ("GMG-mf", "GMG-i", "GMG-ii"):
         meshes = mesh.hierarchy(3)[::-1]
-        etas = coefficient_hierarchy(meshes, pb.eta_q, QUAD)
         cfg = {
             "GMG-mf": GMGConfig(mg_levels=3, operator="tensor",
                                 galerkin=True, coarse_solver="sa"),
@@ -72,8 +75,10 @@ def build_configuration(name, pb):
             "GMG-ii": GMGConfig(mg_levels=3, operator="asmb",
                                 galerkin=True, coarse_solver="sa"),
         }[name]
-        pc, _ = build_gmg(meshes, etas, free_slip_bc, cfg,
-                          galerkin_from_fine=name == "GMG-ii")
+        # Galerkin levels read only the fine coefficient
+        etas = ([pb.eta_q] if cfg.galerkin
+                else coefficient_hierarchy(meshes, pb.eta_q, QUAD))
+        pc, _ = build_gmg(meshes, etas, free_slip_bc, cfg)
         kind = cfg.operator
     else:
         A = assembly.assemble_viscous(mesh, pb.eta_q, QUAD)

@@ -57,13 +57,15 @@ def viscous_element_matrices(
     ``K[ai, bj] = sum_q w eta ( delta_ij G_a . G_b + dG_a/dx_j dG_b/dx_i )``.
     """
     nel, nq, nb, _ = G.shape
-    weta = wdet * eta
-    lap = np.einsum("nq,nqad,nqbd->nab", weta, G, G, optimize=True)
-    cross = np.einsum("nq,nqaj,nqbi->najbi", weta, G, G, optimize=True)
-    Ke = np.zeros((nel, nb, 3, nb, 3))
+    G = G.reshape(nel, nq, 3 * nb)
+    # M[ai, bj] = sum_q w eta G_ai G_bj, one batched product: the cross
+    # term is M[aj, bi], the delta_ij term sum_k M[ak, bk]
+    M = np.matmul(G.transpose(0, 2, 1), (wdet * eta)[:, :, None] * G)
+    M = M.reshape(nel, nb, 3, nb, 3)
+    Ke = M.transpose(0, 1, 4, 3, 2).copy()
+    lap = np.einsum("naibi->nab", M)
     for i in range(3):
         Ke[:, :, i, :, i] += lap
-    Ke += cross.transpose(0, 1, 4, 3, 2)  # [n,a,j,b,i] -> [n,a,i,b,j]
     return Ke.reshape(nel, 3 * nb, 3 * nb)
 
 

@@ -2,9 +2,10 @@
 
 The action of ``J_uu^{-1}`` inside the Stokes fieldsplit preconditioner is a
 single multigrid V-cycle (paper SS III-C).  The hierarchy mixes matrix-free
-and assembled levels: at least one geometric level applied matrix-free on
-the finest mesh, an assembled level below it (rediscretized or Galerkin),
-and -- when further distributed coarsening is needed -- a switch to smoothed
+and assembled levels: the finest geometric level applied matrix-free,
+Galerkin levels below it formed cell by cell from the fine coefficient
+(:mod:`repro.mg.galerkin`; rediscretized ones for GMG-i), and -- when
+further distributed coarsening is needed -- a switch to smoothed
 aggregation (the paper uses PETSc's GAMG with the six rigid-body modes and
 strength threshold 0.01, reproduced here in :mod:`repro.mg.sa`).
 """

@@ -44,6 +44,9 @@ class MGLevel:
         level are zeroed there), or ``None``.
     coarse_solve:
         On the coarsest level only: ``b -> x`` (approximate) solver.
+    matrix:
+        The sparse matrix ``apply`` multiplies by, on an assembled level
+        (``None`` where a kernel applies the level).
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -52,6 +55,7 @@ class MGLevel:
     restrict: object | None = None
     bc_mask: np.ndarray | None = None
     coarse_solve: Callable[[np.ndarray], np.ndarray] | None = None
+    matrix: sp.csr_matrix | None = None
     # diagnostics
     ndof: int = 0
     label: str = ""

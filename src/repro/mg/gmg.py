@@ -5,19 +5,18 @@ Hierarchy layout (paper default, 3 levels):
 * finest level: matrix-free tensor-product operator (no assembled matrix
   ever exists at this resolution -- the memory savings that let larger
   problems fit on a machine);
-* next level: *rediscretized* on the coarse mesh (you cannot form a
-  Galerkin product from a matrix-free fine operator) and, being smoothed,
-  applied through the same matrix-free kernel as the finest level -- its
-  matrix is assembled only as the input of the Galerkin product below and
-  is not kept by the hierarchy;
-* lower levels: Galerkin ``R A P`` from the assembled level above
-  (more robust for rough coefficients, at assembly cost);
+* coarser levels: Galerkin ``Pᵀ A P``, formed cell by cell from the fine
+  coefficient (:mod:`repro.mg.galerkin`): the trilinear prolongation is
+  local to one cell of the nested lattice, so the product needs neither a
+  fine matrix nor a rediscretized level, and it is the same for every fine
+  kernel;
 * coarsest level: one V-cycle of smoothed aggregation (GAMG substitute),
   exact LU, block-Jacobi LU, or CG/ASM (the SS V rifting configuration).
 
-Table IV's GMG-i / GMG-ii configurations are expressed through
-:class:`GMGConfig` (``operator="asmb"``: every level assembled) and, for
-GMG-ii, ``build_gmg(..., galerkin_from_fine=True)`` (Galerkin everywhere).
+Table IV's GMG-ii is this hierarchy with ``operator="asmb"``; GMG-i
+(``galerkin=False``, ablation A1) rediscretizes every coarse level on its
+own mesh from the restricted viscosity, applying the smoothed ones through
+the fine kernel.
 """
 
 from __future__ import annotations
@@ -34,10 +33,12 @@ from ..fem import assembly
 from ..fem.bc import DirichletBC
 from ..fem.quadrature import GaussQuadrature
 from ..matfree import OPERATOR_TYPES, make_operator
+from ..obs import registry as _obs
 from ..parallel.executor import ParallelCSRMatVec, current_engine
 from ..solvers.chebyshev import ChebyshevSmoother
 from ..solvers.relaxation import BlockJacobiLU
 from .cycles import MGLevel, MGHierarchy
+from .galerkin import galerkin_flops, galerkin_levels
 from .transfer import vector_prolongation
 from .sa import COARSE_NBLOCKS, smoothed_aggregation, rigid_body_modes
 
@@ -60,15 +61,16 @@ class GMGConfig:
     ----------
     operator:
         One of ``asmb | mf | tensor | tensor_c | tensor_compiled`` -- the
-        Table I kernel applying the finest level and every other level that
-        is rediscretized and smoothed (``asmb`` keeps all levels assembled).
+        Table I kernel applying the finest level (and, with
+        ``galerkin=False``, every rediscretized smoothed level; ``asmb``
+        then assembles them).
         The default compiled kernel falls back to the packed NumPy apply on
         hosts without a C toolchain.
     mg_levels:
         Number of geometric levels (paper uses 3).
     galerkin:
-        If True, levels below the first assembled one use Galerkin RAP;
-        otherwise they are rediscretized.
+        If True (GMG-ii), every coarse level is the Galerkin product of the
+        fine operator; otherwise (GMG-i) each is rediscretized.
     smoother_degree:
         Chebyshev degree per pre/post smooth: 2 gives the paper's V(2,2),
         3 gives the V(3,3) used in the rifting runs.
@@ -155,9 +157,8 @@ def build_gmg(
     bc_builder,
     config: GMGConfig | None = None,
     fine_op=None,
-    galerkin_from_fine: bool = False,
 ) -> tuple[MGHierarchy, GMGSetupStats]:
-    """Assemble the geometric hierarchy for the viscous block.
+    """Build the geometric hierarchy for the viscous block.
 
     Parameters
     ----------
@@ -166,8 +167,9 @@ def build_gmg(
         use ``mesh.hierarchy(n)[::-1]``); only the first
         ``config.mg_levels`` are used.
     eta_levels:
-        Viscosity at quadrature points per mesh, finest first.  Entries for
-        Galerkin levels may be ``None``.
+        Viscosity at quadrature points per mesh, finest first.  Galerkin
+        levels read only the finest entry; rediscretized ones
+        (``galerkin=False``) read their own.
     bc_builder:
         ``mesh -> DirichletBC`` building the velocity-space constraints for
         a given level (same faces/components on every level).
@@ -176,12 +178,9 @@ def build_gmg(
         with viscosity ``eta_levels[0]`` to use as the finest level instead
         of constructing an identical one (the coupled solve shares its
         viscous block this way).
-    galerkin_from_fine:
-        If True *and* the fine operator is assembled, the first coarse
-        level is also a Galerkin product of the fine matrix (the paper's
-        GMG-ii configuration).  Default False: level 1 is rediscretized
-        regardless of the fine kernel, so all four Table I kernels share
-        an identical hierarchy.
+
+    A Galerkin hierarchy raises ``ValueError`` when a fine Dirichlet dof
+    interpolates from a free coarse dof (the BCs are not nested).
     """
     cfg = config or GMGConfig()
     if len(meshes) < cfg.mg_levels:
@@ -190,116 +189,62 @@ def build_gmg(
     stats = GMGSetupStats()
     quad = GaussQuadrature.hex(3)
     bcs = [bc_builder(m) for m in meshes]
-
-    if cfg.mg_levels == 1:
-        # degenerate hierarchy: assemble and hand the whole problem to the
-        # coarse solver (useful for tiny meshes and unit tests)
-        bc0 = bcs[0]
+    prolongs = [vector_prolongation(meshes[k - 1], meshes[k])
+                for k in range(1, cfg.mg_levels)]
+    galerkin = []
+    if cfg.galerkin and prolongs:
         t0 = time.perf_counter()
-        A_raw = assembly.assemble_viscous(meshes[0], eta_levels[0], quad)
-        A_bc, _ = bc0.eliminate(A_raw, np.zeros(3 * meshes[0].nnodes))
-        stats.assemble_seconds += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        coarse = _coarsest_solver(A_bc, meshes[0], bc0, cfg)
-        stats.coarse_setup_seconds += time.perf_counter() - t0
-        stats.level_ndofs.append(3 * meshes[0].nnodes)
-        lvl = MGLevel(
-            apply=_wrap_assembled(A_bc), coarse_solve=coarse,
-            bc_mask=bc0.mask, ndof=3 * meshes[0].nnodes,
-            label=f"single[{cfg.coarse_solver}]",
-        )
-        return MGHierarchy([lvl], gamma=cfg.gamma), stats
-
-    def operator_level(op, bc, label):
-        """Smoothed level applying through a viscous operator kernel."""
-        # calling the operator keeps the MatMult event visible inside
-        # smoother sweeps
-        apply = bc.wrap_apply(op)
-        diag = op.diagonal()
-        diag[bc.mask] = 1.0
-        return MGLevel(
-            apply=apply,
-            smoother=ChebyshevSmoother(apply, diag, degree=cfg.smoother_degree),
-            bc_mask=bc.mask,
-            ndof=op.ndof,
-            label=label,
-        )
-
-    fine_is_assembled = cfg.operator == "asmb"
-    # finest level
-    bc0 = bcs[0]
-    t0 = time.perf_counter()
-    op = fine_op if fine_op is not None else make_operator(
-        cfg.operator, meshes[0], eta_levels[0], quad=quad)
-    levels = [operator_level(op, bc0, f"gmg-fine[{cfg.operator}]")]
-    # matrix of the level above, while a Galerkin product may need it
-    A_above = None
-    if fine_is_assembled:
-        A_above, _ = bc0.eliminate(op.matrix, np.zeros(op.ndof))
-        stats.assemble_seconds += time.perf_counter() - t0
-    stats.level_ndofs.append(op.ndof)
-
-    # coarser levels: each needs the prolongator from itself to the level
-    # above, both for the cycle and for the Galerkin products
-    for k in range(1, cfg.mg_levels):
-        mesh = meshes[k]
-        bc = bcs[k]
+        with _obs.timed("MGGalerkin", flops=galerkin_flops(meshes)):
+            galerkin = galerkin_levels(meshes, eta_levels[0], quad,
+                                       [bc.mask for bc in bcs], prolongs)
+        stats.galerkin_seconds += time.perf_counter() - t0
+    levels = []
+    for k, (mesh, bc) in enumerate(zip(meshes, bcs)):
         ndof = 3 * mesh.nnodes
-        P = vector_prolongation(meshes[k - 1], mesh)
-        levels[k - 1].prolong = P
-        coarsest = k == cfg.mg_levels - 1
-        use_galerkin = cfg.galerkin and A_above is not None
-        if k == 1 and not galerkin_from_fine:
-            use_galerkin = False
-        # a rediscretized, smoothed level applies through the fine kernel;
-        # its matrix is then only the input of the Galerkin product below
-        matrix_free = not (use_galerkin or coarsest or fine_is_assembled)
-        Ak = None
-        if use_galerkin:
-            t0 = time.perf_counter()
-            Ak = (P.T @ A_above @ P).tocsr()
-            # re-impose identity rows/cols at the coarse Dirichlet dofs
-            keep = sp.diags((~bc.mask).astype(float))
-            Ak = (keep @ Ak @ keep + sp.diags(bc.mask.astype(float))).tocsr()
-            stats.galerkin_seconds += time.perf_counter() - t0
-        elif cfg.galerkin or not matrix_free:
-            t0 = time.perf_counter()
-            A_raw = assembly.assemble_viscous(mesh, eta_levels[k], quad)
-            Ak, _ = bc.eliminate(A_raw, np.zeros(ndof))
-            stats.assemble_seconds += time.perf_counter() - t0
-        # rebinding drops the matrix above unless its level applies it
-        A_above = Ak
-        if matrix_free:
-            op_k = make_operator(cfg.operator, mesh, eta_levels[k],
-                                 quad=quad)
-            levels.append(
-                operator_level(op_k, bc, f"gmg-mf[{cfg.operator}]")
-            )
-        elif coarsest:
-            t0 = time.perf_counter()
-            coarse = _coarsest_solver(Ak, mesh, bc, cfg)
-            stats.coarse_setup_seconds += time.perf_counter() - t0
-            levels.append(
-                MGLevel(
-                    apply=_wrap_assembled(Ak),
-                    coarse_solve=coarse,
-                    bc_mask=bc.mask,
-                    ndof=ndof,
-                    label=f"gmg-coarse[{cfg.coarse_solver}]",
-                )
-            )
-        else:
-            apply_k = _wrap_assembled(Ak)
-            diag = Ak.diagonal().copy()
-            diag[diag == 0.0] = 1.0
-            levels.append(
-                MGLevel(
-                    apply=apply_k,
-                    smoother=ChebyshevSmoother(apply_k, diag, degree=cfg.smoother_degree),
-                    bc_mask=bc.mask,
-                    ndof=ndof,
-                    label="gmg-assembled",
-                )
-            )
         stats.level_ndofs.append(ndof)
+        coarsest = k == cfg.mg_levels - 1
+        if k and galerkin:
+            A, label = galerkin[k - 1], "gmg-galerkin"
+        elif coarsest or (k and cfg.operator == "asmb"):
+            # assembled on its own mesh: a single-level hierarchy, and the
+            # rediscretized (GMG-i) levels that are solved or have no kernel
+            t0 = time.perf_counter()
+            A, _ = bc.eliminate(assembly.assemble_viscous(
+                mesh, eta_levels[k], quad), np.zeros(ndof))
+            label = "gmg-assembled"
+            stats.assemble_seconds += time.perf_counter() - t0
+        else:
+            # the fine level and GMG-i's smoothed levels apply through the
+            # kernel; calling the operator keeps its MatMult event visible
+            # inside smoother sweeps
+            op = fine_op if k == 0 and fine_op is not None else make_operator(
+                cfg.operator, mesh, eta_levels[k], quad=quad)
+            apply = bc.wrap_apply(op)
+            diag = op.diagonal()
+            diag[bc.mask] = 1.0
+            levels.append(MGLevel(
+                apply=apply, bc_mask=bc.mask, ndof=ndof,
+                smoother=ChebyshevSmoother(apply, diag,
+                                           degree=cfg.smoother_degree),
+                label=f"gmg-{'mf' if k else 'fine'}[{cfg.operator}]"))
+            continue
+        apply = _wrap_assembled(A)
+        if coarsest:
+            t0 = time.perf_counter()
+            coarse = _coarsest_solver(A, mesh, bc, cfg)
+            stats.coarse_setup_seconds += time.perf_counter() - t0
+            levels.append(MGLevel(
+                apply=apply, coarse_solve=coarse, matrix=A, bc_mask=bc.mask,
+                ndof=ndof, label=f"{'gmg-coarse' if k else 'single'}"
+                                 f"[{cfg.coarse_solver}]"))
+        else:
+            diag = A.diagonal()
+            diag[diag == 0.0] = 1.0
+            levels.append(MGLevel(
+                apply=apply, matrix=A, bc_mask=bc.mask, ndof=ndof,
+                smoother=ChebyshevSmoother(apply, diag,
+                                           degree=cfg.smoother_degree),
+                label=label))
+    for lvl, P in zip(levels, prolongs):
+        lvl.prolong = P
     return MGHierarchy(levels, gamma=cfg.gamma), stats

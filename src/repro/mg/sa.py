@@ -154,51 +154,48 @@ def aggregate(S: sp.csr_matrix, skip: np.ndarray | None = None) -> np.ndarray:
 def tentative_prolongator(
     agg: np.ndarray, B: np.ndarray, block_size: int
 ) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Tentative prolongator and coarse near-nullspace via per-aggregate QR."""
-    n_nodes = agg.size
-    k = B.shape[1]
+    """Tentative prolongator and coarse near-nullspace via per-aggregate QR,
+    one stacked QR per aggregate size."""
     n_agg = int(agg.max()) + 1
-    rows_all, cols_all, vals_all = [], [], []
-    coarse_B_rows = []
-    col_offset = 0
     order = np.argsort(agg, kind="stable")
     # skipped nodes (agg == -1) sort first and receive no coarse dofs
     order = order[agg[order] >= 0]
     boundaries = np.searchsorted(agg[order], np.arange(n_agg + 1))
-    for a in range(n_agg):
-        nodes = order[boundaries[a]:boundaries[a + 1]]
-        dofs = (
-            block_size * nodes[:, None] + np.arange(block_size)[None, :]
-        ).ravel()
-        Ba = B[dofs]
-        Q, R = np.linalg.qr(Ba)
+    sizes = np.diff(boundaries)
+    groups, rank = [], np.empty(n_agg, dtype=np.int64)
+    for size in np.unique(sizes):
+        ids = np.flatnonzero(sizes == size)
+        nodes = order[boundaries[ids, None] + np.arange(size)]
+        dofs = (block_size * nodes[:, :, None]
+                + np.arange(block_size)).reshape(ids.size, -1)
+        Q, R = np.linalg.qr(B[dofs])
         # rank by diagonal of R (zero rows of B at bc dofs shrink the rank)
-        diag = np.abs(np.diag(R))
-        scale = diag.max() if diag.size else 0.0
-        r = int(np.sum(diag > 1e-10 * max(scale, 1e-300))) if scale > 0 else 0
-        if r == 0:
-            # aggregate fully constrained: inject the first dof so the
-            # prolongator keeps full column rank
-            r = 1
-            Q = np.zeros((dofs.size, 1))
-            Q[0, 0] = 1.0
-            R = np.zeros((1, k))
-        else:
-            Q = Q[:, :r]
-            R = R[:r]
-        rows_all.append(np.repeat(dofs, r))
-        cols_all.append(np.tile(np.arange(col_offset, col_offset + r), dofs.size))
-        vals_all.append(Q.ravel())
-        coarse_B_rows.append(R)
-        col_offset += r
+        diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        scale = diag.max(axis=1)
+        r = np.sum(diag > 1e-10 * np.maximum(scale, 1e-300)[:, None], axis=1)
+        # aggregate fully constrained: inject the first dof so the
+        # prolongator keeps full column rank
+        empty = scale <= 0
+        Q[empty], R[empty], r[empty] = 0.0, 0.0, 1
+        Q[empty, 0, 0] = 1.0
+        rank[ids] = r
+        groups.append((ids, dofs, Q, R, r))
+    start = np.concatenate([[0], np.cumsum(rank)])
+    coarse_B = np.zeros((start[-1], B.shape[1]))
+    rows, cols, vals = [], [], []
+    for ids, dofs, Q, R, r in groups:
+        for rr in np.unique(r):
+            sel = r == rr
+            c = start[ids[sel], None] + np.arange(rr)
+            rows.append(np.repeat(dofs[sel], rr, axis=1).ravel())
+            cols.append(np.repeat(c[:, None], dofs.shape[1], axis=1).ravel())
+            vals.append(Q[sel, :, :rr].ravel())
+            coarse_B[c] = R[sel, :rr]
     P = sp.csr_matrix(
-        (
-            np.concatenate(vals_all),
-            (np.concatenate(rows_all), np.concatenate(cols_all)),
-        ),
-        shape=(block_size * n_nodes, col_offset),
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(block_size * agg.size, start[-1]),
     )
-    return P, np.vstack(coarse_B_rows)
+    return P, coarse_B
 
 
 def _drop_small(P: sp.csr_matrix, tol: float) -> sp.csr_matrix:

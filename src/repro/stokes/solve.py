@@ -119,7 +119,6 @@ def _pressure_null_vector(mesh) -> np.ndarray:
 def solve_stokes(
     problem: StokesProblem,
     config: StokesConfig | None = None,
-    eta_levels: list | None = None,
     velocity_operator=None,
     monitor=None,
     rhs: np.ndarray | None = None,
@@ -130,9 +129,6 @@ def solve_stokes(
 
     Parameters
     ----------
-    eta_levels:
-        Optional viscosity per multigrid level (finest first); derived by
-        nodal restriction of ``problem.eta_q`` when omitted.
     velocity_operator:
         Optional operator (e.g. Newton linearization) used in the coupled
         matvec while the preconditioner keeps the Picard operator
@@ -183,17 +179,15 @@ def solve_stokes(
             mg_stats = None
         else:  # "gmg"
             meshes = mesh.hierarchy(cfg.mg_levels)[::-1]
-            # the Picard viscous block on problem.eta_q is multigrid level
-            # 0; caller-supplied level viscosities get their own operator
-            fine_op = picard.A_op if eta_levels is None else None
-            if eta_levels is None:
-                eta_levels = coefficient_hierarchy(
-                    meshes, problem.eta_q, problem.quad
-                )
+            # the Picard viscous block is multigrid level 0; Galerkin
+            # levels read only its coefficient
+            eta_levels = ([problem.eta_q] if cfg.galerkin else
+                          coefficient_hierarchy(meshes, problem.eta_q,
+                                                problem.quad))
             with _obs.timed("PCSetUp_gmg"):
                 vel_pc, mg_stats = build_gmg(
                     meshes, eta_levels, problem.bc_builder, cfg,
-                    fine_op=fine_op,
+                    fine_op=picard.A_op,
                 )
         with _obs.timed("PCSetUp_fieldsplit"):
             pc = FieldSplitPreconditioner(op, vel_pc)

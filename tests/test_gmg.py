@@ -9,7 +9,7 @@ from repro.mg import build_gmg, GMGConfig
 from repro.mg.coefficients import coefficient_hierarchy
 from repro.solvers import cg
 
-from tests.conftest import no_slip_bc
+from tests.conftest import free_slip_bc, no_slip_bc
 
 QUAD = GaussQuadrature.hex(3)
 
@@ -21,8 +21,7 @@ def smooth_eta(x):
     )
 
 
-def solve_with_gmg(shape, levels=2, config=None, rtol=1e-8,
-                   galerkin_from_fine=False):
+def solve_with_gmg(shape, levels=2, config=None, rtol=1e-8):
     mesh = StructuredMesh(shape, order=2)
     meshes = mesh.hierarchy(levels)[::-1]
     etas = []
@@ -30,8 +29,7 @@ def solve_with_gmg(shape, levels=2, config=None, rtol=1e-8,
         _, _, xq = m.geometry_at(QUAD)
         etas.append(smooth_eta(xq))
     config = config or GMGConfig(mg_levels=levels, coarse_solver="lu")
-    mg, stats = build_gmg(meshes, etas, no_slip_bc, config,
-                          galerkin_from_fine=galerkin_from_fine)
+    mg, stats = build_gmg(meshes, etas, no_slip_bc, config)
     bc = no_slip_bc(mesh)
     rng = np.random.default_rng(0)
     b = rng.standard_normal(3 * mesh.nnodes)
@@ -101,12 +99,12 @@ class TestOperatorChoices:
         assert abs(its[True] - its[False]) <= 5
 
     def test_assembled_fine_enables_full_galerkin(self):
-        """GMG-ii configuration: assembled fine level, Galerkin everywhere."""
+        """GMG-ii configuration: assembled fine level, Galerkin everywhere
+        (the default hierarchy with ``operator="asmb"``)."""
         res, _ = solve_with_gmg(
             (4, 4, 4), levels=2,
             config=GMGConfig(mg_levels=2, operator="asmb", galerkin=True,
                              coarse_solver="lu"),
-            galerkin_from_fine=True,
         )
         assert res.converged
 
@@ -176,20 +174,17 @@ class TestCoefficientHierarchy:
 
 
 class TestMatrixFreeLevels:
-    """A rediscretized, smoothed level (level 1 of the default 3-level
-    hierarchy) applies through the fine kernel; ``operator="asmb"``
-    builds the same hierarchy with every level assembled and is the
-    oracle."""
+    """Only the finest level applies through a kernel: every coarse level
+    of the default hierarchy is a Galerkin matrix formed from the fine
+    coefficient, the same for every fine kernel, so ``operator="asmb"``
+    (Table IV's GMG-ii) is the oracle."""
 
     def hierarchy(self, kind, shape=(8, 8, 8)):
         mesh = StructuredMesh(shape, order=2)
         meshes = mesh.hierarchy(3)[::-1]
-        etas = []
-        for m in meshes:
-            _, _, xq = m.geometry_at(QUAD)
-            etas.append(smooth_eta(xq))
+        _, _, xq = mesh.geometry_at(QUAD)
         mg, stats = build_gmg(
-            meshes, etas, no_slip_bc,
+            meshes, [smooth_eta(xq)], no_slip_bc,
             GMGConfig(mg_levels=3, coarse_solver="lu", operator=kind),
         )
         return mesh, mg, stats
@@ -198,45 +193,54 @@ class TestMatrixFreeLevels:
         mesh, mg_mf, stats_mf = self.hierarchy("tensor_compiled")
         _, mg_as, _ = self.hierarchy("asmb")
         assert [lvl.label for lvl in mg_mf.levels] == [
-            "gmg-fine[tensor_compiled]", "gmg-mf[tensor_compiled]",
-            "gmg-coarse[lu]",
+            "gmg-fine[tensor_compiled]", "gmg-galerkin", "gmg-coarse[lu]",
         ]
         assert [lvl.label for lvl in mg_as.levels] == [
-            "gmg-fine[asmb]", "gmg-assembled", "gmg-coarse[lu]",
+            "gmg-fine[asmb]", "gmg-galerkin", "gmg-coarse[lu]",
         ]
-        # level 1 was still assembled, as the Galerkin product's input
-        assert stats_mf.assemble_seconds > 0.0
+        # no level was rediscretized or assembled on its own mesh
+        assert stats_mf.assemble_seconds == 0.0
         assert stats_mf.galerkin_seconds > 0.0
+        for a, b in zip(mg_mf.levels[1:], mg_as.levels[1:]):
+            assert_same_csr(a.matrix, b.matrix)
         b = np.random.default_rng(1).standard_normal(3 * mesh.nnodes)
         b[mg_mf.levels[0].bc_mask] = 0.0
         x_mf, x_as = mg_mf(b), mg_as(b)
         assert np.linalg.norm(x_mf - x_as) <= 1e-10 * np.linalg.norm(x_as)
 
     def test_level_applies_are_kernel_events(self):
-        """-log_view stays truthful: with V(2,2) each smoothed level makes
-        4 applies per cycle, all of them MatMult_<kernel> events carrying
-        the analytic flop counts, and no explicit-residual event."""
+        """-log_view stays truthful: with V(2,2) the fine level makes 4
+        kernel applies per cycle, MatMult_<kernel> events carrying the
+        analytic flop counts; level 1 smooths with its Galerkin matrix; no
+        explicit-residual event; the cell-block build is one MGGalerkin
+        event with its analytic flops."""
         from repro import obs
+        from repro.mg.galerkin import galerkin_flops
         from repro.perf.counts import OPERATOR_COUNTS
 
-        mesh, mg, _ = self.hierarchy("tensor_compiled", (4, 4, 4))
-        b = np.ones(3 * mesh.nnodes)
-        b[mg.levels[0].bc_mask] = 0.0
         obs.reset()
         obs.enable()
         try:
+            mesh, mg, _ = self.hierarchy("tensor_compiled", (4, 4, 4))
+            built = {e.name: e for e in obs.REGISTRY.events.values()}
+            obs.reset()
+            b = np.ones(3 * mesh.nnodes)
+            b[mg.levels[0].bc_mask] = 0.0
             mg(b)
             events = {e.name: e for e in obs.REGISTRY.events.values()}
         finally:
             obs.disable()
             obs.reset()
         mm = events["MatMult_tensor_compiled"]
-        assert mm.count == 8
-        nel = mesh.nel + mesh.nel // 8  # level 0 + level 1 elements
-        assert mm.flops == 4 * nel * OPERATOR_COUNTS["tensor_compiled"].flops
+        assert mm.count == 4
+        assert mm.flops == 4 * mesh.nel * OPERATOR_COUNTS["tensor_compiled"].flops
         assert events["MGSmooth_level0"].count == 2
         assert events["MGSmooth_level1"].count == 2
         assert not any(name.startswith("MGResid") for name in events)
+        assert "MGGalerkin" not in events
+        assert built["MGGalerkin"].count == 1
+        assert built["MGGalerkin"].flops == galerkin_flops(
+            mesh.hierarchy(3)[::-1])
 
     def test_no_galerkin_skips_the_level_matrix(self, monkeypatch):
         """Without Galerkin coarsening nothing needs level 1's matrix."""
@@ -262,6 +266,8 @@ class TestMatrixFreeLevels:
     def test_solve_iterations_match_assembled(self, monkeypatch):
         import repro.mg.gmg as gmg_mod
         import repro.stokes.operators as operators_mod
+        from repro.fem import assembly
+        from repro.mg import coefficients
         from repro.sim.sinker import SinkerConfig, sinker_stokes_problem
         from repro.stokes import StokesConfig, solve_stokes
 
@@ -271,14 +277,100 @@ class TestMatrixFreeLevels:
             built.append((kind, mesh.nel))
             return make_operator(kind, mesh, *args, **kwargs)
 
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the default hierarchy rediscretized")
+
         monkeypatch.setattr(gmg_mod, "make_operator", counting)
         monkeypatch.setattr(operators_mod, "make_operator", counting)
         pb = sinker_stokes_problem(SinkerConfig(
             shape=(8, 8, 8), n_spheres=2, radius=0.15, delta_eta=100.0))
-        sol = solve_stokes(pb, StokesConfig())
-        # one operator per smoothed level: the coupled operator's viscous
-        # block is the hierarchy's level 0, not a second identical build
-        assert built == [("tensor_compiled", 512), ("tensor_compiled", 64)]
+        with monkeypatch.context() as m:
+            m.setattr(assembly, "assemble_viscous", forbidden)
+            m.setattr(coefficients, "coefficient_hierarchy", forbidden)
+            sol = solve_stokes(pb, StokesConfig())
+        # one operator, the fine one: the coupled operator's viscous block
+        # is the hierarchy's level 0, and no coarse level has a kernel
+        assert built == [("tensor_compiled", 512)]
         oracle = solve_stokes(pb, StokesConfig(operator="asmb"))
         assert sol.converged and oracle.converged
         assert sol.iterations == oracle.iterations
+
+
+def assert_same_csr(a, b):
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+
+
+def rift_bc(mesh):
+    from repro.sim.rifting import RiftingConfig, make_rift_bc_builder
+
+    return make_rift_bc_builder(RiftingConfig())(mesh)
+
+
+class TestGalerkinLevels:
+    """The cell-block levels are ``Pᵀ A_bc P`` of the assembled fine
+    matrix, whatever kernel applies the fine level."""
+
+    @staticmethod
+    def problem():
+        mesh = StructuredMesh((4, 4, 4), order=2)
+        mesh.deform(lambda c: c + 0.04 * np.sin(2 * np.pi * c[:, [1, 2, 0]]))
+        _, _, xq = mesh.geometry_at(QUAD)
+        # eta spans 10^4 across the box
+        eta = 10.0 ** (4.0 * xq[..., 0] * (1.0 - xq[..., 2]) ** 2)
+        return mesh, eta
+
+    @pytest.mark.parametrize("bc_builder", [free_slip_bc, no_slip_bc, rift_bc])
+    def test_levels_equal_rap_of_eliminated_fine_matrix(self, bc_builder):
+        import scipy.sparse as sp
+
+        from repro.fem import assembly
+        from repro.mg.transfer import vector_prolongation
+
+        mesh, eta = self.problem()
+        assert np.ptp(np.log10(eta)) > 3.9
+        meshes = mesh.hierarchy(3)[::-1]
+        mg, _ = build_gmg(meshes, [eta], bc_builder,
+                          GMGConfig(mg_levels=3, coarse_solver="lu"))
+        A = assembly.assemble_viscous(mesh, eta, QUAD)
+        A_bc, _ = bc_builder(mesh).eliminate(A, np.zeros(A.shape[0]))
+        for k in (1, 2):
+            P = vector_prolongation(meshes[k - 1], meshes[k])
+            mask = bc_builder(meshes[k]).mask
+            keep = sp.diags((~mask).astype(float))
+            A_bc = (keep @ (P.T @ A_bc @ P) @ keep
+                    + sp.diags(mask.astype(float))).tocsr()
+            err = abs(mg.levels[k].matrix - A_bc).max()
+            assert err <= 1e-13 * abs(A_bc).max()
+
+    def test_partial_face_bc_is_not_nested(self):
+        from repro.fem.bc import DirichletBC, boundary_nodes, component_dofs
+
+        def partial(mesh):
+            bc = DirichletBC(3 * mesh.nnodes)
+            nnx, nny, _ = mesh.nodes_per_dim
+            nodes = boundary_nodes(mesh, "xmin")
+            # the lower half of the face, open at the middle: fine node
+            # j = 3 lies between coarse nodes 1 (fixed) and 2 (free)
+            nodes = nodes[(nodes // nnx) % nny < (nny - 1) // 2]
+            return bc.add(component_dofs(nodes, 0), 0.0).finalize()
+
+        mesh, eta = self.problem()
+        with pytest.raises(ValueError, match="not nested"):
+            build_gmg(mesh.hierarchy(2)[::-1], [eta], partial,
+                      GMGConfig(mg_levels=2, coarse_solver="lu"))
+
+    def test_every_kernel_builds_the_same_levels(self):
+        mesh, eta = self.problem()
+        meshes = mesh.hierarchy(3)[::-1]
+        ref = None
+        for kind in ("asmb", "mf", "tensor", "tensor_c", "tensor_compiled"):
+            mg, _ = build_gmg(meshes, [eta], free_slip_bc,
+                              GMGConfig(mg_levels=3, coarse_solver="lu",
+                                        operator=kind))
+            if ref is None:
+                ref = mg
+                continue
+            for a, b in zip(mg.levels[1:], ref.levels[1:]):
+                assert_same_csr(a.matrix, b.matrix)

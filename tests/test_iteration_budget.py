@@ -9,10 +9,11 @@ from the ``repro.obs`` traces (``ksp``/``snes``/``mg`` records and the
 ``step`` stream), and must not exceed its budget.
 
 Measured budgets (identical compiled, with ``REPRO_NO_CKERNEL=1`` and at
-``REPRO_WORKERS=2`` and 3):
+``REPRO_WORKERS=2`` and 3; with ``mg_levels=2`` the coarse LU factors the
+Galerkin level):
 
-* solve: 35 outer Krylov iterations, 35 V-cycles;
-* steps: 1 + 1 Newton iterations, 44 + 41 Krylov iterations, 85 V-cycles.
+* solve: 28 outer Krylov iterations, 28 V-cycles;
+* steps: 1 + 1 Newton iterations, 41 + 38 Krylov iterations, 79 V-cycles.
 """
 
 import numpy as np
@@ -22,11 +23,11 @@ from repro import SimulationConfig, obs
 from repro.sim.sinker import SinkerConfig, make_sinker, sinker_stokes_problem
 from repro.stokes.solve import StokesConfig, solve_stokes
 
-SOLVE_KRYLOV = 35
-SOLVE_VCYCLES = 35
+SOLVE_KRYLOV = 28
+SOLVE_VCYCLES = 28
 STEP_NEWTON = (1, 1)
-STEP_KRYLOV = (44, 41)
-STEPS_VCYCLES = 85
+STEP_KRYLOV = (41, 38)
+STEPS_VCYCLES = 79
 
 
 @pytest.fixture(autouse=True)

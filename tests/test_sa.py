@@ -115,7 +115,94 @@ class TestAggregation:
         assert np.array_equal(used, np.arange(used.size))
 
 
+def tentative_prolongator_loop(
+    agg: np.ndarray, B: np.ndarray, block_size: int
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The per-aggregate loop :func:`tentative_prolongator` replaced: one
+    QR per aggregate, kept as its oracle."""
+    n_nodes = agg.size
+    k = B.shape[1]
+    n_agg = int(agg.max()) + 1
+    rows_all, cols_all, vals_all = [], [], []
+    coarse_B_rows = []
+    col_offset = 0
+    order = np.argsort(agg, kind="stable")
+    # skipped nodes (agg == -1) sort first and receive no coarse dofs
+    order = order[agg[order] >= 0]
+    boundaries = np.searchsorted(agg[order], np.arange(n_agg + 1))
+    for a in range(n_agg):
+        nodes = order[boundaries[a]:boundaries[a + 1]]
+        dofs = (
+            block_size * nodes[:, None] + np.arange(block_size)[None, :]
+        ).ravel()
+        Ba = B[dofs]
+        Q, R = np.linalg.qr(Ba)
+        # rank by diagonal of R (zero rows of B at bc dofs shrink the rank)
+        diag = np.abs(np.diag(R))
+        scale = diag.max() if diag.size else 0.0
+        r = int(np.sum(diag > 1e-10 * max(scale, 1e-300))) if scale > 0 else 0
+        if r == 0:
+            # aggregate fully constrained: inject the first dof so the
+            # prolongator keeps full column rank
+            r = 1
+            Q = np.zeros((dofs.size, 1))
+            Q[0, 0] = 1.0
+            R = np.zeros((1, k))
+        else:
+            Q = Q[:, :r]
+            R = R[:r]
+        rows_all.append(np.repeat(dofs, r))
+        cols_all.append(np.tile(np.arange(col_offset, col_offset + r), dofs.size))
+        vals_all.append(Q.ravel())
+        coarse_B_rows.append(R)
+        col_offset += r
+    P = sp.csr_matrix(
+        (
+            np.concatenate(vals_all),
+            (np.concatenate(rows_all), np.concatenate(cols_all)),
+        ),
+        shape=(block_size * n_nodes, col_offset),
+    )
+    return P, np.vstack(coarse_B_rows)
+
+
+def assert_same_prolongator(got, want):
+    (P, Bc), (P_ref, Bc_ref) = got, want
+    P.sort_indices()
+    P_ref.sort_indices()
+    assert np.array_equal(P.indptr, P_ref.indptr)
+    assert np.array_equal(P.indices, P_ref.indices)
+    assert np.array_equal(P.data, P_ref.data)
+    assert np.array_equal(Bc, Bc_ref)
+
+
 class TestTentativeProlongator:
+    def test_stacked_qr_matches_the_per_aggregate_loop(self):
+        """Bitwise: aggregation of an elasticity block (skipped Dirichlet
+        nodes, rank-deficient boundary aggregates) and the scalar second
+        level fed the first level's coarse near-nullspace."""
+        _, A, B, _ = elasticity_system((4, 4, 4))
+        agg = aggregate(block_strength_graph(A, 3, 0.01), isolated_nodes(A, 3))
+        got = tentative_prolongator(agg, B, 3)
+        assert_same_prolongator(got, tentative_prolongator_loop(agg, B, 3))
+        assert len(np.unique(np.bincount(agg[agg >= 0]))) > 1
+        P, Bc = got
+        Ac = (P.T @ A @ P).tocsr()
+        agg2 = aggregate(block_strength_graph(Ac, 1, 0.01),
+                         isolated_nodes(Ac, 1))
+        assert_same_prolongator(tentative_prolongator(agg2, Bc, 1),
+                                tentative_prolongator_loop(agg2, Bc, 1))
+
+    def test_fully_constrained_aggregate_injects_one_dof(self):
+        rng = np.random.default_rng(3)
+        agg = np.repeat(np.arange(5), 3)
+        B = rng.standard_normal((3 * agg.size, 6))
+        B[:9] = 0.0  # aggregate 0 carries no near-nullspace
+        B[9:18, 3:] = 0.0  # aggregate 1 has rank 3
+        got = tentative_prolongator(agg, B, 3)
+        assert_same_prolongator(got, tentative_prolongator_loop(agg, B, 3))
+        assert got[0][:, 0].toarray().ravel()[:9].tolist() == [1.0] + [0.0] * 8
+
     def test_reproduces_near_nullspace(self):
         """P_tent exactly interpolates the near-nullspace: B = P B_c."""
         _, A, B, _ = elasticity_system((2, 2, 2))
